@@ -8,6 +8,7 @@ ever sees the generated inputs.  The same seed gives the same inputs.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -85,10 +86,36 @@ def codewords(rows) -> list:
             if all(sum(h * s for h, s in zip(row, x)) % 2 == 0 for row in rows)]
 
 
-def bsc_word(rng: random.Random, words, p: Fraction) -> str:
-    """A uniform codeword sent through a binary symmetric channel."""
+def binomial_quantile(n: int, p: Fraction, u: float) -> int:
+    """The smallest k with P(Binomial(n, p) <= k) > u."""
+    cdf = 0.0
+    for k in range(n + 1):
+        cdf += math.comb(n, k) * float(p) ** k * float(1 - p) ** (n - k)
+        if u < cdf:
+            return k
+    return n
+
+
+def bsc_flip_counts(rng: random.Random, n: int, p: Fraction, strata: int):
+    """Endless numbers of bits a BSC(p) flips in an n-bit word, by
+    stratified sampling: each block of ``strata`` draws takes one uniform
+    from each 1/strata slice of [0, 1), in seeded random order, through the
+    Binomial(n, p) inverse CDF.  Each draw is Binomial(n, p), as for the
+    channel, but every block holds nearly the same mix of counts, so the
+    mix of a run does not swing with the seed."""
+    while True:
+        order = list(range(strata))
+        rng.shuffle(order)
+        for j in order:
+            yield binomial_quantile(n, p, (j + rng.random()) / strata)
+
+
+def bsc_word(rng: random.Random, words, flips: int) -> str:
+    """A uniform codeword with ``flips`` uniformly placed bits flipped:
+    a BSC output given the number of bits the channel flipped."""
     x = rng.choice(words)
-    return "".join(str(s ^ (rng.random() < p)) for s in x)
+    where = set(rng.sample(range(len(x)), flips))
+    return "".join(str(s ^ (i in where)) for i, s in enumerate(x))
 
 
 def interior_omega(rng: random.Random, words) -> list:

@@ -3,9 +3,10 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload exact-covers --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload exact-covers --seed 1 --seconds 20 --trace 0
 
-``--trace 0`` makes the untraced run and prints the end-to-end metrics;
+``--trace 0`` makes the untraced run and prints the end-to-end metrics,
+in calibrated time (``clock.py``), with the wall-clock figures beside them;
 ``--trace 1`` runs each item twice, untraced and traced, and prints the
 per-layer metrics and the tracing overhead.  Human-readable
 lines come first; the last line of standard output is one JSON object
@@ -28,11 +29,15 @@ import traceback
 from itertools import chain, islice
 from pathlib import Path
 
+from clock import Clock, calibrated_setup
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = HERE / "out"
-SETUP_REPEATS = 3  # this process plus two fresh ones
+SETUP_REPEATS = 5  # this process plus four fresh ones
 TAIL_BEYOND = 10   # the tail percentile leaves this many items above it
+# the end-to-end metrics BENCHMARK.json gates, with their units
+E2E = (("throughput_items_per_s", "1/s"), ("setup_s", "s"), ("peak_rss_mb", "MB"))
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -81,22 +86,27 @@ def environment(gcb) -> dict:
 
 def setup(name: str, seed: int, tracer=None):
     """Import, parse the bundled files, generate and parse the input pool,
-    run one untimed item.  Returns (gcb, workload, items, seconds taken)."""
-    t0 = time.perf_counter()
-    gcb = import_gcb()
-    import workloads
+    run one untimed item; then calibrate.  Returns (gcb, workload, items,
+    calibrated seconds, wall seconds)."""
 
-    if tracer is not None:
-        tracer.install()
-        tracer.item, tracer.recording = "setup", True
-    wl = workloads.WORKLOADS[name](ROOT)
-    stream = wl.stream(seed)
-    pool = list(islice(stream, wl.pool_size))
-    if tracer is not None:
-        tracer.recording = False
-        tracer.uninstall()
-    wl.verify(wl.warmup_input(), wl.run(wl.warmup_input()))
-    return gcb, wl, chain(pool, stream), time.perf_counter() - t0
+    def body():
+        gcb = import_gcb()
+        import workloads
+
+        if tracer is not None:
+            tracer.install()
+            tracer.item, tracer.recording = "setup", True
+        wl = workloads.WORKLOADS[name](ROOT)
+        stream = wl.stream(seed)
+        pool = list(islice(stream, wl.pool_size))
+        if tracer is not None:
+            tracer.recording = False
+            tracer.uninstall()
+        wl.verify(wl.warmup_input(), wl.run(wl.warmup_input()))
+        return gcb, wl, chain(pool, stream)
+
+    (gcb, wl, items), setup_s, wall_s = calibrated_setup(body)
+    return gcb, wl, items, setup_s, wall_s
 
 
 def _timed(wl, inp):
@@ -113,29 +123,34 @@ def _check(wl, inp, out):
         return traceback.format_exc()
 
 
-def run_pass(wl, items, seconds):
+def run_pass(wl, items, seconds, clock: Clock):
     """Closed loop, one caller: each item's calls are timed, then checked
-    outside the timed region.  Runs for ``seconds`` of wall time and then
-    to the end of the current rotation of the workload's input cycle, so
-    every run measures whole rotations; returns (latencies, attempted,
-    failures)."""
-    latencies, failures = [], []
+    outside the timed region, and the clock takes a reference probe
+    between items every PROBE_EVERY_S.  Runs for ``seconds`` of wall time
+    and then to the end of the current rotation of the workload's input
+    cycle, so every run measures whole rotations; returns (the start and
+    wall seconds of each item that returned, attempted, failures)."""
+    timed, failures = [], []
     attempted = 0
+    clock.probe()
     deadline = time.perf_counter() + seconds
     for i, inp in enumerate(items):
         attempted += 1
+        start = time.perf_counter()
         try:
             out, dt = _timed(wl, inp)
         except Exception:  # an item that raises is a failed item; the loop goes on
             failures.append((i, traceback.format_exc()))
         else:
-            latencies.append(dt)
+            timed.append((start, dt))
             reason = _check(wl, inp, out)
             if reason is not None:
                 failures.append((i, reason))
+        clock.maybe_probe()
         if (i + 1 - wl.offset) % wl.cycle == 0 and time.perf_counter() >= deadline:
             break
-    return latencies, attempted, failures
+    clock.probe()
+    return timed, attempted, failures
 
 
 def run_paired(wl, items, seconds, tracer):
@@ -184,6 +199,7 @@ def latency_summary(latencies) -> dict:
 
 
 def measure_setup_in_fresh_processes(args) -> list:
+    """(calibrated, wall) set-up seconds of SETUP_REPEATS - 1 fresh processes."""
     times = []
     for _ in range(SETUP_REPEATS - 1):
         proc = subprocess.run(
@@ -192,7 +208,8 @@ def measure_setup_in_fresh_processes(args) -> list:
              "--setup-only"],
             cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
         )
-        times.append(json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"])
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        times.append((out["setup_s"], out["setup_wall_s"]))
     return times
 
 
@@ -209,8 +226,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(HERE))
 
     if args.setup_only:
-        setup_s = setup(args.workload, args.seed)[3]
-        print(json.dumps({"setup_s": setup_s}))
+        setup_s, wall_s = setup(args.workload, args.seed)[3:]
+        print(json.dumps({"setup_s": setup_s, "setup_wall_s": wall_s}))
         return 0
 
     tracer = None
@@ -218,25 +235,25 @@ def main(argv=None) -> int:
         import spans
 
         tracer = spans.Tracer()
-    gcb, wl, items, setup_s = setup(args.workload, args.seed, tracer)
+    gcb, wl, items, setup_s, setup_wall_s = setup(args.workload, args.seed, tracer)
     env = environment(gcb)
     record = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
               "trace": args.trace, "env": env}
     OUT.mkdir(exist_ok=True)
 
     if tracer is None:
-        latencies, attempted, failures = run_pass(wl, items, args.seconds)
-        summary = latency_summary(latencies)
-        setups = [setup_s] + measure_setup_in_fresh_processes(args)
-        summary["setup_s"] = statistics.median(setups)
+        clock = Clock()
+        timed, attempted, failures = run_pass(wl, items, args.seconds, clock)
+        summary = latency_summary([dt * clock.scale(t, t + dt) for t, dt in timed])
+        wall = latency_summary([dt for _, dt in timed])
+        setups = [(setup_s, setup_wall_s)] + measure_setup_in_fresh_processes(args)
+        summary["setup_s"] = statistics.median(s for s, _ in setups)
+        wall["setup_s"] = statistics.median(w for _, w in setups)
         summary["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        metrics = {
-            "throughput_items_per_s": (summary["throughput_items_per_s"], "1/s"),
-            "latency_tail_ms": (summary["latency_tail_ms"], "ms"),
-            "setup_s": (summary["setup_s"], "s"),
-            "peak_rss_mb": (summary["peak_rss_mb"], "MB"),
-        }
-        record.update(summary, setup_samples_s=setups, latencies_s=latencies)
+        metrics = {name: (summary[name], unit) for name, unit in E2E}
+        record.update(summary, wall=wall, host_speed=clock.host_speed(),
+                      setup_samples_s=setups, items_start_wall_s=timed,
+                      probes_start_s=clock.starts, probes_s=clock.seconds)
     else:
         plain, traced, attempted, failures = run_paired(wl, items, args.seconds, tracer)
         metrics = tracer.layer_metrics()
@@ -262,9 +279,14 @@ def main(argv=None) -> int:
     if tracer is None:
         # reported but not gated: see perfbench/README.md
         print(f"{'latency_p50_ms':40s} {record['latency_p50_ms']:16.6f} ms")
+        print(f"{'latency_tail_ms':40s} {record['latency_tail_ms']:16.6f} ms")
         print(f"{'failed_frac':40s} {failed / attempted:16.6f} ratio")
         print(f"# latency_tail_ms is the p{record['tail_percentile']:.1f} latency "
               f"({TAIL_BEYOND} of {record['items']} items beyond it)")
+        print(f"# times are calibrated (perfbench/clock.py); host speed "
+              f"{record['host_speed']:.3f}; wall: "
+              + ", ".join(f"{name} {wall[name]:.6g}" for name in
+                          ("throughput_items_per_s", "latency_p50_ms", "latency_tail_ms", "setup_s")))
     print(json.dumps({
         "correct": failed == 0,
         "attempted": attempted,

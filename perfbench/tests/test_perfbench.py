@@ -3,6 +3,7 @@
 Run from the checkout root with ``python3 -m pytest perfbench/tests -q``.
 """
 
+import math
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -13,6 +14,7 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
 
+import clock  # noqa: E402
 import gcb  # noqa: E402
 import run  # noqa: E402
 import spans  # noqa: E402
@@ -78,10 +80,10 @@ def test_corrupted_result_counts_as_failure(loaded, name):
     wl = loaded[name]
     index, damage = CORRUPT[name]
     inp = next(islice(wl.stream(3), index, None))
-    latencies, attempted, failures = run.run_pass(wl, iter([inp]), seconds=60)
-    assert (len(latencies), attempted, failures) == (1, 1, [])
-    latencies, attempted, failures = run.run_pass(Corrupted(wl, damage), iter([inp]), seconds=60)
-    assert (len(latencies), attempted, len(failures)) == (1, 1, 1)
+    timed, attempted, failures = run.run_pass(wl, iter([inp]), 60, clock.Clock())
+    assert (len(timed), attempted, failures) == (1, 1, [])
+    timed, attempted, failures = run.run_pass(Corrupted(wl, damage), iter([inp]), 60, clock.Clock())
+    assert (len(timed), attempted, len(failures)) == (1, 1, 1)
 
 
 def test_corrupted_curve_counts_as_failure(loaded):
@@ -121,3 +123,36 @@ def test_tracer_wraps_every_binding_and_restores_it(loaded):
     assert 0 < layers["covers.census_dedup_ratio"][0] <= 1
     total = sum(end - start for _, start, end, parent, _ in tracer.spans if parent < 0)
     assert sum(tracer.self_times().values()) == pytest.approx(total)
+
+
+def test_clock_scales_by_the_probes_around_a_span():
+    c = clock.Clock()
+    c.starts = [0.0, 0.5, 1.0, 1.5, 2.0, 20.0, 20.5, 21.0, 21.5, 22.0, 22.5]
+    c.seconds = [clock.REFERENCE_S] * 5 + [2 * clock.REFERENCE_S] * 6
+    assert c.scale(1.0, 1.1) == 1.0
+    assert c.scale(21.0, 21.1) == 0.5
+    assert c.host_speed() == 0.5
+
+
+def test_run_pass_probes_between_items(loaded):
+    wl = loaded["decode-bsc"]
+    c = clock.Clock()
+    timed, attempted, failures = run.run_pass(wl, islice(wl.stream(3), 3), seconds=0, clock=c)
+    assert (len(timed), attempted, failures) == (3, 3, [])
+    assert len(c.seconds) >= 2 and c.starts == sorted(c.starts)
+    assert all(c.scale(t, t + dt) > 0 for t, dt in timed)
+
+
+def test_stratified_flip_counts_are_binomial():
+    import random
+
+    import inputs
+
+    n, p = 10, Fraction(1, 5)
+    counts = inputs.bsc_flip_counts(random.Random(7), n, p, strata=10)
+    draws = list(islice(counts, 20000))
+    for k in range(4):
+        want = math.comb(n, k) * float(p) ** k * float(1 - p) ** (n - k)
+        assert draws.count(k) / len(draws) == pytest.approx(want, abs=0.01)
+    block = sorted(draws[:10])
+    assert block[0] == 0 and block[-1] >= 4  # every block spans the distribution

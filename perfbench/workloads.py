@@ -34,14 +34,16 @@ class ExactCovers:
     Graphs have one cycle, one ternary edge and one half-edge, and their
     full-edge counts rotate through SIZES; item 0 is the bundled dumbbell
     (pre_root 10).  No two items share a graph.  The cost of an item
-    roughly doubles with each full edge, so the rotation repeats 6 to put
-    the median item inside one size class rather than between two.
+    roughly doubles with each full edge, so the rotation holds three 6s
+    and two 7s out of seven: the median item falls inside the 6s and the
+    tail item (ten beyond it, out of 45 to 90 per run) inside the 7s,
+    rather than between two size classes.
     """
 
     name = "exact-covers"
     pool_size = 256
     m = 2
-    SIZES = (4, 5, 6, 7, 6)
+    SIZES = (4, 5, 6, 7, 6, 7, 6)
     cycle, offset = len(SIZES), 1  # item 0 is the anchor
 
     def __init__(self, root: Path):
@@ -167,7 +169,10 @@ class DecodeBsc(_Example3):
     """attach_channel, bmapd, smapd, bgcd and damped sum-product per word.
 
     Received words are uniform codewords of example3 sent through a BSC
-    with p rotating through 1/20, 1/10, 1/5.  sgcd is not called: at its
+    with p rotating through 1/20, 1/10, 1/5; the number of flipped bits is
+    drawn by stratified sampling (``inputs.bsc_flip_counts``), because an
+    item's cost follows it (sum-product converges in about 55 sweeps on
+    an unflipped codeword and often runs all SPA_SWEEPS otherwise).  sgcd is not called: at its
     defaults one word took 1.4 to 85 s on a 2-vCPU virtual machine (16
     sum-product runs of up to 4000 sweeps each), so the sum-product layer
     is exercised by one damped run capped at SPA_SWEEPS sweeps instead.
@@ -178,6 +183,7 @@ class DecodeBsc(_Example3):
     crossovers = (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5))
     cycle, offset = len(crossovers), 0
     SPA_SWEEPS = 120
+    FLIP_STRATA = 10
     SPA_DAMPING = 0.5
 
     def __init__(self, root: Path):
@@ -186,9 +192,11 @@ class DecodeBsc(_Example3):
 
     def words(self, seed: int):
         rng = random.Random(seed)
+        n = len(self.codewords[0])
+        flips = {p: inputs.bsc_flip_counts(rng, n, p, self.FLIP_STRATA) for p in self.crossovers}
         for i in itertools.count():
             p = self.crossovers[i % len(self.crossovers)]
-            yield p, inputs.bsc_word(rng, self.codewords, p)
+            yield p, inputs.bsc_word(rng, self.codewords, next(flips[p]))
 
     def stream(self, seed: int):
         for p, y in self.words(seed):
