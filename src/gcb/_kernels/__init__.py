@@ -1,14 +1,17 @@
-"""Hot-loop kernels with import-time backend selection.
+"""Kernels over the evaluation plan, with import-time backend selection.
 
-The compiled extension is preferred when it built; the pure-Python
-reference is the fallback.  Set ``GCB_PURE_KERNELS=1`` to force the
-fallback (used by the equivalence tests and the benchmark).
+``pyref.Walk`` is gcb's one walk over valid configurations, exact or
+float, on a base graph or on one of its covers.  The compiled extension
+speeds up only the float cover sweep (and the cycle-cover component
+histogram); it is preferred when it built, and the pure-Python reference
+is the fallback.  Set ``GCB_PURE_KERNELS=1`` to force the fallback (used
+by the equivalence tests and the benchmark).
 """
 
 import os
 
 from . import pyref
-from .plan import Plan, build_plan, perm_tables
+from .plan import Plan, build_plan, kernel_arrays, perm_tables
 
 if os.environ.get("GCB_PURE_KERNELS") == "1":
     _impl = pyref
@@ -20,16 +23,27 @@ else:
 
 BACKEND = "compiled" if _impl.IS_COMPILED else "pure"
 
-count_and_zsum = _impl.count_and_zsum
-cover_sweep = _impl.cover_sweep
 cycle_component_histogram = _impl.cycle_component_histogram
+
+
+def cover_sweep(plan: Plan, full_edge_idx, m: int, inv_t: float, start: int, stop: int):
+    """Float sweep over covers [start, stop); see ``pyref.cover_sweep``.
+
+    The compiled twin runs on the plan's kernel arrays; plans past its C
+    limits take the pure sweep.
+    """
+    arrays = kernel_arrays(plan) if _impl.IS_COMPILED else None
+    if arrays is None:
+        return pyref.cover_sweep(plan, full_edge_idx, m, inv_t, start, stop)
+    return _impl.cover_sweep(arrays, full_edge_idx, m, inv_t, start, stop)
+
 
 __all__ = [
     "BACKEND",
     "Plan",
     "build_plan",
+    "kernel_arrays",
     "perm_tables",
-    "count_and_zsum",
     "cover_sweep",
     "cycle_component_histogram",
     "pyref",

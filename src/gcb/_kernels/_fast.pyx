@@ -180,25 +180,6 @@ cdef void _walk(CPlan *cp, long step, long total, long m_stride,
             assign[slots[p]] = -1
 
 
-def count_and_zsum(plan, double inv_t):
-    """(number of valid configurations, sum of global value ** inv_t)."""
-    cdef CPlan *cp = _build_cplan(plan)
-    cdef long n_edges = cp.n_edges
-    cdef long *assign = <long*>malloc(sizeof(long) * max(n_edges, 1))
-    cdef long i
-    cdef long long count = 0
-    cdef double zsum = 0.0
-    try:
-        for i in range(n_edges):
-            assign[i] = -1
-        with nogil:
-            _walk(cp, 0, cp.n_factors, 0, assign, NULL, 1.0, inv_t, &count, &zsum)
-    finally:
-        free(assign)
-        _free_cplan(cp)
-    return int(count), float(zsum)
-
-
 def cover_sweep(plan, full_edge_idx, long m, double inv_t, long long start, long long stop):
     """Sweep covers [start, stop); see the pure-Python twin for the contract."""
     perms_np, inv_np = perm_tables(m)

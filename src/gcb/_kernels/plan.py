@@ -1,16 +1,24 @@
-"""Array-level evaluation plan shared by the compiled and pure kernels.
+"""The evaluation plan: one factor order and support layout per graph.
 
-The plan flattens a factor graph into contiguous arrays so the valid
-configuration space can be walked by depth-first search over factor
-supports: factors are visited in a fixed order, each factor's support rows
-are grouped by their projection onto edges bound by earlier factors, and
-free edges are assigned as rows are chosen.  The same plan drives both the
-single-graph walk and the sweep over all degree-M covers (edge instances of
-a cover are index-remapped copies of the base edges, so boundness and row
-grouping carry over unchanged).
+Every walk over valid configurations in gcb follows this plan, exact or
+float, on the base graph or on one of its degree-M covers.  Factors are
+visited in a greedy order (smallest support first, then the factor sharing
+the most already-bound edges); each factor's edges split into bound ones,
+assigned by earlier factors, and free ones, assigned when one of its
+support rows is chosen.  Support rows are sorted by their bound symbols, so
+rows agreeing on the bound edges are contiguous.  A cover's edge and factor
+copies are index-remapped copies of the base ones, so boundness and row
+order carry over unchanged.
+
+``kernel_arrays`` packs a plan into the contiguous arrays the compiled
+cover sweep reads.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,102 +26,43 @@ MAX_GROUP_TABLE = 1 << 20
 
 
 class FactorPlan:
-    __slots__ = (
-        "edge_idx",
-        "twist",
-        "bound_sel",
-        "free_sel",
-        "bound_radix",
-        "rows",
-        "values",
-        "group_offset",
-        "n_groups",
-    )
+    """One factor's place in the walk.
+
+    ``edge_idx`` holds the plan edge index of each incident edge and
+    ``twist`` is 1 where the factor is the larger endpoint of a full edge,
+    whose copy k meets edge copy sigma_e^{-1}(k) in a cover.  ``support``
+    and ``weights`` are the table's rows and own values in walk order.
+    """
+
+    __slots__ = ("fid", "edge_idx", "twist", "bound_sel", "free_sel", "support", "weights")
 
 
 class Plan:
-    __slots__ = ("sizes", "factors", "product_size", "all_unit", "edge_order")
+    __slots__ = ("sizes", "factors")
 
     def __init__(self, nfg):
-        order = nfg.edge_order
-        self.edge_order = order
-        self.sizes = np.array([nfg.alphabet_sizes[e] for e in order], dtype=np.int64)
-        if self.sizes.size and int(self.sizes.max()) > 127:
-            raise ValueError("kernel plans support alphabet sizes up to 127")
-        self.product_size = int(np.prod(self.sizes)) if len(order) else 1
-
-        # Greedy factor order: start from the smallest support, then keep
-        # picking the factor sharing the most already-bound edges.
+        self.sizes = [nfg.alphabet_sizes[e] for e in nfg.edge_order]
         remaining = set(nfg.factors)
         bound_edges: set[str] = set()
-        ordered = []
+        self.factors = []
         while remaining:
             def score(fid):
                 f = nfg.factors[fid]
                 shared = sum(1 for e in f.edges if e in bound_edges)
                 return (-shared, len(f.table), fid)
 
-            pick = min(remaining, key=score)
-            remaining.discard(pick)
-            ordered.append(pick)
-            bound_edges.update(nfg.factors[pick].edges)
-
-        self.all_unit = True
-        self.factors = []
-        bound_edges = set()
-        for fid in ordered:
+            fid = min(remaining, key=score)
+            remaining.discard(fid)
             f = nfg.factors[fid]
             fp = FactorPlan()
-            if len(f.edges) > 64:
-                raise ValueError("kernel plans support factor arity up to 64")
-            fp.edge_idx = np.array([nfg.edge_index(e) for e in f.edges], dtype=np.int64)
-            twist = []
-            for e in f.edges:
-                if e in nfg.half_edges:
-                    twist.append(0)
-                else:
-                    twist.append(1 if nfg.incidence[e][1] == fid and nfg.incidence[e][0] != fid else 0)
-            fp.twist = np.array(twist, dtype=np.int64)
-            arity = len(f.edges)
-            bound_sel = [p for p, e in enumerate(f.edges) if e in bound_edges]
-            free_sel = [p for p in range(arity) if p not in bound_sel]
-            fp.bound_sel = np.array(bound_sel, dtype=np.int64)
-            fp.free_sel = np.array(free_sel, dtype=np.int64)
-
-            support = sorted(f.table)
-            values = np.array([float(f.table[k]) for k in support], dtype=np.float64)
-            if not np.all(values == 1.0):
-                self.all_unit = False
-            rows = np.array(support, dtype=np.int8).reshape(len(support), arity)
-
-            bound_sizes = [nfg.alphabet_sizes[f.edges[p]] for p in bound_sel]
-            n_groups = 1
-            for s in bound_sizes:
-                n_groups *= s
-            if n_groups > MAX_GROUP_TABLE:
-                raise ValueError("bound-edge group table too large for kernel plan")
-            radix = np.zeros(len(bound_sel), dtype=np.int64)
-            mult = 1
-            for j in range(len(bound_sel) - 1, -1, -1):
-                radix[j] = mult
-                mult *= bound_sizes[j]
-
-            keys = np.zeros(len(support), dtype=np.int64)
-            for j, p in enumerate(bound_sel):
-                keys += rows[:, p].astype(np.int64) * radix[j]
-            perm = np.lexsort((np.arange(len(support)), keys))
-            rows = rows[perm]
-            values = values[perm]
-            keys = keys[perm]
-            offset = np.zeros(n_groups + 1, dtype=np.int64)
-            np.add.at(offset, keys + 1, 1)
-            offset = np.cumsum(offset)
-
-            fp.rows = np.ascontiguousarray(rows)
-            fp.values = np.ascontiguousarray(values)
-            fp.group_offset = np.ascontiguousarray(offset)
-            fp.bound_radix = radix
-            fp.n_groups = n_groups
+            fp.fid = fid
+            fp.edge_idx = [nfg.edge_index(e) for e in f.edges]
+            fp.twist = [int(e not in nfg.half_edges and nfg.incidence[e][1] == fid) for e in f.edges]
+            fp.bound_sel = [p for p, e in enumerate(f.edges) if e in bound_edges]
+            fp.free_sel = [p for p, e in enumerate(f.edges) if e not in bound_edges]
+            fp.support = sorted(f.table)
+            fp.support.sort(key=lambda row: [row[p] for p in fp.bound_sel])
+            fp.weights = [f.table[row] for row in fp.support]
             bound_edges.update(f.edges)
             self.factors.append(fp)
 
@@ -122,10 +71,42 @@ def build_plan(nfg) -> Plan:
     return Plan(nfg)
 
 
+def kernel_arrays(plan: Plan):
+    """The plan as int64/int8/float64 arrays, or None past the C limits.
+
+    The compiled sweep holds symbols in signed bytes, a factor's slots on a
+    64-entry stack array, and one dense offset table per factor indexed by
+    the mixed-radix value of its bound symbols: so alphabets up to 127,
+    arity up to 64, and group tables up to MAX_GROUP_TABLE entries.
+    """
+    if max(plan.sizes, default=0) > 127:
+        return None
+    factors = []
+    for fp in plan.factors:
+        arity = len(fp.edge_idx)
+        bound_sizes = [plan.sizes[fp.edge_idx[p]] for p in fp.bound_sel]
+        n_groups = math.prod(bound_sizes)
+        if arity > 64 or n_groups > MAX_GROUP_TABLE:
+            return None
+        kf = SimpleNamespace(
+            **{name: np.array(getattr(fp, name), dtype=np.int64)
+               for name in ("edge_idx", "twist", "bound_sel", "free_sel")},
+            bound_radix=np.array(
+                [math.prod(bound_sizes[j + 1:]) for j in range(len(bound_sizes))], dtype=np.int64),
+            rows=np.array(fp.support, dtype=np.int8).reshape(len(fp.support), arity),
+            values=np.array([float(v) for v in fp.weights], dtype=np.float64),
+            n_groups=n_groups,
+        )
+        keys = kf.rows[:, kf.bound_sel].astype(np.int64) @ kf.bound_radix
+        offset = np.zeros(n_groups + 1, dtype=np.int64)
+        np.add.at(offset, keys + 1, 1)
+        kf.group_offset = np.cumsum(offset)
+        factors.append(kf)
+    return SimpleNamespace(sizes=np.array(plan.sizes, dtype=np.int64), factors=factors)
+
+
 def perm_tables(m: int):
     """All permutations of range(m) in lexicographic order, plus inverses."""
-    import itertools
-
     perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
     inv = np.empty_like(perms)
     for i, p in enumerate(perms):

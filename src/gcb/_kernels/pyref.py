@@ -1,11 +1,17 @@
-"""Pure-Python reference kernels.
+"""Pure-Python kernels: the configuration walk and the float cover sweep.
 
-Semantics match the compiled kernels in ``_fast.pyx`` exactly; these run
-everywhere and serve as the import-time fallback and as the oracle in the
-kernel equivalence tests.
+``Walk`` is the only walk over valid configurations in gcb; enumeration,
+exact and float cover sums, pre-image counting and the degree-M decoders
+all run on it.  ``cover_sweep`` and ``cycle_component_histogram`` have
+compiled twins in ``_fast.pyx`` with the same semantics; the kernel
+equivalence tests hold the two to identical counts and matching sums.
 """
 
 from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -14,63 +20,84 @@ from .plan import Plan, perm_tables
 IS_COMPILED = False
 
 
-def count_and_zsum(plan: Plan, inv_t: float) -> tuple:
-    """(number of valid configurations, sum of global value ** inv_t)."""
-    assign = np.full(len(plan.sizes), -1, dtype=np.int64)
-    return _walk_rec(plan, assign, 0, 1.0, inv_t, None, 0, len(plan.factors))
+class Walk:
+    """Depth-first walk over the valid configurations of a graph or its M-covers.
 
-
-def _walk_rec(plan, assign, step, prod, inv_t, perm_inv_by_edge, m_stride, total):
-    """DFS over factor supports; shared by the base and cover walks.
-
-    For cover walks, ``assign`` holds one slot per (edge, copy) pair,
-    ``m_stride`` is the cover degree, and the walk runs over (factor, copy)
-    pairs in factor-major order.
+    Slot e*M + k holds copy k of plan edge e.  Step i*M + k chooses a
+    support row for copy k of plan factor i, looked up by the symbols
+    already on its bound edges; its free edges then take the row's
+    symbols.  A chosen row is reported as its index into ``rows``, the list
+    of (factor id, row) pairs over the plan's factors in order.  Values
+    multiply the tables' own values left to right from Fraction(1), so
+    rational tables give Fractions; with ``exact=False`` the tables'
+    floats multiply from 1.0.
     """
-    if step == total:
-        return 1, prod if inv_t == 1.0 else prod**inv_t
-    if m_stride == 0:
-        fp = plan.factors[step]
-        slots = fp.edge_idx
-    else:
-        fp = plan.factors[step // m_stride]
-        m = step % m_stride
-        slots = np.empty(len(fp.edge_idx), dtype=np.int64)
-        for p in range(len(fp.edge_idx)):
-            base = fp.edge_idx[p]
-            if fp.twist[p]:
-                m_eff = perm_inv_by_edge[base][m]
-            else:
-                m_eff = m
-            slots[p] = base * m_stride + m_eff
 
-    key = 0
-    for j, p in enumerate(fp.bound_sel):
-        key += assign[slots[p]] * fp.bound_radix[j]
-    lo = fp.group_offset[key]
-    hi = fp.group_offset[key + 1]
-    count = 0
-    zsum = 0.0
-    for r in range(lo, hi):
-        row = fp.rows[r]
-        ok = True
-        for p in fp.bound_sel:
-            if assign[slots[p]] != row[p]:
-                ok = False
+    def __init__(self, plan: Plan, m: int = 1, exact: bool = True):
+        self.m = m
+        self.n_slots = len(plan.sizes) * m
+        self.one = Fraction(1) if exact else 1.0
+        self.rows = []
+        self._factors = []
+        for fp in plan.factors:
+            key = itemgetter(*fp.bound_sel) if fp.bound_sel else (lambda row: ())
+            groups: dict = {}
+            for row, w in zip(fp.support, fp.weights):
+                free = tuple(row[p] for p in fp.free_sel)
+                groups.setdefault(key(row), []).append((free, w if exact else float(w), len(self.rows)))
+                self.rows.append((fp.fid, row))
+            bound = [(fp.edge_idx[p], fp.twist[p]) for p in fp.bound_sel]
+            free_edges = [(fp.edge_idx[p], fp.twist[p]) for p in fp.free_sel]
+            self._factors.append((bound, free_edges, groups))
+
+    def configs(self, perm_inv=None):
+        """Yield (value, slots, rows) at each valid configuration.
+
+        ``perm_inv`` maps the plan index of each full edge to sigma_e^{-1};
+        None walks the base graph (M = 1) or the cover whose permutations
+        are all the identity.  ``slots`` and ``rows`` are lists reused from
+        one configuration to the next.
+        """
+        m = self.m
+
+        def slot(e, twisted, k):
+            return e * m + (perm_inv[e][k] if twisted and perm_inv else k)
+
+        steps = []
+        for bound, free, groups in self._factors:
+            for k in range(m):
+                bslots = [slot(e, t, k) for e, t in bound]
+                getter = itemgetter(*bslots) if bslots else (lambda slots: ())
+                steps.append((getter, [slot(e, t, k) for e, t in free], groups))
+
+        slots = [0] * self.n_slots
+        rows = [0] * len(steps)
+        if not steps:
+            yield self.one, slots, rows
+            return
+        last = len(steps) - 1
+        prods = [self.one] * len(steps)  # prods[d]: product over steps before d
+        iters = [None] * len(steps)
+        getter, _, groups = steps[0]
+        iters[0] = iter(groups.get(getter(slots), ()))
+        d = 0
+        while d >= 0:
+            free = steps[d][1]
+            for symbols, w, row in iters[d]:
+                for s, x in zip(free, symbols):
+                    slots[s] = x
+                rows[d] = row
+                value = prods[d] * w
+                if d == last:
+                    yield value, slots, rows
+                    continue
+                d += 1
+                prods[d] = value
+                getter, _, groups = steps[d]
+                iters[d] = iter(groups.get(getter(slots), ()))
                 break
-        if not ok:
-            continue
-        for p in fp.free_sel:
-            assign[slots[p]] = row[p]
-        c, z = _walk_rec(
-            plan, assign, step + 1, prod * fp.values[r], inv_t, perm_inv_by_edge,
-            m_stride, total,
-        )
-        count += c
-        zsum += z
-        for p in fp.free_sel:
-            assign[slots[p]] = -1
-    return count, zsum
+            else:
+                d -= 1
 
 
 def cover_sweep(plan: Plan, full_edge_idx, m: int, inv_t: float, start: int, stop: int):
@@ -78,29 +105,21 @@ def cover_sweep(plan: Plan, full_edge_idx, m: int, inv_t: float, start: int, sto
 
     Returns (sum over covers of Z, sum over covers of |valid configs|,
     number of covers visited).  Z is the sum of global value ** inv_t of the
-    cover; permutation digits use lexicographic (Lehmer) order with the last
-    full edge's digit moving fastest.
+    cover, in floats; permutation digits use lexicographic (Lehmer) order
+    with the last full edge's digit moving fastest.
     """
-    perms, inv = perm_tables(m)
-    n_fact = len(perms)
-    n_edges = len(plan.sizes)
-    full_edge_idx = list(full_edge_idx)
-    digits = [0] * len(full_edge_idx)
+    _, inv = perm_tables(m)
+    walk = Walk(plan, m, exact=False)
+    full = [int(e) for e in full_edge_idx]
     zsum_total = 0.0
     count_total = 0
     n = 0
-    for index in range(start, stop):
-        rem = index
-        for j in range(len(digits) - 1, -1, -1):
-            digits[j] = rem % n_fact
-            rem //= n_fact
-        perm_inv_by_edge = {}
-        for j, e in enumerate(full_edge_idx):
-            perm_inv_by_edge[e] = inv[digits[j]]
-        assign = np.full(n_edges * m, -1, dtype=np.int64)
-        c, z = _walk_rec(plan, assign, 0, 1.0, inv_t, perm_inv_by_edge, m, len(plan.factors) * m)
-        zsum_total += z
-        count_total += c
+    for digits in itertools.islice(itertools.product(inv.tolist(), repeat=len(full)), start, stop):
+        zsum = 0.0
+        for value, _, _ in walk.configs(dict(zip(full, digits))):
+            count_total += 1
+            zsum += value if inv_t == 1.0 else value**inv_t
+        zsum_total += zsum
         n += 1
     return zsum_total, count_total, n
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
+from ._kernels.pyref import Walk
 from .covers import (
     PseudoMarginals,
     PreimageCensus,
@@ -24,6 +25,7 @@ from .covers import (
     check_shape,
     count_covers,
     cover_cap,
+    cover_configurations,
     enumerate_covers,
     phi_m,
     preimage_count_closedform,
@@ -37,7 +39,7 @@ from .errors import (
     SupportOnZeroFactor,
     ZeroGlobalValue,
 )
-from .gibbs import gibbs_partition, valid_tuples
+from .gibbs import valid_tuples
 from .nfg import Nfg, parse_number, format_number
 from .spa import sum_product
 
@@ -215,10 +217,15 @@ def zbethe_m_enumeration(
         if seed is None:
             raise ValueError("Monte Carlo mode requires a seed")
         rng = random.Random(seed)
+        walk = Walk(_kernels.build_plan(nfg), m)
+        t_inv = 1 if temperature == 1 else 1.0 / float(temperature)
         vals = []
         for _ in range(samples):
             spec = random_cover(nfg, m, rng.getrandbits(48))
-            vals.append(float(gibbs_partition(build_cover(spec), temperature, cap=config_cap)))
+            z = Fraction(0)
+            for value, _, _ in cover_configurations(walk, spec, config_cap):
+                z += value if t_inv == 1 else float(value) ** t_inv
+            vals.append(float(z))
         mean = float(np.mean(vals))
         stderr = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
         return ZBetheM(mean ** (1.0 / m), mean, m, count_covers(nfg, m), samples, stderr)
@@ -234,9 +241,11 @@ def zbethe_m_enumeration(
     if exact:
         if temperature != 1 or not _rational_tables(nfg):
             raise ValueError("exact mode needs T = 1 and rational tables")
+        walk = Walk(_kernels.build_plan(nfg), m)
         total = Fraction(0)
         for spec in enumerate_covers(nfg, m, cap=cap):
-            total += gibbs_partition(build_cover(spec), 1, cap=config_cap)
+            for value, _, _ in cover_configurations(walk, spec, config_cap):
+                total += value
         pre_root = total / n_covers
         return ZBetheM(float(pre_root) ** (1.0 / m), pre_root, m, n_covers)
     plan = _kernels.build_plan(nfg)

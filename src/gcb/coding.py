@@ -15,11 +15,14 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import _kernels
+from ._kernels.pyref import Walk
 from .bethe import minimize_bethe
 from .covers import (
     PseudoMarginals,
     beta_from_configuration,
     build_cover_with_map,
+    cover_configurations,
     enumerate_covers,
     phi_m,
 )
@@ -392,22 +395,26 @@ def bgcd(dec: DecodingNfg, degree: int | None = None, cap=None, **minimize_kwarg
     """
     nfg = dec.nfg
     if degree is not None:
+        walk = Walk(_kernels.build_plan(nfg), degree)
         best = None
-        winners = []
         for spec in enumerate_covers(nfg, degree, cap=cap):
-            cover, _ = build_cover_with_map(spec)
-            for tup, value in valid_tuples(cover):
+            for value, slots, _ in cover_configurations(walk, spec):
                 if best is None or value > best:
-                    best = value
-                    winners = [(spec, tup)]
+                    best, n_optima, winner, tied = value, 1, spec, [tuple(slots)]
                 elif value == best:
-                    winners.append((spec, tup))
+                    n_optima += 1
+                    if winner is spec:
+                        tied.append(tuple(slots))
         if best is None:
             raise GcbError("no valid cover configuration")
-        spec, tup = winners[0]
-        beta = phi_m(spec, tup)
+        # Ties go to the first cover in odometer order and, within it, to the
+        # smallest configuration in the cover's own edge order.
+        cover, (_, edge_map) = build_cover_with_map(winner)
+        order = [nfg.edge_index(e) * degree + k for e, k in map(edge_map.get, cover.edge_order)]
+        tup = min(tuple(slots[s] for s in order) for slots in tied)
+        beta = phi_m(winner, tup)
         decisions = []
-        tie = len(winners) > 1
+        tie = n_optima > 1
         for e in dec.symbol_edges:
             s, t = _symbol_argmax(beta.edge_dists[e])
             decisions.append(s)
@@ -415,7 +422,7 @@ def bgcd(dec: DecodingNfg, degree: int | None = None, cap=None, **minimize_kwarg
         symbol_beliefs = {e: dict(beta.edge_dists[e]) for e in dec.symbol_edges}
         objective = -math.log(float(best)) / degree
         return DecodeResult(decisions, beta, symbol_beliefs, tie, objective,
-                            {"n_optima": len(winners), "degree": degree})
+                            {"n_optima": n_optima, "degree": degree})
     res = minimize_bethe(nfg, 0, **minimize_kwargs)
     decisions = []
     tie = res.tie
@@ -452,26 +459,18 @@ def sgcd(dec: DecodingNfg, degree: int | None = None, cap=None, **minimize_kwarg
 
 def _sgcd_degree_m(dec: DecodingNfg, m: int, cap=None) -> DecodeResult:
     nfg = dec.nfg
+    walk = Walk(_kernels.build_plan(nfg), m)
     z_total = Fraction(0)
     factor_acc: dict = {f: {} for f in nfg.factors}
     edge_acc: dict = {e: {} for e in nfg.edge_order}
     for spec in enumerate_covers(nfg, m, cap=cap):
-        cover, (factor_map, edge_map) = build_cover_with_map(spec)
-        first_factor = {}
-        for cf, (f, k) in factor_map.items():
-            if k == 0:
-                first_factor[f] = cf
-        first_edge = {}
-        for ce, (e, k) in edge_map.items():
-            if k == 0:
-                first_edge[e] = ce
-        for tup, value in valid_tuples(cover):
+        for value, slots, rows in cover_configurations(walk, spec):
             z_total += value
-            for f, cf in first_factor.items():
-                key = cover.local_assignment(cf, tup)
+            for row_id in rows[::m]:
+                f, key = walk.rows[row_id]
                 factor_acc[f][key] = factor_acc[f].get(key, 0) + value
-            for e, ce in first_edge.items():
-                s = tup[cover.edge_index(ce)]
+            for i, e in enumerate(nfg.edge_order):
+                s = slots[i * m]
                 edge_acc[e][s] = edge_acc[e].get(s, 0) + value
     if z_total == 0:
         raise GcbError("all covers have zero partition sum")

@@ -2,9 +2,12 @@
 
 A cover is specified by one permutation of [M] per full edge; half-edges
 are copied without permutation.  Labeled covers are never identified up to
-isomorphism, so there are exactly (M!)^{|full edges|} of them.  The
-frequency map from a cover configuration down to base pseudo-marginals is
-exact rational arithmetic throughout.
+isomorphism, so there are exactly (M!)^{|full edges|} of them.  Loops over
+covers walk the base graph's plan with index-remapped copies
+(``cover_configurations``); ``build_cover`` makes a cover a graph of its
+own only for single-cover uses.  The frequency map from a cover
+configuration down to base pseudo-marginals is exact rational arithmetic
+throughout.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .gibbs import valid_tuples
+from . import _kernels
+from ._kernels.pyref import Walk
+from .gibbs import config_cap as default_config_cap
+from .gibbs import valid_tuples  # noqa: F401  (benchmark self-tests read gcb.covers.valid_tuples)
 from .nfg import Factor, Nfg
 
 DEFAULT_COVER_CAP = 1 << 24
@@ -270,10 +276,33 @@ def _phi_of_tuple(base: Nfg, m: int, cover: Nfg, factor_map, edge_map, tup) -> P
         sym = tup[cover.edge_index(ce)]
         d = edge_counts[e]
         d[sym] = d.get(sym, 0) + 1
+    return _frequencies(m, factor_counts, edge_counts)
+
+
+def _frequencies(m: int, factor_counts, edge_counts) -> PseudoMarginals:
     return PseudoMarginals(
         {f: {k: Fraction(n, m) for k, n in d.items()} for f, d in factor_counts.items()},
         {e: {s: Fraction(n, m) for s, n in d.items()} for e, d in edge_counts.items()},
     )
+
+
+def cover_configurations(walk: Walk, spec: CoverSpec, config_cap=None):
+    """Valid configurations of the spec's cover, walked on the base plan.
+
+    ``walk`` is a ``Walk`` of the base graph's plan at the spec's degree.
+    Yields (value, slots, rows) as ``Walk.configs`` does: slot e*M + k
+    holds copy k of the base edge at ``edge_order`` index e, and copy k of
+    a full edge meets copy k of its smaller endpoint and copy sigma_e(k)
+    of its larger one, as in ``build_cover_with_map``.  Raises CapExceeded
+    past ``config_cap`` valid configurations.
+    """
+    nfg = spec.nfg
+    limit = default_config_cap(config_cap)
+    perm_inv = {nfg.edge_index(e): [p.index(k) for k in range(spec.m)] for e, p in spec.perms.items()}
+    for n, config in enumerate(walk.configs(perm_inv), 1):
+        if n > limit:
+            raise CapExceeded(f"more than {limit} valid configurations")
+        yield config
 
 
 # -- pre-image counting -------------------------------------------------------
@@ -282,8 +311,10 @@ def _phi_of_tuple(base: Nfg, m: int, cover: Nfg, factor_map, edge_map, tup) -> P
 class PreimageCensus:
     """Tally of phi pre-image counts over every M-cover of a base graph.
 
-    One sweep enumerates all covers and all their valid configurations;
-    the tally then answers exact pre-image queries for any beta.
+    One sweep walks all covers and all their valid configurations, keyed by
+    the multiset of support rows chosen for the (factor, copy) pairs; each
+    distinct key becomes a pseudo-marginal once.  The tally then answers
+    exact pre-image queries for any beta.
     """
 
     def __init__(self, nfg: Nfg, m: int, cap=None, config_cap=None):
@@ -293,17 +324,36 @@ class PreimageCensus:
         limit = cover_cap(cap)
         if self.n_covers > limit:
             raise CapExceeded(f"{self.n_covers} covers exceed cap {limit}")
+        walk = Walk(_kernels.build_plan(nfg), m)
+        by_rows: dict = {}
+        for spec in enumerate_covers(nfg, m, cap=cap):
+            for _, _, rows in cover_configurations(walk, spec, config_cap):
+                key = tuple(sorted(rows))
+                by_rows[key] = by_rows.get(key, 0) + 1
+        self.total_valid = sum(by_rows.values())
         self._tally: dict = {}
         self._betas: dict = {}
-        self.total_valid = 0
-        for spec in enumerate_covers(nfg, m, cap=cap):
-            cover, (factor_map, edge_map) = build_cover_with_map(spec)
-            for tup, _ in valid_tuples(cover, cap=config_cap):
-                beta = _phi_of_tuple(nfg, m, cover, factor_map, edge_map, tup)
-                key = beta.canonical_key()
-                self._tally[key] = self._tally.get(key, 0) + 1
-                self._betas.setdefault(key, beta)
-                self.total_valid += 1
+        for rows, n in by_rows.items():
+            beta = self._beta_of_rows(walk, rows)
+            key = beta.canonical_key()
+            self._tally[key] = n
+            self._betas[key] = beta
+
+    def _beta_of_rows(self, walk: Walk, rows) -> PseudoMarginals:
+        """Frequencies of a row multiset; each edge copy is read at its
+        smaller endpoint, the only one of a half-edge."""
+        nfg = self.nfg
+        factor_counts: dict = {f: {} for f in nfg.factors}
+        edge_counts: dict = {e: {} for e in nfg.alphabet_sizes}
+        for row_id in rows:
+            fid, row = walk.rows[row_id]
+            d = factor_counts[fid]
+            d[row] = d.get(row, 0) + 1
+            for e, sym in zip(nfg.factors[fid].edges, row):
+                if nfg.incidence[e][0] == fid:
+                    d = edge_counts[e]
+                    d[sym] = d.get(sym, 0) + 1
+        return _frequencies(self.m, factor_counts, edge_counts)
 
     def count(self, beta: PseudoMarginals) -> Fraction:
         return Fraction(self._tally.get(beta.canonical_key(), 0), self.n_covers)

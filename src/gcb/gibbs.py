@@ -1,9 +1,10 @@
 """Exact Gibbs-side quantities: enumeration, partition sums, free energy.
 
-Enumeration is a depth-first walk over factor supports (only assignments
-every factor accepts are visited), so its cost scales with the number of
-valid configurations rather than the raw product space.  Counting sums stay
-exact: with rational tables and T = 1 the partition sum is a Fraction.
+Enumeration runs the plan walk (``_kernels.pyref.Walk``), a depth-first
+walk over factor supports: only assignments every factor accepts are
+visited, so its cost scales with the number of valid configurations rather
+than the raw product space.  Counting sums stay exact: with rational tables
+and T = 1 the partition sum is a Fraction.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import os
 from fractions import Fraction
 from typing import Mapping
 
+from ._kernels import build_plan
+from ._kernels.pyref import Walk
 from .errors import CapExceeded, EmptyCode, SupportOnZeroMass, UnknownEdge
 from .nfg import Nfg
 
@@ -25,68 +28,7 @@ def config_cap(override=None) -> int:
     return int(os.environ.get("GCB_CONFIG_CAP", DEFAULT_CONFIG_CAP))
 
 
-def _greedy_factor_order(nfg: Nfg):
-    remaining = set(nfg.factors)
-    bound: set[str] = set()
-    ordered = []
-    while remaining:
-        def score(fid):
-            f = nfg.factors[fid]
-            return (-sum(1 for e in f.edges if e in bound), len(f.table), fid)
-
-        pick = min(remaining, key=score)
-        remaining.discard(pick)
-        ordered.append(pick)
-        bound.update(nfg.factors[pick].edges)
-    return ordered
-
-
-def _iter_valid(nfg: Nfg, shard=None):
-    """Yield (canonical config tuple, exact global value) over valid configs.
-
-    ``shard=(i, n)`` keeps only every n-th branch of the first factor's
-    support, so n workers with distinct i cover the space disjointly.
-    """
-    order = _greedy_factor_order(nfg)
-    n_edges = len(nfg.edge_order)
-    eidx = {e: i for i, e in enumerate(nfg.edge_order)}
-    assign = [-1] * n_edges
-
-    plans = []
-    bound_edges: set[str] = set()
-    for fid in order:
-        f = nfg.factors[fid]
-        pos = [eidx[e] for e in f.edges]
-        bound_sel = [p for p, e in enumerate(f.edges) if e in bound_edges]
-        free_sel = [p for p in range(len(f.edges)) if p not in bound_sel]
-        groups: dict[tuple, list] = {}
-        for key in sorted(f.table):
-            bkey = tuple(key[p] for p in bound_sel)
-            groups.setdefault(bkey, []).append((key, f.table[key]))
-        plans.append((pos, bound_sel, free_sel, groups))
-        bound_edges.update(f.edges)
-
-    def rec(i, prod):
-        if i == len(plans):
-            yield tuple(assign), prod
-            return
-        pos, bound_sel, free_sel, groups = plans[i]
-        bkey = tuple(assign[pos[p]] for p in bound_sel)
-        rows = groups.get(bkey, ())
-        if i == 0 and shard is not None:
-            k, n = shard
-            rows = rows[k::n]
-        for key, value in rows:
-            for p in free_sel:
-                assign[pos[p]] = key[p]
-            yield from rec(i + 1, prod * value)
-            for p in free_sel:
-                assign[pos[p]] = -1
-
-    yield from rec(0, Fraction(1))
-
-
-def enumerate_configurations(nfg: Nfg, cap=None, shard=None):
+def enumerate_configurations(nfg: Nfg, cap=None):
     """All valid configurations with their global values, edge-id-sorted.
 
     Returns a list of (configuration dict, value) in lexicographic order of
@@ -96,8 +38,7 @@ def enumerate_configurations(nfg: Nfg, cap=None, shard=None):
     limit = config_cap(cap)
     if space > limit:
         raise CapExceeded(f"configuration space {space} exceeds cap {limit}")
-    found = sorted(_iter_valid(nfg, shard=shard))
-    return [(nfg.config_dict(t), v) for t, v in found]
+    return [(nfg.config_dict(t), v) for t, v in valid_tuples(nfg, cap=limit)]
 
 
 def valid_tuples(nfg: Nfg, cap=None):
@@ -108,8 +49,8 @@ def valid_tuples(nfg: Nfg, cap=None):
     """
     limit = config_cap(cap)
     found = []
-    for item in _iter_valid(nfg):
-        found.append(item)
+    for value, slots, _ in Walk(build_plan(nfg)).configs():
+        found.append((tuple(slots), value))
         if len(found) > limit:
             raise CapExceeded(f"more than {limit} valid configurations")
     found.sort()

@@ -47,16 +47,6 @@ def test_enumeration_cap():
         enumerate_configurations(n, cap=3)
 
 
-def test_enumeration_shards_partition(fig1):
-    full = enumerate_configurations(fig1)
-    pieces = []
-    for k in range(3):
-        pieces.extend(enumerate_configurations(fig1, shard=(k, 3)))
-    assert sorted(tuple(sorted(c.items())) for c, _ in pieces) == sorted(
-        tuple(sorted(c.items())) for c, _ in full
-    )
-
-
 def test_global_function_values(fig1):
     assert global_function(fig1, edge_dict((1, 0, 0, 1, 1, 0, 1, 1))) == 1
     assert global_function(fig1, edge_dict((1, 0, 0, 0, 0, 0, 0, 0))) == 0

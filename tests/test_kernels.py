@@ -1,4 +1,3 @@
-import itertools
 import random
 import subprocess
 import sys
@@ -9,8 +8,7 @@ import pytest
 import gcb._kernels as kernels
 from gcb._kernels import build_plan, perm_tables, pyref
 from gcb.covers import build_cover, count_covers, enumerate_covers
-from gcb.gibbs import gibbs_partition, valid_tuples
-from gcb.nfg import Factor, Nfg
+from gcb.gibbs import gibbs_partition
 
 from conftest import make_dumbbell, make_fig1, make_loopy_positive
 
@@ -19,57 +17,6 @@ HAS_COMPILED = kernels.BACKEND == "compiled"
 pytestmark = pytest.mark.skipif(
     not HAS_COMPILED, reason="compiled kernels unavailable; nothing to compare"
 )
-
-
-def _random_nfg(rng):
-    """Random small graph mixing alphabet sizes, half-edges, and table values."""
-    n_factors = rng.randrange(2, 5)
-    sizes = {}
-    half = []
-    factors = []
-    prev = None
-    for i in range(n_factors):
-        edges = []
-        if prev is not None:
-            edges.append(prev)
-        leaf = f"h{i}"
-        sizes[leaf] = rng.choice([2, 3])
-        half.append(leaf)
-        edges.append(leaf)
-        if i < n_factors - 1:
-            link = f"t{i}"
-            sizes[link] = rng.choice([2, 3])
-            edges.append(link)
-            prev = link
-        table = {}
-        for key in itertools.product(*(range(sizes[e]) for e in edges)):
-            if rng.random() < 0.75:
-                table[key] = rng.uniform(0.1, 2.0)
-        if not table:
-            table[tuple(0 for _ in edges)] = 1.0
-        factors.append(Factor(f"g{i}", tuple(edges), table))
-    return Nfg(sizes, half, factors)
-
-
-def test_count_and_zsum_matches_pure():
-    rng = random.Random(5)
-    for _ in range(25):
-        nfg = _random_nfg(rng)
-        plan = build_plan(nfg)
-        for inv_t in (1.0, 0.5):
-            fast = kernels.count_and_zsum(plan, inv_t)
-            slow = pyref.count_and_zsum(plan, inv_t)
-            assert fast[0] == slow[0]
-            assert fast[1] == pytest.approx(slow[1], rel=1e-12)
-
-
-def test_count_matches_enumeration():
-    for nfg in (make_fig1(), make_dumbbell()):
-        plan = build_plan(nfg)
-        count, zsum = kernels.count_and_zsum(plan, 1.0)
-        tuples = valid_tuples(nfg)
-        assert count == len(tuples)
-        assert zsum == pytest.approx(float(sum(v for _, v in tuples)), rel=1e-12)
 
 
 def test_cover_sweep_matches_pure_and_percover():

@@ -1,0 +1,290 @@
+"""The plan walk against per-cover oracles.
+
+Every cover loop in gcb walks the base plan with index-remapped copies
+(``covers.cover_configurations``).  The oracles here build each cover as
+its own graph with ``build_cover_with_map`` and enumerate it with
+``valid_tuples``, on seeded random graphs with a ternary edge, half-edges,
+two full edges joining the same pair of factors, and (every other seed) a
+second component.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from gcb._kernels import build_plan, kernel_arrays, pyref
+from gcb._kernels.pyref import Walk
+from gcb.bethe import zbethe_m_enumeration
+from gcb.coding import (
+    Channel,
+    DecodingNfg,
+    ParityCheckMatrix,
+    _sgcd_degree_m,
+    _symbol_argmax,
+    attach_channel,
+    bgcd,
+    nfg_from_parity_check,
+)
+from gcb.covers import (
+    PreimageCensus,
+    build_cover,
+    build_cover_with_map,
+    count_covers,
+    cover_configurations,
+    enumerate_covers,
+    _phi_of_tuple,
+    phi_m,
+    random_cover,
+)
+from gcb.errors import CapExceeded
+from gcb.gibbs import gibbs_partition, valid_tuples
+from gcb.nfg import Factor, Nfg
+
+from conftest import make_dumbbell
+
+SEEDS = range(8)
+
+
+def random_graph(seed, rational=True):
+    """A chain f0 - f1 - ... with a doubled f0 = f1 edge, a ternary full edge
+    closing the chain into a cycle, half-edges at both ends, and for odd
+    seeds a second component (g0 - g1 with a half-edge on g1)."""
+    rng = random.Random(seed)
+    n = rng.choice([2, 3])
+    sizes, half, edges = {}, [], {}
+
+    def add(name, size, *ends):
+        sizes[name] = size
+        for f in ends:
+            edges.setdefault(f, []).append(name)
+        if len(ends) == 1:
+            half.append(name)
+
+    add("a", 2, "f0", "f1")
+    add("b", 2, "f0", "f1")
+    for i in range(1, n - 1):
+        add(f"c{i}", 2, f"f{i}", f"f{i + 1}")
+    add("t", 3, "f0", f"f{n - 1}")
+    add("h0", 2, "f0")
+    add("h1", 2, f"f{n - 1}")
+    if seed % 2:
+        add("d", 2, "g0", "g1")
+        add("hg", 2, "g1")
+    values = [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3)]
+    factors = []
+    for fid in sorted(edges):
+        es = edges[fid]
+        table = {}
+        for key in itertools.product(*(range(sizes[e]) for e in es)):
+            if rng.random() < 0.35:
+                v = rng.choice(values)
+                table[key] = v if rational else float(v) * rng.uniform(0.5, 1.5)
+        table.setdefault(tuple(0 for _ in es), Fraction(1) if rational else 1.0)
+        factors.append(Factor(fid, es, table))
+    return Nfg(sizes, half, factors)
+
+
+def oracle_covers(nfg, m):
+    """(spec, cover, maps, sorted valid tuples) for every M-cover."""
+    for spec in enumerate_covers(nfg, m):
+        cover, maps = build_cover_with_map(spec)
+        yield spec, cover, maps, valid_tuples(cover)
+
+
+# -- base-graph walk ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_valid_tuples_match_brute_force_product(seed):
+    nfg = random_graph(seed)
+    want = []
+    for t in itertools.product(*(range(nfg.alphabet_sizes[e]) for e in nfg.edge_order)):
+        value = Fraction(1)
+        for fid, f in nfg.factors.items():
+            value *= f.value(nfg.local_assignment(fid, t))
+        if value:
+            want.append((t, value))
+    assert valid_tuples(nfg) == want
+
+
+def test_valid_tuples_accepts_alphabet_200():
+    sizes = {"a": 200, "b": 200}
+    factors = [
+        Factor("f1", ("a", "b"), {(s, s): Fraction(1) for s in range(200)}),
+        Factor("f2", ("b",), {(s,): Fraction(s + 1, 7) for s in range(200)}),
+    ]
+    nfg = Nfg(sizes, ["a"], factors)
+    found = valid_tuples(nfg)
+    assert found == [((s, s), Fraction(s + 1, 7)) for s in range(200)]
+    assert gibbs_partition(nfg) == Fraction(200 * 201 // 2, 7)
+    plan = build_plan(nfg)
+    assert kernel_arrays(plan) is None
+    exact = zbethe_m_enumeration(nfg, 2).pre_root
+    assert zbethe_m_enumeration(nfg, 2, exact=False).pre_root == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_kernel_arrays_group_table_limit():
+    sizes = {f"e{i}": 2 for i in range(21)}
+    es = tuple(sizes)
+    factors = [Factor("f1", es, {(0,) * 21: 1}), Factor("f2", es, {(0,) * 21: 1})]
+    plan = build_plan(Nfg(sizes, [], factors))
+    assert kernel_arrays(plan) is None  # 2^21 bound-symbol groups at f2
+    assert valid_tuples(Nfg(sizes, [], factors)) == [((0,) * 21, 1)]
+
+
+# -- cover walks ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cover_configurations_match_per_cover_oracle(seed):
+    nfg = random_graph(seed)
+    for m in (2, 3) if seed == 2 else (2,):
+        walk = Walk(build_plan(nfg), m)
+        total = Fraction(0)
+        for spec, cover, (_, edge_map), tuples in oracle_covers(nfg, m):
+            order = [nfg.edge_index(e) * m + k for e, k in map(edge_map.get, cover.edge_order)]
+            got = [(tuple(slots[s] for s in order), v) for v, slots, _ in cover_configurations(walk, spec)]
+            assert sorted(got) == tuples
+            total += sum((v for _, v in tuples), Fraction(0))
+        pre_root = zbethe_m_enumeration(nfg, m, exact=True).pre_root
+        assert isinstance(pre_root, Fraction)
+        assert pre_root == total / count_covers(nfg, m)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:4])
+def test_monte_carlo_matches_per_cover_oracle(seed):
+    nfg = random_graph(seed, rational=False)
+    res = zbethe_m_enumeration(nfg, 2, temperature=0.7, samples=5, seed=seed)
+    rng = random.Random(seed)
+    vals = [float(gibbs_partition(build_cover(random_cover(nfg, 2, rng.getrandbits(48))), 0.7))
+            for _ in range(5)]
+    assert res.pre_root == pytest.approx(float(np.mean(vals)), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_census_tally_matches_per_cover_oracle(seed):
+    nfg = random_graph(seed)
+    tally = {}
+    total = 0
+    for _, cover, (factor_map, edge_map), tuples in oracle_covers(nfg, 2):
+        for tup, _ in tuples:
+            key = _phi_of_tuple(nfg, 2, cover, factor_map, edge_map, tup).canonical_key()
+            tally[key] = tally.get(key, 0) + 1
+            total += 1
+    census = PreimageCensus(nfg, 2)
+    assert census._tally == tally
+    assert census.total_valid == total
+    assert {b.canonical_key() for b in census.realizable()} == set(tally)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pure_cover_sweep_matches_per_cover_oracle(seed):
+    nfg = random_graph(seed, rational=seed % 2 == 0)
+    plan = build_plan(nfg)
+    fidx = [nfg.edge_index(e) for e in nfg.full_edge_order]
+    n = count_covers(nfg, 2)
+    for temperature in (1.0, 0.7):
+        zsum, count, visited = pyref.cover_sweep(plan, fidx, 2, 1.0 / temperature, 0, n)
+        want = sum(float(gibbs_partition(cover, temperature)) for _, cover, _, _ in oracle_covers(nfg, 2))
+        assert zsum == pytest.approx(want, rel=1e-12)
+        assert count == sum(len(t) for *_, t in oracle_covers(nfg, 2))
+        assert visited == n
+        parts = [pyref.cover_sweep(plan, fidx, 2, 1.0 / temperature, a, b)
+                 for a, b in ((0, n // 3), (n // 3, n))]
+        assert sum(p[1] for p in parts) == count
+        assert sum(p[0] for p in parts) == pytest.approx(zsum, rel=1e-12)
+
+
+# -- degree-M decoders ----------------------------------------------------------
+
+
+def oracle_bgcd(dec, m):
+    """The literal rule as one loop over built covers: first optimum wins."""
+    best, winners = None, []
+    for spec, _, _, tuples in oracle_covers(dec.nfg, m):
+        for tup, value in tuples:
+            if best is None or value > best:
+                best, winners = value, [(spec, tup)]
+            elif value == best:
+                winners.append((spec, tup))
+    beta = phi_m(*winners[0])
+    decisions = tuple(_symbol_argmax(beta.edge_dists[e])[0] for e in dec.symbol_edges)
+    return decisions, len(winners), beta, -math.log(float(best)) / m
+
+
+def oracle_sgcd_beta(dec, m):
+    """Copy-0 marginals weighted by the cover global value."""
+    z = Fraction(0)
+    factor_acc, edge_acc = {}, {}
+    for _, cover, (factor_map, edge_map), tuples in oracle_covers(dec.nfg, m):
+        for tup, value in tuples:
+            z += value
+            for cf, (f, k) in factor_map.items():
+                if k == 0:
+                    key = (f, cover.local_assignment(cf, tup))
+                    factor_acc[key] = factor_acc.get(key, 0) + value
+            for ce, (e, k) in edge_map.items():
+                if k == 0:
+                    key = (e, tup[cover.edge_index(ce)])
+                    edge_acc[key] = edge_acc.get(key, 0) + value
+    return ({k: v / z for k, v in factor_acc.items()}, {k: v / z for k, v in edge_acc.items()})
+
+
+def decoding_cases():
+    for seed in SEEDS:
+        nfg = random_graph(seed)
+        yield DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
+    # Cover labels sort e10@* before e1@*, so the tie-break picks the copies
+    # taking row (1, 0), not the (0, 1) rows the walk reaches first.
+    nfg = Nfg({"e1": 2, "e10": 2}, ["e1", "e10"], [Factor("f", ("e1", "e10"), {(0, 1): 1, (1, 0): 1})])
+    yield DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
+    code = nfg_from_parity_check(ParityCheckMatrix([[1, 1, 0], [0, 1, 1]]))
+    for p, y in ((Fraction(1, 10), "010"), (Fraction(1, 4), "110"), (Fraction(1, 5), "000")):
+        yield attach_channel(code, Channel.bsc(p), y)
+
+
+@pytest.mark.parametrize("case", range(len(SEEDS) + 4))
+def test_degree2_decoders_match_per_cover_oracle(case):
+    dec = list(decoding_cases())[case]
+    res = bgcd(dec, degree=2)
+    decisions, n_optima, beta, objective = oracle_bgcd(dec, 2)
+    assert tuple(res.decisions) == decisions
+    assert res.diagnostics["n_optima"] == n_optima
+    assert res.beliefs == beta
+    assert res.objective == objective
+
+    factor_want, edge_want = oracle_sgcd_beta(dec, 2)
+    beliefs = _sgcd_degree_m(dec, 2).beliefs
+    assert {(f, k): v for f, d in beliefs.factor_dists.items() for k, v in d.items()} == factor_want
+    assert {(e, s): v for e, d in beliefs.edge_dists.items() for s, v in d.items()} == edge_want
+
+
+# -- caps -----------------------------------------------------------------------
+
+
+def test_caps_still_raise(monkeypatch):
+    dumbbell = make_dumbbell()  # 128 two-covers, each with 8 or 16 configurations
+    dec = DecodingNfg(dumbbell, dumbbell.edge_order, Fraction(1), [], None)
+    with pytest.raises(CapExceeded):
+        zbethe_m_enumeration(dumbbell, 2, cap=100)
+    with pytest.raises(CapExceeded):
+        zbethe_m_enumeration(dumbbell, 2, config_cap=10)
+    with pytest.raises(CapExceeded):
+        zbethe_m_enumeration(dumbbell, 2, samples=3, seed=1, config_cap=7)
+    with pytest.raises(CapExceeded):
+        PreimageCensus(dumbbell, 2, cap=100)
+    with pytest.raises(CapExceeded):
+        PreimageCensus(dumbbell, 2, config_cap=10)
+    with pytest.raises(CapExceeded):
+        bgcd(dec, degree=2, cap=100)
+    with pytest.raises(CapExceeded):
+        _sgcd_degree_m(dec, 2, cap=100)
+    monkeypatch.setenv("GCB_CONFIG_CAP", "10")
+    with pytest.raises(CapExceeded):
+        bgcd(dec, degree=2)
+    with pytest.raises(CapExceeded):
+        _sgcd_degree_m(dec, 2)
