@@ -2,10 +2,9 @@
 
 ``pyref.Walk`` is gcb's one walk over valid configurations, exact or
 float, on a base graph or on one of its covers.  The compiled extension
-speeds up only the float cover sweep (and the cycle-cover component
-histogram); it is preferred when it built, and the pure-Python reference
-is the fallback.  Set ``GCB_PURE_KERNELS=1`` to force the fallback (used
-by the equivalence tests and the benchmark).
+speeds up only the float cover sweep; it is preferred when it built, and
+the pure-Python reference is the fallback.  Set ``GCB_PURE_KERNELS=1`` to
+force the fallback (used by the equivalence tests and the benchmark).
 """
 
 import os
@@ -23,14 +22,13 @@ else:
 
 BACKEND = "compiled" if _impl.IS_COMPILED else "pure"
 
-cycle_component_histogram = _impl.cycle_component_histogram
-
 
 def cover_sweep(plan: Plan, full_edge_idx, m: int, inv_t: float, start: int, stop: int):
     """Float sweep over covers [start, stop); see ``pyref.cover_sweep``.
 
-    The compiled twin runs on the plan's kernel arrays; plans past its C
-    limits take the pure sweep.
+    Only the full edges in ``full_edge_idx`` run through the permutations;
+    the others keep the identity.  The compiled twin runs on the plan's
+    kernel arrays; plans past its C limits take the pure sweep.
     """
     arrays = kernel_arrays(plan) if _impl.IS_COMPILED else None
     if arrays is None:
@@ -45,6 +43,5 @@ __all__ = [
     "kernel_arrays",
     "perm_tables",
     "cover_sweep",
-    "cycle_component_histogram",
     "pyref",
 ]

@@ -1,5 +1,5 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""Compiled kernels: DFS over factor supports and cover sweeps.
+"""Compiled kernel: the float cover sweep, a DFS over factor supports.
 
 Mirrors ``pyref.py``; the equivalence tests hold the two implementations to
 identical counts and matching sums.
@@ -199,7 +199,7 @@ def cover_sweep(plan, full_edge_idx, long m, double inv_t, long long start, long
     try:
         with nogil:
             for i in range(n_edges * m):
-                perm_inv[i] = 0
+                perm_inv[i] = i % m
             for index in range(start, stop):
                 rem = index
                 for j in range(n_full - 1, -1, -1):
@@ -223,49 +223,3 @@ def cover_sweep(plan, full_edge_idx, long m, double inv_t, long long start, long
         free(assign)
         _free_cplan(cp)
     return float(zsum_total), int(count_total), int(n_covers)
-
-
-def cycle_component_histogram(long n_nodes, edges_u, edges_v, long m,
-                              long long start, long long stop):
-    """Histogram of lift component counts over covers [start, stop)."""
-    perms_np, _ = perm_tables(m)
-    cdef cnp.ndarray[cnp.int64_t, ndim=2] perms = np.ascontiguousarray(perms_np, dtype=np.int64)
-    cdef long n_fact = perms.shape[0]
-    cdef cnp.ndarray[cnp.int64_t, ndim=1] eu = np.ascontiguousarray(edges_u, dtype=np.int64)
-    cdef cnp.ndarray[cnp.int64_t, ndim=1] ev = np.ascontiguousarray(edges_v, dtype=np.int64)
-    cdef long n_edges = eu.shape[0]
-    cdef cnp.ndarray[cnp.int64_t, ndim=1] hist = np.zeros(n_nodes * m + 1, dtype=np.int64)
-    cdef long *parent = <long*>malloc(sizeof(long) * max(n_nodes * m, 1))
-    cdef long *digits = <long*>malloc(sizeof(long) * max(n_edges, 1))
-    cdef long long index, rem
-    cdef long i, j, k, a, b, u, v, comp
-    try:
-        with nogil:
-            for index in range(start, stop):
-                rem = index
-                for j in range(n_edges - 1, -1, -1):
-                    digits[j] = <long>(rem % n_fact)
-                    rem //= n_fact
-                for i in range(n_nodes * m):
-                    parent[i] = i
-                comp = n_nodes * m
-                for j in range(n_edges):
-                    u = eu[j] * m
-                    v = ev[j] * m
-                    for k in range(m):
-                        a = u + k
-                        b = v + perms[digits[j], k]
-                        while parent[a] != a:
-                            parent[a] = parent[parent[a]]
-                            a = parent[a]
-                        while parent[b] != b:
-                            parent[b] = parent[parent[b]]
-                            b = parent[b]
-                        if a != b:
-                            parent[a] = b
-                            comp -= 1
-                hist[comp] += 1
-    finally:
-        free(digits)
-        free(parent)
-    return hist

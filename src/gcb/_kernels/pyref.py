@@ -2,9 +2,9 @@
 
 ``Walk`` is the only walk over valid configurations in gcb; enumeration,
 exact and float cover sums, pre-image counting and the degree-M decoders
-all run on it.  ``cover_sweep`` and ``cycle_component_histogram`` have
-compiled twins in ``_fast.pyx`` with the same semantics; the kernel
-equivalence tests hold the two to identical counts and matching sums.
+all run on it.  ``cover_sweep`` has a compiled twin in ``_fast.pyx`` with
+the same semantics; the kernel equivalence tests hold the two to identical
+counts and matching sums.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from operator import itemgetter
-
-import numpy as np
 
 from .plan import Plan, perm_tables
 
@@ -53,15 +51,17 @@ class Walk:
     def configs(self, perm_inv=None):
         """Yield (value, slots, rows) at each valid configuration.
 
-        ``perm_inv`` maps the plan index of each full edge to sigma_e^{-1};
-        None walks the base graph (M = 1) or the cover whose permutations
-        are all the identity.  ``slots`` and ``rows`` are lists reused from
-        one configuration to the next.
+        ``perm_inv`` maps the plan index of a full edge to sigma_e^{-1}; a
+        full edge it leaves out carries the identity, so None walks the base
+        graph (M = 1) or the cover whose permutations are all the identity.
+        ``slots`` and ``rows`` are lists reused from one configuration to
+        the next.
         """
         m = self.m
+        perm_inv = perm_inv or {}
 
         def slot(e, twisted, k):
-            return e * m + (perm_inv[e][k] if twisted and perm_inv else k)
+            return e * m + (perm_inv[e][k] if twisted and e in perm_inv else k)
 
         steps = []
         for bound, free, groups in self._factors:
@@ -101,12 +101,14 @@ class Walk:
 
 
 def cover_sweep(plan: Plan, full_edge_idx, m: int, inv_t: float, start: int, stop: int):
-    """Sweep covers [start, stop) in odometer order over per-edge permutations.
+    """Sweep covers [start, stop) in odometer order over the permutations of
+    the full edges listed in ``full_edge_idx``; full edges not listed keep
+    the identity.
 
     Returns (sum over covers of Z, sum over covers of |valid configs|,
     number of covers visited).  Z is the sum of global value ** inv_t of the
     cover, in floats; permutation digits use lexicographic (Lehmer) order
-    with the last full edge's digit moving fastest.
+    with the last listed edge's digit moving fastest.
     """
     _, inv = perm_tables(m)
     walk = Walk(plan, m, exact=False)
@@ -122,45 +124,3 @@ def cover_sweep(plan: Plan, full_edge_idx, m: int, inv_t: float, start: int, sto
         zsum_total += zsum
         n += 1
     return zsum_total, count_total, n
-
-
-def cycle_component_histogram(n_nodes: int, edges_u, edges_v, m: int, start: int, stop: int):
-    """Histogram of connected-component counts over covers [start, stop).
-
-    The base graph is given by parallel endpoint arrays; covers are indexed
-    the same odometer way as in ``cover_sweep``.  Entry k of the returned
-    array counts covers whose lift has k components.
-    """
-    perms, _ = perm_tables(m)
-    n_fact = len(perms)
-    n_edges = len(edges_u)
-    hist = np.zeros(n_nodes * m + 1, dtype=np.int64)
-    parent = np.zeros(n_nodes * m, dtype=np.int64)
-    digits = [0] * n_edges
-
-    for index in range(start, stop):
-        rem = index
-        for j in range(n_edges - 1, -1, -1):
-            digits[j] = rem % n_fact
-            rem //= n_fact
-        for i in range(n_nodes * m):
-            parent[i] = i
-        comp = n_nodes * m
-        for j in range(n_edges):
-            u = edges_u[j] * m
-            v = edges_v[j] * m
-            p = perms[digits[j]]
-            for k in range(m):
-                a = u + k
-                b = v + p[k]
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                while parent[b] != b:
-                    parent[b] = parent[parent[b]]
-                    b = parent[b]
-                if a != b:
-                    parent[a] = b
-                    comp -= 1
-        hist[comp] += 1
-    return hist

@@ -1,9 +1,10 @@
 """Bethe-side analytics over the local marginal polytope.
 
 Includes membership checking, the energy/entropy/free-energy split, the
-degree-M partition function computed two ways (cover enumeration and the
-type-sum over lift-realizable pseudo-marginals, an exact identity in
-rational arithmetic), free-energy minimization at zero and positive
+degree-M partition function computed two ways (enumeration of the
+gauge-fixed covers, and the type-sum walked directly over the
+lift-realizable pseudo-marginals; an exact identity in rational
+arithmetic), free-energy minimization at zero and positive
 temperature, and the constrained-stationarity residual used to confirm
 sum-product fixed points.
 """
@@ -20,15 +21,16 @@ from . import _kernels
 from ._kernels.pyref import Walk
 from .covers import (
     PseudoMarginals,
-    PreimageCensus,
+    TypeWalk,
     build_cover,
     check_shape,
+    cotree_edges,
     count_covers,
     cover_cap,
     cover_configurations,
-    enumerate_covers,
+    cover_walk,
+    gauge_fixed_perm_invs,
     phi_m,
-    preimage_count_closedform,
     random_cover,
 )
 from .errors import (
@@ -39,6 +41,7 @@ from .errors import (
     SupportOnZeroFactor,
     ZeroGlobalValue,
 )
+from .gibbs import config_cap as default_config_cap
 from .gibbs import valid_tuples
 from .nfg import Nfg, parse_number, format_number
 from .spa import sum_product
@@ -205,11 +208,15 @@ def zbethe_m_enumeration(
 ) -> ZBetheM:
     """M-th root of the average Gibbs partition function over all M-covers.
 
-    Exact mode (T = 1, rational tables) averages in rational arithmetic.
-    With ``samples`` set, a seeded Monte Carlo over cover specs replaces the
-    full enumeration and a standard error accompanies the estimate.  The
-    float path splits the cover index range across ``threads`` workers and
-    reduces the partial sums in index order, so results are deterministic.
+    The average runs over the gauge-fixed covers (identity permutations on
+    a spanning forest, see ``covers.gauge_fixed_perm_invs``), which equals
+    the average over all labeled covers; ``n_covers`` is still the labeled
+    count, and the cover cap applies to it.  Exact mode (T = 1, rational
+    tables) averages in rational arithmetic.  With ``samples`` set, a seeded
+    Monte Carlo over labeled cover specs replaces the enumeration and a
+    standard error accompanies the estimate.  The float path splits the
+    gauge-fixed cover index range across ``threads`` workers and reduces
+    the partial sums in index order, so results are deterministic.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
@@ -243,20 +250,24 @@ def zbethe_m_enumeration(
             raise ValueError("exact mode needs T = 1 and rational tables")
         walk = Walk(_kernels.build_plan(nfg), m)
         total = Fraction(0)
-        for spec in enumerate_covers(nfg, m, cap=cap):
-            for value, _, _ in cover_configurations(walk, spec, config_cap):
+        n_fixed = 0
+        for perm_inv in gauge_fixed_perm_invs(nfg, m, cap=cap):
+            for value, _, _ in cover_walk(walk, perm_inv, config_cap):
                 total += value
-        pre_root = total / n_covers
+            n_fixed += 1
+        pre_root = total / n_fixed
         return ZBetheM(float(pre_root) ** (1.0 / m), pre_root, m, n_covers)
     plan = _kernels.build_plan(nfg)
-    fidx = np.array([nfg.edge_index(e) for e in nfg.full_edge_order], dtype=np.int64)
+    cotree = cotree_edges(nfg)
+    fidx = np.array([nfg.edge_index(e) for e in cotree], dtype=np.int64)
+    n_fixed = math.factorial(m) ** len(cotree)
     inv_t = 1.0 / float(temperature)
-    if threads <= 1 or n_covers < 4 * threads:
-        zsum, _, n = _kernels.cover_sweep(plan, fidx, m, inv_t, 0, n_covers)
+    if threads <= 1 or n_fixed < 4 * threads:
+        zsum, _, n = _kernels.cover_sweep(plan, fidx, m, inv_t, 0, n_fixed)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        bounds = np.linspace(0, n_covers, threads + 1, dtype=np.int64)
+        bounds = np.linspace(0, n_fixed, threads + 1, dtype=np.int64)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
                 pool.submit(_kernels.cover_sweep, plan, fidx, m, inv_t, int(a), int(b))
@@ -279,35 +290,34 @@ def zbethe_m_typesum(
 ) -> ZBetheM:
     """Same quantity via the type-sum over degree-M lift-realizable vectors.
 
-    The pre-root value sums, over the image of the degree-M frequency map,
-    the cover global value common to the fiber times the closed-form
-    average pre-image count.  In rational arithmetic this is an identity
-    with the enumeration path, not an approximation.
+    The pre-root value sums, over the types beta (points of the local
+    marginal polytope with M*beta integral and support in the tables),
+    g(beta)^{M/T} times the closed-form average pre-image count; the types
+    are walked directly (``covers.TypeWalk``), no cover is visited.  In
+    rational arithmetic this is an identity with the enumeration path, not
+    an approximation.  The float weight is exp(-(M/T) U_Bethe(beta)) times
+    the count.  ``cap`` is the cover cap of the enumeration, checked
+    against the labeled cover count; ``config_cap`` bounds the number of
+    types summed, raising CapExceeded past it.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    census = PreimageCensus(nfg, m, cap=cap, config_cap=config_cap)
+    n_covers = count_covers(nfg, m)
+    limit = cover_cap(cap)
+    if n_covers > limit:
+        raise CapExceeded(f"{n_covers} covers exceed cap {limit}")
     if exact is None:
         exact = temperature == 1 and _rational_tables(nfg)
-    n_covers = census.n_covers
-    if exact:
-        if temperature != 1 or not _rational_tables(nfg):
-            raise ValueError("exact mode needs T = 1 and rational tables")
-        total = Fraction(0)
-        for beta in census.realizable():
-            weight = Fraction(1)
-            for f in nfg.factors:
-                table = nfg.factors[f].table
-                for key, w in beta.factor_dists[f].items():
-                    weight *= Fraction(table[key]) ** int(w * m)
-            total += weight * preimage_count_closedform(nfg, m, beta)
-        return ZBetheM(float(total) ** (1.0 / m), total, m, n_covers)
-    total = 0.0
-    for beta in census.realizable():
-        u = bethe_terms(nfg, beta, tol=0).u_bethe
-        cbar = preimage_count_closedform(nfg, m, beta)
-        total += math.exp(-(m / float(temperature)) * u) * float(cbar)
-    return ZBetheM(total ** (1.0 / m), total, m, n_covers)
+    if exact and (temperature != 1 or not _rational_tables(nfg)):
+        raise ValueError("exact mode needs T = 1 and rational tables")
+    types = TypeWalk(nfg, m, None if exact else 1.0 / float(temperature))
+    max_types = default_config_cap(config_cap)
+    total = Fraction(0) if exact else 0.0
+    for n, (value, _, _) in enumerate(types.walk.configs(), 1):
+        if n > max_types:
+            raise CapExceeded(f"more than {max_types} types")
+        total += value
+    return ZBetheM(float(total) ** (1.0 / m), total, m, n_covers)
 
 
 # -- vectorized view of beta for gradients ------------------------------------

@@ -361,7 +361,9 @@ def cmd_examples(args):
 
 def _add_common(p):
     p.add_argument("--out", help="write the primary report here instead of stdout")
-    p.add_argument("--config-cap", type=int, default=None, help="configuration cap override")
+    p.add_argument("--config-cap", type=int, default=None,
+                   help="configuration cap override (per cover; for zbethe-m --method typesum, "
+                        "the number of types summed)")
     p.add_argument("--cover-cap", type=int, default=None, help="cover cap override")
     p.add_argument(
         "--threads",

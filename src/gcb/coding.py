@@ -23,7 +23,9 @@ from .covers import (
     beta_from_configuration,
     build_cover_with_map,
     cover_configurations,
+    cover_walk,
     enumerate_covers,
+    gauge_fixed_perm_invs,
     phi_m,
 )
 from .errors import (
@@ -391,7 +393,9 @@ def bgcd(dec: DecodingNfg, degree: int | None = None, cap=None, **minimize_kwarg
 
     ``degree`` switches to the literal degree-M rule: exhaustive argmax of
     the global value over all M-covers and their configurations, with the
-    frequency map of the winner returned.
+    frequency map of the winner returned.  This walks every labeled cover,
+    not only the gauge-fixed ones, because ``n_optima`` counts the optimal
+    configurations over labeled covers.
     """
     nfg = dec.nfg
     if degree is not None:
@@ -439,8 +443,9 @@ def sgcd(dec: DecodingNfg, degree: int | None = None, cap=None, **minimize_kwarg
 
     ``degree`` switches to the literal degree-M rule: the partition-sum
     weighted average of cover marginals.  By the copy symmetry of the cover
-    ensemble the marginals are independent of the copy index, so they are
-    evaluated at the first copy only.
+    ensemble the marginals are independent of the copy index; they are
+    averaged over all M copies, which makes them invariant under
+    relabeling, so only the gauge-fixed covers are walked.
     """
     nfg = dec.nfg
     if degree is not None:
@@ -458,22 +463,26 @@ def sgcd(dec: DecodingNfg, degree: int | None = None, cap=None, **minimize_kwarg
 
 
 def _sgcd_degree_m(dec: DecodingNfg, m: int, cap=None) -> DecodeResult:
+    """Cover marginals averaged over the M copies, over the gauge-fixed
+    covers; by the copy symmetry of the ensemble they equal the first-copy
+    marginals over all labeled covers."""
     nfg = dec.nfg
     walk = Walk(_kernels.build_plan(nfg), m)
     z_total = Fraction(0)
     factor_acc: dict = {f: {} for f in nfg.factors}
     edge_acc: dict = {e: {} for e in nfg.edge_order}
-    for spec in enumerate_covers(nfg, m, cap=cap):
-        for value, slots, rows in cover_configurations(walk, spec):
+    slot_edges = [e for e in nfg.edge_order for _ in range(m)]
+    for perm_inv in gauge_fixed_perm_invs(nfg, m, cap=cap):
+        for value, slots, rows in cover_walk(walk, perm_inv):
             z_total += value
-            for row_id in rows[::m]:
+            for row_id in rows:
                 f, key = walk.rows[row_id]
                 factor_acc[f][key] = factor_acc[f].get(key, 0) + value
-            for i, e in enumerate(nfg.edge_order):
-                s = slots[i * m]
+            for e, s in zip(slot_edges, slots):
                 edge_acc[e][s] = edge_acc[e].get(s, 0) + value
     if z_total == 0:
         raise GcbError("all covers have zero partition sum")
+    z_total *= m
     beta = PseudoMarginals(
         {f: {k: v / z_total for k, v in d.items()} for f, d in factor_acc.items()},
         {e: {s: v / z_total for s, v in d.items()} for e, d in edge_acc.items()},

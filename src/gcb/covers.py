@@ -1,13 +1,18 @@
 """Degree-M graph covers: construction, enumeration, pre-image counting.
 
 A cover is specified by one permutation of [M] per full edge; half-edges
-are copied without permutation.  Labeled covers are never identified up to
-isomorphism, so there are exactly (M!)^{|full edges|} of them.  Loops over
-covers walk the base graph's plan with index-remapped copies
-(``cover_configurations``); ``build_cover`` makes a cover a graph of its
-own only for single-cover uses.  The frequency map from a cover
-configuration down to base pseudo-marginals is exact rational arithmetic
-throughout.
+are copied without permutation, so there are (M!)^{|full edges|} labeled
+covers.  Relabeling the M copies of a factor node changes neither a
+cover's partition sum nor the images of its configurations under the
+frequency map, so cover averages and pre-image tallies walk only the
+gauge-fixed covers (``gauge_fixed_perm_invs``): the identity on a spanning
+forest of the full edges, each standing for (M!)^{|F| - components}
+labeled covers.  ``enumerate_covers`` still yields every labeled cover.
+Loops over covers walk the base graph's plan with index-remapped copies
+(``cover_walk``); ``build_cover`` makes a cover a graph of its own only for
+single-cover uses.  ``TypeWalk`` walks the degree-M types directly.  The
+frequency map from a cover configuration down to base pseudo-marginals is
+exact rational arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import math
 import os
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterator, Mapping
 
 from .errors import (
@@ -177,20 +183,69 @@ def cover_spec_at_index(nfg: Nfg, m: int, index: int) -> CoverSpec:
     return CoverSpec(nfg, m, digits)
 
 
-def enumerate_covers(nfg: Nfg, m: int, cap=None, start=0, stop=None) -> Iterator[CoverSpec]:
-    """All M-covers in odometer order over per-edge permutations.
-
-    ``start``/``stop`` select an index range, so disjoint ranges may be
-    handed to concurrent workers.
-    """
+def _check_cover_cap(nfg: Nfg, m: int, cap):
     total = count_covers(nfg, m)
     limit = cover_cap(cap)
     if total > limit:
         raise CapExceeded(f"{total} covers exceed cap {limit}")
-    if stop is None:
-        stop = total
-    for index in range(start, stop):
-        yield cover_spec_at_index(nfg, m, index)
+
+
+def enumerate_covers(nfg: Nfg, m: int, cap=None, start=0, stop=None) -> Iterator[CoverSpec]:
+    """All labeled M-covers in odometer order over per-edge permutations.
+
+    The order is that of ``cover_spec_at_index``.  ``start``/``stop`` select
+    an index range, so disjoint ranges may be handed to concurrent workers.
+    """
+    _check_cover_cap(nfg, m, cap)
+    edges = nfg.full_edge_order
+    perms = itertools.permutations(range(m))
+    for digits in itertools.islice(itertools.product(perms, repeat=len(edges)), start, stop):
+        yield CoverSpec(nfg, m, dict(zip(edges, digits)))
+
+
+def cotree_edges(nfg: Nfg) -> list:
+    """The full edges outside a spanning forest of the factor graph.
+
+    The forest is built by union-find over ``full_edge_order``: an edge
+    joining two trees enters it, one closing a cycle does not.  There are
+    circuit-rank many co-tree edges.
+    """
+    parent = {f: f for f in nfg.factors}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    out = []
+    for e in nfg.full_edge_order:
+        a, b = (find(f) for f in nfg.incidence[e])
+        if a == b:
+            out.append(e)
+        else:
+            parent[a] = b
+    return out
+
+
+def gauge_fixed_perm_invs(nfg: Nfg, m: int, cap=None):
+    """The gauge-fixed M-covers, as ``Walk.configs`` permutation maps.
+
+    Forest edges (see ``cotree_edges``) carry the identity and are left out
+    of the maps; the co-tree edges run through all permutations, in
+    odometer order with the last edge's digit moving fastest.  Relabeling
+    the copies of every factor other than one root per component maps each
+    labeled cover to exactly one gauge-fixed cover, with the same partition
+    sum and frequency-map images, and each gauge-fixed cover stands for
+    (M!)^{|F| - components} labeled ones.  So any average over labeled
+    covers equals the average over these.  The cover cap applies to the
+    labeled count, as in ``enumerate_covers``.
+    """
+    _check_cover_cap(nfg, m, cap)
+    cotree = [nfg.edge_index(e) for e in cotree_edges(nfg)]
+    _, inv = _kernels.perm_tables(m)
+    for digits in itertools.product(inv.tolist(), repeat=len(cotree)):
+        yield dict(zip(cotree, digits))
 
 
 def random_cover(nfg: Nfg, m: int, seed) -> CoverSpec:
@@ -297,8 +352,14 @@ def cover_configurations(walk: Walk, spec: CoverSpec, config_cap=None):
     past ``config_cap`` valid configurations.
     """
     nfg = spec.nfg
-    limit = default_config_cap(config_cap)
     perm_inv = {nfg.edge_index(e): [p.index(k) for k in range(spec.m)] for e, p in spec.perms.items()}
+    return cover_walk(walk, perm_inv, config_cap)
+
+
+def cover_walk(walk: Walk, perm_inv, config_cap=None):
+    """``walk.configs(perm_inv)``, raising CapExceeded past ``config_cap``
+    valid configurations."""
+    limit = default_config_cap(config_cap)
     for n, config in enumerate(walk.configs(perm_inv), 1):
         if n > limit:
             raise CapExceeded(f"more than {limit} valid configurations")
@@ -311,32 +372,34 @@ def cover_configurations(walk: Walk, spec: CoverSpec, config_cap=None):
 class PreimageCensus:
     """Tally of phi pre-image counts over every M-cover of a base graph.
 
-    One sweep walks all covers and all their valid configurations, keyed by
-    the multiset of support rows chosen for the (factor, copy) pairs; each
-    distinct key becomes a pseudo-marginal once.  The tally then answers
-    exact pre-image queries for any beta.
+    One sweep walks the gauge-fixed covers and all their valid
+    configurations, keyed by the multiset of support rows chosen for the
+    (factor, copy) pairs; each distinct key becomes a pseudo-marginal once.
+    Tallies and ``total_valid`` are scaled by the number of labeled covers
+    each gauge-fixed one stands for, so they count over all labeled covers.
+    The tally then answers exact pre-image queries for any beta.
     """
 
     def __init__(self, nfg: Nfg, m: int, cap=None, config_cap=None):
         self.nfg = nfg
         self.m = m
         self.n_covers = count_covers(nfg, m)
-        limit = cover_cap(cap)
-        if self.n_covers > limit:
-            raise CapExceeded(f"{self.n_covers} covers exceed cap {limit}")
         walk = Walk(_kernels.build_plan(nfg), m)
         by_rows: dict = {}
-        for spec in enumerate_covers(nfg, m, cap=cap):
-            for _, _, rows in cover_configurations(walk, spec, config_cap):
+        n_fixed = 0
+        for perm_inv in gauge_fixed_perm_invs(nfg, m, cap=cap):
+            for _, _, rows in cover_walk(walk, perm_inv, config_cap):
                 key = tuple(sorted(rows))
                 by_rows[key] = by_rows.get(key, 0) + 1
-        self.total_valid = sum(by_rows.values())
+            n_fixed += 1
+        multiplicity = self.n_covers // n_fixed
+        self.total_valid = multiplicity * sum(by_rows.values())
         self._tally: dict = {}
         self._betas: dict = {}
         for rows, n in by_rows.items():
             beta = self._beta_of_rows(walk, rows)
             key = beta.canonical_key()
-            self._tally[key] = n
+            self._tally[key] = multiplicity * n
             self._betas[key] = beta
 
     def _beta_of_rows(self, walk: Walk, rows) -> PseudoMarginals:
@@ -433,6 +496,82 @@ def preimage_count_closedform(nfg: Nfg, m: int, beta: PseudoMarginals) -> Fracti
         counts = [int(Fraction(v) * m) for v in beta.edge_dists[e].values()]
         den *= _multinomial(m, counts)
     return Fraction(num, den)
+
+
+def _compositions(m: int, n: int):
+    """Every n-tuple of non-negative integers summing to m (none for n = 0)."""
+    if n:
+        for cuts in itertools.combinations(range(m + n - 1), n - 1):
+            yield tuple(b - a - 1 for a, b in zip((-1,) + cuts, cuts + (m + n - 1,)))
+
+
+class TypeWalk:
+    """The degree-M types of a graph, walked on its plan.
+
+    A type gives each factor a count vector over its support rows summing
+    to M, that is M times its block of a beta whose support lies inside the
+    tables.  The plan's walk runs over types as it runs over
+    configurations: step i chooses a count vector for plan factor i, and
+    the "symbols" it puts on the factor's edges are the edge marginals
+    (counts per symbol), so at a bound edge only the count vectors agreeing
+    with the marginal chosen at the other endpoint remain.  Each leaf is a
+    point of the local marginal polytope with M*beta integral and support
+    in the tables: a lift-realizable beta.
+
+    The value of a leaf is g(beta)^{M/T} times the closed-form average
+    pre-image count.  Each count vector c contributes prod_row
+    table[row]^{c_row/T} times multinomial(M; c), divided by
+    multinomial(M; marginal) for each full edge free at that factor (its
+    first endpoint in plan order).  ``inv_t=None`` keeps the tables'
+    values exact, so rational tables give Fractions; a float ``inv_t``
+    gives exp(inv_t * sum c_row log table[row]) times the multinomial ratio.
+    """
+
+    def __init__(self, nfg: Nfg, m: int, inv_t=None):
+        self.nfg = nfg
+        self.m = m
+        self.counts = []  # counts[row_id]: {support row: nonzero count} behind walk.rows[row_id]
+        factors = []
+        for fp in _kernels.build_plan(nfg).factors:
+            edges = nfg.factors[fp.fid].edges
+            sizes = [nfg.alphabet_sizes[e] for e in edges]
+            free_full = [p for p in fp.free_sel if edges[p] not in nfg.half_edges]
+            support, weights = [], []
+            for c in _compositions(m, len(fp.support)):
+                used = [(row, g, n) for row, g, n in zip(fp.support, fp.weights, c) if n]
+                margs = [[0] * size for size in sizes]
+                for row, _, n in used:
+                    for p, s in enumerate(row):
+                        margs[p][s] += n
+                margs = tuple(map(tuple, margs))
+                num = _multinomial(m, c)
+                den = math.prod(_multinomial(m, margs[p]) for p in free_full)
+                if inv_t is None:
+                    for _, g, n in used:
+                        num *= g.numerator ** n
+                        den *= g.denominator ** n
+                    w = Fraction(num, den)
+                else:
+                    w = math.exp(inv_t * sum(n * math.log(g) for _, g, n in used)) * (num / den)
+                support.append(margs)
+                weights.append(w)
+                self.counts.append({row: n for row, _, n in used})
+            factors.append(SimpleNamespace(fid=fp.fid, edge_idx=fp.edge_idx, twist=fp.twist,
+                                           bound_sel=fp.bound_sel, free_sel=fp.free_sel,
+                                           support=support, weights=weights))
+        plan = SimpleNamespace(sizes=[0] * len(nfg.edge_order), factors=factors)
+        self.walk = Walk(plan, 1, exact=inv_t is None)
+
+    def beta(self, rows) -> PseudoMarginals:
+        """The pseudo-marginal of a leaf's chosen row ids."""
+        factor_counts = {}
+        edge_counts = {}
+        for row_id in rows:
+            fid, margs = self.walk.rows[row_id]
+            factor_counts[fid] = self.counts[row_id]
+            for e, marg in zip(self.nfg.factors[fid].edges, margs):
+                edge_counts[e] = dict(enumerate(marg))
+        return _frequencies(self.m, factor_counts, edge_counts)
 
 
 def entropy_rate_estimate(nfg: Nfg, beta: PseudoMarginals, m: int) -> float:

@@ -12,7 +12,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gcb._kernels import cycle_component_histogram
 from gcb.bethe import (
     bethe_terms,
     minimize_bethe,
@@ -173,14 +172,11 @@ def test_criterion_05_circuit_rank_sandwich():
     val2 = float(zbethe_m_enumeration(dumbbell, 2).value)
     assert 2 ** (-1 / 2) * z_g <= val2 <= z_g
 
-    order = sorted(dumbbell.factors)
-    u = np.array([order.index(dumbbell.incidence[e][0]) for e in dumbbell.full_edge_order])
-    v = np.array([order.index(dumbbell.incidence[e][1]) for e in dumbbell.full_edge_order])
-    n_covers = count_covers(dumbbell, 3)
-    hist = cycle_component_histogram(len(order), u, v, 3, 0, n_covers)
-    assert int(hist.sum()) == n_covers == 6**7
-    total = sum(int(c) * 2 ** (3 + k) for k, c in enumerate(hist))
-    val3 = float(Fraction(total, n_covers)) ** (1 / 3)
+    res3 = zbethe_m_enumeration(dumbbell, 3, exact=True)
+    assert res3.n_covers == count_covers(dumbbell, 3) == 6**7
+    assert res3.pre_root == Fraction(64, 3)
+    assert zbethe_m_typesum(dumbbell, 3).pre_root == res3.pre_root
+    val3 = float(res3.value)
     assert 2 ** (-2 / 3) * z_g <= val3 <= z_g
     report("05-sandwich", t0, 300, f"Z_B,2={val2:.4f}, Z_B,3={val3:.4f} in bounds")
 

@@ -310,19 +310,11 @@ def test_entropy_rate_converges_to_bethe_entropy(fig1):
 @pytest.mark.parametrize("m", [2, 3])
 def test_circuit_rank_sandwich(dumbbell, m):
     z_g = 4.0
-    if m == 2:
-        res = zbethe_m_enumeration(dumbbell, m)
-        val = float(res.value)
-    else:
-        from gcb._kernels import cycle_component_histogram
-        import numpy as np
-
-        order = sorted(dumbbell.factors)
-        u = [order.index(dumbbell.incidence[e][0]) for e in dumbbell.full_edge_order]
-        v = [order.index(dumbbell.incidence[e][1]) for e in dumbbell.full_edge_order]
-        hist = cycle_component_histogram(len(order), np.array(u), np.array(v), m, 0, 6**7)
-        total = sum(int(c) * 2 ** (m + k) for k, c in enumerate(hist))
-        val = float(Fraction(total, 6**7)) ** (1 / 3)
+    res = zbethe_m_enumeration(dumbbell, m, exact=True)
+    val = float(res.value)
+    if m == 3:
+        assert res.pre_root == Fraction(64, 3)
+        assert zbethe_m_typesum(dumbbell, 3).pre_root == res.pre_root
     assert 2 ** (-(m - 1) / m) * z_g <= val <= z_g
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import gcb._kernels as kernels
 from gcb._kernels import build_plan, perm_tables, pyref
-from gcb.covers import build_cover, count_covers, enumerate_covers
+from gcb.covers import build_cover, cotree_edges, count_covers, enumerate_covers
 from gcb.gibbs import gibbs_partition
 
 from conftest import make_dumbbell, make_fig1, make_loopy_positive
@@ -59,27 +59,17 @@ def test_cover_sweep_positive_tables():
     assert fast[0] == pytest.approx(slow[0], rel=1e-10)
 
 
-def test_cycle_histogram_matches_pure():
+def test_cover_sweep_gauge_fixed_matches_pure():
+    # Full edges left out of the index list keep the identity.
     dumbbell = make_dumbbell()
-    order = sorted(dumbbell.factors)
-    u = np.array([order.index(dumbbell.incidence[e][0]) for e in dumbbell.full_edge_order])
-    v = np.array([order.index(dumbbell.incidence[e][1]) for e in dumbbell.full_edge_order])
-    for m in (1, 2, 3):
-        n = count_covers(dumbbell, m)
-        fast = kernels.cycle_component_histogram(len(order), u, v, m, 0, n)
-        slow = pyref.cycle_component_histogram(len(order), u, v, m, 0, n)
-        assert np.array_equal(fast, slow)
-        assert int(fast.sum()) == n
-
-
-def test_cycle_histogram_reproduces_z_multiset():
-    dumbbell = make_dumbbell()
-    order = sorted(dumbbell.factors)
-    u = np.array([order.index(dumbbell.incidence[e][0]) for e in dumbbell.full_edge_order])
-    v = np.array([order.index(dumbbell.incidence[e][1]) for e in dumbbell.full_edge_order])
-    hist = kernels.cycle_component_histogram(len(order), u, v, 2, 0, 128)
-    # Z = 2^{M + #components}: 96 covers at Z=8, 32 at Z=16
-    assert hist[1] == 96 and hist[2] == 32
+    plan = build_plan(dumbbell)
+    cotree = np.array([dumbbell.edge_index(e) for e in cotree_edges(dumbbell)])
+    fast = kernels.cover_sweep(plan, cotree, 3, 1.0, 0, 36)
+    slow = pyref.cover_sweep(plan, cotree, 3, 1.0, 0, 36)
+    assert fast[1] == slow[1]
+    assert fast[2] == slow[2] == 36
+    assert fast[0] == pytest.approx(slow[0], rel=1e-12)
+    assert fast[0] / 36 == pytest.approx(64 / 3, rel=1e-12)
 
 
 def test_perm_tables_lehmer_order():

@@ -18,7 +18,7 @@ import pytest
 
 from gcb._kernels import build_plan, kernel_arrays, pyref
 from gcb._kernels.pyref import Walk
-from gcb.bethe import zbethe_m_enumeration
+from gcb.bethe import zbethe_m_enumeration, zbethe_m_typesum
 from gcb.coding import (
     Channel,
     DecodingNfg,
@@ -31,11 +31,15 @@ from gcb.coding import (
 )
 from gcb.covers import (
     PreimageCensus,
+    TypeWalk,
     build_cover,
     build_cover_with_map,
+    cotree_edges,
     count_covers,
     cover_configurations,
     enumerate_covers,
+    gauge_fixed_perm_invs,
+    lift_realizable_set,
     _phi_of_tuple,
     phi_m,
     random_cover,
@@ -49,10 +53,12 @@ from conftest import make_dumbbell
 SEEDS = range(8)
 
 
-def random_graph(seed, rational=True):
+def random_graph(seed, rational=True, extra=False):
     """A chain f0 - f1 - ... with a doubled f0 = f1 edge, a ternary full edge
     closing the chain into a cycle, half-edges at both ends, and for odd
-    seeds a second component (g0 - g1 with a half-edge on g1)."""
+    seeds a second component (g0 - g1 with a half-edge on g1).  ``extra``
+    adds a third f0 = f1 edge (circuit rank 3) and an isolated factor z
+    carrying only a half-edge."""
     rng = random.Random(seed)
     n = rng.choice([2, 3])
     sizes, half, edges = {}, [], {}
@@ -74,6 +80,9 @@ def random_graph(seed, rational=True):
     if seed % 2:
         add("d", 2, "g0", "g1")
         add("hg", 2, "g1")
+    if extra:
+        add("x", 2, "f1", "f0")
+        add("hz", 2, "z")
     values = [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3)]
     factors = []
     for fid in sorted(edges):
@@ -179,6 +188,78 @@ def test_census_tally_matches_per_cover_oracle(seed):
     assert census._tally == tally
     assert census.total_valid == total
     assert {b.canonical_key() for b in census.realizable()} == set(tally)
+
+
+def pair_graph(seed):
+    """Two factors joined by a binary and a ternary full edge, each with a
+    half-edge: 576 labeled 4-covers."""
+    rng = random.Random(seed)
+    sizes = {"a": 2, "t": 3, "h0": 2, "h1": 2}
+    factors = []
+    for fid, es in (("f0", ("a", "t", "h0")), ("f1", ("t", "a", "h1"))):
+        table = {key: rng.choice([Fraction(1), Fraction(1, 2), Fraction(3)])
+                 for key in itertools.product(*(range(sizes[e]) for e in es)) if rng.random() < 0.25}
+        table.setdefault((0, 0, 0), Fraction(1))
+        factors.append(Factor(fid, es, table))
+    return Nfg(sizes, ["h0", "h1"], factors)
+
+
+# Small enough for the oracle, which builds and walks every labeled cover:
+# circuit rank 3 with an isolated factor (seed 3 also has a tree component)
+# at M = 2, rank 2 at M = 3, and the two-factor pair at M = 3 and 4.
+GAUGE_CASES = (
+    [("rank3", seed, 2) for seed in (0, 2, 3, 6)]
+    + [("rank2", 2, 3)]
+    + [("pair", seed, m) for seed in (1, 4) for m in (3, 4)]
+)
+
+
+@pytest.mark.parametrize("kind, seed, m", GAUGE_CASES)
+def test_gauge_fixed_paths_and_typesum_match_labeled_oracle(kind, seed, m):
+    """Every cover average over the gauge-fixed covers, and the direct
+    type-sum, against one pass over every labeled cover."""
+    nfg = pair_graph(seed) if kind == "pair" else random_graph(seed, extra=kind == "rank3")
+    total, total_t, tally = Fraction(0), 0.0, {}
+    for _, cover, (factor_map, edge_map), tuples in oracle_covers(nfg, m):
+        total += sum((v for _, v in tuples), Fraction(0))
+        total_t += float(gibbs_partition(cover, 0.7))
+        for tup, _ in tuples:
+            key = _phi_of_tuple(nfg, m, cover, factor_map, edge_map, tup).canonical_key()
+            tally[key] = tally.get(key, 0) + 1
+    n = count_covers(nfg, m)
+    for res in (zbethe_m_enumeration(nfg, m, exact=True), zbethe_m_typesum(nfg, m, exact=True)):
+        assert isinstance(res.pre_root, Fraction)
+        assert res.pre_root == total / n
+        assert res.n_covers == n
+    for path in (zbethe_m_enumeration, zbethe_m_typesum):
+        assert path(nfg, m, exact=False).pre_root == pytest.approx(float(total / n), rel=1e-12)
+        assert path(nfg, m, temperature=0.7).pre_root == pytest.approx(total_t / n, rel=1e-12)
+
+    census = PreimageCensus(nfg, m)
+    assert census._tally == tally
+    assert census.total_valid == sum(tally.values())
+    types = TypeWalk(nfg, m)
+    points = [types.beta(rows).canonical_key() for _, _, rows in types.walk.configs()]
+    assert len(points) == len(set(points))
+    assert set(points) == set(tally) == {b.canonical_key() for b in lift_realizable_set(nfg, m)}
+
+    dec = DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
+    factor_want, edge_want = oracle_sgcd_beta(dec, m)
+    beliefs = _sgcd_degree_m(dec, m).beliefs
+    assert {(f, k): v for f, d in beliefs.factor_dists.items() for k, v in d.items()} == factor_want
+    assert {(e, s): v for e, d in beliefs.edge_dists.items() for s, v in d.items()} == edge_want
+
+
+def test_gauge_fixed_covers_count_the_cotree():
+    nfg = random_graph(3, extra=True)  # rank 3, three components
+    cotree = cotree_edges(nfg)
+    assert len(cotree) == nfg.circuit_rank() == 3
+    maps = list(gauge_fixed_perm_invs(nfg, 3))
+    assert len(maps) == 6**3
+    assert all(sorted(p) == [nfg.edge_index(e) for e in cotree] for p in maps)
+    assert count_covers(nfg, 3) == len(maps) * 6 ** (len(nfg.factors) - nfg.n_components())
+    tree = Nfg({"a": 2, "h": 2}, ["h"], [Factor("f", ("a", "h"), {(0, 0): 1}), Factor("g", ("a",), {(0,): 1})])
+    assert cotree_edges(tree) == [] and list(gauge_fixed_perm_invs(tree, 3)) == [{}]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -288,3 +369,12 @@ def test_caps_still_raise(monkeypatch):
         bgcd(dec, degree=2)
     with pytest.raises(CapExceeded):
         _sgcd_degree_m(dec, 2)
+
+
+def test_typesum_caps():
+    dumbbell = make_dumbbell()  # 128 two-covers, 10 types at M = 2
+    assert zbethe_m_typesum(dumbbell, 2, config_cap=10).pre_root == 10
+    with pytest.raises(CapExceeded):
+        zbethe_m_typesum(dumbbell, 2, config_cap=9)
+    with pytest.raises(CapExceeded):
+        zbethe_m_typesum(dumbbell, 2, cap=100)
