@@ -9,20 +9,11 @@ support rows is chosen.  Support rows are sorted by their bound symbols, so
 rows agreeing on the bound edges are contiguous.  A cover's edge and factor
 copies are index-remapped copies of the base ones, so boundness and row
 order carry over unchanged.
-
-``kernel_arrays`` packs a plan into the contiguous arrays the compiled
-cover sweep reads.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from types import SimpleNamespace
-
-import numpy as np
-
-MAX_GROUP_TABLE = 1 << 20
 
 
 class FactorPlan:
@@ -71,44 +62,7 @@ def build_plan(nfg) -> Plan:
     return Plan(nfg)
 
 
-def kernel_arrays(plan: Plan):
-    """The plan as int64/int8/float64 arrays, or None past the C limits.
-
-    The compiled sweep holds symbols in signed bytes, a factor's slots on a
-    64-entry stack array, and one dense offset table per factor indexed by
-    the mixed-radix value of its bound symbols: so alphabets up to 127,
-    arity up to 64, and group tables up to MAX_GROUP_TABLE entries.
-    """
-    if max(plan.sizes, default=0) > 127:
-        return None
-    factors = []
-    for fp in plan.factors:
-        arity = len(fp.edge_idx)
-        bound_sizes = [plan.sizes[fp.edge_idx[p]] for p in fp.bound_sel]
-        n_groups = math.prod(bound_sizes)
-        if arity > 64 or n_groups > MAX_GROUP_TABLE:
-            return None
-        kf = SimpleNamespace(
-            **{name: np.array(getattr(fp, name), dtype=np.int64)
-               for name in ("edge_idx", "twist", "bound_sel", "free_sel")},
-            bound_radix=np.array(
-                [math.prod(bound_sizes[j + 1:]) for j in range(len(bound_sizes))], dtype=np.int64),
-            rows=np.array(fp.support, dtype=np.int8).reshape(len(fp.support), arity),
-            values=np.array([float(v) for v in fp.weights], dtype=np.float64),
-            n_groups=n_groups,
-        )
-        keys = kf.rows[:, kf.bound_sel].astype(np.int64) @ kf.bound_radix
-        offset = np.zeros(n_groups + 1, dtype=np.int64)
-        np.add.at(offset, keys + 1, 1)
-        kf.group_offset = np.cumsum(offset)
-        factors.append(kf)
-    return SimpleNamespace(sizes=np.array(plan.sizes, dtype=np.int64), factors=factors)
-
-
 def perm_tables(m: int):
     """All permutations of range(m) in lexicographic order, plus inverses."""
-    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
-    inv = np.empty_like(perms)
-    for i, p in enumerate(perms):
-        inv[i, p] = np.arange(m, dtype=np.int64)
-    return perms, inv
+    perms = list(itertools.permutations(range(m)))
+    return perms, [[p.index(k) for k in range(m)] for p in perms]

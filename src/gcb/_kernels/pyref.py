@@ -1,10 +1,9 @@
-"""Pure-Python kernels: the configuration walk and the float cover sweep.
+"""Pure-Python kernels: the configuration walk and the cover sweep.
 
 ``Walk`` is the only walk over valid configurations in gcb; enumeration,
 exact and float cover sums, pre-image counting and the degree-M decoders
-all run on it.  ``cover_sweep`` has a compiled twin in ``_fast.pyx`` with
-the same semantics; the kernel equivalence tests hold the two to identical
-counts and matching sums.
+all run on it.  ``cover_sweep`` is the one sum over covers, for both
+precisions.
 """
 
 from __future__ import annotations
@@ -13,9 +12,8 @@ import itertools
 from fractions import Fraction
 from operator import itemgetter
 
-from .plan import Plan, perm_tables
-
-IS_COMPILED = False
+from ..errors import CapExceeded
+from .plan import Plan
 
 
 class Walk:
@@ -100,27 +98,27 @@ class Walk:
                 d -= 1
 
 
-def cover_sweep(plan: Plan, full_edge_idx, m: int, inv_t: float, start: int, stop: int):
-    """Sweep covers [start, stop) in odometer order over the permutations of
-    the full edges listed in ``full_edge_idx``; full edges not listed keep
-    the identity.
+def cover_sweep(walk: Walk, perm_invs, inv_t, limit: int):
+    """Sum the partition functions of the covers given by ``perm_invs``.
 
-    Returns (sum over covers of Z, sum over covers of |valid configs|,
-    number of covers visited).  Z is the sum of global value ** inv_t of the
-    cover, in floats; permutation digits use lexicographic (Lehmer) order
-    with the last listed edge's digit moving fastest.
+    Each item of ``perm_invs`` is a ``Walk.configs`` permutation map.  A
+    cover's Z sums ``value`` (``value ** inv_t`` unless inv_t == 1) over its
+    valid configurations in the walk's own arithmetic, and the covers' Z
+    are added in the order listed.  Returns (sum over covers of Z, number
+    of valid configurations, number of covers); raises CapExceeded once one
+    cover has more than ``limit`` valid configurations.
     """
-    _, inv = perm_tables(m)
-    walk = Walk(plan, m, exact=False)
-    full = [int(e) for e in full_edge_idx]
-    zsum_total = 0.0
-    count_total = 0
-    n = 0
-    for digits in itertools.islice(itertools.product(inv.tolist(), repeat=len(full)), start, stop):
-        zsum = 0.0
-        for value, _, _ in walk.configs(dict(zip(full, digits))):
-            count_total += 1
-            zsum += value if inv_t == 1.0 else value**inv_t
-        zsum_total += zsum
-        n += 1
-    return zsum_total, count_total, n
+    zero = 0 * walk.one
+    total = zero
+    n_configs = n_covers = 0
+    for perm_inv in perm_invs:
+        z = zero
+        n = 0
+        for n, (value, _, _) in enumerate(itertools.islice(walk.configs(perm_inv), limit + 1), 1):
+            z += value if inv_t == 1 else value**inv_t
+        if n > limit:
+            raise CapExceeded(f"more than {limit} valid configurations")
+        total += z
+        n_configs += n
+        n_covers += 1
+    return total, n_configs, n_covers

@@ -24,11 +24,9 @@ from .covers import (
     TypeWalk,
     build_cover,
     check_shape,
-    cotree_edges,
     count_covers,
     cover_cap,
-    cover_configurations,
-    cover_walk,
+    cover_perm_inv,
     gauge_fixed_perm_invs,
     phi_m,
     random_cover,
@@ -212,14 +210,17 @@ def zbethe_m_enumeration(
     a spanning forest, see ``covers.gauge_fixed_perm_invs``), which equals
     the average over all labeled covers; ``n_covers`` is still the labeled
     count, and the cover cap applies to it.  Exact mode (T = 1, rational
-    tables) averages in rational arithmetic.  With ``samples`` set, a seeded
-    Monte Carlo over labeled cover specs replaces the enumeration and a
-    standard error accompanies the estimate.  The float path splits the
-    gauge-fixed cover index range across ``threads`` workers and reduces
-    the partial sums in index order, so results are deterministic.
+    tables) averages in rational arithmetic, float mode in floats, both
+    through one ``_kernels.cover_sweep``; ``config_cap`` bounds each
+    cover's valid configurations.  With ``samples`` set, a seeded Monte
+    Carlo over labeled cover specs replaces the enumeration and a standard
+    error accompanies the estimate.  ``threads`` is accepted and ignored
+    (the sweep is one pure-Python loop); it is kept only for callers that
+    still pass it.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
+    max_configs = default_config_cap(config_cap)
     if samples is not None:
         if seed is None:
             raise ValueError("Monte Carlo mode requires a seed")
@@ -228,10 +229,8 @@ def zbethe_m_enumeration(
         t_inv = 1 if temperature == 1 else 1.0 / float(temperature)
         vals = []
         for _ in range(samples):
-            spec = random_cover(nfg, m, rng.getrandbits(48))
-            z = Fraction(0)
-            for value, _, _ in cover_configurations(walk, spec, config_cap):
-                z += value if t_inv == 1 else float(value) ** t_inv
+            perm_inv = cover_perm_inv(random_cover(nfg, m, rng.getrandbits(48)))
+            z, _, _ = _kernels.cover_sweep(walk, [perm_inv], t_inv, max_configs)
             vals.append(float(z))
         mean = float(np.mean(vals))
         stderr = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
@@ -245,39 +244,14 @@ def zbethe_m_enumeration(
         )
     if exact is None:
         exact = temperature == 1 and _rational_tables(nfg)
-    if exact:
-        if temperature != 1 or not _rational_tables(nfg):
-            raise ValueError("exact mode needs T = 1 and rational tables")
-        walk = Walk(_kernels.build_plan(nfg), m)
-        total = Fraction(0)
-        n_fixed = 0
-        for perm_inv in gauge_fixed_perm_invs(nfg, m, cap=cap):
-            for value, _, _ in cover_walk(walk, perm_inv, config_cap):
-                total += value
-            n_fixed += 1
-        pre_root = total / n_fixed
-        return ZBetheM(float(pre_root) ** (1.0 / m), pre_root, m, n_covers)
-    plan = _kernels.build_plan(nfg)
-    cotree = cotree_edges(nfg)
-    fidx = np.array([nfg.edge_index(e) for e in cotree], dtype=np.int64)
-    n_fixed = math.factorial(m) ** len(cotree)
-    inv_t = 1.0 / float(temperature)
-    if threads <= 1 or n_fixed < 4 * threads:
-        zsum, _, n = _kernels.cover_sweep(plan, fidx, m, inv_t, 0, n_fixed)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = np.linspace(0, n_fixed, threads + 1, dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_kernels.cover_sweep, plan, fidx, m, inv_t, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:])
-            ]
-            parts = [f.result() for f in futures]
-        zsum = sum(p[0] for p in parts)
-        n = sum(p[2] for p in parts)
-    pre_root = zsum / n
-    return ZBetheM(pre_root ** (1.0 / m), pre_root, m, n_covers)
+    if exact and (temperature != 1 or not _rational_tables(nfg)):
+        raise ValueError("exact mode needs T = 1 and rational tables")
+    walk = Walk(_kernels.build_plan(nfg), m, exact=exact)
+    inv_t = 1 if exact else 1.0 / float(temperature)
+    perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
+    zsum, _, n_fixed = _kernels.cover_sweep(walk, perm_invs, inv_t, max_configs)
+    pre_root = zsum / n_fixed
+    return ZBetheM(float(pre_root) ** (1.0 / m), pre_root, m, n_covers)
 
 
 def zbethe_m_typesum(

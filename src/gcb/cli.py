@@ -132,7 +132,6 @@ def cmd_zbethe_m(args):
         res = zbethe_m_enumeration(
             nfg, args.m, args.temperature, exact=exact, cap=args.cover_cap,
             config_cap=args.config_cap, samples=args.samples, seed=args.seed,
-            threads=args.threads,
         )
     lines = [f"m={res.m}", f"pre_root={_fmt(res.pre_root)}", f"zbethe_m={_fmt(res.value)}"]
     if res.stderr is not None:
@@ -365,12 +364,6 @@ def _add_common(p):
                    help="configuration cap override (per cover; for zbethe-m --method typesum, "
                         "the number of types summed)")
     p.add_argument("--cover-cap", type=int, default=None, help="cover cap override")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads for cover sweeps",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -190,16 +190,13 @@ def _check_cover_cap(nfg: Nfg, m: int, cap):
         raise CapExceeded(f"{total} covers exceed cap {limit}")
 
 
-def enumerate_covers(nfg: Nfg, m: int, cap=None, start=0, stop=None) -> Iterator[CoverSpec]:
-    """All labeled M-covers in odometer order over per-edge permutations.
-
-    The order is that of ``cover_spec_at_index``.  ``start``/``stop`` select
-    an index range, so disjoint ranges may be handed to concurrent workers.
-    """
+def enumerate_covers(nfg: Nfg, m: int, cap=None) -> Iterator[CoverSpec]:
+    """All labeled M-covers in odometer order over per-edge permutations,
+    the order of ``cover_spec_at_index``."""
     _check_cover_cap(nfg, m, cap)
     edges = nfg.full_edge_order
     perms = itertools.permutations(range(m))
-    for digits in itertools.islice(itertools.product(perms, repeat=len(edges)), start, stop):
+    for digits in itertools.product(perms, repeat=len(edges)):
         yield CoverSpec(nfg, m, dict(zip(edges, digits)))
 
 
@@ -244,7 +241,7 @@ def gauge_fixed_perm_invs(nfg: Nfg, m: int, cap=None):
     _check_cover_cap(nfg, m, cap)
     cotree = [nfg.edge_index(e) for e in cotree_edges(nfg)]
     _, inv = _kernels.perm_tables(m)
-    for digits in itertools.product(inv.tolist(), repeat=len(cotree)):
+    for digits in itertools.product(inv, repeat=len(cotree)):
         yield dict(zip(cotree, digits))
 
 
@@ -351,9 +348,14 @@ def cover_configurations(walk: Walk, spec: CoverSpec, config_cap=None):
     of its larger one, as in ``build_cover_with_map``.  Raises CapExceeded
     past ``config_cap`` valid configurations.
     """
+    return cover_walk(walk, cover_perm_inv(spec), config_cap)
+
+
+def cover_perm_inv(spec: CoverSpec) -> dict:
+    """The spec as a ``Walk.configs`` permutation map: sigma_e^{-1} keyed by
+    the plan index of each full edge."""
     nfg = spec.nfg
-    perm_inv = {nfg.edge_index(e): [p.index(k) for k in range(spec.m)] for e, p in spec.perms.items()}
-    return cover_walk(walk, perm_inv, config_cap)
+    return {nfg.edge_index(e): [p.index(k) for k in range(spec.m)] for e, p in spec.perms.items()}
 
 
 def cover_walk(walk: Walk, perm_inv, config_cap=None):

@@ -272,12 +272,6 @@ def test_monte_carlo_requires_seed(dumbbell):
         zbethe_m_enumeration(dumbbell, 2, samples=10)
 
 
-def test_threaded_sweep_matches_serial(fig1):
-    serial = zbethe_m_enumeration(fig1, 2, exact=False, threads=1)
-    threaded = zbethe_m_enumeration(fig1, 2, exact=False, threads=4)
-    assert serial.pre_root == threaded.pre_root
-
-
 # -- combinatorial free energy bridge ---------------------------------------------
 
 

@@ -75,6 +75,13 @@ def test_cover_cap_exit_code(capsys):
     assert "cap" in err
 
 
+def test_float_enumeration_config_cap_exit_code(capsys):
+    code, _, err = run(capsys, "zbethe-m", "--nfg", dumbbell_path(), "-M", "2",
+                       "--precision", "float", "--config-cap", "10")
+    assert code == 2
+    assert "more than 10 valid configurations" in err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.nfg"
     bad.write_text("alphabet a\n")

@@ -16,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gcb._kernels import build_plan, kernel_arrays, pyref
+import gcb._kernels as kernels
+from gcb._kernels import build_plan, cover_sweep, perm_tables
 from gcb._kernels.pyref import Walk
 from gcb.bethe import zbethe_m_enumeration, zbethe_m_typesum
 from gcb.coding import (
@@ -37,6 +38,7 @@ from gcb.covers import (
     cotree_edges,
     count_covers,
     cover_configurations,
+    cover_perm_inv,
     enumerate_covers,
     gauge_fixed_perm_invs,
     lift_realizable_set,
@@ -130,18 +132,15 @@ def test_valid_tuples_accepts_alphabet_200():
     found = valid_tuples(nfg)
     assert found == [((s, s), Fraction(s + 1, 7)) for s in range(200)]
     assert gibbs_partition(nfg) == Fraction(200 * 201 // 2, 7)
-    plan = build_plan(nfg)
-    assert kernel_arrays(plan) is None
     exact = zbethe_m_enumeration(nfg, 2).pre_root
     assert zbethe_m_enumeration(nfg, 2, exact=False).pre_root == pytest.approx(float(exact), rel=1e-12)
 
 
-def test_kernel_arrays_group_table_limit():
+def test_valid_tuples_21_bound_edges():
+    # f2 meets all 21 edges already bound by f1: 2^21 possible bound keys.
     sizes = {f"e{i}": 2 for i in range(21)}
     es = tuple(sizes)
     factors = [Factor("f1", es, {(0,) * 21: 1}), Factor("f2", es, {(0,) * 21: 1})]
-    plan = build_plan(Nfg(sizes, [], factors))
-    assert kernel_arrays(plan) is None  # 2^21 bound-symbol groups at f2
     assert valid_tuples(Nfg(sizes, [], factors)) == [((0,) * 21, 1)]
 
 
@@ -266,18 +265,54 @@ def test_gauge_fixed_covers_count_the_cotree():
 def test_pure_cover_sweep_matches_per_cover_oracle(seed):
     nfg = random_graph(seed, rational=seed % 2 == 0)
     plan = build_plan(nfg)
-    fidx = [nfg.edge_index(e) for e in nfg.full_edge_order]
-    n = count_covers(nfg, 2)
-    for temperature in (1.0, 0.7):
-        zsum, count, visited = pyref.cover_sweep(plan, fidx, 2, 1.0 / temperature, 0, n)
-        want = sum(float(gibbs_partition(cover, temperature)) for _, cover, _, _ in oracle_covers(nfg, 2))
-        assert zsum == pytest.approx(want, rel=1e-12)
-        assert count == sum(len(t) for *_, t in oracle_covers(nfg, 2))
+    maps = [cover_perm_inv(spec) for spec in enumerate_covers(nfg, 2)]
+    n = len(maps)
+    count = sum(len(t) for *_, t in oracle_covers(nfg, 2))
+    cases = [(Walk(plan, 2, exact=False), temperature) for temperature in (1.0, 0.7)]
+    if seed % 2 == 0:
+        cases.append((Walk(plan, 2), 1))
+    for walk, temperature in cases:
+        inv_t = 1 if temperature == 1 else 1.0 / temperature
+        zsum, found, visited = cover_sweep(walk, maps, inv_t, 10**6)
+        want = sum(gibbs_partition(cover, temperature) for _, cover, _, _ in oracle_covers(nfg, 2))
+        if isinstance(walk.one, Fraction):
+            assert zsum == want
+        else:
+            assert isinstance(zsum, float) and zsum == pytest.approx(float(want), rel=1e-12)
+        assert found == count
         assert visited == n
-        parts = [pyref.cover_sweep(plan, fidx, 2, 1.0 / temperature, a, b)
-                 for a, b in ((0, n // 3), (n // 3, n))]
+        parts = [cover_sweep(walk, maps[a:b], inv_t, 10**6) for a, b in ((0, n // 3), (n // 3, n))]
         assert sum(p[1] for p in parts) == count
+        assert sum(p[2] for p in parts) == n
         assert sum(p[0] for p in parts) == pytest.approx(zsum, rel=1e-12)
+
+
+def test_perm_tables_lehmer_order():
+    perms, inv = perm_tables(3)
+    assert [tuple(p) for p in perms] == [
+        (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
+    ]
+    for p, q in zip(perms, inv):
+        assert all(q[p[i]] == i for i in range(3))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_enumeration_sums_through_one_cover_sweep(monkeypatch, exact):
+    # perfbench's traced run reads kernels.cover_sweep.* and kernels.covers_swept
+    # from gcb._kernels.cover_sweep; renaming or bypassing it must fail here.
+    nfg = random_graph(3, extra=True)
+    calls = []
+    sweep = kernels.cover_sweep
+
+    def counting(*args, **kwargs):
+        result = sweep(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(kernels, "cover_sweep", counting)
+    zbethe_m_enumeration(nfg, 2, exact=exact)
+    assert len(calls) == 1
+    assert calls[0][2] == len(list(gauge_fixed_perm_invs(nfg, 2))) == 2 ** nfg.circuit_rank()
 
 
 # -- degree-M decoders ----------------------------------------------------------
@@ -352,8 +387,9 @@ def test_caps_still_raise(monkeypatch):
     dec = DecodingNfg(dumbbell, dumbbell.edge_order, Fraction(1), [], None)
     with pytest.raises(CapExceeded):
         zbethe_m_enumeration(dumbbell, 2, cap=100)
-    with pytest.raises(CapExceeded):
-        zbethe_m_enumeration(dumbbell, 2, config_cap=10)
+    for temperature, exact in ((1, True), (1, False), (0.7, False)):
+        with pytest.raises(CapExceeded):
+            zbethe_m_enumeration(dumbbell, 2, temperature, exact=exact, config_cap=10)
     with pytest.raises(CapExceeded):
         zbethe_m_enumeration(dumbbell, 2, samples=3, seed=1, config_cap=7)
     with pytest.raises(CapExceeded):
