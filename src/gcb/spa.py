@@ -4,6 +4,13 @@ Messages live on (factor, edge) pairs and are normalized to sum to one
 after every sweep, so fixed points are well defined.  At temperature T the
 local values are raised to 1/T first; fixed points then correspond to
 stationary points of the Bethe free energy at that temperature.
+
+A sweep runs on flat numpy arrays (``_FlatLayout``): all directed messages
+in one vector, and one row of gather/scatter indices per non-zero table
+row, so a sweep is a fixed handful of array operations with no Python loop
+over rows.  Its arithmetic is the per-row loop's, in the same order, so
+results are bit-identical to that loop (kept in ``tests/test_spa.py`` as
+the oracle).  ``SpaState.messages`` is still a dict keyed by (factor, edge).
 """
 
 from __future__ import annotations
@@ -69,6 +76,69 @@ def _incoming(nfg: Nfg, msgs, fid, e):
     return msgs[(other, e)]
 
 
+class _FlatLayout:
+    """Index arrays of one flat message vector, built once per run.
+
+    Every directed message (factor, edge), in ``nfg.factors`` / ``f.edges``
+    order, owns the block ``start .. start + |alphabet|`` of one float
+    vector; its last entry, index ``one``, is a constant 1.0 that stands in
+    for the incoming message on a half-edge and pads short rows.  Each
+    support row with a non-zero weight is one row of ``gather`` (incoming
+    message index per position) and ``scatter`` (outgoing message index
+    per position; padding goes to ``one``, whose sum is discarded).
+    """
+
+    def __init__(self, nfg: Nfg, weights):
+        sizes = nfg.alphabet_sizes
+        self.blocks = []
+        start = {}
+        n = 0
+        for fid, f in nfg.factors.items():
+            for e in f.edges:
+                start[(fid, e)] = n
+                self.blocks.append(((fid, e), n, n + sizes[e]))
+                n += sizes[e]
+        self.one = n
+        arity = max((len(f.edges) for f in nfg.factors.values()), default=0)
+        empty = np.zeros((0, arity), dtype=np.intp)
+        gathers, scatters, ws = [empty], [empty], [np.zeros(0)]
+        for fid, f in nfg.factors.items():
+            rows, vals = weights[fid]
+            keep = vals != 0.0
+            sym = np.array(rows, dtype=np.intp).reshape(len(rows), len(f.edges))[keep]
+            ins = []
+            for e in f.edges:
+                ends = nfg.incidence[e]
+                if len(ends) == 1:
+                    ins.append(-1)
+                else:
+                    other = ends[0] if ends[1] == fid else ends[1]
+                    ins.append(start[(other, e)])
+            ins = np.array(ins, dtype=np.intp)
+            outs = np.array([start[(fid, e)] for e in f.edges], dtype=np.intp)
+            pad = np.full((len(sym), arity - len(f.edges)), n, dtype=np.intp)
+            gathers.append(np.hstack([np.where(ins < 0, n, ins + sym), pad]))
+            scatters.append(np.hstack([outs + sym, pad]))
+            ws.append(vals[keep])
+        self.gather = np.vstack(gathers)
+        self.scatter = np.vstack(scatters).ravel()
+        self.weights = np.concatenate(ws)
+        # blocks of equal size, normalised together with a row sum per block
+        by_size = {}
+        for _, lo, hi in self.blocks:
+            by_size.setdefault(hi - lo, []).append(lo)
+        self.groups = [
+            (np.array(los, dtype=np.intp)[:, None] + np.arange(size), size)
+            for size, los in by_size.items()
+        ]
+
+    def vector(self, msgs):
+        return np.concatenate([msgs[key] for key, _, _ in self.blocks] + [np.ones(1)])
+
+    def messages(self, vec):
+        return {key: vec[lo:hi] for key, lo, hi in self.blocks}
+
+
 def sum_product(
     nfg: Nfg,
     max_iters: int = 1000,
@@ -84,60 +154,56 @@ def sum_product(
     product of the two directed messages on full edges.  Non-convergence is
     reported in the state, never raised.  ``collect_trace`` records
     (iteration, residual, free energy) per sweep for convergence studies.
+
+    One sweep works on the flat message vector of ``_FlatLayout``: a row's
+    product is the left-to-right ``cumprod`` of its weight and incoming
+    entries, each position receives product / entry (or, where the entry is
+    zero, the product with that entry left out), ``bincount`` adds the
+    contributions in row order, and each block is divided by its row sum
+    (a pairwise sum from 8 entries on, exactly as ``ndarray.sum``).  So the
+    messages, residuals and sweep counts are bit-identical to the plain
+    per-row loop kept in the tests as ``reference_sum_product``.
     """
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must be in [0, 1)")
-    weights = _factor_weights(nfg, temperature)
-    msgs = _initial_messages(nfg, init_rng)
+    lay = _FlatLayout(nfg, _factor_weights(nfg, temperature))
+    msgs = lay.vector(_initial_messages(nfg, init_rng))
+    n = lay.one
+    terms = np.empty((len(lay.weights), lay.gather.shape[1] + 1))  # [w, p0, p1, ...]
+    terms[:, 0] = lay.weights
     residual = float("inf")
     iterations = 0
     trace = [] if collect_trace else None
     for iterations in range(1, max_iters + 1):
-        incoming = {
-            (fid, e): _incoming(nfg, msgs, fid, e)
-            for fid, f in nfg.factors.items()
-            for e in f.edges
-        }
-        new_msgs = {}
-        residual = 0.0
-        for fid, f in nfg.factors.items():
-            rows, vals = weights[fid]
-            ins = [incoming[(fid, e)] for e in f.edges]
-            outs = [np.zeros(nfg.alphabet_sizes[e]) for e in f.edges]
-            for row, w in zip(rows, vals):
-                if w == 0.0:
-                    continue
-                prods = [m[s] for m, s in zip(ins, row)]
-                total = w
-                for p in prods:
-                    total *= p
-                for pos, s in enumerate(row):
-                    p = prods[pos]
-                    if p > 0.0:
-                        outs[pos][s] += total / p
-                    else:
-                        rest = w
-                        for q, other in enumerate(prods):
-                            if q != pos:
-                                rest *= other
-                        outs[pos][s] += rest
-            for pos, e in enumerate(f.edges):
-                v = outs[pos]
-                total = v.sum()
-                if total > 0:
-                    v = v / total
-                else:
-                    v = np.full_like(v, 1.0 / len(v))
-                old = msgs[(fid, e)]
-                residual = max(residual, float(np.max(np.abs(v - old))))
-                if damping > 0.0:
-                    v = (1.0 - damping) * v + damping * old
-                new_msgs[(fid, e)] = v
-        msgs = new_msgs
+        prods = msgs[lay.gather]
+        terms[:, 1:] = prods
+        total = np.cumprod(terms, axis=1)[:, -1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            contrib = total / prods
+        r, c = np.nonzero(~(prods > 0.0))
+        if len(r):
+            rest = terms[r]
+            rest[np.arange(len(r)), c + 1] = 1.0
+            contrib[r, c] = np.cumprod(rest, axis=1)[:, -1]
+        sums = np.bincount(lay.scatter, contrib.ravel(), minlength=n + 1)
+        new = np.empty(n + 1)
+        new[n] = 1.0
+        for idx, size in lay.groups:
+            v = sums[idx]
+            norm = v.sum(axis=1, keepdims=True)
+            pos = norm > 0
+            new[idx] = np.where(pos, v / np.where(pos, norm, 1.0), 1.0 / size)
+        residual = float(np.max(np.abs(new[:n] - msgs[:n]), initial=0.0))
+        if damping > 0.0:
+            new[:n] = (1.0 - damping) * new[:n] + damping * msgs[:n]
+        msgs = new
         if trace is not None:
-            trace.append((iterations, residual, _trace_free_energy(nfg, msgs, temperature)))
+            trace.append((iterations, residual, _trace_free_energy(nfg, lay.messages(msgs), temperature)))
         if residual <= tol:
             break
+    msgs = lay.messages(msgs)
     state = SpaState(msgs, iterations, damping, residual, residual <= tol, trace)
     return state, beliefs_from_messages(nfg, msgs, temperature)
 

@@ -1,6 +1,8 @@
 import os
 from fractions import Fraction
 
+import pytest
+
 from gcb.cli import main
 from gcb.nfg import emit_nfg_text
 
@@ -168,6 +170,14 @@ def test_spa_nonconvergence_exit(tmp_path, capsys):
     code, out, _ = run(capsys, "spa", "--nfg", str(tree), "--max-iters", "1")
     assert code == 4
     assert "converged=false" in out
+
+
+@pytest.mark.parametrize("temperature", ["-1", "0"])
+def test_spa_non_positive_temperature_exit(capsys, temperature):
+    code, out, err = run(capsys, "spa", "--nfg", fig1_path(), "--temperature", temperature)
+    assert code == 3
+    assert out == ""
+    assert "temperature must be positive" in err
 
 
 def test_decode_length_mismatch_exit(tmp_path, capsys):

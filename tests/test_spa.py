@@ -1,15 +1,126 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gcb.bethe import bethe_terms, stationarity_residual
+from gcb.coding import Channel, ParityCheckMatrix, attach_channel, nfg_from_parity_check
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg
-from gcb.spa import sum_product
+from gcb.spa import (
+    SpaState,
+    _factor_weights,
+    _incoming,
+    _initial_messages,
+    _trace_free_energy,
+    beliefs_from_messages,
+    sum_product,
+)
 
-from conftest import make_loopy_positive, make_random_tree
+from conftest import EXAMPLE3_ROWS, make_loopy_positive, make_random_tree
+
+
+def reference_sum_product(
+    nfg: Nfg,
+    max_iters: int = 1000,
+    damping: float = 0.0,
+    tol: float = 1e-12,
+    temperature: float = 1.0,
+    init_rng=None,
+    collect_trace: bool = False,
+):
+    """Slow oracle: the dict-of-messages, loop-per-row sum-product."""
+    if not 0.0 <= damping < 1.0:
+        raise ValueError("damping must be in [0, 1)")
+    weights = _factor_weights(nfg, temperature)
+    msgs = _initial_messages(nfg, init_rng)
+    residual = float("inf")
+    iterations = 0
+    trace = [] if collect_trace else None
+    for iterations in range(1, max_iters + 1):
+        incoming = {
+            (fid, e): _incoming(nfg, msgs, fid, e)
+            for fid, f in nfg.factors.items()
+            for e in f.edges
+        }
+        new_msgs = {}
+        residual = 0.0
+        for fid, f in nfg.factors.items():
+            rows, vals = weights[fid]
+            ins = [incoming[(fid, e)] for e in f.edges]
+            outs = [np.zeros(nfg.alphabet_sizes[e]) for e in f.edges]
+            for row, w in zip(rows, vals):
+                if w == 0.0:
+                    continue
+                prods = [m[s] for m, s in zip(ins, row)]
+                total = w
+                for p in prods:
+                    total *= p
+                for pos, s in enumerate(row):
+                    p = prods[pos]
+                    if p > 0.0:
+                        outs[pos][s] += total / p
+                    else:
+                        rest = w
+                        for q, other in enumerate(prods):
+                            if q != pos:
+                                rest *= other
+                        outs[pos][s] += rest
+            for pos, e in enumerate(f.edges):
+                v = outs[pos]
+                total = v.sum()
+                if total > 0:
+                    v = v / total
+                else:
+                    v = np.full_like(v, 1.0 / len(v))
+                old = msgs[(fid, e)]
+                residual = max(residual, float(np.max(np.abs(v - old))))
+                if damping > 0.0:
+                    v = (1.0 - damping) * v + damping * old
+                new_msgs[(fid, e)] = v
+        msgs = new_msgs
+        if trace is not None:
+            trace.append((iterations, residual, _trace_free_energy(nfg, msgs, temperature)))
+        if residual <= tol:
+            break
+    state = SpaState(msgs, iterations, damping, residual, residual <= tol, trace)
+    return state, beliefs_from_messages(nfg, msgs, temperature)
+
+
+def assert_same_run(nfg, **kwargs):
+    """sum_product and the oracle agree bit for bit; returns the fast state."""
+    rng = kwargs.pop("init_seed", None)
+    fast_rng = None if rng is None else np.random.default_rng(rng)
+    slow_rng = None if rng is None else np.random.default_rng(rng)
+    state, beliefs = sum_product(nfg, init_rng=fast_rng, **kwargs)
+    want, want_beliefs = reference_sum_product(nfg, init_rng=slow_rng, **kwargs)
+    assert state.iterations == want.iterations
+    assert state.residual == want.residual
+    assert state.converged == want.converged
+    assert list(state.messages) == list(want.messages)
+    for key, v in want.messages.items():
+        assert np.array_equal(state.messages[key], v), key
+    assert beliefs.factor_dists == want_beliefs.factor_dists
+    assert beliefs.edge_dists == want_beliefs.edge_dists
+    assert state.trace == want.trace
+    return state
+
+
+def example3_decoding_graph(channel, y):
+    code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
+    return attach_channel(code, channel, y).nfg
+
+
+def example3_bsc_words(seed, per_p):
+    rng = random.Random(seed)
+    codewords = ParityCheckMatrix(EXAMPLE3_ROWS).codewords()
+    for p in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5)):
+        for _ in range(per_p):
+            x = list(rng.choice(codewords))
+            y = "".join(str(b ^ (rng.random() < p)) for b in x)
+            yield p, y
 
 
 def brute_marginals(nfg):
@@ -114,3 +225,61 @@ def test_temperature_scales_tables():
             assert float(beliefs_t.edge_weight(e, s)) == pytest.approx(
                 float(beliefs_1.edge_weight(e, s)), abs=1e-12
             )
+
+
+BATTERY_OPTIONS = [
+    {"damping": 0.0},
+    {"damping": 0.5},
+    {"damping": 0.5, "temperature": 0.7},
+    {"damping": 0.0, "init_seed": 5},
+    {"damping": 0.5, "collect_trace": True},
+]
+
+
+@pytest.mark.parametrize("options", BATTERY_OPTIONS)
+def test_flat_sweep_matches_loop_oracle_on_trees_and_loops(options):
+    rng = random.Random(41)
+    graphs = [make_random_tree(rng, n_internal=3 + i % 3) for i in range(3)]
+    graphs += [make_loopy_positive(rng) for _ in range(3)]
+    for nfg in graphs:
+        assert_same_run(nfg, max_iters=200, tol=1e-13, **options)
+
+
+@pytest.mark.parametrize("options", BATTERY_OPTIONS)
+def test_flat_sweep_matches_loop_oracle_on_decoding_graphs(options):
+    for p, y in example3_bsc_words(seed=7, per_p=2):
+        nfg = example3_decoding_graph(Channel.bsc(p), y)
+        assert_same_run(nfg, max_iters=40, **options)
+
+
+def test_zero_messages_take_the_leave_one_out_product():
+    half = Fraction(1, 2)
+    erasure = Channel(2, {("0", 0): half, ("e", 0): half, ("1", 1): half, ("e", 1): half})
+    nfg = example3_decoding_graph(erasure, "0e0e000000")
+    state = assert_same_run(nfg, max_iters=30, tol=0.0)
+    assert any(np.any(v == 0.0) for v in state.messages.values())
+
+
+@pytest.mark.parametrize("size", [9, 17])
+def test_wide_alphabet_normalisation_matches_ndarray_sum(size):
+    # from 8 entries on ndarray.sum adds pairwise, not left to right
+    rng = random.Random(size)
+    sizes = {"big": size, "x": 2, "h": 3}
+
+    def table(edges):
+        keys = np.ndindex(*(sizes[e] for e in edges))
+        return {k: rng.choice([0.0, rng.uniform(0.1, 2.0)]) for k in keys}
+
+    nfg = Nfg(
+        sizes,
+        ["h"],
+        [Factor("a", ("big", "x", "h"), table(("big", "x", "h"))), Factor("b", ("big", "x"), table(("big", "x")))],
+    )
+    assert_same_run(nfg, max_iters=50, damping=0.3, init_seed=2)
+
+
+@pytest.mark.parametrize("temperature", [0, -1, 0.0])
+def test_non_positive_temperature_is_rejected(temperature):
+    rng = random.Random(4)
+    with pytest.raises(ValueError, match="temperature must be positive"):
+        sum_product(make_random_tree(rng), temperature=temperature)
