@@ -1,8 +1,8 @@
 """Pure-Python kernels: the configuration walk and the cover sweep.
 
 ``Walk`` is the only walk over valid configurations in gcb; enumeration,
-exact and float cover sums, pre-image counting and the degree-M decoders
-all run on it.  ``cover_sweep`` is the one sum over covers, for both
+exact and float cover sums, pre-image counting and the decoding rules, MAP
+decoding included, all run on it.  ``cover_sweep`` is the one sum over covers, for both
 precisions.
 """
 

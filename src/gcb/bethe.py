@@ -140,7 +140,7 @@ def bethe_terms(nfg: Nfg, beta: PseudoMarginals, temperature: float = 1.0, tol: 
                 raise SupportOnZeroFactor(f"beta weight on zero-valued row {key} of {f}")
             u -= w * math.log(g)
         h += _entropy(d.values())
-    for e in nfg.full_edges:
+    for e in nfg.full_edge_order:
         h -= _entropy(beta.edge_dists[e].values())
     return BetheEvaluation(u, h, float(temperature))
 
@@ -387,12 +387,6 @@ class _BetaIndex:
             i = self.slot_of[("e", e, s)]
             g[i] -= t * (math.log(clamped[i]) + 1.0)
         return g
-
-
-def bethe_gradient(nfg: Nfg, beta: PseudoMarginals, temperature: float = 1.0) -> np.ndarray:
-    """Ambient-coordinate gradient of the Bethe free energy at beta."""
-    idx = _BetaIndex(nfg)
-    return idx.gradient(idx.to_vector(beta), temperature)
 
 
 def stationarity_residual(nfg: Nfg, beta: PseudoMarginals, temperature: float = 1.0) -> float:
@@ -713,10 +707,13 @@ def minimize_bethe(
 
     T = 0 is an exact linear program (the energy is linear).  For T > 0 the
     search combines multi-start damped sum-product (fixed points are
-    stationary points) with projected-gradient descent on the edge
-    marginals, where each factor block is the closed-form
-    entropy-regularized tilt at the current marginals.  Distinct minimizers
-    within ``tie_tol`` of the best value are reported and flagged as ties.
+    stationary points) with projected-gradient descent in the flat beta
+    coordinates (``_ProjectedDescent``): gradient steps projected onto the
+    equality constraints, with a line search that keeps every entry
+    positive.  The descent polishes the best fixed point, or starts from a
+    max-slack interior point when no fixed point is found.  Distinct
+    minimizers within ``tie_tol`` of the best value are reported and
+    flagged as ties.
     """
     if temperature < 0:
         raise ValueError("temperature must be non-negative")

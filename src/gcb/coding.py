@@ -1,11 +1,16 @@
-"""Channel-coding layer: code graphs, channels, and the four decoders.
+"""Channel-coding layer: code graphs, channels, and the decoders.
 
 Parity-check matrices become graphs with one repetition factor per column
 (carrying the observable half-edge) and one parity factor per row.
 Attaching a channel converts each half-edge into a full edge terminated by
-a unary likelihood factor, after which blockwise/symbolwise MAP decoding
-work on the exact enumeration and their graph-cover analogues reduce to
-Bethe free-energy minimization at temperatures zero and one.
+a unary likelihood factor.  Decoding then has two rules, both walked on
+the degree-M covers of the decoding graph: the blockwise rule (argmax of
+the global value over cover configurations) and the symbolwise rule
+(cover marginals weighted by the global value).  The only degree-1 cover
+is the graph itself, so at M = 1 they are blockwise and symbolwise MAP
+decoding (``bmapd``, ``smapd``); ``bgcd`` and ``sgcd`` run them at a given
+degree, or by default minimize the Bethe free energy at temperatures zero
+and one, the M -> infinity limit of the rules.
 """
 
 from __future__ import annotations
@@ -20,13 +25,11 @@ from ._kernels.pyref import Walk
 from .bethe import minimize_bethe
 from .covers import (
     PseudoMarginals,
-    beta_from_configuration,
-    build_cover_with_map,
     cover_configurations,
     cover_walk,
     enumerate_covers,
     gauge_fixed_perm_invs,
-    phi_m,
+    phi_of_rows,
 )
 from .errors import (
     GcbError,
@@ -155,6 +158,16 @@ def nfg_from_parity_check(h: ParityCheckMatrix) -> Nfg:
     return Nfg(alphabet, half, factors)
 
 
+def _fibers(nfg: Nfg, cap) -> dict:
+    """Number of valid configurations over each half-edge word."""
+    positions = [nfg.edge_index(e) for e in nfg.half_edge_order]
+    fibers: dict[tuple, int] = {}
+    for tup, _ in valid_tuples(nfg, cap=cap):
+        x = tuple(tup[p] for p in positions)
+        fibers[x] = fibers.get(x, 0) + 1
+    return fibers
+
+
 def check_represents_code(nfg: Nfg, code, cap=None):
     """Verify the four code-representation conditions.
 
@@ -170,11 +183,7 @@ def check_represents_code(nfg: Nfg, code, cap=None):
     sizes = {nfg.alphabet_sizes[e] for e in half}
     if len(sizes) > 1:
         return False, None, "half-edge alphabets differ"
-    positions = [nfg.edge_index(e) for e in half]
-    fibers: dict[tuple, int] = {}
-    for tup, _ in valid_tuples(nfg, cap=cap):
-        x = tuple(tup[p] for p in positions)
-        fibers[x] = fibers.get(x, 0) + 1
+    fibers = _fibers(nfg, cap)
     if set(fibers) != code:
         return False, None, "half-edge projection differs from the code"
     t_values = set(fibers.values())
@@ -259,11 +268,7 @@ def attach_channel(
     half = nfg_code.half_edge_order
     if len(y) != len(half):
         raise LengthMismatch(f"received vector length {len(y)}, code length {len(half)}")
-    positions = [nfg_code.edge_index(e) for e in half]
-    fibers: dict[tuple, int] = {}
-    for tup, _ in valid_tuples(nfg_code, cap=cap):
-        x = tuple(tup[p] for p in positions)
-        fibers[x] = fibers.get(x, 0) + 1
+    fibers = _fibers(nfg_code, cap)
     if not fibers:
         raise GcbError("code graph has no valid configurations")
     t_values = set(fibers.values())
@@ -320,72 +325,89 @@ def _symbol_argmax(dist: Mapping[int, object]):
     return winners[0], len(winners) > 1
 
 
-def bmapd(dec: DecodingNfg, cap=None) -> DecodeResult:
-    """Blockwise MAP: argmax of the global function over valid configurations."""
-    nfg = dec.nfg
-    positions = [nfg.edge_index(e) for e in dec.symbol_edges]
-    best_val = None
-    winners = []
-    for tup, value in valid_tuples(nfg, cap=cap):
-        if best_val is None or value > best_val:
-            best_val = value
-            winners = [tup]
-        elif value == best_val:
-            winners.append(tup)
-    if best_val is None or best_val == 0:
-        raise GcbError("no valid configuration with positive value")
-    winner = winners[0]
-    beta = beta_from_configuration(nfg, winner)
-    decisions = [winner[p] for p in positions]
-    symbol_beliefs = {e: dict(beta.edge_dists[e]) for e in dec.symbol_edges}
-    return DecodeResult(
-        decisions,
-        beta,
-        symbol_beliefs,
-        len(winners) > 1,
-        -math.log(best_val),
-        {"n_optima": len(winners)},
-    )
-
-
-def smapd(dec: DecodingNfg, cap=None) -> DecodeResult:
-    """Symbolwise MAP: per-symbol posterior marginals, decisions by argmax.
-
-    The decision vector need not be a codeword.  The attached
-    pseudo-marginals are the exact marginals of the posterior, so they are
-    globally realizable by construction.
-    """
-    nfg = dec.nfg
-    exact = all(
-        isinstance(v, (Fraction, int))
-        for f in nfg.factors.values()
-        for v in f.table.values()
-    )
-    z = Fraction(0) if exact else 0.0
-    factor_acc: dict = {f: {} for f in nfg.factors}
-    edge_acc: dict = {e: {} for e in nfg.edge_order}
-    for tup, value in valid_tuples(nfg, cap=cap):
-        z += value
-        for f in nfg.factors:
-            key = nfg.local_assignment(f, tup)
-            factor_acc[f][key] = factor_acc[f].get(key, 0) + value
-        for e in nfg.edge_order:
-            s = tup[nfg.edge_index(e)]
-            edge_acc[e][s] = edge_acc[e].get(s, 0) + value
-    if z == 0:
-        raise GcbError("zero partition sum")
-    beta = PseudoMarginals(
-        {f: {k: v / z for k, v in d.items()} for f, d in factor_acc.items()},
-        {e: {s: v / z for s, v in d.items()} for e, d in edge_acc.items()},
-    )
+def _decide(dec: DecodingNfg, beta: PseudoMarginals, tie, objective, diagnostics=None) -> DecodeResult:
+    """Per-symbol argmax of beta; a symbol tie also flags the result as tied."""
     decisions = []
-    tie = False
     for e in dec.symbol_edges:
         s, t = _symbol_argmax(beta.edge_dists[e])
         decisions.append(s)
         tie = tie or t
     symbol_beliefs = {e: dict(beta.edge_dists[e]) for e in dec.symbol_edges}
-    return DecodeResult(decisions, beta, symbol_beliefs, tie, float(-math.log(float(z))))
+    return DecodeResult(decisions, beta, symbol_beliefs, tie, objective, diagnostics)
+
+
+def _blockwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
+    """The blockwise rule at degree m (see ``bgcd``); the winner's
+    frequency map is read off its support rows."""
+    nfg = dec.nfg
+    walk = Walk(_kernels.build_plan(nfg), m)
+    best = None
+    for spec in enumerate_covers(nfg, m, cap=cap):
+        for value, slots, rows in cover_configurations(walk, spec, config_cap):
+            if best is None or value > best:
+                best, n_optima, winner = value, 1, spec
+                win_slots, win_rows = tuple(slots), tuple(rows)
+            elif value == best:
+                n_optima += 1
+                if winner is spec and tuple(slots) < win_slots:
+                    win_slots, win_rows = tuple(slots), tuple(rows)
+    if best is None or best == 0:
+        raise GcbError("no valid configuration with positive value")
+    beta = phi_of_rows(nfg, walk, win_rows)
+    return _decide(dec, beta, n_optima > 1, -math.log(float(best)) / m,
+                   {"n_optima": n_optima, "degree": m})
+
+
+def _symbolwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
+    """The symbolwise rule at degree m (see ``sgcd``).  Partition sums add
+    cover by cover, as in ``bethe.zbethe_m_enumeration``, so the objective
+    is -log Z_{B,M} from the same walk."""
+    nfg = dec.nfg
+    walk = Walk(_kernels.build_plan(nfg), m)
+    z_total = 0 * walk.one
+    n_covers = 0
+    factor_acc: dict = {f: {} for f in nfg.factors}
+    edge_acc: dict = {e: {} for e in nfg.edge_order}
+    slot_edges = [e for e in nfg.edge_order for _ in range(m)]
+    for perm_inv in gauge_fixed_perm_invs(nfg, m, cap=cap):
+        z = 0 * walk.one
+        for value, slots, rows in cover_walk(walk, perm_inv, config_cap):
+            z += value
+            for row_id in rows:
+                f, key = walk.rows[row_id]
+                factor_acc[f][key] = factor_acc[f].get(key, 0) + value
+            for e, s in zip(slot_edges, slots):
+                edge_acc[e][s] = edge_acc[e].get(s, 0) + value
+        z_total += z
+        n_covers += 1
+    if z_total == 0:
+        raise GcbError("zero partition sum")
+    norm = m * z_total
+    beta = PseudoMarginals(
+        {f: {k: v / norm for k, v in d.items()} for f, d in factor_acc.items()},
+        {e: {s: v / norm for s, v in d.items()} for e, d in edge_acc.items()},
+    )
+    return _decide(dec, beta, False, -math.log(float(z_total / n_covers)) / m, {"degree": m})
+
+
+def bmapd(dec: DecodingNfg, cap=None) -> DecodeResult:
+    """Blockwise MAP: argmax of the global function over valid configurations.
+
+    This is ``bgcd`` at degree 1, with ``cap`` bounding the valid
+    configurations; ties go to the configuration smallest in ``edge_order``.
+    """
+    return _blockwise(dec, 1, None, cap)
+
+
+def smapd(dec: DecodingNfg, cap=None) -> DecodeResult:
+    """Symbolwise MAP: per-symbol posterior marginals, decisions by argmax.
+
+    This is ``sgcd`` at degree 1, with ``cap`` bounding the valid
+    configurations.  The decision vector need not be a codeword.  The
+    attached pseudo-marginals are the exact marginals of the posterior, so
+    they are globally realizable by construction.
+    """
+    return _symbolwise(dec, 1, None, cap)
 
 
 def bgcd(dec: DecodingNfg, degree: int | None = None, cap=None, **minimize_kwargs) -> DecodeResult:
@@ -393,108 +415,33 @@ def bgcd(dec: DecodingNfg, degree: int | None = None, cap=None, **minimize_kwarg
 
     ``degree`` switches to the literal degree-M rule: exhaustive argmax of
     the global value over all M-covers and their configurations, with the
-    frequency map of the winner returned.  This walks every labeled cover,
-    not only the gauge-fixed ones, because ``n_optima`` counts the optimal
-    configurations over labeled covers.
+    frequency map of the winner returned and ``cap`` as the cover cap.  It
+    walks every labeled cover, because ``n_optima`` counts the optimal
+    configurations over labeled covers.  Ties go to the first optimal cover
+    in odometer order (``enumerate_covers``) and, within it, to the
+    configuration smallest in slot order: base ``edge_order``, then copy
+    index.  At M = 1 this is ``bmapd``.
     """
-    nfg = dec.nfg
     if degree is not None:
-        walk = Walk(_kernels.build_plan(nfg), degree)
-        best = None
-        for spec in enumerate_covers(nfg, degree, cap=cap):
-            for value, slots, _ in cover_configurations(walk, spec):
-                if best is None or value > best:
-                    best, n_optima, winner, tied = value, 1, spec, [tuple(slots)]
-                elif value == best:
-                    n_optima += 1
-                    if winner is spec:
-                        tied.append(tuple(slots))
-        if best is None:
-            raise GcbError("no valid cover configuration")
-        # Ties go to the first cover in odometer order and, within it, to the
-        # smallest configuration in the cover's own edge order.
-        cover, (_, edge_map) = build_cover_with_map(winner)
-        order = [nfg.edge_index(e) * degree + k for e, k in map(edge_map.get, cover.edge_order)]
-        tup = min(tuple(slots[s] for s in order) for slots in tied)
-        beta = phi_m(winner, tup)
-        decisions = []
-        tie = n_optima > 1
-        for e in dec.symbol_edges:
-            s, t = _symbol_argmax(beta.edge_dists[e])
-            decisions.append(s)
-            tie = tie or t
-        symbol_beliefs = {e: dict(beta.edge_dists[e]) for e in dec.symbol_edges}
-        objective = -math.log(float(best)) / degree
-        return DecodeResult(decisions, beta, symbol_beliefs, tie, objective,
-                            {"n_optima": n_optima, "degree": degree})
-    res = minimize_bethe(nfg, 0, **minimize_kwargs)
-    decisions = []
-    tie = res.tie
-    for e in dec.symbol_edges:
-        s, t = _symbol_argmax(res.beta.edge_dists[e])
-        decisions.append(s)
-        tie = tie or t
-    symbol_beliefs = {e: dict(res.beta.edge_dists[e]) for e in dec.symbol_edges}
-    return DecodeResult(decisions, res.beta, symbol_beliefs, tie, res.f_min)
+        return _blockwise(dec, degree, cap, None)
+    res = minimize_bethe(dec.nfg, 0, **minimize_kwargs)
+    return _decide(dec, res.beta, res.tie, res.f_min)
 
 
 def sgcd(dec: DecodingNfg, degree: int | None = None, cap=None, **minimize_kwargs) -> DecodeResult:
     """Symbolwise graph-cover decoding: Bethe minimization at T = 1.
 
-    ``degree`` switches to the literal degree-M rule: the partition-sum
-    weighted average of cover marginals.  By the copy symmetry of the cover
-    ensemble the marginals are independent of the copy index; they are
-    averaged over all M copies, which makes them invariant under
-    relabeling, so only the gauge-fixed covers are walked.
+    ``degree`` switches to the literal degree-M rule, with ``cap`` as the
+    cover cap: the partition-sum weighted average of cover marginals.  By
+    the copy symmetry of the cover ensemble the marginals are independent
+    of the copy index; they are averaged over all M copies, which makes
+    them invariant under relabeling, so only the gauge-fixed covers are
+    walked.  The objective is -log Z_{B,M}.  At M = 1 this is ``smapd``.
     """
-    nfg = dec.nfg
     if degree is not None:
-        return _sgcd_degree_m(dec, degree, cap=cap)
-    res = minimize_bethe(nfg, 1.0, **minimize_kwargs)
-    decisions = []
-    tie = res.tie
-    for e in dec.symbol_edges:
-        s, t = _symbol_argmax(res.beta.edge_dists[e])
-        decisions.append(s)
-        tie = tie or t
-    symbol_beliefs = {e: dict(res.beta.edge_dists[e]) for e in dec.symbol_edges}
-    return DecodeResult(decisions, res.beta, symbol_beliefs, tie, res.f_min,
-                        {"converged": res.converged})
-
-
-def _sgcd_degree_m(dec: DecodingNfg, m: int, cap=None) -> DecodeResult:
-    """Cover marginals averaged over the M copies, over the gauge-fixed
-    covers; by the copy symmetry of the ensemble they equal the first-copy
-    marginals over all labeled covers."""
-    nfg = dec.nfg
-    walk = Walk(_kernels.build_plan(nfg), m)
-    z_total = Fraction(0)
-    factor_acc: dict = {f: {} for f in nfg.factors}
-    edge_acc: dict = {e: {} for e in nfg.edge_order}
-    slot_edges = [e for e in nfg.edge_order for _ in range(m)]
-    for perm_inv in gauge_fixed_perm_invs(nfg, m, cap=cap):
-        for value, slots, rows in cover_walk(walk, perm_inv):
-            z_total += value
-            for row_id in rows:
-                f, key = walk.rows[row_id]
-                factor_acc[f][key] = factor_acc[f].get(key, 0) + value
-            for e, s in zip(slot_edges, slots):
-                edge_acc[e][s] = edge_acc[e].get(s, 0) + value
-    if z_total == 0:
-        raise GcbError("all covers have zero partition sum")
-    z_total *= m
-    beta = PseudoMarginals(
-        {f: {k: v / z_total for k, v in d.items()} for f, d in factor_acc.items()},
-        {e: {s: v / z_total for s, v in d.items()} for e, d in edge_acc.items()},
-    )
-    decisions = []
-    tie = False
-    for e in dec.symbol_edges:
-        s, t = _symbol_argmax(beta.edge_dists[e])
-        decisions.append(s)
-        tie = tie or t
-    symbol_beliefs = {e: dict(beta.edge_dists[e]) for e in dec.symbol_edges}
-    return DecodeResult(decisions, beta, symbol_beliefs, tie, None, {"degree": m})
+        return _symbolwise(dec, degree, cap, None)
+    res = minimize_bethe(dec.nfg, 1.0, **minimize_kwargs)
+    return _decide(dec, res.beta, res.tie, res.f_min, {"converged": res.converged})
 
 
 def fundamental_projection(nfg: Nfg, beta: PseudoMarginals) -> dict:

@@ -9,8 +9,9 @@ gauge-fixed covers (``gauge_fixed_perm_invs``): the identity on a spanning
 forest of the full edges, each standing for (M!)^{|F| - components}
 labeled covers.  ``enumerate_covers`` still yields every labeled cover.
 Loops over covers walk the base graph's plan with index-remapped copies
-(``cover_walk``); ``build_cover`` makes a cover a graph of its own only for
-single-cover uses.  ``TypeWalk`` walks the degree-M types directly.  The
+(``cover_walk``) and map a configuration down through the support rows it
+chose (``phi_of_rows``); ``build_cover`` makes a cover a graph of its own
+only for single-cover uses.  ``TypeWalk`` walks the degree-M types directly.  The
 frequency map from a cover configuration down to base pseudo-marginals is
 exact rational arithmetic throughout.
 """
@@ -331,6 +332,23 @@ def _phi_of_tuple(base: Nfg, m: int, cover: Nfg, factor_map, edge_map, tup) -> P
     return _frequencies(m, factor_counts, edge_counts)
 
 
+def phi_of_rows(nfg: Nfg, walk: Walk, rows) -> PseudoMarginals:
+    """Frequency map of a walked cover configuration, from the support-row
+    ids ``walk.configs`` reports for it; each edge copy is read at its
+    smaller endpoint, the only one of a half-edge."""
+    factor_counts: dict = {f: {} for f in nfg.factors}
+    edge_counts: dict = {e: {} for e in nfg.alphabet_sizes}
+    for row_id in rows:
+        fid, row = walk.rows[row_id]
+        d = factor_counts[fid]
+        d[row] = d.get(row, 0) + 1
+        for e, sym in zip(nfg.factors[fid].edges, row):
+            if nfg.incidence[e][0] == fid:
+                d = edge_counts[e]
+                d[sym] = d.get(sym, 0) + 1
+    return _frequencies(walk.m, factor_counts, edge_counts)
+
+
 def _frequencies(m: int, factor_counts, edge_counts) -> PseudoMarginals:
     return PseudoMarginals(
         {f: {k: Fraction(n, m) for k, n in d.items()} for f, d in factor_counts.items()},
@@ -399,26 +417,10 @@ class PreimageCensus:
         self._tally: dict = {}
         self._betas: dict = {}
         for rows, n in by_rows.items():
-            beta = self._beta_of_rows(walk, rows)
+            beta = phi_of_rows(nfg, walk, rows)
             key = beta.canonical_key()
             self._tally[key] = multiplicity * n
             self._betas[key] = beta
-
-    def _beta_of_rows(self, walk: Walk, rows) -> PseudoMarginals:
-        """Frequencies of a row multiset; each edge copy is read at its
-        smaller endpoint, the only one of a half-edge."""
-        nfg = self.nfg
-        factor_counts: dict = {f: {} for f in nfg.factors}
-        edge_counts: dict = {e: {} for e in nfg.alphabet_sizes}
-        for row_id in rows:
-            fid, row = walk.rows[row_id]
-            d = factor_counts[fid]
-            d[row] = d.get(row, 0) + 1
-            for e, sym in zip(nfg.factors[fid].edges, row):
-                if nfg.incidence[e][0] == fid:
-                    d = edge_counts[e]
-                    d[sym] = d.get(sym, 0) + 1
-        return _frequencies(self.m, factor_counts, edge_counts)
 
     def count(self, beta: PseudoMarginals) -> Fraction:
         return Fraction(self._tally.get(beta.canonical_key(), 0), self.n_covers)
@@ -596,7 +598,7 @@ def entropy_rate_estimate(nfg: Nfg, beta: PseudoMarginals, m: int) -> float:
     total = 0.0
     for f in nfg.factors:
         total += log_multinomial([int(Fraction(v) * m) for v in beta.factor_dists[f].values()])
-    for e in nfg.full_edges:
+    for e in nfg.full_edge_order:
         total -= log_multinomial([int(Fraction(v) * m) for v in beta.edge_dists[e].values()])
     return total / m
 

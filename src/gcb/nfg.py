@@ -18,8 +18,6 @@ from .errors import GcbError, OutOfAlphabet, ParseError, UnknownEdge
 
 Number = object  # Fraction or float; kept duck-typed on purpose
 
-DEFAULT_CONFIG_CAP = 1 << 26
-
 
 def parity_table(arity: int) -> dict:
     """0/1 indicator of the even-weight (single parity-check) code."""

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +31,9 @@ from gcb.errors import BoundaryBeta, InconsistentBeta, SupportOnZeroFactor
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg, parity_table
 
-from conftest import fig5_beta, make_fig1, make_random_tree
+import gcb
+
+from conftest import EXAMPLE3_ROWS, fig5_beta, make_fig1, make_random_tree
 
 
 HALF = Fraction(1, 2)
@@ -511,3 +516,46 @@ def test_beta_roundtrip(fig1):
     text = emit_beta(beta)
     back = parse_beta(fig1, text)
     assert back == beta
+
+
+# -- independence from the string-hash seed ----------------------------------------
+
+HASH_SEED_SCRIPT = """
+from fractions import Fraction
+from gcb.bethe import bethe_terms
+from gcb.coding import Channel, ParityCheckMatrix, attach_channel, nfg_from_parity_check
+from gcb.covers import PseudoMarginals, entropy_rate_estimate
+from gcb.gibbs import valid_tuples
+from gcb.spa import sum_product
+
+code = nfg_from_parity_check(ParityCheckMatrix(%r))
+nfg = attach_channel(code, Channel.bsc(Fraction(1, 10)), "0100000010").nfg
+state, beliefs = sum_product(nfg, max_iters=2000, damping=0.5)
+assert state.converged
+factor_dists = {f: {} for f in nfg.factors}
+edge_dists = {e: {} for e in nfg.edge_order}
+for t, _ in valid_tuples(nfg)[1:5]:
+    for f in nfg.factors:
+        key = nfg.local_assignment(f, t)
+        factor_dists[f][key] = factor_dists[f].get(key, 0) + Fraction(1, 4)
+    for e in nfg.edge_order:
+        s = t[nfg.edge_index(e)]
+        edge_dists[e][s] = edge_dists[e].get(s, 0) + Fraction(1, 4)
+beta = PseudoMarginals(factor_dists, edge_dists)
+print(bethe_terms(nfg, beliefs, tol=1e-6).f_bethe.hex(), entropy_rate_estimate(nfg, beta, 4).hex())
+""" % (EXAMPLE3_ROWS,)
+
+
+def test_float_sums_do_not_follow_the_hash_seed():
+    # Edge sums over a frozenset of names would run in hash order.
+    src = os.path.dirname(os.path.dirname(gcb.__file__))
+    outputs = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.add(run.stdout)
+    f_bethe, rate = zip(*(out.split() for out in outputs))
+    assert len(set(f_bethe)) == 1
+    assert len(set(rate)) == 1

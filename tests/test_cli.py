@@ -142,6 +142,38 @@ def test_decode_cli(tmp_path, capsys):
     assert "belief_x1=0:9/10 1:1/10" in out
 
 
+def decode_repetition(capsys, tmp_path, *argv):
+    """Decode y = 001 on the length-3 repetition code through a BSC(1/10)."""
+    (tmp_path / "h.pcm").write_text("1 1 0\n0 1 1\n")
+    (tmp_path / "chan.txt").write_text("W 0 0 9/10\nW 1 0 1/10\nW 0 1 1/10\nW 1 1 9/10\n")
+    (tmp_path / "y.txt").write_text("0 0 1\n")
+    return run(capsys, "decode", "--pcm", str(tmp_path / "h.pcm"), "--channel",
+               str(tmp_path / "chan.txt"), "--y", str(tmp_path / "y.txt"), *argv)
+
+
+@pytest.mark.parametrize("decoder", ["bgcd", "sgcd"])
+def test_decode_degree_cli(tmp_path, capsys, decoder):
+    code, out, _ = decode_repetition(capsys, tmp_path, "--decoder", decoder, "--degree", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "decision=000"
+    # every optimal configuration of all 128 labeled covers counts as an optimum
+    assert lines[1] == ("tie=true" if decoder == "bgcd" else "tie=false")
+    assert lines[2].startswith("objective=")
+    if decoder == "sgcd":
+        # on a tree the degree-M marginals are the exact posterior marginals
+        assert lines[3:] == [f"belief_x{i}=0:9/10 1:1/10" for i in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("decoder", ["bgcd", "sgcd"])
+def test_decode_degree_cover_cap_exit(tmp_path, capsys, decoder):
+    code, out, err = decode_repetition(capsys, tmp_path, "--decoder", decoder, "--degree", "2",
+                                       "--cover-cap", "1")
+    assert code == 2
+    assert out == ""
+    assert "128 covers exceed cap 1" in err
+
+
 def test_decode_from_alist(tmp_path, capsys):
     alist = tmp_path / "h.alist"
     # 3 columns, 2 rows: the length-3 repetition code

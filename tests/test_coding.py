@@ -7,6 +7,7 @@ import pytest
 
 from gcb.coding import (
     Channel,
+    DecodingNfg,
     ParityCheckMatrix,
     attach_channel,
     bgcd,
@@ -18,7 +19,7 @@ from gcb.coding import (
     sgcd,
     smapd,
 )
-from gcb.covers import build_cover, build_cover_with_map, enumerate_covers, random_cover
+from gcb.covers import PseudoMarginals, build_cover, build_cover_with_map, enumerate_covers, random_cover
 from gcb.errors import GcbError, LengthMismatch, NotCycleCode
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg, parity_table
@@ -223,16 +224,6 @@ def test_bmapd_tie_flag_on_symmetric_y():
     assert res.decisions == (0, 0)  # lexicographic winner
 
 
-def test_degree1_bgcd_equals_bmapd():
-    rng = random.Random(7)
-    h = random_tree_pcm(rng, 3, 3)
-    nfg = nfg_from_parity_check(h)
-    ch = symmetric_llr_channel()
-    y = [rng.choice(["p1", "m1", "p4", "m4"]) for _ in range(h.n_cols)]
-    dec = attach_channel(nfg, ch, y)
-    assert bgcd(dec, degree=1).decisions == bmapd(dec).decisions
-
-
 def test_bgcd_lp_failure_instance():
     """Crafted received vector where the fractional pseudo-codeword wins."""
     pcm = ParityCheckMatrix(DUMBBELL_INCIDENCE)
@@ -315,20 +306,6 @@ def test_smapd_matches_spa_on_trees():
                 )
 
 
-def test_degree1_sgcd_equals_smapd():
-    rng = random.Random(17)
-    h = random_tree_pcm(rng, 3, 2)
-    nfg = nfg_from_parity_check(h)
-    ch = Channel.bsc(Fraction(1, 6))
-    y = [str(rng.randrange(2)) for _ in range(h.n_cols)]
-    dec = attach_channel(nfg, ch, y)
-    a = sgcd(dec, degree=1)
-    b = smapd(dec)
-    for e in dec.symbol_edges:
-        for s in (0, 1):
-            assert a.beliefs.edge_weight(e, s) == b.beliefs.edge_weight(e, s)
-
-
 def test_sgcd_degree2_matches_literal_average(dumbbell):
     """Copy-symmetric path vs the full weighted average over all M-covers and copies."""
     m = 2
@@ -403,6 +380,82 @@ def test_sgcd_degree2_with_channel_weights():
                 edge_acc[(e, s)] = edge_acc.get((e, s), Fraction(0)) + Fraction(value, m)
     for (e, s), acc in edge_acc.items():
         assert Fraction(fast.beliefs.edge_weight(e, s)) == acc / z_total
+
+
+# -- MAP decoders against the product space ------------------------------------------
+
+
+def map_oracle_cases():
+    """Seeded decoding graphs for the product-space oracle, by test id."""
+    cases = {}
+    rng = random.Random(17)
+    for i, (p, n_checks, k) in enumerate(((Fraction(1, 6), 3, 2), (Fraction(1, 5), 2, 3), (Fraction(1, 8), 3, 2))):
+        h = random_tree_pcm(rng, n_checks, k)
+        y = [str(rng.randrange(2)) for _ in range(h.n_cols)]
+        cases[f"tree-bsc{i}"] = attach_channel(nfg_from_parity_check(h), Channel.bsc(p), y)
+    # A unique optimum: whether a float tie holds would hang on rounding order.
+    rng = random.Random(2)
+    h = random_tree_pcm(rng, 2, 3)
+    y = [rng.choice(["p1", "m1", "p4", "m4"]) for _ in range(h.n_cols)]
+    cases["tree-llr"] = attach_channel(nfg_from_parity_check(h), symmetric_llr_channel(), y)
+    pair = nfg_from_parity_check(ParityCheckMatrix([[1, 1]]))
+    cases["tied01"] = attach_channel(pair, Channel.bsc(Fraction(1, 4)), ["0", "1"])
+    # Base edge order puts e1 before e10, so the tie goes to e1 = 0.
+    nfg = Nfg({"e1": 2, "e10": 2}, ["e1", "e10"], [Factor("f", ("e1", "e10"), {(0, 1): 1, (1, 0): 1})])
+    cases["e1e10"] = DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
+    return cases
+
+
+MAP_ORACLE_CASES = map_oracle_cases()
+
+
+@pytest.mark.parametrize("case", sorted(MAP_ORACLE_CASES))
+def test_map_decoders_match_product_space_oracle(case):
+    """bmapd and smapd against brute force over the product of the edge
+    alphabets, in exact arithmetic (a float table value enters as its exact
+    rational).  The first optimum in product order is the one smallest in
+    edge order."""
+    dec = MAP_ORACLE_CASES[case]
+    nfg = dec.nfg
+    configs = []
+    for tup in itertools.product(*(range(nfg.alphabet_sizes[e]) for e in nfg.edge_order)):
+        value = Fraction(1)
+        for fid, f in nfg.factors.items():
+            value *= Fraction(f.value(nfg.local_assignment(fid, tup)))
+        if value:
+            configs.append((tup, value))
+    best = max(v for _, v in configs)
+    optima = [t for t, v in configs if v == best]
+    winner = optima[0]
+    z = sum(v for _, v in configs)
+    factor_acc, edge_acc = {f: {} for f in nfg.factors}, {e: {} for e in nfg.edge_order}
+    for tup, value in configs:
+        for f in nfg.factors:
+            key = nfg.local_assignment(f, tup)
+            factor_acc[f][key] = factor_acc[f].get(key, 0) + value / z
+        for e in nfg.edge_order:
+            s = tup[nfg.edge_index(e)]
+            edge_acc[e][s] = edge_acc[e].get(s, 0) + value / z
+    exact = case != "tree-llr"
+
+    b = bmapd(dec)
+    assert b.decisions == tuple(winner[nfg.edge_index(e)] for e in dec.symbol_edges)
+    assert b.tie == (len(optima) > 1)
+    assert b.diagnostics["n_optima"] == len(optima)
+    assert b.beliefs == PseudoMarginals(
+        {f: {nfg.local_assignment(f, winner): 1} for f in nfg.factors},
+        {e: {winner[nfg.edge_index(e)]: 1} for e in nfg.edge_order},
+    )
+    s = smapd(dec)
+    if exact:
+        assert b.objective == -math.log(best)
+        assert s.objective == -math.log(z)
+        assert s.beliefs == PseudoMarginals(factor_acc, edge_acc)
+    else:
+        # float products round in the walk's factor order
+        assert b.objective == pytest.approx(-math.log(best), rel=1e-14)
+        assert s.objective == pytest.approx(-math.log(z), rel=1e-14)
+    assert case not in ("tied01", "e1e10") or b.tie
 
 
 # -- ladders and invariances --------------------------------------------------------

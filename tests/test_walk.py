@@ -24,11 +24,12 @@ from gcb.coding import (
     Channel,
     DecodingNfg,
     ParityCheckMatrix,
-    _sgcd_degree_m,
     _symbol_argmax,
     attach_channel,
     bgcd,
     nfg_from_parity_check,
+    sgcd,
+    smapd,
 )
 from gcb.covers import (
     PreimageCensus,
@@ -244,7 +245,7 @@ def test_gauge_fixed_paths_and_typesum_match_labeled_oracle(kind, seed, m):
 
     dec = DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
     factor_want, edge_want = oracle_sgcd_beta(dec, m)
-    beliefs = _sgcd_degree_m(dec, m).beliefs
+    beliefs = sgcd(dec, degree=m).beliefs
     assert {(f, k): v for f, d in beliefs.factor_dists.items() for k, v in d.items()} == factor_want
     assert {(e, s): v for e, d in beliefs.edge_dists.items() for s, v in d.items()} == edge_want
 
@@ -319,15 +320,21 @@ def test_enumeration_sums_through_one_cover_sweep(monkeypatch, exact):
 
 
 def oracle_bgcd(dec, m):
-    """The literal rule as one loop over built covers: first optimum wins."""
+    """The literal rule as one loop over built covers: the first optimal
+    cover wins and, within it, the configuration smallest in slot order
+    (base edge order, then copy index)."""
     best, winners = None, []
-    for spec, _, _, tuples in oracle_covers(dec.nfg, m):
+    for spec, cover, (_, edge_map), tuples in oracle_covers(dec.nfg, m):
         for tup, value in tuples:
             if best is None or value > best:
-                best, winners = value, [(spec, tup)]
+                best, winners = value, [(spec, cover, edge_map, tup)]
             elif value == best:
-                winners.append((spec, tup))
-    beta = phi_m(*winners[0])
+                winners.append((spec, cover, edge_map, tup))
+    spec, cover, edge_map, _ = winners[0]
+    slot_order = sorted(edge_map, key=lambda ce: (dec.nfg.edge_index(edge_map[ce][0]), edge_map[ce][1]))
+    tup = min((t for s, _, _, t in winners if s is spec),
+              key=lambda t: [t[cover.edge_index(ce)] for ce in slot_order])
+    beta = phi_m(spec, tup)
     decisions = tuple(_symbol_argmax(beta.edge_dists[e])[0] for e in dec.symbol_edges)
     return decisions, len(winners), beta, -math.log(float(best)) / m
 
@@ -354,8 +361,8 @@ def decoding_cases():
     for seed in SEEDS:
         nfg = random_graph(seed)
         yield DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
-    # Cover labels sort e10@* before e1@*, so the tie-break picks the copies
-    # taking row (1, 0), not the (0, 1) rows the walk reaches first.
+    # Cover labels sort e10@* before e1@*, but the tie-break runs in slot
+    # order (e1 before e10), so the copies take row (0, 1), not (1, 0).
     nfg = Nfg({"e1": 2, "e10": 2}, ["e1", "e10"], [Factor("f", ("e1", "e10"), {(0, 1): 1, (1, 0): 1})])
     yield DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
     code = nfg_from_parity_check(ParityCheckMatrix([[1, 1, 0], [0, 1, 1]]))
@@ -374,9 +381,21 @@ def test_degree2_decoders_match_per_cover_oracle(case):
     assert res.objective == objective
 
     factor_want, edge_want = oracle_sgcd_beta(dec, 2)
-    beliefs = _sgcd_degree_m(dec, 2).beliefs
+    beliefs = sgcd(dec, degree=2).beliefs
     assert {(f, k): v for f, d in beliefs.factor_dists.items() for k, v in d.items()} == factor_want
     assert {(e, s): v for e, d in beliefs.edge_dists.items() for s, v in d.items()} == edge_want
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("case", range(len(SEEDS) + 4))
+def test_symbolwise_objective_is_minus_log_zbethe_m(case, m):
+    dec = list(decoding_cases())[case]
+    res = sgcd(dec, degree=m)
+    pre_root = zbethe_m_enumeration(dec.nfg, m).pre_root
+    assert res.objective == -math.log(float(pre_root)) / m
+    if m == 1:
+        assert pre_root == gibbs_partition(dec.nfg)
+        assert res.objective == smapd(dec).objective
 
 
 # -- caps -----------------------------------------------------------------------
@@ -399,12 +418,12 @@ def test_caps_still_raise(monkeypatch):
     with pytest.raises(CapExceeded):
         bgcd(dec, degree=2, cap=100)
     with pytest.raises(CapExceeded):
-        _sgcd_degree_m(dec, 2, cap=100)
+        sgcd(dec, degree=2, cap=100)
     monkeypatch.setenv("GCB_CONFIG_CAP", "10")
     with pytest.raises(CapExceeded):
         bgcd(dec, degree=2)
     with pytest.raises(CapExceeded):
-        _sgcd_degree_m(dec, 2)
+        sgcd(dec, degree=2)
 
 
 def test_typesum_caps():
