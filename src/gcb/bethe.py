@@ -259,7 +259,6 @@ def zbethe_m_typesum(
     m: int,
     temperature: float = 1,
     exact: bool | None = None,
-    cap=None,
     config_cap=None,
 ) -> ZBetheM:
     """Same quantity via the type-sum over degree-M lift-realizable vectors.
@@ -267,31 +266,31 @@ def zbethe_m_typesum(
     The pre-root value sums, over the types beta (points of the local
     marginal polytope with M*beta integral and support in the tables),
     g(beta)^{M/T} times the closed-form average pre-image count; the types
-    are walked directly (``covers.TypeWalk``), no cover is visited.  In
-    rational arithmetic this is an identity with the enumeration path, not
-    an approximation.  The float weight is exp(-(M/T) U_Bethe(beta)) times
-    the count.  ``cap`` is the cover cap of the enumeration, checked
-    against the labeled cover count; ``config_cap`` bounds the number of
-    types summed, raising CapExceeded past it.
+    are walked directly (``covers.TypeWalk``), no cover is visited, so no
+    cover cap applies.  In rational arithmetic this is an identity with the
+    enumeration path, not an approximation.  The float weight is
+    exp(-(M/T) U_Bethe(beta)) times the count.  ``config_cap`` bounds the
+    work: CapExceeded is raised when one factor with r support rows has more
+    than that many count vectors, C(M+r-1, r-1), or past that many types.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    n_covers = count_covers(nfg, m)
-    limit = cover_cap(cap)
-    if n_covers > limit:
-        raise CapExceeded(f"{n_covers} covers exceed cap {limit}")
     if exact is None:
         exact = temperature == 1 and _rational_tables(nfg)
     if exact and (temperature != 1 or not _rational_tables(nfg)):
         raise ValueError("exact mode needs T = 1 and rational tables")
+    limit = default_config_cap(config_cap)
+    for f in nfg.factors.values():
+        n_vectors = math.comb(m + len(f.table) - 1, m)
+        if n_vectors > limit:
+            raise CapExceeded(f"factor {f.id}: {n_vectors} count vectors exceed cap {limit}")
     types = TypeWalk(nfg, m, None if exact else 1.0 / float(temperature))
-    max_types = default_config_cap(config_cap)
     total = Fraction(0) if exact else 0.0
     for n, (value, _, _) in enumerate(types.walk.configs(), 1):
-        if n > max_types:
-            raise CapExceeded(f"more than {max_types} types")
+        if n > limit:
+            raise CapExceeded(f"more than {limit} types")
         total += value
-    return ZBetheM(float(total) ** (1.0 / m), total, m, n_covers)
+    return ZBetheM(float(total) ** (1.0 / m), total, m, count_covers(nfg, m))
 
 
 # -- vectorized view of beta for gradients ------------------------------------

@@ -127,7 +127,7 @@ def cmd_zbethe_m(args):
     exact = {"exact": True, "float": False, "auto": None}[args.precision]
     if args.method == "typesum":
         res = zbethe_m_typesum(nfg, args.m, args.temperature, exact=exact,
-                               cap=args.cover_cap, config_cap=args.config_cap)
+                               config_cap=args.config_cap)
     else:
         res = zbethe_m_enumeration(
             nfg, args.m, args.temperature, exact=exact, cap=args.cover_cap,
@@ -243,7 +243,7 @@ def cmd_decode(args):
     dec = attach_channel(nfg_code, channel, y, cap=args.config_cap)
     decoder = {"bmapd": bmapd, "smapd": smapd, "bgcd": bgcd, "sgcd": sgcd}[args.decoder]
     if args.decoder in ("bgcd", "sgcd") and args.degree is not None:
-        result = decoder(dec, degree=args.degree, cap=args.cover_cap)
+        result = decoder(dec, degree=args.degree, cap=args.cover_cap, config_cap=args.config_cap)
     else:
         result = decoder(dec, cap=args.config_cap) if args.decoder in ("bmapd", "smapd") else decoder(dec)
     lines = [
@@ -362,7 +362,7 @@ def _add_common(p):
     p.add_argument("--out", help="write the primary report here instead of stdout")
     p.add_argument("--config-cap", type=int, default=None,
                    help="configuration cap override (per cover; for zbethe-m --method typesum, "
-                        "the number of types summed)")
+                        "the types summed and the count vectors of each factor)")
     p.add_argument("--cover-cap", type=int, default=None, help="cover cap override")
 
 

@@ -25,9 +25,8 @@ from ._kernels.pyref import Walk
 from .bethe import minimize_bethe
 from .covers import (
     PseudoMarginals,
-    cover_configurations,
+    count_covers,
     cover_walk,
-    enumerate_covers,
     gauge_fixed_perm_invs,
     phi_of_rows,
 )
@@ -337,25 +336,42 @@ def _decide(dec: DecodingNfg, beta: PseudoMarginals, tie, objective, diagnostics
 
 
 def _blockwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
-    """The blockwise rule at degree m (see ``bgcd``); the winner's
-    frequency map is read off its support rows."""
+    """The blockwise rule at degree m (see ``bgcd``), on the gauge-fixed
+    covers; the winner's frequency map is read off its support rows."""
     nfg = dec.nfg
     walk = Walk(_kernels.build_plan(nfg), m)
     best = None
-    for spec in enumerate_covers(nfg, m, cap=cap):
-        for value, slots, rows in cover_configurations(walk, spec, config_cap):
+    n_fixed = 0
+    for perm_inv in gauge_fixed_perm_invs(nfg, m, cap=cap):
+        n_fixed += 1
+        for value, slots, rows in cover_walk(walk, perm_inv, config_cap):
             if best is None or value > best:
-                best, n_optima, winner = value, 1, spec
-                win_slots, win_rows = tuple(slots), tuple(rows)
+                best, n_best, tie = value, 1, False
+                win_type, win_slots, win_key = sorted(rows), tuple(slots), None
             elif value == best:
-                n_optima += 1
-                if winner is spec and tuple(slots) < win_slots:
-                    win_slots, win_rows = tuple(slots), tuple(rows)
+                n_best += 1
+                rows_type = sorted(rows)
+                if rows_type != win_type:
+                    tie = True
+                    win_key = win_key or _type_key(walk, win_slots, win_type)
+                    key = _type_key(walk, slots, rows)
+                    if key < win_key:
+                        win_type, win_slots, win_key = rows_type, tuple(slots), key
     if best is None or best == 0:
         raise GcbError("no valid configuration with positive value")
-    beta = phi_of_rows(nfg, walk, win_rows)
-    return _decide(dec, beta, n_optima > 1, -math.log(float(best)) / m,
+    n_optima = n_best * (count_covers(nfg, m) // n_fixed)
+    beta = phi_of_rows(nfg, walk, win_type)
+    return _decide(dec, beta, tie, -math.log(float(best)) / m,
                    {"n_optima": n_optima, "degree": m})
+
+
+def _type_key(walk: Walk, slots, rows) -> tuple:
+    """Tie-break key of a configuration's type, blind to copy labels: the
+    sorted symbols of each edge's M copies in ``edge_order``, then the sorted
+    (factor id, row) pairs of all factor copies; at M = 1, the slots."""
+    m = walk.m
+    edges = tuple(s for i in range(0, len(slots), m) for s in sorted(slots[i:i + m]))
+    return edges, tuple(sorted(walk.rows[r] for r in rows))
 
 
 def _symbolwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
@@ -410,36 +426,38 @@ def smapd(dec: DecodingNfg, cap=None) -> DecodeResult:
     return _symbolwise(dec, 1, None, cap)
 
 
-def bgcd(dec: DecodingNfg, degree: int | None = None, cap=None, **minimize_kwargs) -> DecodeResult:
+def bgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None, **minimize_kwargs) -> DecodeResult:
     """Blockwise graph-cover decoding: Bethe energy minimization at T = 0.
 
     ``degree`` switches to the literal degree-M rule: exhaustive argmax of
     the global value over all M-covers and their configurations, with the
-    frequency map of the winner returned and ``cap`` as the cover cap.  It
-    walks every labeled cover, because ``n_optima`` counts the optimal
-    configurations over labeled covers.  Ties go to the first optimal cover
-    in odometer order (``enumerate_covers``) and, within it, to the
-    configuration smallest in slot order: base ``edge_order``, then copy
-    index.  At M = 1 this is ``bmapd``.
+    frequency map of the winner returned, ``cap`` as the cover cap and
+    ``config_cap`` as each cover's configuration cap.  Relabeling copies
+    keeps a configuration's value and type (its frequency map), so only the
+    gauge-fixed covers are walked; ``n_optima`` still counts the optimal
+    configurations over all labeled covers, and ``tie`` means more than one
+    optimal type.  Ties go to the type smallest in ``_type_key`` order.  At
+    M = 1 this is ``bmapd``.
     """
     if degree is not None:
-        return _blockwise(dec, degree, cap, None)
+        return _blockwise(dec, degree, cap, config_cap)
     res = minimize_bethe(dec.nfg, 0, **minimize_kwargs)
     return _decide(dec, res.beta, res.tie, res.f_min)
 
 
-def sgcd(dec: DecodingNfg, degree: int | None = None, cap=None, **minimize_kwargs) -> DecodeResult:
+def sgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None, **minimize_kwargs) -> DecodeResult:
     """Symbolwise graph-cover decoding: Bethe minimization at T = 1.
 
-    ``degree`` switches to the literal degree-M rule, with ``cap`` as the
-    cover cap: the partition-sum weighted average of cover marginals.  By
-    the copy symmetry of the cover ensemble the marginals are independent
-    of the copy index; they are averaged over all M copies, which makes
-    them invariant under relabeling, so only the gauge-fixed covers are
-    walked.  The objective is -log Z_{B,M}.  At M = 1 this is ``smapd``.
+    ``degree`` switches to the literal degree-M rule, with ``cap`` and
+    ``config_cap`` as in ``bgcd``: the partition-sum weighted average of
+    cover marginals.  By the copy symmetry of the cover ensemble the
+    marginals are independent of the copy index; they are averaged over all
+    M copies, which makes them invariant under relabeling, so only the
+    gauge-fixed covers are walked.  The objective is -log Z_{B,M}.  At
+    M = 1 this is ``smapd``.
     """
     if degree is not None:
-        return _symbolwise(dec, degree, cap, None)
+        return _symbolwise(dec, degree, cap, config_cap)
     res = minimize_bethe(dec.nfg, 1.0, **minimize_kwargs)
     return _decide(dec, res.beta, res.tie, res.f_min, {"converged": res.converged})
 

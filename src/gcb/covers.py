@@ -3,17 +3,17 @@
 A cover is specified by one permutation of [M] per full edge; half-edges
 are copied without permutation, so there are (M!)^{|full edges|} labeled
 covers.  Relabeling the M copies of a factor node changes neither a
-cover's partition sum nor the images of its configurations under the
-frequency map, so cover averages and pre-image tallies walk only the
-gauge-fixed covers (``gauge_fixed_perm_invs``): the identity on a spanning
-forest of the full edges, each standing for (M!)^{|F| - components}
-labeled covers.  ``enumerate_covers`` still yields every labeled cover.
-Loops over covers walk the base graph's plan with index-remapped copies
-(``cover_walk``) and map a configuration down through the support rows it
-chose (``phi_of_rows``); ``build_cover`` makes a cover a graph of its own
-only for single-cover uses.  ``TypeWalk`` walks the degree-M types directly.  The
-frequency map from a cover configuration down to base pseudo-marginals is
-exact rational arithmetic throughout.
+cover's partition sum nor the values and frequency-map images of its
+configurations, so every loop over covers (cover averages, pre-image
+tallies, degree-M decoding) walks only the gauge-fixed covers
+(``gauge_fixed_perm_invs``): the identity on a spanning forest of the full
+edges, each standing for (M!)^{|F| - components} labeled covers;
+``enumerate_covers`` lists every labeled cover.  Loops walk the base
+graph's plan with index-remapped copies (``cover_walk``) and map a
+configuration down through its support rows (``phi_of_rows``);
+``build_cover`` makes a cover a graph of its own only for single-cover
+uses.  ``TypeWalk`` walks the degree-M types directly.  The frequency map
+is exact rational arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -356,22 +356,10 @@ def _frequencies(m: int, factor_counts, edge_counts) -> PseudoMarginals:
     )
 
 
-def cover_configurations(walk: Walk, spec: CoverSpec, config_cap=None):
-    """Valid configurations of the spec's cover, walked on the base plan.
-
-    ``walk`` is a ``Walk`` of the base graph's plan at the spec's degree.
-    Yields (value, slots, rows) as ``Walk.configs`` does: slot e*M + k
-    holds copy k of the base edge at ``edge_order`` index e, and copy k of
-    a full edge meets copy k of its smaller endpoint and copy sigma_e(k)
-    of its larger one, as in ``build_cover_with_map``.  Raises CapExceeded
-    past ``config_cap`` valid configurations.
-    """
-    return cover_walk(walk, cover_perm_inv(spec), config_cap)
-
-
 def cover_perm_inv(spec: CoverSpec) -> dict:
     """The spec as a ``Walk.configs`` permutation map: sigma_e^{-1} keyed by
-    the plan index of each full edge."""
+    the plan index of each full edge, so the walk visits the valid
+    configurations of ``build_cover(spec)``."""
     nfg = spec.nfg
     return {nfg.edge_index(e): [p.index(k) for k in range(spec.m)] for e, p in spec.perms.items()}
 

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from .covers import _compositions, _multinomial
 from .errors import InvalidMember
 from .gibbs import gibbs_energy_terms, gibbs_partition, global_function, valid_tuples
 from .nfg import Nfg
@@ -61,10 +62,7 @@ def mean_vector(q: TypeVector) -> tuple:
 
 def type_class_size(q: TypeVector) -> int:
     """Exact multinomial M! / prod (M q_c)!."""
-    n = math.factorial(q.m)
-    for count in q.counts().values():
-        n //= math.factorial(count)
-    return n
+    return _multinomial(q.m, q.counts().values())
 
 
 def type_class_growth_rate(q: TypeVector) -> float:
@@ -78,17 +76,8 @@ def type_class_growth_rate(q: TypeVector) -> float:
 def all_types(nfg: Nfg, m: int, cap=None):
     """Every type vector of denominator m over the valid configurations."""
     configs = [t for t, _ in valid_tuples(nfg, cap=cap)]
-
-    def compositions(total, k):
-        if k == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, k - 1):
-                yield (first,) + rest
-
     out = []
-    for comp in compositions(m, len(configs)):
+    for comp in _compositions(m, len(configs)):
         freqs = {c: Fraction(n, m) for c, n in zip(configs, comp) if n}
         out.append(TypeVector(freqs, m))
     return out

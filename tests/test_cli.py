@@ -157,8 +157,8 @@ def test_decode_degree_cli(tmp_path, capsys, decoder):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "decision=000"
-    # every optimal configuration of all 128 labeled covers counts as an optimum
-    assert lines[1] == ("tie=true" if decoder == "bgcd" else "tie=false")
+    # one optimal type, the lift of 000, though all 128 labeled covers carry it
+    assert lines[1] == "tie=false"
     assert lines[2].startswith("objective=")
     if decoder == "sgcd":
         # on a tree the degree-M marginals are the exact posterior marginals
@@ -172,6 +172,16 @@ def test_decode_degree_cover_cap_exit(tmp_path, capsys, decoder):
     assert code == 2
     assert out == ""
     assert "128 covers exceed cap 1" in err
+
+
+@pytest.mark.parametrize("decoder", ["bgcd", "sgcd"])
+def test_decode_degree_config_cap_exit(tmp_path, capsys, decoder):
+    # the identity 2-cover alone has 4 valid configurations
+    code, out, err = decode_repetition(capsys, tmp_path, "--decoder", decoder, "--degree", "2",
+                                       "--config-cap", "2")
+    assert code == 2
+    assert out == ""
+    assert "more than 2 valid configurations" in err
 
 
 def test_decode_from_alist(tmp_path, capsys):

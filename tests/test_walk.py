@@ -1,7 +1,7 @@
 """The plan walk against per-cover oracles.
 
 Every cover loop in gcb walks the base plan with index-remapped copies
-(``covers.cover_configurations``).  The oracles here build each cover as
+(``covers.cover_walk``).  The oracles here build each cover as
 its own graph with ``build_cover_with_map`` and enumerate it with
 ``valid_tuples``, on seeded random graphs with a ternary edge, half-edges,
 two full edges joining the same pair of factors, and (every other seed) a
@@ -11,6 +11,7 @@ second component.
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -27,31 +28,32 @@ from gcb.coding import (
     _symbol_argmax,
     attach_channel,
     bgcd,
+    bmapd,
     nfg_from_parity_check,
     sgcd,
     smapd,
 )
 from gcb.covers import (
+    CoverSpec,
     PreimageCensus,
     TypeWalk,
     build_cover,
     build_cover_with_map,
     cotree_edges,
     count_covers,
-    cover_configurations,
     cover_perm_inv,
+    cover_walk,
     enumerate_covers,
     gauge_fixed_perm_invs,
     lift_realizable_set,
     _phi_of_tuple,
-    phi_m,
     random_cover,
 )
 from gcb.errors import CapExceeded
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg
 
-from conftest import make_dumbbell
+from conftest import make_dumbbell, make_fig1
 
 SEEDS = range(8)
 
@@ -156,7 +158,7 @@ def test_cover_configurations_match_per_cover_oracle(seed):
         total = Fraction(0)
         for spec, cover, (_, edge_map), tuples in oracle_covers(nfg, m):
             order = [nfg.edge_index(e) * m + k for e, k in map(edge_map.get, cover.edge_order)]
-            got = [(tuple(slots[s] for s in order), v) for v, slots, _ in cover_configurations(walk, spec)]
+            got = [(tuple(slots[s] for s in order), v) for v, slots, _ in cover_walk(walk, cover_perm_inv(spec))]
             assert sorted(got) == tuples
             total += sum((v for _, v in tuples), Fraction(0))
         pre_root = zbethe_m_enumeration(nfg, m, exact=True).pre_root
@@ -320,23 +322,33 @@ def test_enumeration_sums_through_one_cover_sweep(monkeypatch, exact):
 
 
 def oracle_bgcd(dec, m):
-    """The literal rule as one loop over built covers: the first optimal
-    cover wins and, within it, the configuration smallest in slot order
-    (base edge order, then copy index)."""
-    best, winners = None, []
-    for spec, cover, (_, edge_map), tuples in oracle_covers(dec.nfg, m):
+    """The literal rule as one loop over every labeled, built cover: of the
+    optimal configurations' frequency maps, the one with the smallest
+    ``type_key`` wins, and more than one of them is a tie."""
+    nfg = dec.nfg
+    best, n_optima, betas = None, 0, set()
+    for _, cover, (factor_map, edge_map), tuples in oracle_covers(nfg, m):
         for tup, value in tuples:
             if best is None or value > best:
-                best, winners = value, [(spec, cover, edge_map, tup)]
-            elif value == best:
-                winners.append((spec, cover, edge_map, tup))
-    spec, cover, edge_map, _ = winners[0]
-    slot_order = sorted(edge_map, key=lambda ce: (dec.nfg.edge_index(edge_map[ce][0]), edge_map[ce][1]))
-    tup = min((t for s, _, _, t in winners if s is spec),
-              key=lambda t: [t[cover.edge_index(ce)] for ce in slot_order])
-    beta = phi_m(spec, tup)
-    decisions = tuple(_symbol_argmax(beta.edge_dists[e])[0] for e in dec.symbol_edges)
-    return decisions, len(winners), beta, -math.log(float(best)) / m
+                best, n_optima, betas = value, 0, set()
+            if value == best:
+                n_optima += 1
+                betas.add(_phi_of_tuple(nfg, m, cover, factor_map, edge_map, tup))
+    beta = min(betas, key=lambda b: type_key(nfg, m, b))
+    symbols = [_symbol_argmax(beta.edge_dists[e]) for e in dec.symbol_edges]
+    tie = len(betas) > 1 or any(t for _, t in symbols)
+    return tuple(s for s, _ in symbols), n_optima, tie, beta, -math.log(float(best)) / m
+
+
+def type_key(nfg, m, beta):
+    """The symbols of each edge's M copies in edge order, then the
+    (factor id, row) pairs of the factor copies, sorted, read off M*beta."""
+    def copies(dist):
+        return [k for k in sorted(dist) for _ in range(int(m * dist[k]))]
+
+    edges = tuple(s for e in nfg.edge_order for s in copies(beta.edge_dists[e]))
+    rows = tuple((f, row) for f in sorted(nfg.factors) for row in copies(beta.factor_dists[f]))
+    return edges, rows
 
 
 def oracle_sgcd_beta(dec, m):
@@ -361,22 +373,32 @@ def decoding_cases():
     for seed in SEEDS:
         nfg = random_graph(seed)
         yield DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
-    # Cover labels sort e10@* before e1@*, but the tie-break runs in slot
+    # Cover labels sort e10@* before e1@*, but the tie-break runs in edge
     # order (e1 before e10), so the copies take row (0, 1), not (1, 0).
     nfg = Nfg({"e1": 2, "e10": 2}, ["e1", "e10"], [Factor("f", ("e1", "e10"), {(0, 1): 1, (1, 0): 1})])
     yield DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
     code = nfg_from_parity_check(ParityCheckMatrix([[1, 1, 0], [0, 1, 1]]))
     for p, y in ((Fraction(1, 10), "010"), (Fraction(1, 4), "110"), (Fraction(1, 5), "000")):
         yield attach_channel(code, Channel.bsc(p), y)
+    # A first-optimal-cover rule would take the identity cover and, in it,
+    # the lift of the all-ones configuration (decisions 11).  A twisted
+    # cover reaches the same value with every edge half 0 and half 1, a type
+    # with a smaller key, so the decisions are 00.
+    nfg = random_graph(36)
+    yield DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
 
 
-@pytest.mark.parametrize("case", range(len(SEEDS) + 4))
+N_DECODING_CASES = len(SEEDS) + 5
+
+
+@pytest.mark.parametrize("case", range(N_DECODING_CASES))
 def test_degree2_decoders_match_per_cover_oracle(case):
     dec = list(decoding_cases())[case]
     res = bgcd(dec, degree=2)
-    decisions, n_optima, beta, objective = oracle_bgcd(dec, 2)
+    decisions, n_optima, tie, beta, objective = oracle_bgcd(dec, 2)
     assert tuple(res.decisions) == decisions
     assert res.diagnostics["n_optima"] == n_optima
+    assert res.tie == tie
     assert res.beliefs == beta
     assert res.objective == objective
 
@@ -386,8 +408,23 @@ def test_degree2_decoders_match_per_cover_oracle(case):
     assert {(e, s): v for e, d in beliefs.edge_dists.items() for s, v in d.items()} == edge_want
 
 
+def test_degree3_repetition_code_counts_every_labeled_cover():
+    """y = 001 on the 3-bit repetition code over BSC(1/10): each of the
+    (3!)^7 labeled 3-covers has one optimum, the lift of 000.  They are
+    counted, not walked, and one optimal type is no tie."""
+    code = nfg_from_parity_check(ParityCheckMatrix([[1, 1, 0], [0, 1, 1]]))
+    dec = attach_channel(code, Channel.bsc(Fraction(1, 10)), "001")
+    start = time.perf_counter()
+    res = bgcd(dec, degree=3)
+    assert time.perf_counter() - start < 1.0
+    assert res.decisions == (0, 0, 0)
+    assert res.diagnostics["n_optima"] == count_covers(dec.nfg, 3) == 6**7
+    assert res.tie is False
+    assert res.beliefs == bmapd(dec).beliefs
+
+
 @pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("case", range(len(SEEDS) + 4))
+@pytest.mark.parametrize("case", range(N_DECODING_CASES))
 def test_symbolwise_objective_is_minus_log_zbethe_m(case, m):
     dec = list(decoding_cases())[case]
     res = sgcd(dec, degree=m)
@@ -427,9 +464,48 @@ def test_caps_still_raise(monkeypatch):
 
 
 def test_typesum_caps():
-    dumbbell = make_dumbbell()  # 128 two-covers, 10 types at M = 2
+    dumbbell = make_dumbbell()  # 10 types at M = 2 and 20 at M = 3
     assert zbethe_m_typesum(dumbbell, 2, config_cap=10).pre_root == 10
     with pytest.raises(CapExceeded):
         zbethe_m_typesum(dumbbell, 2, config_cap=9)
+    # fC and fD have four support rows each: C(3+3, 3) = 20 count vectors at M = 3
+    assert zbethe_m_typesum(dumbbell, 3, config_cap=20).pre_root == zbethe_m_enumeration(dumbbell, 3).pre_root
+    with pytest.raises(CapExceeded, match="fC: 20 count vectors exceed cap 19"):
+        zbethe_m_typesum(dumbbell, 3, config_cap=19)
+    with pytest.raises(CapExceeded, match="fC: 35 count vectors exceed cap 34"):
+        zbethe_m_typesum(dumbbell, 4, config_cap=34)
+
+
+def parity_cover_count(spec):
+    """Valid configurations of a cover of an all-parity graph:
+    2 ** (edges - rank of its checks over GF(2))."""
+    cover = build_cover(spec)
+    pivots = {}
+    for f in cover.factors.values():
+        row = sum(1 << cover.edge_index(e) for e in f.edges)
+        while row and row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if row:
+            pivots[row.bit_length()] = row
+    return 2 ** (len(cover.edge_order) - len(pivots))
+
+
+def test_typesum_m4_runs_at_defaults():
+    """The type-sum visits no cover, so no cover cap stops it: (4!)^7 and
+    (4!)^6 labeled covers exceed the default cap of 2^24 on both graphs.  The
+    dumbbell is checked against the exact enumeration; fig1 (576 gauge-fixed
+    4-covers of about 4096 configurations each, minutes of enumeration) is
+    checked against each gauge-fixed cover's count from GF(2) rank."""
+    dumbbell = make_dumbbell()
     with pytest.raises(CapExceeded):
-        zbethe_m_typesum(dumbbell, 2, cap=100)
+        zbethe_m_enumeration(dumbbell, 4)
+    want = zbethe_m_enumeration(dumbbell, 4, cap=count_covers(dumbbell, 4)).pre_root
+    assert zbethe_m_typesum(dumbbell, 4).pre_root == want == Fraction(128, 3)
+
+    fig1 = make_fig1()
+    assert count_covers(fig1, 4) > 1 << 24
+    cotree = cotree_edges(fig1)
+    identity = {e: tuple(range(4)) for e in fig1.full_edges if e not in cotree}
+    counts = [parity_cover_count(CoverSpec(fig1, 4, {**identity, **dict(zip(cotree, perms))}))
+              for perms in itertools.product(itertools.permutations(range(4)), repeat=len(cotree))]
+    assert zbethe_m_typesum(fig1, 4).pre_root == Fraction(sum(counts), len(counts))
