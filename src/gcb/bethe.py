@@ -1,16 +1,22 @@
 """Bethe-side analytics over the local marginal polytope.
 
-Includes membership checking, the energy/entropy/free-energy split, the
-degree-M partition function computed two ways (enumeration of the
+Includes the energy/entropy/free-energy split (membership checking,
+``check_local_consistency``, lives in ``covers`` and is re-exported here),
+the degree-M partition function computed two ways (enumeration of the
 gauge-fixed covers, and the type-sum walked directly over the
 lift-realizable pseudo-marginals; an exact identity in rational
-arithmetic), free-energy minimization at zero and positive
-temperature, and the constrained-stationarity residual used to confirm
-sum-product fixed points.
+arithmetic), free-energy minimization at zero and positive temperature,
+and the constrained-stationarity residual used to confirm sum-product
+fixed points.  The minimization half describes the polytope once, in
+``_BetaIndex``: the T = 0 linear program, the projected descent, the
+residual and the minimizer's candidates all read its slots, constraint
+rows, free energy, gradient and tangent projection.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -23,6 +29,7 @@ from .covers import (
     PseudoMarginals,
     TypeWalk,
     build_cover,
+    check_local_consistency,
     check_shape,
     count_covers,
     cover_cap,
@@ -45,49 +52,6 @@ from .nfg import Nfg, parse_number, format_number
 from .spa import sum_product
 
 INTERIOR_EPS = 1e-12
-
-
-# -- membership ---------------------------------------------------------------
-
-
-def check_local_consistency(nfg: Nfg, beta: PseudoMarginals, tol: float = 1e-9):
-    """(ok, violations): simplex and edge-consistency constraints within tol.
-
-    Exact pseudo-marginals with tol=0 are checked in rational arithmetic.
-    Each violation names the spot: ('factor-sum', f), ('edge-sum', e),
-    ('negative', block, key), or ('consistency', f, e, symbol).
-    """
-    check_shape(nfg, beta)
-    exact = beta.is_exact() and tol == 0
-    violations = []
-
-    def bad(diff):
-        if exact:
-            return diff != 0
-        return abs(float(diff)) > tol
-
-    for f in sorted(nfg.factors):
-        d = beta.factor_dists[f]
-        for key, v in d.items():
-            if (v < 0) if exact else (float(v) < -tol):
-                violations.append(("negative", f, key))
-        if bad(sum(d.values()) - 1):
-            violations.append(("factor-sum", f))
-    for e in nfg.edge_order:
-        d = beta.edge_dists[e]
-        for s, v in d.items():
-            if (v < 0) if exact else (float(v) < -tol):
-                violations.append(("negative", e, s))
-        if bad(sum(d.values()) - 1):
-            violations.append(("edge-sum", e))
-    for f in sorted(nfg.factors):
-        fac = nfg.factors[f]
-        for pos, e in enumerate(fac.edges):
-            for s in range(nfg.alphabet_sizes[e]):
-                marg = sum(v for k, v in beta.factor_dists[f].items() if k[pos] == s)
-                if bad(marg - beta.edge_weight(e, s)):
-                    violations.append(("consistency", f, e, s))
-    return (not violations), violations
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -293,99 +257,161 @@ def zbethe_m_typesum(
     return ZBetheM(float(total) ** (1.0 / m), total, m, count_covers(nfg, m))
 
 
-# -- vectorized view of beta for gradients ------------------------------------
+# -- the local marginal polytope in flat coordinates ---------------------------
 
 
 class _BetaIndex:
-    """Flat coordinates: factor support blocks then edge blocks, sorted ids."""
+    """The local marginal polytope of a graph, described once, in flat
+    coordinates.
+
+    Slots are the factor support rows (factors in sorted id order, rows in
+    support order), then the edge symbols (``edge_order``).  The index
+    holds the energy vector (-log of each row's table value), the entropy
+    coefficients (+1 on factor rows, -1 on full-edge symbols, 0 on
+    half-edge symbols) and the equality constraints A x = b: factor sums,
+    edge sums, then one consistency row per factor, incident edge and
+    symbol (the factor's marginal minus the edge's weight).  The free
+    energy, its gradient, the tangent projection and the T = 0 linear
+    program are all read from these.
+    """
 
     def __init__(self, nfg: Nfg):
         self.nfg = nfg
-        self.factor_slots = []
-        self.edge_slots = []
-        self.slot_of = {}
-        i = 0
-        for f in sorted(nfg.factors):
-            for key in nfg.factors[f].support:
-                self.slot_of[("f", f, key)] = i
-                self.factor_slots.append((f, key))
-                i += 1
-        for e in nfg.edge_order:
-            for s in range(nfg.alphabet_sizes[e]):
-                self.slot_of[("e", e, s)] = i
-                self.edge_slots.append((e, s))
-                i += 1
-        self.n = i
+        sizes = nfg.alphabet_sizes
+        factors = sorted(nfg.factors)
+        supports = [nfg.factors[f].support for f in factors]
+        self.factor_slots = [(f, key) for f, support in zip(factors, supports) for key in support]
+        self.edge_slots = [(e, s) for e in nfg.edge_order for s in range(sizes[e])]
+        n_f = len(self.factor_slots)
+        self.n = n_f + len(self.edge_slots)
+        edge_sizes = [sizes[e] for e in nfg.edge_order]
+        edge_start = dict(zip(nfg.edge_order, np.cumsum([n_f] + edge_sizes).tolist()))
+
+        # rows: factor sums, edge sums, then one block per (factor, edge)
+        # pair with a row per symbol: the factor's marginal minus the edge's
+        # weight
+        n_sums = len(factors) + len(edge_sizes)
+        self.marginal_row = {}
+        energy, symbols, starts, arity, edge_slot = [], [], [], [], []
+        r = n_sums
+        for f, support in zip(factors, supports):
+            fac = nfg.factors[f]
+            first = []
+            for e in fac.edges:
+                self.marginal_row[f, e] = r
+                first.append(r)
+                edge_slot += range(edge_start[e], edge_start[e] + sizes[e])
+                r += sizes[e]
+            # a Fraction's float is numerator / denominator; dividing here
+            # skips the slow generic conversion, with the same rounding
+            values = [fac.table[key] for key in support]
+            energy += [-math.log(v if type(v) is float else v.numerator / v.denominator) for v in values]
+            symbols += itertools.chain.from_iterable(support)
+            starts += first * len(support)
+            arity.append(len(first))
+        # A in coordinates: every slot has a 1 in its sum row, a factor slot
+        # a 1 in one marginal row per edge of the factor, and an edge slot a
+        # -1 in the marginal rows of its endpoints
+        counts = [len(support) for support in supports]
+        slots = np.arange(self.n)
+        marginal_rows = np.array(symbols, dtype=np.intp) + np.array(starts, dtype=np.intp)
+        self.rows = np.concatenate(
+            [np.repeat(np.arange(n_sums), counts + edge_sizes), marginal_rows, np.arange(n_sums, r)]
+        )
+        self.cols = np.concatenate(
+            [slots, np.repeat(slots[:n_f], np.repeat(arity, counts)), np.array(edge_slot, dtype=np.intp)]
+        )
+        self.vals = np.repeat([1.0, -1.0], [self.n + len(marginal_rows), r - n_sums])
+        self.rhs = np.repeat([1.0, 0.0], [n_sums, r - n_sums])
+        self._energy = np.array(energy + [0.0] * len(self.edge_slots))
+        half = [0.0 if e in nfg.half_edges else -1.0 for e, _ in self.edge_slots]
+        self.entropy_coef = np.array([1.0] * n_f + half)
+
+    @functools.cached_property
+    def a_mat(self) -> np.ndarray:
+        """A as a dense array, built on first use (the T = 0 path needs
+        only ``energy_lp``)."""
+        a = np.zeros((len(self.rhs), self.n))
+        a[self.rows, self.cols] = self.vals
+        return a
+
+    @functools.cached_property
+    def slot_of(self) -> dict:
+        """("f", factor, row) or ("e", edge, symbol) -> slot."""
+        keys = [("f",) + slot for slot in self.factor_slots] + [("e",) + slot for slot in self.edge_slots]
+        return dict(zip(keys, range(self.n)))
 
     def to_vector(self, beta: PseudoMarginals) -> np.ndarray:
-        x = np.zeros(self.n)
-        for f, key in self.factor_slots:
-            x[self.slot_of[("f", f, key)]] = float(beta.factor_weight(f, key))
-        for e, s in self.edge_slots:
-            x[self.slot_of[("e", e, s)]] = float(beta.edge_weight(e, s))
-        return x
+        fd, ed = beta.factor_dists, beta.edge_dists
+        return np.array(
+            [float(fd[f].get(key, 0)) for f, key in self.factor_slots]
+            + [float(ed[e].get(s, 0)) for e, s in self.edge_slots]
+        )
 
     def to_beta(self, x: np.ndarray) -> PseudoMarginals:
         factor_dists: dict = {f: {} for f in self.nfg.factors}
         edge_dists: dict = {e: {} for e in self.nfg.edge_order}
-        for f, key in self.factor_slots:
-            v = x[self.slot_of[("f", f, key)]]
+        for (f, key), v in zip(self.factor_slots, x):
             if v != 0:
                 factor_dists[f][key] = v
-        for e, s in self.edge_slots:
-            v = x[self.slot_of[("e", e, s)]]
+        for (e, s), v in zip(self.edge_slots, x[len(self.factor_slots):]):
             if v != 0:
                 edge_dists[e][s] = v
         return PseudoMarginals(factor_dists, edge_dists)
 
     def equality_matrix(self):
-        """Rows: factor sums, edge sums, and per-(f, e, symbol) consistency."""
-        rows = []
-        rhs = []
-        for f in sorted(self.nfg.factors):
-            row = np.zeros(self.n)
-            for key in self.nfg.factors[f].support:
-                row[self.slot_of[("f", f, key)]] = 1.0
-            rows.append(row)
-            rhs.append(1.0)
-        for e in self.nfg.edge_order:
-            row = np.zeros(self.n)
-            for s in range(self.nfg.alphabet_sizes[e]):
-                row[self.slot_of[("e", e, s)]] = 1.0
-            rows.append(row)
-            rhs.append(1.0)
-        for f in sorted(self.nfg.factors):
-            fac = self.nfg.factors[f]
-            for pos, e in enumerate(fac.edges):
-                for s in range(self.nfg.alphabet_sizes[e]):
-                    row = np.zeros(self.n)
-                    for key in fac.support:
-                        if key[pos] == s:
-                            row[self.slot_of[("f", f, key)]] = 1.0
-                    row[self.slot_of[("e", e, s)]] -= 1.0
-                    rows.append(row)
-                    rhs.append(0.0)
-        return np.array(rows), np.array(rhs)
+        """(A, b): factor sums, edge sums, and per-(f, e, symbol) consistency."""
+        return self.a_mat, self.rhs
+
+    def feasible(self, x: np.ndarray, tol: float) -> bool:
+        """Every entry at least -tol and every row of A x = b within tol."""
+        return bool(np.all(x >= -tol) and np.all(np.abs(self.a_mat @ x - self.rhs) <= tol))
 
     def energy_vector(self) -> np.ndarray:
-        c = np.zeros(self.n)
-        for f, key in self.factor_slots:
-            c[self.slot_of[("f", f, key)]] = -math.log(self.nfg.factors[f].table[key])
-        return c
+        return self._energy
+
+    def energy_lp(self):
+        """(c, A_eq, b_eq) of the T = 0 problem over the factor slots alone.
+
+        The rows are the factor sums, then, for each full edge (f1, f2) and
+        each symbol but the last, f1's marginal minus f2's: the consistency
+        rows with the edge's own weight eliminated.
+        """
+        n_f = len(self.factor_slots)
+        n_factors = len(self.nfg.factors)
+        first, second = [], []
+        for e in self.nfg.full_edge_order:
+            f1, f2 = self.nfg.incidence[e]
+            for s in range(self.nfg.alphabet_sizes[e] - 1):
+                first.append(self.marginal_row[f1, e] + s)
+                second.append(self.marginal_row[f2, e] + s)
+        n_lp = n_factors + len(first)
+        lp_row = np.full(len(self.rhs), -1)  # row of A -> row of A_eq
+        lp_row[:n_factors] = np.arange(n_factors)
+        lp_row[first] = lp_row[second] = np.arange(n_factors, n_lp)
+        sign = np.ones(len(self.rhs))
+        sign[second] = -1.0
+        keep = (self.cols < n_f) & (lp_row[self.rows] >= 0)
+        rows = self.rows[keep]
+        a_eq = np.zeros((n_lp, n_f))
+        a_eq[lp_row[rows], self.cols[keep]] = sign[rows]  # factor slots carry +1 in A
+        return self._energy[:n_f], a_eq, np.repeat([1.0, 0.0], [n_factors, len(first)])
+
+    def free_energy(self, x: np.ndarray, temperature: float) -> float:
+        """<energy, x> + T * sum_i coef_i x_i log x_i, with 0 log 0 = 0."""
+        xlogx = x * np.log(np.where(x > 0, x, 1.0))
+        return float(self._energy @ x + float(temperature) * (self.entropy_coef @ xlogx))
 
     def gradient(self, x: np.ndarray, temperature: float) -> np.ndarray:
-        g = self.energy_vector()
-        t = float(temperature)
-        clamped = np.maximum(x, INTERIOR_EPS)
-        for f, key in self.factor_slots:
-            i = self.slot_of[("f", f, key)]
-            g[i] += t * (math.log(clamped[i]) + 1.0)
-        for e, s in self.edge_slots:
-            if e in self.nfg.half_edges:
-                continue
-            i = self.slot_of[("e", e, s)]
-            g[i] -= t * (math.log(clamped[i]) + 1.0)
-        return g
+        """Gradient of ``free_energy``, with x clamped to the interiority epsilon."""
+        t = float(temperature) * self.entropy_coef
+        return self._energy + t * (np.log(np.maximum(x, INTERIOR_EPS)) + 1.0)
+
+    def project(self, g: np.ndarray) -> np.ndarray:
+        """g minus its least-squares fit by the rows of A: the projection onto
+        the tangent space of the constraints."""
+        y, *_ = np.linalg.lstsq(self.a_mat.T, g, rcond=None)
+        return g - self.a_mat.T @ y
 
 
 def stationarity_residual(nfg: Nfg, beta: PseudoMarginals, temperature: float = 1.0) -> float:
@@ -399,11 +425,7 @@ def stationarity_residual(nfg: Nfg, beta: PseudoMarginals, temperature: float = 
     x = idx.to_vector(beta)
     if np.any(x <= INTERIOR_EPS):
         raise BoundaryBeta("beta has entries at or below the interiority epsilon")
-    grad = idx.gradient(x, temperature)
-    a, _ = idx.equality_matrix()
-    y, *_ = np.linalg.lstsq(a.T, grad, rcond=None)
-    r = grad - a.T @ y
-    return float(np.linalg.norm(r))
+    return float(np.linalg.norm(idx.project(idx.gradient(x, temperature))))
 
 
 # -- entropy-regularized factor tilt ------------------------------------------
@@ -528,63 +550,25 @@ class MinimizeResult:
         self.message = message
 
 
-def _lp_minimize_energy(nfg: Nfg):
-    """Exact T=0 problem: the energy is linear and B is a polytope."""
+def _lp_minimize_energy(idx: _BetaIndex):
+    """Exact T=0 problem: the energy is linear and B is a polytope, so one
+    linear program over the factor slots solves it (``_BetaIndex.energy_lp``);
+    each edge's marginal is then read off its first endpoint."""
     from scipy.optimize import linprog
 
-    blocks = []
-    offsets = {}
-    n = 0
-    for f in sorted(nfg.factors):
-        support = nfg.factors[f].support
-        offsets[f] = n
-        blocks.append((f, support))
-        n += len(support)
-
-    c = np.zeros(n)
-    for f, support in blocks:
-        table = nfg.factors[f].table
-        for i, key in enumerate(support):
-            c[offsets[f] + i] = -math.log(table[key])
-
-    rows = []
-    rhs = []
-    for f, support in blocks:
-        row = np.zeros(n)
-        row[offsets[f] : offsets[f] + len(support)] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for e in nfg.full_edge_order:
-        f1, f2 = nfg.incidence[e]
-        p1 = nfg.factors[f1].edges.index(e)
-        p2 = nfg.factors[f2].edges.index(e)
-        for s in range(nfg.alphabet_sizes[e] - 1):
-            row = np.zeros(n)
-            for i, key in enumerate(nfg.factors[f1].support):
-                if key[p1] == s:
-                    row[offsets[f1] + i] += 1.0
-            for i, key in enumerate(nfg.factors[f2].support):
-                if key[p2] == s:
-                    row[offsets[f2] + i] -= 1.0
-            rows.append(row)
-            rhs.append(0.0)
-
-    res = linprog(
-        c,
-        A_eq=np.array(rows),
-        b_eq=np.array(rhs),
-        bounds=[(0, 1)] * n,
-        method="highs",
-    )
+    c, a_eq, b_eq = idx.energy_lp()
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, 1)] * len(c), method="highs")
     if not res.success:
         raise LpFailure(f"linear program failed: {res.message}")
 
-    factor_dists: dict = {}
-    for f, support in blocks:
-        x = res.x[offsets[f] : offsets[f] + len(support)]
-        factor_dists[f] = {key: max(v, 0.0) for key, v in zip(support, x) if v > 1e-12}
-        total = sum(factor_dists[f].values())
-        factor_dists[f] = {k: v / total for k, v in factor_dists[f].items()}
+    nfg = idx.nfg
+    factor_dists: dict = {f: {} for f in sorted(nfg.factors)}
+    for (f, key), v in zip(idx.factor_slots, res.x):
+        if v > 1e-12:
+            factor_dists[f][key] = v
+    for f, d in factor_dists.items():
+        total = sum(d.values())
+        factor_dists[f] = {k: v / total for k, v in d.items()}
     edge_dists: dict = {}
     for e in nfg.edge_order:
         f1 = nfg.incidence[e][0]
@@ -600,38 +584,22 @@ def _lp_minimize_energy(nfg: Nfg):
 class _ProjectedDescent:
     """Projected-gradient descent on the local marginal polytope.
 
-    Works directly in the flat beta coordinates: gradient steps are
-    projected onto the null space of the equality constraints (so affine
-    feasibility is preserved exactly) and the line search caps the step to
-    keep strict positivity.
+    Works in the flat coordinates of its ``_BetaIndex`` (``idx``), with the
+    index's free energy: gradient steps are projected onto the tangent space
+    of the equality constraints (so affine feasibility is preserved) and the
+    line search caps the step to keep strict positivity.
     """
 
     FLOOR = 1e-13
 
     def __init__(self, nfg: Nfg, temperature: float):
-        self.nfg = nfg
         self.t = float(temperature)
         self.idx = _BetaIndex(nfg)
-        self.a_mat, self.rhs = self.idx.equality_matrix()
-
-    def free_energy(self, x: np.ndarray) -> float:
-        total = float(self.idx.energy_vector() @ x)
-        for f, key in self.idx.factor_slots:
-            v = x[self.idx.slot_of[("f", f, key)]]
-            if v > 0:
-                total += self.t * v * math.log(v)
-        for e, s in self.idx.edge_slots:
-            if e in self.nfg.half_edges:
-                continue
-            v = x[self.idx.slot_of[("e", e, s)]]
-            if v > 0:
-                total -= self.t * v * math.log(v)
-        return total
 
     def repair(self, x: np.ndarray) -> np.ndarray:
         """Minimum-norm correction onto the equality constraints."""
-        residual = self.a_mat @ x - self.rhs
-        delta, *_ = np.linalg.lstsq(self.a_mat, residual, rcond=None)
+        a_mat, rhs = self.idx.equality_matrix()
+        delta, *_ = np.linalg.lstsq(a_mat, a_mat @ x - rhs, rcond=None)
         return x - delta
 
     def interior_point(self):
@@ -639,15 +607,16 @@ class _ProjectedDescent:
         no strictly positive point in these coordinates."""
         from scipy.optimize import linprog
 
+        a_mat, rhs = self.idx.equality_matrix()
         n = self.idx.n
         c = np.zeros(n + 1)
         c[-1] = -1.0
-        a_eq = np.hstack([self.a_mat, np.zeros((self.a_mat.shape[0], 1))])
+        a_eq = np.hstack([a_mat, np.zeros((a_mat.shape[0], 1))])
         a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
         res = linprog(
             c,
             A_eq=a_eq,
-            b_eq=self.rhs,
+            b_eq=rhs,
             A_ub=a_ub,
             b_ub=np.zeros(n),
             bounds=[(0, 1)] * n + [(0, 1)],
@@ -660,13 +629,11 @@ class _ProjectedDescent:
     def run(self, x0: np.ndarray, max_iters: int = 500, grad_tol: float = 1e-9):
         """Returns (x, value, projected gradient norm)."""
         x = np.maximum(x0, 0.0)
-        value = self.free_energy(x)
+        value = self.idx.free_energy(x, self.t)
         step = 1.0
         norm = float("inf")
         for _ in range(max_iters):
-            grad = self.idx.gradient(x, self.t)
-            y, *_ = np.linalg.lstsq(self.a_mat.T, grad, rcond=None)
-            d = -(grad - self.a_mat.T @ y)
+            d = -self.idx.project(self.idx.gradient(x, self.t))
             norm = float(np.linalg.norm(d))
             if norm <= grad_tol:
                 break
@@ -680,7 +647,7 @@ class _ProjectedDescent:
             improved = False
             while s > 1e-14:
                 cand = x + s * d
-                cand_value = self.free_energy(cand)
+                cand_value = self.idx.free_energy(cand, self.t)
                 if cand_value < value - 1e-15:
                     x, value = cand, cand_value
                     step = min(2.0 * s, 1.0)
@@ -704,24 +671,33 @@ def minimize_bethe(
 ) -> MinimizeResult:
     """Minimize the Bethe free energy over the local marginal polytope.
 
-    T = 0 is an exact linear program (the energy is linear).  For T > 0 the
-    search combines multi-start damped sum-product (fixed points are
-    stationary points) with projected-gradient descent in the flat beta
-    coordinates (``_ProjectedDescent``): gradient steps projected onto the
-    equality constraints, with a line search that keeps every entry
-    positive.  The descent polishes the best fixed point, or starts from a
-    max-slack interior point when no fixed point is found.  Distinct
-    minimizers within ``tie_tol`` of the best value are reported and
-    flagged as ties.
+    One ``_BetaIndex`` per call describes the polytope and the free energy.
+    T = 0 is an exact linear program over its factor slots (the energy is
+    linear).  For T > 0 the search combines multi-start damped sum-product
+    (fixed points are stationary points) with projected-gradient descent in
+    the index's flat coordinates (``_ProjectedDescent``): gradient steps
+    projected onto the tangent space of the equality constraints, with a
+    line search that keeps every entry positive.  A converged fixed point
+    is a candidate when its entries are at least -1e-6 and it meets every
+    equality constraint within 1e-6.  The descent polishes the best
+    fixed point, or starts from a max-slack interior point when no fixed
+    point is found.  Every candidate is valued by the index's
+    ``free_energy``.  Distinct minimizers within ``tie_tol`` of the best
+    value are reported and flagged as ties.  At T = 0, ``_zero_temp_tie``
+    enumerates the valid configurations, and CapExceeded propagates when
+    they pass the configuration cap.
     """
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
     if temperature == 0:
-        beta, f_min = _lp_minimize_energy(nfg)
-        tie = _zero_temp_tie(nfg, beta, f_min)
+        idx = _BetaIndex(nfg)
+        beta, f_min = _lp_minimize_energy(idx)
+        tie = _zero_temp_tie(idx, beta, f_min)
         return MinimizeResult(beta, f_min, None, True, [beta], tie)
 
-    candidates = []
+    problem = _ProjectedDescent(nfg, temperature)
+    idx = problem.idx
+    candidates = []  # (free energy, beta, flat x, converged)
     rng = np.random.default_rng(seed)
     inits = [None] + [np.random.default_rng(rng.integers(2**32)) for _ in range(max(0, n_starts - 1))]
     for init in inits:
@@ -735,43 +711,32 @@ def minimize_bethe(
                 init_rng=init,
             )
             if state.converged:
-                try:
-                    value = bethe_terms(nfg, beliefs, temperature, tol=1e-6).f_bethe
-                except (InconsistentBeta, SupportOnZeroFactor):
-                    continue
-                candidates.append((value, beliefs, True))
+                x = idx.to_vector(beliefs)
+                if idx.feasible(x, 1e-6):
+                    candidates.append((idx.free_energy(x, temperature), beliefs, x, True))
 
-    problem = _ProjectedDescent(nfg, temperature)
-    seeds = []
     if candidates:
         # polish the best fixed point; its repair stays interior
-        best = min(candidates, key=lambda c: c[0])
-        seeds.append(problem.repair(problem.idx.to_vector(best[1])))
+        x0 = problem.repair(min(candidates, key=lambda c: c[0])[2])
     else:
         # no fixed point found: descend from the max-slack interior point
-        center = problem.interior_point()
-        if center is not None:
-            seeds.append(center)
-    for x0 in seeds:
-        if np.any(x0 < 0):
-            continue
+        x0 = problem.interior_point()
+    if x0 is not None and not np.any(x0 < 0):
         x, value, grad_norm = problem.run(x0, max_iters=descent_iters)
-        candidates.append((value, problem.idx.to_beta(x), grad_norm <= 1e-6))
+        candidates.append((value, idx.to_beta(x), x, grad_norm <= 1e-6))
 
     if not candidates:
         raise LpFailure("no candidate minimizer found")
     candidates.sort(key=lambda c: c[0])
-    f_min, beta, _ = candidates[0]
+    f_min, beta, x_min, _ = candidates[0]
     # the minimum counts as certified when any candidate at that value
     # reached its own convergence criterion
-    converged = any(flag for value, _, flag in candidates if value - f_min <= tie_tol)
+    converged = any(flag for value, _, _, flag in candidates if value - f_min <= tie_tol)
     minimizers = [beta]
-    idx = _BetaIndex(nfg)
-    xs = [idx.to_vector(beta)]
-    for value, cand, _ in candidates[1:]:
+    xs = [x_min]
+    for value, cand, xv, _ in candidates[1:]:
         if value - f_min > tie_tol:
             break
-        xv = idx.to_vector(cand)
         if all(np.max(np.abs(xv - x0)) > 1e-6 for x0 in xs):
             minimizers.append(cand)
             xs.append(xv)
@@ -779,22 +744,13 @@ def minimize_bethe(
     return MinimizeResult(beta, f_min, z, converged, minimizers, len(minimizers) > 1)
 
 
-def _zero_temp_tie(nfg: Nfg, beta: PseudoMarginals, f_min: float):
-    """Tie when the optimum is fractional or several configurations attain it."""
-    idx = _BetaIndex(nfg)
+def _zero_temp_tie(idx: _BetaIndex, beta: PseudoMarginals, f_min: float):
+    """Tie when the optimum is fractional or several configurations attain
+    it; the enumeration raises CapExceeded past the configuration cap."""
     x = idx.to_vector(beta)
     if np.max(np.abs(x - np.round(x))) > 1e-6:
         return True
-    try:
-        hits = 0
-        for _, value in valid_tuples(nfg):
-            if abs(-math.log(value) - f_min) <= 1e-9:
-                hits += 1
-                if hits >= 2:
-                    return True
-    except CapExceeded:
-        return False
-    return False
+    return sum(abs(-math.log(value) - f_min) <= 1e-9 for _, value in valid_tuples(idx.nfg)) > 1
 
 
 def bethe_partition(nfg: Nfg, temperature: float = 1.0, **kwargs) -> float:

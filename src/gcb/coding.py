@@ -337,7 +337,9 @@ def _decide(dec: DecodingNfg, beta: PseudoMarginals, tie, objective, diagnostics
 
 def _blockwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
     """The blockwise rule at degree m (see ``bgcd``), on the gauge-fixed
-    covers; the winner's frequency map is read off its support rows."""
+    covers; the winner's frequency map is read off its support rows.  Float
+    values within a relative 1e-12 of the best count as optimal, as in
+    ``_symbol_argmax``; exact values must be equal."""
     nfg = dec.nfg
     walk = Walk(_kernels.build_plan(nfg), m)
     best = None
@@ -345,10 +347,13 @@ def _blockwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
     for perm_inv in gauge_fixed_perm_invs(nfg, m, cap=cap):
         n_fixed += 1
         for value, slots, rows in cover_walk(walk, perm_inv, config_cap):
-            if best is None or value > best:
+            if best is None or value > above:
                 best, n_best, tie = value, 1, False
                 win_type, win_slots, win_key = sorted(rows), tuple(slots), None
-            elif value == best:
+                above = within = best
+                if isinstance(best, float):  # equal products round differently
+                    above, within = best * (1 + 1e-12), best * (1 - 1e-12)
+            elif value >= within:
                 n_best += 1
                 rows_type = sorted(rows)
                 if rows_type != win_type:
@@ -437,7 +442,9 @@ def bgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None,
     gauge-fixed covers are walked; ``n_optima`` still counts the optimal
     configurations over all labeled covers, and ``tie`` means more than one
     optimal type.  Ties go to the type smallest in ``_type_key`` order.  At
-    M = 1 this is ``bmapd``.
+    M = 1 this is ``bmapd``.  Without ``degree``, the tie check enumerates
+    the valid configurations and raises CapExceeded past the configuration
+    cap.
     """
     if degree is not None:
         return _blockwise(dec, degree, cap, config_cap)

@@ -13,7 +13,9 @@ graph's plan with index-remapped copies (``cover_walk``) and map a
 configuration down through its support rows (``phi_of_rows``);
 ``build_cover`` makes a cover a graph of its own only for single-cover
 uses.  ``TypeWalk`` walks the degree-M types directly.  The frequency map
-is exact rational arithmetic throughout.
+is exact rational arithmetic throughout, and ``check_local_consistency``
+is the one membership check of the local marginal polytope (exact at
+tol=0), which the pre-image closed forms also use.
 """
 
 from __future__ import annotations
@@ -127,6 +129,46 @@ def check_shape(nfg: Nfg, beta: PseudoMarginals):
         for sym in d:
             if not 0 <= sym < size:
                 raise ShapeMismatch(f"edge {e}: symbol {sym} outside alphabet")
+
+
+def check_local_consistency(nfg: Nfg, beta: PseudoMarginals, tol: float = 1e-9):
+    """(ok, violations): simplex and edge-consistency constraints within tol.
+
+    Exact pseudo-marginals with tol=0 are checked in rational arithmetic.
+    Each violation names the spot: ('factor-sum', f), ('edge-sum', e),
+    ('negative', block, key), or ('consistency', f, e, symbol).
+    """
+    check_shape(nfg, beta)
+    exact = beta.is_exact() and tol == 0
+    violations = []
+
+    def bad(diff):
+        if exact:
+            return diff != 0
+        return abs(float(diff)) > tol
+
+    for f in sorted(nfg.factors):
+        d = beta.factor_dists[f]
+        for key, v in d.items():
+            if (v < 0) if exact else (float(v) < -tol):
+                violations.append(("negative", f, key))
+        if bad(sum(d.values()) - 1):
+            violations.append(("factor-sum", f))
+    for e in nfg.edge_order:
+        d = beta.edge_dists[e]
+        for s, v in d.items():
+            if (v < 0) if exact else (float(v) < -tol):
+                violations.append(("negative", e, s))
+        if bad(sum(d.values()) - 1):
+            violations.append(("edge-sum", e))
+    for f in sorted(nfg.factors):
+        fac = nfg.factors[f]
+        for pos, e in enumerate(fac.edges):
+            for s in range(nfg.alphabet_sizes[e]):
+                marg = sum(v for k, v in beta.factor_dists[f].items() if k[pos] == s)
+                if bad(marg - beta.edge_weight(e, s)):
+                    violations.append(("consistency", f, e, s))
+    return (not violations), violations
 
 
 def beta_from_configuration(nfg: Nfg, config) -> PseudoMarginals:
@@ -436,26 +478,16 @@ def _require_integral(beta: PseudoMarginals, m: int):
                 raise NonIntegralType(f"M * beta not integral: {v} at M={m}")
 
 
-def check_exact_consistency(nfg: Nfg, beta: PseudoMarginals):
-    for f in sorted(nfg.factors):
-        fac = nfg.factors[f]
-        total = sum(beta.factor_dists[f].values(), Fraction(0))
-        if total != 1:
-            raise InconsistentBeta(f"factor {f}: weights sum to {total}")
-        for pos, e in enumerate(fac.edges):
-            for sym in range(nfg.alphabet_sizes[e]):
-                marg = sum(
-                    (v for k, v in beta.factor_dists[f].items() if k[pos] == sym),
-                    Fraction(0),
-                )
-                if marg != Fraction(beta.edge_weight(e, sym)):
-                    raise InconsistentBeta(
-                        f"edge consistency fails at ({f}, {e}, {sym})"
-                    )
-    for e in nfg.alphabet_sizes:
-        total = sum(beta.edge_dists[e].values(), Fraction(0))
-        if total != 1:
-            raise InconsistentBeta(f"edge {e}: weights sum to {total}")
+def _exact_type(nfg: Nfg, beta: PseudoMarginals, m: int) -> bool:
+    """Checks that beta is a degree-m type of the local marginal polytope
+    (shape, M*beta integral, exact consistency); returns whether its
+    support lies inside the tables."""
+    check_shape(nfg, beta)
+    _require_integral(beta, m)
+    ok, violations = check_local_consistency(nfg, beta, tol=0)
+    if not ok:
+        raise InconsistentBeta(f"beta outside the local marginal polytope: {violations[0]}")
+    return all(key in nfg.factors[f].table for f, d in beta.factor_dists.items() for key in d)
 
 
 def _multinomial(m: int, counts) -> int:
@@ -471,14 +503,8 @@ def preimage_count_closedform(nfg: Nfg, m: int, beta: PseudoMarginals) -> Fracti
     Numerator: one multinomial per factor; denominator: one per full edge.
     Returns 0 when a factor block puts weight outside the factor's support.
     """
-    check_shape(nfg, beta)
-    _require_integral(beta, m)
-    check_exact_consistency(nfg, beta)
-    for f, d in beta.factor_dists.items():
-        table = nfg.factors[f].table
-        for key in d:
-            if key not in table:
-                return Fraction(0)
+    if not _exact_type(nfg, beta, m):
+        return Fraction(0)
     num = 1
     for f in nfg.factors:
         counts = [int(Fraction(v) * m) for v in beta.factor_dists[f].values()]
@@ -572,13 +598,8 @@ def entropy_rate_estimate(nfg: Nfg, beta: PseudoMarginals, m: int) -> float:
     Feasible for M up to about 10^6; requires M to be a multiple of beta's
     denominator.
     """
-    check_shape(nfg, beta)
-    _require_integral(beta, m)
-    check_exact_consistency(nfg, beta)
-    for f, d in beta.factor_dists.items():
-        table = nfg.factors[f].table
-        if any(key not in table for key in d):
-            return float("-inf")
+    if not _exact_type(nfg, beta, m):
+        return float("-inf")
 
     def log_multinomial(counts):
         return math.lgamma(m + 1) - sum(math.lgamma(c + 1) for c in counts)

@@ -410,6 +410,8 @@ def test_gradient_matches_finite_differences(fig1):
     for trial in range(50):
         beta = _random_interior_beta(nfg, rng)
         x = idx.to_vector(beta)
+        # fig1 has half-edges, whose entropy coefficient is zero
+        assert idx.free_energy(x, 1.0) == pytest.approx(f_of(x), rel=1e-13)
         grad = idx.gradient(x, 1.0)
         h = 1e-6
         for slot in rng.sample(range(len(x)), 5):
@@ -419,6 +421,72 @@ def test_gradient_matches_finite_differences(fig1):
             xm[slot] -= h
             fd = (f_of(xp) - f_of(xm)) / (2 * h)
             assert abs(fd - grad[slot]) <= 1e-5 * max(1.0, abs(grad[slot]))
+
+
+def lp_rows_oracle(nfg):
+    """The T = 0 linear program's objective and rows, built row by row over
+    the factor supports alone: an oracle independent of ``_BetaIndex``."""
+    blocks = []
+    offsets = {}
+    n = 0
+    for f in sorted(nfg.factors):
+        support = nfg.factors[f].support
+        offsets[f] = n
+        blocks.append((f, support))
+        n += len(support)
+
+    c = np.zeros(n)
+    for f, support in blocks:
+        table = nfg.factors[f].table
+        for i, key in enumerate(support):
+            c[offsets[f] + i] = -math.log(table[key])
+
+    rows = []
+    rhs = []
+    for f, support in blocks:
+        row = np.zeros(n)
+        row[offsets[f] : offsets[f] + len(support)] = 1.0
+        rows.append(row)
+        rhs.append(1.0)
+    for e in nfg.full_edge_order:
+        f1, f2 = nfg.incidence[e]
+        p1 = nfg.factors[f1].edges.index(e)
+        p2 = nfg.factors[f2].edges.index(e)
+        for s in range(nfg.alphabet_sizes[e] - 1):
+            row = np.zeros(n)
+            for i, key in enumerate(nfg.factors[f1].support):
+                if key[p1] == s:
+                    row[offsets[f1] + i] += 1.0
+            for i, key in enumerate(nfg.factors[f2].support):
+                if key[p2] == s:
+                    row[offsets[f2] + i] -= 1.0
+            rows.append(row)
+            rhs.append(0.0)
+    return c, np.array(rows), np.array(rhs)
+
+
+def lp_oracle_graphs():
+    from gcb.coding import Channel, ParityCheckMatrix, attach_channel, nfg_from_parity_check
+
+    from conftest import make_dumbbell
+
+    code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
+    graphs = {"fig1": make_fig1(), "dumbbell": make_dumbbell()}
+    for p, y in ((Fraction(1, 10), "0000000000"), (Fraction(1, 5), "0100100010"), (0.05, "1110001000")):
+        graphs[f"example3-{p}-{y}"] = attach_channel(code, Channel.bsc(p), y).nfg
+    return graphs
+
+
+@pytest.mark.parametrize("name, nfg", sorted(lp_oracle_graphs().items()))
+def test_lp_rows_match_row_builder(name, nfg):
+    """The LP read off the index is the row builder's, entry for entry."""
+    from gcb.bethe import _BetaIndex
+
+    c, a_eq, b_eq = _BetaIndex(nfg).energy_lp()
+    want_c, want_a, want_b = lp_rows_oracle(nfg)
+    assert np.array_equal(c, want_c)
+    assert np.array_equal(a_eq, want_a)
+    assert np.array_equal(b_eq, want_b)
 
 
 def _random_interior_beta(nfg, rng):

@@ -20,7 +20,7 @@ from gcb.coding import (
     smapd,
 )
 from gcb.covers import PseudoMarginals, build_cover, build_cover_with_map, enumerate_covers, random_cover
-from gcb.errors import GcbError, LengthMismatch, NotCycleCode
+from gcb.errors import CapExceeded, GcbError, LengthMismatch, NotCycleCode
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg, parity_table
 
@@ -222,6 +222,29 @@ def test_bmapd_tie_flag_on_symmetric_y():
     res = bmapd(dec)
     assert res.tie
     assert res.decisions == (0, 0)  # lexicographic winner
+
+
+REPETITION4 = ParityCheckMatrix([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
+
+
+@pytest.mark.parametrize("y, degree, n_optima", [("0011", None, 2), ("0101", 2, 4096)])
+def test_float_channel_ties_match_exact(y, degree, n_optima):
+    """Equal float products can round apart; the blockwise rule still counts
+    every optimum and breaks the tie as the exact channel does."""
+    results = []
+    for p in (0.1, Fraction(1, 10)):
+        dec = attach_channel(nfg_from_parity_check(REPETITION4), Channel.bsc(p), y)
+        res = bmapd(dec) if degree is None else bgcd(dec, degree=degree)
+        results.append((res.decisions, res.tie, res.diagnostics["n_optima"]))
+    assert results[0] == results[1] == ((0, 0, 0, 0), True, n_optima)
+
+
+def test_bgcd_tie_check_raises_past_config_cap(monkeypatch):
+    dec = attach_channel(nfg_from_parity_check(REPETITION4), Channel.bsc(Fraction(1, 10)), "0011")
+    assert bgcd(dec).tie
+    monkeypatch.setenv("GCB_CONFIG_CAP", "1")
+    with pytest.raises(CapExceeded):
+        bgcd(dec)
 
 
 def test_bgcd_lp_failure_instance():
