@@ -668,6 +668,7 @@ def minimize_bethe(
     spa_tol: float = 1e-13,
     descent_iters: int = 300,
     tie_tol: float = 1e-9,
+    values=None,
 ) -> MinimizeResult:
     """Minimize the Bethe free energy over the local marginal polytope.
 
@@ -684,15 +685,15 @@ def minimize_bethe(
     point is found.  Every candidate is valued by the index's
     ``free_energy``.  Distinct minimizers within ``tie_tol`` of the best
     value are reported and flagged as ties.  At T = 0, ``_zero_temp_tie``
-    enumerates the valid configurations, and CapExceeded propagates when
-    they pass the configuration cap.
+    reads ``values``, the global values of the valid configurations, or
+    enumerates them when None; CapExceeded propagates past the cap.
     """
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
     if temperature == 0:
         idx = _BetaIndex(nfg)
         beta, f_min = _lp_minimize_energy(idx)
-        tie = _zero_temp_tie(idx, beta, f_min)
+        tie = _zero_temp_tie(idx, beta, f_min, values)
         return MinimizeResult(beta, f_min, None, True, [beta], tie)
 
     problem = _ProjectedDescent(nfg, temperature)
@@ -744,13 +745,16 @@ def minimize_bethe(
     return MinimizeResult(beta, f_min, z, converged, minimizers, len(minimizers) > 1)
 
 
-def _zero_temp_tie(idx: _BetaIndex, beta: PseudoMarginals, f_min: float):
+def _zero_temp_tie(idx: _BetaIndex, beta: PseudoMarginals, f_min: float, values=None):
     """Tie when the optimum is fractional or several configurations attain
-    it; the enumeration raises CapExceeded past the configuration cap."""
+    it; ``values`` are read for an integral optimum only, and when None the
+    enumeration raises CapExceeded past the configuration cap."""
     x = idx.to_vector(beta)
     if np.max(np.abs(x - np.round(x))) > 1e-6:
         return True
-    return sum(abs(-math.log(value) - f_min) <= 1e-9 for _, value in valid_tuples(idx.nfg)) > 1
+    if values is None:
+        values = (value for _, value in valid_tuples(idx.nfg))
+    return sum(abs(-math.log(value) - f_min) <= 1e-9 for value in values) > 1
 
 
 def bethe_partition(nfg: Nfg, temperature: float = 1.0, **kwargs) -> float:

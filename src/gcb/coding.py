@@ -10,13 +10,17 @@ the global value over cover configurations) and the symbolwise rule
 is the graph itself, so at M = 1 they are blockwise and symbolwise MAP
 decoding (``bmapd``, ``smapd``); ``bgcd`` and ``sgcd`` run them at a given
 degree, or by default minimize the Bethe free energy at temperatures zero
-and one, the M -> infinity limit of the rules.
+and one, the M -> infinity limit of the rules.  A code graph's valid
+configurations are walked once and kept with the graph; ``attach_channel``,
+the rules' M = 1 walk and ``bgcd``'s T = 0 tie check all read that list.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
+from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -31,12 +35,14 @@ from .covers import (
     phi_of_rows,
 )
 from .errors import (
+    CapExceeded,
     GcbError,
     LengthMismatch,
     NonBinaryAlphabet,
     NotCycleCode,
     ParseError,
 )
+from .gibbs import config_cap as default_config_cap
 from .gibbs import valid_tuples
 from .nfg import Factor, Nfg, parity_table, parse_number, repetition_table
 
@@ -157,14 +163,23 @@ def nfg_from_parity_check(h: ParityCheckMatrix) -> Nfg:
     return Nfg(alphabet, half, factors)
 
 
-def _fibers(nfg: Nfg, cap) -> dict:
+_VALID: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _valid_configs(nfg: Nfg, cap=None) -> list:
+    """``valid_tuples(nfg, cap)``, walked once per (immutable) graph and kept
+    while it lives; every call raises CapExceeded past the cap."""
+    if nfg not in _VALID:
+        _VALID[nfg] = valid_tuples(nfg, cap=cap)
+    elif len(_VALID[nfg]) > default_config_cap(cap):
+        raise CapExceeded(f"more than {default_config_cap(cap)} valid configurations")
+    return _VALID[nfg]
+
+
+def _fiber_sizes(nfg: Nfg, configs) -> Counter:
     """Number of valid configurations over each half-edge word."""
     positions = [nfg.edge_index(e) for e in nfg.half_edge_order]
-    fibers: dict[tuple, int] = {}
-    for tup, _ in valid_tuples(nfg, cap=cap):
-        x = tuple(tup[p] for p in positions)
-        fibers[x] = fibers.get(x, 0) + 1
-    return fibers
+    return Counter(tuple(t[p] for p in positions) for t, _ in configs)
 
 
 def check_represents_code(nfg: Nfg, code, cap=None):
@@ -182,7 +197,7 @@ def check_represents_code(nfg: Nfg, code, cap=None):
     sizes = {nfg.alphabet_sizes[e] for e in half}
     if len(sizes) > 1:
         return False, None, "half-edge alphabets differ"
-    fibers = _fibers(nfg, cap)
+    fibers = _fiber_sizes(nfg, _valid_configs(nfg, cap))
     if set(fibers) != code:
         return False, None, "half-edge projection differs from the code"
     t_values = set(fibers.values())
@@ -237,7 +252,9 @@ class DecodingNfg:
 
     ``symbol_edges`` are the former half-edges carrying the code symbols,
     in position order; ``gamma`` is the constant relating the global
-    function to the joint input/output probability.
+    function to the joint input/output probability.  ``code_nfg``, on the
+    same edges, is the code graph whose configuration list the M = 1 walk
+    reads (``nfg``'s own when None).
     """
 
     __slots__ = ("nfg", "symbol_edges", "gamma", "y", "code_nfg")
@@ -259,15 +276,17 @@ def attach_channel(
 ) -> DecodingNfg:
     """Terminate each half-edge with a unary likelihood factor for y_i.
 
-    Requires a single-pre-image representation (t_N = 1).  With the default
-    uniform codeword prior the global function equals |code| times the
-    joint probability of (x, y); a per-symbol product prior is absorbed
-    into the channel factors.
+    Requires a single-pre-image representation (t_N = 1), read from the
+    code's list of valid configurations (``_valid_configs``, bounded by
+    ``cap``).  With the default uniform codeword prior the global function
+    equals |code| times the joint probability of (x, y); a per-symbol
+    product prior is absorbed into the channel factors, and ``gamma`` is
+    computed in the prior's own arithmetic.
     """
     half = nfg_code.half_edge_order
     if len(y) != len(half):
         raise LengthMismatch(f"received vector length {len(y)}, code length {len(half)}")
-    fibers = _fibers(nfg_code, cap)
+    fibers = _fiber_sizes(nfg_code, _valid_configs(nfg_code, cap))
     if not fibers:
         raise GcbError("code graph has no valid configurations")
     t_values = set(fibers.values())
@@ -294,11 +313,8 @@ def attach_channel(
     if prior is None:
         gamma = Fraction(len(fibers))
     else:
-        kappa = sum(
-            math.prod(float(prior[i][x[i]]) for i in range(len(half)))
-            for x in fibers
-        )
-        gamma = 1.0 / kappa
+        kappa = sum(math.prod(prior[i][x[i]] for i in range(len(half))) for x in fibers)
+        gamma = 1 / kappa
     return DecodingNfg(nfg_y, half, gamma, [str(v) for v in y], nfg_code)
 
 
@@ -318,9 +334,11 @@ class DecodeResult:
 
 
 def _symbol_argmax(dist: Mapping[int, object]):
-    """Lexicographic tie-break: the smallest maximizing symbol wins."""
-    best = max(float(v) for v in dist.values())
-    winners = sorted(s for s, v in dist.items() if float(v) >= best * (1 - 1e-12))
+    """Lexicographic tie-break: the smallest maximizing symbol wins.  Float
+    values within a relative 1e-12 of the best tie; exact ones must be equal."""
+    best = max(dist.values())
+    within = best * (1 - 1e-12) if isinstance(best, float) else best
+    winners = sorted(s for s, v in dist.items() if v >= within)
     return winners[0], len(winners) > 1
 
 
@@ -335,18 +353,51 @@ def _decide(dec: DecodingNfg, beta: PseudoMarginals, tie, objective, diagnostics
     return DecodeResult(decisions, beta, symbol_beliefs, tie, objective, diagnostics)
 
 
+def _rule_walk(dec: DecodingNfg, m: int, cap, config_cap):
+    """(walk, unit, covers): the walk of ``dec.nfg`` at degree m, and one
+    iterable of (value, slots, rows) per gauge-fixed cover, as ``cover_walk``
+    yields them, with ``value * unit`` the global value.  At M = 1 the one
+    cover is ``dec.nfg``, read off its code's list (``_valid_configs``,
+    bounded by ``config_cap``) less the configurations a table does not
+    support; there exact tables are scaled to ints by the LCM of their
+    denominators, and float tables multiply in walk order."""
+    nfg = dec.nfg
+    plan = _kernels.build_plan(nfg)
+    walk = Walk(plan, m)
+    if m != 1:
+        perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
+        return walk, walk.one, (cover_walk(walk, p, config_cap) for p in perm_invs)
+    steps, scale, first = [], 1, 0  # per plan factor: edges, {row: (row id in walk.rows, value)}
+    for fp in plan.factors:
+        weights = fp.weights
+        if not any(isinstance(w, float) for w in weights):
+            lcm = math.lcm(*(w.denominator for w in weights))
+            weights = [w.numerator * lcm // w.denominator for w in weights]
+            scale *= lcm
+        steps.append((fp.edge_idx, dict(zip(fp.support, enumerate(weights, first)))))
+        first += len(weights)
+
+    def configs():
+        for slots, _ in _valid_configs(dec.code_nfg or nfg, config_cap):
+            hits = [table.get(tuple([slots[e] for e in edges])) for edges, table in steps]
+            if None not in hits:
+                yield math.prod(w for _, w in hits), slots, [i for i, _ in hits]
+
+    return walk, walk.one / scale, [configs()]
+
+
 def _blockwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
     """The blockwise rule at degree m (see ``bgcd``), on the gauge-fixed
     covers; the winner's frequency map is read off its support rows.  Float
     values within a relative 1e-12 of the best count as optimal, as in
     ``_symbol_argmax``; exact values must be equal."""
     nfg = dec.nfg
-    walk = Walk(_kernels.build_plan(nfg), m)
+    walk, unit, covers = _rule_walk(dec, m, cap, config_cap)
     best = None
     n_fixed = 0
-    for perm_inv in gauge_fixed_perm_invs(nfg, m, cap=cap):
+    for configs in covers:
         n_fixed += 1
-        for value, slots, rows in cover_walk(walk, perm_inv, config_cap):
+        for value, slots, rows in configs:
             if best is None or value > above:
                 best, n_best, tie = value, 1, False
                 win_type, win_slots, win_key = sorted(rows), tuple(slots), None
@@ -366,7 +417,7 @@ def _blockwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
         raise GcbError("no valid configuration with positive value")
     n_optima = n_best * (count_covers(nfg, m) // n_fixed)
     beta = phi_of_rows(nfg, walk, win_type)
-    return _decide(dec, beta, tie, -math.log(float(best)) / m,
+    return _decide(dec, beta, tie, -math.log(float(best * unit)) / m,
                    {"n_optima": n_optima, "degree": m})
 
 
@@ -384,15 +435,15 @@ def _symbolwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
     cover by cover, as in ``bethe.zbethe_m_enumeration``, so the objective
     is -log Z_{B,M} from the same walk."""
     nfg = dec.nfg
-    walk = Walk(_kernels.build_plan(nfg), m)
+    walk, unit, covers = _rule_walk(dec, m, cap, config_cap)
     z_total = 0 * walk.one
     n_covers = 0
     factor_acc: dict = {f: {} for f in nfg.factors}
     edge_acc: dict = {e: {} for e in nfg.edge_order}
     slot_edges = [e for e in nfg.edge_order for _ in range(m)]
-    for perm_inv in gauge_fixed_perm_invs(nfg, m, cap=cap):
+    for configs in covers:
         z = 0 * walk.one
-        for value, slots, rows in cover_walk(walk, perm_inv, config_cap):
+        for value, slots, rows in configs:
             z += value
             for row_id in rows:
                 f, key = walk.rows[row_id]
@@ -408,14 +459,15 @@ def _symbolwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
         {f: {k: v / norm for k, v in d.items()} for f, d in factor_acc.items()},
         {e: {s: v / norm for s, v in d.items()} for e, d in edge_acc.items()},
     )
-    return _decide(dec, beta, False, -math.log(float(z_total / n_covers)) / m, {"degree": m})
+    return _decide(dec, beta, False, -math.log(float(z_total * unit / n_covers)) / m, {"degree": m})
 
 
 def bmapd(dec: DecodingNfg, cap=None) -> DecodeResult:
     """Blockwise MAP: argmax of the global function over valid configurations.
 
-    This is ``bgcd`` at degree 1, with ``cap`` bounding the valid
-    configurations; ties go to the configuration smallest in ``edge_order``.
+    This is ``bgcd`` at degree 1, with ``cap`` bounding the code's list of
+    valid configurations (``_rule_walk``); ties go to the configuration
+    smallest in ``edge_order``.
     """
     return _blockwise(dec, 1, None, cap)
 
@@ -423,9 +475,9 @@ def bmapd(dec: DecodingNfg, cap=None) -> DecodeResult:
 def smapd(dec: DecodingNfg, cap=None) -> DecodeResult:
     """Symbolwise MAP: per-symbol posterior marginals, decisions by argmax.
 
-    This is ``sgcd`` at degree 1, with ``cap`` bounding the valid
-    configurations.  The decision vector need not be a codeword.  The
-    attached pseudo-marginals are the exact marginals of the posterior, so
+    This is ``sgcd`` at degree 1, with ``cap`` bounding the code's list of
+    valid configurations (``_rule_walk``).  The decision vector need not be
+    a codeword.  The attached pseudo-marginals are the exact marginals of the posterior, so
     they are globally realizable by construction.
     """
     return _symbolwise(dec, 1, None, cap)
@@ -442,13 +494,15 @@ def bgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None,
     gauge-fixed covers are walked; ``n_optima`` still counts the optimal
     configurations over all labeled covers, and ``tie`` means more than one
     optimal type.  Ties go to the type smallest in ``_type_key`` order.  At
-    M = 1 this is ``bmapd``.  Without ``degree``, the tie check enumerates
-    the valid configurations and raises CapExceeded past the configuration
+    M = 1 this is ``bmapd``.  Without ``degree``, the tie check reads the
+    values of ``bmapd``'s walk and raises CapExceeded past the configuration
     cap.
     """
     if degree is not None:
         return _blockwise(dec, degree, cap, config_cap)
-    res = minimize_bethe(dec.nfg, 0, **minimize_kwargs)
+    _, unit, (configs,) = _rule_walk(dec, 1, None, None)
+    values = (value * unit for value, _, _ in configs)
+    res = minimize_bethe(dec.nfg, 0, values=values, **minimize_kwargs)
     return _decide(dec, res.beta, res.tie, res.f_min)
 
 

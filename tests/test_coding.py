@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from gcb._kernels.pyref import Walk
+from gcb.bethe import minimize_bethe
 from gcb.coding import (
     Channel,
     DecodingNfg,
@@ -479,6 +481,161 @@ def test_map_decoders_match_product_space_oracle(case):
         assert b.objective == pytest.approx(-math.log(best), rel=1e-14)
         assert s.objective == pytest.approx(-math.log(z), rel=1e-14)
     assert case not in ("tied01", "e1e10") or b.tie
+
+
+# -- one codeword list per code graph -------------------------------------------------
+
+
+def list_oracle(dec):
+    """bmapd, smapd and bgcd from ``valid_tuples(dec.nfg)``, the decoding
+    graph's own walk, each as (decisions, tie, objective, beliefs, n_optima).
+    Float values within a relative 1e-12 of the best count as optimal."""
+    nfg = dec.nfg
+    configs = valid_tuples(nfg)
+    tol = 1e-12 if any(isinstance(v, float) for _, v in configs) else 0
+
+    def argmax(dist):
+        best = max(dist.values())
+        winners = [s for s in sorted(dist) if dist[s] >= best * (1 - tol)]
+        return winners[0], len(winners) > 1
+
+    def decide(beta, tie, objective, n_optima=None):
+        symbols = [argmax(beta.edge_dists[e]) for e in dec.symbol_edges]
+        tie = tie or any(t for _, t in symbols)
+        return tuple(s for s, _ in symbols), tie, objective, beta, n_optima
+
+    best, optima = None, []
+    for tup, v in configs:
+        if best is None or v > best * (1 + tol):
+            best, optima = v, [tup]
+        elif v >= best * (1 - tol):
+            optima.append(tup)
+    winner = min(optima)
+    point = PseudoMarginals(
+        {f: {nfg.local_assignment(f, winner): Fraction(1)} for f in nfg.factors},
+        {e: {winner[nfg.edge_index(e)]: Fraction(1)} for e in nfg.edge_order},
+    )
+    b = decide(point, len(optima) > 1, -math.log(float(best)), len(optima))
+    z = Fraction(0)
+    factor_acc, edge_acc = {f: {} for f in nfg.factors}, {e: {} for e in nfg.edge_order}
+    for tup, v in configs:
+        z += v
+        for f in nfg.factors:
+            key = nfg.local_assignment(f, tup)
+            factor_acc[f][key] = factor_acc[f].get(key, 0) + v
+        for e in nfg.edge_order:
+            s = tup[nfg.edge_index(e)]
+            edge_acc[e][s] = edge_acc[e].get(s, 0) + v
+    beta = PseudoMarginals(
+        {f: {k: v / z for k, v in d.items()} for f, d in factor_acc.items()},
+        {e: {k: v / z for k, v in d.items()} for e, d in edge_acc.items()},
+    )
+    s = decide(beta, False, -math.log(float(z)))
+    res = minimize_bethe(nfg, 0)
+    return {"bmapd": b, "smapd": s, "bgcd": decide(res.beta, res.tie, res.f_min)}
+
+
+def seeded_word(rng, words, p):
+    return [str(s ^ (rng.random() < p)) for s in rng.choice(words)]
+
+
+def list_oracle_cases():
+    """Decoding graphs on example3, all attached to one code graph."""
+    h = ParityCheckMatrix(EXAMPLE3_ROWS)
+    code, words = nfg_from_parity_check(h), h.codewords()
+    rng = random.Random(41)
+    cases = {}
+    for p in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5)):
+        for i in range(3):
+            cases[f"bsc{p.denominator}-{i}"] = attach_channel(code, Channel.bsc(p), seeded_word(rng, words, p))
+    for i in range(2):
+        cases[f"float-bsc-{i}"] = attach_channel(code, Channel.bsc(0.1), seeded_word(rng, words, 0.1))
+    erasure = Channel(2, {("0", 0): Fraction(2, 3), ("?", 0): Fraction(1, 3),
+                          ("1", 1): Fraction(2, 3), ("?", 1): Fraction(1, 3)})
+    y = ["?" if rng.random() < 0.5 else str(s) for s in words[9]]
+    cases["erasure"] = attach_channel(code, erasure, y)
+    prior = [[Fraction(3, 5), Fraction(2, 5)]] * 10
+    cases["prior"] = attach_channel(code, Channel.bsc(Fraction(1, 10)), seeded_word(rng, words, 0.1), prior)
+    return cases
+
+
+LIST_ORACLE_CASES = list_oracle_cases()
+
+
+@pytest.mark.parametrize("case", sorted(LIST_ORACLE_CASES))
+def test_decoders_match_decoding_graph_walk(case):
+    """The decoders read the code's list, scaled to ints where exact; their
+    decisions, ties, objectives, beliefs and optimum counts are those of the
+    decoding graph's own walk, bit for bit."""
+    dec = LIST_ORACLE_CASES[case]
+    want = list_oracle(dec)
+    for name, decoder in (("bmapd", bmapd), ("smapd", smapd), ("bgcd", bgcd)):
+        res = decoder(dec)
+        got = (res.decisions, res.tie, res.objective, res.beliefs, res.diagnostics.get("n_optima"))
+        assert got == want[name], name
+
+
+def test_decoding_walks_each_code_once(monkeypatch):
+    """attach_channel, bmapd, smapd and bgcd on 20 words walk the code once;
+    alternating two codes gives each its own list."""
+    calls = []
+    configs = Walk.configs
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return configs(self, *args, **kwargs)
+
+    monkeypatch.setattr(Walk, "configs", counting)
+    h = ParityCheckMatrix(EXAMPLE3_ROWS)
+    code, words = nfg_from_parity_check(h), h.codewords()
+    rng = random.Random(43)
+    ch = Channel.bsc(Fraction(1, 10))
+    for _ in range(20):
+        dec = attach_channel(code, ch, seeded_word(rng, words, 0.1))
+        for decoder in (bmapd, smapd, bgcd):
+            decoder(dec)
+    assert len(calls) == 1
+
+    calls.clear()
+    codes = [(nfg_from_parity_check(m), m.codewords()) for m in (REPETITION4, ParityCheckMatrix([[1, 1, 1]]))]
+    decoded = []
+    for i in range(8):
+        code, words = codes[i % 2]
+        dec = attach_channel(code, ch, seeded_word(rng, words, 0.2))
+        decoded.append((dec, bmapd(dec).decisions, smapd(dec).decisions))
+    assert len(calls) == 2
+    for dec, b, s in decoded:
+        want = list_oracle(dec)
+        assert (b, s) == (want["bmapd"][0], want["smapd"][0])
+
+
+def test_cap_holds_after_the_list_is_cached(monkeypatch):
+    code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
+    ch = Channel.bsc(Fraction(1, 10))
+    dec = attach_channel(code, ch, "0" * 10)
+    assert not bgcd(dec).tie  # an integral optimum, so the tie check counts
+    monkeypatch.setenv("GCB_CONFIG_CAP", "31")  # the code has 32 codewords
+    for call in (lambda: attach_channel(code, ch, "0" * 10), lambda: bmapd(dec),
+                 lambda: smapd(dec), lambda: bgcd(dec)):
+        with pytest.raises(CapExceeded):
+            call()
+
+
+def test_exact_symbol_ties_compare_exactly():
+    """Beliefs 1e-14 apart are no tie when exact: smapd agrees with bmapd."""
+    half, eps = Fraction(1, 2), Fraction(1, 10**14)
+    ch = Channel(2, {("a", 0): half, ("b", 0): half, ("a", 1): half + eps, ("b", 1): half - eps})
+    dec = attach_channel(nfg_from_parity_check(ParityCheckMatrix([[1, 1]])), ch, "aa")
+    for res in (bmapd(dec), smapd(dec)):
+        assert (res.decisions, res.tie) == ((1, 1), False)
+
+
+def test_rational_prior_gives_exact_gamma():
+    h = ParityCheckMatrix(EXAMPLE3_ROWS)
+    prior = [[Fraction(3, 4), Fraction(1, 4)]] * 10
+    dec = attach_channel(nfg_from_parity_check(h), Channel.bsc(Fraction(1, 10)), "0" * 10, prior)
+    kappa = sum(math.prod(prior[i][x[i]] for i in range(10)) for x in h.codewords())
+    assert type(dec.gamma) is Fraction and dec.gamma == 1 / kappa
 
 
 # -- ladders and invariances --------------------------------------------------------
