@@ -477,8 +477,8 @@ def smapd(dec: DecodingNfg, cap=None) -> DecodeResult:
 
     This is ``sgcd`` at degree 1, with ``cap`` bounding the code's list of
     valid configurations (``_rule_walk``).  The decision vector need not be
-    a codeword.  The attached pseudo-marginals are the exact marginals of the posterior, so
-    they are globally realizable by construction.
+    a codeword.  The attached pseudo-marginals are the exact marginals of
+    the posterior, so they are globally realizable by construction.
     """
     return _symbolwise(dec, 1, None, cap)
 
