@@ -2,18 +2,26 @@
 
 ``Walk`` is the only walk over valid configurations in gcb; enumeration,
 exact and float cover sums, pre-image counting and the decoding rules, MAP
-decoding included, all run on it.  ``cover_sweep`` is the one sum over covers, for both
-precisions.
+decoding included, all run on it; exact walks on rational tables multiply
+scaled ints, times ``Walk.unit`` once per sum.  ``cover_sweep`` is the one
+sum over covers, for both precisions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from operator import itemgetter
 
 from ..errors import CapExceeded
 from .plan import Plan
+
+
+def lcm_scaled(values):
+    """(ints, L): rational ``values`` times L, the LCM of their denominators."""
+    lcm = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 
 class Walk:
@@ -24,27 +32,39 @@ class Walk:
     already on its bound edges; its free edges then take the row's
     symbols.  A chosen row is reported as its index into ``rows``, the list
     of (factor id, row) pairs over the plan's factors in order.  Values
-    multiply the tables' own values left to right from Fraction(1), so
-    rational tables give Fractions; with ``exact=False`` the tables'
-    floats multiply from 1.0.
+    multiply the rows' ``weights`` left to right, and ``value * unit`` is
+    the global value.  When every table is rational, exact mode scales each
+    to ints by the LCM L of its denominators (``unit`` = 1 / prod L^M, a
+    Fraction); with a float table it keeps the tables' own values (``unit``
+    = 1), since an int product past 1e308 cannot meet a float.  With
+    ``exact=False`` all are floats and ``unit`` is 1.0.
     """
 
     def __init__(self, plan: Plan, m: int = 1, exact: bool = True):
         self.m = m
         self.n_slots = len(plan.sizes) * m
-        self.one = Fraction(1) if exact else 1.0
+        self.one = 1 if exact else 1.0
         self.rows = []
+        self.weights = []
         self._factors = []
+        rational = exact and all(isinstance(w, (int, Fraction)) for fp in plan.factors for w in fp.weights)
+        scale = 1
         for fp in plan.factors:
+            weights = fp.weights if exact else [float(w) for w in fp.weights]
+            if rational:
+                weights, lcm = lcm_scaled(weights)
+                scale *= lcm
             key = itemgetter(*fp.bound_sel) if fp.bound_sel else (lambda row: ())
             groups: dict = {}
-            for row, w in zip(fp.support, fp.weights):
+            for row, w in zip(fp.support, weights):
                 free = tuple(row[p] for p in fp.free_sel)
-                groups.setdefault(key(row), []).append((free, w if exact else float(w), len(self.rows)))
+                groups.setdefault(key(row), []).append((free, w, len(self.rows)))
                 self.rows.append((fp.fid, row))
+                self.weights.append(w)
             bound = [(fp.edge_idx[p], fp.twist[p]) for p in fp.bound_sel]
             free_edges = [(fp.edge_idx[p], fp.twist[p]) for p in fp.free_sel]
             self._factors.append((bound, free_edges, groups))
+        self.unit = Fraction(1, scale**m) if exact else 1.0
 
     def configs(self, perm_inv=None):
         """Yield (value, slots, rows) at each valid configuration.
@@ -102,12 +122,14 @@ def cover_sweep(walk: Walk, perm_invs, inv_t, limit: int):
     """Sum the partition functions of the covers given by ``perm_invs``.
 
     Each item of ``perm_invs`` is a ``Walk.configs`` permutation map.  A
-    cover's Z sums ``value`` (``value ** inv_t`` unless inv_t == 1) over its
-    valid configurations in the walk's own arithmetic, and the covers' Z
-    are added in the order listed.  Returns (sum over covers of Z, number
+    cover's Z sums ``value`` (``(value * unit) ** inv_t`` unless inv_t == 1)
+    over its valid configurations in the walk's own arithmetic, the covers'
+    Z are added in the order listed, and at inv_t == 1 the total is
+    multiplied by ``walk.unit`` once.  Returns (sum over covers of Z, number
     of valid configurations, number of covers); raises CapExceeded once one
     cover has more than ``limit`` valid configurations.
     """
+    unit = walk.unit
     zero = 0 * walk.one
     total = zero
     n_configs = n_covers = 0
@@ -115,10 +137,10 @@ def cover_sweep(walk: Walk, perm_invs, inv_t, limit: int):
         z = zero
         n = 0
         for n, (value, _, _) in enumerate(itertools.islice(walk.configs(perm_inv), limit + 1), 1):
-            z += value if inv_t == 1 else value**inv_t
+            z += value if inv_t == 1 else (value * unit) ** inv_t
         if n > limit:
             raise CapExceeded(f"more than {limit} valid configurations")
         total += z
         n_configs += n
         n_covers += 1
-    return total, n_configs, n_covers
+    return (total * unit if inv_t == 1 else total), n_configs, n_covers

@@ -249,11 +249,12 @@ def zbethe_m_typesum(
         if n_vectors > limit:
             raise CapExceeded(f"factor {f.id}: {n_vectors} count vectors exceed cap {limit}")
     types = TypeWalk(nfg, m, None if exact else 1.0 / float(temperature))
-    total = Fraction(0) if exact else 0.0
+    total = 0 * types.walk.one
     for n, (value, _, _) in enumerate(types.walk.configs(), 1):
         if n > limit:
             raise CapExceeded(f"more than {limit} types")
         total += value
+    total *= types.unit
     return ZBetheM(float(total) ** (1.0 / m), total, m, count_covers(nfg, m))
 
 

@@ -242,10 +242,10 @@ def cmd_decode(args):
         y = fh.read().split()
     dec = attach_channel(nfg_code, channel, y, cap=args.config_cap)
     decoder = {"bmapd": bmapd, "smapd": smapd, "bgcd": bgcd, "sgcd": sgcd}[args.decoder]
-    if args.decoder in ("bgcd", "sgcd") and args.degree is not None:
-        result = decoder(dec, degree=args.degree, cap=args.cover_cap, config_cap=args.config_cap)
+    if args.decoder in ("bmapd", "smapd"):
+        result = decoder(dec, cap=args.config_cap)
     else:
-        result = decoder(dec, cap=args.config_cap) if args.decoder in ("bmapd", "smapd") else decoder(dec)
+        result = decoder(dec, degree=args.degree, cap=args.cover_cap, config_cap=args.config_cap)
     lines = [
         f"decision={''.join(str(s) for s in result.decisions)}",
         f"tie={str(result.tie).lower()}",

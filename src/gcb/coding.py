@@ -353,29 +353,28 @@ def _decide(dec: DecodingNfg, beta: PseudoMarginals, tie, objective, diagnostics
     return DecodeResult(decisions, beta, symbol_beliefs, tie, objective, diagnostics)
 
 
+_WALKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _rule_walk(dec: DecodingNfg, m: int, cap, config_cap):
-    """(walk, unit, covers): the walk of ``dec.nfg`` at degree m, and one
-    iterable of (value, slots, rows) per gauge-fixed cover, as ``cover_walk``
-    yields them, with ``value * unit`` the global value.  At M = 1 the one
-    cover is ``dec.nfg``, read off its code's list (``_valid_configs``,
-    bounded by ``config_cap``) less the configurations a table does not
-    support; there exact tables are scaled to ints by the LCM of their
-    denominators, and float tables multiply in walk order."""
+    """(walk, unit, covers): the walk of ``dec.nfg`` at degree m, kept with
+    the graph for every decoder, and one iterable of (value, slots, rows)
+    per gauge-fixed cover, as ``cover_walk`` yields them, with ``value *
+    unit`` the global value.  At M = 1 the one cover is ``dec.nfg``, read
+    off its code's list (``_valid_configs``, bounded by ``config_cap``) less
+    the configurations a table does not support, times the walk's weights."""
     nfg = dec.nfg
-    plan = _kernels.build_plan(nfg)
-    walk = Walk(plan, m)
+    walks = _WALKS.setdefault(nfg, {})
+    if m not in walks:
+        walks[m] = Walk(_kernels.build_plan(nfg), m)
+    walk = walks[m]
     if m != 1:
         perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
-        return walk, walk.one, (cover_walk(walk, p, config_cap) for p in perm_invs)
-    steps, scale, first = [], 1, 0  # per plan factor: edges, {row: (row id in walk.rows, value)}
-    for fp in plan.factors:
-        weights = fp.weights
-        if not any(isinstance(w, float) for w in weights):
-            lcm = math.lcm(*(w.denominator for w in weights))
-            weights = [w.numerator * lcm // w.denominator for w in weights]
-            scale *= lcm
-        steps.append((fp.edge_idx, dict(zip(fp.support, enumerate(weights, first)))))
-        first += len(weights)
+        return walk, walk.unit, (cover_walk(walk, p, config_cap) for p in perm_invs)
+    tables: dict = {}  # per factor, in walk order: {row: (row id, weight)}
+    for row_id, ((fid, row), w) in enumerate(zip(walk.rows, walk.weights)):
+        tables.setdefault(fid, {})[row] = (row_id, w)
+    steps = [([nfg.edge_index(e) for e in nfg.factors[fid].edges], table) for fid, table in tables.items()]
 
     def configs():
         for slots, _ in _valid_configs(dec.code_nfg or nfg, config_cap):
@@ -383,7 +382,7 @@ def _rule_walk(dec: DecodingNfg, m: int, cap, config_cap):
             if None not in hits:
                 yield math.prod(w for _, w in hits), slots, [i for i, _ in hits]
 
-    return walk, walk.one / scale, [configs()]
+    return walk, walk.unit, [configs()]
 
 
 def _blockwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
@@ -454,10 +453,10 @@ def _symbolwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
         n_covers += 1
     if z_total == 0:
         raise GcbError("zero partition sum")
-    norm = m * z_total
+    norm = m * z_total * unit
     beta = PseudoMarginals(
-        {f: {k: v / norm for k, v in d.items()} for f, d in factor_acc.items()},
-        {e: {s: v / norm for s, v in d.items()} for e, d in edge_acc.items()},
+        {f: {k: v * unit / norm for k, v in d.items()} for f, d in factor_acc.items()},
+        {e: {s: v * unit / norm for s, v in d.items()} for e, d in edge_acc.items()},
     )
     return _decide(dec, beta, False, -math.log(float(z_total * unit / n_covers)) / m, {"degree": m})
 
@@ -495,12 +494,12 @@ def bgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None,
     configurations over all labeled covers, and ``tie`` means more than one
     optimal type.  Ties go to the type smallest in ``_type_key`` order.  At
     M = 1 this is ``bmapd``.  Without ``degree``, the tie check reads the
-    values of ``bmapd``'s walk and raises CapExceeded past the configuration
-    cap.
+    values of ``bmapd``'s walk and raises CapExceeded past ``config_cap``
+    (the environment's or default configuration cap when None).
     """
     if degree is not None:
         return _blockwise(dec, degree, cap, config_cap)
-    _, unit, (configs,) = _rule_walk(dec, 1, None, None)
+    _, unit, (configs,) = _rule_walk(dec, 1, None, config_cap)
     values = (value * unit for value, _, _ in configs)
     res = minimize_bethe(dec.nfg, 0, values=values, **minimize_kwargs)
     return _decide(dec, res.beta, res.tie, res.f_min)

@@ -37,7 +37,7 @@ from .errors import (
     ShapeMismatch,
 )
 from . import _kernels
-from ._kernels.pyref import Walk
+from ._kernels.pyref import Walk, lcm_scaled
 from .gibbs import config_cap as default_config_cap
 from .gibbs import valid_tuples  # noqa: F401  (benchmark self-tests read gcb.covers.valid_tuples)
 from .nfg import Factor, Nfg
@@ -540,9 +540,12 @@ class TypeWalk:
     pre-image count.  Each count vector c contributes prod_row
     table[row]^{c_row/T} times multinomial(M; c), divided by
     multinomial(M; marginal) for each full edge free at that factor (its
-    first endpoint in plan order).  ``inv_t=None`` keeps the tables'
-    values exact, so rational tables give Fractions; a float ``inv_t``
-    gives exp(inv_t * sum c_row log table[row]) times the multinomial ratio.
+    first endpoint in plan order).  ``inv_t=None`` gives scaled ints: with
+    table[row] = a/b and L the LCM of the factor's b, multinomial(M; c)
+    prod_row (a L / b)^{c_row} prod_symbol marginal!, so the walk's values
+    times ``unit``, 1 / prod L^M M!^{free full edges}, are the leaf values.
+    A float ``inv_t`` gives exp(inv_t * sum c_row log table[row]) times the
+    multinomial ratio, and ``unit`` is 1.0.
     """
 
     def __init__(self, nfg: Nfg, m: int, inv_t=None):
@@ -550,26 +553,29 @@ class TypeWalk:
         self.m = m
         self.counts = []  # counts[row_id]: {support row: nonzero count} behind walk.rows[row_id]
         factors = []
+        scale = 1
         for fp in _kernels.build_plan(nfg).factors:
             edges = nfg.factors[fp.fid].edges
             sizes = [nfg.alphabet_sizes[e] for e in edges]
             free_full = [p for p in fp.free_sel if edges[p] not in nfg.half_edges]
+            table = fp.weights
+            if inv_t is None:
+                table, lcm = lcm_scaled(table)
+                scale *= lcm**m * math.factorial(m) ** len(free_full)
             support, weights = [], []
             for c in _compositions(m, len(fp.support)):
-                used = [(row, g, n) for row, g, n in zip(fp.support, fp.weights, c) if n]
+                used = [(row, g, n) for row, g, n in zip(fp.support, table, c) if n]
                 margs = [[0] * size for size in sizes]
                 for row, _, n in used:
                     for p, s in enumerate(row):
                         margs[p][s] += n
                 margs = tuple(map(tuple, margs))
                 num = _multinomial(m, c)
-                den = math.prod(_multinomial(m, margs[p]) for p in free_full)
                 if inv_t is None:
-                    for _, g, n in used:
-                        num *= g.numerator ** n
-                        den *= g.denominator ** n
-                    w = Fraction(num, den)
+                    w = num * math.prod(g**n for _, g, n in used)
+                    w *= math.prod(math.factorial(n) for p in free_full for n in margs[p])
                 else:
+                    den = math.prod(_multinomial(m, margs[p]) for p in free_full)
                     w = math.exp(inv_t * sum(n * math.log(g) for _, g, n in used)) * (num / den)
                 support.append(margs)
                 weights.append(w)
@@ -579,6 +585,7 @@ class TypeWalk:
                                            support=support, weights=weights))
         plan = SimpleNamespace(sizes=[0] * len(nfg.edge_order), factors=factors)
         self.walk = Walk(plan, 1, exact=inv_t is None)
+        self.unit = self.walk.unit / scale
 
     def beta(self, rows) -> PseudoMarginals:
         """The pseudo-marginal of a leaf's chosen row ids."""

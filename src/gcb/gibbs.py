@@ -49,8 +49,9 @@ def valid_tuples(nfg: Nfg, cap=None):
     """
     limit = config_cap(cap)
     found = []
-    for value, slots, _ in Walk(build_plan(nfg)).configs():
-        found.append((tuple(slots), value))
+    walk = Walk(build_plan(nfg))
+    for value, slots, _ in walk.configs():
+        found.append((tuple(slots), value * walk.unit))
         if len(found) > limit:
             raise CapExceeded(f"more than {limit} valid configurations")
     found.sort()

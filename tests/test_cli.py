@@ -184,6 +184,16 @@ def test_decode_degree_config_cap_exit(tmp_path, capsys, decoder):
     assert "more than 2 valid configurations" in err
 
 
+def test_decode_bgcd_config_cap_exit(tmp_path, capsys):
+    # the code has 2 codewords; the cap bounds attach_channel and bgcd's tie check
+    code, out, _ = decode_repetition(capsys, tmp_path, "--decoder", "bgcd", "--config-cap", "2")
+    assert code == 0 and out.startswith("decision=000\n")
+    code, out, err = decode_repetition(capsys, tmp_path, "--decoder", "bgcd", "--config-cap", "1")
+    assert code == 2
+    assert out == ""
+    assert "more than 1 valid configurations" in err
+
+
 def test_decode_from_alist(tmp_path, capsys):
     alist = tmp_path / "h.alist"
     # 3 columns, 2 rows: the length-3 repetition code

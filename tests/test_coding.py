@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import gcb._kernels as kernels
 from gcb._kernels.pyref import Walk
 from gcb.bethe import minimize_bethe
 from gcb.coding import (
@@ -244,6 +245,8 @@ def test_float_channel_ties_match_exact(y, degree, n_optima):
 def test_bgcd_tie_check_raises_past_config_cap(monkeypatch):
     dec = attach_channel(nfg_from_parity_check(REPETITION4), Channel.bsc(Fraction(1, 10)), "0011")
     assert bgcd(dec).tie
+    with pytest.raises(CapExceeded):
+        bgcd(dec, config_cap=1)
     monkeypatch.setenv("GCB_CONFIG_CAP", "1")
     with pytest.raises(CapExceeded):
         bgcd(dec)
@@ -576,16 +579,22 @@ def test_decoders_match_decoding_graph_walk(case):
 
 
 def test_decoding_walks_each_code_once(monkeypatch):
-    """attach_channel, bmapd, smapd and bgcd on 20 words walk the code once;
-    alternating two codes gives each its own list."""
-    calls = []
-    configs = Walk.configs
+    """attach_channel, bmapd, smapd and bgcd on 20 words walk the code once
+    and plan each decoding graph once; alternating two codes gives each its
+    own list."""
+    calls, plans = [], []
+    configs, build_plan = Walk.configs, kernels.build_plan
 
     def counting(self, *args, **kwargs):
         calls.append(self)
         return configs(self, *args, **kwargs)
 
+    def counting_plans(nfg):
+        plans.append(nfg)
+        return build_plan(nfg)
+
     monkeypatch.setattr(Walk, "configs", counting)
+    monkeypatch.setattr(kernels, "build_plan", counting_plans)
     h = ParityCheckMatrix(EXAMPLE3_ROWS)
     code, words = nfg_from_parity_check(h), h.codewords()
     rng = random.Random(43)
@@ -595,6 +604,7 @@ def test_decoding_walks_each_code_once(monkeypatch):
         for decoder in (bmapd, smapd, bgcd):
             decoder(dec)
     assert len(calls) == 1
+    assert len(plans) == 20
 
     calls.clear()
     codes = [(nfg_from_parity_check(m), m.codewords()) for m in (REPETITION4, ParityCheckMatrix([[1, 1, 1]]))]

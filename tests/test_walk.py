@@ -102,6 +102,28 @@ def random_graph(seed, rational=True, extra=False):
     return Nfg(sizes, half, factors)
 
 
+def coprime_graph(float_table=False):
+    """A triangle f0 - f1 - f2 closed by a ternary edge, with a half-edge on
+    f0 and f2.  Its tables mix the coprime denominators 3, 7 and 11 with int
+    entries, so the exact walk scales f0 and f2 by 231 and f1 by 33; with
+    ``float_table``, f1's table is float and no table is scaled."""
+    third, two7, five11 = Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)
+    f1 = {(0, 0): 2, (1, 1): five11, (1, 0): third}
+    if float_table:
+        f1 = {key: float(v) * 1.1 for key, v in f1.items()}
+    factors = [
+        Factor("f0", ("a", "t", "h0"), {(0, 0, 0): third, (1, 1, 0): two7, (0, 2, 1): five11,
+                                        (1, 0, 1): 1, (0, 1, 1): two7}),
+        Factor("f1", ("a", "b"), f1),
+        Factor("f2", ("b", "t", "h2"), {(0, 0, 0): two7, (1, 1, 1): third, (0, 2, 0): 3,
+                                        (1, 0, 1): five11, (1, 2, 1): Fraction(1)}),
+    ]
+    return Nfg({"a": 2, "b": 2, "t": 3, "h0": 2, "h2": 2}, ["h0", "h2"], factors)
+
+
+COPRIME = "coprime"  # a parameter value selecting coprime_graph() over a seed
+
+
 def oracle_covers(nfg, m):
     """(spec, cover, maps, sorted valid tuples) for every M-cover."""
     for spec in enumerate_covers(nfg, m):
@@ -112,9 +134,9 @@ def oracle_covers(nfg, m):
 # -- base-graph walk ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", [*SEEDS, COPRIME])
 def test_valid_tuples_match_brute_force_product(seed):
-    nfg = random_graph(seed)
+    nfg = coprime_graph() if seed == COPRIME else random_graph(seed)
     want = []
     for t in itertools.product(*(range(nfg.alphabet_sizes[e]) for e in nfg.edge_order)):
         value = Fraction(1)
@@ -158,7 +180,8 @@ def test_cover_configurations_match_per_cover_oracle(seed):
         total = Fraction(0)
         for spec, cover, (_, edge_map), tuples in oracle_covers(nfg, m):
             order = [nfg.edge_index(e) * m + k for e, k in map(edge_map.get, cover.edge_order)]
-            got = [(tuple(slots[s] for s in order), v) for v, slots, _ in cover_walk(walk, cover_perm_inv(spec))]
+            got = [(tuple(slots[s] for s in order), v * walk.unit)
+                   for v, slots, _ in cover_walk(walk, cover_perm_inv(spec))]
             assert sorted(got) == tuples
             total += sum((v for _, v in tuples), Fraction(0))
         pre_root = zbethe_m_enumeration(nfg, m, exact=True).pre_root
@@ -166,9 +189,12 @@ def test_cover_configurations_match_per_cover_oracle(seed):
         assert pre_root == total / count_covers(nfg, m)
 
 
-@pytest.mark.parametrize("seed", SEEDS[:4])
+@pytest.mark.parametrize("seed", [*SEEDS[:4], COPRIME])
 def test_monte_carlo_matches_per_cover_oracle(seed):
-    nfg = random_graph(seed, rational=False)
+    # the coprime graph's walk is exact and scaled, so each global value is
+    # value * unit before it is raised to 1/T
+    nfg = coprime_graph() if seed == COPRIME else random_graph(seed, rational=False)
+    seed = 0 if seed == COPRIME else seed
     res = zbethe_m_enumeration(nfg, 2, temperature=0.7, samples=5, seed=seed)
     rng = random.Random(seed)
     vals = [float(gibbs_partition(build_cover(random_cover(nfg, 2, rng.getrandbits(48))), 0.7))
@@ -213,6 +239,7 @@ GAUGE_CASES = (
     [("rank3", seed, 2) for seed in (0, 2, 3, 6)]
     + [("rank2", 2, 3)]
     + [("pair", seed, m) for seed in (1, 4) for m in (3, 4)]
+    + [(COPRIME, 0, m) for m in (2, 3)]
 )
 
 
@@ -220,7 +247,10 @@ GAUGE_CASES = (
 def test_gauge_fixed_paths_and_typesum_match_labeled_oracle(kind, seed, m):
     """Every cover average over the gauge-fixed covers, and the direct
     type-sum, against one pass over every labeled cover."""
-    nfg = pair_graph(seed) if kind == "pair" else random_graph(seed, extra=kind == "rank3")
+    if kind == COPRIME:
+        nfg = coprime_graph()
+    else:
+        nfg = pair_graph(seed) if kind == "pair" else random_graph(seed, extra=kind == "rank3")
     total, total_t, tally = Fraction(0), 0.0, {}
     for _, cover, (factor_map, edge_map), tuples in oracle_covers(nfg, m):
         total += sum((v for _, v in tuples), Fraction(0))
@@ -264,22 +294,23 @@ def test_gauge_fixed_covers_count_the_cotree():
     assert cotree_edges(tree) == [] and list(gauge_fixed_perm_invs(tree, 3)) == [{}]
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", [*SEEDS, COPRIME])
 def test_pure_cover_sweep_matches_per_cover_oracle(seed):
-    nfg = random_graph(seed, rational=seed % 2 == 0)
+    rational = seed == COPRIME or seed % 2 == 0
+    nfg = coprime_graph() if seed == COPRIME else random_graph(seed, rational=rational)
     plan = build_plan(nfg)
     maps = [cover_perm_inv(spec) for spec in enumerate_covers(nfg, 2)]
     n = len(maps)
     count = sum(len(t) for *_, t in oracle_covers(nfg, 2))
-    cases = [(Walk(plan, 2, exact=False), temperature) for temperature in (1.0, 0.7)]
-    if seed % 2 == 0:
-        cases.append((Walk(plan, 2), 1))
-    for walk, temperature in cases:
+    cases = [(Walk(plan, 2, exact=False), temperature, False) for temperature in (1.0, 0.7)]
+    if rational:
+        cases.append((Walk(plan, 2), 1, True))
+    for walk, temperature, exact in cases:
         inv_t = 1 if temperature == 1 else 1.0 / temperature
         zsum, found, visited = cover_sweep(walk, maps, inv_t, 10**6)
         want = sum(gibbs_partition(cover, temperature) for _, cover, _, _ in oracle_covers(nfg, 2))
-        if isinstance(walk.one, Fraction):
-            assert zsum == want
+        if exact:
+            assert isinstance(zsum, Fraction) and zsum == want
         else:
             assert isinstance(zsum, float) and zsum == pytest.approx(float(want), rel=1e-12)
         assert found == count
@@ -288,6 +319,74 @@ def test_pure_cover_sweep_matches_per_cover_oracle(seed):
         assert sum(p[1] for p in parts) == count
         assert sum(p[2] for p in parts) == n
         assert sum(p[0] for p in parts) == pytest.approx(zsum, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_exact_walk_multiplies_scaled_ints(m):
+    """An exact walk yields ints: each rational table is scaled by the LCM
+    of its denominators, and ``unit`` undoes the scaling once per sum.  A
+    float table leaves every table unscaled, and the values are floats."""
+    nfg = coprime_graph()
+    walk = Walk(build_plan(nfg), m)
+    assert walk.unit == Fraction(1, (231 * 33 * 231) ** m)
+    values = [value for value, _, _ in walk.configs()]
+    assert values and all(type(value) is int for value in values)
+    types = TypeWalk(nfg, m)
+    assert types.unit == Fraction(1, (231 * 33 * 231) ** m * math.factorial(m) ** 3)
+    assert all(type(value) is int for value, _, _ in types.walk.configs())
+    assert sum(value for value, _, _ in types.walk.configs()) * types.unit == zbethe_m_enumeration(nfg, m).pre_root
+
+    mixed = Walk(build_plan(coprime_graph(float_table=True)), m)
+    assert mixed.unit == 1
+    assert all(type(value) is float for value, _, _ in mixed.configs())
+
+
+def test_walk_mixes_float_and_rational_tables():
+    """With one float table among rational ones, the exact walk's values are
+    floats, and every consumer matches its oracle on the same tables in
+    exact rationals, to float rounding."""
+    nfg = coprime_graph(float_table=True)
+    twin = Nfg(nfg.alphabet_sizes, nfg.half_edges,
+               [Factor(f.id, f.edges, {k: Fraction(v) for k, v in f.table.items()}) for f in nfg.factors.values()])
+    got, want = valid_tuples(nfg), valid_tuples(twin)
+    assert [t for t, _ in got] == [t for t, _ in want]
+    assert [v for _, v in got] == pytest.approx([float(v) for _, v in want], rel=1e-12)
+
+    m = 2
+    maps = [cover_perm_inv(spec) for spec in enumerate_covers(nfg, m)]
+    zsum, _, _ = cover_sweep(Walk(build_plan(nfg), m), maps, 1, 10**6)
+    assert type(zsum) is float
+    assert zsum == pytest.approx(float(sum(gibbs_partition(cover) for _, cover, _, _ in oracle_covers(twin, m))),
+                                 rel=1e-12)
+    res = zbethe_m_enumeration(nfg, m, temperature=0.7, samples=4, seed=5)
+    rng = random.Random(5)
+    vals = [float(gibbs_partition(build_cover(random_cover(twin, m, rng.getrandbits(48))), 0.7))
+            for _ in range(4)]
+    assert res.pre_root == pytest.approx(float(np.mean(vals)), rel=1e-12)
+
+    dec = DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
+    twin_dec = DecodingNfg(twin, twin.half_edge_order, Fraction(1), [], None)
+    decisions, n_optima, tie, beta, objective = oracle_bgcd(twin_dec, m)
+    res = bgcd(dec, degree=m)
+    assert (res.decisions, res.diagnostics["n_optima"], res.tie, res.beliefs) == (decisions, n_optima, tie, beta)
+    assert res.objective == pytest.approx(objective, rel=1e-12)
+    factor_want, edge_want = oracle_sgcd_beta(twin_dec, m)
+    beliefs = sgcd(dec, degree=m).beliefs
+    got_f = {(f, k): v for f, d in beliefs.factor_dists.items() for k, v in d.items()}
+    got_e = {(e, s): v for e, d in beliefs.edge_dists.items() for s, v in d.items()}
+    assert got_f.keys() == factor_want.keys() and got_e.keys() == edge_want.keys()
+    assert [got_f[k] for k in factor_want] == pytest.approx([float(v) for v in factor_want.values()], rel=1e-12)
+    assert [got_e[k] for k in edge_want] == pytest.approx([float(v) for v in edge_want.values()], rel=1e-12)
+
+
+def test_mixed_walk_scales_no_table():
+    """Scaled per table, 120 factors of 999/1000 would reach 999**120 > 1e308
+    before the float factor, and the int cannot become a float."""
+    factors = [Factor(f"f{i:03d}", (f"h{i:03d}",), {(0,): Fraction(999, 1000)}) for i in range(120)]
+    factors.append(Factor("z", ("hz",), {(0,): 0.5}))
+    nfg = Nfg({f.edges[0]: 1 for f in factors}, [f.edges[0] for f in factors], factors)
+    ((_, value),) = valid_tuples(nfg)
+    assert value == pytest.approx(0.999**120 * 0.5, rel=1e-12)
 
 
 def test_perm_tables_lehmer_order():
@@ -386,9 +485,11 @@ def decoding_cases():
     # with a smaller key, so the decisions are 00.
     nfg = random_graph(36)
     yield DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
+    nfg = coprime_graph()
+    yield DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
 
 
-N_DECODING_CASES = len(SEEDS) + 5
+N_DECODING_CASES = len(SEEDS) + 6
 
 
 @pytest.mark.parametrize("case", range(N_DECODING_CASES))
