@@ -162,11 +162,15 @@ def check_local_consistency(nfg: Nfg, beta: PseudoMarginals, tol: float = 1e-9):
         if bad(sum(d.values()) - 1):
             violations.append(("edge-sum", e))
     for f in sorted(nfg.factors):
-        fac = nfg.factors[f]
-        for pos, e in enumerate(fac.edges):
-            for s in range(nfg.alphabet_sizes[e]):
-                marg = sum(v for k, v in beta.factor_dists[f].items() if k[pos] == s)
-                if bad(marg - beta.edge_weight(e, s)):
+        edges = nfg.factors[f].edges
+        margs = [[0] * nfg.alphabet_sizes[e] for e in edges]
+        for key, v in beta.factor_dists[f].items():
+            for marg, s in zip(margs, key):
+                if 0 <= s < len(marg):  # a symbol outside the alphabet adds to no marginal
+                    marg[s] += v
+        for e, marg in zip(edges, margs):
+            for s, m in enumerate(marg):
+                if bad(m - beta.edge_weight(e, s)):
                     violations.append(("consistency", f, e, s))
     return (not violations), violations
 

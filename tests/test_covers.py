@@ -1,15 +1,21 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from gcb.bme import bme_completion
+from gcb.coding import ParityCheckMatrix, nfg_from_parity_check
 from gcb.covers import (
     CoverSpec,
     PreimageCensus,
+    PseudoMarginals,
     beta_from_configuration,
     build_cover,
     build_cover_with_map,
+    check_local_consistency,
+    check_shape,
     count_covers,
     cover_spec_at_index,
     emit_cover_spec,
@@ -26,7 +32,7 @@ from gcb.errors import CapExceeded, InvalidConfiguration, NonIntegralType
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg, parity_table
 
-from conftest import fig5_beta
+from conftest import EXAMPLE3_ROWS, fig5_beta
 
 
 def two_factor_toy():
@@ -330,3 +336,78 @@ def test_cover_index_roundtrip(dumbbell):
     specs = list(enumerate_covers(dumbbell, 2))
     for i in (0, 17, 127):
         assert cover_spec_at_index(dumbbell, 2, i).perms == specs[i].perms
+
+
+def _consistency_by_scans(nfg, beta, tol):
+    """The reference: one scan of a factor's rows per (edge, symbol)."""
+    check_shape(nfg, beta)
+    exact = beta.is_exact() and tol == 0
+    violations = []
+
+    def bad(diff):
+        return diff != 0 if exact else abs(float(diff)) > tol
+
+    for f in sorted(nfg.factors):
+        d = beta.factor_dists[f]
+        for key, v in d.items():
+            if (v < 0) if exact else (float(v) < -tol):
+                violations.append(("negative", f, key))
+        if bad(sum(d.values()) - 1):
+            violations.append(("factor-sum", f))
+    for e in nfg.edge_order:
+        d = beta.edge_dists[e]
+        for s, v in d.items():
+            if (v < 0) if exact else (float(v) < -tol):
+                violations.append(("negative", e, s))
+        if bad(sum(d.values()) - 1):
+            violations.append(("edge-sum", e))
+    for f in sorted(nfg.factors):
+        for pos, e in enumerate(nfg.factors[f].edges):
+            for s in range(nfg.alphabet_sizes[e]):
+                marg = sum(v for k, v in beta.factor_dists[f].items() if k[pos] == s)
+                if bad(marg - beta.edge_weight(e, s)):
+                    violations.append(("consistency", f, e, s))
+    return (not violations), violations
+
+
+def _perturbed(beta, rng, delta):
+    """beta with a few factor rows shifted by +-delta, and sometimes a new
+    row, a negative entry, or a row whose symbol lies outside the alphabet."""
+    factor_dists = {f: dict(d) for f, d in beta.factor_dists.items()}
+    for _ in range(rng.randint(0, 3)):
+        d = factor_dists[rng.choice(sorted(factor_dists))]
+        key = rng.choice(sorted(d))
+        d[key] += rng.choice((-1, 1)) * delta
+    kind = rng.randrange(4)
+    if kind:
+        f = rng.choice(sorted(factor_dists))
+        arity = len(next(iter(factor_dists[f])))
+        key = tuple(rng.randrange(2) for _ in range(arity))
+        if kind == 3:
+            key = key[:-1] + (rng.choice((2, -1)),)
+        factor_dists[f][key] = factor_dists[f].get(key, 0) + (-delta if kind == 2 else delta)
+    return PseudoMarginals(factor_dists, beta.edge_dists)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_local_consistency_matches_per_symbol_scans(seed, fig1):
+    rng = random.Random(seed)
+    exact = fig5_beta()
+    as_float = PseudoMarginals(
+        {f: {k: float(v) for k, v in d.items()} for f, d in exact.factor_dists.items()},
+        {e: {s: float(v) for s, v in d.items()} for e, d in exact.edge_dists.items()},
+    )
+    code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
+    omega = {e: rng.uniform(0.2, 0.8) for e in code.half_edge_order}
+    completed = bme_completion(code, omega).beta
+    cases = [
+        (fig1, _perturbed(exact, rng, Fraction(1, 7)), 0),
+        (fig1, _perturbed(exact, rng, Fraction(1, 7)), 1e-9),
+        (fig1, _perturbed(as_float, rng, 1 / 7), 1e-9),
+        (code, _perturbed(completed, rng, 1e-6), 1e-9),
+        (code, _perturbed(completed, rng, 1e-6), 1e-5),
+        (code, completed, 1e-9),
+    ]
+    for nfg, beta, tol in cases:
+        assert check_local_consistency(nfg, beta, tol=tol) == _consistency_by_scans(nfg, beta, tol)
+
