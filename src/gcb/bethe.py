@@ -10,7 +10,10 @@ and the constrained-stationarity residual used to confirm sum-product
 fixed points.  The minimization half describes the polytope once, in
 ``_BetaIndex``: the T = 0 linear program, the projected descent, the
 residual and the minimizer's candidates all read its slots, constraint
-rows, free energy, gradient and tangent projection.
+rows, free energy, gradient and tangent projection, and the max-entropy
+completion (``bme``) is guarded by its rows and scored by its entropy.
+The completion's check blocks are solved together by the stacked Newton
+tilt ``tilt_factor_block``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import functools
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -271,13 +275,15 @@ class _BetaIndex:
     coefficients (+1 on factor rows, -1 on full-edge symbols, 0 on
     half-edge symbols) and the equality constraints A x = b: factor sums,
     edge sums, then one consistency row per factor, incident edge and
-    symbol (the factor's marginal minus the edge's weight).  The free
-    energy, its gradient, the tangent projection and the T = 0 linear
-    program are all read from these.
+    symbol (the factor's marginal minus the edge's weight).  The entropy,
+    the free energy, its gradient, the tangent projection and the T = 0
+    linear program are all read from these.  The index holds its graph
+    weakly, so a cache of indexes keyed by their graphs lets the graphs go;
+    whoever uses an index holds its graph.
     """
 
     def __init__(self, nfg: Nfg):
-        self.nfg = nfg
+        self._graph = weakref.ref(nfg)
         sizes = nfg.alphabet_sizes
         factors = sorted(nfg.factors)
         supports = [nfg.factors[f].support for f in factors]
@@ -327,6 +333,10 @@ class _BetaIndex:
         self._energy = np.array(energy + [0.0] * len(self.edge_slots))
         half = [0.0 if e in nfg.half_edges else -1.0 for e, _ in self.edge_slots]
         self.entropy_coef = np.array([1.0] * n_f + half)
+
+    @property
+    def nfg(self) -> Nfg:
+        return self._graph()
 
     @functools.cached_property
     def a_mat(self) -> np.ndarray:
@@ -398,10 +408,13 @@ class _BetaIndex:
         a_eq[lp_row[rows], self.cols[keep]] = sign[rows]  # factor slots carry +1 in A
         return self._energy[:n_f], a_eq, np.repeat([1.0, 0.0], [n_factors, len(first)])
 
+    def entropy(self, x: np.ndarray) -> float:
+        """Bethe entropy -sum_i coef_i x_i log x_i, with 0 log 0 = 0."""
+        return float(-(self.entropy_coef @ (x * np.log(np.where(x > 0, x, 1.0)))))
+
     def free_energy(self, x: np.ndarray, temperature: float) -> float:
-        """<energy, x> + T * sum_i coef_i x_i log x_i, with 0 log 0 = 0."""
-        xlogx = x * np.log(np.where(x > 0, x, 1.0))
-        return float(self._energy @ x + float(temperature) * (self.entropy_coef @ xlogx))
+        """<energy, x> - T * entropy(x)."""
+        return float(self._energy @ x - float(temperature) * self.entropy(x))
 
     def gradient(self, x: np.ndarray, temperature: float) -> np.ndarray:
         """Gradient of ``free_energy``, with x clamped to the interiority epsilon."""
@@ -433,106 +446,106 @@ def stationarity_residual(nfg: Nfg, beta: PseudoMarginals, temperature: float = 
 
 
 class TiltResult:
-    __slots__ = ("dist", "duals", "value", "iterations", "converged")
+    """Per-block solutions of a stacked tilt: ``dist`` (blocks, rows),
+    ``duals`` (blocks, edges), ``steps`` and ``converged`` per block, and
+    ``iterations``, the Newton iterations summed over the blocks."""
 
-    def __init__(self, dist, duals, value, iterations, converged):
+    __slots__ = ("dist", "duals", "steps", "converged", "iterations")
+
+    def __init__(self, dist, duals, steps, converged):
         self.dist = dist
         self.duals = duals
-        self.value = value
-        self.iterations = iterations
+        self.steps = steps
         self.converged = converged
+        self.iterations = int(steps.sum())
 
 
-def tilt_factor_block(
-    rows,
-    log_w,
-    edge_positions,
-    targets,
-    tol: float = 1e-12,
-    max_iters: int = 200,
-):
-    """Minimize <(-log w), beta> - H(beta) over the simplex with marginal targets.
+def _tilt_scores(features, log_w, lam):
+    return log_w + (features @ lam[:, :, None])[:, :, 0]
 
-    ``rows`` are the factor's support assignments, ``log_w`` their log
-    weights, ``edge_positions`` maps edge -> position, and ``targets`` maps
-    edge -> target distribution (array over the edge's alphabet).  The
-    optimum is an exponential-family tilt beta(a) ∝ w(a) exp(sum_e
-    lambda_{e, a_e}); the duals are found by damped Newton on the
-    marginal-matching conditions (symbol 0 of each edge is gauge-fixed).
 
-    Returns a TiltResult with dist over rows, duals per (edge, symbol), the
-    optimal objective value, and a convergence flag.
-    """
-    rows = list(rows)
-    n_rows = len(rows)
-    edges = sorted(edge_positions)
-    var_index = {}
-    for e in edges:
-        size = len(targets[e])
-        for s in range(1, size):
-            var_index[(e, s)] = len(var_index)
-    n_vars = len(var_index)
-    log_w = np.asarray(log_w, dtype=float)
+def _tilt_dist(features, log_w, lam):
+    scores = _tilt_scores(features, log_w, lam)
+    p = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return p / p.sum(axis=1, keepdims=True)
 
-    features = np.zeros((n_rows, n_vars))
-    for r, row in enumerate(rows):
-        for e in edges:
-            s = row[edge_positions[e]]
-            if s != 0:
-                features[r, var_index[(e, s)]] = 1.0
-    target_vec = np.zeros(n_vars)
-    for (e, s), j in var_index.items():
-        target_vec[j] = float(targets[e][s])
 
-    lam = np.zeros(n_vars)
+def _tilt_dual(features, log_w, targets, lam):
+    scores = _tilt_scores(features, log_w, lam)
+    mx = scores.max(axis=1)
+    return np.einsum("bv,bv->b", lam, targets) - (mx + np.log(np.exp(scores - mx[:, None]).sum(axis=1)))
 
-    def dist_of(lam):
-        scores = log_w + features @ lam
-        scores -= scores.max()
-        p = np.exp(scores)
-        p /= p.sum()
-        return p
 
-    def dual_value(lam):
-        scores = log_w + features @ lam
-        mx = scores.max()
-        return float(lam @ target_vec - (mx + math.log(np.exp(scores - mx).sum())))
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        p = dist_of(lam)
-        marg = features.T @ p
-        grad = target_vec - marg
-        if np.max(np.abs(grad)) <= tol:
-            converged = True
-            break
-        cov = features.T @ (features * p[:, None]) - np.outer(marg, marg)
-        cov += 1e-12 * np.eye(n_vars)
+def _newton_steps(cov, grad):
+    try:
+        return np.linalg.solve(cov, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass
+    steps = grad.copy()  # a singular block steps along its gradient
+    for b in range(len(grad)):
         try:
-            step = np.linalg.solve(cov, grad)
+            steps[b] = np.linalg.solve(cov[b], grad[b])
         except np.linalg.LinAlgError:
-            step = grad
-        if np.max(np.abs(grad)) <= 1e-6:
-            # quadratic convergence zone: the dual's gain is below float
-            # rounding, so backtracking would stall; take the full step
-            lam = lam + step
-            continue
-        base = dual_value(lam)
-        t = 1.0
-        for _ in range(60):
-            cand = lam + t * step
-            if dual_value(cand) > base - 1e-18:
-                break
-            t *= 0.5
-        lam = lam + t * step
+            pass
+    return steps
 
-    p = dist_of(lam)
-    duals = {key: lam[j] for key, j in var_index.items()}
-    for e in edges:
-        duals.setdefault((e, 0), 0.0)
-    value = float(-np.sum(p * log_w) + np.sum(p[p > 0] * np.log(p[p > 0])))
-    return TiltResult({tuple(r): p[i] for i, r in enumerate(rows)}, duals, value, iterations, converged)
+
+def tilt_factor_block(features, log_w, targets, tol: float = 1e-12, max_iters: int = 200) -> TiltResult:
+    """Minimize <(-log w), beta> - H(beta) over the simplex with marginal
+    targets, for a stack of equal-shape binary blocks at once.
+
+    ``features`` (blocks, rows, edges) holds each block's support rows as
+    0/1 symbols, ``log_w`` (blocks, rows) their log weights, and ``targets``
+    (blocks, edges) each edge's target probability of symbol one.  The
+    optimum is an exponential-family tilt beta(a) ∝ w(a) exp(sum_e
+    lambda_e a_e); the duals are found by damped Newton on the
+    marginal-matching conditions, all blocks in one batched solve.  Each
+    block keeps its own backtracking line search and is frozen once its
+    gradient is at most ``tol``; ``converged`` marks the blocks that got
+    there within ``max_iters``.
+    """
+    features = np.asarray(features, dtype=float)
+    log_w = np.asarray(log_w, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    n_blocks, _, n_vars = features.shape
+    lam = np.zeros((n_blocks, n_vars))
+    steps = np.zeros(n_blocks, dtype=int)
+    converged = np.zeros(n_blocks, dtype=bool)
+    ridge = 1e-12 * np.eye(n_vars)
+    live = np.arange(n_blocks)
+    for it in range(1, max_iters + 1):
+        f, lw, tg, lm = features[live], log_w[live], targets[live], lam[live]
+        p = _tilt_dist(f, lw, lm)
+        marg = np.einsum("brv,br->bv", f, p)
+        grad = tg - marg
+        gmax = np.max(np.abs(grad), axis=1)
+        steps[live] = it
+        done = gmax <= tol
+        converged[live[done]] = True
+        if done.all():
+            break
+        if done.any():
+            keep = ~done
+            live, f, lw, tg, lm, p, marg, grad, gmax = (
+                a[keep] for a in (live, f, lw, tg, lm, p, marg, grad, gmax)
+            )
+        cov = np.einsum("brv,brw->bvw", f * p[:, :, None], f) - marg[:, :, None] * marg[:, None, :] + ridge
+        step = _newton_steps(cov, grad)
+        # in the quadratic convergence zone the dual's gain is below float
+        # rounding, so backtracking would stall; those blocks take the full step
+        t = np.ones(len(live))
+        search = np.flatnonzero(gmax > 1e-6)
+        if search.size:
+            base = _tilt_dual(f[search], lw[search], tg[search], lm[search])
+            for _ in range(60):
+                cand = lm[search] + t[search, None] * step[search]
+                ok = _tilt_dual(f[search], lw[search], tg[search], cand) > base - 1e-18
+                search, base = search[~ok], base[~ok]
+                if not search.size:
+                    break
+                t[search] *= 0.5
+        lam[live] = lm + t[:, None] * step
+    return TiltResult(_tilt_dist(features, log_w, lam), lam, steps, converged)
 
 
 # -- minimization -------------------------------------------------------------

@@ -3,20 +3,27 @@
 For parity-check-shaped code graphs the completion decouples: every full
 edge touches a repetition factor whose block is pinned by the half-edge
 marginal, so the remaining entropy maximization splits into one
-exponential-family tilt per check factor.  The induced entropy of the
+exponential-family tilt per check factor.  The tilts of one completion are
+solved together, one stacked Newton solve (``bethe.tilt_factor_block``)
+per group of equal-shape check blocks, and written straight into the flat
+coordinates of the graph's ``bethe._BetaIndex``, the one description of
+the local marginal polytope: its constraint rows guard the completion and
+its entropy coefficients score it.  What depends on the graph alone (the
+index, the pinned slots, each check's rows and log weights) is built once
+per graph and kept while the graph lives.  The induced entropy of the
 half-edge marginal vector is the Bethe entropy of the completed vector.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Mapping
 
 import numpy as np
 
-from .bethe import bethe_terms, tilt_factor_block
-from .covers import PseudoMarginals
-from .errors import GcbError, InfeasibleOmega, NonBinaryAlphabet, ShapeMismatch
+from .bethe import _BetaIndex, tilt_factor_block
+from .errors import GcbError, InconsistentBeta, InfeasibleOmega, NonBinaryAlphabet, ShapeMismatch
 from .nfg import Nfg
 
 
@@ -57,86 +64,136 @@ def _split_variable_check(nfg: Nfg):
     return variable, checks
 
 
+class _Check:
+    """One check factor in the index's coordinates: the slots of its support
+    rows, the rows as 0/1 features (one column per edge), their log
+    weights, and the half-edge marginal pinning each edge."""
+
+    __slots__ = ("fid", "edges", "slots", "features", "log_w", "pins")
+
+    def __init__(self, nfg: Nfg, fid, slot_of: dict, pin: dict):
+        fac = nfg.factors[fid]
+        support = fac.support
+        self.fid = fid
+        self.edges = fac.edges
+        self.slots = np.array([slot_of["f", fid, key] for key in support])
+        self.features = np.array(support, dtype=float)
+        self.log_w = np.array([math.log(fac.table[key]) for key in support])
+        self.pins = np.array([pin[e] for e in fac.edges])
+
+
+class _Plan:
+    """What a completion needs of the graph alone.
+
+    ``half`` orders the half-edge marginals w; slot ``one[i]`` of the index
+    holds w[pinned_by[i]] and slot ``zero[i]`` its complement (the
+    repetition rows and the edge symbols); ``checks`` are the check factors
+    in sorted order.
+    """
+
+    def __init__(self, nfg: Nfg):
+        for e in nfg.alphabet_sizes:
+            if nfg.alphabet_sizes[e] != 2:
+                raise NonBinaryAlphabet(f"edge {e} has alphabet size {nfg.alphabet_sizes[e]}")
+        variable, checks = _split_variable_check(nfg)
+        self.idx = _BetaIndex(nfg)
+        slot_of = self.idx.slot_of
+        self.half = nfg.half_edge_order
+        where = {e: i for i, e in enumerate(self.half)}
+        pin = {}
+        zero, one, pinned_by = [], [], []
+        for fid, e in variable.items():
+            edges = nfg.factors[fid].edges
+            zero.append(slot_of["f", fid, (0,) * len(edges)])
+            one.append(slot_of["f", fid, (1,) * len(edges)])
+            pinned_by.append(where[e])
+            pin.update(dict.fromkeys(edges, where[e]))
+        for e in nfg.edge_order:
+            zero.append(slot_of["e", e, 0])
+            one.append(slot_of["e", e, 1])
+            pinned_by.append(pin[e])
+        self.zero, self.one, self.pinned_by = np.array(zero), np.array(one), np.array(pinned_by)
+        self.checks = [_Check(nfg, fid, slot_of, pin) for fid in checks]
+
+
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _plan(nfg: Nfg) -> _Plan:
+    """The graph's plan, built on first use and kept while the (immutable)
+    graph lives; a graph that fails to plan is not kept, so it raises on
+    every call."""
+    plan = _PLANS.get(nfg)
+    if plan is None:
+        plan = _PLANS[nfg] = _Plan(nfg)
+    return plan
+
+
 def bme_completion(nfg: Nfg, omega: Mapping[str, object], tol: float = 1e-12, max_iters: int = 200) -> BmeResult:
     """argmax of the Bethe entropy over completions matching the half-edge marginals.
 
-    ``omega`` maps each half-edge to its probability of symbol one.  Check
-    blocks are solved by damped Newton on the marginal-matching conditions
-    of the entropy tilt; an unmatchable marginal vector raises
-    InfeasibleOmega.
+    ``omega`` maps each half-edge to its probability of symbol one.  An edge
+    whose marginal is 0 or 1 forces its symbol, keeping the matching rows of
+    each check and dropping the edge from its tilt.  The remaining check
+    blocks are grouped by shape and each group is solved by one call of
+    the stacked damped Newton ``tilt_factor_block``; an unmatchable
+    marginal vector raises InfeasibleOmega.  The completion is written into
+    the index's slot vector, must lie in the local marginal polytope to
+    1e-8 (InconsistentBeta otherwise), and its Bethe entropy is
+    ``h_induced``.  ``iterations`` is the most Newton iterations any check
+    took.
     """
-    for e in nfg.alphabet_sizes:
-        if nfg.alphabet_sizes[e] != 2:
-            raise NonBinaryAlphabet(f"edge {e} has alphabet size {nfg.alphabet_sizes[e]}")
+    plan = _plan(nfg)
     if set(omega) != set(nfg.half_edges):
         raise ShapeMismatch("omega must assign exactly the half-edges")
     for e, w in omega.items():
         if not 0 <= float(w) <= 1:
             raise InfeasibleOmega(f"omega[{e}] = {w} outside [0, 1]")
+    w = np.array([float(omega[e]) for e in plan.half])
+    idx = plan.idx
+    x = np.zeros(idx.n)
+    x[plan.zero] = 1 - w[plan.pinned_by]
+    x[plan.one] = w[plan.pinned_by]
 
-    variable, checks = _split_variable_check(nfg)
-    edge_target = {}
-    factor_dists = {}
-    edge_dists = {}
-    for fid, half in variable.items():
-        w = float(omega[half])
-        fac = nfg.factors[fid]
-        arity = len(fac.edges)
-        block = {}
-        if w < 1:
-            block[(0,) * arity] = 1 - w
-        if w > 0:
-            block[(1,) * arity] = w
-        factor_dists[fid] = block
-        for e in fac.edges:
-            edge_target[e] = w
-            edge_dists[e] = {s: v for s, v in ((0, 1 - w), (1, w)) if v > 0}
+    duals = {}
+    groups = {}  # block shape -> [(check id, slots, features, log_w, targets, free edges)]
+    for c in plan.checks:
+        t = w[c.pins]
+        forced0, forced1 = t == 0.0, t == 1.0
+        free = ~(forced0 | forced1)
+        if free.all():
+            block = (c.fid, c.slots, c.features, c.log_w, t, c.edges)
+        else:
+            rows = ~c.features[:, forced0].any(axis=1) & c.features[:, forced1].all(axis=1)
+            if not rows.any():
+                raise InfeasibleOmega(f"check {c.fid}: no support row matches the forced symbols")
+            if not free.any():
+                x[c.slots[rows]] = 1.0  # support rows are distinct: exactly one matches
+                duals[c.fid] = {}
+                continue
+            edges = [e for e, keep in zip(c.edges, free) if keep]
+            block = (c.fid, c.slots[rows], c.features[rows][:, free], c.log_w[rows], t[free], edges)
+        groups.setdefault(block[2].shape, []).append(block)
 
-    check_duals = {}
     iterations = 0
-    for fid in checks:
-        fac = nfg.factors[fid]
-        forced = {}
-        free_edges = []
-        for pos, e in enumerate(fac.edges):
-            w = edge_target[e]
-            if w == 0.0:
-                forced[pos] = 0
-            elif w == 1.0:
-                forced[pos] = 1
-            else:
-                free_edges.append(e)
-        rows = [
-            row
-            for row in fac.support
-            if all(row[pos] == s for pos, s in forced.items())
-        ]
-        if not rows:
-            raise InfeasibleOmega(f"check {fid}: no support row matches the forced symbols")
-        if not free_edges:
-            if len(rows) != 1:
-                raise GcbError(f"check {fid}: forced symbols leave {len(rows)} rows")
-            factor_dists[fid] = {rows[0]: 1.0}
-            check_duals[fid] = {}
-            continue
-        positions = {e: fac.edges.index(e) for e in free_edges}
-        targets = {
-            e: np.array([1 - edge_target[e], edge_target[e]]) for e in free_edges
-        }
-        log_w = np.array([math.log(fac.table[row]) for row in rows])
-        res = tilt_factor_block(rows, log_w, positions, targets, tol=tol, max_iters=max_iters)
-        iterations = max(iterations, res.iterations)
-        if not res.converged:
-            raise InfeasibleOmega(
-                f"check {fid}: marginal matching did not converge; omega is outside "
-                "the fundamental polytope or at its boundary"
-            )
-        factor_dists[fid] = {k: v for k, v in res.dist.items() if v > 0}
-        check_duals[fid] = {e: res.duals[(e, 1)] for e in free_edges}
-
-    beta = PseudoMarginals(factor_dists, edge_dists)
-    h_induced = bethe_terms(nfg, beta, tol=1e-8).h_bethe
-    return BmeResult(beta, h_induced, check_duals, iterations)
+    failed = []
+    for blocks in groups.values():
+        fids, slots, features, log_w, targets, edges = zip(*blocks)
+        res = tilt_factor_block(np.stack(features), np.stack(log_w), np.stack(targets), tol=tol, max_iters=max_iters)
+        iterations = max(iterations, int(res.steps.max()))
+        for b, fid in enumerate(fids):
+            x[slots[b]] = res.dist[b]
+            duals[fid] = dict(zip(edges[b], res.duals[b]))
+        failed += [fid for fid, ok in zip(fids, res.converged) if not ok]
+    if failed:
+        raise InfeasibleOmega(
+            f"check {min(failed)}: marginal matching did not converge; omega is outside "
+            "the fundamental polytope or at its boundary"
+        )
+    if not idx.feasible(x, 1e-8):
+        raise InconsistentBeta("completion outside the local marginal polytope")
+    check_duals = {c.fid: duals[c.fid] for c in plan.checks}
+    return BmeResult(idx.to_beta(x), idx.entropy(x), check_duals, iterations)
 
 
 def induced_bethe_entropy(nfg: Nfg, omega: Mapping[str, object]) -> float:

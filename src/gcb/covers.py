@@ -119,11 +119,12 @@ def check_shape(nfg: Nfg, beta: PseudoMarginals):
     if set(beta.edge_dists) != set(nfg.alphabet_sizes):
         raise ShapeMismatch("edge blocks do not match the graph's edges")
     for f, d in beta.factor_dists.items():
-        table = nfg.factors[f].table
-        arity = len(nfg.factors[f].edges)
+        sizes = [nfg.alphabet_sizes[e] for e in nfg.factors[f].edges]
         for key in d:
-            if len(key) != arity:
+            if len(key) != len(sizes):
                 raise ShapeMismatch(f"factor {f}: assignment {key} has wrong arity")
+            if not all(0 <= s < size for s, size in zip(key, sizes)):
+                raise ShapeMismatch(f"factor {f}: assignment {key} has a symbol outside its edge's alphabet")
     for e, d in beta.edge_dists.items():
         size = nfg.alphabet_sizes[e]
         for sym in d:
@@ -166,8 +167,7 @@ def check_local_consistency(nfg: Nfg, beta: PseudoMarginals, tol: float = 1e-9):
         margs = [[0] * nfg.alphabet_sizes[e] for e in edges]
         for key, v in beta.factor_dists[f].items():
             for marg, s in zip(margs, key):
-                if 0 <= s < len(marg):  # a symbol outside the alphabet adds to no marginal
-                    marg[s] += v
+                marg[s] += v
         for e, marg in zip(edges, margs):
             for s, m in enumerate(marg):
                 if bad(m - beta.edge_weight(e, s)):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gcb.bethe import parse_beta
 from gcb.bme import bme_completion
 from gcb.coding import ParityCheckMatrix, nfg_from_parity_check
 from gcb.covers import (
@@ -28,7 +29,7 @@ from gcb.covers import (
     preimage_count_closedform,
     random_cover,
 )
-from gcb.errors import CapExceeded, InvalidConfiguration, NonIntegralType
+from gcb.errors import CapExceeded, InvalidConfiguration, NonIntegralType, ShapeMismatch
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg, parity_table
 
@@ -371,8 +372,9 @@ def _consistency_by_scans(nfg, beta, tol):
 
 
 def _perturbed(beta, rng, delta):
-    """beta with a few factor rows shifted by +-delta, and sometimes a new
-    row, a negative entry, or a row whose symbol lies outside the alphabet."""
+    """(beta with a few factor rows shifted by +-delta, and sometimes a new
+    row, a negative entry, or a row whose symbol lies outside the alphabet;
+    whether it got that last row)."""
     factor_dists = {f: dict(d) for f, d in beta.factor_dists.items()}
     for _ in range(rng.randint(0, 3)):
         d = factor_dists[rng.choice(sorted(factor_dists))]
@@ -386,7 +388,7 @@ def _perturbed(beta, rng, delta):
         if kind == 3:
             key = key[:-1] + (rng.choice((2, -1)),)
         factor_dists[f][key] = factor_dists[f].get(key, 0) + (-delta if kind == 2 else delta)
-    return PseudoMarginals(factor_dists, beta.edge_dists)
+    return PseudoMarginals(factor_dists, beta.edge_dists), kind == 3
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -406,8 +408,20 @@ def test_local_consistency_matches_per_symbol_scans(seed, fig1):
         (fig1, _perturbed(as_float, rng, 1 / 7), 1e-9),
         (code, _perturbed(completed, rng, 1e-6), 1e-9),
         (code, _perturbed(completed, rng, 1e-6), 1e-5),
-        (code, completed, 1e-9),
+        (code, (completed, False), 1e-9),
     ]
-    for nfg, beta, tol in cases:
-        assert check_local_consistency(nfg, beta, tol=tol) == _consistency_by_scans(nfg, beta, tol)
+    for nfg, (beta, out_of_alphabet), tol in cases:
+        if out_of_alphabet:
+            with pytest.raises(ShapeMismatch):
+                check_local_consistency(nfg, beta, tol=tol)
+            with pytest.raises(ShapeMismatch):
+                _consistency_by_scans(nfg, beta, tol)
+        else:
+            assert check_local_consistency(nfg, beta, tol=tol) == _consistency_by_scans(nfg, beta, tol)
+
+
+def test_parsed_row_outside_the_alphabet_is_a_shape_error(fig1):
+    beta = parse_beta(fig1, "beta f5 0,5 1/2\n")
+    with pytest.raises(ShapeMismatch):
+        check_shape(fig1, beta)
 
