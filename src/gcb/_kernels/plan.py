@@ -2,9 +2,9 @@
 
 Every walk over valid configurations in gcb follows this plan, exact or
 float, on the base graph or on one of its degree-M covers.  Factors are
-visited in a greedy order (smallest support first, then the factor sharing
-the most already-bound edges); each factor's edges split into bound ones,
-assigned by earlier factors, and free ones, assigned when one of its
+visited in a greedy order (the factor sharing the most already-bound edges
+first, then the smallest support); each factor's edges split into bound
+ones, assigned by earlier factors, and free ones, assigned when one of its
 support rows is chosen.  Support rows are sorted by their bound symbols, so
 rows agreeing on the bound edges are contiguous.  A cover's edge and factor
 copies are index-remapped copies of the base ones, so boundness and row
@@ -33,17 +33,12 @@ class Plan:
 
     def __init__(self, nfg):
         self.sizes = [nfg.alphabet_sizes[e] for e in nfg.edge_order]
-        remaining = set(nfg.factors)
+        shared = dict.fromkeys(nfg.factors, 0)  # bound edges of each factor not yet placed
         bound_edges: set[str] = set()
         self.factors = []
-        while remaining:
-            def score(fid):
-                f = nfg.factors[fid]
-                shared = sum(1 for e in f.edges if e in bound_edges)
-                return (-shared, len(f.table), fid)
-
-            fid = min(remaining, key=score)
-            remaining.discard(fid)
+        while shared:
+            fid = min(shared, key=lambda g: (-shared[g], len(nfg.factors[g].table), g))
+            del shared[fid]
             f = nfg.factors[fid]
             fp = FactorPlan()
             fp.fid = fid
@@ -54,7 +49,12 @@ class Plan:
             fp.support = sorted(f.table)
             fp.support.sort(key=lambda row: [row[p] for p in fp.bound_sel])
             fp.weights = [f.table[row] for row in fp.support]
-            bound_edges.update(f.edges)
+            for e in f.edges:
+                if e not in bound_edges:
+                    bound_edges.add(e)
+                    for g in nfg.incidence[e]:
+                        if g in shared:
+                            shared[g] += 1
             self.factors.append(fp)
 
 

@@ -3,8 +3,8 @@
 Includes the energy/entropy/free-energy split (membership checking,
 ``check_local_consistency``, lives in ``covers`` and is re-exported here),
 the degree-M partition function computed two ways (enumeration of the
-gauge-fixed covers, and the type-sum walked directly over the
-lift-realizable pseudo-marginals; an exact identity in rational
+gauge-fixed covers, and the type-sum over the lift-realizable
+pseudo-marginals by elimination; an exact identity in rational
 arithmetic), free-energy minimization at zero and positive temperature,
 and the constrained-stationarity residual used to confirm sum-product
 fixed points.  The minimization half describes the polytope once, in
@@ -31,16 +31,17 @@ from . import _kernels
 from ._kernels.pyref import Walk
 from .covers import (
     PseudoMarginals,
-    TypeWalk,
     build_cover,
     check_local_consistency,
     check_shape,
     count_covers,
     cover_cap,
     cover_perm_inv,
+    eliminate,
     gauge_fixed_perm_invs,
     phi_m,
     random_cover,
+    type_graph,
 )
 from .errors import (
     BoundaryBeta,
@@ -219,7 +220,7 @@ def zbethe_m_enumeration(
     perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
     zsum, _, n_fixed = _kernels.cover_sweep(walk, perm_invs, inv_t, max_configs)
     pre_root = zsum / n_fixed
-    return ZBetheM(float(pre_root) ** (1.0 / m), pre_root, m, n_covers)
+    return ZBetheM(_root(pre_root, m), pre_root, m, n_covers)
 
 
 def zbethe_m_typesum(
@@ -233,13 +234,19 @@ def zbethe_m_typesum(
 
     The pre-root value sums, over the types beta (points of the local
     marginal polytope with M*beta integral and support in the tables),
-    g(beta)^{M/T} times the closed-form average pre-image count; the types
-    are walked directly (``covers.TypeWalk``), no cover is visited, so no
+    g(beta)^{M/T} times the closed-form average pre-image count.  That
+    weight factorizes over the graph, so the sum is the partition function
+    of a graph on the same full edges, each carrying its marginal counts
+    (``covers.type_graph``), summed by variable elimination
+    (``covers.eliminate``); no cover and no single type is visited, so no
     cover cap applies.  In rational arithmetic this is an identity with the
     enumeration path, not an approximation.  The float weight is
     exp(-(M/T) U_Bethe(beta)) times the count.  ``config_cap`` bounds the
-    work: CapExceeded is raised when one factor with r support rows has more
-    than that many count vectors, C(M+r-1, r-1), or past that many types.
+    work three ways: CapExceeded is raised when one factor with r support
+    rows has more than that many count vectors, C(M+r-1, r-1); when there
+    are more than that many types (counted by the same elimination, only
+    when the product of the factors' count-vector numbers exceeds the cap);
+    and when an intermediate table of the elimination has more entries.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
@@ -248,18 +255,27 @@ def zbethe_m_typesum(
     if exact and (temperature != 1 or not _rational_tables(nfg)):
         raise ValueError("exact mode needs T = 1 and rational tables")
     limit = default_config_cap(config_cap)
+    n_vectors_product = 1
     for f in nfg.factors.values():
         n_vectors = math.comb(m + len(f.table) - 1, m)
         if n_vectors > limit:
             raise CapExceeded(f"factor {f.id}: {n_vectors} count vectors exceed cap {limit}")
-    types = TypeWalk(nfg, m, None if exact else 1.0 / float(temperature))
-    total = 0 * types.walk.one
-    for n, (value, _, _) in enumerate(types.walk.configs(), 1):
-        if n > limit:
-            raise CapExceeded(f"more than {limit} types")
-        total += value
-    total *= types.unit
-    return ZBetheM(float(total) ** (1.0 / m), total, m, count_covers(nfg, m))
+        n_vectors_product *= n_vectors
+    if n_vectors_product > limit:
+        n_types = eliminate(type_graph(nfg, m, count=True)[0], limit)
+        if n_types > limit:
+            raise CapExceeded(f"{n_types} types exceed cap {limit}")
+    tables, unit = type_graph(nfg, m, None if exact else 1.0 / float(temperature))
+    total = eliminate(tables, limit) * unit
+    return ZBetheM(_root(total, m), total, m, count_covers(nfg, m))
+
+
+def _root(pre_root, m: int) -> float:
+    """pre_root^(1/M) as a float; a Fraction past the float range goes
+    through logs, which take ints of any size."""
+    if isinstance(pre_root, Fraction) and pre_root and not 1e-300 < pre_root < 1e300:
+        return math.exp((math.log(pre_root.numerator) - math.log(pre_root.denominator)) / m)
+    return float(pre_root) ** (1.0 / m)
 
 
 # -- the local marginal polytope in flat coordinates ---------------------------

@@ -12,20 +12,26 @@ edges, each standing for (M!)^{|F| - components} labeled covers;
 graph's plan with index-remapped copies (``cover_walk``) and map a
 configuration down through its support rows (``phi_of_rows``);
 ``build_cover`` makes a cover a graph of its own only for single-cover
-uses.  ``TypeWalk`` walks the degree-M types directly.  The frequency map
-is exact rational arithmetic throughout, and ``check_local_consistency``
-is the one membership check of the local marginal polytope (exact at
-tol=0), which the pre-image closed forms also use.
+uses.  The type-sum's weight factorizes over the graph, so it is the
+partition function of a type graph whose full edges carry marginal counts
+(``type_graph``), summed by bucket elimination (``eliminate``); its
+``config_cap`` bounds each factor's count vectors, the number of types
+(counted by the same elimination) and every table the elimination
+builds.  The frequency map is exact rational arithmetic throughout, and
+``check_local_consistency`` is the one membership check of the local
+marginal polytope (exact at tol=0), which the pre-image closed forms also
+use.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 import random
 from fractions import Fraction
-from types import SimpleNamespace
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .errors import (
@@ -527,80 +533,121 @@ def _compositions(m: int, n: int):
             yield tuple(b - a - 1 for a, b in zip((-1,) + cuts, cuts + (m + n - 1,)))
 
 
-class TypeWalk:
-    """The degree-M types of a graph, walked on its plan.
+def type_graph(nfg: Nfg, m: int, inv_t=None, count=False):
+    """(tables, unit): the degree-M type-sum is ``eliminate(tables) * unit``.
 
-    A type gives each factor a count vector over its support rows summing
-    to M, that is M times its block of a beta whose support lies inside the
-    tables.  The plan's walk runs over types as it runs over
-    configurations: step i chooses a count vector for plan factor i, and
-    the "symbols" it puts on the factor's edges are the edge marginals
-    (counts per symbol), so at a bound edge only the count vectors agreeing
-    with the marginal chosen at the other endpoint remain.  Each leaf is a
-    point of the local marginal polytope with M*beta integral and support
-    in the tables: a lift-realizable beta.
-
-    The value of a leaf is g(beta)^{M/T} times the closed-form average
-    pre-image count.  Each count vector c contributes prod_row
-    table[row]^{c_row/T} times multinomial(M; c), divided by
-    multinomial(M; marginal) for each full edge free at that factor (its
-    first endpoint in plan order).  ``inv_t=None`` gives scaled ints: with
-    table[row] = a/b and L the LCM of the factor's b, multinomial(M; c)
-    prod_row (a L / b)^{c_row} prod_symbol marginal!, so the walk's values
-    times ``unit``, 1 / prod L^M M!^{free full edges}, are the leaf values.
-    A float ``inv_t`` gives exp(inv_t * sum c_row log table[row]) times the
-    multinomial ratio, and ``unit`` is 1.0.
+    Full edges carry their marginals n, coded sum_{s>=1} n_s (M+1)^(s-1).
+    A factor's table is the M-th power of its row polynomial
+    sum_row g_row x^row grouped by full-edge marginals (half-edges drop
+    out): multinomial(M; c) prod_row g_row^(c_row) summed over its count
+    vectors c.  The first endpoint of each full edge carries prod_s n_s!,
+    and ``unit`` 1/M! per full edge.  ``inv_t=None`` gives ints, each
+    factor's g scaled by the LCM L of its denominators (``unit`` also holds
+    1/prod L^M); a float ``inv_t`` gives floats g^inv_t, with the 1/M! in
+    the edge weights.  With ``count`` the entries count the count vectors,
+    so the tables sum to the number of types.
     """
+    base, scale, tables = m + 1, 1, []
+    for fid in sorted(nfg.factors):
+        f = nfg.factors[fid]
+        full = [p for p, e in enumerate(f.edges) if e not in nfg.half_edges]
+        places = [1]
+        for p in full:
+            places.append(places[-1] * base ** (nfg.alphabet_sizes[f.edges[p]] - 1))
+        spans = list(zip(places, places[1:]))
+        rows = sorted(f.table)
+        values = [f.table[row] for row in rows]
+        if inv_t is not None:
+            values = [float(v) ** inv_t for v in values]
+        elif not count:
+            values, lcm = lcm_scaled(values)
+            scale *= lcm**m
+        offsets = [sum(place * base ** (row[p] - 1) for p, place in zip(full, places) if row[p]) for row in rows]
+        weighed = [(j, nfg.alphabet_sizes[f.edges[p]]) for j, p in enumerate(full)
+                   if nfg.incidence[f.edges[p]][0] == fid and not count]
+        table = {}
+        for code, w in _power(m, zip(offsets, values), not count).items():
+            key = tuple([code % hi // lo for lo, hi in spans])
+            for j, size in weighed:
+                w *= _edge_weight(m, size, key[j], inv_t is None)
+            table[key] = w
+        tables.append((tuple(f.edges[p] for p in full), table))
+    return tables, (Fraction(1, scale * math.factorial(m) ** len(nfg.full_edges)) if inv_t is None else 1.0)
 
-    def __init__(self, nfg: Nfg, m: int, inv_t=None):
-        self.nfg = nfg
-        self.m = m
-        self.counts = []  # counts[row_id]: {support row: nonzero count} behind walk.rows[row_id]
-        factors = []
-        scale = 1
-        for fp in _kernels.build_plan(nfg).factors:
-            edges = nfg.factors[fp.fid].edges
-            sizes = [nfg.alphabet_sizes[e] for e in edges]
-            free_full = [p for p in fp.free_sel if edges[p] not in nfg.half_edges]
-            table = fp.weights
-            if inv_t is None:
-                table, lcm = lcm_scaled(table)
-                scale *= lcm**m * math.factorial(m) ** len(free_full)
-            support, weights = [], []
-            for c in _compositions(m, len(fp.support)):
-                used = [(row, g, n) for row, g, n in zip(fp.support, table, c) if n]
-                margs = [[0] * size for size in sizes]
-                for row, _, n in used:
-                    for p, s in enumerate(row):
-                        margs[p][s] += n
-                margs = tuple(map(tuple, margs))
-                num = _multinomial(m, c)
-                if inv_t is None:
-                    w = num * math.prod(g**n for _, g, n in used)
-                    w *= math.prod(math.factorial(n) for p in free_full for n in margs[p])
-                else:
-                    den = math.prod(_multinomial(m, margs[p]) for p in free_full)
-                    w = math.exp(inv_t * sum(n * math.log(g) for _, g, n in used)) * (num / den)
-                support.append(margs)
-                weights.append(w)
-                self.counts.append({row: n for row, _, n in used})
-            factors.append(SimpleNamespace(fid=fp.fid, edge_idx=fp.edge_idx, twist=fp.twist,
-                                           bound_sel=fp.bound_sel, free_sel=fp.free_sel,
-                                           support=support, weights=weights))
-        plan = SimpleNamespace(sizes=[0] * len(nfg.edge_order), factors=factors)
-        self.walk = Walk(plan, 1, exact=inv_t is None)
-        self.unit = self.walk.unit / scale
 
-    def beta(self, rows) -> PseudoMarginals:
-        """The pseudo-marginal of a leaf's chosen row ids."""
-        factor_counts = {}
-        edge_counts = {}
-        for row_id in rows:
-            fid, margs = self.walk.rows[row_id]
-            factor_counts[fid] = self.counts[row_id]
-            for e, marg in zip(self.nfg.factors[fid].edges, margs):
-                edge_counts[e] = dict(enumerate(marg))
-        return _frequencies(self.m, factor_counts, edge_counts)
+@functools.lru_cache(maxsize=1 << 12)
+def _edge_weight(m: int, size: int, code: int, exact: bool):
+    """prod_s n_s! for the marginal n coded by ``code``; over M! unless exact."""
+    counts = [code // (m + 1) ** s % (m + 1) for s in range(size - 1)]
+    w = math.prod(map(math.factorial, counts)) * math.factorial(m - sum(counts))
+    return w if exact else w / math.factorial(m)
+
+
+def _power(m: int, terms, multinomial: bool) -> dict:
+    """{sum_i c_i offset_i: multinomial(M; c) prod_i g_i^(c_i), summed} over
+    the count vectors c summing to M of the (offset, g) terms, or the number
+    of such c.  Terms join one at a time, on keys code * (M+1) + count."""
+    base = m + 1
+    states = {0: 1}
+    terms = list(terms)
+    for i, (offset, g) in enumerate(terms):
+        last = i == len(terms) - 1  # the last term fills the count up to M
+        step = offset * base + 1
+        grown: dict = {}
+        for code, w in states.items():
+            t = code % base
+            for k in (m - t,) if last else range(base - t):
+                v = w * math.comb(t + k, k) * g**k if multinomial else w
+                grown[code + k * step] = grown.get(code + k * step, 0) + v
+        states = grown
+    return {code // base: w for code, w in states.items() if code % base == m}
+
+
+def eliminate(tables, limit: int):
+    """Sum over all edges of the product of sparse (scope, {key: value}) tables.
+
+    Bucket elimination: the edge leaving the smallest scope goes first, ties
+    to the smaller name; its tables are joined and it is summed out.  Raises
+    CapExceeded when a table built has more than ``limit`` entries.
+    """
+    tables = list(tables)
+    edges = {e for scope, _ in tables for e in scope}
+    while edges:
+        e = min(edges, key=lambda e: (len(set().union(*(s for s, _ in tables if e in s))), e))
+        edges.discard(e)
+        acc, *rest = [t for t in tables if e in t[0]]
+        tables = [t for t in tables if e not in t[0]]
+        for t in rest[:-1]:
+            acc = _join(acc, t, None, limit)
+        tables.append(_join(acc, rest[-1] if rest else ((), {(): 1}), e, limit))
+    return math.prod(table.get((), 0) for _, table in tables)
+
+
+def _join(a, b, drop, limit):
+    """The product of tables a and b, summed over their edge ``drop`` if any."""
+    (sa, ta), (sb, tb) = a, b
+    shared = [e for e in sa if e in sb]
+    keep, rest = [e for e in sa if e != drop], [e for e in sb if e not in sa]
+    shared_a, keep_a = _getter([sa.index(e) for e in shared]), _getter([sa.index(e) for e in keep])
+    shared_b, rest_b = _getter([sb.index(e) for e in shared]), _getter([sb.index(e) for e in rest])
+    groups: dict = {}
+    for key, w in tb.items():
+        groups.setdefault(shared_b(key), []).append((rest_b(key), w))
+    out: dict = {}
+    for key, w in ta.items():
+        head = keep_a(key)
+        for tail, v in groups.get(shared_a(key), ()):
+            out[head + tail] = out.get(head + tail, 0) + w * v
+        if len(out) > limit:
+            raise CapExceeded(f"an intermediate table has more than {limit} entries")
+    return tuple(keep + rest), out
+
+
+def _getter(idx):
+    """key -> tuple(key[i] for i in idx), through ``itemgetter`` where it gives one."""
+    if len(idx) == 1:
+        return lambda key, i=idx[0]: (key[i],)
+    return itemgetter(*idx) if idx else (lambda key: ())
 
 
 def entropy_rate_estimate(nfg: Nfg, beta: PseudoMarginals, m: int) -> float:
