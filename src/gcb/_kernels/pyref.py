@@ -3,13 +3,13 @@
 ``Walk`` is the only walk over valid configurations in gcb; enumeration,
 exact and float cover sums, pre-image counting and the decoding rules, MAP
 decoding included, all run on it; exact walks on rational tables multiply
-scaled ints, times ``Walk.unit`` once per sum.  ``cover_sweep`` is the one
-sum over covers, for both precisions.
+scaled ints, times ``Walk.unit`` once per sum, and the ``limit`` of
+``Walk.configs`` is the one configuration cap they check.  ``cover_sweep``
+is the one sum over covers, for both precisions.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from operator import itemgetter
@@ -66,17 +66,20 @@ class Walk:
             self._factors.append((bound, free_edges, groups))
         self.unit = Fraction(1, scale**m) if exact else 1.0
 
-    def configs(self, perm_inv=None):
+    def configs(self, perm_inv=None, limit=None):
         """Yield (value, slots, rows) at each valid configuration.
 
         ``perm_inv`` maps the plan index of a full edge to sigma_e^{-1}; a
         full edge it leaves out carries the identity, so None walks the base
         graph (M = 1) or the cover whose permutations are all the identity.
         ``slots`` and ``rows`` are lists reused from one configuration to
-        the next.
+        the next.  With ``limit`` set, CapExceeded is raised on reaching
+        valid configuration ``limit`` + 1; this is gcb's one bound on the
+        configurations of a graph or cover.
         """
         m = self.m
         perm_inv = perm_inv or {}
+        budget = -1 if limit is None else limit  # configurations left to yield
 
         def slot(e, twisted, k):
             return e * m + (perm_inv[e][k] if twisted and e in perm_inv else k)
@@ -91,6 +94,8 @@ class Walk:
         slots = [0] * self.n_slots
         rows = [0] * len(steps)
         if not steps:
+            if budget == 0:
+                raise CapExceeded(f"more than {limit} valid configurations")
             yield self.one, slots, rows
             return
         last = len(steps) - 1
@@ -107,6 +112,9 @@ class Walk:
                 rows[d] = row
                 value = prods[d] * w
                 if d == last:
+                    if budget == 0:
+                        raise CapExceeded(f"more than {limit} valid configurations")
+                    budget -= 1
                     yield value, slots, rows
                     continue
                 d += 1
@@ -126,8 +134,8 @@ def cover_sweep(walk: Walk, perm_invs, inv_t, limit: int):
     over its valid configurations in the walk's own arithmetic, the covers'
     Z are added in the order listed, and at inv_t == 1 the total is
     multiplied by ``walk.unit`` once.  Returns (sum over covers of Z, number
-    of valid configurations, number of covers); raises CapExceeded once one
-    cover has more than ``limit`` valid configurations.
+    of valid configurations, number of covers); the walk raises CapExceeded
+    once one cover has more than ``limit`` valid configurations.
     """
     unit = walk.unit
     zero = 0 * walk.one
@@ -136,10 +144,8 @@ def cover_sweep(walk: Walk, perm_invs, inv_t, limit: int):
     for perm_inv in perm_invs:
         z = zero
         n = 0
-        for n, (value, _, _) in enumerate(itertools.islice(walk.configs(perm_inv), limit + 1), 1):
+        for n, (value, _, _) in enumerate(walk.configs(perm_inv, limit), 1):
             z += value if inv_t == 1 else (value * unit) ** inv_t
-        if n > limit:
-            raise CapExceeded(f"more than {limit} valid configurations")
         total += z
         n_configs += n
         n_covers += 1

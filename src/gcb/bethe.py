@@ -162,6 +162,21 @@ def _rational_tables(nfg: Nfg) -> bool:
     )
 
 
+def _exact_mode(nfg: Nfg, m: int, temperature, exact) -> bool:
+    """Whether a degree-M sum runs exact: ``exact`` itself, or when None,
+    T = 1 with rational tables.  Raises ValueError for M < 1, T <= 0 or an
+    exact mode the graph cannot have."""
+    if m < 1:
+        raise ValueError("degree M must be at least 1")
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
+    if exact is None:
+        return temperature == 1 and _rational_tables(nfg)
+    if exact and (temperature != 1 or not _rational_tables(nfg)):
+        raise ValueError("exact mode needs T = 1 and rational tables")
+    return exact
+
+
 def zbethe_m_enumeration(
     nfg: Nfg,
     m: int,
@@ -182,17 +197,18 @@ def zbethe_m_enumeration(
     tables) averages in rational arithmetic, float mode in floats, both
     through one ``_kernels.cover_sweep``; ``config_cap`` bounds each
     cover's valid configurations.  With ``samples`` set, a seeded Monte
-    Carlo over labeled cover specs replaces the enumeration and a standard
-    error accompanies the estimate.  ``threads`` is accepted and ignored
-    (the sweep is one pure-Python loop); it is kept only for callers that
-    still pass it.
+    Carlo over ``samples`` >= 1 labeled cover specs replaces the
+    enumeration and a standard error accompanies the estimate.  ``threads``
+    is accepted and ignored (the sweep is one pure-Python loop); it is kept
+    only for callers that still pass it.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    exact = _exact_mode(nfg, m, temperature, exact)
     max_configs = default_config_cap(config_cap)
     if samples is not None:
         if seed is None:
             raise ValueError("Monte Carlo mode requires a seed")
+        if samples < 1:
+            raise ValueError("Monte Carlo mode needs at least one sample")
         rng = random.Random(seed)
         walk = Walk(_kernels.build_plan(nfg), m)
         t_inv = 1 if temperature == 1 else 1.0 / float(temperature)
@@ -211,10 +227,6 @@ def zbethe_m_enumeration(
         raise CapExceeded(
             f"{n_covers} covers exceed cap {limit}; use Monte Carlo mode (samples=...)"
         )
-    if exact is None:
-        exact = temperature == 1 and _rational_tables(nfg)
-    if exact and (temperature != 1 or not _rational_tables(nfg)):
-        raise ValueError("exact mode needs T = 1 and rational tables")
     walk = Walk(_kernels.build_plan(nfg), m, exact=exact)
     inv_t = 1 if exact else 1.0 / float(temperature)
     perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
@@ -242,29 +254,17 @@ def zbethe_m_typesum(
     cover cap applies.  In rational arithmetic this is an identity with the
     enumeration path, not an approximation.  The float weight is
     exp(-(M/T) U_Bethe(beta)) times the count.  ``config_cap`` bounds the
-    work three ways: CapExceeded is raised when one factor with r support
-    rows has more than that many count vectors, C(M+r-1, r-1); when there
-    are more than that many types (counted by the same elimination, only
-    when the product of the factors' count-vector numbers exceeds the cap);
-    and when an intermediate table of the elimination has more entries.
+    tables built, not the types summed: CapExceeded is raised when one
+    factor with r support rows has more than that many count vectors,
+    C(M+r-1, r-1), and when a table the elimination builds has more
+    entries.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    if exact is None:
-        exact = temperature == 1 and _rational_tables(nfg)
-    if exact and (temperature != 1 or not _rational_tables(nfg)):
-        raise ValueError("exact mode needs T = 1 and rational tables")
+    exact = _exact_mode(nfg, m, temperature, exact)
     limit = default_config_cap(config_cap)
-    n_vectors_product = 1
     for f in nfg.factors.values():
         n_vectors = math.comb(m + len(f.table) - 1, m)
         if n_vectors > limit:
             raise CapExceeded(f"factor {f.id}: {n_vectors} count vectors exceed cap {limit}")
-        n_vectors_product *= n_vectors
-    if n_vectors_product > limit:
-        n_types = eliminate(type_graph(nfg, m, count=True)[0], limit)
-        if n_types > limit:
-            raise CapExceeded(f"{n_types} types exceed cap {limit}")
     tables, unit = type_graph(nfg, m, None if exact else 1.0 / float(temperature))
     total = eliminate(tables, limit) * unit
     return ZBetheM(_root(total, m), total, m, count_covers(nfg, m))

@@ -362,8 +362,8 @@ def _add_common(p):
     p.add_argument("--out", help="write the primary report here instead of stdout")
     p.add_argument("--config-cap", type=int, default=None,
                    help="configuration cap override (per cover; for zbethe-m --method typesum, "
-                        "the count vectors of each factor, the types summed and the entries "
-                        "of each table the elimination builds)")
+                        "the count vectors of each factor and the entries of each table the "
+                        "elimination builds)")
     p.add_argument("--cover-cap", type=int, default=None, help="cover cap override")
 
 

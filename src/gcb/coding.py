@@ -30,7 +30,6 @@ from .bethe import minimize_bethe
 from .covers import (
     PseudoMarginals,
     count_covers,
-    cover_walk,
     gauge_fixed_perm_invs,
     phi_of_rows,
 )
@@ -359,10 +358,13 @@ _WALKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _rule_walk(dec: DecodingNfg, m: int, cap, config_cap):
     """(walk, unit, covers): the walk of ``dec.nfg`` at degree m, kept with
     the graph for every decoder, and one iterable of (value, slots, rows)
-    per gauge-fixed cover, as ``cover_walk`` yields them, with ``value *
-    unit`` the global value.  At M = 1 the one cover is ``dec.nfg``, read
-    off its code's list (``_valid_configs``, bounded by ``config_cap``) less
-    the configurations a table does not support, times the walk's weights."""
+    per gauge-fixed cover, as ``Walk.configs`` yields them within
+    ``config_cap``, with ``value * unit`` the global value.  At M = 1 the
+    one cover is ``dec.nfg``, read off its code's list (``_valid_configs``,
+    bounded by ``config_cap``) less the configurations a table does not
+    support, times the walk's weights.  Raises ValueError for m < 1."""
+    if m < 1:
+        raise ValueError("degree M must be at least 1")
     nfg = dec.nfg
     walks = _WALKS.setdefault(nfg, {})
     if m not in walks:
@@ -370,7 +372,8 @@ def _rule_walk(dec: DecodingNfg, m: int, cap, config_cap):
     walk = walks[m]
     if m != 1:
         perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
-        return walk, walk.unit, (cover_walk(walk, p, config_cap) for p in perm_invs)
+        limit = default_config_cap(config_cap)
+        return walk, walk.unit, (walk.configs(p, limit) for p in perm_invs)
     tables: dict = {}  # per factor, in walk order: {row: (row id, weight)}
     for row_id, ((fid, row), w) in enumerate(zip(walk.rows, walk.weights)):
         tables.setdefault(fid, {})[row] = (row_id, w)

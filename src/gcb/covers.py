@@ -9,18 +9,18 @@ tallies, degree-M decoding) walks only the gauge-fixed covers
 (``gauge_fixed_perm_invs``): the identity on a spanning forest of the full
 edges, each standing for (M!)^{|F| - components} labeled covers;
 ``enumerate_covers`` lists every labeled cover.  Loops walk the base
-graph's plan with index-remapped copies (``cover_walk``) and map a
+graph's plan with index-remapped copies (``Walk.configs`` with a
+permutation map, bounded by the configuration cap) and map a
 configuration down through its support rows (``phi_of_rows``);
 ``build_cover`` makes a cover a graph of its own only for single-cover
 uses.  The type-sum's weight factorizes over the graph, so it is the
 partition function of a type graph whose full edges carry marginal counts
 (``type_graph``), summed by bucket elimination (``eliminate``); its
-``config_cap`` bounds each factor's count vectors, the number of types
-(counted by the same elimination) and every table the elimination
-builds.  The frequency map is exact rational arithmetic throughout, and
-``check_local_consistency`` is the one membership check of the local
-marginal polytope (exact at tol=0), which the pre-image closed forms also
-use.
+``config_cap`` bounds each factor's count vectors and every table the
+elimination builds.  The frequency map is exact rational arithmetic
+throughout, and ``check_local_consistency`` is the one membership check of
+the local marginal polytope (exact at tol=0), which the pre-image closed
+forms also use.
 """
 
 from __future__ import annotations
@@ -416,16 +416,6 @@ def cover_perm_inv(spec: CoverSpec) -> dict:
     return {nfg.edge_index(e): [p.index(k) for k in range(spec.m)] for e, p in spec.perms.items()}
 
 
-def cover_walk(walk: Walk, perm_inv, config_cap=None):
-    """``walk.configs(perm_inv)``, raising CapExceeded past ``config_cap``
-    valid configurations."""
-    limit = default_config_cap(config_cap)
-    for n, config in enumerate(walk.configs(perm_inv), 1):
-        if n > limit:
-            raise CapExceeded(f"more than {limit} valid configurations")
-        yield config
-
-
 # -- pre-image counting -------------------------------------------------------
 
 
@@ -445,10 +435,11 @@ class PreimageCensus:
         self.m = m
         self.n_covers = count_covers(nfg, m)
         walk = Walk(_kernels.build_plan(nfg), m)
+        limit = default_config_cap(config_cap)
         by_rows: dict = {}
         n_fixed = 0
         for perm_inv in gauge_fixed_perm_invs(nfg, m, cap=cap):
-            for _, _, rows in cover_walk(walk, perm_inv, config_cap):
+            for _, _, rows in walk.configs(perm_inv, limit):
                 key = tuple(sorted(rows))
                 by_rows[key] = by_rows.get(key, 0) + 1
             n_fixed += 1
@@ -533,7 +524,7 @@ def _compositions(m: int, n: int):
             yield tuple(b - a - 1 for a, b in zip((-1,) + cuts, cuts + (m + n - 1,)))
 
 
-def type_graph(nfg: Nfg, m: int, inv_t=None, count=False):
+def type_graph(nfg: Nfg, m: int, inv_t=None):
     """(tables, unit): the degree-M type-sum is ``eliminate(tables) * unit``.
 
     Full edges carry their marginals n, coded sum_{s>=1} n_s (M+1)^(s-1).
@@ -544,8 +535,7 @@ def type_graph(nfg: Nfg, m: int, inv_t=None, count=False):
     and ``unit`` 1/M! per full edge.  ``inv_t=None`` gives ints, each
     factor's g scaled by the LCM L of its denominators (``unit`` also holds
     1/prod L^M); a float ``inv_t`` gives floats g^inv_t, with the 1/M! in
-    the edge weights.  With ``count`` the entries count the count vectors,
-    so the tables sum to the number of types.
+    the edge weights.
     """
     base, scale, tables = m + 1, 1, []
     for fid in sorted(nfg.factors):
@@ -559,14 +549,14 @@ def type_graph(nfg: Nfg, m: int, inv_t=None, count=False):
         values = [f.table[row] for row in rows]
         if inv_t is not None:
             values = [float(v) ** inv_t for v in values]
-        elif not count:
+        else:
             values, lcm = lcm_scaled(values)
             scale *= lcm**m
         offsets = [sum(place * base ** (row[p] - 1) for p, place in zip(full, places) if row[p]) for row in rows]
         weighed = [(j, nfg.alphabet_sizes[f.edges[p]]) for j, p in enumerate(full)
-                   if nfg.incidence[f.edges[p]][0] == fid and not count]
+                   if nfg.incidence[f.edges[p]][0] == fid]
         table = {}
-        for code, w in _power(m, zip(offsets, values), not count).items():
+        for code, w in _power(m, zip(offsets, values)).items():
             key = tuple([code % hi // lo for lo, hi in spans])
             for j, size in weighed:
                 w *= _edge_weight(m, size, key[j], inv_t is None)
@@ -583,10 +573,10 @@ def _edge_weight(m: int, size: int, code: int, exact: bool):
     return w if exact else w / math.factorial(m)
 
 
-def _power(m: int, terms, multinomial: bool) -> dict:
+def _power(m: int, terms) -> dict:
     """{sum_i c_i offset_i: multinomial(M; c) prod_i g_i^(c_i), summed} over
-    the count vectors c summing to M of the (offset, g) terms, or the number
-    of such c.  Terms join one at a time, on keys code * (M+1) + count."""
+    the count vectors c summing to M of the (offset, g) terms.  Terms join
+    one at a time, on keys code * (M+1) + count."""
     base = m + 1
     states = {0: 1}
     terms = list(terms)
@@ -597,7 +587,7 @@ def _power(m: int, terms, multinomial: bool) -> dict:
         for code, w in states.items():
             t = code % base
             for k in (m - t,) if last else range(base - t):
-                v = w * math.comb(t + k, k) * g**k if multinomial else w
+                v = w * math.comb(t + k, k) * g**k
                 grown[code + k * step] = grown.get(code + k * step, 0) + v
         states = grown
     return {code // base: w for code, w in states.items() if code % base == m}

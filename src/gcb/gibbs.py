@@ -16,7 +16,7 @@ from typing import Mapping
 
 from ._kernels import build_plan
 from ._kernels.pyref import Walk
-from .errors import CapExceeded, EmptyCode, SupportOnZeroMass, UnknownEdge
+from .errors import EmptyCode, SupportOnZeroMass, UnknownEdge
 from .nfg import Nfg
 
 DEFAULT_CONFIG_CAP = 1 << 26
@@ -32,13 +32,10 @@ def enumerate_configurations(nfg: Nfg, cap=None):
     """All valid configurations with their global values, edge-id-sorted.
 
     Returns a list of (configuration dict, value) in lexicographic order of
-    the canonical symbol tuples.  The cap guards the raw product space.
+    the canonical symbol tuples; the cap bounds the valid configurations,
+    as in ``valid_tuples``.
     """
-    space = nfg.configuration_space_size()
-    limit = config_cap(cap)
-    if space > limit:
-        raise CapExceeded(f"configuration space {space} exceeds cap {limit}")
-    return [(nfg.config_dict(t), v) for t, v in valid_tuples(nfg, cap=limit)]
+    return [(nfg.config_dict(t), v) for t, v in valid_tuples(nfg, cap=cap)]
 
 
 def valid_tuples(nfg: Nfg, cap=None):
@@ -47,15 +44,9 @@ def valid_tuples(nfg: Nfg, cap=None):
     The walk only visits supported assignments, so the cap bounds the number
     of valid configurations found rather than the raw product space.
     """
-    limit = config_cap(cap)
-    found = []
     walk = Walk(build_plan(nfg))
-    for value, slots, _ in walk.configs():
-        found.append((tuple(slots), value * walk.unit))
-        if len(found) > limit:
-            raise CapExceeded(f"more than {limit} valid configurations")
-    found.sort()
-    return found
+    configs = walk.configs(limit=config_cap(cap))
+    return sorted((tuple(slots), value * walk.unit) for value, slots, _ in configs)
 
 
 def global_function(nfg: Nfg, config: Mapping[str, int]):

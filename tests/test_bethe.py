@@ -19,6 +19,7 @@ from gcb.bethe import (
     zbethe_m_enumeration,
     zbethe_m_typesum,
 )
+from gcb.coding import DecodingNfg, bgcd, sgcd
 from gcb.covers import (
     PseudoMarginals,
     beta_from_configuration,
@@ -275,6 +276,37 @@ def test_monte_carlo_mode_matches_full(dumbbell):
 def test_monte_carlo_requires_seed(dumbbell):
     with pytest.raises(ValueError):
         zbethe_m_enumeration(dumbbell, 2, samples=10)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_monte_carlo_needs_a_sample(dumbbell, samples):
+    with pytest.raises(ValueError, match="at least one sample"):
+        zbethe_m_enumeration(dumbbell, 2, samples=samples, seed=1)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_degree_below_one_rejected(dumbbell, m):
+    dec = DecodingNfg(dumbbell, dumbbell.edge_order, Fraction(1), [], None)
+    calls = [
+        lambda: zbethe_m_enumeration(dumbbell, m),
+        lambda: zbethe_m_enumeration(dumbbell, m, samples=3, seed=1),
+        lambda: zbethe_m_typesum(dumbbell, m),
+        lambda: bgcd(dec, degree=m),
+        lambda: sgcd(dec, degree=m),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="degree M must be at least 1"):
+            call()
+
+
+@pytest.mark.parametrize("zbethe_m", [zbethe_m_enumeration, zbethe_m_typesum])
+def test_zbethe_m_paths_share_the_mode_rule(dumbbell, zbethe_m):
+    with pytest.raises(ValueError, match="temperature must be positive"):
+        zbethe_m(dumbbell, 2, temperature=0)
+    with pytest.raises(ValueError, match="exact mode needs T = 1"):
+        zbethe_m(dumbbell, 2, temperature=0.7, exact=True)
+    assert isinstance(zbethe_m(dumbbell, 2).pre_root, Fraction)
+    assert isinstance(zbethe_m(dumbbell, 2, exact=False).pre_root, float)
 
 
 # -- combinatorial free energy bridge ---------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gcb.cli import main
-from gcb.nfg import emit_nfg_text
+from gcb.nfg import Factor, Nfg, emit_nfg_text, parity_table
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "gcb", "data")
 
@@ -55,6 +55,38 @@ def test_zbethe_m_monte_carlo_needs_seed(capsys):
                        "--samples", "10")
     assert code == 3
     assert "seed" in err
+
+
+@pytest.mark.parametrize("method", ["enum", "typesum"])
+def test_zbethe_m_degree_zero_exit(capsys, method):
+    code, out, err = run(capsys, "zbethe-m", "--nfg", dumbbell_path(), "-M", "0",
+                         "--method", method)
+    assert code == 3
+    assert out == ""
+    assert "degree M must be at least 1" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_zbethe_m_monte_carlo_needs_a_sample(capsys, samples):
+    code, out, err = run(capsys, "zbethe-m", "--nfg", dumbbell_path(), "-M", "2",
+                         "--samples", samples, "--seed", "1")
+    assert code == 3
+    assert out == ""
+    assert "at least one sample" in err
+
+
+def test_enumerate_parity_ring_past_product_space_cap(tmp_path, capsys):
+    # 2^28 assignments, 2 valid configurations; the default cap is 2^26
+    edges = [f"e{i:02d}" for i in range(28)]
+    ring = Nfg({e: 2 for e in edges}, [],
+               [Factor(f"f{i:02d}", (edges[i - 1], edges[i]), parity_table(2)) for i in range(28)])
+    path = tmp_path / "ring.nfg"
+    path.write_text(emit_nfg_text(ring))
+    code, out, _ = run(capsys, "enumerate", "--nfg", str(path))
+    assert code == 0
+    assert out.splitlines() == [f"config={'0' * 28} value=1/1", f"config={'1' * 28} value=1/1", "count=2"]
+    code, out, _ = run(capsys, "zgibbs", "--nfg", str(path))
+    assert code == 0 and out == "zgibbs=2/1\n"
 
 
 def test_zbethe_min_dumbbell(capsys):
@@ -182,6 +214,14 @@ def test_decode_degree_config_cap_exit(tmp_path, capsys, decoder):
     assert code == 2
     assert out == ""
     assert "more than 2 valid configurations" in err
+
+
+@pytest.mark.parametrize("decoder", ["bgcd", "sgcd"])
+def test_decode_degree_zero_exit(tmp_path, capsys, decoder):
+    code, out, err = decode_repetition(capsys, tmp_path, "--decoder", decoder, "--degree", "0")
+    assert code == 3
+    assert out == ""
+    assert "degree M must be at least 1" in err
 
 
 def test_decode_bgcd_config_cap_exit(tmp_path, capsys):

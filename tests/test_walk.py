@@ -1,8 +1,8 @@
 """The plan walk against per-cover oracles.
 
 Every cover loop in gcb walks the base plan with index-remapped copies
-(``covers.cover_walk``).  The oracles here build each cover as
-its own graph with ``build_cover_with_map`` and enumerate it with
+(``Walk.configs`` with a permutation map).  The oracles here build each
+cover as its own graph with ``build_cover_with_map`` and enumerate it with
 ``valid_tuples``, on seeded random graphs with a ternary edge, half-edges,
 two full edges joining the same pair of factors, and (every other seed) a
 second component.
@@ -47,7 +47,6 @@ from gcb.covers import (
     cotree_edges,
     count_covers,
     cover_perm_inv,
-    cover_walk,
     eliminate,
     enumerate_covers,
     gauge_fixed_perm_invs,
@@ -57,8 +56,8 @@ from gcb.covers import (
     type_graph,
 )
 from gcb.errors import CapExceeded
-from gcb.gibbs import gibbs_partition, valid_tuples
-from gcb.nfg import Factor, Nfg
+from gcb.gibbs import config_cap, enumerate_configurations, gibbs_partition, valid_tuples
+from gcb.nfg import Factor, Nfg, parity_table
 
 from conftest import EXAMPLE3_ROWS, make_dumbbell, make_fig1
 
@@ -301,7 +300,7 @@ def test_cover_configurations_match_per_cover_oracle(seed):
         for spec, cover, (_, edge_map), tuples in oracle_covers(nfg, m):
             order = [nfg.edge_index(e) * m + k for e, k in map(edge_map.get, cover.edge_order)]
             got = [(tuple(slots[s] for s in order), v * walk.unit)
-                   for v, slots, _ in cover_walk(walk, cover_perm_inv(spec))]
+                   for v, slots, _ in walk.configs(cover_perm_inv(spec))]
             assert sorted(got) == tuples
             total += sum((v for _, v in tuples), Fraction(0))
         pre_root = zbethe_m_enumeration(nfg, m, exact=True).pre_root
@@ -685,6 +684,62 @@ def test_caps_still_raise(monkeypatch):
         sgcd(dec, degree=2)
 
 
+def test_walk_limit_raises_on_the_next_configuration():
+    fig1 = make_fig1()
+    walk = Walk(build_plan(fig1))
+    assert len(list(walk.configs(limit=8))) == 8
+    configs = walk.configs(limit=7)
+    assert len([next(configs) for _ in range(7)]) == 7
+    with pytest.raises(CapExceeded, match="^more than 7 valid configurations$"):
+        next(configs)
+    with pytest.raises(CapExceeded, match="^more than 0 valid configurations$"):
+        next(walk.configs(limit=0))
+
+
+def test_config_cap_boundary_at_each_use():
+    """A cap equal to the largest count passes and one less raises the same
+    message, for the base enumeration, the cover sweep, the pre-image census
+    and the degree-2 decoders."""
+    fig1, dumbbell = make_fig1(), make_dumbbell()
+    dec = DecodingNfg(dumbbell, dumbbell.edge_order, Fraction(1), [], None)
+    walk = Walk(build_plan(dumbbell), 2)
+    perm_invs = list(gauge_fixed_perm_invs(dumbbell, 2))
+    n = max(sum(1 for _ in walk.configs(p)) for p in perm_invs)  # the largest cover's count
+    assert n == 16
+    assert len(valid_tuples(fig1, cap=8)) == 8
+    z_sum, _, n_fixed = cover_sweep(walk, perm_invs, 1, n)
+    assert z_sum / n_fixed == 10
+    assert PreimageCensus(dumbbell, 2, config_cap=n).total_valid == PreimageCensus(dumbbell, 2).total_valid
+    assert bgcd(dec, degree=2, config_cap=n).beliefs == bgcd(dec, degree=2).beliefs
+    assert sgcd(dec, degree=2, config_cap=n).beliefs == sgcd(dec, degree=2).beliefs
+    with pytest.raises(CapExceeded, match="^more than 7 valid configurations$"):
+        valid_tuples(fig1, cap=7)
+    calls = [
+        lambda: cover_sweep(walk, perm_invs, 1, n - 1),
+        lambda: cover_sweep(walk, perm_invs, 0.7, n - 1),
+        lambda: PreimageCensus(dumbbell, 2, config_cap=n - 1),
+        lambda: bgcd(dec, degree=2, config_cap=n - 1),
+        lambda: sgcd(dec, degree=2, config_cap=n - 1),
+    ]
+    for call in calls:
+        with pytest.raises(CapExceeded, match=f"^more than {n - 1} valid configurations$"):
+            call()
+
+
+def test_enumeration_ignores_the_raw_product_space():
+    """A parity ring of 28 edges has 2^28 assignments but 2 valid
+    configurations, so it enumerates under the default cap of 2^26."""
+    edges = [f"e{i:02d}" for i in range(28)]
+    factors = [Factor(f"f{i:02d}", (edges[i - 1], edges[i]), parity_table(2)) for i in range(28)]
+    ring = Nfg({e: 2 for e in edges}, [], factors)
+    assert ring.configuration_space_size() == 2**28 > config_cap()
+    configs = enumerate_configurations(ring)
+    assert [value for _, value in configs] == [1, 1]
+    assert [set(config.values()) for config, _ in configs] == [{0}, {1}]
+    with pytest.raises(CapExceeded, match="^more than 1 valid configurations$"):
+        enumerate_configurations(ring, cap=1)
+
+
 def test_typesum_caps():
     dumbbell = make_dumbbell()  # 10 types at M = 2 and 20 at M = 3
     assert zbethe_m_typesum(dumbbell, 2, config_cap=10).pre_root == 10
@@ -698,20 +753,23 @@ def test_typesum_caps():
         zbethe_m_typesum(dumbbell, 4, config_cap=34)
 
 
-def test_typesum_cap_bounds_types_and_intermediate_tables():
-    """fig1 at M = 3: at most 20 count vectors per factor, 200 types, and
-    the elimination's largest table holds 64 entries."""
+def test_typesum_cap_bounds_intermediate_tables():
+    """fig1 at M = 3: at most 20 count vectors per factor, and the
+    elimination's largest table holds 64 entries.  Its 200 types are summed,
+    not counted, so a cap of 64 is enough."""
     fig1 = make_fig1()
     tables, _ = type_graph(fig1, 3)
-    assert eliminate(type_graph(fig1, 3, count=True)[0], 200) == 200
     eliminate(tables, 64)
     with pytest.raises(CapExceeded, match="intermediate table has more than 63 entries"):
         eliminate(tables, 63)
+    with pytest.raises(CapExceeded, match="intermediate table has more than 63 entries"):
+        zbethe_m_typesum(fig1, 3, config_cap=63)
     with pytest.raises(CapExceeded, match="intermediate table has more than 50 entries"):
         zbethe_m_typesum(fig1, 3, config_cap=50)
-    with pytest.raises(CapExceeded, match="200 types exceed cap 100"):
-        zbethe_m_typesum(fig1, 3, config_cap=100)
-    assert zbethe_m_typesum(fig1, 3, config_cap=200).pre_root == zbethe_m_typesum(fig1, 3).pre_root
+    full = zbethe_m_typesum(fig1, 3).pre_root
+    assert isinstance(full, Fraction)
+    for cap in (64, 100, 200):
+        assert zbethe_m_typesum(fig1, 3, config_cap=cap).pre_root == full
 
 
 @pytest.mark.parametrize("batch", range(4))
