@@ -7,13 +7,14 @@ gauge-fixed covers, and the type-sum over the lift-realizable
 pseudo-marginals by elimination; an exact identity in rational
 arithmetic), free-energy minimization at zero and positive temperature,
 and the constrained-stationarity residual used to confirm sum-product
-fixed points.  The minimization half describes the polytope once, in
-``_BetaIndex``: the T = 0 linear program, the projected descent, the
-residual and the minimizer's candidates all read its slots, constraint
-rows, free energy, gradient and tangent projection, and the max-entropy
-completion (``bme``) is guarded by its rows and scored by its entropy.
-The completion's check blocks are solved together by the stacked Newton
-tilt ``tilt_factor_block``.
+fixed points.  The polytope is described once, in ``_BetaIndex``:
+``bethe_terms`` and the ``sum_product`` trace read the free energy off its
+energy vector and entropy; the T = 0 linear program, the projected
+descent, the residual and the minimizer's candidates all read its slots,
+constraint rows, free energy, gradient and tangent projection; and the
+max-entropy completion (``bme``) is guarded by its rows and scored by its
+entropy.  The completion's check blocks are solved together by the
+stacked Newton tilt ``tilt_factor_block``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .covers import (
     check_local_consistency,
     check_shape,
     count_covers,
-    cover_cap,
     cover_perm_inv,
     eliminate,
     gauge_fixed_perm_invs,
@@ -78,40 +78,27 @@ class BetheEvaluation:
         )
 
 
-def _entropy(values) -> float:
-    h = 0.0
-    for v in values:
-        v = float(v)
-        if v > 0:
-            h -= v * math.log(v)
-    return h
-
-
 def bethe_terms(nfg: Nfg, beta: PseudoMarginals, temperature: float = 1.0, tol: float = 1e-9) -> BetheEvaluation:
     """Average energy, entropy, and free energy of a pseudo-marginal vector.
 
-    Half-edge entropy terms carry coefficient zero and are omitted.
+    Read off the graph's ``_BetaIndex``: the energy vector and the entropy
+    of beta's flat coordinates, so half-edge entropy terms carry
+    coefficient zero.  Raises InconsistentBeta outside the local marginal
+    polytope (within ``tol``) and SupportOnZeroFactor at the first non-zero
+    weight, in ``nfg.factors`` order, on a row outside its factor's support.
     """
     ok, violations = check_local_consistency(nfg, beta, tol=tol)
     if not ok:
         raise InconsistentBeta(f"beta outside the local marginal polytope: {violations[:3]}")
-    u = 0.0
-    h = 0.0
-    for f in nfg.factors:
-        table = nfg.factors[f].table
+    for f, fac in nfg.factors.items():
         d = beta.factor_dists[f]
-        for key, w in d.items():
-            w = float(w)
-            if w == 0.0:
-                continue
-            g = table.get(key)
-            if g is None:
-                raise SupportOnZeroFactor(f"beta weight on zero-valued row {key} of {f}")
-            u -= w * math.log(g)
-        h += _entropy(d.values())
-    for e in nfg.full_edge_order:
-        h -= _entropy(beta.edge_dists[e].values())
-    return BetheEvaluation(u, h, float(temperature))
+        stray = [key for key in d.keys() - fac.table.keys() if float(d[key]) != 0.0]
+        if stray:
+            key = next(key for key in d if key in stray)
+            raise SupportOnZeroFactor(f"beta weight on zero-valued row {key} of {f}")
+    idx = _BetaIndex(nfg)
+    x = idx.to_vector(beta)
+    return BetheEvaluation(float(idx.energy_vector() @ x), idx.entropy(x), float(temperature))
 
 
 def bethe_energy_from_cover(spec, cover_config) -> float:
@@ -198,9 +185,9 @@ def zbethe_m_enumeration(
     through one ``_kernels.cover_sweep``; ``config_cap`` bounds each
     cover's valid configurations.  With ``samples`` set, a seeded Monte
     Carlo over ``samples`` >= 1 labeled cover specs replaces the
-    enumeration and a standard error accompanies the estimate.  ``threads``
-    is accepted and ignored (the sweep is one pure-Python loop); it is kept
-    only for callers that still pass it.
+    enumeration and a standard error accompanies the estimate (nan for one
+    sample).  ``threads`` is accepted and ignored (the sweep is one
+    pure-Python loop); it is kept only for callers that still pass it.
     """
     exact = _exact_mode(nfg, m, temperature, exact)
     max_configs = default_config_cap(config_cap)
@@ -218,21 +205,16 @@ def zbethe_m_enumeration(
             z, _, _ = _kernels.cover_sweep(walk, [perm_inv], t_inv, max_configs)
             vals.append(float(z))
         mean = float(np.mean(vals))
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+        # one sample gives no spread estimate
+        stderr = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else math.nan
         return ZBetheM(mean ** (1.0 / m), mean, m, count_covers(nfg, m), samples, stderr)
 
-    n_covers = count_covers(nfg, m)
-    limit = cover_cap(cap)
-    if n_covers > limit:
-        raise CapExceeded(
-            f"{n_covers} covers exceed cap {limit}; use Monte Carlo mode (samples=...)"
-        )
+    perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
     walk = Walk(_kernels.build_plan(nfg), m, exact=exact)
     inv_t = 1 if exact else 1.0 / float(temperature)
-    perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
     zsum, _, n_fixed = _kernels.cover_sweep(walk, perm_invs, inv_t, max_configs)
     pre_root = zsum / n_fixed
-    return ZBetheM(_root(pre_root, m), pre_root, m, n_covers)
+    return ZBetheM(_root(pre_root, m), pre_root, m, count_covers(nfg, m))
 
 
 def zbethe_m_typesum(

@@ -1,8 +1,9 @@
 """Command-line surface: deterministic reports over the library operations.
 
-Exit codes: 0 success, 2 enumeration cap exceeded, 3 parse or input error,
-4 solver non-convergence.  Primary output is line-oriented key=value (CSV
-for curves and traces); diagnostics go to stderr.
+Exit codes: 0 success, 2 enumeration cap exceeded, 3 usage, parse or input
+error, 4 solver non-convergence.  Primary output is line-oriented key=value
+(CSV for curves and traces); diagnostics go to stderr.  A subcommand takes
+``--config-cap`` / ``--cover-cap`` only where it reads them.
 """
 
 from __future__ import annotations
@@ -122,6 +123,8 @@ def cmd_zgibbs(args):
 
 def cmd_zbethe_m(args):
     nfg = parse_nfg(args.nfg)
+    if args.samples is not None and args.method == "typesum":
+        raise ParseError("--samples needs --method enum")
     if args.samples is not None and args.seed is None:
         raise ParseError("Monte Carlo mode requires --seed")
     exact = {"exact": True, "float": False, "auto": None}[args.precision]
@@ -234,6 +237,8 @@ def cmd_bme(args):
 
 
 def cmd_decode(args):
+    if args.degree is not None and args.decoder in ("bmapd", "smapd"):
+        raise ParseError(f"--degree needs --decoder bgcd or sgcd, not {args.decoder}")
     h = _load_pcm(args)
     nfg_code = nfg_from_parity_check(h)
     with open(args.channel, "r", encoding="utf-8") as fh:
@@ -358,17 +363,27 @@ def cmd_examples(args):
 # -- argument wiring --------------------------------------------------------------
 
 
-def _add_common(p):
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 3; 2 means a cap was exceeded."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _add_common(p, config_cap=False, cover_cap=False):
     p.add_argument("--out", help="write the primary report here instead of stdout")
-    p.add_argument("--config-cap", type=int, default=None,
-                   help="configuration cap override (per cover; for zbethe-m --method typesum, "
-                        "the count vectors of each factor and the entries of each table the "
-                        "elimination builds)")
-    p.add_argument("--cover-cap", type=int, default=None, help="cover cap override")
+    if config_cap:
+        p.add_argument("--config-cap", type=int, default=None,
+                       help="configuration cap override (per cover; for zbethe-m --method typesum, "
+                            "the count vectors of each factor and the entries of each table the "
+                            "elimination builds)")
+    if cover_cap:
+        p.add_argument("--cover-cap", type=int, default=None, help="cover cap override")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gcb",
         description="Bethe entropy and partition functions via finite graph covers",
     )
@@ -376,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list valid configurations")
     p.add_argument("--nfg", required=True)
-    _add_common(p)
+    _add_common(p, config_cap=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("zgibbs", help="Gibbs partition sum")
     p.add_argument("--nfg", required=True)
     p.add_argument("-T", "--temperature", type=float, default=1)
     p.add_argument("--cover", help="evaluate on the cover built from this spec file")
-    _add_common(p)
+    _add_common(p, config_cap=True)
     p.set_defaults(func=cmd_zgibbs)
 
     p = sub.add_parser("zbethe-m", help="degree-M Bethe partition function")
@@ -394,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", choices=["exact", "float", "auto"], default="auto")
     p.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
     p.add_argument("--seed", type=int, default=None)
-    _add_common(p)
+    _add_common(p, config_cap=True, cover_cap=True)
     p.set_defaults(func=cmd_zbethe_m)
 
     p = sub.add_parser("zbethe-min", help="minimize the Bethe free energy")
@@ -411,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-M", "--m", type=int, required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--method", choices=["closed", "brute", "both"], default="closed")
-    _add_common(p)
+    _add_common(p, config_cap=True, cover_cap=True)
     p.set_defaults(func=cmd_preimage_count)
 
     p = sub.add_parser("covers", help="enumerate cover specifications")
@@ -419,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-M", "--m", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--zgibbs", action="store_true", help="also report each cover's partition sum")
-    _add_common(p)
+    _add_common(p, config_cap=True, cover_cap=True)
     p.set_defaults(func=cmd_covers)
 
     p = sub.add_parser("spa", help="run the sum-product algorithm")
@@ -448,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="received vector file")
     p.add_argument("--degree", type=int, default=None, help="literal degree-M decoder")
     p.add_argument("--dump-beta")
-    _add_common(p)
+    _add_common(p, config_cap=True, cover_cap=True)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("ldpc-curve", help="regular-code diagonal entropy curve")

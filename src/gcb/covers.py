@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import random
 from fractions import Fraction
 from operator import itemgetter
@@ -44,7 +43,7 @@ from .errors import (
 )
 from . import _kernels
 from ._kernels.pyref import Walk, lcm_scaled
-from .gibbs import config_cap as default_config_cap
+from .gibbs import config_cap as default_config_cap, resolve_cap
 from .gibbs import valid_tuples  # noqa: F401  (benchmark self-tests read gcb.covers.valid_tuples)
 from .nfg import Factor, Nfg
 
@@ -52,9 +51,7 @@ DEFAULT_COVER_CAP = 1 << 24
 
 
 def cover_cap(override=None) -> int:
-    if override is not None:
-        return int(override)
-    return int(os.environ.get("GCB_COVER_CAP", DEFAULT_COVER_CAP))
+    return resolve_cap(override, "GCB_COVER_CAP", DEFAULT_COVER_CAP)
 
 
 # -- pseudo-marginals ---------------------------------------------------------
@@ -289,13 +286,13 @@ def gauge_fixed_perm_invs(nfg: Nfg, m: int, cap=None):
     sum and frequency-map images, and each gauge-fixed cover stands for
     (M!)^{|F| - components} labeled ones.  So any average over labeled
     covers equals the average over these.  The cover cap applies to the
-    labeled count, as in ``enumerate_covers``.
+    labeled count, as in ``enumerate_covers``, and is checked on the call,
+    before the first map is taken.
     """
     _check_cover_cap(nfg, m, cap)
     cotree = [nfg.edge_index(e) for e in cotree_edges(nfg)]
     _, inv = _kernels.perm_tables(m)
-    for digits in itertools.product(inv, repeat=len(cotree)):
-        yield dict(zip(cotree, digits))
+    return (dict(zip(cotree, digits)) for digits in itertools.product(inv, repeat=len(cotree)))
 
 
 def random_cover(nfg: Nfg, m: int, seed) -> CoverSpec:

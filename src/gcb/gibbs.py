@@ -22,10 +22,18 @@ from .nfg import Nfg
 DEFAULT_CONFIG_CAP = 1 << 26
 
 
+def resolve_cap(override, env: str, default: int) -> int:
+    """A size cap: ``override``, else the environment variable ``env``, else
+    ``default``.  A negative cap raises ValueError: a walk's budget would
+    never run out, so the cap would bound nothing."""
+    cap = int(os.environ.get(env, default) if override is None else override)
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
+    return cap
+
+
 def config_cap(override=None) -> int:
-    if override is not None:
-        return int(override)
-    return int(os.environ.get("GCB_CONFIG_CAP", DEFAULT_CONFIG_CAP))
+    return resolve_cap(override, "GCB_CONFIG_CAP", DEFAULT_CONFIG_CAP)
 
 
 def enumerate_configurations(nfg: Nfg, cap=None):

@@ -86,7 +86,6 @@ class Nfg:
         alphabet_sizes: Mapping[str, int],
         half_edges: Iterable[str],
         factors: Mapping[str, Factor] | Sequence[Factor],
-        edge_labels: Mapping[str, Sequence[str]] | None = None,
     ):
         self.alphabet_sizes = dict(alphabet_sizes)
         self.half_edges = frozenset(half_edges)
@@ -94,7 +93,6 @@ class Nfg:
             self.factors = dict(factors)
         else:
             self.factors = {f.id: f for f in factors}
-        self.edge_labels = {k: tuple(v) for k, v in (edge_labels or {}).items()}
 
         for e, size in self.alphabet_sizes.items():
             if size < 1:

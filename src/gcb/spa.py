@@ -5,12 +5,16 @@ after every sweep, so fixed points are well defined.  At temperature T the
 local values are raised to 1/T first; fixed points then correspond to
 stationary points of the Bethe free energy at that temperature.
 
-A sweep runs on flat numpy arrays (``_FlatLayout``): all directed messages
+A run works on flat numpy arrays (``_FlatLayout``): all directed messages
 in one vector, and one row of gather/scatter indices per non-zero table
 row, so a sweep is a fixed handful of array operations with no Python loop
-over rows.  Its arithmetic is the per-row loop's, in the same order, so
-results are bit-identical to that loop (kept in ``tests/test_spa.py`` as
-the oracle).  ``SpaState.messages`` is still a dict keyed by (factor, edge).
+over rows, and the beliefs are read off the same arrays.  The arithmetic
+is the per-row loop's, in the same order, so results are bit-identical to
+that loop (kept in ``tests/test_spa.py`` as the oracle).  A
+``collect_trace`` run reads its free energy off ``bethe._BetaIndex``, the
+one description of the local marginal polytope.  ``SpaState.messages``
+hands out the final messages as a dict keyed by (factor, edge), each a
+view into the flat vector.
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ class SpaState:
     def trace_csv(self) -> str:
         lines = ["iteration,residual,f_bethe"]
         for it, res, f in self.trace or []:
-            f_txt = "" if f is None else f"{f:.12g}"
-            lines.append(f"{it},{res:.12g},{f_txt}")
+            lines.append(f"{it},{res:.12g},{f:.12g}")
         return "\n".join(lines) + "\n"
 
 
@@ -68,14 +71,6 @@ def _initial_messages(nfg: Nfg, rng=None):
     return msgs
 
 
-def _incoming(nfg: Nfg, msgs, fid, e):
-    ends = nfg.incidence[e]
-    if len(ends) == 1:
-        return np.full(nfg.alphabet_sizes[e], 1.0)
-    other = ends[0] if ends[1] == fid else ends[1]
-    return msgs[(other, e)]
-
-
 class _FlatLayout:
     """Index arrays of one flat message vector, built once per run.
 
@@ -86,6 +81,9 @@ class _FlatLayout:
     support row with a non-zero weight is one row of ``gather`` (incoming
     message index per position) and ``scatter`` (outgoing message index
     per position; padding goes to ``one``, whose sum is discarded).
+    ``factor_rows`` holds each factor's kept rows, in ``gather`` order, and
+    ``row_factor`` the factor number of each ``gather`` row; ``edge_blocks``
+    holds each edge's alphabet size and the starts of its directed messages.
     """
 
     def __init__(self, nfg: Nfg, weights):
@@ -102,9 +100,11 @@ class _FlatLayout:
         arity = max((len(f.edges) for f in nfg.factors.values()), default=0)
         empty = np.zeros((0, arity), dtype=np.intp)
         gathers, scatters, ws = [empty], [empty], [np.zeros(0)]
+        self.factor_rows = []
         for fid, f in nfg.factors.items():
             rows, vals = weights[fid]
             keep = vals != 0.0
+            self.factor_rows.append((fid, [row for row, k in zip(rows, keep) if k]))
             sym = np.array(rows, dtype=np.intp).reshape(len(rows), len(f.edges))[keep]
             ins = []
             for e in f.edges:
@@ -123,6 +123,10 @@ class _FlatLayout:
         self.gather = np.vstack(gathers)
         self.scatter = np.vstack(scatters).ravel()
         self.weights = np.concatenate(ws)
+        self.row_factor = np.repeat(np.arange(len(self.factor_rows)), [len(r) for _, r in self.factor_rows])
+        self.edge_blocks = [
+            (e, sizes[e], [start[(fid, e)] for fid in nfg.incidence[e]]) for e in nfg.edge_order
+        ]
         # blocks of equal size, normalised together with a row sum per block
         by_size = {}
         for _, lo, hi in self.blocks:
@@ -138,6 +142,31 @@ class _FlatLayout:
     def messages(self, vec):
         return {key: vec[lo:hi] for key, lo, hi in self.blocks}
 
+    def beliefs(self, vec) -> PseudoMarginals:
+        """Factor and edge beliefs of a message vector: a row's weight times
+        its gathered incoming entries, left to right, over its factor's
+        ``bincount`` row sum, and an edge's product of its directed messages
+        over their sum."""
+        scores = np.cumprod(np.hstack([self.weights[:, None], vec[self.gather]]), axis=1)[:, -1]
+        totals = np.bincount(self.row_factor, scores, minlength=len(self.factor_rows))
+        parts = np.split(scores, np.cumsum([len(rows) for _, rows in self.factor_rows])[:-1])
+        factor_dists = {
+            fid: _normalised(rows, part, total)
+            for (fid, rows), part, total in zip(self.factor_rows, parts, totals)
+        }
+        edge_dists = {}
+        for e, size, starts in self.edge_blocks:
+            v = np.prod([vec[lo:lo + size] for lo in starts], axis=0)
+            edge_dists[e] = _normalised(range(size), v, v.sum())
+        return PseudoMarginals(factor_dists, edge_dists)
+
+
+def _normalised(keys, values, total) -> dict:
+    """value / total for each positive value, or uniform on keys when total is 0."""
+    if total > 0:
+        return {key: v / total for key, v in zip(keys, values) if v > 0}
+    return {key: 1.0 / len(keys) for key in keys}
+
 
 def sum_product(
     nfg: Nfg,
@@ -150,10 +179,13 @@ def sum_product(
 ):
     """Run flooding sum-product; returns (SpaState, beliefs).
 
-    Beliefs are assembled from the final messages; edge beliefs use the
-    product of the two directed messages on full edges.  Non-convergence is
-    reported in the state, never raised.  ``collect_trace`` records
-    (iteration, residual, free energy) per sweep for convergence studies.
+    Beliefs are read off the final message vector (``_FlatLayout.beliefs``);
+    edge beliefs use the product of the two directed messages on full
+    edges.  Non-convergence is reported in the state, never raised.
+    ``collect_trace`` records (iteration, residual, free energy) per sweep
+    for convergence studies; the free energy is ``_BetaIndex.free_energy``
+    of that sweep's beliefs, which are support rows with entries in [0, 1]
+    but only approximately consistent mid-run.
 
     One sweep works on the flat message vector of ``_FlatLayout``: a row's
     product is the left-to-right ``cumprod`` of its weight and incoming
@@ -175,7 +207,11 @@ def sum_product(
     terms[:, 0] = lay.weights
     residual = float("inf")
     iterations = 0
-    trace = [] if collect_trace else None
+    trace = None
+    if collect_trace:
+        from .bethe import _BetaIndex
+
+        trace, index = [], _BetaIndex(nfg)
     for iterations in range(1, max_iters + 1):
         prods = msgs[lay.gather]
         terms[:, 1:] = prods
@@ -200,56 +236,8 @@ def sum_product(
             new[:n] = (1.0 - damping) * new[:n] + damping * msgs[:n]
         msgs = new
         if trace is not None:
-            trace.append((iterations, residual, _trace_free_energy(nfg, lay.messages(msgs), temperature)))
+            trace.append((iterations, residual, index.free_energy(index.to_vector(lay.beliefs(msgs)), temperature)))
         if residual <= tol:
             break
-    msgs = lay.messages(msgs)
-    state = SpaState(msgs, iterations, damping, residual, residual <= tol, trace)
-    return state, beliefs_from_messages(nfg, msgs, temperature)
-
-
-def _trace_free_energy(nfg, msgs, temperature):
-    from .bethe import bethe_terms
-    from .errors import GcbError
-
-    try:
-        beliefs = beliefs_from_messages(nfg, msgs, temperature)
-        # mid-run beliefs are only approximately consistent; skip that gate
-        return bethe_terms(nfg, beliefs, temperature, tol=1.0).f_bethe
-    except GcbError:
-        return None
-
-
-def beliefs_from_messages(nfg: Nfg, msgs, temperature: float = 1.0) -> PseudoMarginals:
-    """Factor and edge beliefs induced by a message set."""
-    weights = _factor_weights(nfg, temperature)
-    factor_dists = {}
-    for fid, f in nfg.factors.items():
-        rows, vals = weights[fid]
-        ins = [_incoming(nfg, msgs, fid, e) for e in f.edges]
-        scores = []
-        for row, w in zip(rows, vals):
-            total = w
-            for m, s in zip(ins, row):
-                total *= m[s]
-            scores.append(total)
-        total = sum(scores)
-        if total <= 0:
-            scores = [1.0] * len(rows)
-            total = float(len(rows))
-        factor_dists[fid] = {row: s / total for row, s in zip(rows, scores) if s > 0}
-    edge_dists = {}
-    for e in nfg.edge_order:
-        ends = nfg.incidence[e]
-        if len(ends) == 1:
-            v = np.array(msgs[(ends[0], e)], dtype=float)
-        else:
-            v = np.array(msgs[(ends[0], e)], dtype=float) * np.array(
-                msgs[(ends[1], e)], dtype=float
-            )
-        total = v.sum()
-        if total <= 0:
-            v = np.full_like(v, 1.0)
-            total = v.sum()
-        edge_dists[e] = {s: v[s] / total for s in range(len(v)) if v[s] > 0}
-    return PseudoMarginals(factor_dists, edge_dists)
+    state = SpaState(lay.messages(msgs), iterations, damping, residual, residual <= tol, trace)
+    return state, lay.beliefs(msgs)

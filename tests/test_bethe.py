@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -19,7 +20,15 @@ from gcb.bethe import (
     zbethe_m_enumeration,
     zbethe_m_typesum,
 )
-from gcb.coding import DecodingNfg, bgcd, sgcd
+from gcb.coding import (
+    Channel,
+    DecodingNfg,
+    ParityCheckMatrix,
+    attach_channel,
+    bgcd,
+    nfg_from_parity_check,
+    sgcd,
+)
 from gcb.covers import (
     PseudoMarginals,
     beta_from_configuration,
@@ -31,10 +40,11 @@ from gcb.covers import (
 from gcb.errors import BoundaryBeta, InconsistentBeta, SupportOnZeroFactor
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg, parity_table
+from gcb.spa import sum_product
 
 import gcb
 
-from conftest import EXAMPLE3_ROWS, fig5_beta, make_fig1, make_random_tree
+from conftest import EXAMPLE3_ROWS, fig5_beta, make_fig1, make_loopy_positive, make_random_tree
 
 
 HALF = Fraction(1, 2)
@@ -111,6 +121,69 @@ def test_energy_on_zero_row_rejected(fig1):
     beta = PseudoMarginals({**beta.factor_dists, "f1": bad}, beta.edge_dists)
     with pytest.raises((SupportOnZeroFactor, InconsistentBeta)):
         bethe_terms(fig1, beta, tol=0)
+
+
+def direct_bethe_terms(nfg, beta):
+    """(U, H) summed straight off beta's dicts, entry by entry."""
+    u = h = 0.0
+    for f, fac in nfg.factors.items():
+        for key, w in beta.factor_dists[f].items():
+            w = float(w)
+            if w > 0:
+                u -= w * math.log(fac.table[key])
+                h -= w * math.log(w)
+    for e in nfg.full_edge_order:
+        for w in beta.edge_dists[e].values():
+            w = float(w)
+            if w > 0:
+                h += w * math.log(w)
+    return u, h
+
+
+def spa_belief_graphs(seed):
+    rng = random.Random(seed)
+    graphs = [make_random_tree(rng, n_internal=3 + i % 3) for i in range(4)]
+    graphs += [make_loopy_positive(rng) for _ in range(4)]
+    code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
+    for p in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5)):
+        y = "".join(str(int(rng.random() < p)) for _ in range(10))
+        graphs.append(attach_channel(code, Channel.bsc(p), y).nfg)
+    return graphs
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.7])
+def test_bethe_terms_match_a_direct_sum(temperature):
+    cases = []
+    for nfg in spa_belief_graphs(seed=17):
+        state, beliefs = sum_product(nfg, max_iters=3000, damping=0.5, temperature=temperature)
+        assert state.converged
+        cases.append((nfg, beliefs, 1e-6))
+    # an exact beta, checked in rational arithmetic at tol=0
+    cases.append((make_fig1(), fig5_beta(), 0))
+    for nfg, beta, tol in cases:
+        u, h = direct_bethe_terms(nfg, beta)
+        ev = bethe_terms(nfg, beta, temperature, tol=tol)
+        assert ev.u_bethe == pytest.approx(u, rel=1e-12)
+        assert ev.h_bethe == pytest.approx(h, rel=1e-12)
+        assert ev.f_bethe == pytest.approx(u - temperature * h, rel=1e-12)
+
+
+def test_bethe_terms_errors_name_the_first_offender(fig1):
+    beta = uniform_beta(fig1)
+    d = dict(beta.factor_dists["f2"])
+    d[(0, 0, 0)] += Fraction(1, 100)
+    d[(0, 1, 1)] -= Fraction(1, 100)
+    off = PseudoMarginals({**beta.factor_dists, "f2": d}, beta.edge_dists)
+    with pytest.raises(InconsistentBeta, match=r"^beta outside the local marginal polytope: \[\('consistency', 'f2'"):
+        bethe_terms(fig1, off, tol=0)
+    # all eight rows of a parity factor, uniformly: consistent, half on odd rows
+    every_row = {key: Fraction(1, 8) for key in itertools.product((0, 1), repeat=3)}
+    zero_weight_stray = {**beta.factor_dists["f2"], (0, 0, 1): Fraction(0)}
+    for f3, f4 in [(every_row, every_row), (beta.factor_dists["f3"], every_row)]:
+        stray = PseudoMarginals({**beta.factor_dists, "f2": zero_weight_stray, "f3": f3, "f4": f4}, beta.edge_dists)
+        first = "f3" if f3 is every_row else "f4"
+        with pytest.raises(SupportOnZeroFactor, match=rf"^beta weight on zero-valued row \(0, 0, 1\) of {first}$"):
+            bethe_terms(fig1, stray, tol=0)
 
 
 def test_realizable_energy_matches_gibbs():
@@ -271,6 +344,12 @@ def test_monte_carlo_mode_matches_full(dumbbell):
     assert abs(mc.pre_root - float(full.pre_root)) <= 4 * mc.stderr
     again = zbethe_m_enumeration(dumbbell, 2, samples=4000, seed=1)
     assert again.pre_root == mc.pre_root  # seeded determinism
+
+
+def test_monte_carlo_one_sample_has_no_stderr(dumbbell):
+    res = zbethe_m_enumeration(dumbbell, 2, samples=1, seed=1)
+    assert res.samples == 1
+    assert math.isnan(res.stderr)
 
 
 def test_monte_carlo_requires_seed(dumbbell):

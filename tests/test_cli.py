@@ -75,6 +75,72 @@ def test_zbethe_m_monte_carlo_needs_a_sample(capsys, samples):
     assert "at least one sample" in err
 
 
+def test_zbethe_m_one_sample_prints_nan_stderr(capsys):
+    code, out, _ = run(capsys, "zbethe-m", "--nfg", dumbbell_path(), "-M", "2",
+                       "--samples", "1", "--seed", "1")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["samples=1", "stderr=nan"]
+
+
+def test_zbethe_m_typesum_refuses_samples(capsys):
+    code, out, err = run(capsys, "zbethe-m", "--nfg", dumbbell_path(), "-M", "2",
+                         "--method", "typesum", "--samples", "3", "--seed", "1")
+    assert code == 3
+    assert out == ""
+    assert "--samples needs --method enum" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decode", "--decoder", "bmapd"],  # no --channel, no --y
+    ["zbethe-m", "--nfg", "g.nfg", "-M", "2", "--bogus"],
+])
+def test_usage_errors_exit_3(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+# required arguments of each subcommand that reads neither cap
+REQUIRED = {
+    "zbethe-min": ["--nfg", "g.nfg"],
+    "spa": ["--nfg", "g.nfg"],
+    "bme": ["--nfg", "g.nfg", "--omega", "0.5"],
+    "ldpc-curve": ["--dl", "3", "--dr", "6"],
+    "examples": [],
+    "enumerate": ["--nfg", "g.nfg"],
+    "zgibbs": ["--nfg", "g.nfg"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, flag) for command in ("zbethe-min", "spa", "bme", "ldpc-curve", "examples")
+      for flag in ("--config-cap", "--cover-cap")),
+    ("enumerate", "--cover-cap"),
+    ("zgibbs", "--cover-cap"),
+])
+def test_cap_flags_only_where_read(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED[command], flag, "5"])
+    assert exc.value.code == 3
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["enumerate", "--nfg", fig1_path(), "--config-cap", "-1"], {}),
+    (["enumerate", "--nfg", fig1_path()], {"GCB_CONFIG_CAP": "-1"}),
+    (["zbethe-m", "--nfg", dumbbell_path(), "-M", "2", "--method", "typesum", "--config-cap", "-1"], {}),
+    (["covers", "--nfg", dumbbell_path(), "-M", "2", "--cover-cap", "-1"], {}),
+])
+def test_negative_caps_exit_3(capsys, monkeypatch, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "cap must be non-negative, got -1" in err
+
+
 def test_enumerate_parity_ring_past_product_space_cap(tmp_path, capsys):
     # 2^28 assignments, 2 valid configurations; the default cap is 2^26
     edges = [f"e{i:02d}" for i in range(28)]
@@ -222,6 +288,14 @@ def test_decode_degree_zero_exit(tmp_path, capsys, decoder):
     assert code == 3
     assert out == ""
     assert "degree M must be at least 1" in err
+
+
+@pytest.mark.parametrize("decoder", ["bmapd", "smapd"])
+def test_decode_map_rules_refuse_degree(tmp_path, capsys, decoder):
+    code, out, err = decode_repetition(capsys, tmp_path, "--decoder", decoder, "--degree", "3")
+    assert code == 3
+    assert out == ""
+    assert f"--degree needs --decoder bgcd or sgcd, not {decoder}" in err
 
 
 def test_decode_bgcd_config_cap_exit(tmp_path, capsys):

@@ -5,21 +5,62 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gcb.bethe import bethe_terms, stationarity_residual
+from gcb.bethe import _BetaIndex, bethe_terms, stationarity_residual
 from gcb.coding import Channel, ParityCheckMatrix, attach_channel, nfg_from_parity_check
+from gcb.covers import PseudoMarginals
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg
-from gcb.spa import (
-    SpaState,
-    _factor_weights,
-    _incoming,
-    _initial_messages,
-    _trace_free_energy,
-    beliefs_from_messages,
-    sum_product,
-)
+from gcb.spa import SpaState, _factor_weights, _initial_messages, sum_product
 
 from conftest import EXAMPLE3_ROWS, make_loopy_positive, make_random_tree
+
+
+def _incoming(nfg: Nfg, msgs, fid, e):
+    ends = nfg.incidence[e]
+    if len(ends) == 1:
+        return np.full(nfg.alphabet_sizes[e], 1.0)
+    other = ends[0] if ends[1] == fid else ends[1]
+    return msgs[(other, e)]
+
+
+def beliefs_from_messages(nfg: Nfg, msgs, temperature: float = 1.0) -> PseudoMarginals:
+    """Factor and edge beliefs induced by a message set.
+
+    A zero row sum gives the uniform distribution on all of the factor's
+    table rows, where ``sum_product`` takes its rows of non-zero weight:
+    the two differ only where a weight underflows to 0 at a small T.
+    """
+    weights = _factor_weights(nfg, temperature)
+    factor_dists = {}
+    for fid, f in nfg.factors.items():
+        rows, vals = weights[fid]
+        ins = [_incoming(nfg, msgs, fid, e) for e in f.edges]
+        scores = []
+        for row, w in zip(rows, vals):
+            total = w
+            for m, s in zip(ins, row):
+                total *= m[s]
+            scores.append(total)
+        total = sum(scores)
+        if total <= 0:
+            scores = [1.0] * len(rows)
+            total = float(len(rows))
+        factor_dists[fid] = {row: s / total for row, s in zip(rows, scores) if s > 0}
+    edge_dists = {}
+    for e in nfg.edge_order:
+        ends = nfg.incidence[e]
+        if len(ends) == 1:
+            v = np.array(msgs[(ends[0], e)], dtype=float)
+        else:
+            v = np.array(msgs[(ends[0], e)], dtype=float) * np.array(
+                msgs[(ends[1], e)], dtype=float
+            )
+        total = v.sum()
+        if total <= 0:
+            v = np.full_like(v, 1.0)
+            total = v.sum()
+        edge_dists[e] = {s: v[s] / total for s in range(len(v)) if v[s] > 0}
+    return PseudoMarginals(factor_dists, edge_dists)
 
 
 def reference_sum_product(
@@ -39,6 +80,7 @@ def reference_sum_product(
     residual = float("inf")
     iterations = 0
     trace = [] if collect_trace else None
+    index = _BetaIndex(nfg)
     for iterations in range(1, max_iters + 1):
         incoming = {
             (fid, e): _incoming(nfg, msgs, fid, e)
@@ -82,7 +124,8 @@ def reference_sum_product(
                 new_msgs[(fid, e)] = v
         msgs = new_msgs
         if trace is not None:
-            trace.append((iterations, residual, _trace_free_energy(nfg, msgs, temperature)))
+            x = index.to_vector(beliefs_from_messages(nfg, msgs, temperature))
+            trace.append((iterations, residual, index.free_energy(x, temperature)))
         if residual <= tol:
             break
     state = SpaState(msgs, iterations, damping, residual, residual <= tol, trace)

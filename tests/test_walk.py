@@ -684,6 +684,36 @@ def test_caps_still_raise(monkeypatch):
         sgcd(dec, degree=2)
 
 
+def test_negative_caps_are_refused(monkeypatch):
+    """A negative cap would leave a walk's budget above 0 for good, so it is
+    refused, from an argument or the environment, on a walk, the type-sum
+    and the cover loops; a cap of 0 is a bound like any other."""
+    fig1, dumbbell = make_fig1(), make_dumbbell()
+    calls = [
+        lambda: valid_tuples(fig1, cap=-1),
+        lambda: zbethe_m_typesum(dumbbell, 2, config_cap=-1),
+        lambda: list(enumerate_covers(dumbbell, 2, cap=-1)),
+        lambda: gauge_fixed_perm_invs(dumbbell, 2, cap=-1),
+        lambda: zbethe_m_enumeration(dumbbell, 2, cap=-1),
+        lambda: PreimageCensus(dumbbell, 2, cap=-1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^cap must be non-negative, got -1$"):
+            call()
+    with pytest.raises(CapExceeded, match="^more than 0 valid configurations$"):
+        valid_tuples(fig1, cap=0)
+    with pytest.raises(CapExceeded, match="^128 covers exceed cap 100$"):
+        zbethe_m_enumeration(dumbbell, 2, cap=100)
+    monkeypatch.setenv("GCB_CONFIG_CAP", "-1")
+    for call in (lambda: valid_tuples(fig1), lambda: zbethe_m_typesum(dumbbell, 2)):
+        with pytest.raises(ValueError, match="^cap must be non-negative, got -1$"):
+            call()
+    monkeypatch.delenv("GCB_CONFIG_CAP")
+    monkeypatch.setenv("GCB_COVER_CAP", "-2")
+    with pytest.raises(ValueError, match="^cap must be non-negative, got -2$"):
+        zbethe_m_enumeration(dumbbell, 2)
+
+
 def test_walk_limit_raises_on_the_next_configuration():
     fig1 = make_fig1()
     walk = Walk(build_plan(fig1))
