@@ -6,13 +6,11 @@ from .bethe import (
     MinimizeResult,
     ZBetheM,
     bethe_energy_from_cover,
-    bethe_partition,
     bethe_terms,
     check_local_consistency,
     emit_beta,
     minimize_bethe,
     parse_beta,
-    stationarity_residual,
     zbethe_m_enumeration,
     zbethe_m_typesum,
 )

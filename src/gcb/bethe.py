@@ -5,16 +5,15 @@ Includes the energy/entropy/free-energy split (membership checking,
 the degree-M partition function computed two ways (enumeration of the
 gauge-fixed covers, and the type-sum over the lift-realizable
 pseudo-marginals by elimination; an exact identity in rational
-arithmetic), free-energy minimization at zero and positive temperature,
-and the constrained-stationarity residual used to confirm sum-product
-fixed points.  The polytope is described once, in ``_BetaIndex``:
-``bethe_terms`` and the ``sum_product`` trace read the free energy off its
-energy vector and entropy; the T = 0 linear program, the projected
-descent, the residual and the minimizer's candidates all read its slots,
-constraint rows, free energy, gradient and tangent projection; and the
-max-entropy completion (``bme``) is guarded by its rows and scored by its
-entropy.  The completion's check blocks are solved together by the
-stacked Newton tilt ``tilt_factor_block``.
+arithmetic), and free-energy minimization at zero and positive
+temperature, certified at T > 0 by the Frank-Wolfe gap.  The polytope is
+described once, in ``_BetaIndex``: ``bethe_terms`` and the
+``sum_product`` trace read the free energy off its energy vector and
+entropy; the T = 0 linear program, the Frank-Wolfe gap and the projected
+descent all read its slots, constraint rows, free energy, gradient and
+tangent projection; and the max-entropy completion (``bme``) is guarded
+by its rows and scored by its entropy.  The completion's check blocks are
+solved together by the stacked Newton tilt ``tilt_factor_block``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .covers import (
     PseudoMarginals,
     build_cover,
     check_local_consistency,
-    check_shape,
     count_covers,
     cover_perm_inv,
     eliminate,
@@ -44,7 +42,6 @@ from .covers import (
     type_graph,
 )
 from .errors import (
-    BoundaryBeta,
     CapExceeded,
     InconsistentBeta,
     LpFailure,
@@ -57,6 +54,7 @@ from .nfg import Nfg, parse_number, format_number
 from .spa import sum_product
 
 INTERIOR_EPS = 1e-12
+GAP_TOL = 1e-9  # Frank-Wolfe gap that certifies a T > 0 minimizer
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -419,25 +417,25 @@ class _BetaIndex:
         t = float(temperature) * self.entropy_coef
         return self._energy + t * (np.log(np.maximum(x, INTERIOR_EPS)) + 1.0)
 
+    def gap(self, x: np.ndarray, temperature: float) -> float:
+        """Frank-Wolfe gap <g, x> - min over the polytope of <g, v>, with g
+        = ``gradient(x, T)``: one linear program over the rows of A.  It is
+        at least 0 up to the LP's rounding and is 0 exactly at the KKT
+        points of the free energy, boundary included; raises LpFailure when
+        the LP fails."""
+        from scipy.optimize import linprog
+
+        g = self.gradient(x, temperature)
+        res = linprog(g, A_eq=self.a_mat, b_eq=self.rhs, bounds=(0, 1), method="highs")
+        if not res.success:
+            raise LpFailure(f"Frank-Wolfe gap LP failed: {res.message}")
+        return float(g @ x - res.fun)
+
     def project(self, g: np.ndarray) -> np.ndarray:
         """g minus its least-squares fit by the rows of A: the projection onto
         the tangent space of the constraints."""
         y, *_ = np.linalg.lstsq(self.a_mat.T, g, rcond=None)
         return g - self.a_mat.T @ y
-
-
-def stationarity_residual(nfg: Nfg, beta: PseudoMarginals, temperature: float = 1.0) -> float:
-    """Norm of the free-energy gradient projected onto the constraint tangent space.
-
-    Zero exactly at stationary points of the constrained problem; requires
-    beta strictly interior (all support coordinates above 1e-12).
-    """
-    check_shape(nfg, beta)
-    idx = _BetaIndex(nfg)
-    x = idx.to_vector(beta)
-    if np.any(x <= INTERIOR_EPS):
-        raise BoundaryBeta("beta has entries at or below the interiority epsilon")
-    return float(np.linalg.norm(idx.project(idx.gradient(x, temperature))))
 
 
 # -- entropy-regularized factor tilt ------------------------------------------
@@ -550,16 +548,14 @@ def tilt_factor_block(features, log_w, targets, tol: float = 1e-12, max_iters: i
 
 
 class MinimizeResult:
-    __slots__ = ("beta", "f_min", "z_bethe", "converged", "minimizers", "tie", "message")
+    __slots__ = ("beta", "f_min", "z_bethe", "converged", "tie")
 
-    def __init__(self, beta, f_min, z_bethe, converged, minimizers, tie, message=""):
+    def __init__(self, beta, f_min, z_bethe, converged, tie):
         self.beta = beta
         self.f_min = f_min
         self.z_bethe = z_bethe
         self.converged = converged
-        self.minimizers = minimizers
         self.tie = tie
-        self.message = message
 
 
 def _lp_minimize_energy(idx: _BetaIndex):
@@ -679,82 +675,76 @@ def minimize_bethe(
     spa_iters: int = 4000,
     spa_tol: float = 1e-13,
     descent_iters: int = 300,
-    tie_tol: float = 1e-9,
     values=None,
 ) -> MinimizeResult:
     """Minimize the Bethe free energy over the local marginal polytope.
 
     One ``_BetaIndex`` per call describes the polytope and the free energy.
     T = 0 is an exact linear program over its factor slots (the energy is
-    linear).  For T > 0 the search combines multi-start damped sum-product
-    (fixed points are stationary points) with projected-gradient descent in
-    the index's flat coordinates (``_ProjectedDescent``): gradient steps
-    projected onto the tangent space of the equality constraints, with a
-    line search that keeps every entry positive.  A converged fixed point
-    is a candidate when its entries are at least -1e-6 and it meets every
-    equality constraint within 1e-6.  The descent polishes the best
-    fixed point, or starts from a max-slack interior point when no fixed
-    point is found.  Every candidate is valued by the index's
-    ``free_energy``.  Distinct minimizers within ``tie_tol`` of the best
-    value are reported and flagged as ties.  At T = 0, ``_zero_temp_tie``
-    reads ``values``, the global values of the valid configurations, or
-    enumerates them when None; CapExceeded propagates past the cap.
+    linear); ``tie`` there means a fractional optimum or several optimal
+    configurations, read from ``values``, the global values of the valid
+    configurations, or enumerated when None (CapExceeded past the cap).
+
+    For T > 0 the starts run in order (the uniform start, then seeded
+    random messages), each with damped sum-product at damping 0.0 and then
+    0.5, at most ``n_starts`` starts, so at most 2 * ``n_starts`` *
+    ``spa_iters`` sweeps.  The first converged fixed point that lies in the
+    polytope (entries at least -1e-6, every equality within 1e-6) and whose
+    Frank-Wolfe gap (``_BetaIndex.gap``) is at most ``GAP_TOL`` is
+    returned.  When no start certifies, projected-gradient descent
+    (``_ProjectedDescent``, at most ``descent_iters`` steps) polishes the
+    lowest fixed point, or starts from a max-slack interior point when
+    there is none, and the lowest of all candidates is returned.
+    ``converged`` means "certified by the gap": the returned point's gap is
+    at most ``GAP_TOL``.  Where the free energy is not convex that
+    certifies a stationary point, not the global minimum.  ``tie`` is
+    always False at T > 0.
     """
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
+    if n_starts < 1:
+        raise ValueError("n_starts must be at least 1")
     if temperature == 0:
         idx = _BetaIndex(nfg)
         beta, f_min = _lp_minimize_energy(idx)
-        tie = _zero_temp_tie(idx, beta, f_min, values)
-        return MinimizeResult(beta, f_min, None, True, [beta], tie)
+        return MinimizeResult(beta, f_min, None, True, _zero_temp_tie(idx, beta, f_min, values))
 
-    problem = _ProjectedDescent(nfg, temperature)
+    t = float(temperature)
+    problem = _ProjectedDescent(nfg, t)
     idx = problem.idx
-    candidates = []  # (free energy, beta, flat x, converged)
+    candidates = []  # (free energy, flat x, beta, gap or None)
     rng = np.random.default_rng(seed)
-    inits = [None] + [np.random.default_rng(rng.integers(2**32)) for _ in range(max(0, n_starts - 1))]
+    inits = [None] + [np.random.default_rng(rng.integers(2**32)) for _ in range(n_starts - 1)]
     for init in inits:
         for damping in (0.0, 0.5):
             state, beliefs = sum_product(
-                nfg,
-                max_iters=spa_iters,
-                damping=damping,
-                tol=spa_tol,
-                temperature=temperature,
-                init_rng=init,
+                nfg, max_iters=spa_iters, damping=damping, tol=spa_tol, temperature=t, init_rng=init,
             )
-            if state.converged:
-                x = idx.to_vector(beliefs)
-                if idx.feasible(x, 1e-6):
-                    candidates.append((idx.free_energy(x, temperature), beliefs, x, True))
+            if not state.converged:
+                continue
+            x = idx.to_vector(beliefs)
+            if not idx.feasible(x, 1e-6):
+                continue
+            value, gap = idx.free_energy(x, t), idx.gap(x, t)
+            if gap <= GAP_TOL:
+                return MinimizeResult(beliefs, value, math.exp(-value / t), True, False)
+            candidates.append((value, x, beliefs, gap))
 
     if candidates:
-        # polish the best fixed point; its repair stays interior
-        x0 = problem.repair(min(candidates, key=lambda c: c[0])[2])
+        # polish the lowest fixed point; its repair stays interior
+        x0 = problem.repair(min(candidates, key=lambda c: c[0])[1])
     else:
         # no fixed point found: descend from the max-slack interior point
         x0 = problem.interior_point()
     if x0 is not None and not np.any(x0 < 0):
-        x, value, grad_norm = problem.run(x0, max_iters=descent_iters)
-        candidates.append((value, idx.to_beta(x), x, grad_norm <= 1e-6))
-
+        x, value, _ = problem.run(x0, max_iters=descent_iters)
+        candidates.append((value, x, idx.to_beta(x), None))
     if not candidates:
         raise LpFailure("no candidate minimizer found")
-    candidates.sort(key=lambda c: c[0])
-    f_min, beta, x_min, _ = candidates[0]
-    # the minimum counts as certified when any candidate at that value
-    # reached its own convergence criterion
-    converged = any(flag for value, _, _, flag in candidates if value - f_min <= tie_tol)
-    minimizers = [beta]
-    xs = [x_min]
-    for value, cand, xv, _ in candidates[1:]:
-        if value - f_min > tie_tol:
-            break
-        if all(np.max(np.abs(xv - x0)) > 1e-6 for x0 in xs):
-            minimizers.append(cand)
-            xs.append(xv)
-    z = math.exp(-f_min / float(temperature))
-    return MinimizeResult(beta, f_min, z, converged, minimizers, len(minimizers) > 1)
+    f_min, x, beta, gap = min(candidates, key=lambda c: c[0])
+    if gap is None:
+        gap = idx.gap(x, t)
+    return MinimizeResult(beta, f_min, math.exp(-f_min / t), gap <= GAP_TOL, False)
 
 
 def _zero_temp_tie(idx: _BetaIndex, beta: PseudoMarginals, f_min: float, values=None):
@@ -767,10 +757,6 @@ def _zero_temp_tie(idx: _BetaIndex, beta: PseudoMarginals, f_min: float, values=
     if values is None:
         values = (value for _, value in valid_tuples(idx.nfg))
     return sum(abs(-math.log(value) - f_min) <= 1e-9 for value in values) > 1
-
-
-def bethe_partition(nfg: Nfg, temperature: float = 1.0, **kwargs) -> float:
-    return minimize_bethe(nfg, temperature, **kwargs).z_bethe
 
 
 # -- beta serialization --------------------------------------------------------

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 enumeration cap exceeded, 3 usage, parse or input
 error, 4 solver non-convergence.  Primary output is line-oriented key=value
 (CSV for curves and traces); diagnostics go to stderr.  A subcommand takes
-``--config-cap`` / ``--cover-cap`` only where it reads them.
+``--config-cap`` / ``--cover-cap`` only where it reads them, and refuses
+them (exit 3) in the modes that do not read them.
 """
 
 from __future__ import annotations
@@ -127,6 +128,8 @@ def cmd_zbethe_m(args):
         raise ParseError("--samples needs --method enum")
     if args.samples is not None and args.seed is None:
         raise ParseError("Monte Carlo mode requires --seed")
+    if args.cover_cap is not None and (args.method == "typesum" or args.samples is not None):
+        raise ParseError("--cover-cap needs --method enum without --samples")
     exact = {"exact": True, "float": False, "auto": None}[args.precision]
     if args.method == "typesum":
         res = zbethe_m_typesum(nfg, args.m, args.temperature, exact=exact,
@@ -151,7 +154,7 @@ def cmd_zbethe_min(args):
     if res.z_bethe is not None:
         lines.append(f"zbethe={_fmt(res.z_bethe)}")
     lines.append(f"converged={str(res.converged).lower()}")
-    lines.append(f"ties={len(res.minimizers)}")
+    lines.append(f"tie={str(res.tie).lower()}")
     _write(args, "\n".join(lines) + "\n")
     if args.dump_beta:
         with open(args.dump_beta, "w", encoding="utf-8") as fh:
@@ -161,6 +164,8 @@ def cmd_zbethe_min(args):
 
 def cmd_preimage_count(args):
     nfg = parse_nfg(args.nfg)
+    if args.method == "closed" and (args.cover_cap is not None or args.config_cap is not None):
+        raise ParseError("--method closed reads no cap")
     with open(args.beta, "r", encoding="utf-8") as fh:
         beta = parse_beta(nfg, fh.read())
     lines = []
@@ -177,6 +182,10 @@ def cmd_preimage_count(args):
 
 def cmd_covers(args):
     nfg = parse_nfg(args.nfg)
+    if args.count_only and (args.cover_cap is not None or args.config_cap is not None):
+        raise ParseError("--count-only reads no cap")
+    if args.config_cap is not None and not args.zgibbs:
+        raise ParseError("--config-cap needs --zgibbs")
     if args.count_only:
         _write(args, f"count={count_covers(nfg, args.m)}\n")
         return EXIT_OK
@@ -239,6 +248,8 @@ def cmd_bme(args):
 def cmd_decode(args):
     if args.degree is not None and args.decoder in ("bmapd", "smapd"):
         raise ParseError(f"--degree needs --decoder bgcd or sgcd, not {args.decoder}")
+    if args.cover_cap is not None and args.degree is None:
+        raise ParseError("--cover-cap needs --degree")
     h = _load_pcm(args)
     nfg_code = nfg_from_parity_check(h)
     with open(args.channel, "r", encoding="utf-8") as fh:
@@ -265,7 +276,8 @@ def cmd_decode(args):
     if args.dump_beta and result.beliefs is not None:
         with open(args.dump_beta, "w", encoding="utf-8") as fh:
             fh.write(emit_beta(result.beliefs))
-    return EXIT_OK
+    # sgcd without --degree reports whether the Frank-Wolfe gap certified it
+    return EXIT_OK if result.diagnostics.get("converged", True) else EXIT_NONCONV
 
 
 def cmd_ldpc_curve(args):

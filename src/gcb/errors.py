@@ -71,10 +71,6 @@ class NonConvergence(GcbError):
         self.best = best
 
 
-class BoundaryBeta(GcbError):
-    """Pseudo-marginals sit on the boundary where an interior point is needed."""
-
-
 class InfeasibleOmega(GcbError):
     """The requested half-edge marginals lie outside the fundamental polytope."""
 

@@ -143,12 +143,6 @@ class Nfg:
     def full_edge_order(self) -> tuple:
         return tuple(e for e in self.edge_order if e not in self.half_edges)
 
-    def configuration_space_size(self) -> int:
-        n = 1
-        for size in self.alphabet_sizes.values():
-            n *= size
-        return n
-
     def endpoints(self, edge: str) -> tuple:
         """Incident factor ids; one entry for a half-edge, two for a full edge."""
         return self.incidence[edge]

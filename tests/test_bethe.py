@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from gcb.bethe import (
+    GAP_TOL,
+    _BetaIndex,
+    _ProjectedDescent,
     bethe_terms,
     bethe_energy_from_cover,
     check_local_consistency,
     emit_beta,
     minimize_bethe,
     parse_beta,
-    stationarity_residual,
     zbethe_m_enumeration,
     zbethe_m_typesum,
 )
@@ -37,7 +39,7 @@ from gcb.covers import (
     phi_m,
     random_cover,
 )
-from gcb.errors import BoundaryBeta, InconsistentBeta, SupportOnZeroFactor
+from gcb.errors import InconsistentBeta, SupportOnZeroFactor
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg, parity_table
 from gcb.spa import sum_product
@@ -443,6 +445,7 @@ def test_minimize_tree_equals_gibbs():
 
 def test_minimize_dumbbell_interval(dumbbell):
     res = minimize_bethe(dumbbell, 1.0, n_starts=3)
+    assert res.converged and not res.tie
     # cycle-code bounds: 2^{-#components} Z_G <= Z_B <= Z_G
     assert 2.0 - 1e-9 <= res.z_bethe <= 4.0 + 1e-9
     assert res.z_bethe == pytest.approx(2.0, abs=1e-6)
@@ -468,10 +471,6 @@ def test_minimize_never_exceeds_uniform(fig1):
 
 def test_descent_alone_finds_dumbbell_optimum(dumbbell):
     """Projected descent reaches the optimum without any fixed-point seed."""
-    import numpy as np
-
-    from gcb.bethe import _ProjectedDescent
-
     problem = _ProjectedDescent(dumbbell, 1.0)
     center = problem.interior_point()
     assert center is not None
@@ -626,16 +625,74 @@ def _random_interior_beta(nfg, rng):
     return PseudoMarginals(factor_dists, edge_dists)
 
 
+def _gap(nfg, beta, temperature=1.0):
+    idx = _BetaIndex(nfg)
+    return idx.gap(idx.to_vector(beta), temperature)
+
+
 def test_stationarity_positive_generically(fig1):
     rng = random.Random(37)
     beta = _random_interior_beta(fig1, rng)
-    assert stationarity_residual(fig1, beta, 1.0) > 1e-6
+    assert _gap(fig1, beta) > 1e-6
 
 
-def test_stationarity_rejects_boundary(fig1):
+def test_gap_positive_at_vertex(fig1):
+    # a configuration's vertex is not stationary at T = 1; its zero slots
+    # are clamped in the gradient, so the gap stays finite
     tup = valid_tuples(fig1)[0][0]
-    with pytest.raises(BoundaryBeta):
-        stationarity_residual(fig1, beta_from_configuration(fig1, tup), 1.0)
+    gap = _gap(fig1, beta_from_configuration(fig1, tup))
+    assert math.isfinite(gap) and gap > GAP_TOL
+
+
+def test_gap_certifies_near_vertex_fixed_point():
+    """y = 0011010101 over BSC(1/20): the T = 1 minimizer is a near-vertex,
+    most slots far below 1e-12, and its fixed point still has gap 0; moving
+    1 % of the way to the max-slack interior point breaks the certificate."""
+    code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
+    dec = attach_channel(code, Channel.bsc(Fraction(1, 20)), list("0011010101"))
+    state, beliefs = sum_product(dec.nfg, max_iters=4000, tol=1e-13)
+    assert state.converged
+    problem = _ProjectedDescent(dec.nfg, 1.0)
+    idx = problem.idx
+    x = idx.to_vector(beliefs)
+    assert np.sum(x <= 1e-12) > len(x) // 2
+    assert abs(idx.gap(x, 1.0)) <= GAP_TOL
+    moved = 0.99 * x + 0.01 * problem.interior_point()
+    assert idx.gap(moved, 1.0) > GAP_TOL
+
+
+def test_minimize_stops_at_first_certified_start(monkeypatch):
+    """On a tree the undamped uniform start certifies, so one sum-product
+    run is made of the 2 * n_starts allowed."""
+    import gcb.bethe
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["damping"])
+        return sum_product(*args, **kwargs)
+
+    monkeypatch.setattr(gcb.bethe, "sum_product", counting)
+    res = minimize_bethe(make_random_tree(random.Random(3)), 1.0)
+    assert calls == [0.0]
+    assert res.converged and not res.tie
+
+
+def test_minimize_uncertified_reports_not_converged(dumbbell, monkeypatch):
+    """With no start certified, the descent runs and the best candidate is
+    returned with converged False."""
+    import gcb.bethe
+
+    monkeypatch.setattr(gcb.bethe, "GAP_TOL", -1.0)
+    res = minimize_bethe(dumbbell, 1.0, n_starts=2)
+    assert not res.converged and not res.tie
+    assert res.z_bethe == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("n_starts", [0, -3])
+def test_minimize_refuses_no_starts(dumbbell, n_starts):
+    with pytest.raises(ValueError, match="n_starts must be at least 1"):
+        minimize_bethe(dumbbell, 1.0, n_starts=n_starts)
 
 
 def test_single_factor_tilt_is_stationary():
@@ -648,7 +705,8 @@ def test_single_factor_tilt_is_stationary():
     z = sum(table.values())
     for k, v in table.items():
         assert float(res.beta.factor_weight("f", k)) == pytest.approx(v / z, abs=1e-9)
-    assert stationarity_residual(n, res.beta, 1.0) <= 1e-8
+    assert res.converged
+    assert _gap(n, res.beta) <= GAP_TOL
 
 
 # -- non-concavity exhibit -----------------------------------------------------------

@@ -159,6 +159,45 @@ def test_zbethe_min_dumbbell(capsys):
     code, out, _ = run(capsys, "zbethe-min", "--nfg", dumbbell_path(), "--starts", "2")
     assert code == 0
     assert "zbethe=2\n" in out or "zbethe=2.0" in out or "zbethe=1.99999" in out
+    assert out.splitlines()[-2:] == ["converged=true", "tie=false"]
+
+
+def test_zbethe_min_zero_temperature_tie(capsys):
+    # fig1's T = 0 optimum is attained by several configurations
+    code, out, _ = run(capsys, "zbethe-min", "--nfg", fig1_path(), "-T", "0")
+    assert code == 0
+    assert out.splitlines()[-1] == "tie=true"
+
+
+@pytest.mark.parametrize("starts", ["0", "-3"])
+def test_zbethe_min_refuses_no_starts(capsys, starts):
+    code, out, err = run(capsys, "zbethe-min", "--nfg", dumbbell_path(), "--starts", starts)
+    assert code == 3
+    assert out == ""
+    assert "n_starts must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["zbethe-m", "--nfg", dumbbell_path(), "-M", "2", "--method", "typesum", "--cover-cap", "1"],
+     "--cover-cap needs --method enum without --samples"),
+    (["zbethe-m", "--nfg", dumbbell_path(), "-M", "2", "--samples", "3", "--seed", "1", "--cover-cap", "1"],
+     "--cover-cap needs --method enum without --samples"),
+    (["covers", "--nfg", dumbbell_path(), "-M", "2", "--count-only", "--cover-cap", "1"],
+     "--count-only reads no cap"),
+    (["covers", "--nfg", dumbbell_path(), "-M", "2", "--count-only", "--config-cap", "1"],
+     "--count-only reads no cap"),
+    (["covers", "--nfg", dumbbell_path(), "-M", "2", "--config-cap", "1"],
+     "--config-cap needs --zgibbs"),
+    (["preimage-count", "--nfg", fig1_path(), "-M", "2", "--beta", "beta.txt", "--cover-cap", "1"],
+     "--method closed reads no cap"),
+    (["preimage-count", "--nfg", fig1_path(), "-M", "2", "--beta", "beta.txt", "--config-cap", "1"],
+     "--method closed reads no cap"),
+])
+def test_ignored_cap_flags_exit_3(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert message in err
 
 
 def test_covers_count(capsys):
@@ -296,6 +335,26 @@ def test_decode_map_rules_refuse_degree(tmp_path, capsys, decoder):
     assert code == 3
     assert out == ""
     assert f"--degree needs --decoder bgcd or sgcd, not {decoder}" in err
+
+
+@pytest.mark.parametrize("decoder", ["bmapd", "smapd", "bgcd", "sgcd"])
+def test_decode_cover_cap_needs_degree(tmp_path, capsys, decoder):
+    code, out, err = decode_repetition(capsys, tmp_path, "--decoder", decoder, "--cover-cap", "1")
+    assert code == 3
+    assert out == ""
+    assert "--cover-cap needs --degree" in err
+
+
+def test_decode_sgcd_uncertified_exit_4(tmp_path, capsys, monkeypatch):
+    import gcb.bethe
+
+    code, out, _ = decode_repetition(capsys, tmp_path, "--decoder", "sgcd")
+    assert code == 0 and out.startswith("decision=000\n")
+    # no start can meet a negative gap tolerance, so the result is uncertified
+    monkeypatch.setattr(gcb.bethe, "GAP_TOL", -1.0)
+    code, out, _ = decode_repetition(capsys, tmp_path, "--decoder", "sgcd")
+    assert code == 4
+    assert out.startswith("decision=000\n")
 
 
 def test_decode_bgcd_config_cap_exit(tmp_path, capsys):

@@ -739,6 +739,34 @@ def test_sgcd_decodes_regular_code_near_noiseless():
     assert res0.decisions == x
 
 
+# the first 20 words of random.Random(2024) below and sgcd's decisions on
+# them, recorded before sgcd stopped at the first certified start
+SGCD_RECORDED = [
+    ("1111000110", "1111000110"), ("0110111010", "0110111010"), ("0100101101", "0100101101"),
+    ("0110000011", "0110000011"), ("1010010100", "1010010100"), ("1001101101", "1001101101"),
+    ("0100000000", "0000000000"), ("1001000001", "1001000101"), ("1000100110", "1000100110"),
+    ("1100010111", "1100010111"), ("0101101011", "0101101011"), ("0010100001", "0010100001"),
+    ("0110111010", "0110111010"), ("1101010000", "1101010000"), ("0111000011", "0111000011"),
+    ("1000000101", "1000000111"), ("1000001111", "1000000111"), ("0001101111", "0001101111"),
+    ("0110111000", "0110111010"), ("1100010111", "1100010111"),
+]
+
+
+def test_sgcd_decisions_on_seeded_words():
+    """Codewords of the (3,6) code through BSC(1/20), (1/10), (1/5) in turn."""
+    h = ParityCheckMatrix(EXAMPLE3_ROWS)
+    code = nfg_from_parity_check(h)
+    words = h.codewords()
+    rng = random.Random(2024)
+    for i, (y_rec, decision) in enumerate(SGCD_RECORDED):
+        p = (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5))[i % 3]
+        y = [str(s ^ (rng.random() < p)) for s in rng.choice(words)]
+        assert "".join(y) == y_rec
+        res = sgcd(attach_channel(code, Channel.bsc(p), y))
+        assert "".join(map(str, res.decisions)) == decision
+        assert res.diagnostics == {"converged": True} and not res.tie
+
+
 # -- fundamental polytope -------------------------------------------------------------
 
 

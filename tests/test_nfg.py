@@ -19,7 +19,6 @@ def test_structure_counts(fig1):
     assert len(fig1.factors) == 5
     assert len(fig1.half_edges) == 2
     assert len(fig1.full_edges) == 6
-    assert fig1.configuration_space_size() == 2**8
 
 
 def test_full_edge_must_touch_two_factors():

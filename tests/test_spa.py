@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gcb.bethe import _BetaIndex, bethe_terms, stationarity_residual
+from gcb.bethe import GAP_TOL, _BetaIndex, bethe_terms
 from gcb.coding import Channel, ParityCheckMatrix, attach_channel, nfg_from_parity_check
 from gcb.covers import PseudoMarginals
 from gcb.gibbs import gibbs_partition, valid_tuples
@@ -216,6 +216,20 @@ def test_tree_fixed_point_reached_quickly():
     assert state.residual <= 1e-14
 
 
+def _gap(nfg, beliefs):
+    idx = _BetaIndex(nfg)
+    return idx.gap(idx.to_vector(beliefs), 1.0)
+
+
+def test_tree_fixed_points_are_certified():
+    rng = random.Random(8)
+    for trial in range(5):
+        tree = make_random_tree(rng, n_internal=3 + trial % 3)
+        state, beliefs = sum_product(tree, max_iters=200, tol=1e-14)
+        assert state.converged
+        assert _gap(tree, beliefs) <= GAP_TOL
+
+
 def test_loopy_fixed_points_are_stationary():
     rng = random.Random(1)
     hit = 0
@@ -225,8 +239,7 @@ def test_loopy_fixed_points_are_stationary():
         if not state.converged:
             continue
         hit += 1
-        res = stationarity_residual(nfg, beliefs, 1.0)
-        assert res <= 1e-6
+        assert _gap(nfg, beliefs) <= GAP_TOL
     assert hit >= 3  # the mild-coupling instances should converge
 
 
