@@ -9,11 +9,11 @@ arithmetic), and free-energy minimization at zero and positive
 temperature, certified at T > 0 by the Frank-Wolfe gap.  The polytope is
 described once, in ``_BetaIndex``: ``bethe_terms`` and the
 ``sum_product`` trace read the free energy off its energy vector and
-entropy; the T = 0 linear program, the Frank-Wolfe gap and the projected
-descent all read its slots, constraint rows, free energy, gradient and
-tangent projection; and the max-entropy completion (``bme``) is guarded
-by its rows and scored by its entropy.  The completion's check blocks are
-solved together by the stacked Newton tilt ``tilt_factor_block``.
+entropy; the T = 0 linear program and the Frank-Wolfe gap read its slots,
+constraint rows, free energy and gradient; and the max-entropy completion
+(``bme``) is guarded by its rows and scored by its entropy.  The
+completion's check blocks are solved together by the stacked Newton tilt
+``tilt_factor_block``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .errors import (
     CapExceeded,
     InconsistentBeta,
     LpFailure,
+    NonConvergence,
     SupportOnZeroFactor,
     ZeroGlobalValue,
 )
@@ -55,6 +56,8 @@ from .spa import sum_product
 
 INTERIOR_EPS = 1e-12
 GAP_TOL = 1e-9  # Frank-Wolfe gap that certifies a T > 0 minimizer
+SPA_ITERS = 4000  # sweeps per sum-product start in minimize_bethe
+SPA_TOL = 1e-13
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -272,7 +275,7 @@ class _BetaIndex:
     half-edge symbols) and the equality constraints A x = b: factor sums,
     edge sums, then one consistency row per factor, incident edge and
     symbol (the factor's marginal minus the edge's weight).  The entropy,
-    the free energy, its gradient, the tangent projection and the T = 0
+    the free energy, its gradient, the Frank-Wolfe gap and the T = 0
     linear program are all read from these.  The index holds its graph
     weakly, so a cache of indexes keyed by their graphs lets the graphs go;
     whoever uses an index holds its graph.
@@ -366,10 +369,6 @@ class _BetaIndex:
                 edge_dists[e][s] = v
         return PseudoMarginals(factor_dists, edge_dists)
 
-    def equality_matrix(self):
-        """(A, b): factor sums, edge sums, and per-(f, e, symbol) consistency."""
-        return self.a_mat, self.rhs
-
     def feasible(self, x: np.ndarray, tol: float) -> bool:
         """Every entry at least -tol and every row of A x = b within tol."""
         return bool(np.all(x >= -tol) and np.all(np.abs(self.a_mat @ x - self.rhs) <= tol))
@@ -419,10 +418,15 @@ class _BetaIndex:
 
     def gap(self, x: np.ndarray, temperature: float) -> float:
         """Frank-Wolfe gap <g, x> - min over the polytope of <g, v>, with g
-        = ``gradient(x, T)``: one linear program over the rows of A.  It is
-        at least 0 up to the LP's rounding and is 0 exactly at the KKT
-        points of the free energy, boundary included; raises LpFailure when
-        the LP fails."""
+        = ``gradient(x, T)``: one linear program over the rows of A; raises
+        LpFailure when the LP fails.  It is at least 0 up to the LP's
+        rounding and 0 at the KKT points of the free energy, but not only
+        there: the gradient is clamped at ``INTERIOR_EPS``, so a slot at 0
+        reads a finite slope where the true one is infinite, and a vertex can
+        read gap 0 without being stationary (a T = 0 LP vertex of a
+        decoding graph, scored at T = 1, reads ~1e-15 with F 0.1 above the
+        minimum).  ``minimize_bethe`` reads it only on converged
+        sum-product fixed points."""
         from scipy.optimize import linprog
 
         g = self.gradient(x, temperature)
@@ -430,12 +434,6 @@ class _BetaIndex:
         if not res.success:
             raise LpFailure(f"Frank-Wolfe gap LP failed: {res.message}")
         return float(g @ x - res.fun)
-
-    def project(self, g: np.ndarray) -> np.ndarray:
-        """g minus its least-squares fit by the rows of A: the projection onto
-        the tangent space of the constraints."""
-        y, *_ = np.linalg.lstsq(self.a_mat.T, g, rcond=None)
-        return g - self.a_mat.T @ y
 
 
 # -- entropy-regularized factor tilt ------------------------------------------
@@ -589,92 +587,11 @@ def _lp_minimize_energy(idx: _BetaIndex):
     return beta, float(res.fun)
 
 
-class _ProjectedDescent:
-    """Projected-gradient descent on the local marginal polytope.
-
-    Works in the flat coordinates of its ``_BetaIndex`` (``idx``), with the
-    index's free energy: gradient steps are projected onto the tangent space
-    of the equality constraints (so affine feasibility is preserved) and the
-    line search caps the step to keep strict positivity.
-    """
-
-    FLOOR = 1e-13
-
-    def __init__(self, nfg: Nfg, temperature: float):
-        self.t = float(temperature)
-        self.idx = _BetaIndex(nfg)
-
-    def repair(self, x: np.ndarray) -> np.ndarray:
-        """Minimum-norm correction onto the equality constraints."""
-        a_mat, rhs = self.idx.equality_matrix()
-        delta, *_ = np.linalg.lstsq(a_mat, a_mat @ x - rhs, rcond=None)
-        return x - delta
-
-    def interior_point(self):
-        """Max-min-slack point of B via a linear program; None when B has
-        no strictly positive point in these coordinates."""
-        from scipy.optimize import linprog
-
-        a_mat, rhs = self.idx.equality_matrix()
-        n = self.idx.n
-        c = np.zeros(n + 1)
-        c[-1] = -1.0
-        a_eq = np.hstack([a_mat, np.zeros((a_mat.shape[0], 1))])
-        a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
-        res = linprog(
-            c,
-            A_eq=a_eq,
-            b_eq=rhs,
-            A_ub=a_ub,
-            b_ub=np.zeros(n),
-            bounds=[(0, 1)] * n + [(0, 1)],
-            method="highs",
-        )
-        if not res.success or res.x[-1] < 1e-9:
-            return None
-        return res.x[:-1]
-
-    def run(self, x0: np.ndarray, max_iters: int = 500, grad_tol: float = 1e-9):
-        """Returns (x, value, projected gradient norm)."""
-        x = np.maximum(x0, 0.0)
-        value = self.idx.free_energy(x, self.t)
-        step = 1.0
-        norm = float("inf")
-        for _ in range(max_iters):
-            d = -self.idx.project(self.idx.gradient(x, self.t))
-            norm = float(np.linalg.norm(d))
-            if norm <= grad_tol:
-                break
-            shrinking = d < 0
-            if np.any(shrinking):
-                limit = np.min((x[shrinking] - self.FLOOR) / -d[shrinking])
-                limit = max(limit, 0.0)
-            else:
-                limit = np.inf
-            s = min(step, 0.9 * limit)
-            improved = False
-            while s > 1e-14:
-                cand = x + s * d
-                cand_value = self.idx.free_energy(cand, self.t)
-                if cand_value < value - 1e-15:
-                    x, value = cand, cand_value
-                    step = min(2.0 * s, 1.0)
-                    improved = True
-                    break
-                s *= 0.5
-            if not improved:
-                break
-        return x, value, norm
-
-
 def minimize_bethe(
     nfg: Nfg,
     temperature: float = 1.0,
     n_starts: int = 8,
     seed: int = 0,
-    spa_iters: int = 4000,
-    spa_tol: float = 1e-13,
-    descent_iters: int = 300,
     values=None,
 ) -> MinimizeResult:
     """Minimize the Bethe free energy over the local marginal polytope.
@@ -688,63 +605,51 @@ def minimize_bethe(
     For T > 0 the starts run in order (the uniform start, then seeded
     random messages), each with damped sum-product at damping 0.0 and then
     0.5, at most ``n_starts`` starts, so at most 2 * ``n_starts`` *
-    ``spa_iters`` sweeps.  The first converged fixed point that lies in the
-    polytope (entries at least -1e-6, every equality within 1e-6) and whose
-    Frank-Wolfe gap (``_BetaIndex.gap``) is at most ``GAP_TOL`` is
-    returned.  When no start certifies, projected-gradient descent
-    (``_ProjectedDescent``, at most ``descent_iters`` steps) polishes the
-    lowest fixed point, or starts from a max-slack interior point when
-    there is none, and the lowest of all candidates is returned.
-    ``converged`` means "certified by the gap": the returned point's gap is
-    at most ``GAP_TOL``.  Where the free energy is not convex that
-    certifies a stationary point, not the global minimum.  ``tie`` is
-    always False at T > 0.
+    ``SPA_ITERS`` sweeps.  Only converged fixed points that lie in the
+    polytope (entries at least -1e-6, every equality within 1e-6) are
+    kept, and the first whose Frank-Wolfe gap (``_BetaIndex.gap``) is at
+    most ``GAP_TOL`` is returned with ``converged`` True.  The gap is read
+    only on these fixed points: at other boundary points it can read 0
+    without certifying anything.  Where the free energy is not convex a
+    certified point is stationary, not necessarily the global minimum.
+    When no fixed point certifies, the lowest kept one is returned with
+    ``converged`` False; when none is kept, NonConvergence is raised.
+    ``tie`` is always False at T > 0.
     """
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
+    idx = _BetaIndex(nfg)
     if temperature == 0:
-        idx = _BetaIndex(nfg)
         beta, f_min = _lp_minimize_energy(idx)
         return MinimizeResult(beta, f_min, None, True, _zero_temp_tie(idx, beta, f_min, values))
 
     t = float(temperature)
-    problem = _ProjectedDescent(nfg, t)
-    idx = problem.idx
-    candidates = []  # (free energy, flat x, beta, gap or None)
+    best = None  # (free energy, beliefs) of the lowest uncertified fixed point
     rng = np.random.default_rng(seed)
     inits = [None] + [np.random.default_rng(rng.integers(2**32)) for _ in range(n_starts - 1)]
     for init in inits:
         for damping in (0.0, 0.5):
             state, beliefs = sum_product(
-                nfg, max_iters=spa_iters, damping=damping, tol=spa_tol, temperature=t, init_rng=init,
+                nfg, max_iters=SPA_ITERS, damping=damping, tol=SPA_TOL, temperature=t, init_rng=init,
             )
             if not state.converged:
                 continue
             x = idx.to_vector(beliefs)
             if not idx.feasible(x, 1e-6):
                 continue
-            value, gap = idx.free_energy(x, t), idx.gap(x, t)
-            if gap <= GAP_TOL:
+            value = idx.free_energy(x, t)
+            if idx.gap(x, t) <= GAP_TOL:
                 return MinimizeResult(beliefs, value, math.exp(-value / t), True, False)
-            candidates.append((value, x, beliefs, gap))
-
-    if candidates:
-        # polish the lowest fixed point; its repair stays interior
-        x0 = problem.repair(min(candidates, key=lambda c: c[0])[1])
-    else:
-        # no fixed point found: descend from the max-slack interior point
-        x0 = problem.interior_point()
-    if x0 is not None and not np.any(x0 < 0):
-        x, value, _ = problem.run(x0, max_iters=descent_iters)
-        candidates.append((value, x, idx.to_beta(x), None))
-    if not candidates:
-        raise LpFailure("no candidate minimizer found")
-    f_min, x, beta, gap = min(candidates, key=lambda c: c[0])
-    if gap is None:
-        gap = idx.gap(x, t)
-    return MinimizeResult(beta, f_min, math.exp(-f_min / t), gap <= GAP_TOL, False)
+            if best is None or value < best[0]:
+                best = (value, beliefs)
+    if best is None:
+        raise NonConvergence(
+            f"no sum-product start of {n_starts} reached a fixed point in the local marginal polytope"
+        )
+    f_min, beta = best
+    return MinimizeResult(beta, f_min, math.exp(-f_min / t), False, False)
 
 
 def _zero_temp_tie(idx: _BetaIndex, beta: PseudoMarginals, f_min: float, values=None):

@@ -184,6 +184,8 @@ def cmd_covers(args):
     nfg = parse_nfg(args.nfg)
     if args.count_only and (args.cover_cap is not None or args.config_cap is not None):
         raise ParseError("--count-only reads no cap")
+    if args.count_only and args.zgibbs:
+        raise ParseError("--count-only reports no --zgibbs")
     if args.config_cap is not None and not args.zgibbs:
         raise ParseError("--config-cap needs --zgibbs")
     if args.count_only:

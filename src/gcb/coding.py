@@ -517,7 +517,8 @@ def sgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None,
     marginals are independent of the copy index; they are averaged over all
     M copies, which makes them invariant under relabeling, so only the
     gauge-fixed covers are walked.  The objective is -log Z_{B,M}.  At
-    M = 1 this is ``smapd``.
+    M = 1 this is ``smapd``.  Without ``degree``, NonConvergence is raised
+    when no sum-product start reaches a fixed point (``minimize_bethe``).
     """
     if degree is not None:
         return _symbolwise(dec, degree, cap, config_cap)

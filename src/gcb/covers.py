@@ -250,35 +250,10 @@ def enumerate_covers(nfg: Nfg, m: int, cap=None) -> Iterator[CoverSpec]:
         yield CoverSpec(nfg, m, dict(zip(edges, digits)))
 
 
-def cotree_edges(nfg: Nfg) -> list:
-    """The full edges outside a spanning forest of the factor graph.
-
-    The forest is built by union-find over ``full_edge_order``: an edge
-    joining two trees enters it, one closing a cycle does not.  There are
-    circuit-rank many co-tree edges.
-    """
-    parent = {f: f for f in nfg.factors}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    out = []
-    for e in nfg.full_edge_order:
-        a, b = (find(f) for f in nfg.incidence[e])
-        if a == b:
-            out.append(e)
-        else:
-            parent[a] = b
-    return out
-
-
 def gauge_fixed_perm_invs(nfg: Nfg, m: int, cap=None):
     """The gauge-fixed M-covers, as ``Walk.configs`` permutation maps.
 
-    Forest edges (see ``cotree_edges``) carry the identity and are left out
+    Forest edges (see ``Nfg.cotree_edges``) carry the identity and are left out
     of the maps; the co-tree edges run through all permutations, in
     odometer order with the last edge's digit moving fastest.  Relabeling
     the copies of every factor other than one root per component maps each
@@ -290,7 +265,7 @@ def gauge_fixed_perm_invs(nfg: Nfg, m: int, cap=None):
     before the first map is taken.
     """
     _check_cover_cap(nfg, m, cap)
-    cotree = [nfg.edge_index(e) for e in cotree_edges(nfg)]
+    cotree = [nfg.edge_index(e) for e in nfg.cotree_edges()]
     _, inv = _kernels.perm_tables(m)
     return (dict(zip(cotree, digits)) for digits in itertools.product(inv, repeat=len(cotree)))
 

@@ -64,11 +64,7 @@ class ZeroGlobalValue(GcbError):
 
 
 class NonConvergence(GcbError):
-    """An iterative solver hit its iteration cap; carries the best iterate."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """An iterative solver hit its iteration cap without a usable result."""
 
 
 class InfeasibleOmega(GcbError):

@@ -147,8 +147,13 @@ class Nfg:
         """Incident factor ids; one entry for a half-edge, two for a full edge."""
         return self.incidence[edge]
 
-    def n_components(self) -> int:
-        """Connected components of the underlying graph (isolated factors count)."""
+    def cotree_edges(self) -> list:
+        """The full edges outside a spanning forest of the factor graph.
+
+        The forest is built by union-find over ``full_edge_order``: an edge
+        joining two trees enters it, one closing a cycle does not.  There
+        are circuit-rank many co-tree edges.
+        """
         parent = {f: f for f in self.factors}
 
         def find(x):
@@ -157,15 +162,22 @@ class Nfg:
                 x = parent[x]
             return x
 
-        for e in self.full_edges:
-            a, b = self.incidence[e]
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(f) for f in parent})
+        out = []
+        for e in self.full_edge_order:
+            a, b = (find(f) for f in self.incidence[e])
+            if a == b:
+                out.append(e)
+            else:
+                parent[a] = b
+        return out
+
+    def n_components(self) -> int:
+        """Connected components of the underlying graph (isolated factors
+        count): each full edge outside the co-tree joins two trees."""
+        return len(self.factors) - len(self.full_edges) + len(self.cotree_edges())
 
     def circuit_rank(self) -> int:
-        return len(self.alphabet_sizes) - len(self.half_edges) - len(self.factors) + self.n_components()
+        return len(self.cotree_edges())
 
     # -- configurations -----------------------------------------------------
 

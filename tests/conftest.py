@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import sys
 from fractions import Fraction
@@ -103,6 +104,28 @@ def make_loopy_positive(rng) -> Nfg:
         Factor("f5", ("e7", "e8"), random_table(rng, 2, 0.5, 1.5)),
     ]
     return Nfg({f"e{i}": 2 for i in range(1, 9)}, ["e1", "e4"], factors)
+
+
+def make_frustrated_k4() -> Nfg:
+    """A K4 Ising spin glass on which sum-product converges from neither
+    the uniform start's undamped nor its damped run.  Node factor v<i>
+    repeats spin i over its edges with value exp(h_i) on 0 and exp(-h_i)
+    on 1; pair factor p<i><j> is exp(J) on equal spins, exp(-J) otherwise."""
+    couplings = dict(zip(itertools.combinations(range(4), 2), (-4.5, -0.5, -5.7, 2.3, -4.0, -2.2)))
+    fields = (0.0, -0.3, -0.5, -0.2)
+    sizes, factors = {}, []
+    node_edges = {i: [] for i in range(4)}
+    for (i, j), coupling in couplings.items():
+        a, b = f"e{i}{j}a", f"e{i}{j}b"
+        sizes[a] = sizes[b] = 2
+        node_edges[i].append(a)
+        node_edges[j].append(b)
+        table = {(s, t): math.exp(coupling if s == t else -coupling) for s in (0, 1) for t in (0, 1)}
+        factors.append(Factor(f"p{i}{j}", (a, b), table))
+    for i, edges in node_edges.items():
+        k = len(edges)
+        factors.append(Factor(f"v{i}", tuple(edges), {(0,) * k: math.exp(fields[i]), (1,) * k: math.exp(-fields[i])}))
+    return Nfg(sizes, [], factors)
 
 
 EXAMPLE3_ROWS = [

@@ -12,7 +12,6 @@ import pytest
 from gcb.bethe import (
     GAP_TOL,
     _BetaIndex,
-    _ProjectedDescent,
     bethe_terms,
     bethe_energy_from_cover,
     check_local_consistency,
@@ -39,14 +38,21 @@ from gcb.covers import (
     phi_m,
     random_cover,
 )
-from gcb.errors import InconsistentBeta, SupportOnZeroFactor
+from gcb.errors import InconsistentBeta, NonConvergence, SupportOnZeroFactor
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg, parity_table
 from gcb.spa import sum_product
 
 import gcb
 
-from conftest import EXAMPLE3_ROWS, fig5_beta, make_fig1, make_loopy_positive, make_random_tree
+from conftest import (
+    EXAMPLE3_ROWS,
+    fig5_beta,
+    make_fig1,
+    make_frustrated_k4,
+    make_loopy_positive,
+    make_random_tree,
+)
 
 
 HALF = Fraction(1, 2)
@@ -469,24 +475,6 @@ def test_minimize_never_exceeds_uniform(fig1):
     assert lower - 1e-9 <= res.f_min <= upper + 1e-9
 
 
-def test_descent_alone_finds_dumbbell_optimum(dumbbell):
-    """Projected descent reaches the optimum without any fixed-point seed."""
-    problem = _ProjectedDescent(dumbbell, 1.0)
-    center = problem.interior_point()
-    assert center is not None
-    _, value, grad_norm = problem.run(center, max_iters=800)
-    assert value == pytest.approx(-math.log(2.0), abs=1e-8)
-    assert grad_norm <= 1e-6
-
-    rng = np.random.default_rng(5)
-    for _ in range(3):
-        biased = problem.repair(np.clip(center + rng.uniform(-0.15, 0.15, center.shape), 1e-6, 1))
-        if np.any(biased < 0):
-            continue
-        _, value, grad_norm = problem.run(biased, max_iters=800)
-        assert value == pytest.approx(-math.log(2.0), abs=1e-6)
-
-
 # -- stationarity -------------------------------------------------------------------
 
 
@@ -652,18 +640,47 @@ def test_gap_certifies_near_vertex_fixed_point():
     dec = attach_channel(code, Channel.bsc(Fraction(1, 20)), list("0011010101"))
     state, beliefs = sum_product(dec.nfg, max_iters=4000, tol=1e-13)
     assert state.converged
-    problem = _ProjectedDescent(dec.nfg, 1.0)
-    idx = problem.idx
+    idx = _BetaIndex(dec.nfg)
     x = idx.to_vector(beliefs)
     assert np.sum(x <= 1e-12) > len(x) // 2
     assert abs(idx.gap(x, 1.0)) <= GAP_TOL
-    moved = 0.99 * x + 0.01 * problem.interior_point()
+
+    def max_slack_point():
+        """The point of the polytope whose smallest entry is largest."""
+        from scipy.optimize import linprog
+
+        n = idx.n
+        c = np.zeros(n + 1)
+        c[-1] = -1.0  # maximize the slack s subject to x >= s
+        a_eq = np.hstack([idx.a_mat, np.zeros((len(idx.rhs), 1))])
+        a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
+        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq, b_eq=idx.rhs, bounds=(0, 1), method="highs")
+        assert res.success and res.x[-1] > 1e-9
+        return res.x[:-1]
+
+    moved = 0.99 * x + 0.01 * max_slack_point()
     assert idx.gap(moved, 1.0) > GAP_TOL
 
 
-def test_minimize_stops_at_first_certified_start(monkeypatch):
-    """On a tree the undamped uniform start certifies, so one sum-product
-    run is made of the 2 * n_starts allowed."""
+def test_gap_reads_zero_at_unstationary_lp_vertex():
+    """y = 0000111011 over BSC(1/5): the T = 0 LP vertex, scored at T = 1,
+    reads gap ~1e-15, because the gradient clamped at INTERIOR_EPS reads
+    finite slopes on its zero slots, yet its free energy is 0.1007 above
+    the certified minimum: the gap certifies fixed points, not vertices."""
+    code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
+    dec = attach_channel(code, Channel.bsc(Fraction(1, 5)), list("0000111011"))
+    idx = _BetaIndex(dec.nfg)
+    x = idx.to_vector(minimize_bethe(dec.nfg, 0).beta)
+    assert np.array_equal(x, np.round(x))
+    assert abs(idx.gap(x, 1.0)) <= GAP_TOL
+    res = minimize_bethe(dec.nfg, 1.0)
+    assert res.converged
+    assert idx.free_energy(x, 1.0) - res.f_min == pytest.approx(0.1007, abs=1e-4)
+
+
+@pytest.fixture
+def spa_dampings(monkeypatch):
+    """The damping of each ``sum_product`` call that ``minimize_bethe`` makes."""
     import gcb.bethe
 
     calls = []
@@ -673,13 +690,19 @@ def test_minimize_stops_at_first_certified_start(monkeypatch):
         return sum_product(*args, **kwargs)
 
     monkeypatch.setattr(gcb.bethe, "sum_product", counting)
+    return calls
+
+
+def test_minimize_stops_at_first_certified_start(spa_dampings):
+    """On a tree the undamped uniform start certifies, so one sum-product
+    run is made of the 2 * n_starts allowed."""
     res = minimize_bethe(make_random_tree(random.Random(3)), 1.0)
-    assert calls == [0.0]
+    assert spa_dampings == [0.0]
     assert res.converged and not res.tie
 
 
 def test_minimize_uncertified_reports_not_converged(dumbbell, monkeypatch):
-    """With no start certified, the descent runs and the best candidate is
+    """With no start certified, the lowest converged fixed point is
     returned with converged False."""
     import gcb.bethe
 
@@ -687,6 +710,14 @@ def test_minimize_uncertified_reports_not_converged(dumbbell, monkeypatch):
     res = minimize_bethe(dumbbell, 1.0, n_starts=2)
     assert not res.converged and not res.tie
     assert res.z_bethe == pytest.approx(2.0, abs=1e-6)
+
+
+def test_minimize_raises_when_no_start_converges(spa_dampings):
+    """On the frustrated K4 neither run of the one start converges, so
+    NonConvergence is raised after exactly 2 sum-product calls."""
+    with pytest.raises(NonConvergence, match="no sum-product start of 1"):
+        minimize_bethe(make_frustrated_k4(), 1.0, n_starts=1)
+    assert spa_dampings == [0.0, 0.5]
 
 
 @pytest.mark.parametrize("n_starts", [0, -3])

@@ -169,6 +169,17 @@ def test_zbethe_min_zero_temperature_tie(capsys):
     assert out.splitlines()[-1] == "tie=true"
 
 
+def test_zbethe_min_nonconvergence_exit_4(tmp_path, capsys):
+    from conftest import make_frustrated_k4
+
+    path = tmp_path / "k4.nfg"
+    path.write_text(emit_nfg_text(make_frustrated_k4()))
+    code, out, err = run(capsys, "zbethe-min", "--nfg", str(path), "--starts", "1")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("starts", ["0", "-3"])
 def test_zbethe_min_refuses_no_starts(capsys, starts):
     code, out, err = run(capsys, "zbethe-min", "--nfg", dumbbell_path(), "--starts", starts)
@@ -192,6 +203,8 @@ def test_zbethe_min_refuses_no_starts(capsys, starts):
      "--method closed reads no cap"),
     (["preimage-count", "--nfg", fig1_path(), "-M", "2", "--beta", "beta.txt", "--config-cap", "1"],
      "--method closed reads no cap"),
+    (["covers", "--nfg", dumbbell_path(), "-M", "2", "--count-only", "--zgibbs"],
+     "--count-only reports no --zgibbs"),
 ])
 def test_ignored_cap_flags_exit_3(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -44,7 +44,6 @@ from gcb.covers import (
     _multinomial,
     build_cover,
     build_cover_with_map,
-    cotree_edges,
     count_covers,
     cover_perm_inv,
     eliminate,
@@ -404,14 +403,14 @@ def test_gauge_fixed_paths_and_typesum_match_labeled_oracle(kind, seed, m):
 
 def test_gauge_fixed_covers_count_the_cotree():
     nfg = random_graph(3, extra=True)  # rank 3, three components
-    cotree = cotree_edges(nfg)
+    cotree = nfg.cotree_edges()
     assert len(cotree) == nfg.circuit_rank() == 3
     maps = list(gauge_fixed_perm_invs(nfg, 3))
     assert len(maps) == 6**3
     assert all(sorted(p) == [nfg.edge_index(e) for e in cotree] for p in maps)
     assert count_covers(nfg, 3) == len(maps) * 6 ** (len(nfg.factors) - nfg.n_components())
     tree = Nfg({"a": 2, "h": 2}, ["h"], [Factor("f", ("a", "h"), {(0, 0): 1}), Factor("g", ("a",), {(0,): 1})])
-    assert cotree_edges(tree) == [] and list(gauge_fixed_perm_invs(tree, 3)) == [{}]
+    assert tree.cotree_edges() == [] and list(gauge_fixed_perm_invs(tree, 3)) == [{}]
 
 
 @pytest.mark.parametrize("seed", [*SEEDS, COPRIME])
@@ -859,7 +858,7 @@ def test_typesum_m4_runs_at_defaults():
 
     fig1 = make_fig1()
     assert count_covers(fig1, 4) > 1 << 24
-    cotree = cotree_edges(fig1)
+    cotree = fig1.cotree_edges()
     identity = {e: tuple(range(4)) for e in fig1.full_edges if e not in cotree}
     counts = [parity_cover_count(CoverSpec(fig1, 4, {**identity, **dict(zip(cotree, perms))}))
               for perms in itertools.product(itertools.permutations(range(4)), repeat=len(cotree))]
