@@ -456,10 +456,21 @@ def _symbolwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
         n_covers += 1
     if z_total == 0:
         raise GcbError("zero partition sum")
-    norm = m * z_total * unit
+    if type(z_total) is int:  # rational weights: int sums, and unit cancels
+        norm = m * z_total
+
+        def share(v):
+            return Fraction(v, norm)
+
+    else:
+        norm = m * z_total * unit
+
+        def share(v):
+            return v * unit / norm
+
     beta = PseudoMarginals(
-        {f: {k: v * unit / norm for k, v in d.items()} for f, d in factor_acc.items()},
-        {e: {s: v * unit / norm for s, v in d.items()} for e, d in edge_acc.items()},
+        {f: {k: share(v) for k, v in d.items()} for f, d in factor_acc.items()},
+        {e: {s: share(v) for s, v in d.items()} for e, d in edge_acc.items()},
     )
     return _decide(dec, beta, False, -math.log(float(z_total * unit / n_covers)) / m, {"degree": m})
 

@@ -5,19 +5,34 @@ after every sweep, so fixed points are well defined.  At temperature T the
 local values are raised to 1/T first; fixed points then correspond to
 stationary points of the Bethe free energy at that temperature.
 
-A run works on flat numpy arrays (``_FlatLayout``): all directed messages
-in one vector, and one row of gather/scatter indices per non-zero table
-row, so a sweep is a fixed handful of array operations with no Python loop
-over rows, and the beliefs are read off the same arrays.  The arithmetic
-is the per-row loop's, in the same order, so results are bit-identical to
-that loop (kept in ``tests/test_spa.py`` as the oracle).  A
-``collect_trace`` run reads its free energy off ``bethe._BetaIndex``, the
-one description of the local marginal polytope.  ``SpaState.messages``
-hands out the final messages as a dict keyed by (factor, edge), each a
-view into the flat vector.
+A run works on one flat float vector (``_FlatLayout``): every directed
+message, a constant 1.0, then the weight of each support row whose weight
+is not 0.  ``gather`` is one contiguous (arity + 1, rows) index array, so
+row r's terms, its weight and then its incoming entries, are
+``vec[gather[:, r]]``, and all row products are one ``multiply.reduce``
+down the short axis: the weight times the first entry, then times each
+later entry in turn, the order of the per-row loop that
+``tests/test_spa.py`` keeps as the oracle.  Each step does the loop's
+arithmetic in the loop's order, so every result is bit-identical to it:
+
+- the arity-wise product above, which the beliefs reuse;
+- product / entry at each position while every entry is positive, and
+  the product with the entry left out (under ``errstate``) only at the
+  entries that are not (a zero message, or a NaN);
+- ``bincount`` sums in row order, and a division of each block by its
+  ``ndarray.sum``, with the uniform message only on blocks whose sum is not
+  positive;
+- for a ``collect_trace`` run, the same beliefs placed in x through the
+  ``bethe._BetaIndex`` slot of every row and edge symbol, mapped once per
+  run, and x's free energy read off the index.
+
+``SpaState.messages`` hands out the final messages as a dict keyed by
+(factor, edge), each a view into the flat vector.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -45,127 +60,171 @@ class SpaState:
         return "\n".join(lines) + "\n"
 
 
-def _factor_weights(nfg: Nfg, temperature: float):
-    inv_t = 1.0 / float(temperature)
-    weights = {}
-    for fid, f in nfg.factors.items():
-        rows = sorted(f.table)
-        vals = np.array([float(f.table[k]) for k in rows], dtype=float)
-        if inv_t != 1.0:
-            vals = vals**inv_t
-        weights[fid] = (rows, vals)
-    return weights
-
-
-def _initial_messages(nfg: Nfg, rng=None):
-    msgs = {}
-    for fid, f in nfg.factors.items():
-        for e in f.edges:
-            size = nfg.alphabet_sizes[e]
-            if rng is None:
-                v = np.full(size, 1.0 / size)
-            else:
-                v = rng.uniform(0.2, 1.0, size)
-                v /= v.sum()
-            msgs[(fid, e)] = v
-    return msgs
-
-
 class _FlatLayout:
-    """Index arrays of one flat message vector, built once per run.
+    """Index arrays of one flat vector, built once per run.
 
-    Every directed message (factor, edge), in ``nfg.factors`` / ``f.edges``
-    order, owns the block ``start .. start + |alphabet|`` of one float
-    vector; its last entry, index ``one``, is a constant 1.0 that stands in
-    for the incoming message on a half-edge and pads short rows.  Each
-    support row with a non-zero weight is one row of ``gather`` (incoming
-    message index per position) and ``scatter`` (outgoing message index
-    per position; padding goes to ``one``, whose sum is discarded).
-    ``factor_rows`` holds each factor's kept rows, in ``gather`` order, and
-    ``row_factor`` the factor number of each ``gather`` row; ``edge_blocks``
-    holds each edge's alphabet size and the starts of its directed messages.
+    The vector holds every directed message (factor, edge), in
+    ``nfg.factors`` / ``f.edges`` order, as the block ``start .. start +
+    |alphabet|``; then, at index ``one``, a constant 1.0 that stands in for
+    the incoming message on a half-edge and pads short rows; then the
+    weights (table value ** (1/T)) of the kept rows, the support rows whose
+    weight is not 0, in factor order and sorted within a factor.
+
+    ``gather[0, r]`` indexes row r's weight and ``gather[1 + k, r]`` its
+    incoming entry at position k; ``scatter`` holds, in the order of
+    ``gather[1:].ravel()``, the outgoing message index of each position
+    (padding goes to ``one``, whose sum is discarded).  ``factor_rows``
+    holds each factor's kept rows and their span of rows, ``row_factor``
+    the factor number of each row, ``edge_spans`` each edge's symbols and
+    their span of edge symbols (``edge_order``, then symbols), and
+    ``edge_ends`` the two message entries whose product is each edge
+    symbol's score (``one`` for the missing end of a half-edge).
+    ``groups`` and ``edge_groups`` list the blocks of each size, one row
+    per block, for blockwise sums.
     """
 
-    def __init__(self, nfg: Nfg, weights):
+    def __init__(self, nfg: Nfg, temperature: float):
         sizes = nfg.alphabet_sizes
-        self.blocks = []
-        start = {}
-        n = 0
-        for fid, f in nfg.factors.items():
-            for e in f.edges:
-                start[(fid, e)] = n
-                self.blocks.append(((fid, e), n, n + sizes[e]))
-                n += sizes[e]
-        self.one = n
-        arity = max((len(f.edges) for f in nfg.factors.values()), default=0)
-        empty = np.zeros((0, arity), dtype=np.intp)
-        gathers, scatters, ws = [empty], [empty], [np.zeros(0)]
-        self.factor_rows = []
-        for fid, f in nfg.factors.items():
-            rows, vals = weights[fid]
-            keep = vals != 0.0
-            self.factor_rows.append((fid, [row for row, k in zip(rows, keep) if k]))
-            sym = np.array(rows, dtype=np.intp).reshape(len(rows), len(f.edges))[keep]
-            ins = []
-            for e in f.edges:
-                ends = nfg.incidence[e]
-                if len(ends) == 1:
-                    ins.append(-1)
-                else:
-                    other = ends[0] if ends[1] == fid else ends[1]
-                    ins.append(start[(other, e)])
-            ins = np.array(ins, dtype=np.intp)
-            outs = np.array([start[(fid, e)] for e in f.edges], dtype=np.intp)
-            pad = np.full((len(sym), arity - len(f.edges)), n, dtype=np.intp)
-            gathers.append(np.hstack([np.where(ins < 0, n, ins + sym), pad]))
-            scatters.append(np.hstack([outs + sym, pad]))
-            ws.append(vals[keep])
-        self.gather = np.vstack(gathers)
-        self.scatter = np.vstack(scatters).ravel()
-        self.weights = np.concatenate(ws)
-        self.row_factor = np.repeat(np.arange(len(self.factor_rows)), [len(r) for _, r in self.factor_rows])
-        self.edge_blocks = [
-            (e, sizes[e], [start[(fid, e)] for fid in nfg.incidence[e]]) for e in nfg.edge_order
-        ]
-        # blocks of equal size, normalised together with a row sum per block
-        by_size = {}
-        for _, lo, hi in self.blocks:
-            by_size.setdefault(hi - lo, []).append(lo)
-        self.groups = [
-            (np.array(los, dtype=np.intp)[:, None] + np.arange(size), size)
-            for size, los in by_size.items()
-        ]
+        factors = list(nfg.factors.values())
+        arities = [len(f.edges) for f in factors]
+        arity = max(arities, default=0)
+        block_keys = [(fid, e) for fid, f in nfg.factors.items() for e in f.edges]
+        block_sizes = np.array([sizes[e] for _, e in block_keys], dtype=np.intp)
+        bounds = np.cumsum(np.concatenate([[0], block_sizes])).tolist()
+        self.blocks = list(zip(block_keys, bounds, bounds[1:]))
+        start = dict(zip(block_keys, bounds))
+        n = self.one = bounds[-1]
 
-    def vector(self, msgs):
-        return np.concatenate([msgs[key] for key, _, _ in self.blocks] + [np.ones(1)])
+        # rows, in factor order and sorted within a factor, with their
+        # symbols padded to `arity` and their weights
+        keys = [sorted(f.table) for f in factors]
+        counts = [len(rows) for rows in keys]
+        # a Fraction's float is numerator / denominator, as in _BetaIndex
+        weights = np.array([
+            v if type(v) is float else v.numerator / v.denominator
+            for f, rows in zip(factors, keys)
+            for v in map(f.table.__getitem__, rows)
+        ])
+        inv_t = 1.0 / float(temperature)
+        if inv_t != 1.0:
+            weights = weights**inv_t
+        row_factor = np.repeat(np.arange(len(factors)), counts)
+        row_arity = np.repeat(np.array(arities, dtype=np.intp), counts)
+        sym = np.zeros((len(weights), arity), dtype=np.intp)
+        sym[np.arange(arity) < row_arity[:, None]] = np.fromiter(
+            itertools.chain.from_iterable(itertools.chain.from_iterable(keys)),
+            dtype=np.intp,
+            count=int(row_arity.sum()),
+        )
+        keep = weights != 0.0
+        if not keep.all():
+            flags = iter(keep.tolist())
+            keys = [[row for row in rows if next(flags)] for rows in keys]
+            sym, row_factor, weights = sym[keep], row_factor[keep], weights[keep]
+        self.weights = weights
+        self.row_factor = row_factor
+        self.n_factors = len(factors)
+
+        # each edge's two directed messages, in edge_order; the missing end
+        # of a half-edge is `one`.  A block's incoming message is the other.
+        edges = nfg.edge_order
+        pairs, incoming = [], {}
+        for e in edges:
+            ends = [start[fid, e] for fid in nfg.incidence[e]] + [n]
+            pairs.append(ends[:2])
+            incoming[ends[0]], incoming[ends[1]] = ends[1], ends[0]
+
+        # per factor and position: the start of the outgoing and incoming
+        # message, `one` (symbol ignored) on a half-edge or padding
+        out_base = np.full((len(factors), arity), n, dtype=np.intp)
+        in_base = out_base.copy()
+        real = np.arange(arity) < np.array(arities, dtype=np.intp)[:, None]
+        out_base[real] = bounds[:-1]
+        in_base[real] = [incoming[lo] for lo in bounds[:-1]]
+        self.gather = np.empty((arity + 1, len(weights)), dtype=np.intp)
+        self.gather[0] = np.arange(n + 1, n + 1 + len(weights))
+        self.gather[1:] = (in_base[row_factor] + sym * (in_base != n)[row_factor]).T
+        self.scatter = (out_base[row_factor] + sym * real[row_factor]).T.ravel()
+        row_bounds = np.cumsum([0] + [len(rows) for rows in keys]).tolist()
+        self.factor_rows = list(zip(nfg.factors, keys, row_bounds, row_bounds[1:]))
+        self.row_uniform = 1.0 / np.bincount(row_factor, minlength=len(factors))[row_factor]
+
+        # edge symbols, edge_order then symbol order
+        edge_sizes = np.array([sizes[e] for e in edges], dtype=np.intp)
+        edge_bounds = np.cumsum(np.concatenate([[0], edge_sizes])).tolist()
+        self.edge_spans = [
+            (e, range(hi - lo), lo, hi) for e, lo, hi in zip(edges, edge_bounds, edge_bounds[1:])
+        ]
+        ends = np.repeat(np.array(pairs, dtype=np.intp).reshape(len(edges), 2).T, edge_sizes, axis=1)
+        symbol = np.arange(edge_bounds[-1]) - np.repeat(edge_bounds[:-1], edge_sizes)
+        self.edge_ends = ends + symbol * (ends != n)
+        self.edge_uniform = 1.0 / np.repeat(edge_sizes, edge_sizes)
+        self.groups = _size_groups(block_sizes, bounds[:-1])
+        self.edge_groups = _size_groups(edge_sizes, edge_bounds[:-1])
+
+    def vector(self, rng=None):
+        """The starting vector: uniform messages, or with ``rng`` each
+        block drawn from U(0.2, 1) in block order and divided by its sum."""
+        n = self.one
+        vec = np.empty(n + 1 + len(self.weights))
+        vec[n] = 1.0
+        vec[n + 1:] = self.weights
+        if rng is None:
+            block_sizes = [hi - lo for _, lo, hi in self.blocks]
+            vec[:n] = 1.0 / np.repeat(block_sizes, block_sizes)
+        else:
+            draws = rng.uniform(0.2, 1.0, n)
+            for idx, _ in self.groups:
+                v = draws[idx]
+                vec[idx] = v / v.sum(axis=1, keepdims=True)
+        return vec
 
     def messages(self, vec):
         return {key: vec[lo:hi] for key, lo, hi in self.blocks}
 
+    def products(self, vec):
+        """(terms, products): each kept row's weight and incoming entries,
+        and their product, multiplied left to right."""
+        terms = vec[self.gather]
+        return terms, np.multiply.reduce(terms, axis=0)
+
+    def belief_arrays(self, vec):
+        """Row and edge-symbol beliefs of a vector: each row's product over
+        its factor's ``bincount`` sum, and each edge symbol's product of its
+        two messages over its edge's sum, or uniform on the factor's kept
+        rows or the edge's symbols where that sum is not positive."""
+        scores = self.products(vec)[1]
+        totals = np.bincount(self.row_factor, scores, minlength=self.n_factors)
+        edge_v = vec[self.edge_ends[0]] * vec[self.edge_ends[1]]
+        edge_totals = np.empty_like(edge_v)
+        for idx, _ in self.edge_groups:
+            edge_totals[idx] = edge_v[idx].sum(axis=1, keepdims=True)
+        return (
+            _over(scores, totals[self.row_factor], self.row_uniform),
+            _over(edge_v, edge_totals, self.edge_uniform),
+        )
+
     def beliefs(self, vec) -> PseudoMarginals:
-        """Factor and edge beliefs of a message vector: a row's weight times
-        its gathered incoming entries, left to right, over its factor's
-        ``bincount`` row sum, and an edge's product of its directed messages
-        over their sum."""
-        scores = np.cumprod(np.hstack([self.weights[:, None], vec[self.gather]]), axis=1)[:, -1]
-        totals = np.bincount(self.row_factor, scores, minlength=len(self.factor_rows))
-        parts = np.split(scores, np.cumsum([len(rows) for _, rows in self.factor_rows])[:-1])
-        factor_dists = {
-            fid: _normalised(rows, part, total)
-            for (fid, rows), part, total in zip(self.factor_rows, parts, totals)
-        }
-        edge_dists = {}
-        for e, size, starts in self.edge_blocks:
-            v = np.prod([vec[lo:lo + size] for lo in starts], axis=0)
-            edge_dists[e] = _normalised(range(size), v, v.sum())
-        return PseudoMarginals(factor_dists, edge_dists)
+        """``belief_arrays`` as dicts; ``PseudoMarginals`` drops the zeros."""
+        row_b, edge_b = (list(b) for b in self.belief_arrays(vec))  # numpy scalars, as the loop gives
+        return PseudoMarginals(
+            {fid: dict(zip(rows, row_b[lo:hi])) for fid, rows, lo, hi in self.factor_rows},
+            {e: dict(zip(symbols, edge_b[lo:hi])) for e, symbols, lo, hi in self.edge_spans},
+        )
 
 
-def _normalised(keys, values, total) -> dict:
-    """value / total for each positive value, or uniform on keys when total is 0."""
-    if total > 0:
-        return {key: v / total for key, v in zip(keys, values) if v > 0}
-    return {key: 1.0 / len(keys) for key in keys}
+def _size_groups(sizes, starts):
+    """(index array with one row per block, size) per block size."""
+    starts = np.array(starts, dtype=np.intp)
+    return [(starts[sizes == size][:, None] + np.arange(size), size) for size in np.unique(sizes).tolist()]
+
+
+def _over(values, totals, uniform):
+    """values / totals, or ``uniform`` where the total is not positive."""
+    if totals.min(initial=1.0) > 0.0:
+        return values / totals
+    pos = totals > 0
+    return np.where(pos, values / np.where(pos, totals, 1.0), uniform)
 
 
 def sum_product(
@@ -179,65 +238,82 @@ def sum_product(
 ):
     """Run flooding sum-product; returns (SpaState, beliefs).
 
-    Beliefs are read off the final message vector (``_FlatLayout.beliefs``);
-    edge beliefs use the product of the two directed messages on full
-    edges.  Non-convergence is reported in the state, never raised.
-    ``collect_trace`` records (iteration, residual, free energy) per sweep
-    for convergence studies; the free energy is ``_BetaIndex.free_energy``
-    of that sweep's beliefs, which are support rows with entries in [0, 1]
+    Beliefs are read off the final vector (``_FlatLayout.beliefs``); edge
+    beliefs use the product of the two directed messages on full edges.
+    Non-convergence is reported in the state, never raised; a negative
+    ``max_iters`` or ``tol`` raises ValueError.  ``collect_trace`` records
+    (iteration, residual, free energy) per sweep for convergence studies:
+    x is filled through a map from the layout's rows and edge symbols to
+    the ``_BetaIndex`` slots, built once per run, and the free energy is
+    ``_BetaIndex.free_energy`` of that x, whose factor rows are in [0, 1]
     but only approximately consistent mid-run.
 
-    One sweep works on the flat message vector of ``_FlatLayout``: a row's
-    product is the left-to-right ``cumprod`` of its weight and incoming
-    entries, each position receives product / entry (or, where the entry is
-    zero, the product with that entry left out), ``bincount`` adds the
-    contributions in row order, and each block is divided by its row sum
-    (a pairwise sum from 8 entries on, exactly as ``ndarray.sum``).  So the
-    messages, residuals and sweep counts are bit-identical to the plain
-    per-row loop kept in the tests as ``reference_sum_product``.
+    One sweep gathers each kept row's weight and incoming entries as one
+    (arity + 1, rows) array and multiplies down its short axis, left to
+    right.  When every entry is positive, each position receives product /
+    entry; otherwise, under ``errstate``, the entries that are not positive
+    (zero or NaN) receive the product with that entry left out.
+    ``bincount`` adds the contributions in row order, and each block is
+    divided by its sum (a pairwise sum from 8 entries on, exactly as
+    ``ndarray.sum``) directly when every block sum of its size is
+    positive, else with the uniform message on the blocks whose sum is
+    not.  So the messages, residuals, sweep counts, beliefs and trace are
+    bit-identical to the plain per-row loop kept in the tests as
+    ``reference_sum_product``.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must be in [0, 1)")
-    lay = _FlatLayout(nfg, _factor_weights(nfg, temperature))
-    msgs = lay.vector(_initial_messages(nfg, init_rng))
+    if max_iters < 0:
+        raise ValueError("max_iters must be non-negative")
+    if not tol >= 0.0:
+        raise ValueError("tol must be non-negative")
+    lay = _FlatLayout(nfg, temperature)
+    vec = lay.vector(init_rng)
     n = lay.one
-    terms = np.empty((len(lay.weights), lay.gather.shape[1] + 1))  # [w, p0, p1, ...]
-    terms[:, 0] = lay.weights
     residual = float("inf")
     iterations = 0
     trace = None
     if collect_trace:
         from .bethe import _BetaIndex
 
+        # the index slot of each layout row; edge symbols are the last slots,
+        # in the layout's order
         trace, index = [], _BetaIndex(nfg)
+        slot_of = index.slot_of
+        row_slots = np.array(
+            [slot_of["f", fid, row] for fid, rows, _, _ in lay.factor_rows for row in rows], dtype=np.intp
+        )
+        n_f = len(index.factor_slots)
     for iterations in range(1, max_iters + 1):
-        prods = msgs[lay.gather]
-        terms[:, 1:] = prods
-        total = np.cumprod(terms, axis=1)[:, -1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            contrib = total / prods
-        r, c = np.nonzero(~(prods > 0.0))
-        if len(r):
-            rest = terms[r]
-            rest[np.arange(len(r)), c + 1] = 1.0
-            contrib[r, c] = np.cumprod(rest, axis=1)[:, -1]
+        terms, total = lay.products(vec)
+        entries = terms[1:]
+        if entries.min(initial=1.0) > 0.0:
+            contrib = total / entries
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                contrib = total / entries
+            k, r = np.nonzero(~(entries > 0.0))
+            rest = terms[:, r]
+            rest[k + 1, np.arange(len(r))] = 1.0
+            contrib[k, r] = np.multiply.reduce(rest, axis=0)
         sums = np.bincount(lay.scatter, contrib.ravel(), minlength=n + 1)
-        new = np.empty(n + 1)
-        new[n] = 1.0
+        new = np.empty(n)
         for idx, size in lay.groups:
             v = sums[idx]
-            norm = v.sum(axis=1, keepdims=True)
-            pos = norm > 0
-            new[idx] = np.where(pos, v / np.where(pos, norm, 1.0), 1.0 / size)
-        residual = float(np.max(np.abs(new[:n] - msgs[:n]), initial=0.0))
+            new[idx] = _over(v, v.sum(axis=1, keepdims=True), 1.0 / size)
+        residual = float(np.max(np.abs(new - vec[:n]), initial=0.0))
         if damping > 0.0:
-            new[:n] = (1.0 - damping) * new[:n] + damping * msgs[:n]
-        msgs = new
+            new = (1.0 - damping) * new + damping * vec[:n]
+        vec[:n] = new
         if trace is not None:
-            trace.append((iterations, residual, index.free_energy(index.to_vector(lay.beliefs(msgs)), temperature)))
+            row_b, edge_b = lay.belief_arrays(vec)
+            x = np.zeros(index.n)
+            x[row_slots] = row_b
+            x[n_f:] = edge_b
+            trace.append((iterations, residual, index.free_energy(x, temperature)))
         if residual <= tol:
             break
-    state = SpaState(lay.messages(msgs), iterations, damping, residual, residual <= tol, trace)
-    return state, lay.beliefs(msgs)
+    state = SpaState(lay.messages(vec), iterations, damping, residual, residual <= tol, trace)
+    return state, lay.beliefs(vec)

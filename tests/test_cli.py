@@ -520,3 +520,11 @@ def test_precision_flag(capsys):
                        "--precision", "exact")
     assert code == 0
     assert "pre_root=10/1" in out
+
+
+@pytest.mark.parametrize("flag, value", [("--max-iters", "-3"), ("--tol", "-1")])
+def test_spa_negative_budget_exit(capsys, flag, value):
+    code, out, err = run(capsys, "spa", "--nfg", dumbbell_path(), flag, value)
+    assert code == 3
+    assert out == ""
+    assert "must be non-negative" in err

@@ -10,9 +10,35 @@ from gcb.coding import Channel, ParityCheckMatrix, attach_channel, nfg_from_pari
 from gcb.covers import PseudoMarginals
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg
-from gcb.spa import SpaState, _factor_weights, _initial_messages, sum_product
+from gcb.spa import SpaState, sum_product
 
 from conftest import EXAMPLE3_ROWS, make_loopy_positive, make_random_tree
+
+
+def _factor_weights(nfg: Nfg, temperature: float):
+    inv_t = 1.0 / float(temperature)
+    weights = {}
+    for fid, f in nfg.factors.items():
+        rows = sorted(f.table)
+        vals = np.array([float(f.table[k]) for k in rows], dtype=float)
+        if inv_t != 1.0:
+            vals = vals**inv_t
+        weights[fid] = (rows, vals)
+    return weights
+
+
+def _initial_messages(nfg: Nfg, rng=None):
+    msgs = {}
+    for fid, f in nfg.factors.items():
+        for e in f.edges:
+            size = nfg.alphabet_sizes[e]
+            if rng is None:
+                v = np.full(size, 1.0 / size)
+            else:
+                v = rng.uniform(0.2, 1.0, size)
+                v /= v.sum()
+            msgs[(fid, e)] = v
+    return msgs
 
 
 def _incoming(nfg: Nfg, msgs, fid, e):
@@ -339,3 +365,68 @@ def test_non_positive_temperature_is_rejected(temperature):
     rng = random.Random(4)
     with pytest.raises(ValueError, match="temperature must be positive"):
         sum_product(make_random_tree(rng), temperature=temperature)
+
+
+def contradictory_graph():
+    # f allows a = 0 only, g allows a = 1 only: messages reach exactly 0 and
+    # whole outgoing blocks sum to 0
+    return Nfg(
+        {"a": 2, "b": 2, "h": 2},
+        ["h"],
+        [
+            Factor("f", ("a", "b"), {(0, 0): 1, (0, 1): 1}),
+            Factor("g", ("a", "b", "h"), {(1, 0, 0): 1, (1, 1, 1): 2}),
+        ],
+    )
+
+
+@pytest.mark.parametrize("options", [{"damping": 0.0}, {"damping": 0.5}, {"damping": 0.5, "collect_trace": True}])
+def test_contradictory_constraints_take_the_uniform_fallback(options):
+    state = assert_same_run(contradictory_graph(), max_iters=20, tol=0.0, **options)
+    if options["damping"] == 0.0:
+        # a = 0 meets a = 1: zero entries on a, zero block sums toward b
+        assert state.messages[("f", "a")].tolist() == [1.0, 0.0]
+        assert state.messages[("g", "a")].tolist() == [0.0, 1.0]
+        assert state.messages[("f", "b")].tolist() == [0.5, 0.5]
+        assert state.messages[("g", "b")].tolist() == [0.5, 0.5]
+
+
+def test_mixed_arities_and_half_edge_match_oracle_with_trace():
+    # arities 1, 2 and 3, alphabets 2 and 3 and a half-edge: the transposed
+    # layout pads the short rows
+    rng = random.Random(17)
+    sizes = {"a": 2, "b": 3, "c": 2, "d": 2, "h": 3}
+
+    def table(edges):
+        keys = np.ndindex(*(sizes[e] for e in edges))
+        return {k: rng.choice([0, Fraction(rng.randint(1, 9), rng.randint(1, 9))]) for k in keys}
+
+    nfg = Nfg(
+        sizes,
+        ["h"],
+        [
+            Factor("u", ("a",), {(0,): Fraction(1, 3), (1,): Fraction(2, 3)}),
+            Factor("q", ("a", "b", "c"), table(("a", "b", "c"))),
+            Factor("r", ("b", "d"), table(("b", "d"))),
+            Factor("s", ("c", "d", "h"), table(("c", "d", "h"))),
+        ],
+    )
+    for options in ({"damping": 0.0}, {"damping": 0.4, "init_seed": 3}, {"temperature": 0.6}):
+        state = assert_same_run(nfg, max_iters=60, collect_trace=True, **options)
+        assert len(state.trace) == state.iterations
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [({"max_iters": -3}, "max_iters"), ({"tol": -1.0}, "tol"), ({"tol": float("nan")}, "tol")],
+)
+def test_negative_budget_is_rejected(options, message):
+    rng = random.Random(4)
+    with pytest.raises(ValueError, match=f"{message} must be non-negative"):
+        sum_product(make_random_tree(rng), **options)
+
+
+def test_zero_sweeps_return_the_start():
+    rng = random.Random(4)
+    state = assert_same_run(make_random_tree(rng), max_iters=0)
+    assert state.iterations == 0 and not state.converged
