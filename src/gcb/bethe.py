@@ -50,7 +50,7 @@ from .errors import (
     ZeroGlobalValue,
 )
 from .gibbs import config_cap as default_config_cap
-from .gibbs import valid_tuples
+from .gibbs import inverse_temperature, valid_tuples
 from .nfg import Nfg, parse_number, format_number
 from .spa import sum_product
 
@@ -97,7 +97,7 @@ def bethe_terms(nfg: Nfg, beta: PseudoMarginals, temperature: float = 1.0, tol: 
         if stray:
             key = next(key for key in d if key in stray)
             raise SupportOnZeroFactor(f"beta weight on zero-valued row {key} of {f}")
-    idx = _BetaIndex(nfg)
+    idx = nfg.derived(_BetaIndex, _BetaIndex)
     x = idx.to_vector(beta)
     return BetheEvaluation(float(idx.energy_vector() @ x), idx.entropy(x), float(temperature))
 
@@ -152,12 +152,11 @@ def _rational_tables(nfg: Nfg) -> bool:
 
 def _exact_mode(nfg: Nfg, m: int, temperature, exact) -> bool:
     """Whether a degree-M sum runs exact: ``exact`` itself, or when None,
-    T = 1 with rational tables.  Raises ValueError for M < 1, T <= 0 or an
-    exact mode the graph cannot have."""
+    T = 1 with rational tables.  Raises ValueError for M < 1, a T outside
+    (0, inf) or an exact mode the graph cannot have."""
     if m < 1:
         raise ValueError("degree M must be at least 1")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    inverse_temperature(temperature)
     if exact is None:
         return temperature == 1 and _rational_tables(nfg)
     if exact and (temperature != 1 or not _rational_tables(nfg)):
@@ -199,7 +198,7 @@ def zbethe_m_enumeration(
             raise ValueError("Monte Carlo mode needs at least one sample")
         rng = random.Random(seed)
         walk = Walk(_kernels.build_plan(nfg), m)
-        t_inv = 1 if temperature == 1 else 1.0 / float(temperature)
+        t_inv = inverse_temperature(temperature)
         vals = []
         for _ in range(samples):
             perm_inv = cover_perm_inv(random_cover(nfg, m, rng.getrandbits(48)))
@@ -270,15 +269,16 @@ class _BetaIndex:
 
     Slots are the factor support rows (factors in sorted id order, rows in
     support order), then the edge symbols (``edge_order``).  The index
-    holds the energy vector (-log of each row's table value), the entropy
-    coefficients (+1 on factor rows, -1 on full-edge symbols, 0 on
-    half-edge symbols) and the equality constraints A x = b: factor sums,
-    edge sums, then one consistency row per factor, incident edge and
-    symbol (the factor's marginal minus the edge's weight).  The entropy,
-    the free energy, its gradient, the Frank-Wolfe gap and the T = 0
-    linear program are all read from these.  The index holds its graph
-    weakly, so a cache of indexes keyed by their graphs lets the graphs go;
-    whoever uses an index holds its graph.
+    holds each factor row's table value as a float (``weights``, which
+    the sum-product layout raises to 1/T), the energy vector (-log of each
+    weight), the entropy coefficients (+1 on factor rows, -1 on full-edge
+    symbols, 0 on half-edge symbols) and the equality constraints A x = b:
+    factor sums, edge sums, then one consistency row per factor, incident
+    edge and symbol (the factor's marginal minus the edge's weight).  The
+    entropy, the free energy, its gradient, the Frank-Wolfe gap and the
+    T = 0 linear program are all read from these.  A graph keeps its index
+    (``nfg.derived(_BetaIndex, _BetaIndex)``), so the index holds its graph
+    weakly: no cycle outlives the graph's last user.
     """
 
     def __init__(self, nfg: Nfg):
@@ -298,7 +298,7 @@ class _BetaIndex:
         # weight
         n_sums = len(factors) + len(edge_sizes)
         self.marginal_row = {}
-        energy, symbols, starts, arity, edge_slot = [], [], [], [], []
+        weights, symbols, starts, arity, edge_slot = [], [], [], [], []
         r = n_sums
         for f, support in zip(factors, supports):
             fac = nfg.factors[f]
@@ -311,7 +311,7 @@ class _BetaIndex:
             # a Fraction's float is numerator / denominator; dividing here
             # skips the slow generic conversion, with the same rounding
             values = [fac.table[key] for key in support]
-            energy += [-math.log(v if type(v) is float else v.numerator / v.denominator) for v in values]
+            weights += [v if type(v) is float else v.numerator / v.denominator for v in values]
             symbols += itertools.chain.from_iterable(support)
             starts += first * len(support)
             arity.append(len(first))
@@ -329,7 +329,8 @@ class _BetaIndex:
         )
         self.vals = np.repeat([1.0, -1.0], [self.n + len(marginal_rows), r - n_sums])
         self.rhs = np.repeat([1.0, 0.0], [n_sums, r - n_sums])
-        self._energy = np.array(energy + [0.0] * len(self.edge_slots))
+        self.weights = np.array(weights)
+        self._energy = np.array([-math.log(w) for w in weights] + [0.0] * len(self.edge_slots))
         half = [0.0 if e in nfg.half_edges else -1.0 for e, _ in self.edge_slots]
         self.entropy_coef = np.array([1.0] * n_f + half)
 
@@ -596,7 +597,7 @@ def minimize_bethe(
 ) -> MinimizeResult:
     """Minimize the Bethe free energy over the local marginal polytope.
 
-    One ``_BetaIndex`` per call describes the polytope and the free energy.
+    The graph's ``_BetaIndex`` describes the polytope and the free energy.
     T = 0 is an exact linear program over its factor slots (the energy is
     linear); ``tie`` there means a fractional optimum or several optimal
     configurations, read from ``values``, the global values of the valid
@@ -616,11 +617,11 @@ def minimize_bethe(
     ``converged`` False; when none is kept, NonConvergence is raised.
     ``tie`` is always False at T > 0.
     """
-    if temperature < 0:
-        raise ValueError("temperature must be non-negative")
+    if not 0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be non-negative and finite, got {temperature}")
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
-    idx = _BetaIndex(nfg)
+    idx = nfg.derived(_BetaIndex, _BetaIndex)
     if temperature == 0:
         beta, f_min = _lp_minimize_energy(idx)
         return MinimizeResult(beta, f_min, None, True, _zero_temp_tie(idx, beta, f_min, values))

@@ -9,15 +9,15 @@ per group of equal-shape check blocks, and written straight into the flat
 coordinates of the graph's ``bethe._BetaIndex``, the one description of
 the local marginal polytope: its constraint rows guard the completion and
 its entropy coefficients score it.  What depends on the graph alone (the
-index, the pinned slots, each check's rows and log weights) is built once
-per graph and kept while the graph lives.  The induced entropy of the
-half-edge marginal vector is the Bethe entropy of the completed vector.
+pinned slots, each check's rows and log weights) is one ``_Plan``, built
+on first use and kept on the graph beside its index (``Nfg.derived``).
+The induced entropy of the half-edge marginal vector is the Bethe entropy
+of the completed vector.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from typing import Mapping
 
 import numpy as np
@@ -96,7 +96,7 @@ class _Plan:
             if nfg.alphabet_sizes[e] != 2:
                 raise NonBinaryAlphabet(f"edge {e} has alphabet size {nfg.alphabet_sizes[e]}")
         variable, checks = _split_variable_check(nfg)
-        self.idx = _BetaIndex(nfg)
+        self.idx = nfg.derived(_BetaIndex, _BetaIndex)
         slot_of = self.idx.slot_of
         self.half = nfg.half_edge_order
         where = {e: i for i, e in enumerate(self.half)}
@@ -116,20 +116,7 @@ class _Plan:
         self.checks = [_Check(nfg, fid, slot_of, pin) for fid in checks]
 
 
-_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _plan(nfg: Nfg) -> _Plan:
-    """The graph's plan, built on first use and kept while the (immutable)
-    graph lives; a graph that fails to plan is not kept, so it raises on
-    every call."""
-    plan = _PLANS.get(nfg)
-    if plan is None:
-        plan = _PLANS[nfg] = _Plan(nfg)
-    return plan
-
-
-def bme_completion(nfg: Nfg, omega: Mapping[str, object], tol: float = 1e-12, max_iters: int = 200) -> BmeResult:
+def bme_completion(nfg: Nfg, omega: Mapping[str, object]) -> BmeResult:
     """argmax of the Bethe entropy over completions matching the half-edge marginals.
 
     ``omega`` maps each half-edge to its probability of symbol one.  An edge
@@ -141,9 +128,10 @@ def bme_completion(nfg: Nfg, omega: Mapping[str, object], tol: float = 1e-12, ma
     the index's slot vector, must lie in the local marginal polytope to
     1e-8 (InconsistentBeta otherwise), and its Bethe entropy is
     ``h_induced``.  ``iterations`` is the most Newton iterations any check
-    took.
+    took.  The graph keeps its plan (``Nfg.derived``); a graph that fails
+    to plan keeps nothing and raises on every call.
     """
-    plan = _plan(nfg)
+    plan = nfg.derived(_Plan, _Plan)
     if set(omega) != set(nfg.half_edges):
         raise ShapeMismatch("omega must assign exactly the half-edges")
     for e, w in omega.items():
@@ -179,7 +167,7 @@ def bme_completion(nfg: Nfg, omega: Mapping[str, object], tol: float = 1e-12, ma
     failed = []
     for blocks in groups.values():
         fids, slots, features, log_w, targets, edges = zip(*blocks)
-        res = tilt_factor_block(np.stack(features), np.stack(log_w), np.stack(targets), tol=tol, max_iters=max_iters)
+        res = tilt_factor_block(np.stack(features), np.stack(log_w), np.stack(targets))
         iterations = max(iterations, int(res.steps.max()))
         for b, fid in enumerate(fids):
             x[slots[b]] = res.dist[b]

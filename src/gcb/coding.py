@@ -10,16 +10,16 @@ the global value over cover configurations) and the symbolwise rule
 is the graph itself, so at M = 1 they are blockwise and symbolwise MAP
 decoding (``bmapd``, ``smapd``); ``bgcd`` and ``sgcd`` run them at a given
 degree, or by default minimize the Bethe free energy at temperatures zero
-and one, the M -> infinity limit of the rules.  A code graph's valid
-configurations are walked once and kept with the graph; ``attach_channel``,
-the rules' M = 1 walk and ``bgcd``'s T = 0 tie check all read that list.
+and one, the M -> infinity limit of the rules.  What a graph alone
+determines is kept on it (``Nfg.derived``): a decoding graph's walk per
+degree, and a code graph's valid configurations, the list that
+``attach_channel``, the rules' M = 1 walk and ``bgcd``'s tie check read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -119,6 +119,8 @@ class ParityCheckMatrix:
             for i in range(n):
                 for _ in range(col_deg[i]):
                     j = int(next(it))
+                    if not 0 <= j <= m:
+                        raise ParseError(f"alist column {i + 1}: row index {j} outside 1..{m}")
                     if j > 0:
                         h[j - 1][i] = 1
         except StopIteration:
@@ -162,17 +164,13 @@ def nfg_from_parity_check(h: ParityCheckMatrix) -> Nfg:
     return Nfg(alphabet, half, factors)
 
 
-_VALID: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _valid_configs(nfg: Nfg, cap=None) -> list:
-    """``valid_tuples(nfg, cap)``, walked once per (immutable) graph and kept
-    while it lives; every call raises CapExceeded past the cap."""
-    if nfg not in _VALID:
-        _VALID[nfg] = valid_tuples(nfg, cap=cap)
-    elif len(_VALID[nfg]) > default_config_cap(cap):
+    """``valid_tuples(nfg, cap)``, walked on first use and kept on the graph
+    (``Nfg.derived``); every call raises CapExceeded past its own cap."""
+    configs = nfg.derived(_valid_configs, lambda g: valid_tuples(g, cap=cap))
+    if len(configs) > default_config_cap(cap):
         raise CapExceeded(f"more than {default_config_cap(cap)} valid configurations")
-    return _VALID[nfg]
+    return configs
 
 
 def _fiber_sizes(nfg: Nfg, configs) -> Counter:
@@ -214,6 +212,9 @@ class Channel:
     def __init__(self, input_size: int, w: Mapping[tuple, object], tol: float = 1e-12):
         self.input_size = int(input_size)
         self.w = {(str(y), int(x)): v for (y, x), v in w.items()}
+        for y, x in self.w:
+            if not 0 <= x < self.input_size:
+                raise GcbError(f"channel input {x} for output {y!r} outside 0..{self.input_size - 1}")
         self.output_symbols = sorted({y for y, _ in self.w})
         for x in range(self.input_size):
             total = sum(float(v) for (y, xx), v in self.w.items() if xx == x)
@@ -352,24 +353,19 @@ def _decide(dec: DecodingNfg, beta: PseudoMarginals, tie, objective, diagnostics
     return DecodeResult(decisions, beta, symbol_beliefs, tie, objective, diagnostics)
 
 
-_WALKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _rule_walk(dec: DecodingNfg, m: int, cap, config_cap):
-    """(walk, unit, covers): the walk of ``dec.nfg`` at degree m, kept with
-    the graph for every decoder, and one iterable of (value, slots, rows)
-    per gauge-fixed cover, as ``Walk.configs`` yields them within
-    ``config_cap``, with ``value * unit`` the global value.  At M = 1 the
-    one cover is ``dec.nfg``, read off its code's list (``_valid_configs``,
-    bounded by ``config_cap``) less the configurations a table does not
-    support, times the walk's weights.  Raises ValueError for m < 1."""
+    """(walk, unit, covers): the walk of ``dec.nfg`` at degree m, built on
+    first use and kept on the graph (``Nfg.derived``) for every decoder,
+    and one iterable of (value, slots, rows) per gauge-fixed cover, as
+    ``Walk.configs`` yields them within ``config_cap``, with ``value *
+    unit`` the global value.  At M = 1 the one cover is ``dec.nfg``, read
+    off its code's list (``_valid_configs``, bounded by ``config_cap``)
+    less the configurations a table does not support, times the walk's
+    weights.  Raises ValueError for m < 1."""
     if m < 1:
         raise ValueError("degree M must be at least 1")
     nfg = dec.nfg
-    walks = _WALKS.setdefault(nfg, {})
-    if m not in walks:
-        walks[m] = Walk(_kernels.build_plan(nfg), m)
-    walk = walks[m]
+    walk = nfg.derived((_rule_walk, m), lambda g: Walk(_kernels.build_plan(g), m))
     if m != 1:
         perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
         limit = default_config_cap(config_cap)

@@ -36,6 +36,14 @@ def config_cap(override=None) -> int:
     return resolve_cap(override, "GCB_CONFIG_CAP", DEFAULT_CONFIG_CAP)
 
 
+def inverse_temperature(temperature):
+    """1/T: the int 1 at T = 1, so exact sums stay exact, else a float.
+    Raises ValueError unless 0 < T < inf (a NaN T fails too)."""
+    if not 0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
+    return 1 if temperature == 1 else 1.0 / float(temperature)
+
+
 def enumerate_configurations(nfg: Nfg, cap=None):
     """All valid configurations with their global values, edge-id-sorted.
 
@@ -80,9 +88,7 @@ def gibbs_partition(nfg: Nfg, temperature=1, cap=None):
 
     Exact (Fraction) at T = 1 with rational tables; float otherwise.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    t_inv = 1 if temperature == 1 else 1.0 / float(temperature)
+    t_inv = inverse_temperature(temperature)
     total = Fraction(0) if t_inv == 1 else 0.0
     for _, value in valid_tuples(nfg, cap=cap):
         total += _powered(value, t_inv)
@@ -91,8 +97,7 @@ def gibbs_partition(nfg: Nfg, temperature=1, cap=None):
 
 def modified_gibbs_partition(nfg: Nfg, half_assignment: Mapping[str, int], temperature=1, cap=None):
     """Partition sum restricted to configurations agreeing on the half-edges."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    t_inv = inverse_temperature(temperature)
     for e in half_assignment:
         if e not in nfg.half_edges:
             raise UnknownEdge(f"{e} is not a half-edge")
@@ -100,7 +105,6 @@ def modified_gibbs_partition(nfg: Nfg, half_assignment: Mapping[str, int], tempe
     if set(half_assignment) != set(nfg.half_edges):
         missing = set(nfg.half_edges) - set(half_assignment)
         raise UnknownEdge(f"half-edges not assigned: {sorted(missing)}")
-    t_inv = 1 if temperature == 1 else 1.0 / float(temperature)
     total = Fraction(0) if t_inv == 1 else 0.0
     for tup, value in valid_tuples(nfg, cap=cap):
         if all(tup[i] == s for i, s in want.items()):
@@ -110,9 +114,7 @@ def modified_gibbs_partition(nfg: Nfg, half_assignment: Mapping[str, int], tempe
 
 def gibbs_minimizer(nfg: Nfg, temperature=1, cap=None) -> dict:
     """The Boltzmann distribution g(c)^{1/T} / Z over valid configurations."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    t_inv = 1 if temperature == 1 else 1.0 / float(temperature)
+    t_inv = inverse_temperature(temperature)
     weights = {}
     for tup, value in valid_tuples(nfg, cap=cap):
         weights[tup] = _powered(value, t_inv)

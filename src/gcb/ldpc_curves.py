@@ -159,10 +159,13 @@ def curve_scan(d_l: int, d_r: int, s_min: float, s_max: float, steps: int) -> Cu
     ``curve_grid``.  Convex and concave intervals are the
     (omega_lo, omega_hi) spans of consecutive grid points where that
     curvature is positive, or negative; a point where it is exactly 0 or
-    nan belongs to neither.
+    nan belongs to neither.  Raises ValueError unless s_min < s_max, both
+    finite, and steps >= 3.
     """
     if steps < 3:
         raise ValueError("steps must be at least 3")
+    if not -math.inf < s_min < s_max < math.inf:
+        raise ValueError(f"need finite s_min < s_max, got [{s_min}, {s_max}]")
     grid = np.linspace(s_min, s_max, steps)
     g = curve_grid(d_l, d_r, grid)
     points = [

@@ -4,7 +4,10 @@ Variables live on edges: a half-edge is incident on exactly one function
 node, a full edge on exactly two.  Local function tables keep only their
 support (assignments with value zero are dropped), so a factor's support
 doubles as its local constraint code.  All types here are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads.  What gcb derives from a
+graph alone (its configuration list, walks, polytope index) is built on
+first use and kept on the graph (``Nfg.derived``); two threads that ask at
+once may each build it, and one of the equal results is kept.
 """
 
 from __future__ import annotations
@@ -128,6 +131,15 @@ class Nfg:
         self.incidence = {e: tuple(sorted(v)) for e, v in incidence.items()}
         self.edge_order = tuple(sorted(self.alphabet_sizes))
         self._edge_index = {e: i for i, e in enumerate(self.edge_order)}
+        self._derived: dict = {}
+
+    def derived(self, key, build):
+        """``build(self)``, built on first use and kept with the graph under
+        ``key`` (by convention the function or class that owns the value);
+        a build that raises keeps nothing, so it raises on every call."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
     # -- basic structure ----------------------------------------------------
 

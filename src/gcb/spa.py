@@ -5,26 +5,29 @@ after every sweep, so fixed points are well defined.  At temperature T the
 local values are raised to 1/T first; fixed points then correspond to
 stationary points of the Bethe free energy at that temperature.
 
-A run works on one flat float vector (``_FlatLayout``): every directed
-message, a constant 1.0, then the weight of each support row whose weight
-is not 0.  ``gather`` is one contiguous (arity + 1, rows) index array, so
-row r's terms, its weight and then its incoming entries, are
-``vec[gather[:, r]]``, and all row products are one ``multiply.reduce``
-down the short axis: the weight times the first entry, then times each
-later entry in turn, the order of the per-row loop that
-``tests/test_spa.py`` keeps as the oracle.  Each step does the loop's
-arithmetic in the loop's order, so every result is bit-identical to it:
+A run works on one flat float vector (``_FlatLayout``) laid over the
+graph's ``bethe._BetaIndex``, the one description of the local marginal
+polytope: every directed message, a constant 1.0, then the weight of each
+index factor row whose weight ** (1/T) is not 0.  ``gather`` is one
+contiguous (arity + 1, rows) index array, so row r's terms, its weight and
+then its incoming entries, are ``vec[gather[:, r]]``, and all row products
+are one ``multiply.reduce`` down the short axis: the weight times the
+first entry, then times each later entry in turn, the order of the
+per-row loop that ``tests/test_spa.py`` keeps as the oracle.  Each step
+does the loop's arithmetic in the loop's order, so every result is
+bit-identical to it:
 
 - the arity-wise product above, which the beliefs reuse;
 - product / entry at each position while every entry is positive, and
   the product with the entry left out (under ``errstate``) only at the
   entries that are not (a zero message, or a NaN);
-- ``bincount`` sums in row order, and a division of each block by its
+- ``bincount`` sums in row order, each message block receiving only its
+  own factor's rows, in sorted order, and a division of each block by its
   ``ndarray.sum``, with the uniform message only on blocks whose sum is not
   positive;
-- for a ``collect_trace`` run, the same beliefs placed in x through the
-  ``bethe._BetaIndex`` slot of every row and edge symbol, mapped once per
-  run, and x's free energy read off the index.
+- the beliefs placed in the index's coordinates (``_FlatLayout.x``), read
+  back as pseudo-marginals by the index and, in a ``collect_trace`` run,
+  scored by its free energy after each sweep.
 
 ``SpaState.messages`` hands out the final messages as a dict keyed by
 (factor, edge), each a view into the flat vector.
@@ -36,7 +39,7 @@ import itertools
 
 import numpy as np
 
-from .covers import PseudoMarginals
+from .gibbs import inverse_temperature
 from .nfg import Nfg
 
 
@@ -61,33 +64,30 @@ class SpaState:
 
 
 class _FlatLayout:
-    """Index arrays of one flat vector, built once per run.
+    """Index arrays of one flat vector over a graph's ``bethe._BetaIndex``,
+    built once per run.
 
     The vector holds every directed message (factor, edge), in
     ``nfg.factors`` / ``f.edges`` order, as the block ``start .. start +
     |alphabet|``; then, at index ``one``, a constant 1.0 that stands in for
     the incoming message on a half-edge and pads short rows; then the
-    weights (table value ** (1/T)) of the kept rows, the support rows whose
-    weight is not 0, in factor order and sorted within a factor.
+    weights of the kept rows: the index's factor slots whose ``weights``
+    ** (1/T) are not 0, with ``slots`` their slot numbers.
 
     ``gather[0, r]`` indexes row r's weight and ``gather[1 + k, r]`` its
     incoming entry at position k; ``scatter`` holds, in the order of
     ``gather[1:].ravel()``, the outgoing message index of each position
-    (padding goes to ``one``, whose sum is discarded).  ``factor_rows``
-    holds each factor's kept rows and their span of rows, ``row_factor``
-    the factor number of each row, ``edge_spans`` each edge's symbols and
-    their span of edge symbols (``edge_order``, then symbols), and
-    ``edge_ends`` the two message entries whose product is each edge
-    symbol's score (``one`` for the missing end of a half-edge).
-    ``groups`` and ``edge_groups`` list the blocks of each size, one row
-    per block, for blockwise sums.
+    (padding goes to ``one``, whose sum is discarded).  ``row_factor``
+    holds each row's factor number, and ``edge_ends`` the two message
+    entries whose product is each edge symbol's score (``one`` for the
+    missing end of a half-edge).  ``groups`` and ``edge_groups`` list the
+    blocks of each size, one row per block, for blockwise sums.
     """
 
-    def __init__(self, nfg: Nfg, temperature: float):
+    def __init__(self, index, inv_t):
+        self.index = index
+        nfg = index.nfg
         sizes = nfg.alphabet_sizes
-        factors = list(nfg.factors.values())
-        arities = [len(f.edges) for f in factors]
-        arity = max(arities, default=0)
         block_keys = [(fid, e) for fid, f in nfg.factors.items() for e in f.edges]
         block_sizes = np.array([sizes[e] for _, e in block_keys], dtype=np.intp)
         bounds = np.cumsum(np.concatenate([[0], block_sizes])).tolist()
@@ -95,35 +95,19 @@ class _FlatLayout:
         start = dict(zip(block_keys, bounds))
         n = self.one = bounds[-1]
 
-        # rows, in factor order and sorted within a factor, with their
-        # symbols padded to `arity` and their weights
-        keys = [sorted(f.table) for f in factors]
-        counts = [len(rows) for rows in keys]
-        # a Fraction's float is numerator / denominator, as in _BetaIndex
-        weights = np.array([
-            v if type(v) is float else v.numerator / v.denominator
-            for f, rows in zip(factors, keys)
-            for v in map(f.table.__getitem__, rows)
-        ])
-        inv_t = 1.0 / float(temperature)
-        if inv_t != 1.0:
-            weights = weights**inv_t
-        row_factor = np.repeat(np.arange(len(factors)), counts)
-        row_arity = np.repeat(np.array(arities, dtype=np.intp), counts)
-        sym = np.zeros((len(weights), arity), dtype=np.intp)
-        sym[np.arange(arity) < row_arity[:, None]] = np.fromiter(
-            itertools.chain.from_iterable(itertools.chain.from_iterable(keys)),
-            dtype=np.intp,
-            count=int(row_arity.sum()),
-        )
-        keep = weights != 0.0
-        if not keep.all():
-            flags = iter(keep.tolist())
-            keys = [[row for row in rows if next(flags)] for rows in keys]
-            sym, row_factor, weights = sym[keep], row_factor[keep], weights[keep]
-        self.weights = weights
-        self.row_factor = row_factor
-        self.n_factors = len(factors)
+        # the kept rows, factors in the index's (sorted id) order and rows
+        # sorted within a factor, with their symbols padded to `arity`
+        weights = index.weights if inv_t == 1 else index.weights**inv_t
+        self.slots = np.flatnonzero(weights)
+        self.weights = weights[self.slots]
+        factors = sorted(nfg.factors)
+        counts = [len(nfg.factors[f].table) for f in factors]
+        row_factor = self.row_factor = np.repeat(np.arange(len(factors)), counts)[self.slots]
+        arities = np.array([len(nfg.factors[f].edges) for f in factors], dtype=np.intp)
+        arity = int(arities.max(initial=0))
+        sym = np.zeros((len(row_factor), arity), dtype=np.intp)
+        keys = itertools.chain.from_iterable(index.factor_slots[slot][1] for slot in self.slots.tolist())
+        sym[np.arange(arity) < arities[row_factor][:, None]] = np.fromiter(keys, np.intp)
 
         # each edge's two directed messages, in edge_order; the missing end
         # of a half-edge is `one`.  A block's incoming message is the other.
@@ -135,26 +119,24 @@ class _FlatLayout:
             incoming[ends[0]], incoming[ends[1]] = ends[1], ends[0]
 
         # per factor and position: the start of the outgoing and incoming
-        # message, `one` (symbol ignored) on a half-edge or padding
+        # message, `one` (symbol ignored) on a half-edge or padding.  A block
+        # receives only its own factor's rows, in sorted order, so every sum
+        # adds the same terms in the same order whatever the factor order.
         out_base = np.full((len(factors), arity), n, dtype=np.intp)
         in_base = out_base.copy()
-        real = np.arange(arity) < np.array(arities, dtype=np.intp)[:, None]
-        out_base[real] = bounds[:-1]
-        in_base[real] = [incoming[lo] for lo in bounds[:-1]]
-        self.gather = np.empty((arity + 1, len(weights)), dtype=np.intp)
-        self.gather[0] = np.arange(n + 1, n + 1 + len(weights))
+        real = np.arange(arity) < arities[:, None]
+        starts = [start[f, e] for f in factors for e in nfg.factors[f].edges]
+        out_base[real] = starts
+        in_base[real] = [incoming[lo] for lo in starts]
+        self.gather = np.empty((arity + 1, len(row_factor)), dtype=np.intp)
+        self.gather[0] = np.arange(n + 1, n + 1 + len(row_factor))
         self.gather[1:] = (in_base[row_factor] + sym * (in_base != n)[row_factor]).T
         self.scatter = (out_base[row_factor] + sym * real[row_factor]).T.ravel()
-        row_bounds = np.cumsum([0] + [len(rows) for rows in keys]).tolist()
-        self.factor_rows = list(zip(nfg.factors, keys, row_bounds, row_bounds[1:]))
-        self.row_uniform = 1.0 / np.bincount(row_factor, minlength=len(factors))[row_factor]
+        self.row_uniform = 1.0 / np.bincount(row_factor)[row_factor]
 
         # edge symbols, edge_order then symbol order
         edge_sizes = np.array([sizes[e] for e in edges], dtype=np.intp)
         edge_bounds = np.cumsum(np.concatenate([[0], edge_sizes])).tolist()
-        self.edge_spans = [
-            (e, range(hi - lo), lo, hi) for e, lo, hi in zip(edges, edge_bounds, edge_bounds[1:])
-        ]
         ends = np.repeat(np.array(pairs, dtype=np.intp).reshape(len(edges), 2).T, edge_sizes, axis=1)
         symbol = np.arange(edge_bounds[-1]) - np.repeat(edge_bounds[:-1], edge_sizes)
         self.edge_ends = ends + symbol * (ends != n)
@@ -194,7 +176,7 @@ class _FlatLayout:
         two messages over its edge's sum, or uniform on the factor's kept
         rows or the edge's symbols where that sum is not positive."""
         scores = self.products(vec)[1]
-        totals = np.bincount(self.row_factor, scores, minlength=self.n_factors)
+        totals = np.bincount(self.row_factor, scores)
         edge_v = vec[self.edge_ends[0]] * vec[self.edge_ends[1]]
         edge_totals = np.empty_like(edge_v)
         for idx, _ in self.edge_groups:
@@ -204,13 +186,14 @@ class _FlatLayout:
             _over(edge_v, edge_totals, self.edge_uniform),
         )
 
-    def beliefs(self, vec) -> PseudoMarginals:
-        """``belief_arrays`` as dicts; ``PseudoMarginals`` drops the zeros."""
-        row_b, edge_b = (list(b) for b in self.belief_arrays(vec))  # numpy scalars, as the loop gives
-        return PseudoMarginals(
-            {fid: dict(zip(rows, row_b[lo:hi])) for fid, rows, lo, hi in self.factor_rows},
-            {e: dict(zip(symbols, edge_b[lo:hi])) for e, symbols, lo, hi in self.edge_spans},
-        )
+    def x(self, vec) -> np.ndarray:
+        """``belief_arrays`` in the index's coordinates: each kept row's
+        belief at its slot, 0 at the dropped rows, then the edge symbols."""
+        row_b, edge_b = self.belief_arrays(vec)
+        x = np.zeros(self.index.n)
+        x[self.slots] = row_b
+        x[len(self.index.factor_slots):] = edge_b
+        return x
 
 
 def _size_groups(sizes, starts):
@@ -238,15 +221,15 @@ def sum_product(
 ):
     """Run flooding sum-product; returns (SpaState, beliefs).
 
-    Beliefs are read off the final vector (``_FlatLayout.beliefs``); edge
-    beliefs use the product of the two directed messages on full edges.
-    Non-convergence is reported in the state, never raised; a negative
-    ``max_iters`` or ``tol`` raises ValueError.  ``collect_trace`` records
-    (iteration, residual, free energy) per sweep for convergence studies:
-    x is filled through a map from the layout's rows and edge symbols to
-    the ``_BetaIndex`` slots, built once per run, and the free energy is
-    ``_BetaIndex.free_energy`` of that x, whose factor rows are in [0, 1]
-    but only approximately consistent mid-run.
+    The run's layout reads its rows off the graph's ``_BetaIndex``, and
+    the beliefs are ``_BetaIndex.to_beta`` of the final vector's
+    ``_FlatLayout.x``; edge beliefs use the product of the two directed
+    messages on full edges.  Non-convergence is reported in the state,
+    never raised; a T outside (0, inf) or a negative ``max_iters`` or
+    ``tol`` raises ValueError.  ``collect_trace`` records (iteration,
+    residual, free energy) per sweep for convergence studies: the free
+    energy is ``_BetaIndex.free_energy`` of that sweep's x, whose factor
+    rows are in [0, 1] but only approximately consistent mid-run.
 
     One sweep gathers each kept row's weight and incoming entries as one
     (arity + 1, rows) array and multiplies down its short axis, left to
@@ -261,31 +244,22 @@ def sum_product(
     bit-identical to the plain per-row loop kept in the tests as
     ``reference_sum_product``.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    from .bethe import _BetaIndex  # bethe imports this module
+
+    inv_t = inverse_temperature(temperature)
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must be in [0, 1)")
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
     if not tol >= 0.0:
         raise ValueError("tol must be non-negative")
-    lay = _FlatLayout(nfg, temperature)
+    index = nfg.derived(_BetaIndex, _BetaIndex)
+    lay = _FlatLayout(index, inv_t)
     vec = lay.vector(init_rng)
     n = lay.one
     residual = float("inf")
     iterations = 0
-    trace = None
-    if collect_trace:
-        from .bethe import _BetaIndex
-
-        # the index slot of each layout row; edge symbols are the last slots,
-        # in the layout's order
-        trace, index = [], _BetaIndex(nfg)
-        slot_of = index.slot_of
-        row_slots = np.array(
-            [slot_of["f", fid, row] for fid, rows, _, _ in lay.factor_rows for row in rows], dtype=np.intp
-        )
-        n_f = len(index.factor_slots)
+    trace = [] if collect_trace else None
     for iterations in range(1, max_iters + 1):
         terms, total = lay.products(vec)
         entries = terms[1:]
@@ -308,12 +282,8 @@ def sum_product(
             new = (1.0 - damping) * new + damping * vec[:n]
         vec[:n] = new
         if trace is not None:
-            row_b, edge_b = lay.belief_arrays(vec)
-            x = np.zeros(index.n)
-            x[row_slots] = row_b
-            x[n_f:] = edge_b
-            trace.append((iterations, residual, index.free_energy(x, temperature)))
+            trace.append((iterations, residual, index.free_energy(lay.x(vec), temperature)))
         if residual <= tol:
             break
     state = SpaState(lay.messages(vec), iterations, damping, residual, residual <= tol, trace)
-    return state, lay.beliefs(vec)
+    return state, index.to_beta(lay.x(vec))

@@ -386,6 +386,20 @@ def test_degree_below_one_rejected(dumbbell, m):
             call()
 
 
+@pytest.mark.parametrize("temperature", [math.inf, math.nan])
+def test_non_finite_temperatures_are_rejected(dumbbell, temperature):
+    calls = [
+        lambda: zbethe_m_enumeration(dumbbell, 2, temperature),
+        lambda: zbethe_m_enumeration(dumbbell, 2, temperature, samples=2, seed=1),
+        lambda: zbethe_m_typesum(dumbbell, 2, temperature),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            call()
+    with pytest.raises(ValueError, match="temperature must be non-negative and finite"):
+        minimize_bethe(dumbbell, temperature)
+
+
 @pytest.mark.parametrize("zbethe_m", [zbethe_m_enumeration, zbethe_m_typesum])
 def test_zbethe_m_paths_share_the_mode_rule(dumbbell, zbethe_m):
     with pytest.raises(ValueError, match="temperature must be positive"):
@@ -827,3 +841,26 @@ def test_float_sums_do_not_follow_the_hash_seed():
     f_bethe, rate = zip(*(out.split() for out in outputs))
     assert len(set(f_bethe)) == 1
     assert len(set(rate)) == 1
+
+
+def test_one_decoding_graph_builds_one_index(monkeypatch):
+    """bgcd's LP, a traced sum-product run, bethe_terms and minimize_bethe
+    at T = 1 on one decoding graph all read the graph's one ``_BetaIndex``."""
+    from gcb.spa import sum_product
+
+    built = []
+    index_init = _BetaIndex.__init__
+
+    def counting(self, nfg):
+        built.append(nfg)
+        index_init(self, nfg)
+
+    monkeypatch.setattr(_BetaIndex, "__init__", counting)
+    code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
+    dec = attach_channel(code, Channel.bsc(Fraction(1, 10)), "0100000000")
+    bgcd(dec)
+    state, _ = sum_product(dec.nfg, max_iters=30, damping=0.5, collect_trace=True)
+    assert len(state.trace) == 30
+    res = minimize_bethe(dec.nfg, 1)
+    bethe_terms(dec.nfg, res.beta, tol=1e-6)
+    assert built == [dec.nfg]

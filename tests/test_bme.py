@@ -497,15 +497,37 @@ def test_bad_graph_raises_on_every_call():
             bme_completion(nfg, {"a": 0.5})
 
 
-def test_plan_cache_lets_the_graph_go():
-    """The plan is kept per graph, weakly: it must not keep its graph alive."""
+def test_plan_cache_lets_the_graph_go(monkeypatch):
+    """The graph keeps its plan (``Nfg.derived``): it is built once per
+    graph, a graph that fails to plan keeps nothing and raises on every
+    call, and the plan does not keep its graph alive."""
     import gc
     import weakref
 
+    built = []
+    plan_init = gcb.bme._Plan.__init__
+
+    def counting(self, nfg):
+        built.append(nfg)
+        plan_init(self, nfg)
+
+    monkeypatch.setattr(gcb.bme._Plan, "__init__", counting)
     nfg = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
-    bme_completion(nfg, {e: 0.3 for e in nfg.half_edge_order})
-    assert nfg in gcb.bme._PLANS
+    for w in (0.3, 0.4):
+        bme_completion(nfg, {e: w for e in nfg.half_edge_order})
+    other = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
+    bme_completion(other, {e: 0.3 for e in other.half_edge_order})
+    assert built == [nfg, other]
+
+    from gcb.nfg import Factor
+
+    bad = Nfg({"a": 3}, ["a"], [Factor("v", ("a",), {(0,): 1, (1,): 1})])
+    for _ in range(2):
+        with pytest.raises(NonBinaryAlphabet):
+            bme_completion(bad, {"a": 0.5})
+    assert built[2:] == [bad, bad]
+
     graph = weakref.ref(nfg)
-    del nfg
+    del nfg, built
     gc.collect()
     assert graph() is None

@@ -418,6 +418,51 @@ def test_spa_non_positive_temperature_exit(capsys, temperature):
     assert "temperature must be positive" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spa", "-T", "nan"], "temperature must be positive and finite"),
+    (["zgibbs", "-T", "nan"], "temperature must be positive and finite"),
+    (["zbethe-m", "-M", "2", "-T", "inf"], "temperature must be positive and finite"),
+    (["zbethe-m", "-M", "2", "-T", "nan", "--method", "typesum"], "temperature must be positive and finite"),
+    (["zbethe-min", "-T", "nan"], "temperature must be non-negative and finite"),
+    (["zbethe-min", "-T", "inf"], "temperature must be non-negative and finite"),
+])
+def test_non_finite_temperature_exit_3(capsys, argv, message):
+    code, out, err = run(capsys, argv[0], "--nfg", dumbbell_path(), *argv[1:])
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("smin, smax", [("nan", "3"), ("3", "-3")])
+def test_ldpc_curve_bad_range_exit_3(capsys, smin, smax):
+    code, out, err = run(capsys, "ldpc-curve", "--dl", "3", "--dr", "6", "--smin", smin, "--smax", smax)
+    assert code == 3
+    assert out == ""
+    assert "need finite s_min < s_max" in err
+
+
+def test_decode_alist_row_index_past_m_exit_3(tmp_path, capsys):
+    (tmp_path / "h.alist").write_text("3 2\n2 3\n1 2 1\n2 2\n1\n1 3\n2\n1 2\n2 3\n")
+    (tmp_path / "chan.txt").write_text("W 0 0 9/10\nW 1 0 1/10\nW 0 1 1/10\nW 1 1 9/10\n")
+    (tmp_path / "y.txt").write_text("0 0 1\n")
+    code, out, err = run(capsys, "decode", "--decoder", "bmapd", "--alist", str(tmp_path / "h.alist"),
+                         "--channel", str(tmp_path / "chan.txt"), "--y", str(tmp_path / "y.txt"))
+    assert code == 3
+    assert out == ""
+    assert "alist column 2: row index 3 outside 1..2" in err
+
+
+def test_decode_channel_input_past_alphabet_exit_3(tmp_path, capsys):
+    (tmp_path / "h.pcm").write_text("1 1 0\n0 1 1\n")
+    (tmp_path / "chan.txt").write_text("W 0 0 9/10\nW 1 0 1/10\nW 0 1 1/10\nW 1 1 9/10\nW 0 2 1\n")
+    (tmp_path / "y.txt").write_text("0 0 1\n")
+    code, out, err = run(capsys, "decode", "--decoder", "bmapd", "--pcm", str(tmp_path / "h.pcm"),
+                         "--channel", str(tmp_path / "chan.txt"), "--y", str(tmp_path / "y.txt"))
+    assert code == 3
+    assert out == ""
+    assert "channel input 2 for output '0' outside 0..1" in err
+
+
 def test_decode_length_mismatch_exit(tmp_path, capsys):
     pcm = tmp_path / "h.pcm"
     pcm.write_text("1 1\n")

@@ -23,7 +23,7 @@ from gcb.coding import (
     smapd,
 )
 from gcb.covers import PseudoMarginals, build_cover, build_cover_with_map, enumerate_covers, random_cover
-from gcb.errors import CapExceeded, GcbError, LengthMismatch, NotCycleCode
+from gcb.errors import CapExceeded, GcbError, LengthMismatch, NotCycleCode, ParseError
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg, parity_table
 
@@ -124,6 +124,20 @@ def test_alist_roundtrip():
         lines.append(" ".join(str(i + 1) for i in range(n) if h.h[j][i]))
     back = ParityCheckMatrix.from_alist_text("\n".join(lines))
     assert back.h == h.h
+
+
+def test_alist_row_index_past_m_is_a_parse_error():
+    # 3 columns, 2 rows; column 2 names row 3
+    text = "3 2\n2 3\n1 2 1\n2 2\n1\n1 3\n2\n1 2\n2 3\n"
+    with pytest.raises(ParseError, match="alist column 2: row index 3 outside 1..2"):
+        ParityCheckMatrix.from_alist_text(text)
+
+
+@pytest.mark.parametrize("line", ["W 0 2 1", "W 1 -1 1/2"])
+def test_channel_rejects_inputs_outside_the_alphabet(line):
+    text = "W 0 0 9/10\nW 1 0 1/10\nW 0 1 1/10\nW 1 1 9/10\n" + line + "\n"
+    with pytest.raises(GcbError, match="outside 0..1"):
+        Channel.from_table_text(text)
 
 
 def test_fig1_represents_with_fiber_four(fig1):

@@ -185,3 +185,17 @@ def test_free_energy_relative_entropy_identity(temperature):
 def test_zero_one_partition_counts_behavior(fig1):
     # 0/1 tables at T=1: the partition sum is exactly the number of valid configs
     assert gibbs_partition(fig1, 1) == len(valid_tuples(fig1))
+
+
+@pytest.mark.parametrize("temperature", [0, -1, math.inf, math.nan])
+def test_temperature_outside_open_half_line_is_rejected(fig1, temperature):
+    # 1 ** nan == 1, so a NaN T would otherwise read as T = 1
+    half = {e: 0 for e in fig1.half_edges}
+    calls = [
+        lambda: gibbs_partition(fig1, temperature),
+        lambda: modified_gibbs_partition(fig1, half, temperature),
+        lambda: gibbs_minimizer(fig1, temperature),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            call()

@@ -103,6 +103,14 @@ def test_invalid_degrees_rejected():
         curve_scan(3, 6, -1, 1, 2)
 
 
+@pytest.mark.parametrize("s_min, s_max", [
+    (math.nan, 3.0), (-3.0, math.nan), (-math.inf, 3.0), (-3.0, math.inf), (3.0, -3.0), (1.0, 1.0),
+])
+def test_curve_scan_needs_a_finite_increasing_range(s_min, s_max):
+    with pytest.raises(ValueError, match="need finite s_min < s_max"):
+        curve_scan(3, 6, s_min, s_max, 11)
+
+
 def test_csv_emission():
     report = curve_scan(3, 6, -1.0, 1.0, 11)
     text = curve_csv(report)

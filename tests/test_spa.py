@@ -367,6 +367,38 @@ def test_non_positive_temperature_is_rejected(temperature):
         sum_product(make_random_tree(rng), temperature=temperature)
 
 
+@pytest.mark.parametrize("temperature", [math.inf, math.nan])
+def test_non_finite_temperature_is_rejected(temperature):
+    rng = random.Random(4)
+    with pytest.raises(ValueError, match="temperature must be positive and finite"):
+        sum_product(make_random_tree(rng), temperature=temperature)
+
+
+def underflow_graph():
+    # a loop of three pairwise factors and a unary one on a half-edge; the
+    # rows of 1e-200 and 1e-250 underflow to 0.0 at T <= 0.1, so the layout
+    # drops them, while every factor keeps two rows of weight 1 or 0.5
+    rows = {(0, 0): 1.0, (0, 1): 1e-200, (1, 0): 1e-250, (1, 1): 0.5}
+    return Nfg(
+        {"a": 2, "b": 2, "c": 2, "h": 2},
+        ["h"],
+        [
+            Factor("f", ("a", "b"), rows),
+            Factor("g", ("b", "c"), rows),
+            Factor("k", ("c", "a", "h"), {(0, 0, 0): 1.0, (1, 1, 1): 1e-200, (0, 1, 1): 0.5}),
+        ],
+    )
+
+
+@pytest.mark.parametrize("temperature", [0.1, 0.05])
+def test_underflowing_rows_are_dropped_like_the_oracle(temperature):
+    assert 1e-200 ** (1 / temperature) == 0.0
+    state = assert_same_run(
+        underflow_graph(), max_iters=60, damping=0.5, temperature=temperature, collect_trace=True
+    )
+    assert len(state.trace) == state.iterations
+
+
 def contradictory_graph():
     # f allows a = 0 only, g allows a = 1 only: messages reach exactly 0 and
     # whole outgoing blocks sum to 0
