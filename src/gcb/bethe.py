@@ -9,10 +9,10 @@ arithmetic), and free-energy minimization at zero and positive
 temperature, certified at T > 0 by the Frank-Wolfe gap.  The polytope is
 described once, in ``_BetaIndex``: ``bethe_terms`` and the
 ``sum_product`` trace read the free energy off its energy vector and
-entropy; the T = 0 linear program and the Frank-Wolfe gap read its slots,
-constraint rows, free energy and gradient; and the max-entropy completion
-(``bme``) is guarded by its rows and scored by its entropy.  The
-completion's check blocks are solved together by the stacked Newton tilt
+entropy; the T = 0 problem and the Frank-Wolfe gap solve one linear
+program over its factor slots (``_BetaIndex.lp``); and the max-entropy
+completion (``bme``) is guarded by its rows and scored by its entropy.
+Its check blocks are solved together by the stacked Newton tilt
 ``tilt_factor_block``.
 """
 
@@ -58,6 +58,7 @@ INTERIOR_EPS = 1e-12
 GAP_TOL = 1e-9  # Frank-Wolfe gap that certifies a T > 0 minimizer
 SPA_ITERS = 4000  # sweeps per sum-product start in minimize_bethe
 SPA_TOL = 1e-13
+SPA_DAMPING = 0.5  # the one damping of those starts
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -272,11 +273,12 @@ class _BetaIndex:
     holds each factor row's table value as a float (``weights``, which
     the sum-product layout raises to 1/T), the energy vector (-log of each
     weight), the entropy coefficients (+1 on factor rows, -1 on full-edge
-    symbols, 0 on half-edge symbols) and the equality constraints A x = b:
-    factor sums, edge sums, then one consistency row per factor, incident
-    edge and symbol (the factor's marginal minus the edge's weight).  The
-    entropy, the free energy, its gradient, the Frank-Wolfe gap and the
-    T = 0 linear program are all read from these.  A graph keeps its index
+    symbols, 0 on half-edge symbols) and A x = b as sparse ``rows``,
+    ``cols``, ``vals``: factor sums, edge sums, then one consistency row
+    per factor, incident edge and symbol (the factor's marginal minus the
+    edge's weight).  The entropy, the free energy and its gradient are read
+    from these; the T = 0 problem and the Frank-Wolfe gap are one linear
+    program over the factor slots (``lp``).  A graph keeps its index
     (``nfg.derived(_BetaIndex, _BetaIndex)``), so the index holds its graph
     weakly: no cycle outlives the graph's last user.
     """
@@ -298,7 +300,7 @@ class _BetaIndex:
         # weight
         n_sums = len(factors) + len(edge_sizes)
         self.marginal_row = {}
-        weights, symbols, starts, arity, edge_slot = [], [], [], [], []
+        weights, symbols, starts, arity, edge_slot, at_first = [], [], [], [], [], []
         r = n_sums
         for f, support in zip(factors, supports):
             fac = nfg.factors[f]
@@ -307,6 +309,7 @@ class _BetaIndex:
                 self.marginal_row[f, e] = r
                 first.append(r)
                 edge_slot += range(edge_start[e], edge_start[e] + sizes[e])
+                at_first += [nfg.incidence[e][0] == f] * sizes[e]
                 r += sizes[e]
             # a Fraction's float is numerator / denominator; dividing here
             # skips the slow generic conversion, with the same rounding
@@ -324,9 +327,13 @@ class _BetaIndex:
         self.rows = np.concatenate(
             [np.repeat(np.arange(n_sums), counts + edge_sizes), marginal_rows, np.arange(n_sums, r)]
         )
-        self.cols = np.concatenate(
-            [slots, np.repeat(slots[:n_f], np.repeat(arity, counts)), np.array(edge_slot, dtype=np.intp)]
-        )
+        factor_of = np.repeat(slots[:n_f], np.repeat(arity, counts))
+        edge_slot = np.array(edge_slot, dtype=np.intp)
+        self.cols = np.concatenate([slots, factor_of, edge_slot])
+        # (factor slot, edge slot) pairs in factor-slot order: the rows of
+        # each edge's first endpoint that carry each of its symbols
+        first = np.array(at_first, dtype=bool)[marginal_rows - n_sums]
+        self.first_endpoint = (factor_of[first], edge_slot[marginal_rows[first] - n_sums])
         self.vals = np.repeat([1.0, -1.0], [self.n + len(marginal_rows), r - n_sums])
         self.rhs = np.repeat([1.0, 0.0], [n_sums, r - n_sums])
         self.weights = np.array(weights)
@@ -337,14 +344,6 @@ class _BetaIndex:
     @property
     def nfg(self) -> Nfg:
         return self._graph()
-
-    @functools.cached_property
-    def a_mat(self) -> np.ndarray:
-        """A as a dense array, built on first use (the T = 0 path needs
-        only ``energy_lp``)."""
-        a = np.zeros((len(self.rhs), self.n))
-        a[self.rows, self.cols] = self.vals
-        return a
 
     @functools.cached_property
     def slot_of(self) -> dict:
@@ -371,8 +370,10 @@ class _BetaIndex:
         return PseudoMarginals(factor_dists, edge_dists)
 
     def feasible(self, x: np.ndarray, tol: float) -> bool:
-        """Every entry at least -tol and every row of A x = b within tol."""
-        return bool(np.all(x >= -tol) and np.all(np.abs(self.a_mat @ x - self.rhs) <= tol))
+        """Every entry at least -tol and every row of A x = b within tol;
+        A x is summed from the sparse ``rows``/``cols``/``vals``."""
+        ax = np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=len(self.rhs))
+        return bool(np.all(x >= -tol) and np.all(np.abs(ax - self.rhs) <= tol))
 
     def energy_vector(self) -> np.ndarray:
         return self._energy
@@ -419,22 +420,33 @@ class _BetaIndex:
 
     def gap(self, x: np.ndarray, temperature: float) -> float:
         """Frank-Wolfe gap <g, x> - min over the polytope of <g, v>, with g
-        = ``gradient(x, T)``: one linear program over the rows of A; raises
-        LpFailure when the LP fails.  It is at least 0 up to the LP's
-        rounding and 0 at the KKT points of the free energy, but not only
-        there: the gradient is clamped at ``INTERIOR_EPS``, so a slot at 0
-        reads a finite slope where the true one is infinite, and a vertex can
-        read gap 0 without being stationary (a T = 0 LP vertex of a
-        decoding graph, scored at T = 1, reads ~1e-15 with F 0.1 above the
-        minimum).  ``minimize_bethe`` reads it only on converged
-        sum-product fixed points."""
+        = ``gradient(x, T)``: the T = 0 program with cost g (``lp``).  It
+        is at least 0 up to the LP's rounding and 0 at the KKT points of the
+        free energy, but not only there: the gradient is clamped at
+        ``INTERIOR_EPS``, so a slot at 0 reads a finite slope where the true
+        one is infinite, and a vertex can read gap 0 without being
+        stationary (a T = 0 LP vertex of a decoding graph, scored at T = 1,
+        reads ~1e-15 with F 0.1 above the minimum).  ``minimize_bethe``
+        reads it only on converged sum-product fixed points."""
+        g = self.gradient(x, temperature)
+        return float(g @ x - self.lp(g)[1])
+
+    def lp(self, g: np.ndarray):
+        """(minimizer's factor slots, minimum) of <g, v> over the polytope,
+        as ``energy_lp``'s program: each edge slot's cost is added to the
+        slots of its first endpoint that carry its symbol
+        (``first_endpoint``), whose marginal is the edge's weight on the
+        polytope.  Raises LpFailure when the LP fails."""
         from scipy.optimize import linprog
 
-        g = self.gradient(x, temperature)
-        res = linprog(g, A_eq=self.a_mat, b_eq=self.rhs, bounds=(0, 1), method="highs")
+        n_f = len(self.factor_slots)
+        fs, es = self.first_endpoint
+        _, a_eq, b_eq = self.energy_lp()
+        c = g[:n_f] + np.bincount(fs, weights=g[es], minlength=n_f)
+        res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, 1), method="highs")
         if not res.success:
-            raise LpFailure(f"Frank-Wolfe gap LP failed: {res.message}")
-        return float(g @ x - res.fun)
+            raise LpFailure(f"linear program failed: {res.message}")
+        return res.x, float(res.fun)
 
 
 # -- entropy-regularized factor tilt ------------------------------------------
@@ -558,34 +570,17 @@ class MinimizeResult:
 
 
 def _lp_minimize_energy(idx: _BetaIndex):
-    """Exact T=0 problem: the energy is linear and B is a polytope, so one
-    linear program over the factor slots solves it (``_BetaIndex.energy_lp``);
-    each edge's marginal is then read off its first endpoint."""
-    from scipy.optimize import linprog
-
-    c, a_eq, b_eq = idx.energy_lp()
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, 1)] * len(c), method="highs")
-    if not res.success:
-        raise LpFailure(f"linear program failed: {res.message}")
-
-    nfg = idx.nfg
-    factor_dists: dict = {f: {} for f in sorted(nfg.factors)}
-    for (f, key), v in zip(idx.factor_slots, res.x):
-        if v > 1e-12:
-            factor_dists[f][key] = v
-    for f, d in factor_dists.items():
-        total = sum(d.values())
-        factor_dists[f] = {k: v / total for k, v in d.items()}
-    edge_dists: dict = {}
-    for e in nfg.edge_order:
-        f1 = nfg.incidence[e][0]
-        p1 = nfg.factors[f1].edges.index(e)
-        d: dict = {}
-        for key, v in factor_dists[f1].items():
-            d[key[p1]] = d.get(key[p1], 0.0) + v
-        edge_dists[e] = d
-    beta = PseudoMarginals(factor_dists, edge_dists)
-    return beta, float(res.fun)
+    """Exact T=0 problem: the energy is linear and B is a polytope, so
+    ``_BetaIndex.lp`` solves it; rows at most 1e-12 are dropped, factors
+    renormalized, and each edge's marginal read off its first endpoint."""
+    y, f_min = idx.lp(idx.energy_vector())
+    n_f = len(y)
+    factor = idx.rows[:n_f]  # a factor slot's sum row is its factor's number
+    y = np.where(y > 1e-12, y, 0.0)
+    y = y / np.bincount(factor, weights=y)[factor]
+    fs, es = idx.first_endpoint
+    x = np.concatenate([y, np.bincount(es - n_f, weights=y[fs], minlength=idx.n - n_f)])
+    return idx.to_beta(x), f_min
 
 
 def minimize_bethe(
@@ -604,14 +599,13 @@ def minimize_bethe(
     configurations, or enumerated when None (CapExceeded past the cap).
 
     For T > 0 the starts run in order (the uniform start, then seeded
-    random messages), each with damped sum-product at damping 0.0 and then
-    0.5, at most ``n_starts`` starts, so at most 2 * ``n_starts`` *
-    ``SPA_ITERS`` sweeps.  Only converged fixed points that lie in the
-    polytope (entries at least -1e-6, every equality within 1e-6) are
-    kept, and the first whose Frank-Wolfe gap (``_BetaIndex.gap``) is at
-    most ``GAP_TOL`` is returned with ``converged`` True.  The gap is read
-    only on these fixed points: at other boundary points it can read 0
-    without certifying anything.  Where the free energy is not convex a
+    random messages), one sum-product run each at damping ``SPA_DAMPING``,
+    at most ``n_starts`` starts, so at most ``n_starts`` * ``SPA_ITERS``
+    sweeps.  Only converged fixed points in the polytope (entries at least
+    -1e-6, every equality within 1e-6) are kept, and the first whose
+    Frank-Wolfe gap (``_BetaIndex.gap``) is at most ``GAP_TOL`` is returned
+    with ``converged`` True.  The gap is read only on these fixed points:
+    at other boundary points it can read 0 without certifying anything.  Where the free energy is not convex a
     certified point is stationary, not necessarily the global minimum.
     When no fixed point certifies, the lowest kept one is returned with
     ``converged`` False; when none is kept, NonConvergence is raised.
@@ -631,20 +625,19 @@ def minimize_bethe(
     rng = np.random.default_rng(seed)
     inits = [None] + [np.random.default_rng(rng.integers(2**32)) for _ in range(n_starts - 1)]
     for init in inits:
-        for damping in (0.0, 0.5):
-            state, beliefs = sum_product(
-                nfg, max_iters=SPA_ITERS, damping=damping, tol=SPA_TOL, temperature=t, init_rng=init,
-            )
-            if not state.converged:
-                continue
-            x = idx.to_vector(beliefs)
-            if not idx.feasible(x, 1e-6):
-                continue
-            value = idx.free_energy(x, t)
-            if idx.gap(x, t) <= GAP_TOL:
-                return MinimizeResult(beliefs, value, math.exp(-value / t), True, False)
-            if best is None or value < best[0]:
-                best = (value, beliefs)
+        state, beliefs = sum_product(
+            nfg, max_iters=SPA_ITERS, damping=SPA_DAMPING, tol=SPA_TOL, temperature=t, init_rng=init,
+        )
+        if not state.converged:
+            continue
+        x = idx.to_vector(beliefs)
+        if not idx.feasible(x, 1e-6):
+            continue
+        value = idx.free_energy(x, t)
+        if idx.gap(x, t) <= GAP_TOL:
+            return MinimizeResult(beliefs, value, math.exp(-value / t), True, False)
+        if best is None or value < best[0]:
+            best = (value, beliefs)
     if best is None:
         raise NonConvergence(
             f"no sum-product start of {n_starts} reached a fixed point in the local marginal polytope"

@@ -105,6 +105,11 @@ class ParityCheckMatrix:
 
     @classmethod
     def from_alist_text(cls, text: str) -> "ParityCheckMatrix":
+        """H from alist text: n m, the max degrees, the column and row
+        degrees, then each column's row indices and each row's column
+        indices, a 0 entry being padding.  The row section must restate
+        the columns: a row's degree at least its weight, and its non-zero
+        entries exactly its columns."""
         tokens = text.split()
         if len(tokens) < 4:
             raise ParseError("alist too short")
@@ -114,7 +119,7 @@ class ParityCheckMatrix:
             m = int(next(it))
             next(it), next(it)  # max degrees
             col_deg = [int(next(it)) for _ in range(n)]
-            [int(next(it)) for _ in range(m)]
+            row_deg = [int(next(it)) for _ in range(m)]
             h = [[0] * n for _ in range(m)]
             for i in range(n):
                 for _ in range(col_deg[i]):
@@ -123,6 +128,13 @@ class ParityCheckMatrix:
                         raise ParseError(f"alist column {i + 1}: row index {j} outside 1..{m}")
                     if j > 0:
                         h[j - 1][i] = 1
+            for j in range(m):
+                cols = [i + 1 for i in range(n) if h[j][i]]
+                if row_deg[j] < len(cols):
+                    raise ParseError(f"alist row {j + 1}: degree {row_deg[j]} below its {len(cols)} columns")
+                listed = sorted(i for i in [int(next(it)) for _ in range(row_deg[j])] if i != 0)
+                if listed != cols:
+                    raise ParseError(f"alist row {j + 1}: columns {listed}, but the column lists give {cols}")
         except StopIteration:
             raise ParseError("alist truncated") from None
         return cls(h)

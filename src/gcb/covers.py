@@ -102,13 +102,6 @@ class PseudoMarginals:
         )
         return all(isinstance(v, (Fraction, int)) for v in values)
 
-    def denominator(self) -> int:
-        den = 1
-        for d in self.factor_dists.values():
-            for v in d.values():
-                den = den * Fraction(v).denominator // math.gcd(den, Fraction(v).denominator)
-        return den
-
     def factor_weight(self, f, key):
         return self.factor_dists[f].get(tuple(key), Fraction(0))
 
@@ -219,20 +212,6 @@ def count_covers(nfg: Nfg, m: int) -> int:
     return math.factorial(m) ** len(nfg.full_edges)
 
 
-def cover_spec_at_index(nfg: Nfg, m: int, index: int) -> CoverSpec:
-    """Decode an odometer index into a spec; last full edge moves fastest."""
-    perms = list(itertools.permutations(range(m)))
-    edges = [e for e in nfg.edge_order if e not in nfg.half_edges]
-    digits = {}
-    rem = index
-    for e in reversed(edges):
-        digits[e] = perms[rem % len(perms)]
-        rem //= len(perms)
-    if rem:
-        raise IndexError("cover index out of range")
-    return CoverSpec(nfg, m, digits)
-
-
 def _check_cover_cap(nfg: Nfg, m: int, cap):
     total = count_covers(nfg, m)
     limit = cover_cap(cap)
@@ -241,8 +220,9 @@ def _check_cover_cap(nfg: Nfg, m: int, cap):
 
 
 def enumerate_covers(nfg: Nfg, m: int, cap=None) -> Iterator[CoverSpec]:
-    """All labeled M-covers in odometer order over per-edge permutations,
-    the order of ``cover_spec_at_index``."""
+    """All labeled M-covers in odometer order over per-edge permutations:
+    each full edge runs through ``itertools.permutations(range(m))``, the
+    last edge of ``full_edge_order`` moving fastest."""
     _check_cover_cap(nfg, m, cap)
     edges = nfg.full_edge_order
     perms = itertools.permutations(range(m))

@@ -155,10 +155,6 @@ class Nfg:
     def full_edge_order(self) -> tuple:
         return tuple(e for e in self.edge_order if e not in self.half_edges)
 
-    def endpoints(self, edge: str) -> tuple:
-        """Incident factor ids; one entry for a half-edge, two for a full edge."""
-        return self.incidence[edge]
-
     def cotree_edges(self) -> list:
         """The full edges outside a spanning forest of the factor graph.
 

@@ -627,6 +627,63 @@ def _random_interior_beta(nfg, rng):
     return PseudoMarginals(factor_dists, edge_dists)
 
 
+def dense_a(idx):
+    """The index's A as a dense array, built from its sparse rows/cols/vals."""
+    a = np.zeros((len(idx.rhs), idx.n))
+    a[idx.rows, idx.cols] = idx.vals
+    return a
+
+
+def full_slot_gap(idx, x, temperature=1.0):
+    """The oracle: the Frank-Wolfe gap as one LP over every slot and every
+    row of A x = b."""
+    from scipy.optimize import linprog
+
+    g = idx.gradient(x, temperature)
+    res = linprog(g, A_eq=dense_a(idx), b_eq=idx.rhs, bounds=(0, 1), method="highs")
+    assert res.success
+    return float(g @ x - res.fun)
+
+
+def oracle_points(name, nfg):
+    """Seeded interior points and configuration vertices of fig1 and the
+    dumbbell; the converged damped fixed point of an example3 decoding graph."""
+    idx = _BetaIndex(nfg)
+    if name.startswith("example3"):
+        state, beliefs = sum_product(nfg, max_iters=4000, damping=0.5, tol=1e-13)
+        assert state.converged
+        return [idx.to_vector(beliefs)]
+    rng = random.Random(29)
+    points = [idx.to_vector(_random_interior_beta(nfg, rng)) for _ in range(3)]
+    return points + [idx.to_vector(beta_from_configuration(nfg, tup)) for tup, _ in valid_tuples(nfg)[:3]]
+
+
+@pytest.mark.parametrize("name, nfg", sorted(lp_oracle_graphs().items()))
+def test_gap_matches_full_slot_lp(name, nfg):
+    """The gap over the factor slots equals the full-slot LP's gap."""
+    idx = _BetaIndex(nfg)
+    for x in oracle_points(name, nfg):
+        assert idx.gap(x, 1.0) == pytest.approx(full_slot_gap(idx, x), abs=1e-10)
+
+
+@pytest.mark.parametrize("name, nfg", sorted(lp_oracle_graphs().items()))
+def test_feasible_matches_dense_check(name, nfg):
+    """``feasible`` agrees with a dense A x - b check, on points of the
+    polytope and on the same points with one slot moved by 1e-4 or 1e-3."""
+    idx = _BetaIndex(nfg)
+    a = dense_a(idx)
+    rng = np.random.default_rng(43)
+    for x in oracle_points(name, nfg):
+        assert idx.feasible(x, 1e-9)
+        for step in (1e-4, 1e-3):
+            moved = x.copy()
+            moved[rng.integers(idx.n)] += step * rng.choice([-1.0, 1.0])
+            for tol in (1e-9, 1e-6, 1e-2):
+                dense = bool(np.all(moved >= -tol) and np.all(np.abs(a @ moved - idx.rhs) <= tol))
+                assert idx.feasible(moved, tol) == dense
+            assert not idx.feasible(moved, 1e-6)
+
+
 def _gap(nfg, beta, temperature=1.0):
     idx = _BetaIndex(nfg)
     return idx.gap(idx.to_vector(beta), temperature)
@@ -666,7 +723,7 @@ def test_gap_certifies_near_vertex_fixed_point():
         n = idx.n
         c = np.zeros(n + 1)
         c[-1] = -1.0  # maximize the slack s subject to x >= s
-        a_eq = np.hstack([idx.a_mat, np.zeros((len(idx.rhs), 1))])
+        a_eq = np.hstack([dense_a(idx), np.zeros((len(idx.rhs), 1))])
         a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
         res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq, b_eq=idx.rhs, bounds=(0, 1), method="highs")
         assert res.success and res.x[-1] > 1e-9
@@ -708,10 +765,10 @@ def spa_dampings(monkeypatch):
 
 
 def test_minimize_stops_at_first_certified_start(spa_dampings):
-    """On a tree the undamped uniform start certifies, so one sum-product
-    run is made of the 2 * n_starts allowed."""
+    """On a tree the uniform start certifies, so one damped sum-product run
+    is made of the n_starts allowed."""
     res = minimize_bethe(make_random_tree(random.Random(3)), 1.0)
-    assert spa_dampings == [0.0]
+    assert spa_dampings == [0.5]
     assert res.converged and not res.tie
 
 
@@ -727,11 +784,23 @@ def test_minimize_uncertified_reports_not_converged(dumbbell, monkeypatch):
 
 
 def test_minimize_raises_when_no_start_converges(spa_dampings):
-    """On the frustrated K4 neither run of the one start converges, so
-    NonConvergence is raised after exactly 2 sum-product calls."""
-    with pytest.raises(NonConvergence, match="no sum-product start of 1"):
-        minimize_bethe(make_frustrated_k4(), 1.0, n_starts=1)
-    assert spa_dampings == [0.0, 0.5]
+    """On the frustrated K4 no start converges, so NonConvergence is raised
+    after exactly one damped sum-product call per start."""
+    with pytest.raises(NonConvergence, match="no sum-product start of 2"):
+        minimize_bethe(make_frustrated_k4(), 1.0, n_starts=2)
+    assert spa_dampings == [0.5, 0.5]
+
+
+def test_sgcd_certifies_slow_word_in_one_run(spa_dampings):
+    """y = 1011101101 over BSC(1/20): one damped run of the uniform start
+    converges (362 sweeps) and certifies, where an undamped run spends all
+    SPA_ITERS sweeps without converging."""
+    code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
+    dec = attach_channel(code, Channel.bsc(Fraction(1, 20)), list("1011101101"))
+    res = sgcd(dec)
+    assert spa_dampings == [0.5]
+    assert res.diagnostics["converged"]
+    assert "".join(map(str, res.decisions)) == "1011101111"
 
 
 @pytest.mark.parametrize("n_starts", [0, -3])

@@ -452,6 +452,22 @@ def test_decode_alist_row_index_past_m_exit_3(tmp_path, capsys):
     assert "alist column 2: row index 3 outside 1..2" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("3 2\n2 2\n1 2 1\n1 2\n1\n1 2\n2\n1\n2 3\n", "alist row 1: degree 1 below its 2 columns"),
+    ("3 2\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n1 2\n1 3\n", "alist row 2: columns [1, 3], but the column lists give [2, 3]"),
+    ("3 2\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n", "alist truncated"),
+])
+def test_decode_alist_row_section_fault_exit_3(tmp_path, capsys, text, message):
+    (tmp_path / "h.alist").write_text(text)
+    (tmp_path / "chan.txt").write_text("W 0 0 9/10\nW 1 0 1/10\nW 0 1 1/10\nW 1 1 9/10\n")
+    (tmp_path / "y.txt").write_text("0 0 1\n")
+    code, out, err = run(capsys, "decode", "--decoder", "bmapd", "--alist", str(tmp_path / "h.alist"),
+                         "--channel", str(tmp_path / "chan.txt"), "--y", str(tmp_path / "y.txt"))
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
 def test_decode_channel_input_past_alphabet_exit_3(tmp_path, capsys):
     (tmp_path / "h.pcm").write_text("1 1 0\n0 1 1\n")
     (tmp_path / "chan.txt").write_text("W 0 0 9/10\nW 1 0 1/10\nW 0 1 1/10\nW 1 1 9/10\nW 0 2 1\n")

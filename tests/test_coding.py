@@ -126,6 +126,28 @@ def test_alist_roundtrip():
     assert back.h == h.h
 
 
+# 3 columns, 2 rows whose column lists give H rows 110 and 011
+ALIST_ROW_FAULTS = [
+    ("3 2\n2 2\n1 2 1\n1 2\n1\n1 2\n2\n1\n2 3\n", "alist row 1: degree 1 below its 2 columns"),
+    ("3 2\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n1 2\n1 3\n",
+     r"alist row 2: columns \[1, 3\], but the column lists give \[2, 3\]"),
+    ("3 2\n2 3\n1 2 1\n3 3\n1\n1 2\n2\n1 2 3\n1 2 3\n",
+     r"alist row 1: columns \[1, 2, 3\], but the column lists give \[1, 2\]"),
+    ("3 2\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n", "alist truncated"),
+]
+
+
+@pytest.mark.parametrize("text, message", ALIST_ROW_FAULTS)
+def test_alist_row_section_must_restate_the_columns(text, message):
+    with pytest.raises(ParseError, match=message):
+        ParityCheckMatrix.from_alist_text(text)
+
+
+def test_alist_row_lists_may_pad_with_zeros():
+    text = "3 2\n2 3\n1 2 1\n2 3\n1\n1 2\n2\n1 2\n2 0 3\n"
+    assert ParityCheckMatrix.from_alist_text(text).h == [(1, 1, 0), (0, 1, 1)]
+
+
 def test_alist_row_index_past_m_is_a_parse_error():
     # 3 columns, 2 rows; column 2 names row 3
     text = "3 2\n2 3\n1 2 1\n2 2\n1\n1 3\n2\n1 2\n2 3\n"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -18,7 +19,6 @@ from gcb.covers import (
     check_local_consistency,
     check_shape,
     count_covers,
-    cover_spec_at_index,
     emit_cover_spec,
     enumerate_covers,
     entropy_rate_estimate,
@@ -334,9 +334,15 @@ def test_spec_roundtrip(dumbbell):
 
 
 def test_cover_index_roundtrip(dumbbell):
+    """Cover i carries the odometer digits of i: the last full edge moves
+    fastest through the permutations in ``itertools`` order."""
     specs = list(enumerate_covers(dumbbell, 2))
-    for i in (0, 17, 127):
-        assert cover_spec_at_index(dumbbell, 2, i).perms == specs[i].perms
+    perms = list(itertools.permutations(range(2)))
+    edges = dumbbell.full_edge_order
+    assert len(specs) == len(perms) ** len(edges)
+    for i, spec in enumerate(specs):
+        digits = [(i // len(perms) ** (len(edges) - 1 - k)) % len(perms) for k in range(len(edges))]
+        assert spec.perms == {e: perms[d] for e, d in zip(edges, digits)}
 
 
 def _consistency_by_scans(nfg, beta, tol):
