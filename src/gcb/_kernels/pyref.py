@@ -24,6 +24,25 @@ def lcm_scaled(values):
     return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 
+def walk_weights(tables, exact: bool = True):
+    """(weights, scale): the row values a walk multiplies, per table of
+    ``tables`` (lists of row values).  When every table is rational, exact
+    mode scales each to ints by the LCM L of its denominators (scale =
+    prod L); with a float table it keeps the tables' own values (scale 1),
+    since an int product past 1e308 cannot meet a float.  With
+    ``exact=False`` all are floats and scale is 1."""
+    if not exact:
+        return [[float(w) for w in table] for table in tables], 1
+    if not all(isinstance(w, (int, Fraction)) for table in tables for w in table):
+        return tables, 1
+    scaled, scale = [], 1
+    for table in tables:
+        ints, lcm = lcm_scaled(table)
+        scaled.append(ints)
+        scale *= lcm
+    return scaled, scale
+
+
 class Walk:
     """Depth-first walk over the valid configurations of a graph or its M-covers.
 
@@ -32,12 +51,9 @@ class Walk:
     already on its bound edges; its free edges then take the row's
     symbols.  A chosen row is reported as its index into ``rows``, the list
     of (factor id, row) pairs over the plan's factors in order.  Values
-    multiply the rows' ``weights`` left to right, and ``value * unit`` is
-    the global value.  When every table is rational, exact mode scales each
-    to ints by the LCM L of its denominators (``unit`` = 1 / prod L^M, a
-    Fraction); with a float table it keeps the tables' own values (``unit``
-    = 1), since an int product past 1e308 cannot meet a float.  With
-    ``exact=False`` all are floats and ``unit`` is 1.0.
+    multiply the rows' weights (``walk_weights``) left to right, and
+    ``value * unit`` is the global value: ``unit`` = 1 / scale^M, a
+    Fraction, in exact mode, and 1.0 with ``exact=False``.
     """
 
     def __init__(self, plan: Plan, m: int = 1, exact: bool = True):
@@ -45,22 +61,15 @@ class Walk:
         self.n_slots = len(plan.sizes) * m
         self.one = 1 if exact else 1.0
         self.rows = []
-        self.weights = []
         self._factors = []
-        rational = exact and all(isinstance(w, (int, Fraction)) for fp in plan.factors for w in fp.weights)
-        scale = 1
-        for fp in plan.factors:
-            weights = fp.weights if exact else [float(w) for w in fp.weights]
-            if rational:
-                weights, lcm = lcm_scaled(weights)
-                scale *= lcm
+        weights, scale = walk_weights([fp.weights for fp in plan.factors], exact)
+        for fp, fp_weights in zip(plan.factors, weights):
             key = itemgetter(*fp.bound_sel) if fp.bound_sel else (lambda row: ())
             groups: dict = {}
-            for row, w in zip(fp.support, weights):
+            for row, w in zip(fp.support, fp_weights):
                 free = tuple(row[p] for p in fp.free_sel)
                 groups.setdefault(key(row), []).append((free, w, len(self.rows)))
                 self.rows.append((fp.fid, row))
-                self.weights.append(w)
             bound = [(fp.edge_idx[p], fp.twist[p]) for p in fp.bound_sel]
             free_edges = [(fp.edge_idx[p], fp.twist[p]) for p in fp.free_sel]
             self._factors.append((bound, free_edges, groups))

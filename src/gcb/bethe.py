@@ -18,6 +18,7 @@ Its check blocks are solved together by the stacked Newton tilt
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -281,10 +282,41 @@ class _BetaIndex:
     program over the factor slots (``lp``).  A graph keeps its index
     (``nfg.derived(_BetaIndex, _BetaIndex)``), so the index holds its graph
     weakly: no cycle outlives the graph's last user.
+
+    Only ``weights`` and the energy come from the table values (``_weigh``);
+    the rest is the graph's structure.  ``shape`` is that structure with
+    no graph and no weights, and ``on`` weighs a copy of it on a graph of
+    the same structure (factor ids, edges and supports, alphabets and
+    half-edges), sharing every other array by reference, and the memo of
+    what the structure alone determines (``derived``: the LP's A_eq, a
+    sum-product layout).
     """
 
     def __init__(self, nfg: Nfg):
-        self._graph = weakref.ref(nfg)
+        self._lay_out(nfg)
+        self._weigh(nfg)
+
+    @classmethod
+    def shape(cls, nfg: Nfg) -> "_BetaIndex":
+        index = cls.__new__(cls)
+        index._lay_out(nfg)
+        return index
+
+    def on(self, nfg: Nfg) -> "_BetaIndex":
+        index = copy.copy(self)
+        index._weigh(nfg)
+        return index
+
+    def derived(self, key, build):
+        """``build(self)``, built on first use and kept with the structure
+        under ``key``, as ``Nfg.derived`` keeps it with a graph; every index
+        weighed from one shape shares it."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
+
+    def _lay_out(self, nfg: Nfg):
+        self._derived = {}
         sizes = nfg.alphabet_sizes
         factors = sorted(nfg.factors)
         supports = [nfg.factors[f].support for f in factors]
@@ -300,7 +332,7 @@ class _BetaIndex:
         # weight
         n_sums = len(factors) + len(edge_sizes)
         self.marginal_row = {}
-        weights, symbols, starts, arity, edge_slot, at_first = [], [], [], [], [], []
+        symbols, starts, arity, edge_slot, at_first = [], [], [], [], []
         r = n_sums
         for f, support in zip(factors, supports):
             fac = nfg.factors[f]
@@ -311,10 +343,6 @@ class _BetaIndex:
                 edge_slot += range(edge_start[e], edge_start[e] + sizes[e])
                 at_first += [nfg.incidence[e][0] == f] * sizes[e]
                 r += sizes[e]
-            # a Fraction's float is numerator / denominator; dividing here
-            # skips the slow generic conversion, with the same rounding
-            values = [fac.table[key] for key in support]
-            weights += [v if type(v) is float else v.numerator / v.denominator for v in values]
             symbols += itertools.chain.from_iterable(support)
             starts += first * len(support)
             arity.append(len(first))
@@ -336,10 +364,19 @@ class _BetaIndex:
         self.first_endpoint = (factor_of[first], edge_slot[marginal_rows[first] - n_sums])
         self.vals = np.repeat([1.0, -1.0], [self.n + len(marginal_rows), r - n_sums])
         self.rhs = np.repeat([1.0, 0.0], [n_sums, r - n_sums])
-        self.weights = np.array(weights)
-        self._energy = np.array([-math.log(w) for w in weights] + [0.0] * len(self.edge_slots))
         half = [0.0 if e in nfg.half_edges else -1.0 for e, _ in self.edge_slots]
         self.entropy_coef = np.array([1.0] * n_f + half)
+
+    def _weigh(self, nfg: Nfg):
+        """Read ``weights`` and the energy off nfg's tables, and hold nfg."""
+        self._graph = weakref.ref(nfg)
+        tables = nfg.factors
+        values = [tables[f].table[key] for f, key in self.factor_slots]
+        # a Fraction's float is numerator / denominator; dividing here
+        # skips the slow generic conversion, with the same rounding
+        weights = [v if type(v) is float else v.numerator / v.denominator for v in values]
+        self.weights = np.array(weights)
+        self._energy = np.array([-math.log(w) for w in weights] + [0.0] * len(self.edge_slots))
 
     @property
     def nfg(self) -> Nfg:
@@ -383,27 +420,12 @@ class _BetaIndex:
 
         The rows are the factor sums, then, for each full edge (f1, f2) and
         each symbol but the last, f1's marginal minus f2's: the consistency
-        rows with the edge's own weight eliminated.
+        rows with the edge's own weight eliminated.  A_eq is a sparse CSR
+        matrix read off ``rows``/``cols``, built once per structure
+        (``derived``).
         """
-        n_f = len(self.factor_slots)
-        n_factors = len(self.nfg.factors)
-        first, second = [], []
-        for e in self.nfg.full_edge_order:
-            f1, f2 = self.nfg.incidence[e]
-            for s in range(self.nfg.alphabet_sizes[e] - 1):
-                first.append(self.marginal_row[f1, e] + s)
-                second.append(self.marginal_row[f2, e] + s)
-        n_lp = n_factors + len(first)
-        lp_row = np.full(len(self.rhs), -1)  # row of A -> row of A_eq
-        lp_row[:n_factors] = np.arange(n_factors)
-        lp_row[first] = lp_row[second] = np.arange(n_factors, n_lp)
-        sign = np.ones(len(self.rhs))
-        sign[second] = -1.0
-        keep = (self.cols < n_f) & (lp_row[self.rows] >= 0)
-        rows = self.rows[keep]
-        a_eq = np.zeros((n_lp, n_f))
-        a_eq[lp_row[rows], self.cols[keep]] = sign[rows]  # factor slots carry +1 in A
-        return self._energy[:n_f], a_eq, np.repeat([1.0, 0.0], [n_factors, len(first)])
+        a_eq, b_eq = self.derived(_BetaIndex.energy_lp, _energy_lp_rows)
+        return self._energy[:len(self.factor_slots)], a_eq, b_eq
 
     def entropy(self, x: np.ndarray) -> float:
         """Bethe entropy -sum_i coef_i x_i log x_i, with 0 log 0 = 0."""
@@ -447,6 +469,32 @@ class _BetaIndex:
         if not res.success:
             raise LpFailure(f"linear program failed: {res.message}")
         return res.x, float(res.fun)
+
+
+def _energy_lp_rows(idx: _BetaIndex):
+    """(A_eq, b_eq) of ``_BetaIndex.energy_lp``."""
+    from scipy.sparse import csr_array
+
+    nfg = idx.nfg
+    n_factors = len(nfg.factors)
+    first, second = [], []
+    for e in nfg.full_edge_order:
+        f1, f2 = nfg.incidence[e]
+        for s in range(nfg.alphabet_sizes[e] - 1):
+            first.append(idx.marginal_row[f1, e] + s)
+            second.append(idx.marginal_row[f2, e] + s)
+    n_lp = n_factors + len(first)
+    lp_row = np.full(len(idx.rhs), -1)  # row of A -> row of A_eq
+    lp_row[:n_factors] = np.arange(n_factors)
+    lp_row[first] = lp_row[second] = np.arange(n_factors, n_lp)
+    sign = np.ones(len(idx.rhs))
+    sign[second] = -1.0
+    n_f = len(idx.factor_slots)
+    keep = (idx.cols < n_f) & (lp_row[idx.rows] >= 0)
+    rows = idx.rows[keep]
+    # factor slots carry +1 in A, and no slot twice in one row of A_eq
+    a_eq = csr_array((sign[rows], (lp_row[rows], idx.cols[keep])), shape=(n_lp, n_f))
+    return a_eq, np.repeat([1.0, 0.0], [n_factors, len(first)])
 
 
 # -- entropy-regularized factor tilt ------------------------------------------

@@ -11,9 +11,15 @@ is the graph itself, so at M = 1 they are blockwise and symbolwise MAP
 decoding (``bmapd``, ``smapd``); ``bgcd`` and ``sgcd`` run them at a given
 degree, or by default minimize the Bethe free energy at temperatures zero
 and one, the M -> infinity limit of the rules.  What a graph alone
-determines is kept on it (``Nfg.derived``): a decoding graph's walk per
-degree, and a code graph's valid configurations, the list that
-``attach_channel``, the rules' M = 1 walk and ``bgcd``'s tie check read.
+determines is kept on it (``Nfg.derived``).  A code graph keeps its valid
+configurations, the list that ``attach_channel``, the rules' M = 1 walk
+and ``bgcd``'s tie check read, its code words, and a ``_DecodingFrame``:
+what all its decoding graphs with the same channel-factor supports share
+(the ``_BetaIndex`` structure, the LP's A_eq, the sum-product layout, the
+M = 1 walk), built from the first of them and replaced when a word with
+other supports comes.  A decoding graph keeps its frame, its index (the frame's,
+weighed on its tables), its codeword values and its walk per degree
+M > 1, so a word pays only for its weights.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import _kernels
-from ._kernels.pyref import Walk
-from .bethe import minimize_bethe
+from ._kernels.pyref import Walk, walk_weights
+from .bethe import _BetaIndex, minimize_bethe
 from .covers import (
     PseudoMarginals,
     count_covers,
@@ -107,9 +113,12 @@ class ParityCheckMatrix:
     def from_alist_text(cls, text: str) -> "ParityCheckMatrix":
         """H from alist text: n m, the max degrees, the column and row
         degrees, then each column's row indices and each row's column
-        indices, a 0 entry being padding.  The row section must restate
-        the columns: a row's degree at least its weight, and its non-zero
-        entries exactly its columns."""
+        indices, a 0 entry being padding.  The lists are read as the
+        layout that pads every list with 0 to the max degree when the list
+        tokens number n max_col + m max_row and that differs from the sum of
+        the degrees; otherwise each list has as many entries as its degree.
+        The row section must restate the columns: a row's degree at least
+        its weight, and its non-zero entries exactly its columns."""
         tokens = text.split()
         if len(tokens) < 4:
             raise ParseError("alist too short")
@@ -117,12 +126,15 @@ class ParityCheckMatrix:
         try:
             n = int(next(it))
             m = int(next(it))
-            next(it), next(it)  # max degrees
+            max_col, max_row = int(next(it)), int(next(it))
             col_deg = [int(next(it)) for _ in range(n)]
             row_deg = [int(next(it)) for _ in range(m)]
+            n_lists = len(tokens) - 4 - n - m
+            padded = n_lists == n * max_col + m * max_row != sum(col_deg) + sum(row_deg)
+            col_len, row_len = ([max_col] * n, [max_row] * m) if padded else (col_deg, row_deg)
             h = [[0] * n for _ in range(m)]
             for i in range(n):
-                for _ in range(col_deg[i]):
+                for _ in range(col_len[i]):
                     j = int(next(it))
                     if not 0 <= j <= m:
                         raise ParseError(f"alist column {i + 1}: row index {j} outside 1..{m}")
@@ -132,7 +144,7 @@ class ParityCheckMatrix:
                 cols = [i + 1 for i in range(n) if h[j][i]]
                 if row_deg[j] < len(cols):
                     raise ParseError(f"alist row {j + 1}: degree {row_deg[j]} below its {len(cols)} columns")
-                listed = sorted(i for i in [int(next(it)) for _ in range(row_deg[j])] if i != 0)
+                listed = sorted(i for i in [int(next(it)) for _ in range(row_len[j])] if i != 0)
                 if listed != cols:
                     raise ParseError(f"alist row {j + 1}: columns {listed}, but the column lists give {cols}")
         except StopIteration:
@@ -289,23 +301,18 @@ def attach_channel(
     """Terminate each half-edge with a unary likelihood factor for y_i.
 
     Requires a single-pre-image representation (t_N = 1), read from the
-    code's list of valid configurations (``_valid_configs``, bounded by
+    code's list of valid configurations (``_code_words``, bounded by
     ``cap``).  With the default uniform codeword prior the global function
     equals |code| times the joint probability of (x, y); a per-symbol
     product prior is absorbed into the channel factors, and ``gamma`` is
-    computed in the prior's own arithmetic.
+    computed in the prior's own arithmetic.  The decoding graph is seated
+    on its frame (``_frame``): its ``_BetaIndex`` is the frame's, weighed
+    on its channel factors.
     """
     half = nfg_code.half_edge_order
     if len(y) != len(half):
         raise LengthMismatch(f"received vector length {len(y)}, code length {len(half)}")
-    fibers = _fiber_sizes(nfg_code, _valid_configs(nfg_code, cap))
-    if not fibers:
-        raise GcbError("code graph has no valid configurations")
-    t_values = set(fibers.values())
-    if t_values != {1}:
-        raise GcbError(
-            f"attach_channel requires t_N = 1, found fiber sizes {sorted(t_values)}"
-        )
+    words = _code_words(nfg_code, cap)
 
     factors = list(nfg_code.factors.values())
     for i, e in enumerate(half):
@@ -323,11 +330,112 @@ def attach_channel(
     nfg_y = Nfg(nfg_code.alphabet_sizes, [], factors)
 
     if prior is None:
-        gamma = Fraction(len(fibers))
+        gamma = Fraction(len(words))
     else:
-        kappa = sum(math.prod(prior[i][x[i]] for i in range(len(half))) for x in fibers)
+        kappa = sum(math.prod(prior[i][x[i]] for i in range(len(half))) for x in words)
         gamma = 1 / kappa
-    return DecodingNfg(nfg_y, half, gamma, [str(v) for v in y], nfg_code)
+    dec = DecodingNfg(nfg_y, half, gamma, [str(v) for v in y], nfg_code)
+    _frame(dec)
+    return dec
+
+
+def _code_words(nfg: Nfg, cap=None) -> list:
+    """The half-edge words of the code's valid configurations
+    (``_valid_configs``, whose every call raises CapExceeded past its own
+    cap), in list order, kept on the graph (``Nfg.derived``).  Raises
+    GcbError unless each word has one pre-image (t_N = 1)."""
+    configs = _valid_configs(nfg, cap)
+
+    def words(g):
+        fibers = _fiber_sizes(g, configs)
+        if not fibers:
+            raise GcbError("code graph has no valid configurations")
+        t_values = set(fibers.values())
+        if t_values != {1}:
+            raise GcbError(f"attach_channel requires t_N = 1, found fiber sizes {sorted(t_values)}")
+        return list(fibers)
+
+    return nfg.derived(_code_words, words)
+
+
+class _DecodingFrame:
+    """What every decoding graph of one code graph and one set of channel
+    factor supports shares: its ``_BetaIndex`` structure (``index``, a
+    ``_BetaIndex.shape``, whose memo keeps the LP's A_eq and the
+    sum-product layout) and, from the first use of the M = 1 rules on, its
+    ``_ListWalk``.  It is built from the first decoding graph and holds no
+    graph and no weights; ``_frame`` finds it."""
+
+    def __init__(self, nfg: Nfg):
+        self.index = _BetaIndex.shape(nfg)
+        self._walk = None
+
+    def walk(self, nfg: Nfg, configs) -> "_ListWalk":
+        """The frame's ``_ListWalk``, built from nfg and its code's list
+        ``configs`` on first use."""
+        if self._walk is None:
+            self._walk = _ListWalk(nfg, configs)
+        return self._walk
+
+
+class _ListWalk:
+    """The degree-1 walk of a frame's decoding graphs, read off the code's
+    list: the plan's support rows (``rows``, as ``Walk.rows``) and each
+    configuration of the list that every table supports, as (slots, row
+    ids) in plan order (``codewords``).  ``m`` and ``one`` are a degree-1
+    exact ``Walk``'s, so the rules and ``phi_of_rows`` read it as one."""
+
+    m, one = 1, 1
+
+    def __init__(self, nfg: Nfg, configs):
+        plan = _kernels.build_plan(nfg)
+        self.supports = [(fp.fid, fp.support) for fp in plan.factors]
+        self.rows = [(fp.fid, row) for fp in plan.factors for row in fp.support]
+        row_ids = iter(range(len(self.rows)))
+        steps = [
+            ([nfg.edge_index(e) for e in nfg.factors[fp.fid].edges], {row: next(row_ids) for row in fp.support})
+            for fp in plan.factors
+        ]
+        self.codewords = []
+        for slots, _ in configs:
+            hits = [ids.get(tuple([slots[e] for e in edges])) for edges, ids in steps]
+            if None not in hits:
+                self.codewords.append((slots, hits))
+
+    def values(self, nfg: Nfg):
+        """(values, unit): (value, slots, rows) per codeword of a decoding
+        graph nfg, with ``value * unit`` its global value, multiplied left
+        to right in plan order over the weights a degree-1 exact ``Walk``
+        gives nfg's tables (``walk_weights``)."""
+        weights, scale = walk_weights([[nfg.factors[fid].table[row] for row in support]
+                                       for fid, support in self.supports])
+        flat = list(itertools.chain.from_iterable(weights))
+        values = [(math.prod([flat[r] for r in rows]), slots, rows) for slots, rows in self.codewords]
+        return values, Fraction(1, scale)
+
+
+def _frame(dec: DecodingNfg) -> _DecodingFrame:
+    """The frame of dec's code graph (``code_nfg``, else ``nfg`` itself) and
+    of the edges and supports of dec.nfg's factors that are not the code
+    graph's own, built from dec.nfg unless the code graph keeps it.  The
+    code graph keeps one frame (``Nfg.derived``), the last one built: a
+    channel whose zero likelihoods follow the word would otherwise keep a
+    frame per support pattern.  dec.nfg keeps its own frame, and its
+    ``_BetaIndex`` is the frame's index weighed on dec.nfg."""
+    nfg = dec.nfg
+
+    def find(g):
+        code = dec.code_nfg or g
+        own = tuple((fid, f.edges, tuple(f.table)) for fid, f in g.factors.items() if code.factors.get(fid) is not f)
+        kept = code.derived(_frame, lambda _: {})  # {supports: frame}, at most one entry
+        if own not in kept:
+            kept.clear()
+            kept[own] = _DecodingFrame(g)
+        return kept[own]
+
+    frame = nfg.derived(_DecodingFrame, find)
+    nfg.derived(_BetaIndex, frame.index.on)
+    return frame
 
 
 # -- decoders -----------------------------------------------------------------
@@ -366,34 +474,26 @@ def _decide(dec: DecodingNfg, beta: PseudoMarginals, tie, objective, diagnostics
 
 
 def _rule_walk(dec: DecodingNfg, m: int, cap, config_cap):
-    """(walk, unit, covers): the walk of ``dec.nfg`` at degree m, built on
-    first use and kept on the graph (``Nfg.derived``) for every decoder,
-    and one iterable of (value, slots, rows) per gauge-fixed cover, as
-    ``Walk.configs`` yields them within ``config_cap``, with ``value *
-    unit`` the global value.  At M = 1 the one cover is ``dec.nfg``, read
-    off its code's list (``_valid_configs``, bounded by ``config_cap``)
-    less the configurations a table does not support, times the walk's
-    weights.  Raises ValueError for m < 1."""
+    """(walk, unit, covers): the walk of ``dec.nfg`` at degree m and one
+    iterable of (value, slots, rows) per gauge-fixed cover, with ``value *
+    unit`` the global value.  At m > 1 the walk is built on first use and
+    kept on the graph (``Nfg.derived``) for every decoder, and each cover's
+    configurations are ``Walk.configs``' within ``config_cap``.  At M = 1
+    the one cover is ``dec.nfg``: the walk is its frame's ``_ListWalk``,
+    read off its code's list (``_valid_configs``, bounded by
+    ``config_cap`` on every call), and the values are weighed once per
+    decoding graph and kept on it.  Raises ValueError for m < 1."""
     if m < 1:
         raise ValueError("degree M must be at least 1")
     nfg = dec.nfg
-    walk = nfg.derived((_rule_walk, m), lambda g: Walk(_kernels.build_plan(g), m))
     if m != 1:
+        walk = nfg.derived((_rule_walk, m), lambda g: Walk(_kernels.build_plan(g), m))
         perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
         limit = default_config_cap(config_cap)
         return walk, walk.unit, (walk.configs(p, limit) for p in perm_invs)
-    tables: dict = {}  # per factor, in walk order: {row: (row id, weight)}
-    for row_id, ((fid, row), w) in enumerate(zip(walk.rows, walk.weights)):
-        tables.setdefault(fid, {})[row] = (row_id, w)
-    steps = [([nfg.edge_index(e) for e in nfg.factors[fid].edges], table) for fid, table in tables.items()]
-
-    def configs():
-        for slots, _ in _valid_configs(dec.code_nfg or nfg, config_cap):
-            hits = [table.get(tuple([slots[e] for e in edges])) for edges, table in steps]
-            if None not in hits:
-                yield math.prod(w for _, w in hits), slots, [i for i, _ in hits]
-
-    return walk, walk.unit, [configs()]
+    walk = _frame(dec).walk(nfg, _valid_configs(dec.code_nfg or nfg, config_cap))
+    values, unit = nfg.derived(_ListWalk.values, walk.values)
+    return walk, unit, [values]
 
 
 def _blockwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
@@ -541,6 +641,7 @@ def sgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None,
     """
     if degree is not None:
         return _symbolwise(dec, degree, cap, config_cap)
+    _frame(dec)
     res = minimize_bethe(dec.nfg, 1.0, **minimize_kwargs)
     return _decide(dec, res.beta, res.tie, res.f_min, {"converged": res.converged})
 

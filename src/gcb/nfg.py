@@ -5,9 +5,11 @@ node, a full edge on exactly two.  Local function tables keep only their
 support (assignments with value zero are dropped), so a factor's support
 doubles as its local constraint code.  All types here are immutable after
 construction and safe to share across threads.  What gcb derives from a
-graph alone (its configuration list, walks, polytope index) is built on
-first use and kept on the graph (``Nfg.derived``); two threads that ask at
-once may each build it, and one of the equal results is kept.
+graph alone (its configuration list, walks, polytope index; on a code
+graph, the decoding frame its decoding graphs share, and on a decoding
+graph, its codeword values) is built on first use and kept on the graph
+(``Nfg.derived``); two threads that ask at once may each build it, and
+one of the equal results is kept.
 """
 
 from __future__ import annotations

@@ -8,7 +8,10 @@ stationary points of the Bethe free energy at that temperature.
 A run works on one flat float vector (``_FlatLayout``) laid over the
 graph's ``bethe._BetaIndex``, the one description of the local marginal
 polytope: every directed message, a constant 1.0, then the weight of each
-index factor row whose weight ** (1/T) is not 0.  ``gather`` is one
+index factor row whose weight ** (1/T) is not 0.  The layout holds only
+structure and is kept with the index's (``layout``), so the runs of
+``minimize_bethe``'s starts and the decoding graphs of one decoding frame
+share it; a run supplies its own weights.  ``gather`` is one
 contiguous (arity + 1, rows) index array, so row r's terms, its weight and
 then its incoming entries, are ``vec[gather[:, r]]``, and all row products
 are one ``multiply.reduce`` down the short axis: the weight times the
@@ -64,8 +67,9 @@ class SpaState:
 
 
 class _FlatLayout:
-    """Index arrays of one flat vector over a graph's ``bethe._BetaIndex``,
-    built once per run.
+    """Index arrays of one flat vector over a graph's ``bethe._BetaIndex``
+    and a set of kept rows; ``layout`` keeps one with the index's
+    structure, so every run and every graph of that structure shares it.
 
     The vector holds every directed message (factor, edge), in
     ``nfg.factors`` / ``f.edges`` order, as the block ``start .. start +
@@ -81,12 +85,13 @@ class _FlatLayout:
     holds each row's factor number, and ``edge_ends`` the two message
     entries whose product is each edge symbol's score (``one`` for the
     missing end of a half-edge).  ``groups`` and ``edge_groups`` list the
-    blocks of each size, one row per block, for blockwise sums.
+    blocks of each size, one row per block, for blockwise sums.  The
+    layout holds no graph, index or weights.
     """
 
-    def __init__(self, index, inv_t):
-        self.index = index
+    def __init__(self, index, slots):
         nfg = index.nfg
+        self.n_index, self.n_factor_slots = index.n, len(index.factor_slots)
         sizes = nfg.alphabet_sizes
         block_keys = [(fid, e) for fid, f in nfg.factors.items() for e in f.edges]
         block_sizes = np.array([sizes[e] for _, e in block_keys], dtype=np.intp)
@@ -97,16 +102,14 @@ class _FlatLayout:
 
         # the kept rows, factors in the index's (sorted id) order and rows
         # sorted within a factor, with their symbols padded to `arity`
-        weights = index.weights if inv_t == 1 else index.weights**inv_t
-        self.slots = np.flatnonzero(weights)
-        self.weights = weights[self.slots]
+        self.slots = slots
         factors = sorted(nfg.factors)
         counts = [len(nfg.factors[f].table) for f in factors]
-        row_factor = self.row_factor = np.repeat(np.arange(len(factors)), counts)[self.slots]
+        row_factor = self.row_factor = np.repeat(np.arange(len(factors)), counts)[slots]
         arities = np.array([len(nfg.factors[f].edges) for f in factors], dtype=np.intp)
         arity = int(arities.max(initial=0))
         sym = np.zeros((len(row_factor), arity), dtype=np.intp)
-        keys = itertools.chain.from_iterable(index.factor_slots[slot][1] for slot in self.slots.tolist())
+        keys = itertools.chain.from_iterable(index.factor_slots[slot][1] for slot in slots.tolist())
         sym[np.arange(arity) < arities[row_factor][:, None]] = np.fromiter(keys, np.intp)
 
         # each edge's two directed messages, in edge_order; the missing end
@@ -144,13 +147,14 @@ class _FlatLayout:
         self.groups = _size_groups(block_sizes, bounds[:-1])
         self.edge_groups = _size_groups(edge_sizes, edge_bounds[:-1])
 
-    def vector(self, rng=None):
-        """The starting vector: uniform messages, or with ``rng`` each
-        block drawn from U(0.2, 1) in block order and divided by its sum."""
+    def vector(self, weights, rng=None):
+        """The starting vector for the kept rows' ``weights``: uniform
+        messages, or with ``rng`` each block drawn from U(0.2, 1) in block
+        order and divided by its sum."""
         n = self.one
-        vec = np.empty(n + 1 + len(self.weights))
+        vec = np.empty(n + 1 + len(weights))
         vec[n] = 1.0
-        vec[n + 1:] = self.weights
+        vec[n + 1:] = weights
         if rng is None:
             block_sizes = [hi - lo for _, lo, hi in self.blocks]
             vec[:n] = 1.0 / np.repeat(block_sizes, block_sizes)
@@ -190,10 +194,21 @@ class _FlatLayout:
         """``belief_arrays`` in the index's coordinates: each kept row's
         belief at its slot, 0 at the dropped rows, then the edge symbols."""
         row_b, edge_b = self.belief_arrays(vec)
-        x = np.zeros(self.index.n)
+        x = np.zeros(self.n_index)
         x[self.slots] = row_b
-        x[len(self.index.factor_slots):] = edge_b
+        x[self.n_factor_slots:] = edge_b
         return x
+
+
+def layout(index, weights) -> _FlatLayout:
+    """The layout of the rows whose ``weights`` are not 0: the one kept
+    with the index's structure (``_BetaIndex.derived``) when it has these
+    rows, else a new one; the first built is the one kept."""
+    slots = np.flatnonzero(weights)
+    lay = index.derived(_FlatLayout, lambda idx: _FlatLayout(idx, slots))
+    if not np.array_equal(lay.slots, slots):
+        lay = _FlatLayout(index, slots)
+    return lay
 
 
 def _size_groups(sizes, starts):
@@ -221,8 +236,8 @@ def sum_product(
 ):
     """Run flooding sum-product; returns (SpaState, beliefs).
 
-    The run's layout reads its rows off the graph's ``_BetaIndex``, and
-    the beliefs are ``_BetaIndex.to_beta`` of the final vector's
+    The run's layout (``layout``) reads its rows off the graph's
+    ``_BetaIndex``, and the beliefs are ``_BetaIndex.to_beta`` of the final vector's
     ``_FlatLayout.x``; edge beliefs use the product of the two directed
     messages on full edges.  Non-convergence is reported in the state,
     never raised; a T outside (0, inf) or a negative ``max_iters`` or
@@ -254,8 +269,9 @@ def sum_product(
     if not tol >= 0.0:
         raise ValueError("tol must be non-negative")
     index = nfg.derived(_BetaIndex, _BetaIndex)
-    lay = _FlatLayout(index, inv_t)
-    vec = lay.vector(init_rng)
+    weights = index.weights if inv_t == 1 else index.weights**inv_t
+    lay = layout(index, weights)
+    vec = lay.vector(weights[lay.slots], init_rng)
     n = lay.one
     residual = float("inf")
     iterations = 0

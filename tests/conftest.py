@@ -8,7 +8,9 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from gcb.bethe import minimize_bethe
 from gcb.covers import PseudoMarginals
+from gcb.gibbs import valid_tuples
 from gcb.nfg import Factor, Nfg, parity_table
 
 
@@ -145,3 +147,58 @@ def fig1():
 @pytest.fixture
 def dumbbell():
     return make_dumbbell()
+
+
+def twin(nfg: Nfg) -> Nfg:
+    """The same graph with nothing derived yet: no frame, index or layout."""
+    return Nfg(nfg.alphabet_sizes, nfg.half_edges, nfg.factors)
+
+
+def list_oracle(dec):
+    """bmapd, smapd and bgcd from ``valid_tuples(dec.nfg)``, the decoding
+    graph's own walk, each as (decisions, tie, objective, beliefs, n_optima);
+    bgcd minimizes on a ``twin``, with its own ``_BetaIndex``.  Float values
+    within a relative 1e-12 of the best count as optimal."""
+    nfg = dec.nfg
+    configs = valid_tuples(nfg)
+    tol = 1e-12 if any(isinstance(v, float) for _, v in configs) else 0
+
+    def argmax(dist):
+        best = max(dist.values())
+        winners = [s for s in sorted(dist) if dist[s] >= best * (1 - tol)]
+        return winners[0], len(winners) > 1
+
+    def decide(beta, tie, objective, n_optima=None):
+        symbols = [argmax(beta.edge_dists[e]) for e in dec.symbol_edges]
+        tie = tie or any(t for _, t in symbols)
+        return tuple(s for s, _ in symbols), tie, objective, beta, n_optima
+
+    best, optima = None, []
+    for tup, v in configs:
+        if best is None or v > best * (1 + tol):
+            best, optima = v, [tup]
+        elif v >= best * (1 - tol):
+            optima.append(tup)
+    winner = min(optima)
+    point = PseudoMarginals(
+        {f: {nfg.local_assignment(f, winner): Fraction(1)} for f in nfg.factors},
+        {e: {winner[nfg.edge_index(e)]: Fraction(1)} for e in nfg.edge_order},
+    )
+    b = decide(point, len(optima) > 1, -math.log(float(best)), len(optima))
+    z = Fraction(0)
+    factor_acc, edge_acc = {f: {} for f in nfg.factors}, {e: {} for e in nfg.edge_order}
+    for tup, v in configs:
+        z += v
+        for f in nfg.factors:
+            key = nfg.local_assignment(f, tup)
+            factor_acc[f][key] = factor_acc[f].get(key, 0) + v
+        for e in nfg.edge_order:
+            s = tup[nfg.edge_index(e)]
+            edge_acc[e][s] = edge_acc[e].get(s, 0) + v
+    beta = PseudoMarginals(
+        {f: {k: v / z for k, v in d.items()} for f, d in factor_acc.items()},
+        {e: {k: v / z for k, v in d.items()} for e, d in edge_acc.items()},
+    )
+    s = decide(beta, False, -math.log(float(z)))
+    res = minimize_bethe(twin(nfg), 0)
+    return {"bmapd": b, "smapd": s, "bgcd": decide(res.beta, res.tie, res.f_min)}

@@ -591,13 +591,15 @@ def lp_oracle_graphs():
 
 @pytest.mark.parametrize("name, nfg", sorted(lp_oracle_graphs().items()))
 def test_lp_rows_match_row_builder(name, nfg):
-    """The LP read off the index is the row builder's, entry for entry."""
+    """The LP read off the index is the row builder's, entry for entry;
+    A_eq is sparse, with no stored zero."""
     from gcb.bethe import _BetaIndex
 
     c, a_eq, b_eq = _BetaIndex(nfg).energy_lp()
     want_c, want_a, want_b = lp_rows_oracle(nfg)
     assert np.array_equal(c, want_c)
-    assert np.array_equal(a_eq, want_a)
+    assert a_eq.format == "csr" and np.all(a_eq.data != 0)
+    assert np.array_equal(a_eq.toarray(), want_a)
     assert np.array_equal(b_eq, want_b)
 
 
@@ -914,17 +916,18 @@ def test_float_sums_do_not_follow_the_hash_seed():
 
 def test_one_decoding_graph_builds_one_index(monkeypatch):
     """bgcd's LP, a traced sum-product run, bethe_terms and minimize_bethe
-    at T = 1 on one decoding graph all read the graph's one ``_BetaIndex``."""
+    at T = 1 on one decoding graph all read the graph's one ``_BetaIndex``,
+    weighed once on that graph."""
     from gcb.spa import sum_product
 
     built = []
-    index_init = _BetaIndex.__init__
+    weigh = _BetaIndex._weigh
 
     def counting(self, nfg):
         built.append(nfg)
-        index_init(self, nfg)
+        weigh(self, nfg)
 
-    monkeypatch.setattr(_BetaIndex, "__init__", counting)
+    monkeypatch.setattr(_BetaIndex, "_weigh", counting)
     code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
     dec = attach_channel(code, Channel.bsc(Fraction(1, 10)), "0100000000")
     bgcd(dec)

@@ -396,6 +396,20 @@ def test_decode_from_alist(tmp_path, capsys):
     assert "decision=111" in out
 
 
+def test_decode_from_alist_padded_to_the_max_degree(tmp_path, capsys):
+    alist = tmp_path / "h.alist"
+    # the length-3 repetition code again, every list padded with 0 to degree 2
+    alist.write_text("3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2\n2 3\n")
+    chan = tmp_path / "chan.txt"
+    chan.write_text("W 0 0 9/10\nW 1 0 1/10\nW 0 1 1/10\nW 1 1 9/10\n")
+    yfile = tmp_path / "y.txt"
+    yfile.write_text("1 1 0\n")
+    code, out, _ = run(capsys, "decode", "--decoder", "bmapd", "--alist", str(alist),
+                       "--channel", str(chan), "--y", str(yfile))
+    assert code == 0
+    assert "decision=111" in out
+
+
 def test_spa_nonconvergence_exit(tmp_path, capsys):
     tree = tmp_path / "tree.nfg"
     tree.write_text(

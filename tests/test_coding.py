@@ -7,7 +7,6 @@ import pytest
 
 import gcb._kernels as kernels
 from gcb._kernels.pyref import Walk
-from gcb.bethe import minimize_bethe
 from gcb.coding import (
     Channel,
     DecodingNfg,
@@ -27,7 +26,7 @@ from gcb.errors import CapExceeded, GcbError, LengthMismatch, NotCycleCode, Pars
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg, parity_table
 
-from conftest import EXAMPLE3_ROWS, fig5_beta
+from conftest import EXAMPLE3_ROWS, fig5_beta, list_oracle
 
 
 DUMBBELL_INCIDENCE = [
@@ -146,6 +145,17 @@ def test_alist_row_section_must_restate_the_columns(text, message):
 def test_alist_row_lists_may_pad_with_zeros():
     text = "3 2\n2 3\n1 2 1\n2 3\n1\n1 2\n2\n1 2\n2 0 3\n"
     assert ParityCheckMatrix.from_alist_text(text).h == [(1, 1, 0), (0, 1, 1)]
+
+
+# every list padded with 0 to the max degree, 2: H rows 110 and 011
+PADDED_ALIST = "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2\n2 3\n"
+
+
+def test_alist_reads_lists_padded_to_the_max_degree():
+    assert ParityCheckMatrix.from_alist_text(PADDED_ALIST).h == [(1, 1, 0), (0, 1, 1)]
+    # a list padded to its own degree only is read by its degree
+    unpadded = PADDED_ALIST.replace("1 0\n", "1\n").replace("2 0\n", "2\n")
+    assert ParityCheckMatrix.from_alist_text(unpadded).h == [(1, 1, 0), (0, 1, 1)]
 
 
 def test_alist_row_index_past_m_is_a_parse_error():
@@ -525,55 +535,6 @@ def test_map_decoders_match_product_space_oracle(case):
 # -- one codeword list per code graph -------------------------------------------------
 
 
-def list_oracle(dec):
-    """bmapd, smapd and bgcd from ``valid_tuples(dec.nfg)``, the decoding
-    graph's own walk, each as (decisions, tie, objective, beliefs, n_optima).
-    Float values within a relative 1e-12 of the best count as optimal."""
-    nfg = dec.nfg
-    configs = valid_tuples(nfg)
-    tol = 1e-12 if any(isinstance(v, float) for _, v in configs) else 0
-
-    def argmax(dist):
-        best = max(dist.values())
-        winners = [s for s in sorted(dist) if dist[s] >= best * (1 - tol)]
-        return winners[0], len(winners) > 1
-
-    def decide(beta, tie, objective, n_optima=None):
-        symbols = [argmax(beta.edge_dists[e]) for e in dec.symbol_edges]
-        tie = tie or any(t for _, t in symbols)
-        return tuple(s for s, _ in symbols), tie, objective, beta, n_optima
-
-    best, optima = None, []
-    for tup, v in configs:
-        if best is None or v > best * (1 + tol):
-            best, optima = v, [tup]
-        elif v >= best * (1 - tol):
-            optima.append(tup)
-    winner = min(optima)
-    point = PseudoMarginals(
-        {f: {nfg.local_assignment(f, winner): Fraction(1)} for f in nfg.factors},
-        {e: {winner[nfg.edge_index(e)]: Fraction(1)} for e in nfg.edge_order},
-    )
-    b = decide(point, len(optima) > 1, -math.log(float(best)), len(optima))
-    z = Fraction(0)
-    factor_acc, edge_acc = {f: {} for f in nfg.factors}, {e: {} for e in nfg.edge_order}
-    for tup, v in configs:
-        z += v
-        for f in nfg.factors:
-            key = nfg.local_assignment(f, tup)
-            factor_acc[f][key] = factor_acc[f].get(key, 0) + v
-        for e in nfg.edge_order:
-            s = tup[nfg.edge_index(e)]
-            edge_acc[e][s] = edge_acc[e].get(s, 0) + v
-    beta = PseudoMarginals(
-        {f: {k: v / z for k, v in d.items()} for f, d in factor_acc.items()},
-        {e: {k: v / z for k, v in d.items()} for e, d in edge_acc.items()},
-    )
-    s = decide(beta, False, -math.log(float(z)))
-    res = minimize_bethe(nfg, 0)
-    return {"bmapd": b, "smapd": s, "bgcd": decide(res.beta, res.tie, res.f_min)}
-
-
 def seeded_word(rng, words, p):
     return [str(s ^ (rng.random() < p)) for s in rng.choice(words)]
 
@@ -616,7 +577,7 @@ def test_decoders_match_decoding_graph_walk(case):
 
 def test_decoding_walks_each_code_once(monkeypatch):
     """attach_channel, bmapd, smapd and bgcd on 20 words walk the code once
-    and plan each decoding graph once; alternating two codes gives each its
+    and plan its decoding frame once; alternating two codes gives each its
     own list."""
     calls, plans = [], []
     configs, build_plan = Walk.configs, kernels.build_plan
@@ -640,7 +601,7 @@ def test_decoding_walks_each_code_once(monkeypatch):
         for decoder in (bmapd, smapd, bgcd):
             decoder(dec)
     assert len(calls) == 1
-    assert len(plans) == 20
+    assert len(plans) == 1
 
     calls.clear()
     codes = [(nfg_from_parity_check(m), m.codewords()) for m in (REPETITION4, ParityCheckMatrix([[1, 1, 1]]))]
