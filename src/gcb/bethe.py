@@ -13,7 +13,8 @@ entropy; the T = 0 problem and the Frank-Wolfe gap solve one linear
 program over its factor slots (``_BetaIndex.lp``); and the max-entropy
 completion (``bme``) is guarded by its rows and scored by its entropy.
 Its check blocks are solved together by the stacked Newton tilt
-``tilt_factor_block``.
+``tilt_factor_block``.  A graph's index is its structure's, kept in
+``Nfg.shared``, weighed on its tables (``_BetaIndex.of``).
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ GAP_TOL = 1e-9  # Frank-Wolfe gap that certifies a T > 0 minimizer
 SPA_ITERS = 4000  # sweeps per sum-product start in minimize_bethe
 SPA_TOL = 1e-13
 SPA_DAMPING = 0.5  # the one damping of those starts
+TILT_TOL = 1e-12  # marginal-matching gradient at which a tilt block is solved
+TILT_ITERS = 200  # Newton iterations per tilt block
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -99,7 +102,7 @@ def bethe_terms(nfg: Nfg, beta: PseudoMarginals, temperature: float = 1.0, tol: 
         if stray:
             key = next(key for key in d if key in stray)
             raise SupportOnZeroFactor(f"beta weight on zero-valued row {key} of {f}")
-    idx = nfg.derived(_BetaIndex, _BetaIndex)
+    idx = _BetaIndex.of(nfg)
     x = idx.to_vector(beta)
     return BetheEvaluation(float(idx.energy_vector() @ x), idx.entropy(x), float(temperature))
 
@@ -280,21 +283,26 @@ class _BetaIndex:
     edge's weight).  The entropy, the free energy and its gradient are read
     from these; the T = 0 problem and the Frank-Wolfe gap are one linear
     program over the factor slots (``lp``).  A graph keeps its index
-    (``nfg.derived(_BetaIndex, _BetaIndex)``), so the index holds its graph
-    weakly: no cycle outlives the graph's last user.
+    (``of``), so the index holds its graph weakly: no cycle outlives the
+    graph's last user.
 
     Only ``weights`` and the energy come from the table values (``_weigh``);
     the rest is the graph's structure.  ``shape`` is that structure with
-    no graph and no weights, and ``on`` weighs a copy of it on a graph of
-    the same structure (factor ids, edges and supports, alphabets and
-    half-edges), sharing every other array by reference, and the memo of
-    what the structure alone determines (``derived``: the LP's A_eq, a
-    sum-product layout).
+    no graph and no weights, and ``on`` weighs a copy of it on a graph,
+    sharing every other array by reference.  ``of`` keeps the shape with
+    the graph's structure (``Nfg.shared``, beside the LP's A_eq and the
+    sum-product layout), so graphs reweighed from one structure share it.
     """
 
     def __init__(self, nfg: Nfg):
         self._lay_out(nfg)
         self._weigh(nfg)
+
+    @classmethod
+    def of(cls, nfg: Nfg) -> "_BetaIndex":
+        """nfg's index, kept on it (``Nfg.derived``): the shape its
+        structure keeps (``Nfg.shared``), weighed on nfg's tables."""
+        return nfg.derived(cls, lambda g: g.shared(cls, cls.shape).on(g))
 
     @classmethod
     def shape(cls, nfg: Nfg) -> "_BetaIndex":
@@ -307,16 +315,7 @@ class _BetaIndex:
         index._weigh(nfg)
         return index
 
-    def derived(self, key, build):
-        """``build(self)``, built on first use and kept with the structure
-        under ``key``, as ``Nfg.derived`` keeps it with a graph; every index
-        weighed from one shape shares it."""
-        if key not in self._derived:
-            self._derived[key] = build(self)
-        return self._derived[key]
-
     def _lay_out(self, nfg: Nfg):
-        self._derived = {}
         sizes = nfg.alphabet_sizes
         factors = sorted(nfg.factors)
         supports = [nfg.factors[f].support for f in factors]
@@ -422,9 +421,9 @@ class _BetaIndex:
         each symbol but the last, f1's marginal minus f2's: the consistency
         rows with the edge's own weight eliminated.  A_eq is a sparse CSR
         matrix read off ``rows``/``cols``, built once per structure
-        (``derived``).
+        (``Nfg.shared``).
         """
-        a_eq, b_eq = self.derived(_BetaIndex.energy_lp, _energy_lp_rows)
+        a_eq, b_eq = self.nfg.shared(_BetaIndex.energy_lp, lambda _: _energy_lp_rows(self))
         return self._energy[:len(self.factor_slots)], a_eq, b_eq
 
     def entropy(self, x: np.ndarray) -> float:
@@ -545,7 +544,7 @@ def _newton_steps(cov, grad):
     return steps
 
 
-def tilt_factor_block(features, log_w, targets, tol: float = 1e-12, max_iters: int = 200) -> TiltResult:
+def tilt_factor_block(features, log_w, targets) -> TiltResult:
     """Minimize <(-log w), beta> - H(beta) over the simplex with marginal
     targets, for a stack of equal-shape binary blocks at once.
 
@@ -556,8 +555,8 @@ def tilt_factor_block(features, log_w, targets, tol: float = 1e-12, max_iters: i
     lambda_e a_e); the duals are found by damped Newton on the
     marginal-matching conditions, all blocks in one batched solve.  Each
     block keeps its own backtracking line search and is frozen once its
-    gradient is at most ``tol``; ``converged`` marks the blocks that got
-    there within ``max_iters``.
+    gradient is at most ``TILT_TOL``; ``converged`` marks the blocks that
+    got there within ``TILT_ITERS`` iterations.
     """
     features = np.asarray(features, dtype=float)
     log_w = np.asarray(log_w, dtype=float)
@@ -568,14 +567,14 @@ def tilt_factor_block(features, log_w, targets, tol: float = 1e-12, max_iters: i
     converged = np.zeros(n_blocks, dtype=bool)
     ridge = 1e-12 * np.eye(n_vars)
     live = np.arange(n_blocks)
-    for it in range(1, max_iters + 1):
+    for it in range(1, TILT_ITERS + 1):
         f, lw, tg, lm = features[live], log_w[live], targets[live], lam[live]
         p = _tilt_dist(f, lw, lm)
         marg = np.einsum("brv,br->bv", f, p)
         grad = tg - marg
         gmax = np.max(np.abs(grad), axis=1)
         steps[live] = it
-        done = gmax <= tol
+        done = gmax <= TILT_TOL
         converged[live[done]] = True
         if done.all():
             break
@@ -663,7 +662,7 @@ def minimize_bethe(
         raise ValueError(f"temperature must be non-negative and finite, got {temperature}")
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
-    idx = nfg.derived(_BetaIndex, _BetaIndex)
+    idx = _BetaIndex.of(nfg)
     if temperature == 0:
         beta, f_min = _lp_minimize_energy(idx)
         return MinimizeResult(beta, f_min, None, True, _zero_temp_tie(idx, beta, f_min, values))

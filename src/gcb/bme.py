@@ -96,7 +96,7 @@ class _Plan:
             if nfg.alphabet_sizes[e] != 2:
                 raise NonBinaryAlphabet(f"edge {e} has alphabet size {nfg.alphabet_sizes[e]}")
         variable, checks = _split_variable_check(nfg)
-        self.idx = nfg.derived(_BetaIndex, _BetaIndex)
+        self.idx = _BetaIndex.of(nfg)
         slot_of = self.idx.slot_of
         self.half = nfg.half_edge_order
         where = {e: i for i, e in enumerate(self.half)}

@@ -13,13 +13,14 @@ degree, or by default minimize the Bethe free energy at temperatures zero
 and one, the M -> infinity limit of the rules.  What a graph alone
 determines is kept on it (``Nfg.derived``).  A code graph keeps its valid
 configurations, the list that ``attach_channel``, the rules' M = 1 walk
-and ``bgcd``'s tie check read, its code words, and a ``_DecodingFrame``:
-what all its decoding graphs with the same channel-factor supports share
-(the ``_BetaIndex`` structure, the LP's A_eq, the sum-product layout, the
-M = 1 walk), built from the first of them and replaced when a word with
-other supports comes.  A decoding graph keeps its frame, its index (the frame's,
-weighed on its tables), its codeword values and its walk per degree
-M > 1, so a word pays only for its weights.
+and ``bgcd``'s tie check read, its code words, and one decoding structure:
+a decoding graph for the last set of channel-factor supports seen.  Each
+word's graph is that structure reweighed (``Nfg.reweighed``), so the
+words with those supports share what the structure alone determines
+(``Nfg.shared``: the ``_BetaIndex`` arrays, the LP's A_eq, the
+sum-product layout, the M = 1 walk).  A decoding graph keeps its index
+(the shared one, weighed on its tables), its codeword values and its walk
+per degree M > 1, so a word pays only for its weights.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Mapping, Sequence
 
 from . import _kernels
 from ._kernels.pyref import Walk, walk_weights
-from .bethe import _BetaIndex, minimize_bethe
+from .bethe import minimize_bethe
 from .covers import (
     PseudoMarginals,
     count_covers,
@@ -233,7 +234,7 @@ def check_represents_code(nfg: Nfg, code, cap=None):
 class Channel:
     """Discrete memoryless channel: likelihood table W(y|x) over finite alphabets."""
 
-    def __init__(self, input_size: int, w: Mapping[tuple, object], tol: float = 1e-12):
+    def __init__(self, input_size: int, w: Mapping[tuple, object]):
         self.input_size = int(input_size)
         self.w = {(str(y), int(x)): v for (y, x), v in w.items()}
         for y, x in self.w:
@@ -242,7 +243,7 @@ class Channel:
         self.output_symbols = sorted({y for y, _ in self.w})
         for x in range(self.input_size):
             total = sum(float(v) for (y, xx), v in self.w.items() if xx == x)
-            if abs(total - 1.0) > tol:
+            if abs(total - 1.0) > 1e-12:
                 raise GcbError(f"channel row for input {x} sums to {total}")
             for (y, xx), v in self.w.items():
                 if xx == x and float(v) < 0:
@@ -305,16 +306,18 @@ def attach_channel(
     ``cap``).  With the default uniform codeword prior the global function
     equals |code| times the joint probability of (x, y); a per-symbol
     product prior is absorbed into the channel factors, and ``gamma`` is
-    computed in the prior's own arithmetic.  The decoding graph is seated
-    on its frame (``_frame``): its ``_BetaIndex`` is the frame's, weighed
-    on its channel factors.
+    computed in the prior's own arithmetic.  The word's graph is the code
+    graph's one kept decoding structure (``Nfg.derived``), reweighed with
+    its channel factors (``Nfg.reweighed``); a word with other channel
+    supports first builds a structure that replaces the kept one, so a
+    channel whose zeros follow the word keeps one, not one per pattern.
     """
     half = nfg_code.half_edge_order
     if len(y) != len(half):
         raise LengthMismatch(f"received vector length {len(y)}, code length {len(half)}")
     words = _code_words(nfg_code, cap)
 
-    factors = list(nfg_code.factors.values())
+    channel_factors = []
     for i, e in enumerate(half):
         size = nfg_code.alphabet_sizes[e]
         table = {}
@@ -326,17 +329,19 @@ def attach_channel(
                 table[(x,)] = v
         if not table:
             raise GcbError(f"received symbol {y[i]!r} has zero likelihood everywhere")
-        factors.append(Factor(f"ch_{e}", (e,), table))
-    nfg_y = Nfg(nfg_code.alphabet_sizes, [], factors)
+        channel_factors.append(Factor(f"ch_{e}", (e,), table))
+    kept = nfg_code.derived(attach_channel, lambda _: [])  # the last structure built
+    structure = kept[0] if kept else None
+    if structure is None or any(structure.factors[f.id].table.keys() != f.table.keys() for f in channel_factors):
+        structure = Nfg(nfg_code.alphabet_sizes, [], [*nfg_code.factors.values(), *channel_factors])
+        kept[:] = [structure]
 
     if prior is None:
         gamma = Fraction(len(words))
     else:
         kappa = sum(math.prod(prior[i][x[i]] for i in range(len(half))) for x in words)
         gamma = 1 / kappa
-    dec = DecodingNfg(nfg_y, half, gamma, [str(v) for v in y], nfg_code)
-    _frame(dec)
-    return dec
+    return DecodingNfg(structure.reweighed(channel_factors), half, gamma, [str(v) for v in y], nfg_code)
 
 
 def _code_words(nfg: Nfg, cap=None) -> list:
@@ -358,28 +363,8 @@ def _code_words(nfg: Nfg, cap=None) -> list:
     return nfg.derived(_code_words, words)
 
 
-class _DecodingFrame:
-    """What every decoding graph of one code graph and one set of channel
-    factor supports shares: its ``_BetaIndex`` structure (``index``, a
-    ``_BetaIndex.shape``, whose memo keeps the LP's A_eq and the
-    sum-product layout) and, from the first use of the M = 1 rules on, its
-    ``_ListWalk``.  It is built from the first decoding graph and holds no
-    graph and no weights; ``_frame`` finds it."""
-
-    def __init__(self, nfg: Nfg):
-        self.index = _BetaIndex.shape(nfg)
-        self._walk = None
-
-    def walk(self, nfg: Nfg, configs) -> "_ListWalk":
-        """The frame's ``_ListWalk``, built from nfg and its code's list
-        ``configs`` on first use."""
-        if self._walk is None:
-            self._walk = _ListWalk(nfg, configs)
-        return self._walk
-
-
 class _ListWalk:
-    """The degree-1 walk of a frame's decoding graphs, read off the code's
+    """The degree-1 walk of a decoding structure's graphs, read off the code's
     list: the plan's support rows (``rows``, as ``Walk.rows``) and each
     configuration of the list that every table supports, as (slots, row
     ids) in plan order (``codewords``).  ``m`` and ``one`` are a degree-1
@@ -412,30 +397,6 @@ class _ListWalk:
         flat = list(itertools.chain.from_iterable(weights))
         values = [(math.prod([flat[r] for r in rows]), slots, rows) for slots, rows in self.codewords]
         return values, Fraction(1, scale)
-
-
-def _frame(dec: DecodingNfg) -> _DecodingFrame:
-    """The frame of dec's code graph (``code_nfg``, else ``nfg`` itself) and
-    of the edges and supports of dec.nfg's factors that are not the code
-    graph's own, built from dec.nfg unless the code graph keeps it.  The
-    code graph keeps one frame (``Nfg.derived``), the last one built: a
-    channel whose zero likelihoods follow the word would otherwise keep a
-    frame per support pattern.  dec.nfg keeps its own frame, and its
-    ``_BetaIndex`` is the frame's index weighed on dec.nfg."""
-    nfg = dec.nfg
-
-    def find(g):
-        code = dec.code_nfg or g
-        own = tuple((fid, f.edges, tuple(f.table)) for fid, f in g.factors.items() if code.factors.get(fid) is not f)
-        kept = code.derived(_frame, lambda _: {})  # {supports: frame}, at most one entry
-        if own not in kept:
-            kept.clear()
-            kept[own] = _DecodingFrame(g)
-        return kept[own]
-
-    frame = nfg.derived(_DecodingFrame, find)
-    nfg.derived(_BetaIndex, frame.index.on)
-    return frame
 
 
 # -- decoders -----------------------------------------------------------------
@@ -479,9 +440,9 @@ def _rule_walk(dec: DecodingNfg, m: int, cap, config_cap):
     unit`` the global value.  At m > 1 the walk is built on first use and
     kept on the graph (``Nfg.derived``) for every decoder, and each cover's
     configurations are ``Walk.configs``' within ``config_cap``.  At M = 1
-    the one cover is ``dec.nfg``: the walk is its frame's ``_ListWalk``,
-    read off its code's list (``_valid_configs``, bounded by
-    ``config_cap`` on every call), and the values are weighed once per
+    the one cover is ``dec.nfg``: the walk is its structure's ``_ListWalk``
+    (``Nfg.shared``), read off its code's list (``_valid_configs``, bounded
+    by ``config_cap`` on every call), and the values are weighed once per
     decoding graph and kept on it.  Raises ValueError for m < 1."""
     if m < 1:
         raise ValueError("degree M must be at least 1")
@@ -491,7 +452,8 @@ def _rule_walk(dec: DecodingNfg, m: int, cap, config_cap):
         perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
         limit = default_config_cap(config_cap)
         return walk, walk.unit, (walk.configs(p, limit) for p in perm_invs)
-    walk = _frame(dec).walk(nfg, _valid_configs(dec.code_nfg or nfg, config_cap))
+    configs = _valid_configs(dec.code_nfg or nfg, config_cap)
+    walk = nfg.shared(_ListWalk, lambda g: _ListWalk(g, configs))
     values, unit = nfg.derived(_ListWalk.values, walk.values)
     return walk, unit, [values]
 
@@ -604,7 +566,7 @@ def smapd(dec: DecodingNfg, cap=None) -> DecodeResult:
     return _symbolwise(dec, 1, None, cap)
 
 
-def bgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None, **minimize_kwargs) -> DecodeResult:
+def bgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None) -> DecodeResult:
     """Blockwise graph-cover decoding: Bethe energy minimization at T = 0.
 
     ``degree`` switches to the literal degree-M rule: exhaustive argmax of
@@ -623,7 +585,7 @@ def bgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None,
         return _blockwise(dec, degree, cap, config_cap)
     _, unit, (configs,) = _rule_walk(dec, 1, None, config_cap)
     values = (value * unit for value, _, _ in configs)
-    res = minimize_bethe(dec.nfg, 0, values=values, **minimize_kwargs)
+    res = minimize_bethe(dec.nfg, 0, values=values)
     return _decide(dec, res.beta, res.tie, res.f_min)
 
 
@@ -641,7 +603,6 @@ def sgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None,
     """
     if degree is not None:
         return _symbolwise(dec, degree, cap, config_cap)
-    _frame(dec)
     res = minimize_bethe(dec.nfg, 1.0, **minimize_kwargs)
     return _decide(dec, res.beta, res.tie, res.f_min, {"converged": res.converged})
 

@@ -69,11 +69,11 @@ class PseudoMarginals:
 
     def __init__(self, factor_dists: Mapping, edge_dists: Mapping):
         self.factor_dists = {
-            f: {tuple(k): v for k, v in d.items() if v != 0}
+            f: {tuple(k): v for k, v in d.items() if v}
             for f, d in factor_dists.items()
         }
         self.edge_dists = {
-            e: {int(k): v for k, v in d.items() if v != 0}
+            e: {int(k): v for k, v in d.items() if v}
             for e, d in edge_dists.items()
         }
 

@@ -6,14 +6,16 @@ support (assignments with value zero are dropped), so a factor's support
 doubles as its local constraint code.  All types here are immutable after
 construction and safe to share across threads.  What gcb derives from a
 graph alone (its configuration list, walks, polytope index; on a code
-graph, the decoding frame its decoding graphs share, and on a decoding
-graph, its codeword values) is built on first use and kept on the graph
-(``Nfg.derived``); two threads that ask at once may each build it, and
-one of the equal results is kept.
+graph, the decoding structure its decoding graphs are reweighed from) is
+built on first use and kept on the graph (``Nfg.derived``), and what its
+structure alone determines is kept with the structure (``Nfg.shared``),
+which every graph reweighed from it shares.  Two threads that ask at once
+may each build a value, and one of the equal results is kept.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -134,6 +136,7 @@ class Nfg:
         self.edge_order = tuple(sorted(self.alphabet_sizes))
         self._edge_index = {e: i for i, e in enumerate(self.edge_order)}
         self._derived: dict = {}
+        self._shared: dict = {}
 
     def derived(self, key, build):
         """``build(self)``, built on first use and kept with the graph under
@@ -142,6 +145,28 @@ class Nfg:
         if key not in self._derived:
             self._derived[key] = build(self)
         return self._derived[key]
+
+    def shared(self, key, build):
+        """As ``derived``, but kept with the structure and shared by every
+        graph reweighed from it (``reweighed``): ``build`` may read only the
+        structure, and its value must hold no graph."""
+        if key not in self._shared:
+            self._shared[key] = build(self)
+        return self._shared[key]
+
+    def reweighed(self, factors: Iterable[Factor]) -> "Nfg":
+        """This graph with ``factors`` in place of those of the same ids, each
+        keeping its id's edges and support (else GcbError), so nothing else
+        is validated again.  It shares ``shared`` and starts its own ``derived``."""
+        graph = copy.copy(self)
+        graph.factors = dict(self.factors)
+        for f in factors:
+            old = self.factors.get(f.id)
+            if old is None or f.edges != old.edges or f.table.keys() != old.table.keys():
+                raise GcbError(f"factor {f.id}: no factor of the graph has its id, edges and support")
+            graph.factors[f.id] = f
+        graph._derived = {}
+        return graph
 
     # -- basic structure ----------------------------------------------------
 

@@ -9,9 +9,9 @@ A run works on one flat float vector (``_FlatLayout``) laid over the
 graph's ``bethe._BetaIndex``, the one description of the local marginal
 polytope: every directed message, a constant 1.0, then the weight of each
 index factor row whose weight ** (1/T) is not 0.  The layout holds only
-structure and is kept with the index's (``layout``), so the runs of
-``minimize_bethe``'s starts and the decoding graphs of one decoding frame
-share it; a run supplies its own weights.  ``gather`` is one
+structure, and the one of every row is kept with the graph's structure
+(``layout``, ``Nfg.shared``), so ``minimize_bethe``'s starts and a code's
+decoding graphs share it; a run supplies its own weights.  ``gather`` is one
 contiguous (arity + 1, rows) index array, so row r's terms, its weight and
 then its incoming entries, are ``vec[gather[:, r]]``, and all row products
 are one ``multiply.reduce`` down the short axis: the weight times the
@@ -68,8 +68,8 @@ class SpaState:
 
 class _FlatLayout:
     """Index arrays of one flat vector over a graph's ``bethe._BetaIndex``
-    and a set of kept rows; ``layout`` keeps one with the index's
-    structure, so every run and every graph of that structure shares it.
+    and a set of kept rows; ``layout`` shares the one of every row with all
+    runs and graphs of the graph's structure.
 
     The vector holds every directed message (factor, edge), in
     ``nfg.factors`` / ``f.edges`` order, as the block ``start .. start +
@@ -201,14 +201,13 @@ class _FlatLayout:
 
 
 def layout(index, weights) -> _FlatLayout:
-    """The layout of the rows whose ``weights`` are not 0: the one kept
-    with the index's structure (``_BetaIndex.derived``) when it has these
-    rows, else a new one; the first built is the one kept."""
+    """The layout of the rows whose ``weights`` are not 0: when that is
+    every row, the one kept with the graph's structure (``Nfg.shared``),
+    else (``weights ** (1/T)`` underflowed) a new one."""
     slots = np.flatnonzero(weights)
-    lay = index.derived(_FlatLayout, lambda idx: _FlatLayout(idx, slots))
-    if not np.array_equal(lay.slots, slots):
-        lay = _FlatLayout(index, slots)
-    return lay
+    if len(slots) < len(weights):
+        return _FlatLayout(index, slots)
+    return index.nfg.shared(_FlatLayout, lambda _: _FlatLayout(index, slots))
 
 
 def _size_groups(sizes, starts):
@@ -268,7 +267,7 @@ def sum_product(
         raise ValueError("max_iters must be non-negative")
     if not tol >= 0.0:
         raise ValueError("tol must be non-negative")
-    index = nfg.derived(_BetaIndex, _BetaIndex)
+    index = _BetaIndex.of(nfg)
     weights = index.weights if inv_t == 1 else index.weights**inv_t
     lay = layout(index, weights)
     vec = lay.vector(weights[lay.slots], init_rng)

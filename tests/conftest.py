@@ -150,7 +150,8 @@ def dumbbell():
 
 
 def twin(nfg: Nfg) -> Nfg:
-    """The same graph with nothing derived yet: no frame, index or layout."""
+    """The same graph with nothing derived or shared yet: a structure of
+    its own (``Nfg.shared``), with no index, layout or walk."""
     return Nfg(nfg.alphabet_sizes, nfg.half_edges, nfg.factors)
 
 

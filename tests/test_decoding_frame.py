@@ -1,13 +1,15 @@
-"""Decoding frames: one structure per code graph and channel supports.
+"""Decoding structures: the words of one code graph share what their
+structure alone determines.
 
-Decoding graphs of one code graph whose channel factors have the same
-supports share a ``coding._DecodingFrame``, the last one the code graph
-built: its ``_BetaIndex`` structure, the LP's A_eq, the sum-product layout
-and the M = 1 walk over the code's list.  A word pays only for its
-weights.  The oracle here is frame-free: ``valid_tuples`` of the decoding
-graph, and a ``twin`` of it whose index and layout are built from
-nothing; exact values must be equal Fractions and floats equal bit for
-bit.
+A code graph keeps one decoding structure, for the last channel-factor
+supports seen, and each word's decoding graph is that structure reweighed
+(``Nfg.reweighed``).  So the words with the same supports share the
+structure's memo (``Nfg.shared``): the ``_BetaIndex`` arrays, the LP's
+A_eq, the sum-product layout and the M = 1 walk.  A word pays only for
+its weights.  The oracle here is structure-free: ``valid_tuples`` of the
+decoding graph, and a ``twin`` of it whose index and layout are built
+from nothing; exact values must be equal Fractions and floats equal bit
+for bit.
 """
 
 import gc
@@ -22,7 +24,7 @@ from gcb.coding import (
     Channel,
     DecodingNfg,
     ParityCheckMatrix,
-    _frame,
+    _ListWalk,
     attach_channel,
     bgcd,
     bmapd,
@@ -65,7 +67,17 @@ def interleaved_words(code, words, n, seed):
 
 
 def index_of(dec):
-    return dec.nfg.derived(_BetaIndex, _BetaIndex)
+    return _BetaIndex.of(dec.nfg)
+
+
+def shape_of(nfg):
+    """The ``_BetaIndex`` shape that nfg's structure keeps."""
+    return nfg.shared(_BetaIndex, _BetaIndex.shape)
+
+
+def kept_structure(code):
+    """The decoding structures the code graph keeps (at most one)."""
+    return code.derived(attach_channel, None)
 
 
 def spa_outcome(nfg, **kwargs):
@@ -89,8 +101,9 @@ def test_decoders_match_the_frame_free_oracle():
 
 
 def test_one_frame_per_code_and_channel_supports():
-    """Words with the code's last supports share its frame; other supports
-    get their own, which replaces it, so the code graph keeps one frame."""
+    """Words with the code's last supports share its structure; other
+    supports get their own, which replaces it, so the code graph keeps one
+    structure."""
     code, words = example3()
     rational, floats, z_one, z_again, z_other = (
         attach_channel(code, Channel.bsc(Fraction(1, 10)), "0" * 10),
@@ -99,18 +112,23 @@ def test_one_frame_per_code_and_channel_supports():
         attach_channel(code, Z_CHANNEL, "1100000000"),
         attach_channel(code, Z_CHANNEL, "0000000000"),  # supports {0, 1} everywhere, as the BSC's
     )
-    assert _frame(rational) is _frame(floats)
-    assert _frame(z_one) is _frame(z_again) is not _frame(rational)
-    assert _frame(z_other) is not _frame(z_one) and _frame(z_other) is not _frame(rational)
-    assert list(code.derived(_frame, dict).values()) == [_frame(z_other)]
+    s_rational, s_floats, s_one, s_again, s_other = (
+        shape_of(dec.nfg) for dec in (rational, floats, z_one, z_again, z_other)
+    )
+    assert s_rational is s_floats
+    assert s_one is s_again is not s_rational
+    assert s_other is not s_one and s_other is not s_rational
+    (kept,) = kept_structure(code)
+    assert shape_of(kept) is s_other
+    assert kept is not z_other.nfg  # the structure is no word's own graph
     # the supports differ: the Z words' indexes have fewer factor slots
     assert len(index_of(z_one).factor_slots) < len(index_of(rational).factor_slots)
     assert bmapd(z_other).decisions == bmapd(rational).decisions == (0,) * 10
-    # a hand-built twin of a word is its own code graph, with its own frame
+    # a hand-built twin of a word is its own code graph, with its own structure
     other = twin(rational.nfg)
     hand = DecodingNfg(other, rational.symbol_edges, rational.gamma, rational.y, None)
     assert bmapd(hand).decisions == bmapd(rational).decisions
-    assert _frame(hand) is not _frame(rational)
+    assert shape_of(hand.nfg) is not s_rational
 
 
 def test_words_share_structure_not_weights():
@@ -119,52 +137,75 @@ def test_words_share_structure_not_weights():
     ia, ib = index_of(a), index_of(b)
     assert ia is not ib and ia.rows is ib.rows and ia.factor_slots is ib.factor_slots
     assert ia.energy_lp()[1] is ib.energy_lp()[1]
+    assert layout(ia, ia.weights) is layout(ib, ib.weights)
+    bmapd(a), bmapd(b)
+    assert a.nfg.shared(_ListWalk, None) is b.nfg.shared(_ListWalk, None)
     for name in ("weights", "_energy"):
         assert not np.shares_memory(getattr(ia, name), getattr(ib, name)), name
     assert ia.nfg is a.nfg and ib.nfg is b.nfg
+    assert a.nfg.factors["ch_x01"] is not b.nfg.factors["ch_x01"]
 
 
 def test_a_word_is_collectable_after_decoding():
-    """The frame, kept on the code graph, holds no decoding graph."""
+    """The structure, kept on the code graph, is no word's graph, and what
+    it shares holds no decoding graph."""
     code, words = example3()
     dec = interleaved_words(code, words, 1, seed=3)[0]
     for decoder in (bmapd, smapd, bgcd, sgcd):
         decoder(dec)
     sum_product(dec.nfg, max_iters=20)
     graph = weakref.ref(dec.nfg)
-    frame = _frame(dec)
+    (kept,) = kept_structure(code)
     del dec
     gc.collect()
     assert graph() is None
-    assert frame.index.derived(_FlatLayout, None) is not None  # the layout outlives the word
+    assert kept.shared(_FlatLayout, None) is not None  # the layout outlives the word
 
 
 def test_the_code_graph_keeps_one_frame():
-    """Z-channel words with many support patterns leave one frame on the
-    code graph, and each word's results still match the oracle."""
+    """Z-channel words with many support patterns leave one structure on
+    the code graph, the last word's, and each word's results still match
+    the oracle."""
     code, words = example3()
     patterns = set()
-    for dec in interleaved_words(code, words, 40, seed=17)[2::4]:
+    decs = interleaved_words(code, words, 40, seed=17)
+    for dec in decs[2::4]:
         patterns.add(tuple(len(f.table) for f in dec.nfg.factors.values()))
         assert bmapd(dec).decisions == list_oracle(dec)["bmapd"][0]
     assert len(patterns) > 2
-    assert len(code.derived(_frame, dict)) == 1
+    (kept,) = kept_structure(code)
+    assert shape_of(kept) is shape_of(decs[-1].nfg)
 
 
 def test_layout_is_rebuilt_when_rows_underflow():
     """At T = 1/500, 0.1 ** 500 underflows: the run lays out fewer rows than
-    the kept layout has, and still matches a run from nothing."""
+    the shared layout has, and still matches a run from nothing."""
     code, words = example3()
     dec = attach_channel(code, Channel.bsc(0.1), "0100000000")
     sum_product(dec.nfg, max_iters=5)
     index = index_of(dec)
-    kept = index.derived(_FlatLayout, None)
+    kept = dec.nfg.shared(_FlatLayout, None)
     assert len(kept.slots) == len(index.factor_slots)
     assert len(layout(index, index.weights**500.0).slots) < len(kept.slots)
     kwargs = {"max_iters": 40, "damping": 0.5, "temperature": 0.002}
     assert spa_outcome(dec.nfg, **kwargs) == spa_outcome(twin(dec.nfg), **kwargs)
-    assert index.derived(_FlatLayout, None) is kept
+    assert dec.nfg.shared(_FlatLayout, None) is kept
     assert layout(index, index.weights) is kept
+
+
+def test_an_underflowing_first_run_shares_no_layout():
+    """Only the layout of every row is shared: after a first run at T =
+    1/500, a T = 1 run on the same structure reads the layout of every row,
+    kept for the next word, and both runs match runs from nothing."""
+    code, words = example3()
+    dec, later = (attach_channel(code, Channel.bsc(0.1), y) for y in ("0100000000", "0010000000"))
+    cold = {"max_iters": 40, "damping": 0.5, "temperature": 0.002}
+    assert spa_outcome(dec.nfg, **cold) == spa_outcome(twin(dec.nfg), **cold)
+    assert spa_outcome(dec.nfg, max_iters=40) == spa_outcome(twin(dec.nfg), max_iters=40)
+    index = index_of(dec)
+    kept = dec.nfg.shared(_FlatLayout, None)
+    assert len(kept.slots) == len(index.factor_slots)
+    assert layout(index_of(later), index_of(later).weights) is kept
 
 
 def test_sparse_lp_matches_dense():

@@ -112,3 +112,36 @@ def test_config_tuple_roundtrip(fig1):
     config = {f"e{i}": (i % 2) for i in range(1, 9)}
     tup = fig1.config_tuple(config)
     assert fig1.config_dict(tup) == config
+
+
+def test_reweighed_swaps_tables_on_the_same_structure(fig1):
+    """A reweighed graph has the new tables, its own ``derived`` and the
+    same ``shared`` as the graph it came from, which keeps its own tables."""
+    table = {key: Fraction(i + 2) for i, key in enumerate(sorted(fig1.factors["f5"].table))}
+    new = fig1.reweighed([Factor("f5", ("e7", "e8"), table)])
+    assert new.factors["f5"].table == table and fig1.factors["f5"].table == parity_table(2)
+    assert list(new.factors) == list(fig1.factors) and new.factors["f1"] is fig1.factors["f1"]
+    assert fig1.derived("key", lambda g: g) is fig1 and new.derived("key", lambda g: g) is new
+    kept = fig1.shared("key", lambda g: object())
+    assert new.shared("key", None) is kept
+    assert new.reweighed([]).shared("key", None) is kept
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [
+        Factor("f5", ("e8", "e7"), parity_table(2)),  # other edge order
+        Factor("f5", ("e7", "e8"), {(0, 0): 1, (1, 1): 1, (0, 1): 1}),  # larger support
+        Factor("f5", ("e7", "e8"), {(0, 0): 1}),  # smaller support
+        Factor("f6", ("e7", "e8"), parity_table(2)),  # unknown id
+    ],
+)
+def test_reweighed_refuses_another_structure(fig1, factor):
+    with pytest.raises(GcbError, match="f5|f6"):
+        fig1.reweighed([factor])
+
+
+def test_reweighed_gets_its_values_checked_by_factor(fig1):
+    """A negative value never reaches ``reweighed``: Factor refuses it."""
+    with pytest.raises(GcbError, match="negative"):
+        fig1.reweighed([Factor("f5", ("e7", "e8"), {(0, 0): 1, (1, 1): -1})])
