@@ -9,8 +9,9 @@ arithmetic), and free-energy minimization at zero and positive
 temperature, certified at T > 0 by the Frank-Wolfe gap.  The polytope is
 described once, in ``_BetaIndex``: ``bethe_terms`` and the
 ``sum_product`` trace read the free energy off its energy vector and
-entropy; the T = 0 problem and the Frank-Wolfe gap solve one linear
-program over its factor slots (``_BetaIndex.lp``); and the max-entropy
+entropy; the T = 0 problem is one linear program over its factor slots
+(``_BetaIndex.lp``); the Frank-Wolfe gap is read off its rows with the
+log messages as multipliers (``_BetaIndex.gap``); and the max-entropy
 completion (``bme``) is guarded by its rows and scored by its entropy.
 Its check blocks are solved together by the stacked Newton tilt
 ``tilt_factor_block``.  A graph's index is its structure's, kept in
@@ -56,7 +57,6 @@ from .gibbs import inverse_temperature, valid_tuples
 from .nfg import Nfg, parse_number, format_number
 from .spa import sum_product
 
-INTERIOR_EPS = 1e-12
 GAP_TOL = 1e-9  # Frank-Wolfe gap that certifies a T > 0 minimizer
 SPA_ITERS = 4000  # sweeps per sum-product start in minimize_bethe
 SPA_TOL = 1e-13
@@ -280,11 +280,11 @@ class _BetaIndex:
     symbols, 0 on half-edge symbols) and A x = b as sparse ``rows``,
     ``cols``, ``vals``: factor sums, edge sums, then one consistency row
     per factor, incident edge and symbol (the factor's marginal minus the
-    edge's weight).  The entropy, the free energy and its gradient are read
-    from these; the T = 0 problem and the Frank-Wolfe gap are one linear
-    program over the factor slots (``lp``).  A graph keeps its index
-    (``of``), so the index holds its graph weakly: no cycle outlives the
-    graph's last user.
+    edge's weight).  The entropy and the free energy are read from these;
+    the T = 0 problem is one linear program over the factor slots (``lp``),
+    and the Frank-Wolfe gap is A x - b weighed by the log messages
+    (``gap``).  A graph keeps its index (``of``), so the index holds its
+    graph weakly: no cycle outlives the graph's last user.
 
     Only ``weights`` and the energy come from the table values (``_weigh``);
     the rest is the graph's structure.  ``shape`` is that structure with
@@ -405,11 +405,13 @@ class _BetaIndex:
                 edge_dists[e][s] = v
         return PseudoMarginals(factor_dists, edge_dists)
 
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """A x - b, with A x summed from the sparse ``rows``/``cols``/``vals``."""
+        return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=len(self.rhs)) - self.rhs
+
     def feasible(self, x: np.ndarray, tol: float) -> bool:
-        """Every entry at least -tol and every row of A x = b within tol;
-        A x is summed from the sparse ``rows``/``cols``/``vals``."""
-        ax = np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=len(self.rhs))
-        return bool(np.all(x >= -tol) and np.all(np.abs(ax - self.rhs) <= tol))
+        """Every entry at least -tol and every row of A x = b within tol."""
+        return bool(np.all(x >= -tol) and np.all(np.abs(self.residual(x)) <= tol))
 
     def energy_vector(self) -> np.ndarray:
         return self._energy
@@ -434,36 +436,33 @@ class _BetaIndex:
         """<energy, x> - T * entropy(x)."""
         return float(self._energy @ x - float(temperature) * self.entropy(x))
 
-    def gradient(self, x: np.ndarray, temperature: float) -> np.ndarray:
-        """Gradient of ``free_energy``, with x clamped to the interiority epsilon."""
-        t = float(temperature) * self.entropy_coef
-        return self._energy + t * (np.log(np.maximum(x, INTERIOR_EPS)) + 1.0)
+    def gap(self, x: np.ndarray, messages: dict, temperature: float) -> float:
+        """|Frank-Wolfe gap| of x, the beliefs of the sum-product
+        ``messages`` (``SpaState.messages``) at T, with no solver.
 
-    def gap(self, x: np.ndarray, temperature: float) -> float:
-        """Frank-Wolfe gap <g, x> - min over the polytope of <g, v>, with g
-        = ``gradient(x, T)``: the T = 0 program with cost g (``lp``).  It
-        is at least 0 up to the LP's rounding and 0 at the KKT points of the
-        free energy, but not only there: the gradient is clamped at
-        ``INTERIOR_EPS``, so a slot at 0 reads a finite slope where the true
-        one is infinite, and a vertex can read gap 0 without being
-        stationary (a T = 0 LP vertex of a decoding graph, scored at T = 1,
-        reads ~1e-15 with F 0.1 above the minimum).  ``minimize_bethe``
-        reads it only on converged sum-product fixed points."""
-        g = self.gradient(x, temperature)
-        return float(g @ x - self.lp(g)[1])
+        With lambda on marginal row (f, e, s) T log of the message into f on
+        e at s (the other end's message; 1 on a half-edge), the gradient of
+        the free energy at x is A^T lambda plus one constant per sum row
+        (Yedidia, Freeman & Weiss 2005).  So <g, v> is the same on the whole
+        polytope, and the gap <g, x> - min <g, v> is lambda . (A x - b) on
+        the marginal rows (``residual``), 0 at a fixed point.  A row whose
+        incoming message is 0 holds only zero beliefs and adds 0."""
+        nfg = self.nfg
+        incoming = np.ones(len(self.rhs))
+        for e in nfg.full_edge_order:
+            f1, f2 = nfg.incidence[e]
+            for f, other in ((f1, f2), (f2, f1)):
+                r = self.marginal_row[f, e]
+                incoming[r:r + nfg.alphabet_sizes[e]] = messages[other, e]
+        live = incoming > 0
+        return abs(float(temperature) * float(np.log(incoming[live]) @ self.residual(x)[live]))
 
-    def lp(self, g: np.ndarray):
-        """(minimizer's factor slots, minimum) of <g, v> over the polytope,
-        as ``energy_lp``'s program: each edge slot's cost is added to the
-        slots of its first endpoint that carry its symbol
-        (``first_endpoint``), whose marginal is the edge's weight on the
-        polytope.  Raises LpFailure when the LP fails."""
+    def lp(self):
+        """(minimizer's factor slots, minimum) of the T = 0 program
+        (``energy_lp``).  Raises LpFailure when the LP fails."""
         from scipy.optimize import linprog
 
-        n_f = len(self.factor_slots)
-        fs, es = self.first_endpoint
-        _, a_eq, b_eq = self.energy_lp()
-        c = g[:n_f] + np.bincount(fs, weights=g[es], minlength=n_f)
+        c, a_eq, b_eq = self.energy_lp()
         res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, 1), method="highs")
         if not res.success:
             raise LpFailure(f"linear program failed: {res.message}")
@@ -620,7 +619,7 @@ def _lp_minimize_energy(idx: _BetaIndex):
     """Exact T=0 problem: the energy is linear and B is a polytope, so
     ``_BetaIndex.lp`` solves it; rows at most 1e-12 are dropped, factors
     renormalized, and each edge's marginal read off its first endpoint."""
-    y, f_min = idx.lp(idx.energy_vector())
+    y, f_min = idx.lp()
     n_f = len(y)
     factor = idx.rows[:n_f]  # a factor slot's sum row is its factor's number
     y = np.where(y > 1e-12, y, 0.0)
@@ -650,10 +649,10 @@ def minimize_bethe(
     at most ``n_starts`` starts, so at most ``n_starts`` * ``SPA_ITERS``
     sweeps.  Only converged fixed points in the polytope (entries at least
     -1e-6, every equality within 1e-6) are kept, and the first whose
-    Frank-Wolfe gap (``_BetaIndex.gap``) is at most ``GAP_TOL`` is returned
-    with ``converged`` True.  The gap is read only on these fixed points:
-    at other boundary points it can read 0 without certifying anything.  Where the free energy is not convex a
-    certified point is stationary, not necessarily the global minimum.
+    Frank-Wolfe gap, read off its messages with no solver
+    (``_BetaIndex.gap``), is at most ``GAP_TOL`` is returned with
+    ``converged`` True.  Where the free energy is not convex a certified
+    point is stationary, not necessarily the global minimum.
     When no fixed point certifies, the lowest kept one is returned with
     ``converged`` False; when none is kept, NonConvergence is raised.
     ``tie`` is always False at T > 0.
@@ -681,7 +680,7 @@ def minimize_bethe(
         if not idx.feasible(x, 1e-6):
             continue
         value = idx.free_energy(x, t)
-        if idx.gap(x, t) <= GAP_TOL:
+        if idx.gap(x, state.messages, t) <= GAP_TOL:
             return MinimizeResult(beliefs, value, math.exp(-value / t), True, False)
         if best is None or value < best[0]:
             best = (value, beliefs)

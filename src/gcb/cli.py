@@ -278,7 +278,7 @@ def cmd_decode(args):
     if args.dump_beta and result.beliefs is not None:
         with open(args.dump_beta, "w", encoding="utf-8") as fh:
             fh.write(emit_beta(result.beliefs))
-    # sgcd without --degree reports whether the Frank-Wolfe gap certified it
+    # sgcd without --degree reports whether the gap read off its messages certified it
     return EXIT_OK if result.diagnostics.get("converged", True) else EXIT_NONCONV
 
 

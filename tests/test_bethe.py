@@ -491,6 +491,16 @@ def test_minimize_never_exceeds_uniform(fig1):
 
 # -- stationarity -------------------------------------------------------------------
 
+INTERIOR_EPS = 1e-12  # where the oracle's gradient clamps x
+
+
+def clamped_gradient(idx, x, temperature=1.0):
+    """The oracle's gradient of ``free_energy``, with x clamped at
+    ``INTERIOR_EPS``: a slot at 0 reads a finite slope where the true one
+    is infinite."""
+    t = float(temperature) * idx.entropy_coef
+    return idx.energy_vector() + t * (np.log(np.maximum(x, INTERIOR_EPS)) + 1.0)
+
 
 def test_gradient_matches_finite_differences(fig1):
     rng = random.Random(31)
@@ -524,7 +534,7 @@ def test_gradient_matches_finite_differences(fig1):
         x = idx.to_vector(beta)
         # fig1 has half-edges, whose entropy coefficient is zero
         assert idx.free_energy(x, 1.0) == pytest.approx(f_of(x), rel=1e-13)
-        grad = idx.gradient(x, 1.0)
+        grad = clamped_gradient(idx, x)
         h = 1e-6
         for slot in rng.sample(range(len(x)), 5):
             xp = x.copy()
@@ -637,11 +647,12 @@ def dense_a(idx):
 
 
 def full_slot_gap(idx, x, temperature=1.0):
-    """The oracle: the Frank-Wolfe gap as one LP over every slot and every
-    row of A x = b."""
+    """The oracle: the Frank-Wolfe gap <g, x> - min <g, v> of any point x,
+    with g the ``clamped_gradient``, as one LP over every slot and every row
+    of A x = b."""
     from scipy.optimize import linprog
 
-    g = idx.gradient(x, temperature)
+    g = clamped_gradient(idx, x, temperature)
     res = linprog(g, A_eq=dense_a(idx), b_eq=idx.rhs, bounds=(0, 1), method="highs")
     assert res.success
     return float(g @ x - res.fun)
@@ -660,12 +671,57 @@ def oracle_points(name, nfg):
     return points + [idx.to_vector(beta_from_configuration(nfg, tup)) for tup, _ in valid_tuples(nfg)[:3]]
 
 
+def spa_gap(nfg, temperature=1.0, **kwargs):
+    """(state, x, gap): one sum-product run's state, its beliefs in the
+    index's coordinates and their gap read off its messages."""
+    state, beliefs = sum_product(nfg, temperature=temperature, **kwargs)
+    idx = _BetaIndex(nfg)
+    x = idx.to_vector(beliefs)
+    return state, x, idx.gap(x, state.messages, temperature)
+
+
 @pytest.mark.parametrize("name, nfg", sorted(lp_oracle_graphs().items()))
 def test_gap_matches_full_slot_lp(name, nfg):
-    """The gap over the factor slots equals the full-slot LP's gap."""
+    """At the converged fixed points of the uniform start and two seeded
+    ones, the gap read off the messages is the oracle's |gap|, and both
+    certify."""
     idx = _BetaIndex(nfg)
-    for x in oracle_points(name, nfg):
-        assert idx.gap(x, 1.0) == pytest.approx(full_slot_gap(idx, x), abs=1e-10)
+    for seed in (None, 3, 4):
+        init = None if seed is None else np.random.default_rng(seed)
+        state, x, gap = spa_gap(nfg, max_iters=4000, damping=0.5, tol=1e-13, init_rng=init)
+        assert state.converged
+        oracle = full_slot_gap(idx, x)
+        assert gap == pytest.approx(abs(oracle), abs=1e-11)
+        assert gap <= GAP_TOL and abs(oracle) <= GAP_TOL
+
+
+def away_graphs():
+    from conftest import make_dumbbell
+
+    code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
+    dec = attach_channel(code, Channel.bsc(Fraction(1, 10)), "0100100010")
+    return {
+        "fig1": make_fig1(),
+        "dumbbell": make_dumbbell(),
+        "loopy": make_loopy_positive(random.Random(1)),
+        "example3": dec.nfg,
+    }
+
+
+@pytest.mark.parametrize("name, nfg", sorted(away_graphs().items()))
+def test_gap_is_the_oracle_gap_away_from_fixed_points(name, nfg):
+    """After 1, 2, 5 and 20 sweeps of a seeded start, the gap read off the
+    messages is the oracle's |gap|: the identity does not need a fixed
+    point.  Every slot is above ``INTERIOR_EPS``, so the oracle's clamp
+    does not bite; the first three iterates are not certified."""
+    idx = _BetaIndex(nfg)
+    for sweeps in (1, 2, 5, 20):
+        init = np.random.default_rng(7)
+        state, x, gap = spa_gap(nfg, max_iters=sweeps, damping=0.5, tol=0.0, init_rng=init)
+        assert state.iterations == sweeps and x.min() > INTERIOR_EPS
+        assert gap == pytest.approx(abs(full_slot_gap(idx, x)), abs=1e-12)
+        if sweeps < 20:
+            assert gap > GAP_TOL
 
 
 @pytest.mark.parametrize("name, nfg", sorted(lp_oracle_graphs().items()))
@@ -686,37 +742,37 @@ def test_feasible_matches_dense_check(name, nfg):
             assert not idx.feasible(moved, 1e-6)
 
 
-def _gap(nfg, beta, temperature=1.0):
+def _oracle_gap(nfg, beta, temperature=1.0):
     idx = _BetaIndex(nfg)
-    return idx.gap(idx.to_vector(beta), temperature)
+    return full_slot_gap(idx, idx.to_vector(beta), temperature)
 
 
 def test_stationarity_positive_generically(fig1):
     rng = random.Random(37)
     beta = _random_interior_beta(fig1, rng)
-    assert _gap(fig1, beta) > 1e-6
+    assert _oracle_gap(fig1, beta) > 1e-6
 
 
 def test_gap_positive_at_vertex(fig1):
     # a configuration's vertex is not stationary at T = 1; its zero slots
-    # are clamped in the gradient, so the gap stays finite
+    # are clamped in the oracle's gradient, so the gap stays finite
     tup = valid_tuples(fig1)[0][0]
-    gap = _gap(fig1, beta_from_configuration(fig1, tup))
+    gap = _oracle_gap(fig1, beta_from_configuration(fig1, tup))
     assert math.isfinite(gap) and gap > GAP_TOL
 
 
 def test_gap_certifies_near_vertex_fixed_point():
     """y = 0011010101 over BSC(1/20): the T = 1 minimizer is a near-vertex,
     most slots far below 1e-12, and its fixed point still has gap 0; moving
-    1 % of the way to the max-slack interior point breaks the certificate."""
+    1 % of the way to the max-slack interior point, which no messages
+    give, breaks the oracle's certificate."""
     code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
     dec = attach_channel(code, Channel.bsc(Fraction(1, 20)), list("0011010101"))
-    state, beliefs = sum_product(dec.nfg, max_iters=4000, tol=1e-13)
+    state, x, gap = spa_gap(dec.nfg, max_iters=4000, tol=1e-13)
     assert state.converged
     idx = _BetaIndex(dec.nfg)
-    x = idx.to_vector(beliefs)
     assert np.sum(x <= 1e-12) > len(x) // 2
-    assert abs(idx.gap(x, 1.0)) <= GAP_TOL
+    assert gap <= GAP_TOL
 
     def max_slack_point():
         """The point of the polytope whose smallest entry is largest."""
@@ -732,20 +788,22 @@ def test_gap_certifies_near_vertex_fixed_point():
         return res.x[:-1]
 
     moved = 0.99 * x + 0.01 * max_slack_point()
-    assert idx.gap(moved, 1.0) > GAP_TOL
+    assert full_slot_gap(idx, moved) > GAP_TOL
 
 
 def test_gap_reads_zero_at_unstationary_lp_vertex():
     """y = 0000111011 over BSC(1/5): the T = 0 LP vertex, scored at T = 1,
-    reads gap ~1e-15, because the gradient clamped at INTERIOR_EPS reads
-    finite slopes on its zero slots, yet its free energy is 0.1007 above
-    the certified minimum: the gap certifies fixed points, not vertices."""
+    reads the oracle's gap ~1e-15, because the gradient clamped at
+    INTERIOR_EPS reads finite slopes on its zero slots, yet its free energy
+    is 0.1007 above the certified minimum.  So the oracle certifies fixed
+    points, not vertices, and ``minimize_bethe`` reads its gap only on the
+    beliefs of messages (``_BetaIndex.gap``)."""
     code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
     dec = attach_channel(code, Channel.bsc(Fraction(1, 5)), list("0000111011"))
     idx = _BetaIndex(dec.nfg)
     x = idx.to_vector(minimize_bethe(dec.nfg, 0).beta)
     assert np.array_equal(x, np.round(x))
-    assert abs(idx.gap(x, 1.0)) <= GAP_TOL
+    assert abs(full_slot_gap(idx, x)) <= GAP_TOL
     res = minimize_bethe(dec.nfg, 1.0)
     assert res.converged
     assert idx.free_energy(x, 1.0) - res.f_min == pytest.approx(0.1007, abs=1e-4)
@@ -822,7 +880,65 @@ def test_single_factor_tilt_is_stationary():
     for k, v in table.items():
         assert float(res.beta.factor_weight("f", k)) == pytest.approx(v / z, abs=1e-9)
     assert res.converged
-    assert _gap(n, res.beta) <= GAP_TOL
+    # the result carries no messages; the oracle agrees with its certificate
+    assert abs(_oracle_gap(n, res.beta)) <= GAP_TOL
+
+
+def test_zero_beliefs_of_z_channel_words_are_certified():
+    """A Z-channel factor lacks a symbol, so some words' fixed points hold
+    exact zeros; their rows add 0 to the gap, and every Z-channel word is
+    certified by sgcd, with no NaN."""
+    from test_decoding_frame import example3, interleaved_words
+
+    code, words = example3()
+    zeros = 0
+    for dec in interleaved_words(code, words, 24, seed=5)[2::4]:  # the Z-channel words
+        _, x, _ = spa_gap(dec.nfg, max_iters=4000, damping=0.5, tol=1e-13)
+        zeros += int(np.sum(x == 0))
+        res = sgcd(dec)
+        assert res.diagnostics["converged"] and math.isfinite(res.objective)
+        dists = itertools.chain(res.beliefs.factor_dists.values(), res.beliefs.edge_dists.values())
+        assert all(math.isfinite(float(v)) for d in dists for v in d.values())
+    assert zeros > 0
+
+
+def test_underflowed_beliefs_are_certified_at_low_temperature():
+    """At T = 0.002 some of a tree's beliefs underflow to 0 and the gap is
+    still read; the minimizer stays certified."""
+    tree = make_random_tree(random.Random(3))
+    _, x, gap = spa_gap(tree, 0.002, max_iters=4000, damping=0.5, tol=1e-13)
+    assert np.sum(x == 0) > 0 and gap <= GAP_TOL
+    assert minimize_bethe(tree, 0.002).converged
+
+
+def test_positive_temperature_solves_no_linear_program(monkeypatch):
+    """With ``linprog`` raising, minimize_bethe at T = 1 and sgcd still
+    run and certify while T = 0 fails; bgcd solves one LP per word."""
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
+    words = ("0100100010", "1110001000", "0000000000")
+    decs = [attach_channel(code, Channel.bsc(Fraction(1, 10)), y) for y in words]
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.optimize, "linprog", refuse)
+        assert minimize_bethe(make_fig1(), 1.0).converged
+        assert all(sgcd(dec).diagnostics["converged"] for dec in decs)
+        with pytest.raises(AssertionError, match="linprog called"):
+            minimize_bethe(make_fig1(), 0)
+    calls = []
+    solve = scipy.optimize.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    for n, dec in enumerate(decs, start=1):
+        bgcd(dec)
+        assert len(calls) == n
 
 
 # -- non-concavity exhibit -----------------------------------------------------------

@@ -242,9 +242,9 @@ def test_tree_fixed_point_reached_quickly():
     assert state.residual <= 1e-14
 
 
-def _gap(nfg, beliefs):
+def _gap(nfg, state, beliefs):
     idx = _BetaIndex(nfg)
-    return idx.gap(idx.to_vector(beliefs), 1.0)
+    return idx.gap(idx.to_vector(beliefs), state.messages, 1.0)
 
 
 def test_tree_fixed_points_are_certified():
@@ -253,7 +253,7 @@ def test_tree_fixed_points_are_certified():
         tree = make_random_tree(rng, n_internal=3 + trial % 3)
         state, beliefs = sum_product(tree, max_iters=200, tol=1e-14)
         assert state.converged
-        assert _gap(tree, beliefs) <= GAP_TOL
+        assert _gap(tree, state, beliefs) <= GAP_TOL
 
 
 def test_loopy_fixed_points_are_stationary():
@@ -265,7 +265,7 @@ def test_loopy_fixed_points_are_stationary():
         if not state.converged:
             continue
         hit += 1
-        assert _gap(nfg, beliefs) <= GAP_TOL
+        assert _gap(nfg, state, beliefs) <= GAP_TOL
     assert hit >= 3  # the mild-coupling instances should converge
 
 
