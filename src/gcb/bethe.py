@@ -35,6 +35,7 @@ from ._kernels.pyref import Walk
 from .covers import (
     PseudoMarginals,
     build_cover,
+    check_degree,
     check_local_consistency,
     count_covers,
     cover_perm_inv,
@@ -159,8 +160,7 @@ def _exact_mode(nfg: Nfg, m: int, temperature, exact) -> bool:
     """Whether a degree-M sum runs exact: ``exact`` itself, or when None,
     T = 1 with rational tables.  Raises ValueError for M < 1, a T outside
     (0, inf) or an exact mode the graph cannot have."""
-    if m < 1:
-        raise ValueError("degree M must be at least 1")
+    check_degree(m)
     inverse_temperature(temperature)
     if exact is None:
         return temperature == 1 and _rational_tables(nfg)

@@ -3,24 +3,25 @@
 Parity-check matrices become graphs with one repetition factor per column
 (carrying the observable half-edge) and one parity factor per row.
 Attaching a channel converts each half-edge into a full edge terminated by
-a unary likelihood factor.  Decoding then has two rules, both walked on
-the degree-M covers of the decoding graph: the blockwise rule (argmax of
-the global value over cover configurations) and the symbolwise rule
-(cover marginals weighted by the global value).  The only degree-1 cover
-is the graph itself, so at M = 1 they are blockwise and symbolwise MAP
-decoding (``bmapd``, ``smapd``); ``bgcd`` and ``sgcd`` run them at a given
-degree, or by default minimize the Bethe free energy at temperatures zero
-and one, the M -> infinity limit of the rules.  What a graph alone
-determines is kept on it (``Nfg.derived``).  A code graph keeps its valid
-configurations, the list that ``attach_channel``, the rules' M = 1 walk
+a unary likelihood factor.  Decoding then has two rules, both read off
+the degree-M covers of the decoding graph, their configurations counted
+by type (``covers.TypeTally``): the blockwise rule (argmax of the global
+value over cover configurations) and the symbolwise rule (cover marginals
+weighted by the global value).  The only degree-1 cover is the graph
+itself, so at M = 1 they are blockwise and symbolwise MAP decoding
+(``bmapd``, ``smapd``); ``bgcd`` and ``sgcd`` run them at a given degree,
+or by default minimize the Bethe free energy at temperatures zero and
+one, the M -> infinity limit of the rules.  What a graph alone determines
+is kept on it (``Nfg.derived``).  A code graph keeps its valid
+configurations, the list that ``attach_channel``, the rules' M = 1 tally
 and ``bgcd``'s tie check read, its code words, and one decoding structure:
 a decoding graph for the last set of channel-factor supports seen.  Each
 word's graph is that structure reweighed (``Nfg.reweighed``), so the
 words with those supports share what the structure alone determines
 (``Nfg.shared``: the ``_BetaIndex`` arrays, the LP's A_eq, the
-sum-product layout, the M = 1 walk).  A decoding graph keeps its index
-(the shared one, weighed on its tables), its codeword values and its walk
-per degree M > 1, so a word pays only for its weights.
+sum-product layout, the type tally per degree).  A decoding graph keeps
+its index (the shared one, weighed on its tables) and its type values per
+degree, so a word pays only for its weights.
 """
 
 from __future__ import annotations
@@ -31,15 +32,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import _kernels
-from ._kernels.pyref import Walk, walk_weights
 from .bethe import minimize_bethe
-from .covers import (
-    PseudoMarginals,
-    count_covers,
-    gauge_fixed_perm_invs,
-    phi_of_rows,
-)
+from .covers import PseudoMarginals, TypeTally, phi_of_rows
 from .errors import (
     CapExceeded,
     GcbError,
@@ -91,11 +85,8 @@ class ParityCheckMatrix:
 
     def codewords(self):
         """All codewords by direct enumeration; desk scale only."""
-        out = []
-        for x in itertools.product((0, 1), repeat=self.n_cols):
-            if all(sum(h * s for h, s in zip(row, x)) % 2 == 0 for row in self.h):
-                out.append(x)
-        return out
+        return [x for x in itertools.product((0, 1), repeat=self.n_cols)
+                if all(sum(h * s for h, s in zip(row, x)) % 2 == 0 for row in self.h)]
 
     @classmethod
     def from_dense_text(cls, text: str) -> "ParityCheckMatrix":
@@ -278,7 +269,7 @@ class DecodingNfg:
     ``symbol_edges`` are the former half-edges carrying the code symbols,
     in position order; ``gamma`` is the constant relating the global
     function to the joint input/output probability.  ``code_nfg``, on the
-    same edges, is the code graph whose configuration list the M = 1 walk
+    same edges, is the code graph whose configuration list the M = 1 tally
     reads (``nfg``'s own when None).
     """
 
@@ -363,42 +354,6 @@ def _code_words(nfg: Nfg, cap=None) -> list:
     return nfg.derived(_code_words, words)
 
 
-class _ListWalk:
-    """The degree-1 walk of a decoding structure's graphs, read off the code's
-    list: the plan's support rows (``rows``, as ``Walk.rows``) and each
-    configuration of the list that every table supports, as (slots, row
-    ids) in plan order (``codewords``).  ``m`` and ``one`` are a degree-1
-    exact ``Walk``'s, so the rules and ``phi_of_rows`` read it as one."""
-
-    m, one = 1, 1
-
-    def __init__(self, nfg: Nfg, configs):
-        plan = _kernels.build_plan(nfg)
-        self.supports = [(fp.fid, fp.support) for fp in plan.factors]
-        self.rows = [(fp.fid, row) for fp in plan.factors for row in fp.support]
-        row_ids = iter(range(len(self.rows)))
-        steps = [
-            ([nfg.edge_index(e) for e in nfg.factors[fp.fid].edges], {row: next(row_ids) for row in fp.support})
-            for fp in plan.factors
-        ]
-        self.codewords = []
-        for slots, _ in configs:
-            hits = [ids.get(tuple([slots[e] for e in edges])) for edges, ids in steps]
-            if None not in hits:
-                self.codewords.append((slots, hits))
-
-    def values(self, nfg: Nfg):
-        """(values, unit): (value, slots, rows) per codeword of a decoding
-        graph nfg, with ``value * unit`` its global value, multiplied left
-        to right in plan order over the weights a degree-1 exact ``Walk``
-        gives nfg's tables (``walk_weights``)."""
-        weights, scale = walk_weights([[nfg.factors[fid].table[row] for row in support]
-                                       for fid, support in self.supports])
-        flat = list(itertools.chain.from_iterable(weights))
-        values = [(math.prod([flat[r] for r in rows]), slots, rows) for slots, rows in self.codewords]
-        return values, Fraction(1, scale)
-
-
 # -- decoders -----------------------------------------------------------------
 
 
@@ -434,122 +389,90 @@ def _decide(dec: DecodingNfg, beta: PseudoMarginals, tie, objective, diagnostics
     return DecodeResult(decisions, beta, symbol_beliefs, tie, objective, diagnostics)
 
 
-def _rule_walk(dec: DecodingNfg, m: int, cap, config_cap):
-    """(walk, unit, covers): the walk of ``dec.nfg`` at degree m and one
-    iterable of (value, slots, rows) per gauge-fixed cover, with ``value *
-    unit`` the global value.  At m > 1 the walk is built on first use and
-    kept on the graph (``Nfg.derived``) for every decoder, and each cover's
-    configurations are ``Walk.configs``' within ``config_cap``.  At M = 1
-    the one cover is ``dec.nfg``: the walk is its structure's ``_ListWalk``
-    (``Nfg.shared``), read off its code's list (``_valid_configs``, bounded
-    by ``config_cap`` on every call), and the values are weighed once per
-    decoding graph and kept on it.  Raises ValueError for m < 1."""
-    if m < 1:
-        raise ValueError("degree M must be at least 1")
+def _weighed_types(dec: DecodingNfg, m: int, cap, config_cap):
+    """(tally, types, unit): ``dec.nfg``'s tally at degree m (``TypeTally.of``,
+    which checks both caps on every call; at M = 1 it reads the code's list,
+    ``_valid_configs``), and its types weighed once per decoding graph
+    (``TypeTally.weighed``, kept by ``Nfg.derived``)."""
     nfg = dec.nfg
-    if m != 1:
-        walk = nfg.derived((_rule_walk, m), lambda g: Walk(_kernels.build_plan(g), m))
-        perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
-        limit = default_config_cap(config_cap)
-        return walk, walk.unit, (walk.configs(p, limit) for p in perm_invs)
-    configs = _valid_configs(dec.code_nfg or nfg, config_cap)
-    walk = nfg.shared(_ListWalk, lambda g: _ListWalk(g, configs))
-    values, unit = nfg.derived(_ListWalk.values, walk.values)
-    return walk, unit, [values]
+    configs = _valid_configs(dec.code_nfg or nfg, config_cap) if m == 1 else None
+    tally = TypeTally.of(nfg, m, cap, config_cap, configs)
+    types, unit = nfg.derived((TypeTally, m), tally.weighed)
+    return tally, types, unit
 
 
 def _blockwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
-    """The blockwise rule at degree m (see ``bgcd``), on the gauge-fixed
-    covers; the winner's frequency map is read off its support rows.  Float
-    values within a relative 1e-12 of the best count as optimal, as in
-    ``_symbol_argmax``; exact values must be equal."""
+    """The blockwise rule at degree m (see ``bgcd``), on the types of the
+    gauge-fixed covers' configurations; the winner's frequency map is read
+    off its support rows.  Float values within a relative 1e-12 of the best
+    count as optimal, as in ``_symbol_argmax``; exact values must be equal."""
     nfg = dec.nfg
-    walk, unit, covers = _rule_walk(dec, m, cap, config_cap)
+    tally, types, unit = _weighed_types(dec, m, cap, config_cap)
     best = None
-    n_fixed = 0
-    for configs in covers:
-        n_fixed += 1
-        for value, slots, rows in configs:
-            if best is None or value > above:
-                best, n_best, tie = value, 1, False
-                win_type, win_slots, win_key = sorted(rows), tuple(slots), None
-                above = within = best
-                if isinstance(best, float):  # equal products round differently
-                    above, within = best * (1 + 1e-12), best * (1 - 1e-12)
-            elif value >= within:
-                n_best += 1
-                rows_type = sorted(rows)
-                if rows_type != win_type:
-                    tie = True
-                    win_key = win_key or _type_key(walk, win_slots, win_type)
-                    key = _type_key(walk, slots, rows)
-                    if key < win_key:
-                        win_type, win_slots, win_key = rows_type, tuple(slots), key
+    for count, value, rows, slots in types:
+        if best is None or value > above:
+            best, n_best, tie = value, count, False
+            win_rows, win_slots, win_key = rows, slots, None
+            above = within = best
+            if isinstance(best, float):  # equal products round differently
+                above, within = best * (1 + 1e-12), best * (1 - 1e-12)
+        elif value >= within:
+            n_best, tie = n_best + count, True
+            win_key = win_key or _type_key(tally, win_slots, win_rows)
+            key = _type_key(tally, slots, rows)
+            if key < win_key:
+                win_rows, win_slots, win_key = rows, slots, key
     if best is None or best == 0:
         raise GcbError("no valid configuration with positive value")
-    n_optima = n_best * (count_covers(nfg, m) // n_fixed)
-    beta = phi_of_rows(nfg, walk, win_type)
+    beta = phi_of_rows(nfg, tally, win_rows)
     return _decide(dec, beta, tie, -math.log(float(best * unit)) / m,
-                   {"n_optima": n_optima, "degree": m})
+                   {"n_optima": n_best * tally.multiplicity, "degree": m})
 
 
-def _type_key(walk: Walk, slots, rows) -> tuple:
-    """Tie-break key of a configuration's type, blind to copy labels: the
-    sorted symbols of each edge's M copies in ``edge_order``, then the sorted
-    (factor id, row) pairs of all factor copies; at M = 1, the slots."""
-    m = walk.m
+def _type_key(tally: TypeTally, slots, rows) -> tuple:
+    """Tie-break key of a type, blind to copy labels: the sorted symbols of
+    each edge's M copies in ``edge_order``, then the sorted (factor id, row)
+    pairs of all factor copies; at M = 1, the slots."""
+    m = tally.m
     edges = tuple(s for i in range(0, len(slots), m) for s in sorted(slots[i:i + m]))
-    return edges, tuple(sorted(walk.rows[r] for r in rows))
+    return edges, tuple(sorted(tally.rows[r] for r in rows))
 
 
 def _symbolwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
-    """The symbolwise rule at degree m (see ``sgcd``).  Partition sums add
-    cover by cover, as in ``bethe.zbethe_m_enumeration``, so the objective
-    is -log Z_{B,M} from the same walk."""
+    """The symbolwise rule at degree m (see ``sgcd``), on the types of the
+    gauge-fixed covers' configurations: a type adds count times its value,
+    so the objective is -log Z_{B,M} from the same tally."""
     nfg = dec.nfg
-    walk, unit, covers = _rule_walk(dec, m, cap, config_cap)
-    z_total = 0 * walk.one
-    n_covers = 0
+    tally, types, unit = _weighed_types(dec, m, cap, config_cap)
+    z_total = 0
     factor_acc: dict = {f: {} for f in nfg.factors}
     edge_acc: dict = {e: {} for e in nfg.edge_order}
     slot_edges = [e for e in nfg.edge_order for _ in range(m)]
-    for configs in covers:
-        z = 0 * walk.one
-        for value, slots, rows in configs:
-            z += value
-            for row_id in rows:
-                f, key = walk.rows[row_id]
-                factor_acc[f][key] = factor_acc[f].get(key, 0) + value
-            for e, s in zip(slot_edges, slots):
-                edge_acc[e][s] = edge_acc[e].get(s, 0) + value
-        z_total += z
-        n_covers += 1
+    for count, value, rows, slots in types:
+        w = count * value
+        z_total += w
+        for row_id in rows:
+            f, key = tally.rows[row_id]
+            factor_acc[f][key] = factor_acc[f].get(key, 0) + w
+        for e, s in zip(slot_edges, slots):
+            edge_acc[e][s] = edge_acc[e].get(s, 0) + w
     if z_total == 0:
         raise GcbError("zero partition sum")
-    if type(z_total) is int:  # rational weights: int sums, and unit cancels
-        norm = m * z_total
-
-        def share(v):
-            return Fraction(v, norm)
-
-    else:
-        norm = m * z_total * unit
-
-        def share(v):
-            return v * unit / norm
-
+    exact = type(z_total) is int  # rational weights: int sums, and unit cancels
+    norm = m * z_total if exact else m * z_total * unit
+    share = (lambda v: Fraction(v, norm)) if exact else (lambda v: v * unit / norm)
     beta = PseudoMarginals(
         {f: {k: share(v) for k, v in d.items()} for f, d in factor_acc.items()},
         {e: {s: share(v) for s, v in d.items()} for e, d in edge_acc.items()},
     )
-    return _decide(dec, beta, False, -math.log(float(z_total * unit / n_covers)) / m, {"degree": m})
+    return _decide(dec, beta, False, -math.log(float(z_total * unit / tally.n_fixed)) / m, {"degree": m})
 
 
 def bmapd(dec: DecodingNfg, cap=None) -> DecodeResult:
     """Blockwise MAP: argmax of the global function over valid configurations.
 
     This is ``bgcd`` at degree 1, with ``cap`` bounding the code's list of
-    valid configurations (``_rule_walk``); ties go to the configuration
+    valid configurations (``_weighed_types``); ties go to the configuration
     smallest in ``edge_order``.
     """
     return _blockwise(dec, 1, None, cap)
@@ -559,9 +482,10 @@ def smapd(dec: DecodingNfg, cap=None) -> DecodeResult:
     """Symbolwise MAP: per-symbol posterior marginals, decisions by argmax.
 
     This is ``sgcd`` at degree 1, with ``cap`` bounding the code's list of
-    valid configurations (``_rule_walk``).  The decision vector need not be
-    a codeword.  The attached pseudo-marginals are the exact marginals of
-    the posterior, so they are globally realizable by construction.
+    valid configurations (``_weighed_types``).  The decision vector need
+    not be a codeword.  The attached pseudo-marginals are the exact
+    marginals of the posterior, so they are globally realizable by
+    construction.
     """
     return _symbolwise(dec, 1, None, cap)
 
@@ -574,17 +498,18 @@ def bgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None)
     frequency map of the winner returned, ``cap`` as the cover cap and
     ``config_cap`` as each cover's configuration cap.  Relabeling copies
     keeps a configuration's value and type (its frequency map), so only the
-    gauge-fixed covers are walked; ``n_optima`` still counts the optimal
+    gauge-fixed covers are walked, once per decoding structure and degree
+    (``TypeTally.of``); ``n_optima`` still counts the optimal
     configurations over all labeled covers, and ``tie`` means more than one
     optimal type.  Ties go to the type smallest in ``_type_key`` order.  At
     M = 1 this is ``bmapd``.  Without ``degree``, the tie check reads the
-    values of ``bmapd``'s walk and raises CapExceeded past ``config_cap``
+    values of ``bmapd``'s types and raises CapExceeded past ``config_cap``
     (the environment's or default configuration cap when None).
     """
     if degree is not None:
         return _blockwise(dec, degree, cap, config_cap)
-    _, unit, (configs,) = _rule_walk(dec, 1, None, config_cap)
-    values = (value * unit for value, _, _ in configs)
+    _, types, unit = _weighed_types(dec, 1, None, config_cap)
+    values = (value * unit for _, value, _, _ in types)
     res = minimize_bethe(dec.nfg, 0, values=values)
     return _decide(dec, res.beta, res.tie, res.f_min)
 

@@ -2,16 +2,19 @@
 
 A cover is specified by one permutation of [M] per full edge; half-edges
 are copied without permutation, so there are (M!)^{|full edges|} labeled
-covers.  Relabeling the M copies of a factor node changes neither a
-cover's partition sum nor the values and frequency-map images of its
-configurations, so every loop over covers (cover averages, pre-image
-tallies, degree-M decoding) walks only the gauge-fixed covers
-(``gauge_fixed_perm_invs``): the identity on a spanning forest of the full
-edges, each standing for (M!)^{|F| - components} labeled covers;
-``enumerate_covers`` lists every labeled cover.  Loops walk the base
-graph's plan with index-remapped copies (``Walk.configs`` with a
-permutation map, bounded by the configuration cap) and map a
-configuration down through its support rows (``phi_of_rows``);
+covers, for a degree M of at least 1.  Relabeling the M copies of a factor
+node changes neither a cover's partition sum nor the values and
+frequency-map images of its configurations, so every loop over covers
+(cover averages, pre-image tallies, degree-M decoding) walks only the
+gauge-fixed covers (``gauge_fixed_perm_invs``): the identity on a spanning
+forest of the full edges, each standing for (M!)^{|F| - components}
+labeled covers; ``enumerate_covers`` lists every labeled cover.  Loops
+walk the base graph's plan with index-remapped copies (``Walk.configs``
+with a permutation map, bounded by the configuration cap).  A
+configuration enters a pre-image count or a decoding rule only through its
+value and its type, the support rows it takes, so ``TypeTally`` counts the
+configurations of the gauge-fixed covers by type once, and a type maps
+down to base pseudo-marginals through its rows (``phi_of_rows``);
 ``build_cover`` makes a cover a graph of its own only for single-cover
 uses.  The type-sum's weight factorizes over the graph, so it is the
 partition function of a type graph whose full edges carry marginal counts
@@ -42,7 +45,7 @@ from .errors import (
     ShapeMismatch,
 )
 from . import _kernels
-from ._kernels.pyref import Walk, lcm_scaled
+from ._kernels.pyref import Walk, lcm_scaled, walk_weights
 from .gibbs import config_cap as default_config_cap, resolve_cap
 from .gibbs import valid_tuples  # noqa: F401  (benchmark self-tests read gcb.covers.valid_tuples)
 from .nfg import Factor, Nfg
@@ -193,7 +196,7 @@ class CoverSpec:
 
     def __init__(self, nfg: Nfg, m: int, perms: Mapping[str, tuple]):
         self.nfg = nfg
-        self.m = int(m)
+        self.m = check_degree(int(m))
         if set(perms) != set(nfg.full_edges):
             raise ShapeMismatch("need exactly one permutation per full edge")
         self.perms = {}
@@ -208,8 +211,15 @@ class CoverSpec:
         return f"{m + 1:0{width}d}"
 
 
+def check_degree(m: int) -> int:
+    """m, the degree of a cover; ValueError unless it is at least 1."""
+    if m < 1:
+        raise ValueError("degree M must be at least 1")
+    return m
+
+
 def count_covers(nfg: Nfg, m: int) -> int:
-    return math.factorial(m) ** len(nfg.full_edges)
+    return math.factorial(check_degree(m)) ** len(nfg.full_edges)
 
 
 def _check_cover_cap(nfg: Nfg, m: int, cap):
@@ -336,21 +346,21 @@ def _phi_of_tuple(base: Nfg, m: int, cover: Nfg, factor_map, edge_map, tup) -> P
     return _frequencies(m, factor_counts, edge_counts)
 
 
-def phi_of_rows(nfg: Nfg, walk: Walk, rows) -> PseudoMarginals:
-    """Frequency map of a walked cover configuration, from the support-row
-    ids ``walk.configs`` reports for it; each edge copy is read at its
+def phi_of_rows(nfg: Nfg, tally: "TypeTally", rows) -> PseudoMarginals:
+    """Frequency map of a cover configuration, from its support-row ids
+    (``tally.rows``, as ``Walk.rows``); each edge copy is read at its
     smaller endpoint, the only one of a half-edge."""
     factor_counts: dict = {f: {} for f in nfg.factors}
     edge_counts: dict = {e: {} for e in nfg.alphabet_sizes}
     for row_id in rows:
-        fid, row = walk.rows[row_id]
+        fid, row = tally.rows[row_id]
         d = factor_counts[fid]
         d[row] = d.get(row, 0) + 1
         for e, sym in zip(nfg.factors[fid].edges, row):
             if nfg.incidence[e][0] == fid:
                 d = edge_counts[e]
                 d[sym] = d.get(sym, 0) + 1
-    return _frequencies(walk.m, factor_counts, edge_counts)
+    return _frequencies(tally.m, factor_counts, edge_counts)
 
 
 def _frequencies(m: int, factor_counts, edge_counts) -> PseudoMarginals:
@@ -371,45 +381,106 @@ def cover_perm_inv(spec: CoverSpec) -> dict:
 # -- pre-image counting -------------------------------------------------------
 
 
+class TypeTally:
+    """The valid configurations of a graph's gauge-fixed M-covers, by type.
+
+    A configuration enters pre-image counts and the decoding rules only
+    through its value and frequency map, both functions of its type: the
+    sorted ids of the support rows it takes (into ``rows``, the plan's
+    (factor id, row) pairs, as ``Walk.rows``).  One loop over the covers
+    keeps ``types``, (rows, count, slots) per type in order of first visit:
+    its number of configurations and the slots of the first.  Each of the
+    ``n_fixed`` covers stands for ``multiplicity`` labeled ones, and
+    ``fullest`` is the most configurations one cover has; the walk raises
+    CapExceeded past ``config_cap`` and the cover cap ``cap``.  At M = 1 a
+    list ``configs`` of (slots, value) holding the graph's configurations
+    (a code's list holds its decoding graph's) replaces the walk: the types
+    are the ones every table supports, in list order.  The tally holds the
+    plan's supports but no table values, so the graphs of one structure
+    share it (``of``), and ``weighed`` reads one graph's values.
+    """
+
+    def __init__(self, nfg: Nfg, m: int, cap=None, config_cap=None, configs=None):
+        self.m = m
+        perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap) if configs is None else ()
+        plan = _kernels.build_plan(nfg)
+        self.supports = [(fp.fid, fp.support) for fp in plan.factors]
+        self.rows = [(fid, row) for fid, support in self.supports for row in support]
+        if configs is not None:
+            ids = {r: i for i, r in enumerate(self.rows)}
+            edges = [(fid, [nfg.edge_index(e) for e in nfg.factors[fid].edges]) for fid, _ in self.supports]
+            hits = ([ids.get((fid, tuple([slots[e] for e in idx]))) for fid, idx in edges] for slots, _ in configs)
+            self.types = [(tuple(rows), 1, slots) for rows, (slots, _) in zip(hits, configs) if None not in rows]
+            self.fullest = len(self.types)
+        else:
+            walk, limit, by_type = Walk(plan, m), default_config_cap(config_cap), {}
+            self.fullest = 0
+            for perm_inv in perm_invs:
+                n = 0
+                for n, (_, slots, rows) in enumerate(walk.configs(perm_inv, limit), 1):
+                    key = tuple(sorted(rows))
+                    if key in by_type:
+                        by_type[key][0] += 1
+                    else:
+                        by_type[key] = [1, tuple(slots)]
+                self.fullest = max(self.fullest, n)
+            self.types = [(rows, count, slots) for rows, (count, slots) in by_type.items()]
+        self.n_fixed = math.factorial(m) ** nfg.circuit_rank()
+        self.multiplicity = count_covers(nfg, m) // self.n_fixed
+
+    @classmethod
+    def of(cls, nfg: Nfg, m: int, cap=None, config_cap=None, configs=None) -> "TypeTally":
+        """nfg's tally at degree m, built on first use and kept with its
+        structure (``Nfg.shared``).  Both caps are checked on every call,
+        the cover cap before anything is built and the configuration cap
+        against the fullest cover, with the messages of a walk."""
+        _check_cover_cap(nfg, m, cap)
+        limit = default_config_cap(config_cap)
+        tally = nfg.shared((cls, m), lambda g: cls(g, m, cap, limit, configs))
+        if tally.fullest > limit:
+            raise CapExceeded(f"more than {limit} valid configurations")
+        return tally
+
+    def weighed(self, nfg: Nfg):
+        """(types, unit): (count, value, rows, slots) per type on the tables
+        of nfg, a graph of the tally's structure, with ``value * unit`` the
+        global value of each of the type's configurations.  A value
+        multiplies its rows' weights (``walk_weights``) in row-id order,
+        which at M = 1 is the order of a walk."""
+        weights, scale = walk_weights([[nfg.factors[fid].table[row] for row in support]
+                                       for fid, support in self.supports])
+        flat = list(itertools.chain.from_iterable(weights))
+        types = [(count, math.prod([flat[r] for r in rows]), rows, slots) for rows, count, slots in self.types]
+        return types, Fraction(1, scale**self.m)
+
+
 class PreimageCensus:
     """Tally of phi pre-image counts over every M-cover of a base graph.
 
-    One sweep walks the gauge-fixed covers and all their valid
-    configurations, keyed by the multiset of support rows chosen for the
-    (factor, copy) pairs; each distinct key becomes a pseudo-marginal once.
-    Tallies and ``total_valid`` are scaled by the number of labeled covers
-    each gauge-fixed one stands for, so they count over all labeled covers.
-    The tally then answers exact pre-image queries for any beta.
+    The configurations of the gauge-fixed covers are counted by type
+    (``TypeTally``), and each type becomes a pseudo-marginal once.  Tallies
+    and ``total_valid`` are scaled by the number of labeled covers each
+    gauge-fixed one stands for, so they count over all labeled covers.  The
+    tally then answers exact pre-image queries for any beta.
     """
 
     def __init__(self, nfg: Nfg, m: int, cap=None, config_cap=None):
         self.nfg = nfg
         self.m = m
         self.n_covers = count_covers(nfg, m)
-        walk = Walk(_kernels.build_plan(nfg), m)
-        limit = default_config_cap(config_cap)
-        by_rows: dict = {}
-        n_fixed = 0
-        for perm_inv in gauge_fixed_perm_invs(nfg, m, cap=cap):
-            for _, _, rows in walk.configs(perm_inv, limit):
-                key = tuple(sorted(rows))
-                by_rows[key] = by_rows.get(key, 0) + 1
-            n_fixed += 1
-        multiplicity = self.n_covers // n_fixed
-        self.total_valid = multiplicity * sum(by_rows.values())
-        self._tally: dict = {}
-        self._betas: dict = {}
-        for rows, n in by_rows.items():
-            beta = phi_of_rows(nfg, walk, rows)
-            key = beta.canonical_key()
-            self._tally[key] = multiplicity * n
-            self._betas[key] = beta
+        tally = TypeTally(nfg, m, cap, config_cap)
+        self.total_valid = tally.multiplicity * sum(count for _, count, _ in tally.types)
+        self._tally, self._betas = {}, []
+        for rows, count, _ in tally.types:  # distinct rows give distinct betas
+            beta = phi_of_rows(nfg, tally, rows)
+            self._tally[beta.canonical_key()] = tally.multiplicity * count
+            self._betas.append(beta)
 
     def count(self, beta: PseudoMarginals) -> Fraction:
         return Fraction(self._tally.get(beta.canonical_key(), 0), self.n_covers)
 
     def realizable(self) -> set:
-        return set(self._betas.values())
+        return set(self._betas)
 
 
 def preimage_count_bruteforce(nfg: Nfg, m: int, beta: PseudoMarginals, cap=None, config_cap=None) -> Fraction:
@@ -433,8 +504,9 @@ def _require_integral(beta: PseudoMarginals, m: int):
 
 def _exact_type(nfg: Nfg, beta: PseudoMarginals, m: int) -> bool:
     """Checks that beta is a degree-m type of the local marginal polytope
-    (shape, M*beta integral, exact consistency); returns whether its
-    support lies inside the tables."""
+    (a degree m >= 1, shape, M*beta integral, exact consistency); returns
+    whether its support lies inside the tables."""
+    check_degree(m)
     check_shape(nfg, beta)
     _require_integral(beta, m)
     ok, violations = check_local_consistency(nfg, beta, tol=0)

@@ -31,11 +31,19 @@ from gcb.coding import (
     sgcd,
 )
 from gcb.covers import (
+    CoverSpec,
+    PreimageCensus,
     PseudoMarginals,
     beta_from_configuration,
     build_cover,
+    count_covers,
     entropy_rate_estimate,
+    enumerate_covers,
+    gauge_fixed_perm_invs,
+    lift_realizable_set,
     phi_m,
+    preimage_count_bruteforce,
+    preimage_count_closedform,
     random_cover,
 )
 from gcb.errors import InconsistentBeta, NonConvergence, SupportOnZeroFactor
@@ -374,12 +382,23 @@ def test_monte_carlo_needs_a_sample(dumbbell, samples):
 @pytest.mark.parametrize("m", [0, -1])
 def test_degree_below_one_rejected(dumbbell, m):
     dec = DecodingNfg(dumbbell, dumbbell.edge_order, Fraction(1), [], None)
+    beta = beta_from_configuration(dumbbell, (0,) * len(dumbbell.edge_order))
     calls = [
         lambda: zbethe_m_enumeration(dumbbell, m),
         lambda: zbethe_m_enumeration(dumbbell, m, samples=3, seed=1),
         lambda: zbethe_m_typesum(dumbbell, m),
         lambda: bgcd(dec, degree=m),
         lambda: sgcd(dec, degree=m),
+        lambda: count_covers(dumbbell, m),
+        lambda: CoverSpec(dumbbell, m, {}),
+        lambda: random_cover(dumbbell, m, seed=1),
+        lambda: list(enumerate_covers(dumbbell, m)),
+        lambda: gauge_fixed_perm_invs(dumbbell, m),
+        lambda: PreimageCensus(dumbbell, m),
+        lambda: preimage_count_bruteforce(dumbbell, m, beta),
+        lambda: preimage_count_closedform(dumbbell, m, beta),
+        lambda: lift_realizable_set(dumbbell, m),
+        lambda: entropy_rate_estimate(dumbbell, beta, m),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="degree M must be at least 1"):

@@ -234,6 +234,40 @@ def test_float_enumeration_config_cap_exit_code(capsys):
     assert "more than 10 valid configurations" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["preimage-count", "--nfg", dumbbell_path(), "-M", "0", "--beta", "zeros.beta", "--method", "closed"],
+    ["preimage-count", "--nfg", dumbbell_path(), "-M", "0", "--beta", "zeros.beta", "--method", "both"],
+    ["covers", "--nfg", dumbbell_path(), "-M", "0", "--count-only"],
+    ["covers", "--nfg", dumbbell_path(), "-M", "0"],
+])
+def test_cover_commands_refuse_degree_zero(tmp_path, capsys, monkeypatch, argv):
+    from gcb.bethe import emit_beta
+    from gcb.covers import beta_from_configuration
+    from gcb.nfg import parse_nfg
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zeros.beta").write_text(emit_beta(beta_from_configuration(parse_nfg(dumbbell_path()), (0,) * 7)))
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "degree M must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zbethe-m", "--nfg", dumbbell_path(), "-M", "1", "--cover-cap", "0"],
+    ["--decoder", "bgcd", "--degree", "1", "--cover-cap", "0"],
+    ["--decoder", "sgcd", "--degree", "1", "--cover-cap", "0"],
+])
+def test_cover_cap_is_read_at_degree_one(tmp_path, capsys, argv):
+    if argv[0] == "zbethe-m":
+        code, out, err = run(capsys, *argv)
+    else:
+        code, out, err = decode_repetition(capsys, tmp_path, *argv)
+    assert code == 2
+    assert out == ""
+    assert "1 covers exceed cap 0" in err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.nfg"
     bad.write_text("alphabet a\n")

@@ -5,7 +5,7 @@ A code graph keeps one decoding structure, for the last channel-factor
 supports seen, and each word's decoding graph is that structure reweighed
 (``Nfg.reweighed``).  So the words with the same supports share the
 structure's memo (``Nfg.shared``): the ``_BetaIndex`` arrays, the LP's
-A_eq, the sum-product layout and the M = 1 walk.  A word pays only for
+A_eq, the sum-product layout and the M = 1 type tally.  A word pays only for
 its weights.  The oracle here is structure-free: ``valid_tuples`` of the
 decoding graph, and a ``twin`` of it whose index and layout are built
 from nothing; exact values must be equal Fractions and floats equal bit
@@ -24,7 +24,6 @@ from gcb.coding import (
     Channel,
     DecodingNfg,
     ParityCheckMatrix,
-    _ListWalk,
     attach_channel,
     bgcd,
     bmapd,
@@ -32,6 +31,7 @@ from gcb.coding import (
     sgcd,
     smapd,
 )
+from gcb.covers import TypeTally
 from gcb.spa import _FlatLayout, layout, sum_product
 
 from conftest import EXAMPLE3_ROWS, list_oracle, twin
@@ -139,7 +139,7 @@ def test_words_share_structure_not_weights():
     assert ia.energy_lp()[1] is ib.energy_lp()[1]
     assert layout(ia, ia.weights) is layout(ib, ib.weights)
     bmapd(a), bmapd(b)
-    assert a.nfg.shared(_ListWalk, None) is b.nfg.shared(_ListWalk, None)
+    assert a.nfg.shared((TypeTally, 1), None) is b.nfg.shared((TypeTally, 1), None)
     for name in ("weights", "_energy"):
         assert not np.shares_memory(getattr(ia, name), getattr(ib, name)), name
     assert ia.nfg is a.nfg and ib.nfg is b.nfg

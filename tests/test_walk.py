@@ -539,17 +539,18 @@ def test_enumeration_sums_through_one_cover_sweep(monkeypatch, exact):
 # -- degree-M decoders ----------------------------------------------------------
 
 
-def oracle_bgcd(dec, m):
+def oracle_bgcd(dec, m, tol=0):
     """The literal rule as one loop over every labeled, built cover: of the
     optimal configurations' frequency maps, the one with the smallest
-    ``type_key`` wins, and more than one of them is a tie."""
+    ``type_key`` wins, and more than one of them is a tie.  Values within a
+    relative ``tol`` of the best count as optimal."""
     nfg = dec.nfg
     best, n_optima, betas = None, 0, set()
     for _, cover, (factor_map, edge_map), tuples in oracle_covers(nfg, m):
         for tup, value in tuples:
-            if best is None or value > best:
+            if best is None or value > best * (1 + tol):
                 best, n_optima, betas = value, 0, set()
-            if value == best:
+            if value >= best * (1 - tol):
                 n_optima += 1
                 betas.add(_phi_of_tuple(nfg, m, cover, factor_map, edge_map, tup))
     beta = min(betas, key=lambda b: type_key(nfg, m, b))
@@ -628,6 +629,51 @@ def test_degree2_decoders_match_per_cover_oracle(case):
     assert {(e, s): v for e, d in beliefs.edge_dists.items() for s, v in d.items()} == edge_want
 
 
+@pytest.mark.parametrize("y", ["010", "110", "011"])
+def test_degree2_decoders_on_a_float_channel(y):
+    """BSC(0.1) in floats: a type adds count times its value once, where the
+    oracle adds each configuration of every labeled cover, so beliefs and
+    objectives agree to a relative 1e-12; decisions, ties and optimum
+    counts are equal."""
+    code = nfg_from_parity_check(ParityCheckMatrix([[1, 1, 0], [0, 1, 1]]))
+    dec = attach_channel(code, Channel.bsc(0.1), y)
+    res = bgcd(dec, degree=2)
+    decisions, n_optima, tie, beta, objective = oracle_bgcd(dec, 2, tol=1e-12)
+    assert (tuple(res.decisions), res.diagnostics["n_optima"], res.tie) == (decisions, n_optima, tie)
+    assert res.beliefs == beta
+    assert res.objective == pytest.approx(objective, rel=1e-12)
+
+    factor_want, edge_want = oracle_sgcd_beta(dec, 2)
+    res = sgcd(dec, degree=2)
+    got = {(f, k): v for f, d in res.beliefs.factor_dists.items() for k, v in d.items()}
+    assert got == pytest.approx(factor_want, rel=1e-12)
+    got = {(e, s): v for e, d in res.beliefs.edge_dists.items() for s, v in d.items()}
+    assert got == pytest.approx(edge_want, rel=1e-12)
+    assert res.objective == pytest.approx(-math.log(zbethe_m_enumeration(dec.nfg, 2).pre_root) / 2, rel=1e-12)
+
+
+def test_degree2_decoding_walks_each_structure_once(monkeypatch):
+    """attach_channel, bgcd and sgcd at degree 2 on five Hamming(7,4) words
+    walk the code once and the 2^(circuit rank) gauge-fixed 2-covers of
+    their shared decoding structure once, not once per word and rule."""
+    calls = []
+    configs = Walk.configs
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return configs(self, *args, **kwargs)
+
+    monkeypatch.setattr(Walk, "configs", counting)
+    h = ParityCheckMatrix([[1, 1, 0, 1, 1, 0, 0], [1, 0, 1, 1, 0, 1, 0], [0, 1, 1, 1, 0, 0, 1]])
+    code, words = nfg_from_parity_check(h), h.codewords()
+    rng = random.Random(5)
+    for _ in range(5):
+        y = [str(s ^ (rng.random() < 0.1)) for s in rng.choice(words)]
+        dec = attach_channel(code, Channel.bsc(Fraction(1, 10)), y)
+        bgcd(dec, degree=2), sgcd(dec, degree=2)
+    assert len(calls) == 1 + 2 ** dec.nfg.circuit_rank() == 9
+
+
 def test_degree3_repetition_code_counts_every_labeled_cover():
     """y = 001 on the 3-bit repetition code over BSC(1/10): each of the
     (3!)^7 labeled 3-covers has one optimum, the lift of 000.  They are
@@ -681,6 +727,21 @@ def test_caps_still_raise(monkeypatch):
         bgcd(dec, degree=2)
     with pytest.raises(CapExceeded):
         sgcd(dec, degree=2)
+
+
+def test_caps_hold_on_a_kept_tally():
+    """After a degree-2 decode at the default caps, the tally kept for the
+    decoding graph's structure still answers to both caps on every call."""
+    dumbbell = make_dumbbell()
+    dec = DecodingNfg(dumbbell, dumbbell.edge_order, Fraction(1), [], None)
+    bgcd(dec, degree=2), sgcd(dec, degree=2)
+    for rule in (bgcd, sgcd):
+        with pytest.raises(CapExceeded, match="^128 covers exceed cap 100$"):
+            rule(dec, degree=2, cap=100)
+        with pytest.raises(CapExceeded, match="^more than 15 valid configurations$"):
+            rule(dec, degree=2, config_cap=15)
+        with pytest.raises(CapExceeded, match="^1 covers exceed cap 0$"):
+            rule(dec, degree=1, cap=0)
 
 
 def test_negative_caps_are_refused(monkeypatch):
