@@ -31,7 +31,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from ._kernels.pyref import Walk
 from .covers import (
     PseudoMarginals,
     build_cover,
@@ -190,24 +189,25 @@ def zbethe_m_enumeration(
     through one ``_kernels.cover_sweep``; ``config_cap`` bounds each
     cover's valid configurations.  With ``samples`` set, a seeded Monte
     Carlo over ``samples`` >= 1 labeled cover specs replaces the
-    enumeration and a standard error accompanies the estimate (nan for one
-    sample).  ``threads`` is accepted and ignored (the sweep is one
-    pure-Python loop); it is kept only for callers that still pass it.
+    enumeration on the same walk, so it sums each cover in the same mode,
+    and a standard error accompanies the estimate (nan for one sample).
+    ``threads`` is accepted and ignored (the sweep is one pure-Python
+    loop); it is kept only for callers that still pass it.
     """
     exact = _exact_mode(nfg, m, temperature, exact)
     max_configs = default_config_cap(config_cap)
+    walk = _kernels.Walk(_kernels.build_plan(nfg), m, exact=exact)
+    inv_t = 1 if exact else 1.0 / float(temperature)
     if samples is not None:
         if seed is None:
             raise ValueError("Monte Carlo mode requires a seed")
         if samples < 1:
             raise ValueError("Monte Carlo mode needs at least one sample")
         rng = random.Random(seed)
-        walk = Walk(_kernels.build_plan(nfg), m)
-        t_inv = inverse_temperature(temperature)
         vals = []
         for _ in range(samples):
             perm_inv = cover_perm_inv(random_cover(nfg, m, rng.getrandbits(48)))
-            z, _, _ = _kernels.cover_sweep(walk, [perm_inv], t_inv, max_configs)
+            z, _, _ = _kernels.cover_sweep(walk, [perm_inv], inv_t, max_configs)
             vals.append(float(z))
         mean = float(np.mean(vals))
         # one sample gives no spread estimate
@@ -215,8 +215,6 @@ def zbethe_m_enumeration(
         return ZBetheM(mean ** (1.0 / m), mean, m, count_covers(nfg, m), samples, stderr)
 
     perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
-    walk = Walk(_kernels.build_plan(nfg), m, exact=exact)
-    inv_t = 1 if exact else 1.0 / float(temperature)
     zsum, _, n_fixed = _kernels.cover_sweep(walk, perm_invs, inv_t, max_configs)
     pre_root = zsum / n_fixed
     return ZBetheM(_root(pre_root, m), pre_root, m, count_covers(nfg, m))

@@ -46,7 +46,7 @@ from .covers import (
 from .errors import CapExceeded, GcbError, NonConvergence, ParseError
 from .gibbs import enumerate_configurations, gibbs_partition
 from .ldpc_curves import curve_csv, curve_scan
-from .nfg import parse_nfg
+from .nfg import parse_nfg, parse_number
 from .spa import sum_product
 
 EXIT_OK = 0
@@ -232,7 +232,7 @@ def cmd_spa(args):
 def cmd_bme(args):
     nfg = parse_nfg(args.nfg)
     half = nfg.half_edge_order
-    values = [Fraction(tok) if "/" in tok else float(tok) for tok in args.omega.split(",")]
+    values = [parse_number(tok) for tok in args.omega.split(",")]
     if len(values) != len(half):
         raise ParseError(f"omega has {len(values)} entries, graph has {len(half)} half-edges")
     res = bme_completion(nfg, dict(zip(half, values)))

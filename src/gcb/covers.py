@@ -45,7 +45,7 @@ from .errors import (
     ShapeMismatch,
 )
 from . import _kernels
-from ._kernels.pyref import Walk, lcm_scaled, walk_weights
+from ._kernels import Walk, lcm_scaled, walk_weights
 from .gibbs import config_cap as default_config_cap, resolve_cap
 from .gibbs import valid_tuples  # noqa: F401  (benchmark self-tests read gcb.covers.valid_tuples)
 from .nfg import Factor, Nfg
@@ -704,17 +704,15 @@ def parse_cover_spec(nfg: Nfg, text: str) -> CoverSpec:
             continue
         parts = line.split()
         if parts[0] == "cover":
-            if len(parts) != 2 or not parts[1].startswith("M="):
+            if len(parts) != 2 or not parts[1].startswith("M=") or not parts[1][2:].isdecimal():
                 raise ParseError("expected 'cover M=<m>'", ln)
             m = int(parts[1][2:])
         elif parts[0] == "perm":
             if m is None:
                 raise ParseError("perm before cover header", ln)
-            edge = parts[1]
-            images = [int(x) - 1 for x in parts[2:]]
-            if len(images) != m:
-                raise ParseError(f"perm {edge}: expected {m} images", ln)
-            perms[edge] = tuple(images)
+            if len(parts) != m + 2 or not all(x.isdecimal() for x in parts[2:]):
+                raise ParseError(f"expected 'perm <edge>' and {m} image numbers", ln)
+            perms[parts[1]] = tuple(int(x) - 1 for x in parts[2:])
         else:
             raise ParseError(f"unknown keyword {parts[0]!r}", ln)
     if m is None:

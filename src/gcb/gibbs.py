@@ -1,10 +1,10 @@
 """Exact Gibbs-side quantities: enumeration, partition sums, free energy.
 
-Enumeration runs the plan walk (``_kernels.pyref.Walk``), a depth-first
-walk over factor supports: only assignments every factor accepts are
-visited, so its cost scales with the number of valid configurations rather
-than the raw product space.  Counting sums stay exact: with rational tables
-and T = 1 the partition sum is a Fraction.
+Enumeration runs the plan walk (``_kernels.Walk``), a depth-first walk
+over factor supports: only assignments every factor accepts are visited,
+so its cost scales with the number of valid configurations rather than the
+raw product space.  The partition sum is ``_kernels.cover_sweep`` of the
+walk at M = 1: a Fraction with rational tables and T = 1.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import os
 from fractions import Fraction
 from typing import Mapping
 
-from ._kernels import build_plan
-from ._kernels.pyref import Walk
+from ._kernels import Walk, build_plan, cover_sweep
 from .errors import EmptyCode, SupportOnZeroMass, UnknownEdge
 from .nfg import Nfg
 
@@ -89,10 +88,8 @@ def gibbs_partition(nfg: Nfg, temperature=1, cap=None):
     Exact (Fraction) at T = 1 with rational tables; float otherwise.
     """
     t_inv = inverse_temperature(temperature)
-    total = Fraction(0) if t_inv == 1 else 0.0
-    for _, value in valid_tuples(nfg, cap=cap):
-        total += _powered(value, t_inv)
-    return total
+    walk = Walk(build_plan(nfg), exact=t_inv == 1)
+    return cover_sweep(walk, [None], t_inv, config_cap(cap))[0]
 
 
 def modified_gibbs_partition(nfg: Nfg, half_assignment: Mapping[str, int], temperature=1, cap=None):

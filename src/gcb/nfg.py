@@ -262,8 +262,10 @@ class Nfg:
 
 def parse_number(token: str) -> Number:
     if "/" in token:
-        num, den = token.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in token.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {token!r}")
+        return Fraction(num, den)
     if any(c in token for c in ".eE") and not token.lstrip("+-").isdigit():
         return float(token)
     return Fraction(int(token))

@@ -611,6 +611,46 @@ def test_zgibbs_on_cover_spec(capsys):
     assert 8 <= value <= 64
 
 
+@pytest.mark.parametrize("spec, line", [
+    pytest.param("cover M=2\nperm\n", 2, id="bare perm"),
+    pytest.param("cover M=x\n", 1, id="non-integer degree"),
+    pytest.param("cover M=2\nperm e2 1 x\n", 2, id="non-integer image"),
+])
+def test_zgibbs_malformed_cover_spec_names_its_line(tmp_path, capsys, spec, line):
+    cover = tmp_path / "bad.cover"
+    cover.write_text(spec)
+    code, out, err = run(capsys, "zgibbs", "--nfg", fig1_path(), "--cover", str(cover))
+    assert code == 3
+    assert out == ""
+    assert f"line {line}:" in err
+
+
+ZERO_DENOMINATOR_INPUTS = {
+    "nfg row": ({"g.nfg": "alphabet a 2\nhalfedge a\nfactor f a\nrow 0 1/0\nrow 1 1\n"},
+                ["zgibbs", "--nfg", "g.nfg"]),
+    "beta line": ({"b.beta": "beta fA 0,0 1/0\n"},
+                  ["preimage-count", "--nfg", dumbbell_path(), "-M", "2", "--beta", "b.beta"]),
+    "channel line": ({"h.pcm": "1 1 0\n0 1 1\n", "y.txt": "0 0 1\n",
+                      "chan.txt": "W 0 0 1/0\nW 1 0 1/10\nW 0 1 1/10\nW 1 1 9/10\n"},
+                     ["decode", "--decoder", "bmapd", "--pcm", "h.pcm", "--channel", "chan.txt",
+                      "--y", "y.txt"]),
+    "bme omega": ({}, ["bme", "--nfg", fig1_path(), "--omega", "1/0,1/2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_DENOMINATOR_INPUTS))
+def test_zero_denominator_exits_3(tmp_path, capsys, monkeypatch, case):
+    files, argv = ZERO_DENOMINATOR_INPUTS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "zero denominator" in err
+    assert "Traceback" not in err
+
+
 def test_spa_trace_csv(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     code, out, _ = run(capsys, "spa", "--nfg", fig1_path(), "--trace", str(trace))

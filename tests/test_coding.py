@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import gcb._kernels as kernels
-from gcb._kernels.pyref import Walk
+from gcb._kernels import Walk
 from gcb.coding import (
     Channel,
     DecodingNfg,

@@ -1,6 +1,6 @@
 """README's examples against the code: the python quickstart runs as
-written, and the command-line block lists exactly the parser's
-subcommands."""
+written, the command-line block lists exactly the parser's subcommands,
+and every path in the layout block exists."""
 
 import argparse
 import os
@@ -34,3 +34,20 @@ def test_command_line_block_lists_every_subcommand():
     (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert sorted(listed) == sorted(action.choices)
     assert len(listed) == len(set(listed))
+
+
+def test_layout_block_names_existing_paths():
+    """A top-level line names a directory of the checkout; a line indented
+    by two spaces names a file or directory inside the last one."""
+    listed, parent = [], ""
+    for line in readme_block("## Layout").splitlines():
+        indent = len(line) - len(line.lstrip())
+        if indent == 0:
+            parent = line.split()[0]
+            listed.append(parent)
+        elif indent == 2:
+            listed.append(parent + line.split()[0])
+    assert len(listed) > 3
+    missing = [path for path in listed
+               if not (os.path.isdir if path.endswith("/") else os.path.isfile)(os.path.join(ROOT, path))]
+    assert not missing

@@ -30,3 +30,36 @@ def test_traced_binding_resolves(module, attr):
 
 def test_census_class_resolves():
     assert callable(importlib.import_module("gcb.covers").PreimageCensus.__init__)
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_kernel_metrics_count_a_traced_run():
+    """A traced run's kernel metrics count the sweeps and plans that
+    ``zbethe_m_enumeration`` (exact, float and Monte Carlo) and
+    ``gibbs_partition`` make, so a kernel function moved or bypassed reads
+    as a failure here, not as a metric of 0."""
+    import scipy.optimize  # noqa: F401  (the tracer wraps linprog, as the benchmark imports it)
+
+    from gcb import bethe, gibbs, parse_nfg
+
+    nfg = parse_nfg(str(SPANS.parents[1] / "src" / "gcb" / "data" / "dumbbell.nfg"))
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        tracer.recording = True
+        bethe.zbethe_m_enumeration(nfg, 2)
+        bethe.zbethe_m_enumeration(nfg, 2, temperature=0.7)
+        bethe.zbethe_m_enumeration(nfg, 2, samples=2, seed=1)
+        gibbs.gibbs_partition(nfg)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["kernels.cover_sweep.calls"][0] == 1 + 1 + 2 + 1
+    assert metrics["kernels.covers_swept"][0] > 0
+    assert metrics["kernels.build_plan.self_s"][0] > 0

@@ -20,8 +20,7 @@ import pytest
 
 import gcb._kernels as kernels
 from gcb import _kernels
-from gcb._kernels import build_plan, cover_sweep, perm_tables
-from gcb._kernels.pyref import Walk, lcm_scaled
+from gcb._kernels import Walk, build_plan, cover_sweep, lcm_scaled, perm_tables
 from gcb.bethe import zbethe_m_enumeration, zbethe_m_typesum
 from gcb.coding import (
     Channel,
@@ -309,8 +308,8 @@ def test_cover_configurations_match_per_cover_oracle(seed):
 
 @pytest.mark.parametrize("seed", [*SEEDS[:4], COPRIME])
 def test_monte_carlo_matches_per_cover_oracle(seed):
-    # the coprime graph's walk is exact and scaled, so each global value is
-    # value * unit before it is raised to 1/T
+    # at T = 0.7 the coprime graph's rational tables are walked in floats,
+    # as the oracle sums each built cover
     nfg = coprime_graph() if seed == COPRIME else random_graph(seed, rational=False)
     seed = 0 if seed == COPRIME else seed
     res = zbethe_m_enumeration(nfg, 2, temperature=0.7, samples=5, seed=seed)
@@ -318,6 +317,27 @@ def test_monte_carlo_matches_per_cover_oracle(seed):
     vals = [float(gibbs_partition(build_cover(random_cover(nfg, 2, rng.getrandbits(48))), 0.7))
             for _ in range(5)]
     assert res.pre_root == pytest.approx(float(np.mean(vals)), rel=1e-12)
+
+
+@pytest.mark.parametrize("kwargs, exact", [
+    ({"temperature": 0.7}, False),
+    ({"exact": False}, False),
+    ({}, True),
+])
+def test_monte_carlo_walks_in_the_sums_mode(monkeypatch, kwargs, exact):
+    """Monte Carlo sums its covers on the walk the enumeration would use: a
+    float walk at T != 1 or with exact=False, an exact one at T = 1 on
+    rational tables."""
+    modes = []
+    init = Walk.__init__
+
+    def spying(self, plan, m=1, exact=True):
+        modes.append(exact)
+        init(self, plan, m, exact)
+
+    monkeypatch.setattr(Walk, "__init__", spying)
+    zbethe_m_enumeration(coprime_graph(), 2, samples=3, seed=0, **kwargs)
+    assert modes == [exact]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
