@@ -6,11 +6,13 @@ the degree-M partition function computed two ways (enumeration of the
 gauge-fixed covers, and the type-sum over the lift-realizable
 pseudo-marginals by elimination; an exact identity in rational
 arithmetic), and free-energy minimization at zero and positive
-temperature, certified at T > 0 by the Frank-Wolfe gap.  The polytope is
-described once, in ``_BetaIndex``: ``bethe_terms`` and the
+temperature, certified at T = 0 by max-sum diffusion on the dual where it
+pins a unique integral optimum, and at T > 0 by the Frank-Wolfe gap.  The
+polytope is described once, in ``_BetaIndex``: ``bethe_terms`` and the
 ``sum_product`` trace read the free energy off its energy vector and
 entropy; the T = 0 problem is one linear program over its factor slots
-(``_BetaIndex.lp``); the Frank-Wolfe gap is read off its rows with the
+(``_BetaIndex.lp``), whose dual ``_BetaIndex.diffuse`` reparametrizes
+along its marginal rows; the Frank-Wolfe gap is read off its rows with the
 log messages as multipliers (``_BetaIndex.gap``); and the max-entropy
 completion (``bme``) is guarded by its rows and scored by its entropy.
 Its check blocks are solved together by the stacked Newton tilt
@@ -63,6 +65,8 @@ SPA_TOL = 1e-13
 SPA_DAMPING = 0.5  # the one damping of those starts
 TILT_TOL = 1e-12  # marginal-matching gradient at which a tilt block is solved
 TILT_ITERS = 200  # Newton iterations per tilt block
+DIFFUSION_SWEEPS = 10  # max-sum diffusion sweeps before the T = 0 program goes to the LP
+PIN_MARGIN = 1e-9  # least factor cost over its runner-up that pins a T = 0 optimum
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -455,6 +459,39 @@ class _BetaIndex:
         live = incoming > 0
         return abs(float(temperature) * float(np.log(incoming[live]) @ self.residual(x)[live]))
 
+    def diffuse(self):
+        """(pinned, sweeps, bound): at most ``DIFFUSION_SWEEPS`` sweeps of
+        max-sum diffusion on the dual of the T = 0 program (``energy_lp``),
+        the structure kept per structure (``_Diffusion``, ``Nfg.shared``).
+
+        The dual reparametrizes the factor costs theta (the energy of each
+        factor slot) by moving cost between the two ends of each full edge,
+        symbol by symbol; any such move keeps <theta, x> on the polytope,
+        so bound = sum over factors of min theta is at most the LP optimum.
+        One sweep visits the colours of ``_Diffusion`` in turn; in a colour,
+        each edge symbol's two min-marginals (the least cost of an
+        endpoint's rows that carry the symbol) are set to their mean.
+        ``pinned`` is the 0/1 factor-slot vector of the configuration that
+        pins the optimum, once every factor's least cost beats its
+        runner-up by more than ``PIN_MARGIN`` and those minimizers agree on
+        every full edge: that point mass then attains the bound and every
+        other point of the polytope costs more, so the optimum is unique
+        and integral.  ``pinned`` is None when no sweep pinned it."""
+        dif = self.nfg.shared(_Diffusion, lambda _: _Diffusion(self))
+        if not dif.feasible:
+            return None, 0, math.inf
+        theta = np.where(dif.live, self._energy[:len(self.factor_slots)], np.inf)
+        for sweep in range(1, DIFFUSION_SWEEPS + 1):
+            for slots, starts, segment, partner in dif.colours:
+                cost = theta[slots]
+                mu = np.minimum.reduceat(cost, starts)
+                theta[slots] = cost + 0.5 * (mu[partner] - mu)[segment]
+            least = np.minimum.reduceat(theta, dif.factor_starts)
+            near = theta <= least[dif.factor_of] + PIN_MARGIN
+            if np.count_nonzero(near) == len(least) and dif.agree(near):
+                return near.astype(float), sweep, float(least.sum())
+        return None, DIFFUSION_SWEEPS, float(least.sum())
+
     def lp(self):
         """(minimizer's factor slots, minimum) of the T = 0 program
         (``energy_lp``).  Raises LpFailure when the LP fails."""
@@ -491,6 +528,75 @@ def _energy_lp_rows(idx: _BetaIndex):
     # factor slots carry +1 in A, and no slot twice in one row of A_eq
     a_eq = csr_array((sign[rows], (lp_row[rows], idx.cols[keep])), shape=(n_lp, n_f))
     return a_eq, np.repeat([1.0, 0.0], [n_factors, len(first)])
+
+
+class _Diffusion:
+    """The structure of ``_BetaIndex.diffuse``, read off the index's
+    ``rows``/``cols``/``marginal_row``; it holds no graph and no weights.
+
+    ``live`` marks the factor slots a point of the polytope can weigh: a
+    slot dies when one of its edge symbols has no live row at the edge's
+    other end (arc consistency, to a fixed point), and the diffusion keeps
+    a dead slot's cost at +inf and never moves it, so a symbol that one
+    end does not support never makes inf - inf.  ``feasible`` is False when
+    a factor has no live slot (the program is then infeasible).  The full
+    edges are coloured greedily so that no two edges of a colour share a
+    factor; each colour holds its live (slot, marginal row) entries sorted
+    by row, as (``slots``, ``starts`` of each row's segment, ``segment`` of
+    each entry, ``partner``: the segment of the same symbol at the edge's
+    other end).  ``agree`` checks that one slot per factor meets every
+    full edge with one symbol.
+    """
+
+    def __init__(self, idx: _BetaIndex):
+        nfg = idx.nfg
+        n_f, n_rows = len(idx.factor_slots), len(idx.rhs)
+        n_sums = len(nfg.factors) + len(nfg.edge_order)
+        entry = (idx.cols < n_f) & (idx.rows >= n_sums)
+        slot, row = idx.cols[entry], idx.rows[entry]
+        self.factor_of = idx.rows[:n_f]  # a factor slot's sum row is its factor's number
+        self.factor_starts = np.flatnonzero(np.diff(self.factor_of, prepend=-1))
+        partner = np.arange(n_rows)  # a row with no other end is its own partner
+        row_colour = np.full(n_rows, -1)
+        used = {f: set() for f in nfg.factors}
+        for e in nfg.full_edge_order:
+            f1, f2 = nfg.incidence[e]
+            r1, r2, k = idx.marginal_row[f1, e], idx.marginal_row[f2, e], nfg.alphabet_sizes[e]
+            partner[r1:r1 + k], partner[r2:r2 + k] = range(r2, r2 + k), range(r1, r1 + k)
+            colour = next(c for c in itertools.count() if c not in used[f1] | used[f2])
+            used[f1].add(colour)
+            used[f2].add(colour)
+            row_colour[r1:r1 + k] = row_colour[r2:r2 + k] = colour
+        self.live = np.ones(n_f, dtype=bool)
+        while True:
+            supported = np.zeros(n_rows, dtype=bool)
+            supported[row[self.live[slot]]] = True
+            dead = slot[self.live[slot] & ~supported[partner[row]]]
+            if not dead.size:
+                break
+            self.live[dead] = False
+        live_per_factor = np.bincount(self.factor_of, weights=self.live, minlength=len(nfg.factors))
+        self.feasible = bool(np.all(live_per_factor > 0))
+        self.full_rows = np.flatnonzero(partner != np.arange(n_rows))
+        self.full_partner = partner[self.full_rows]
+        self.entry_slot, self.entry_row, self.n_rows = slot, row, n_rows
+        self.colours = []
+        for colour in range(int(row_colour.max(initial=-1)) + 1):
+            pick = np.flatnonzero((row_colour[row] == colour) & self.live[slot])
+            pick = pick[np.argsort(row[pick], kind="stable")]
+            rows_c = row[pick]
+            first = np.diff(rows_c, prepend=-1) != 0
+            starts, segment = np.flatnonzero(first), np.cumsum(first) - 1
+            segment_of = np.full(n_rows, -1)
+            segment_of[rows_c[starts]] = np.arange(len(starts))
+            self.colours.append((slot[pick], starts, segment, segment_of[partner[rows_c[starts]]]))
+
+    def agree(self, near: np.ndarray) -> bool:
+        """Whether the slots ``near`` marks, one per factor, carry one symbol
+        at both ends of every full edge."""
+        hit = np.zeros(self.n_rows, dtype=bool)
+        hit[self.entry_row[near[self.entry_slot]]] = True
+        return bool(np.array_equal(hit[self.full_rows], hit[self.full_partner]))
 
 
 # -- entropy-regularized factor tilt ------------------------------------------
@@ -603,28 +709,44 @@ def tilt_factor_block(features, log_w, targets) -> TiltResult:
 
 
 class MinimizeResult:
-    __slots__ = ("beta", "f_min", "z_bethe", "converged", "tie")
+    """``certified`` is True when max-sum diffusion pinned a T = 0 optimum
+    (``_BetaIndex.diffuse``) and no LP was solved; ``sweeps`` counts the
+    diffusion sweeps run (0 at T > 0)."""
 
-    def __init__(self, beta, f_min, z_bethe, converged, tie):
+    __slots__ = ("beta", "f_min", "z_bethe", "converged", "tie", "certified", "sweeps")
+
+    def __init__(self, beta, f_min, z_bethe, converged, tie, certified=False, sweeps=0):
         self.beta = beta
         self.f_min = f_min
         self.z_bethe = z_bethe
         self.converged = converged
         self.tie = tie
+        self.certified = certified
+        self.sweeps = sweeps
 
 
-def _lp_minimize_energy(idx: _BetaIndex):
-    """Exact T=0 problem: the energy is linear and B is a polytope, so
-    ``_BetaIndex.lp`` solves it; rows at most 1e-12 are dropped, factors
-    renormalized, and each edge's marginal read off its first endpoint."""
-    y, f_min = idx.lp()
+def _minimize_energy(idx: _BetaIndex, values) -> MinimizeResult:
+    """Exact T=0 problem: the energy is linear and B is a polytope.  A
+    word that diffusion pins (``_BetaIndex.diffuse``) is its point mass,
+    with the energy of its rows summed in slot order and no tie; any other
+    goes to ``_BetaIndex.lp``, whose rows at most 1e-12 are dropped and
+    factors renormalized, and ``_zero_temp_tie`` decides its tie.  Each
+    edge's marginal is read off its first endpoint."""
+    y, sweeps, _ = idx.diffuse()
+    certified = y is not None
+    if certified:
+        f_min = sum(idx.energy_vector()[:len(y)][y > 0].tolist())
+    else:
+        y, f_min = idx.lp()
     n_f = len(y)
     factor = idx.rows[:n_f]  # a factor slot's sum row is its factor's number
     y = np.where(y > 1e-12, y, 0.0)
     y = y / np.bincount(factor, weights=y)[factor]
     fs, es = idx.first_endpoint
     x = np.concatenate([y, np.bincount(es - n_f, weights=y[fs], minlength=idx.n - n_f)])
-    return idx.to_beta(x), f_min
+    beta = idx.to_beta(x)
+    tie = not certified and _zero_temp_tie(idx, beta, f_min, values)
+    return MinimizeResult(beta, f_min, None, True, tie, certified, sweeps)
 
 
 def minimize_bethe(
@@ -638,9 +760,19 @@ def minimize_bethe(
 
     The graph's ``_BetaIndex`` describes the polytope and the free energy.
     T = 0 is an exact linear program over its factor slots (the energy is
-    linear); ``tie`` there means a fractional optimum or several optimal
-    configurations, read from ``values``, the global values of the valid
-    configurations, or enumerated when None (CapExceeded past the cap).
+    linear).  At most ``DIFFUSION_SWEEPS`` sweeps of max-sum diffusion on
+    its dual run first (``_BetaIndex.diffuse``); when they pin the optimum,
+    it is unique and integral, the point mass of one configuration, and
+    is returned with ``certified`` True, ``tie`` False, no LP solved and
+    ``values`` never read.  A pin proves the optimum one integral point;
+    the converse is not guaranteed, though on the bundled code's seeded
+    words every such optimum was pinned.  A fractional optimum, several
+    optimal configurations, one optimal configuration with an equally good
+    fractional point beside it, or an optimum the sweeps did not pin go to
+    the LP.  There ``tie`` means a fractional optimum or
+    several optimal configurations, read from ``values``, the global
+    values of the valid configurations, or enumerated when None
+    (CapExceeded past the cap).
 
     For T > 0 the starts run in order (the uniform start, then seeded
     random messages), one sum-product run each at damping ``SPA_DAMPING``,
@@ -661,8 +793,7 @@ def minimize_bethe(
         raise ValueError("n_starts must be at least 1")
     idx = _BetaIndex.of(nfg)
     if temperature == 0:
-        beta, f_min = _lp_minimize_energy(idx)
-        return MinimizeResult(beta, f_min, None, True, _zero_temp_tie(idx, beta, f_min, values))
+        return _minimize_energy(idx, values)
 
     t = float(temperature)
     best = None  # (free energy, beliefs) of the lowest uncertified fixed point
@@ -730,12 +861,14 @@ def parse_beta(nfg: Nfg, text: str) -> PseudoMarginals:
         if parts[0] != "beta" or len(parts) != 4:
             raise ParseError(f"expected 'beta <id> <assignment> <value>'", ln)
         _, ident, assignment, value = parts
-        v = parse_number(value)
-        if ident in nfg.factors:
-            key = tuple(int(s) for s in assignment.split(","))
-            factor_dists[ident][key] = v
-        elif ident in nfg.alphabet_sizes:
-            edge_dists[ident][int(assignment)] = v
-        else:
+        if ident not in nfg.factors and ident not in nfg.alphabet_sizes:
             raise ParseError(f"unknown factor or edge {ident!r}", ln)
+        try:
+            v = parse_number(value)
+            if ident in nfg.factors:
+                factor_dists[ident][tuple(int(s) for s in assignment.split(","))] = v
+            else:
+                edge_dists[ident][int(assignment)] = v
+        except ValueError as exc:
+            raise ParseError(f"cannot parse {line!r}: {exc}", ln) from None
     return PseudoMarginals(factor_dists, edge_dists)

@@ -36,6 +36,7 @@ from .coding import (
 )
 from .covers import (
     count_covers,
+    cover_perm_inv,
     emit_cover_spec,
     enumerate_covers,
     parse_cover_spec,
@@ -44,7 +45,7 @@ from .covers import (
     preimage_count_closedform,
 )
 from .errors import CapExceeded, GcbError, NonConvergence, ParseError
-from .gibbs import enumerate_configurations, gibbs_partition
+from .gibbs import cover_partitions, enumerate_configurations, gibbs_partition
 from .ldpc_curves import curve_csv, curve_scan
 from .nfg import parse_nfg, parse_number
 from .spa import sum_product
@@ -111,13 +112,12 @@ def cmd_enumerate(args):
 
 def cmd_zgibbs(args):
     nfg = parse_nfg(args.nfg)
+    m, perm_inv = 1, None
     if args.cover:
-        from .covers import build_cover
-
         with open(args.cover, "r", encoding="utf-8") as fh:
             spec = parse_cover_spec(nfg, fh.read())
-        nfg = build_cover(spec)
-    z = gibbs_partition(nfg, args.temperature, cap=args.config_cap)
+        m, perm_inv = spec.m, cover_perm_inv(spec)
+    (z,) = cover_partitions(nfg, m, [perm_inv], args.temperature, cap=args.config_cap)
     _write(args, f"zgibbs={_fmt(z)}\n")
     return EXIT_OK
 
@@ -191,14 +191,11 @@ def cmd_covers(args):
     if args.count_only:
         _write(args, f"count={count_covers(nfg, args.m)}\n")
         return EXIT_OK
-    chunks = []
-    for spec in enumerate_covers(nfg, args.m, cap=args.cover_cap):
-        chunks.append(emit_cover_spec(spec))
-        if args.zgibbs:
-            from .covers import build_cover
-
-            z = gibbs_partition(build_cover(spec), 1, cap=args.config_cap)
-            chunks.append(f"zgibbs={_fmt(z)}\n")
+    specs = list(enumerate_covers(nfg, args.m, cap=args.cover_cap))
+    chunks = [emit_cover_spec(spec) for spec in specs]
+    if args.zgibbs:
+        zs = cover_partitions(nfg, args.m, map(cover_perm_inv, specs), 1, cap=args.config_cap)
+        chunks = [chunk + f"zgibbs={_fmt(z)}\n" for chunk, z in zip(chunks, zs)]
     _write(args, "".join(chunks))
     return EXIT_OK
 
@@ -270,6 +267,10 @@ def cmd_decode(args):
     ]
     if result.objective is not None:
         lines.append(f"objective={_fmt(result.objective)}")
+    # bgcd without --degree: whether diffusion pinned the optimum, and its sweeps
+    if "certified" in result.diagnostics:
+        lines.append(f"certified={str(result.diagnostics['certified']).lower()}")
+        lines.append(f"sweeps={result.diagnostics['sweeps']}")
     for e in dec.symbol_edges:
         d = result.symbol_beliefs[e]
         belief = " ".join(f"{s}:{_fmt(d.get(s, 0))}" for s in range(nfg_code.alphabet_sizes[e]))

@@ -14,12 +14,13 @@ or by default minimize the Bethe free energy at temperatures zero and
 one, the M -> infinity limit of the rules.  What a graph alone determines
 is kept on it (``Nfg.derived``).  A code graph keeps its valid
 configurations, the list that ``attach_channel``, the rules' M = 1 tally
-and ``bgcd``'s tie check read, its code words, and one decoding structure:
+and ``bgcd``'s tie check (on words that max-sum diffusion leaves to the
+LP) read, its code words, and one decoding structure:
 a decoding graph for the last set of channel-factor supports seen.  Each
 word's graph is that structure reweighed (``Nfg.reweighed``), so the
 words with those supports share what the structure alone determines
 (``Nfg.shared``: the ``_BetaIndex`` arrays, the LP's A_eq, the
-sum-product layout, the type tally per degree).  A decoding graph keeps
+diffusion's colours, the sum-product layout, the type tally per degree).  A decoding graph keeps
 its index (the shared one, weighed on its tables) and its type values per
 degree, so a word pays only for its weights.
 """
@@ -259,7 +260,10 @@ class Channel:
             parts = line.split()
             if len(parts) != 4 or parts[0] != "W":
                 raise ParseError("expected 'W <y> <x> <prob>'", ln)
-            w[(parts[1], int(parts[2]))] = parse_number(parts[3])
+            try:
+                w[(parts[1], int(parts[2]))] = parse_number(parts[3])
+            except ValueError as exc:
+                raise ParseError(f"cannot parse {line!r}: {exc}", ln) from None
         return cls(input_size, w)
 
 
@@ -502,16 +506,29 @@ def bgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None)
     (``TypeTally.of``); ``n_optima`` still counts the optimal
     configurations over all labeled covers, and ``tie`` means more than one
     optimal type.  Ties go to the type smallest in ``_type_key`` order.  At
-    M = 1 this is ``bmapd``.  Without ``degree``, the tie check reads the
-    values of ``bmapd``'s types and raises CapExceeded past ``config_cap``
-    (the environment's or default configuration cap when None).
+    M = 1 this is ``bmapd``.  Without ``degree``, ``minimize_bethe`` at
+    T = 0 first runs max-sum diffusion: a word whose optimum it pins
+    (unique and integral) is decoded with ``tie`` False, no LP and no
+    codeword read.  Any other word goes to the LP, whose tie check reads
+    the values of ``bmapd``'s types, weighed only then.  Either way the
+    code's list of valid configurations is held to ``config_cap`` (the
+    environment's or default configuration cap when None), CapExceeded
+    past it.  ``diagnostics`` carry ``certified`` (diffusion pinned the
+    optimum) and ``sweeps`` (the diffusion sweeps run).
     """
     if degree is not None:
         return _blockwise(dec, degree, cap, config_cap)
+    _valid_configs(dec.code_nfg or dec.nfg, config_cap)  # the cap binds pinned words too
+    res = minimize_bethe(dec.nfg, 0, values=_tie_values(dec, config_cap))
+    return _decide(dec, res.beta, res.tie, res.f_min, {"certified": res.certified, "sweeps": res.sweeps})
+
+
+def _tie_values(dec: DecodingNfg, config_cap):
+    """The global values of ``bmapd``'s types, weighed only once read: a
+    word that diffusion pins reads none of them."""
     _, types, unit = _weighed_types(dec, 1, None, config_cap)
-    values = (value * unit for _, value, _, _ in types)
-    res = minimize_bethe(dec.nfg, 0, values=values)
-    return _decide(dec, res.beta, res.tie, res.f_min)
+    for _, value, _, _ in types:
+        yield value * unit
 
 
 def sgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None, **minimize_kwargs) -> DecodeResult:

@@ -87,9 +87,19 @@ def gibbs_partition(nfg: Nfg, temperature=1, cap=None):
 
     Exact (Fraction) at T = 1 with rational tables; float otherwise.
     """
+    return next(cover_partitions(nfg, 1, [None], temperature, cap))
+
+
+def cover_partitions(nfg: Nfg, m: int, perm_invs, temperature=1, cap=None):
+    """``gibbs_partition`` of each M-cover of nfg in ``perm_invs``
+    (``covers.cover_perm_inv``), in order, each summed by ``cover_sweep``
+    over one degree-m walk of nfg; no cover graph is built.  ``cap`` bounds
+    each cover's valid configurations."""
     t_inv = inverse_temperature(temperature)
-    walk = Walk(build_plan(nfg), exact=t_inv == 1)
-    return cover_sweep(walk, [None], t_inv, config_cap(cap))[0]
+    walk = Walk(build_plan(nfg), m, exact=t_inv == 1)
+    limit = config_cap(cap)
+    for perm_inv in perm_invs:
+        yield cover_sweep(walk, [perm_inv], t_inv, limit)[0]
 
 
 def modified_gibbs_partition(nfg: Nfg, half_assignment: Mapping[str, int], temperature=1, cap=None):

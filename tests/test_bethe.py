@@ -932,7 +932,8 @@ def test_underflowed_beliefs_are_certified_at_low_temperature():
 
 def test_positive_temperature_solves_no_linear_program(monkeypatch):
     """With ``linprog`` raising, minimize_bethe at T = 1 and sgcd still
-    run and certify while T = 0 fails; bgcd solves one LP per word."""
+    run and certify while T = 0 fails.  bgcd solves no LP on a word that
+    max-sum diffusion pins, and one on a fractional or a tied word."""
     import scipy.optimize
 
     def refuse(*args, **kwargs):
@@ -955,9 +956,105 @@ def test_positive_temperature_solves_no_linear_program(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "linprog", counting)
-    for n, dec in enumerate(decs, start=1):
-        bgcd(dec)
-        assert len(calls) == n
+    # (word, fractional optimum, tie, LP calls): pinned, fractional, tied integral
+    cases = (("0000000000", False, False, 0), ("0100100010", True, True, 1), ("0100000000", False, True, 1))
+    for y, fractional, tie, n_calls in cases:
+        calls.clear()
+        res = bgcd(attach_channel(code, Channel.bsc(Fraction(1, 10)), y))
+        weights = [float(v) for d in res.beliefs.factor_dists.values() for v in d.values()]
+        assert any(0 < v < 1 for v in weights) == fractional
+        assert res.tie == tie
+        assert len(calls) == n_calls
+        assert res.diagnostics["certified"] == (n_calls == 0)
+
+
+def diffusion_oracle_words():
+    """Seeded example3 decoding graphs: BSC words at three crossovers,
+    Z-channel words (an output 1 rules out the input 0) and erasure words
+    (an erased symbol is equally likely under both inputs, so several
+    codewords can share the optimum)."""
+    h = ParityCheckMatrix(EXAMPLE3_ROWS)
+    code, words = nfg_from_parity_check(h), h.codewords()
+    z_channel = Channel(2, {("0", 0): Fraction(1), ("0", 1): Fraction(1, 5), ("1", 1): Fraction(4, 5)})
+    erasure = Channel(2, {("0", 0): Fraction(2, 3), ("?", 0): Fraction(1, 3),
+                          ("1", 1): Fraction(2, 3), ("?", 1): Fraction(1, 3)})
+    rng = random.Random(26)
+    decs = []
+    for i in range(60):
+        x = rng.choice(words)
+        if i % 3 == 0:
+            p = (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5))[i // 3 % 3]
+            decs.append(attach_channel(code, Channel.bsc(p), [str(s ^ (rng.random() < p)) for s in x]))
+        elif i % 3 == 1:
+            decs.append(attach_channel(code, z_channel, [str(s if rng.random() >= 0.3 else 0) for s in x]))
+        else:
+            decs.append(attach_channel(code, erasure, ["?" if rng.random() < 0.4 else str(s) for s in x]))
+    return decs
+
+
+def test_diffusion_pins_exactly_the_unique_integral_optima(monkeypatch):
+    """Against the LP path (diffusion switched off): a word is pinned
+    exactly when its optimum is integral, untied and the only point of the
+    optimal face; a pinned word gets the LP's decisions, tie and beliefs,
+    and its objective to 1e-12; the dual bound never exceeds the HiGHS
+    optimum; and a word with two optimal codewords is never pinned.  Some
+    erasure words have one optimal codeword, so ``tie`` is False, and an
+    equally good fractional point beside it; those stay on the LP."""
+    decs = diffusion_oracle_words()
+    results = [bgcd(dec) for dec in decs]
+    with monkeypatch.context() as patch:
+        patch.setattr(_BetaIndex, "diffuse", lambda self: (None, 0, -math.inf))
+        oracle = [bgcd(dec) for dec in decs]
+    n_pinned = n_ties = n_wide = 0
+    for dec, res, want in zip(decs, results, oracle):
+        weights = [float(v) for d in want.beliefs.factor_dists.values() for v in d.values()]
+        integral = all(min(v, 1 - v) <= 1e-6 for v in weights)
+        alone = integral and optimal_face_width(_BetaIndex.of(dec.nfg)) < 1e-4
+        n_wide += integral and not want.tie and not alone
+        assert res.diagnostics["certified"] == (integral and not want.tie and alone)
+        assert not want.diagnostics["certified"]
+        if res.diagnostics["certified"]:
+            n_pinned += 1
+            assert (res.decisions, res.tie, res.beliefs) == (want.decisions, want.tie, want.beliefs)
+            assert res.objective == pytest.approx(want.objective, abs=1e-12)
+        else:
+            assert (res.decisions, res.tie, res.objective) == (want.decisions, want.tie, want.objective)
+        idx = _BetaIndex.of(dec.nfg)
+        _, _, bound = idx.diffuse()
+        _, optimum = idx.lp()
+        assert bound <= optimum + 1e-12 * max(1.0, abs(optimum))
+        energies = sorted(-math.log(v) for _, v in valid_tuples(dec.nfg))
+        if len(energies) > 1 and energies[1] - energies[0] <= 1e-9:  # two optimal codewords
+            n_ties += 1
+            assert not res.diagnostics["certified"]
+    assert 0 < n_pinned < len(decs) and n_ties > 0 and n_wide > 0
+
+
+def test_infeasible_program_still_reaches_the_lp():
+    """A factor with no support row leaves no point in the polytope:
+    diffusion pins nothing, and the LP reports the failure."""
+    from gcb.errors import LpFailure
+
+    nfg = Nfg({"a": 2, "b": 2}, ["a", "b"], [Factor("f", ["a"], {(0,): Fraction(1, 2), (1,): Fraction(1, 3)}),
+                                             Factor("g", ["b"], {})])
+    assert _BetaIndex.of(nfg).diffuse()[0] is None
+    with pytest.raises(LpFailure, match="infeasible"):
+        minimize_bethe(nfg, 0)
+
+
+def optimal_face_width(idx):
+    """The most weight a point of the T = 0 optimal face (energy within
+    1e-9 of the minimum) puts on the factor slots that the LP's vertex
+    leaves at 0: about 0 when the vertex is the only optimum."""
+    from scipy.optimize import linprog
+
+    c, a_eq, b_eq = idx.energy_lp()
+    y, f_min = idx.lp()
+    zero = (y < 0.5).astype(float)
+    res = linprog(-zero, A_ub=c[None, :], b_ub=[f_min + 1e-9 * max(1.0, abs(f_min))],
+                  A_eq=a_eq, b_eq=b_eq, bounds=(0, 1), method="highs")
+    assert res.success
+    return -res.fun
 
 
 # -- non-concavity exhibit -----------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gcb.bethe import DIFFUSION_SWEEPS
 from gcb.cli import main
 from gcb.nfg import Factor, Nfg, emit_nfg_text, parity_table
 
@@ -404,6 +405,23 @@ def test_decode_sgcd_uncertified_exit_4(tmp_path, capsys, monkeypatch):
     assert out.startswith("decision=000\n")
 
 
+def test_decode_bgcd_prints_its_certificate(tmp_path, capsys):
+    """bgcd without --degree reports whether diffusion pinned the optimum:
+    on y = 001 it does; on the 4-bit repetition code y = 0011 ties, so the
+    word runs every sweep and goes to the LP."""
+    code, out, _ = decode_repetition(capsys, tmp_path, "--decoder", "bgcd")
+    lines = out.splitlines()
+    assert code == 0 and lines[:2] == ["decision=000", "tie=false"]
+    assert lines[3] == "certified=true" and int(lines[4].split("=")[1]) >= 1
+    (tmp_path / "h4.pcm").write_text("1 1 0 0\n0 1 1 0\n0 0 1 1\n")
+    (tmp_path / "y4.txt").write_text("0 0 1 1\n")
+    code, out, _ = run(capsys, "decode", "--decoder", "bgcd", "--pcm", str(tmp_path / "h4.pcm"),
+                       "--channel", str(tmp_path / "chan.txt"), "--y", str(tmp_path / "y4.txt"))
+    lines = out.splitlines()
+    assert code == 0 and lines[1] == "tie=true"
+    assert lines[3:5] == ["certified=false", f"sweeps={DIFFUSION_SWEEPS}"]
+
+
 def test_decode_bgcd_config_cap_exit(tmp_path, capsys):
     # the code has 2 codewords; the cap bounds attach_channel and bgcd's tie check
     code, out, _ = decode_repetition(capsys, tmp_path, "--decoder", "bgcd", "--config-cap", "2")
@@ -611,6 +629,44 @@ def test_zgibbs_on_cover_spec(capsys):
     assert 8 <= value <= 64
 
 
+def cover_chunks(out):
+    """(spec text, zgibbs value) per cover in ``covers --zgibbs`` output."""
+    chunks, spec = [], []
+    for line in out.splitlines():
+        if line.startswith("zgibbs="):
+            chunks.append(("\n".join(spec) + "\n", line.split("=", 1)[1]))
+            spec = []
+        else:
+            spec.append(line)
+    assert not spec
+    return chunks
+
+
+@pytest.mark.parametrize("path", [fig1_path(), dumbbell_path()], ids=["fig1", "dumbbell"])
+def test_cover_partition_values_match_built_covers(tmp_path, capsys, path):
+    """covers --zgibbs prints, for every labeled 2-cover, the Gibbs partition
+    function of that cover built as a graph of its own, and zgibbs --cover
+    prints it for one spec, exactly at T = 1 and to 12 digits at T = 0.7."""
+    from gcb.covers import build_cover, count_covers, parse_cover_spec
+    from gcb.gibbs import gibbs_partition
+    from gcb.nfg import parse_nfg
+
+    nfg = parse_nfg(path)
+    code, out, _ = run(capsys, "covers", "--nfg", path, "-M", "2", "--zgibbs")
+    assert code == 0
+    chunks = cover_chunks(out)
+    assert len(chunks) == count_covers(nfg, 2)
+    for spec_text, z in chunks:
+        assert Fraction(z) == gibbs_partition(build_cover(parse_cover_spec(nfg, spec_text)))
+    cover = tmp_path / "c.cover"
+    for spec_text, z in chunks[::9]:
+        cover.write_text(spec_text)
+        assert run(capsys, "zgibbs", "--nfg", path, "--cover", str(cover)) == (0, f"zgibbs={z}\n", "")
+        code, out, _ = run(capsys, "zgibbs", "--nfg", path, "--cover", str(cover), "-T", "0.7")
+        want = gibbs_partition(build_cover(parse_cover_spec(nfg, spec_text)), 0.7)
+        assert code == 0 and float(out.strip().split("=")[1]) == pytest.approx(want, rel=1e-11)
+
+
 @pytest.mark.parametrize("spec, line", [
     pytest.param("cover M=2\nperm\n", 2, id="bare perm"),
     pytest.param("cover M=x\n", 1, id="non-integer degree"),
@@ -648,6 +704,36 @@ def test_zero_denominator_exits_3(tmp_path, capsys, monkeypatch, case):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "zero denominator" in err
+    assert "Traceback" not in err
+
+
+MALFORMED_LINE_INPUTS = {
+    "beta symbol": ({"b.beta": "# a comment\nbeta fA 0,x 1/2\n"},
+                    ["preimage-count", "--nfg", dumbbell_path(), "-M", "2", "--beta", "b.beta"], 2),
+    "beta value": ({"b.beta": "beta fA 0,0 1/2\nbeta fA 1,1 half\n"},
+                   ["preimage-count", "--nfg", dumbbell_path(), "-M", "2", "--beta", "b.beta"], 2),
+    "channel value": ({"h.pcm": "1 1 0\n0 1 1\n", "y.txt": "0 0 1\n",
+                       "chan.txt": "W 0 0 1/0\nW 1 0 1/10\nW 0 1 1/10\nW 1 1 9/10\n"},
+                      ["decode", "--decoder", "bmapd", "--pcm", "h.pcm", "--channel", "chan.txt",
+                       "--y", "y.txt"], 1),
+    "channel input": ({"h.pcm": "1 1 0\n0 1 1\n", "y.txt": "0 0 1\n",
+                       "chan.txt": "W 0 0 9/10\nW 1 0 1/10\nW 0 one 1/10\nW 1 1 9/10\n"},
+                      ["decode", "--decoder", "bmapd", "--pcm", "h.pcm", "--channel", "chan.txt",
+                       "--y", "y.txt"], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LINE_INPUTS))
+def test_malformed_beta_and_channel_lines_name_their_line(tmp_path, capsys, monkeypatch, case):
+    """A bad number or symbol in a beta or channel file exits 3 naming its line."""
+    files, argv, line = MALFORMED_LINE_INPUTS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: line {line}: cannot parse ")
     assert "Traceback" not in err
 
 

@@ -63,3 +63,30 @@ def test_kernel_metrics_count_a_traced_run():
     assert metrics["kernels.cover_sweep.calls"][0] == 1 + 1 + 2 + 1
     assert metrics["kernels.covers_swept"][0] > 0
     assert metrics["kernels.build_plan.self_s"][0] > 0
+
+
+def test_lp_calls_count_the_words_left_to_the_solver():
+    """On a traced ``bgcd``, ``bethe.lp.calls`` reads 0 for a word that
+    max-sum diffusion pins and 1 for a word with a fractional optimum, so
+    the LP metric counts the words that still reach the solver."""
+    from fractions import Fraction
+
+    import scipy.optimize  # noqa: F401  (the tracer wraps linprog, as the benchmark imports it)
+
+    import gcb
+    from gcb import Channel, ParityCheckMatrix, attach_channel, nfg_from_parity_check
+
+    pcm = SPANS.parents[1] / "src" / "gcb" / "data" / "example3.pcm"
+    code = nfg_from_parity_check(ParityCheckMatrix.from_dense_text(pcm.read_text(encoding="utf-8")))
+    for y, certified, lp_calls in (("0000000000", True, 0), ("0100100010", False, 1)):
+        dec = attach_channel(code, Channel.bsc(Fraction(1, 10)), y)
+        tracer = load_spans().Tracer()
+        tracer.install()
+        try:
+            tracer.recording = True
+            res = gcb.bgcd(dec)  # looked up at call time, as the benchmark does
+        finally:
+            tracer.uninstall()
+        assert res.diagnostics["certified"] is certified
+        assert tracer.calls["bgcd"] == tracer.calls["minimize_bethe"] == 1
+        assert tracer.layer_metrics()["bethe.lp.calls"][0] == lp_calls
