@@ -35,14 +35,14 @@ import numpy as np
 from . import _kernels
 from .covers import (
     PseudoMarginals,
-    build_cover,
+    _phi_of_tuple,
+    build_cover_with_map,
     check_degree,
     check_local_consistency,
     count_covers,
     cover_perm_inv,
     eliminate,
     gauge_fixed_perm_invs,
-    phi_m,
     random_cover,
     type_graph,
 )
@@ -51,12 +51,13 @@ from .errors import (
     InconsistentBeta,
     LpFailure,
     NonConvergence,
+    ParseError,
     SupportOnZeroFactor,
     ZeroGlobalValue,
 )
 from .gibbs import config_cap as default_config_cap
 from .gibbs import inverse_temperature, valid_tuples
-from .nfg import Nfg, parse_number, format_number
+from .nfg import Nfg, parse_number, format_number, read_lines
 from .spa import sum_product
 
 GAP_TOL = 1e-9  # Frank-Wolfe gap that certifies a T > 0 minimizer
@@ -116,7 +117,7 @@ def bethe_energy_from_cover(spec, cover_config) -> float:
 
     Asserts agreement with the frequency-mapped evaluation to 1e-12.
     """
-    cover = build_cover(spec)
+    cover, (factor_map, edge_map) = build_cover_with_map(spec)
     tup = cover_config if isinstance(cover_config, tuple) else cover.config_tuple(cover_config)
     logg = 0.0
     for cf in cover.factors:
@@ -125,7 +126,7 @@ def bethe_energy_from_cover(spec, cover_config) -> float:
             raise ZeroGlobalValue(f"configuration invalid at {cf}")
         logg += math.log(v)
     energy = -logg / spec.m
-    beta = phi_m(spec, tup)
+    beta = _phi_of_tuple(spec.nfg, spec.m, cover, factor_map, edge_map, tup)
     via_beta = bethe_terms(spec.nfg, beta, tol=0).u_bethe
     if abs(energy - via_beta) > 1e-12 * max(1.0, abs(energy)):
         raise AssertionError(
@@ -849,26 +850,23 @@ def emit_beta(beta: PseudoMarginals) -> str:
 
 
 def parse_beta(nfg: Nfg, text: str) -> PseudoMarginals:
-    from .errors import ParseError
-
     factor_dists: dict = {f: {} for f in nfg.factors}
     edge_dists: dict = {e: {} for e in nfg.edge_order}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+
+    def read(parts):
         if parts[0] != "beta" or len(parts) != 4:
-            raise ParseError(f"expected 'beta <id> <assignment> <value>'", ln)
+            raise ParseError("expected 'beta <id> <assignment> <value>'")
         _, ident, assignment, value = parts
         if ident not in nfg.factors and ident not in nfg.alphabet_sizes:
-            raise ParseError(f"unknown factor or edge {ident!r}", ln)
-        try:
-            v = parse_number(value)
-            if ident in nfg.factors:
-                factor_dists[ident][tuple(int(s) for s in assignment.split(","))] = v
-            else:
-                edge_dists[ident][int(assignment)] = v
-        except ValueError as exc:
-            raise ParseError(f"cannot parse {line!r}: {exc}", ln) from None
+            raise ParseError(f"unknown factor or edge {ident!r}")
+        v = parse_number(value)
+        if ident in nfg.factors:
+            key = tuple(int(s) for s in assignment.split(","))
+            factor_dists[ident][key] = v
+        else:
+            key = int(assignment)
+            edge_dists[ident][key] = v
+        return f"beta {ident} {key}"
+
+    read_lines(text, read)
     return PseudoMarginals(factor_dists, edge_dists)

@@ -47,7 +47,7 @@ from .covers import (
 from .errors import CapExceeded, GcbError, NonConvergence, ParseError
 from .gibbs import cover_partitions, enumerate_configurations, gibbs_partition
 from .ldpc_curves import curve_csv, curve_scan
-from .nfg import parse_nfg, parse_number
+from .nfg import parse_nfg, parse_number, read_lines
 from .spa import sum_product
 
 EXIT_OK = 0
@@ -72,17 +72,16 @@ def _write(args, text: str):
         sys.stdout.write(text)
 
 
-def _load_assignment(path) -> dict:
+def _load_assignment(text: str) -> dict:
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("expected '<edge> <symbol>'", ln)
-            out[parts[0]] = int(parts[1])
+
+    def read(parts):
+        if len(parts) != 2:
+            raise ParseError("expected '<edge> <symbol>'")
+        out[parts[0]] = int(parts[1])
+        return parts[0]
+
+    read_lines(text, read)
     return out
 
 
@@ -320,7 +319,8 @@ def _case_fig5_phi2() -> str:
     nfg = parse_nfg(_data_path("fig1.nfg"))
     with open(_data_path("fig5.cover"), "r", encoding="utf-8") as fh:
         spec = parse_cover_spec(nfg, fh.read())
-    config = _load_assignment(_data_path("fig5.config"))
+    with open(_data_path("fig5.config"), "r", encoding="utf-8") as fh:
+        config = _load_assignment(fh.read())
     beta = phi_m(spec, config)
     return emit_beta(beta)
 

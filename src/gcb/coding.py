@@ -45,7 +45,7 @@ from .errors import (
 )
 from .gibbs import config_cap as default_config_cap
 from .gibbs import valid_tuples
-from .nfg import Factor, Nfg, parity_table, parse_number, repetition_table
+from .nfg import Factor, Nfg, parity_table, parse_number, read_lines, repetition_table
 
 
 # -- parity-check matrices ----------------------------------------------------
@@ -92,14 +92,7 @@ class ParityCheckMatrix:
     @classmethod
     def from_dense_text(cls, text: str) -> "ParityCheckMatrix":
         rows = []
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                rows.append([int(t) for t in line.split()])
-            except ValueError:
-                raise ParseError(f"bad matrix row {line!r}", ln) from None
+        read_lines(text, lambda tokens: rows.append([int(t) for t in tokens]))
         return cls(rows)
 
     @classmethod
@@ -251,20 +244,18 @@ class Channel:
         return cls(2, {("0", 0): q, ("1", 0): p, ("0", 1): p, ("1", 1): q})
 
     @classmethod
-    def from_table_text(cls, text: str, input_size: int = 2) -> "Channel":
+    def from_table_text(cls, text: str) -> "Channel":
+        """A binary-input channel from its ``W <y> <x> <prob>`` lines."""
         w = {}
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
+
+        def read(parts):
             if len(parts) != 4 or parts[0] != "W":
-                raise ParseError("expected 'W <y> <x> <prob>'", ln)
-            try:
-                w[(parts[1], int(parts[2]))] = parse_number(parts[3])
-            except ValueError as exc:
-                raise ParseError(f"cannot parse {line!r}: {exc}", ln) from None
-        return cls(input_size, w)
+                raise ParseError("expected 'W <y> <x> <prob>'")
+            w[(parts[1], int(parts[2]))] = parse_number(parts[3])
+            return f"W {parts[1]} {int(parts[2])}"
+
+        read_lines(text, read)
+        return cls(2, w)
 
 
 class DecodingNfg:

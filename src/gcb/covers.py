@@ -48,7 +48,7 @@ from . import _kernels
 from ._kernels import Walk, lcm_scaled, walk_weights
 from .gibbs import config_cap as default_config_cap, resolve_cap
 from .gibbs import valid_tuples  # noqa: F401  (benchmark self-tests read gcb.covers.valid_tuples)
-from .nfg import Factor, Nfg
+from .nfg import Factor, Nfg, read_lines
 
 DEFAULT_COVER_CAP = 1 << 24
 
@@ -698,23 +698,24 @@ def emit_cover_spec(spec: CoverSpec) -> str:
 def parse_cover_spec(nfg: Nfg, text: str) -> CoverSpec:
     m = None
     perms = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+
+    def read(parts):
+        nonlocal m
         if parts[0] == "cover":
             if len(parts) != 2 or not parts[1].startswith("M=") or not parts[1][2:].isdecimal():
-                raise ParseError("expected 'cover M=<m>'", ln)
+                raise ParseError("expected 'cover M=<m>'")
             m = int(parts[1][2:])
-        elif parts[0] == "perm":
+            return "cover header"
+        if parts[0] == "perm":
             if m is None:
-                raise ParseError("perm before cover header", ln)
+                raise ParseError("perm before cover header")
             if len(parts) != m + 2 or not all(x.isdecimal() for x in parts[2:]):
-                raise ParseError(f"expected 'perm <edge>' and {m} image numbers", ln)
+                raise ParseError(f"expected 'perm <edge>' and {m} image numbers")
             perms[parts[1]] = tuple(int(x) - 1 for x in parts[2:])
-        else:
-            raise ParseError(f"unknown keyword {parts[0]!r}", ln)
+            return f"perm {parts[1]}"
+        raise ParseError(f"unknown keyword {parts[0]!r}")
+
+    read_lines(text, read)
     if m is None:
         raise ParseError("missing cover header")
     try:

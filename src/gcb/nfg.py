@@ -11,6 +11,9 @@ built on first use and kept on the graph (``Nfg.derived``), and what its
 structure alone determines is kept with the structure (``Nfg.shared``),
 which every graph reweighed from it shares.  Two threads that ask at once
 may each build a value, and one of the equal results is kept.
+
+``read_lines`` holds the line syntax of gcb's text formats other than alist:
+comments, blank lines, tokens, repeated keys and the line an error names.
 """
 
 from __future__ import annotations
@@ -257,7 +260,9 @@ class Nfg:
 #   row <assignment...> <value>        (rows of the preceding factor)
 #   parity | repetition                (0/1 indicator shorthands)
 #
-# Values are decimals or p/q rationals.  '#' starts a comment.
+# Values are decimals or p/q rationals.  '#' starts a comment.  Each edge,
+# factor and factor row is declared once, and a factor has rows or one
+# shorthand.
 
 
 def parse_number(token: str) -> Number:
@@ -277,6 +282,30 @@ def format_number(value: Number) -> str:
     return repr(float(value))
 
 
+def read_lines(text: str, read) -> None:
+    """Call ``read(tokens)`` on each line of ``text``: '#' starts a comment,
+    blank lines are skipped, and tokens are split on white space.  ``read``
+    returns the line's key, a short name of what the line sets, or None; a
+    key an earlier line returned is a ParseError.  A ValueError or
+    IndexError from ``read`` becomes ``ParseError("cannot parse '<line>':
+    ...")``, and that and every ParseError ``read`` raises name the line."""
+    first_line = {}
+    for n, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            key = read(line.split())
+        except ParseError as exc:
+            raise ParseError(str(exc), n) from None
+        except (IndexError, ValueError) as exc:
+            raise ParseError(f"cannot parse {line!r}: {exc}", n) from None
+        if key in first_line:
+            raise ParseError(f"repeated {key} (first on line {first_line[key]})", n)
+        if key is not None:
+            first_line[key] = n
+
+
 def parse_nfg_text(text: str) -> Nfg:
     alphabet_sizes: dict[str, int] = {}
     half_edges: list[str] = []
@@ -286,44 +315,39 @@ def parse_nfg_text(text: str) -> Nfg:
     factor_kind: dict[str, str] = {}
     current: str | None = None
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    def read(parts):
+        nonlocal current
         kw = parts[0]
-        try:
-            if kw == "alphabet":
-                edge, size = parts[1], int(parts[2])
-                alphabet_sizes[edge] = size
-            elif kw == "halfedge":
-                half_edges.append(parts[1])
-            elif kw == "fulledge":
-                full_decl[parts[1]] = (parts[2], parts[3])
-            elif kw == "factor":
-                current = parts[1]
-                if current in factor_edges:
-                    raise ParseError(f"factor {current} declared twice", ln)
-                factor_edges[current] = parts[2:]
-                factor_rows[current] = {}
-                factor_kind[current] = "rows"
-            elif kw == "row":
-                if current is None:
-                    raise ParseError("row before any factor", ln)
-                *sym, val = parts[1:]
-                key = tuple(int(s) for s in sym)
-                factor_rows[current][key] = parse_number(val)
-            elif kw in ("parity", "repetition"):
-                if current is None:
-                    raise ParseError(f"{kw} before any factor", ln)
-                factor_kind[current] = kw
-            else:
-                raise ParseError(f"unknown keyword {kw!r}", ln)
-        except ParseError:
-            raise
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"cannot parse {line!r}: {exc}", ln) from None
+        if kw == "alphabet":
+            edge, size = parts[1], int(parts[2])
+            alphabet_sizes[edge] = size
+            return f"alphabet {edge}"
+        if kw == "halfedge":
+            half_edges.append(parts[1])
+            return f"edge {parts[1]}"
+        if kw == "fulledge":
+            full_decl[parts[1]] = (parts[2], parts[3])
+            return f"edge {parts[1]}"
+        if kw == "factor":
+            current = parts[1]
+            factor_edges[current] = parts[2:]
+            factor_rows[current] = {}
+            factor_kind[current] = "rows"
+            return f"factor {current}"
+        if kw not in ("row", "parity", "repetition"):
+            raise ParseError(f"unknown keyword {kw!r}")
+        if current is None:
+            raise ParseError(f"{kw} before any factor")
+        if factor_kind[current] != "rows" or (kw != "row" and factor_rows[current]):
+            raise ParseError(f"factor {current}: {kw} after its {factor_kind[current]}")
+        if kw == "row":
+            *sym, val = parts[1:]
+            key = tuple(int(s) for s in sym)
+            factor_rows[current][key] = parse_number(val)
+            return f"row {' '.join(map(str, key))} of factor {current}"
+        factor_kind[current] = kw
 
+    read_lines(text, read)
     if not factor_edges:
         raise ParseError("no factors declared")
     for edge in half_edges:

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from gcb.bethe import DIFFUSION_SWEEPS
-from gcb.cli import main
+from gcb.cli import _load_assignment, main
+from gcb.errors import ParseError
 from gcb.nfg import Factor, Nfg, emit_nfg_text, parity_table
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "gcb", "data")
@@ -735,6 +736,79 @@ def test_malformed_beta_and_channel_lines_name_their_line(tmp_path, capsys, monk
     assert out == ""
     assert err.startswith(f"error: line {line}: cannot parse ")
     assert "Traceback" not in err
+
+
+ONE_EDGE_NFG = "alphabet e1 2\nhalfedge e1\nfactor f e1\n"
+DECODE_ARGV = ["decode", "--decoder", "bmapd", "--pcm", "h.pcm", "--channel", "chan.txt", "--y", "y.txt"]
+DECODE_FILES = {"h.pcm": "1 1 0\n0 1 1\n", "y.txt": "0 0 1\n",
+                "chan.txt": "W 0 0 9/10\nW 1 0 1/10\nW 0 1 1/10\nW 1 1 9/10\n"}
+DUMBBELL_COVER = "cover M=2\n" + "".join(f"perm e{i} {'2 1' if i == 6 else '1 2'}\n" for i in range(1, 8))
+# case: (files, argv, line, start of the message after "line N: ")
+LINE_ERROR_INPUTS = {
+    "nfg alphabet size": ({"g.nfg": "alphabet e1 two\nhalfedge e1\nfactor f e1\nparity\n"},
+                          ["enumerate", "--nfg", "g.nfg"], 1, "cannot parse "),
+    "nfg row symbol": ({"g.nfg": ONE_EDGE_NFG + "# rows\n\nrow x 1\n"},
+                       ["enumerate", "--nfg", "g.nfg"], 6, "cannot parse "),
+    "cover image": ({"c.cover": "cover M=2\nperm e1 1 x\n"},
+                    ["zgibbs", "--nfg", dumbbell_path(), "--cover", "c.cover"], 2,
+                    "expected 'perm <edge>' and 2 image numbers"),
+    "cover keyword": ({"c.cover": "# a comment\ncover M=2\nperms e1 1 2\n"},
+                      ["zgibbs", "--nfg", dumbbell_path(), "--cover", "c.cover"], 3, "unknown keyword 'perms'"),
+    "matrix entry": (dict(DECODE_FILES, **{"h.pcm": "1 1 0\n\n0 1 x\n"}), DECODE_ARGV, 3, "cannot parse "),
+    "repeated alphabet": ({"g.nfg": "alphabet a 2\nalphabet a 3\nhalfedge a\nfactor f a\nparity\n"},
+                          ["enumerate", "--nfg", "g.nfg"], 2, "repeated alphabet a (first on line 1)"),
+    "repeated edge": ({"g.nfg": ONE_EDGE_NFG.replace("halfedge e1\n", "halfedge e1\nhalfedge e1\n") + "parity\n"},
+                      ["enumerate", "--nfg", "g.nfg"], 3, "repeated edge e1"),
+    "repeated factor": ({"g.nfg": ONE_EDGE_NFG + "parity\nfactor f e1\nparity\n"},
+                        ["enumerate", "--nfg", "g.nfg"], 5, "repeated factor f"),
+    "repeated row": ({"g.nfg": ONE_EDGE_NFG + "row 1 1\nrow 1 5\n"},
+                     ["enumerate", "--nfg", "g.nfg"], 5, "repeated row 1 of factor f (first on line 4)"),
+    "row then shorthand": ({"g.nfg": ONE_EDGE_NFG + "row 1 7\nrepetition\n"},
+                           ["enumerate", "--nfg", "g.nfg"], 5, "factor f: repetition after its rows"),
+    "shorthand then row": ({"g.nfg": ONE_EDGE_NFG + "parity\nrow 1 1\n"},
+                           ["enumerate", "--nfg", "g.nfg"], 5, "factor f: row after its parity"),
+    "two shorthands": ({"g.nfg": ONE_EDGE_NFG + "parity\nparity\n"},
+                       ["enumerate", "--nfg", "g.nfg"], 5, "factor f: parity after its parity"),
+    "repeated cover header": ({"c.cover": "cover M=2\n" + DUMBBELL_COVER},
+                              ["zgibbs", "--nfg", dumbbell_path(), "--cover", "c.cover"], 2, "repeated cover header"),
+    "repeated perm": ({"c.cover": DUMBBELL_COVER + "perm e6 1 2\n"},
+                      ["zgibbs", "--nfg", dumbbell_path(), "--cover", "c.cover"], 9,
+                      "repeated perm e6 (first on line 7)"),
+    "repeated beta": ({"b.beta": "beta fA 0,0 1/2\nbeta fA 1,1 1/2\nbeta fA 0,00 1/4\n"},
+                      ["preimage-count", "--nfg", dumbbell_path(), "-M", "2", "--beta", "b.beta"], 3,
+                      "repeated beta fA (0, 0) (first on line 1)"),
+    "repeated channel entry": (dict(DECODE_FILES, **{"chan.txt": DECODE_FILES["chan.txt"].replace(
+                                   "W 1 1 9/10", "W 1 1 1/2\nW 1 1 9/10")}), DECODE_ARGV, 5,
+                               "repeated W 1 1 (first on line 4)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINE_ERROR_INPUTS))
+def test_malformed_or_repeated_lines_name_their_line(tmp_path, capsys, monkeypatch, case):
+    """A malformed line of a graph, cover spec or dense matrix, and a line
+    that repeats the key of an earlier one in any line format, exits 3
+    naming the line."""
+    files, argv, line, message = LINE_ERROR_INPUTS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: line {line}: {message}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("e1 0\n# e2 next\ne2 x\n", 3, "cannot parse 'e2 x': "),
+    ("e1 0\ne2\n", 2, "expected '<edge> <symbol>'"),
+    ("e1 0\ne2 1\ne1 1\n", 3, "repeated e1 (first on line 1)"),
+])
+def test_assignment_lines_name_their_line(text, line, message):
+    with pytest.raises(ParseError) as info:
+        _load_assignment(text)
+    assert info.value.line == line
+    assert str(info.value).startswith(f"line {line}: {message}")
 
 
 def test_spa_trace_csv(tmp_path, capsys):
