@@ -398,15 +398,21 @@ class _BetaIndex:
         )
 
     def to_beta(self, x: np.ndarray) -> PseudoMarginals:
-        factor_dists: dict = {f: {} for f in self.nfg.factors}
-        edge_dists: dict = {e: {} for e in self.nfg.edge_order}
-        for (f, key), v in zip(self.factor_slots, x):
-            if v != 0:
+        """The pseudo-marginals of x's non-zero entries (``np.flatnonzero``),
+        each a numpy float keyed by its slot, in slot order."""
+        nfg = self.nfg
+        factor_dists: dict = {f: {} for f in nfg.factors}
+        edge_dists: dict = {e: {} for e in nfg.edge_order}
+        n_f = len(self.factor_slots)
+        nonzero = np.flatnonzero(x)
+        for i, v in zip(nonzero.tolist(), x[nonzero]):
+            if i < n_f:
+                f, key = self.factor_slots[i]
                 factor_dists[f][key] = v
-        for (e, s), v in zip(self.edge_slots, x[len(self.factor_slots):]):
-            if v != 0:
+            else:
+                e, s = self.edge_slots[i - n_f]
                 edge_dists[e][s] = v
-        return PseudoMarginals(factor_dists, edge_dists)
+        return PseudoMarginals.of_dicts(factor_dists, edge_dists)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """A x - b, with A x summed from the sparse ``rows``/``cols``/``vals``."""

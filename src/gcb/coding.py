@@ -31,6 +31,8 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Mapping, Sequence
 
 from .bethe import minimize_bethe
@@ -436,30 +438,25 @@ def _type_key(tally: TypeTally, slots, rows) -> tuple:
 def _symbolwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
     """The symbolwise rule at degree m (see ``sgcd``), on the types of the
     gauge-fixed covers' configurations: a type adds count times its value,
-    so the objective is -log Z_{B,M} from the same tally."""
-    nfg = dec.nfg
+    so the objective is -log Z_{B,M} from the same tally.  Each belief sums
+    the weights of the types on its row's or symbol's list
+    (``TypeTally.incidence``) left to right from 0, the order of a loop over
+    the types (``reduce``: from Python 3.12 on, ``sum`` compensates floats)."""
     tally, types, unit = _weighed_types(dec, m, cap, config_cap)
-    z_total = 0
-    factor_acc: dict = {f: {} for f in nfg.factors}
-    edge_acc: dict = {e: {} for e in nfg.edge_order}
-    slot_edges = [e for e in nfg.edge_order for _ in range(m)]
-    for count, value, rows, slots in types:
-        w = count * value
-        z_total += w
-        for row_id in rows:
-            f, key = tally.rows[row_id]
-            factor_acc[f][key] = factor_acc[f].get(key, 0) + w
-        for e, s in zip(slot_edges, slots):
-            edge_acc[e][s] = edge_acc[e].get(s, 0) + w
+    ws = [count * value for count, value, _, _ in types]
+    z_total = reduce(add, ws, 0)
     if z_total == 0:
         raise GcbError("zero partition sum")
     exact = type(z_total) is int  # rational weights: int sums, and unit cancels
     norm = m * z_total if exact else m * z_total * unit
     share = (lambda v: Fraction(v, norm)) if exact else (lambda v: v * unit / norm)
-    beta = PseudoMarginals(
-        {f: {k: share(v) for k, v in d.items()} for f, d in factor_acc.items()},
-        {e: {s: share(v) for s, v in d.items()} for e, d in edge_acc.items()},
-    )
+    factor_dists, edge_dists = {f: {} for f in dec.nfg.factors}, {e: {} for e in dec.nfg.edge_order}
+    rows, symbols = tally.incidence
+    for (f, row), ids in rows.items():
+        factor_dists[f][row] = share(reduce(add, map(ws.__getitem__, ids), 0))
+    for (j, s), ids in symbols.items():
+        edge_dists[dec.nfg.edge_order[j]][s] = share(reduce(add, map(ws.__getitem__, ids), 0))
+    beta = PseudoMarginals(factor_dists, edge_dists)
     return _decide(dec, beta, False, -math.log(float(z_total * unit / tally.n_fixed)) / m, {"degree": m})
 
 

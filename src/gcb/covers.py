@@ -80,6 +80,13 @@ class PseudoMarginals:
             for e, d in edge_dists.items()
         }
 
+    @classmethod
+    def of_dicts(cls, factor_dists: dict, edge_dists: dict) -> "PseudoMarginals":
+        """The two dicts, not copied: tuple keys, int symbols, no zero entry."""
+        beta = cls.__new__(cls)
+        beta.factor_dists, beta.edge_dists = factor_dists, edge_dists
+        return beta
+
     def canonical_key(self):
         """Hashable exact identity, used to deduplicate lift images."""
         fk = tuple(
@@ -397,7 +404,9 @@ class TypeTally:
     (a code's list holds its decoding graph's) replaces the walk: the types
     are the ones every table supports, in list order.  The tally holds the
     plan's supports but no table values, so the graphs of one structure
-    share it (``of``), and ``weighed`` reads one graph's values.
+    share it (``of``), and ``weighed`` reads one graph's values.  The
+    symbolwise rule reads its sums off ``incidence``, the types that take
+    each factor row and edge symbol, listed on first use.
     """
 
     def __init__(self, nfg: Nfg, m: int, cap=None, config_cap=None, configs=None):
@@ -427,6 +436,20 @@ class TypeTally:
             self.types = [(rows, count, slots) for rows, (count, slots) in by_type.items()]
         self.n_fixed = math.factorial(m) ** nfg.circuit_rank()
         self.multiplicity = count_covers(nfg, m) // self.n_fixed
+
+    @functools.cached_property
+    def incidence(self):
+        """(rows, symbols): the types that take each (factor id, row) and
+        each (edge number in ``edge_order``, symbol), their ids listed once
+        per copy that takes it, in type order, and the keys in order of first
+        visit over ``types``: a sum over a list adds as a loop over the types."""
+        rows, symbols = {}, {}
+        for t, (row_ids, _, slots) in enumerate(self.types):
+            for r in row_ids:
+                rows.setdefault(self.rows[r], []).append(t)
+            for j, s in enumerate(slots):
+                symbols.setdefault((j // self.m, s), []).append(t)
+        return rows, symbols
 
     @classmethod
     def of(cls, nfg: Nfg, m: int, cap=None, config_cap=None, configs=None) -> "TypeTally":

@@ -262,7 +262,10 @@ class Nfg:
 #
 # Values are decimals or p/q rationals.  '#' starts a comment.  Each edge,
 # factor and factor row is declared once, and a factor has rows or one
-# shorthand.
+# shorthand.  A line of a fixed form has exactly the form's tokens.
+
+_FIXED_LINES = {f.split()[0]: f for f in ("alphabet <edge> <size>", "halfedge <edge>",
+                                          "fulledge <edge> <factorA> <factorB>", "parity", "repetition")}
 
 
 def parse_number(token: str) -> Number:
@@ -318,6 +321,8 @@ def parse_nfg_text(text: str) -> Nfg:
     def read(parts):
         nonlocal current
         kw = parts[0]
+        if kw in _FIXED_LINES and len(parts) != len(_FIXED_LINES[kw].split()):
+            raise ParseError(f"expected {_FIXED_LINES[kw]!r}")
         if kw == "alphabet":
             edge, size = parts[1], int(parts[2])
             alphabet_sizes[edge] = size

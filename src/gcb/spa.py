@@ -26,14 +26,16 @@ bit-identical to it:
   entries that are not (a zero message, or a NaN);
 - ``bincount`` sums in row order, each message block receiving only its
   own factor's rows, in sorted order, and a division of each block by its
-  ``ndarray.sum``, with the uniform message only on blocks whose sum is not
-  positive;
+  sum (``np.add.reduce``, as ``ndarray.sum``), with the uniform message only
+  on blocks whose sum is not positive; the blocks of one alphabet size are
+  contiguous, so a size class is one (blocks, size) view of the vector;
 - the beliefs placed in the index's coordinates (``_FlatLayout.x``), read
   back as pseudo-marginals by the index and, in a ``collect_trace`` run,
   scored by its free energy after each sweep.
 
 ``SpaState.messages`` hands out the final messages as a dict keyed by
-(factor, edge), each a view into the flat vector.
+(factor, edge) in ``nfg.factors`` / ``f.edges`` order, each a view into the
+flat vector.
 """
 
 from __future__ import annotations
@@ -71,12 +73,15 @@ class _FlatLayout:
     and a set of kept rows; ``layout`` shares the one of every row with all
     runs and graphs of the graph's structure.
 
-    The vector holds every directed message (factor, edge), in
-    ``nfg.factors`` / ``f.edges`` order, as the block ``start .. start +
-    |alphabet|``; then, at index ``one``, a constant 1.0 that stands in for
-    the incoming message on a half-edge and pads short rows; then the
-    weights of the kept rows: the index's factor slots whose ``weights``
-    ** (1/T) are not 0, with ``slots`` their slot numbers.
+    The vector holds every directed message (factor, edge) as a block
+    ``start .. start + |alphabet|``, the blocks grouped by alphabet size
+    (smallest first) and in ``nfg.factors`` / ``f.edges`` order within a
+    size: ``blocks`` lists (key, start, end) in that key order and
+    ``groups`` (start, end, size) per size.  Then, at index ``one``, a
+    constant 1.0 that stands in for the incoming message on a half-edge
+    and pads short rows; then the weights of the kept rows: the index's
+    factor slots whose ``weights`` ** (1/T) are not 0, with ``slots`` their
+    slot numbers.
 
     ``gather[0, r]`` indexes row r's weight and ``gather[1 + k, r]`` its
     incoming entry at position k; ``scatter`` holds, in the order of
@@ -84,9 +89,9 @@ class _FlatLayout:
     (padding goes to ``one``, whose sum is discarded).  ``row_factor``
     holds each row's factor number, and ``edge_ends`` the two message
     entries whose product is each edge symbol's score (``one`` for the
-    missing end of a half-edge).  ``groups`` and ``edge_groups`` list the
-    blocks of each size, one row per block, for blockwise sums.  The
-    layout holds no graph, index or weights.
+    missing end of a half-edge), and ``edge_groups`` the index array of
+    the edge symbols of each alphabet size, one row per edge.  The layout
+    holds no graph, index or weights.
     """
 
     def __init__(self, index, slots):
@@ -94,11 +99,15 @@ class _FlatLayout:
         self.n_index, self.n_factor_slots = index.n, len(index.factor_slots)
         sizes = nfg.alphabet_sizes
         block_keys = [(fid, e) for fid, f in nfg.factors.items() for e in f.edges]
-        block_sizes = np.array([sizes[e] for _, e in block_keys], dtype=np.intp)
-        bounds = np.cumsum(np.concatenate([[0], block_sizes])).tolist()
-        self.blocks = list(zip(block_keys, bounds, bounds[1:]))
-        start = dict(zip(block_keys, bounds))
+        by_size = sorted(block_keys, key=lambda key: sizes[key[1]])  # stable: block order within a size
+        bounds = np.cumsum([0] + [sizes[e] for _, e in by_size]).tolist()
+        start = dict(zip(by_size, bounds))
+        self.blocks = [(key, start[key], start[key] + sizes[key[1]]) for key in block_keys]
         n = self.one = bounds[-1]
+        groups: dict = {}
+        for key in by_size:
+            groups.setdefault(sizes[key[1]], []).append(start[key])
+        self.groups = [(los[0], los[-1] + size, size) for size, los in groups.items()]
 
         # the kept rows, factors in the index's (sorted id) order and rows
         # sorted within a factor, with their symbols padded to `arity`
@@ -139,40 +148,41 @@ class _FlatLayout:
 
         # edge symbols, edge_order then symbol order
         edge_sizes = np.array([sizes[e] for e in edges], dtype=np.intp)
-        edge_bounds = np.cumsum(np.concatenate([[0], edge_sizes])).tolist()
+        edge_starts = np.cumsum(edge_sizes) - edge_sizes
         ends = np.repeat(np.array(pairs, dtype=np.intp).reshape(len(edges), 2).T, edge_sizes, axis=1)
-        symbol = np.arange(edge_bounds[-1]) - np.repeat(edge_bounds[:-1], edge_sizes)
+        symbol = np.arange(edge_sizes.sum()) - np.repeat(edge_starts, edge_sizes)
         self.edge_ends = ends + symbol * (ends != n)
         self.edge_uniform = 1.0 / np.repeat(edge_sizes, edge_sizes)
-        self.groups = _size_groups(block_sizes, bounds[:-1])
-        self.edge_groups = _size_groups(edge_sizes, edge_bounds[:-1])
+        self.edge_groups = [edge_starts[edge_sizes == size][:, None] + np.arange(size)
+                            for size in np.unique(edge_sizes).tolist()]
 
     def vector(self, weights, rng=None):
         """The starting vector for the kept rows' ``weights``: uniform
-        messages, or with ``rng`` each block drawn from U(0.2, 1) in block
-        order and divided by its sum."""
+        messages, or with ``rng`` each block drawn from U(0.2, 1) in
+        ``blocks`` order and divided by its sum."""
         n = self.one
         vec = np.empty(n + 1 + len(weights))
         vec[n] = 1.0
         vec[n + 1:] = weights
         if rng is None:
-            block_sizes = [hi - lo for _, lo, hi in self.blocks]
-            vec[:n] = 1.0 / np.repeat(block_sizes, block_sizes)
+            vec[:n] = 1.0  # ones over their sum: 1 / |alphabet|
         else:
-            draws = rng.uniform(0.2, 1.0, n)
-            for idx, _ in self.groups:
-                v = draws[idx]
-                vec[idx] = v / v.sum(axis=1, keepdims=True)
+            placed = itertools.chain.from_iterable(range(lo, hi) for _, lo, hi in self.blocks)
+            vec[np.fromiter(placed, np.intp, n)] = rng.uniform(0.2, 1.0, n)
+        for lo, hi, size in self.groups:
+            v = vec[lo:hi].reshape(-1, size)
+            v /= np.add.reduce(v, axis=1, keepdims=True)
         return vec
 
     def messages(self, vec):
         return {key: vec[lo:hi] for key, lo, hi in self.blocks}
 
-    def products(self, vec):
+    def products(self, vec, terms=None, total=None):
         """(terms, products): each kept row's weight and incoming entries,
-        and their product, multiplied left to right."""
-        terms = vec[self.gather]
-        return terms, np.multiply.reduce(terms, axis=0)
+        and their product, multiplied left to right, into ``terms`` and
+        ``total`` when given."""
+        terms = vec.take(self.gather, out=terms, mode="clip")  # in range: no buffer
+        return terms, np.multiply.reduce(terms, axis=0, out=total)
 
     def belief_arrays(self, vec):
         """Row and edge-symbol beliefs of a vector: each row's product over
@@ -183,8 +193,8 @@ class _FlatLayout:
         totals = np.bincount(self.row_factor, scores)
         edge_v = vec[self.edge_ends[0]] * vec[self.edge_ends[1]]
         edge_totals = np.empty_like(edge_v)
-        for idx, _ in self.edge_groups:
-            edge_totals[idx] = edge_v[idx].sum(axis=1, keepdims=True)
+        for idx in self.edge_groups:
+            edge_totals[idx] = np.add.reduce(edge_v.take(idx), axis=1, keepdims=True)
         return (
             _over(scores, totals[self.row_factor], self.row_uniform),
             _over(edge_v, edge_totals, self.edge_uniform),
@@ -210,18 +220,15 @@ def layout(index, weights) -> _FlatLayout:
     return index.nfg.shared(_FlatLayout, lambda _: _FlatLayout(index, slots))
 
 
-def _size_groups(sizes, starts):
-    """(index array with one row per block, size) per block size."""
-    starts = np.array(starts, dtype=np.intp)
-    return [(starts[sizes == size][:, None] + np.arange(size), size) for size in np.unique(sizes).tolist()]
-
-
-def _over(values, totals, uniform):
-    """values / totals, or ``uniform`` where the total is not positive."""
-    if totals.min(initial=1.0) > 0.0:
-        return values / totals
+def _over(values, totals, uniform, out=None):
+    """values / totals, or ``uniform`` where the total is not positive;
+    written into ``out`` when given."""
+    if np.minimum.reduce(totals, axis=None, initial=1.0) > 0.0:
+        return np.divide(values, totals, out=out)
     pos = totals > 0
-    return np.where(pos, values / np.where(pos, totals, 1.0), uniform)
+    out = np.divide(values, np.where(pos, totals, 1.0), out=out)
+    np.copyto(out, uniform, where=~pos)
+    return out
 
 
 def sum_product(
@@ -252,11 +259,12 @@ def sum_product(
     (zero or NaN) receive the product with that entry left out.
     ``bincount`` adds the contributions in row order, and each block is
     divided by its sum (a pairwise sum from 8 entries on, exactly as
-    ``ndarray.sum``) directly when every block sum of its size is
-    positive, else with the uniform message on the blocks whose sum is
-    not.  So the messages, residuals, sweep counts, beliefs and trace are
-    bit-identical to the plain per-row loop kept in the tests as
-    ``reference_sum_product``.
+    ``ndarray.sum``), one contiguous (blocks, size) view per alphabet
+    size, directly when every block sum of that size is positive, else
+    with the uniform message on the blocks whose sum is not.  The sweep
+    writes into arrays allocated once per run.  So the messages,
+    residuals, sweep counts, beliefs and trace are bit-identical to the
+    plain per-row loop kept in the tests as ``reference_sum_product``.
     """
     from .bethe import _BetaIndex  # bethe imports this module
 
@@ -272,30 +280,34 @@ def sum_product(
     lay = layout(index, weights)
     vec = lay.vector(weights[lay.slots], init_rng)
     n = lay.one
+    old = vec[:n]
+    terms, total = np.empty(lay.gather.shape), np.empty(lay.gather.shape[1])
+    contrib, new, diff = np.empty_like(terms[1:]), np.empty(n), np.empty(n)
     residual = float("inf")
     iterations = 0
     trace = [] if collect_trace else None
     for iterations in range(1, max_iters + 1):
-        terms, total = lay.products(vec)
+        lay.products(vec, terms, total)
         entries = terms[1:]
-        if entries.min(initial=1.0) > 0.0:
-            contrib = total / entries
+        if np.minimum.reduce(entries, axis=None, initial=1.0) > 0.0:
+            np.divide(total, entries, out=contrib)
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
-                contrib = total / entries
+                np.divide(total, entries, out=contrib)
             k, r = np.nonzero(~(entries > 0.0))
             rest = terms[:, r]
             rest[k + 1, np.arange(len(r))] = 1.0
             contrib[k, r] = np.multiply.reduce(rest, axis=0)
         sums = np.bincount(lay.scatter, contrib.ravel(), minlength=n + 1)
-        new = np.empty(n)
-        for idx, size in lay.groups:
-            v = sums[idx]
-            new[idx] = _over(v, v.sum(axis=1, keepdims=True), 1.0 / size)
-        residual = float(np.max(np.abs(new - vec[:n]), initial=0.0))
+        for lo, hi, size in lay.groups:
+            v = sums[lo:hi].reshape(-1, size)
+            _over(v, np.add.reduce(v, axis=1, keepdims=True), 1.0 / size, new[lo:hi].reshape(-1, size))
+        np.absolute(np.subtract(new, old, out=diff), out=diff)
+        residual = float(np.maximum.reduce(diff, initial=0.0))
         if damping > 0.0:
-            new = (1.0 - damping) * new + damping * vec[:n]
-        vec[:n] = new
+            np.add(np.multiply(new, 1.0 - damping, out=new), np.multiply(old, damping, out=diff), out=old)
+        else:
+            old[...] = new
         if trace is not None:
             trace.append((iterations, residual, index.free_energy(lay.x(vec), temperature)))
         if residual <= tol:

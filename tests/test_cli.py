@@ -769,6 +769,17 @@ LINE_ERROR_INPUTS = {
                            ["enumerate", "--nfg", "g.nfg"], 5, "factor f: row after its parity"),
     "two shorthands": ({"g.nfg": ONE_EDGE_NFG + "parity\nparity\n"},
                        ["enumerate", "--nfg", "g.nfg"], 5, "factor f: parity after its parity"),
+    "alphabet extra token": ({"g.nfg": "alphabet e1 2 3\nhalfedge e1\nfactor f e1\nparity\n"},
+                             ["enumerate", "--nfg", "g.nfg"], 1, "expected 'alphabet <edge> <size>'"),
+    "halfedge extra token": ({"g.nfg": ONE_EDGE_NFG.replace("halfedge e1", "halfedge e1 e2") + "parity\n"},
+                             ["enumerate", "--nfg", "g.nfg"], 2, "expected 'halfedge <edge>'"),
+    "fulledge missing factor": ({"g.nfg": "alphabet a 2\nfulledge a f\nfactor f a\nparity\nfactor g a\nparity\n"},
+                                ["enumerate", "--nfg", "g.nfg"], 2,
+                                "expected 'fulledge <edge> <factorA> <factorB>'"),
+    "parity extra token": ({"g.nfg": ONE_EDGE_NFG + "parity 1\n"},
+                           ["enumerate", "--nfg", "g.nfg"], 4, "expected 'parity'"),
+    "repetition extra token": ({"g.nfg": ONE_EDGE_NFG + "# a comment\nrepetition e1\n"},
+                               ["enumerate", "--nfg", "g.nfg"], 5, "expected 'repetition'"),
     "repeated cover header": ({"c.cover": "cover M=2\n" + DUMBBELL_COVER},
                               ["zgibbs", "--nfg", dumbbell_path(), "--cover", "c.cover"], 2, "repeated cover header"),
     "repeated perm": ({"c.cover": DUMBBELL_COVER + "perm e6 1 2\n"},

@@ -11,6 +11,7 @@ from gcb.coding import (
     Channel,
     DecodingNfg,
     ParityCheckMatrix,
+    _weighed_types,
     attach_channel,
     bgcd,
     bmapd,
@@ -378,6 +379,62 @@ def test_smapd_matches_spa_on_trees():
                 assert float(beliefs.edge_weight(e, s)) == pytest.approx(
                     float(res.beliefs.edge_weight(e, s)), abs=1e-10
                 )
+
+
+def loop_symbolwise(dec, m):
+    """Oracle of the symbolwise rule's sums: one dict update per type, row
+    and edge copy, in type order, as the rule summed before its incidence
+    lists.  Returns (beliefs, objective)."""
+    nfg = dec.nfg
+    tally, types, unit = _weighed_types(dec, m, None, None)
+    z_total = 0
+    factor_acc = {f: {} for f in nfg.factors}
+    edge_acc = {e: {} for e in nfg.edge_order}
+    slot_edges = [e for e in nfg.edge_order for _ in range(m)]
+    for count, value, rows, slots in types:
+        w = count * value
+        z_total += w
+        for row_id in rows:
+            f, key = tally.rows[row_id]
+            factor_acc[f][key] = factor_acc[f].get(key, 0) + w
+        for e, s in zip(slot_edges, slots):
+            edge_acc[e][s] = edge_acc[e].get(s, 0) + w
+    exact = type(z_total) is int
+    norm = m * z_total if exact else m * z_total * unit
+    share = (lambda v: Fraction(v, norm)) if exact else (lambda v: v * unit / norm)
+    beta = PseudoMarginals(
+        {f: {k: share(v) for k, v in d.items()} for f, d in factor_acc.items()},
+        {e: {s: share(v) for s, v in d.items()} for e, d in edge_acc.items()},
+    )
+    return beta, -math.log(float(z_total * unit / tally.n_fixed)) / m
+
+
+HAMMING74 = ParityCheckMatrix([[1, 1, 0, 1, 1, 0, 0], [1, 0, 1, 1, 0, 1, 0], [0, 1, 1, 1, 0, 0, 1]])
+Z_CHANNEL = Channel(2, {("0", 0): Fraction(1), ("0", 1): Fraction(1, 4), ("1", 1): Fraction(3, 4)})
+
+
+def typed_items(dists):
+    return [(key, [(k, type(v), v) for k, v in d.items()]) for key, d in dists.items()]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("channel", [Channel.bsc(Fraction(1, 10)), Channel.bsc(0.13), Z_CHANNEL],
+                         ids=["exact-bsc", "float-bsc", "z-channel"])
+def test_symbolwise_incidence_sums_match_the_type_loop(channel, m):
+    """The symbolwise rule's sums over the tally's incidence lists give the
+    per-type loop's values, value types and dict key order, at M = 1
+    (``smapd``) and at degree 2, on Hamming(7,4) words."""
+    code = nfg_from_parity_check(HAMMING74)
+    rng = random.Random(11)
+    words = HAMMING74.codewords()
+    for _ in range(3):
+        y = "".join(str(s ^ (rng.random() < 0.2)) for s in rng.choice(words))
+        dec = attach_channel(code, channel, y)
+        res = smapd(dec) if m == 1 else sgcd(dec, degree=m)
+        beta, objective = loop_symbolwise(dec, m)
+        assert typed_items(res.beliefs.factor_dists) == typed_items(beta.factor_dists)
+        assert typed_items(res.beliefs.edge_dists) == typed_items(beta.edge_dists)
+        assert res.objective == objective
 
 
 def test_sgcd_degree2_matches_literal_average(dumbbell):
