@@ -35,6 +35,7 @@ import numpy as np
 from . import _kernels
 from .covers import (
     PseudoMarginals,
+    TypeTally,
     _phi_of_tuple,
     build_cover_with_map,
     check_degree,
@@ -56,7 +57,7 @@ from .errors import (
     ZeroGlobalValue,
 )
 from .gibbs import config_cap as default_config_cap
-from .gibbs import inverse_temperature, valid_tuples
+from .gibbs import inverse_temperature
 from .nfg import Nfg, parse_number, format_number, read_lines
 from .spa import sum_product
 
@@ -732,13 +733,15 @@ class MinimizeResult:
         self.sweeps = sweeps
 
 
-def _minimize_energy(idx: _BetaIndex, values) -> MinimizeResult:
-    """Exact T=0 problem: the energy is linear and B is a polytope.  A
-    word that diffusion pins (``_BetaIndex.diffuse``) is its point mass,
-    with the energy of its rows summed in slot order and no tie; any other
-    goes to ``_BetaIndex.lp``, whose rows at most 1e-12 are dropped and
-    factors renormalized, and ``_zero_temp_tie`` decides its tie.  Each
-    edge's marginal is read off its first endpoint."""
+def _minimize_energy(idx: _BetaIndex, config_cap) -> MinimizeResult:
+    """Exact T=0 problem: the energy is linear and B is a polytope.  The
+    graph's M = 1 tally is held to ``config_cap`` first, so the cap binds
+    every word.  A word that diffusion pins (``_BetaIndex.diffuse``) is its
+    point mass, with the energy of its rows summed in slot order and no
+    tie; any other goes to ``_BetaIndex.lp``, whose rows at most 1e-12 are
+    dropped and factors renormalized, and ``_zero_temp_tie`` decides its
+    tie.  Each edge's marginal is read off its first endpoint."""
+    TypeTally.of(idx.nfg, 1, None, config_cap)
     y, sweeps, _ = idx.diffuse()
     certified = y is not None
     if certified:
@@ -752,7 +755,7 @@ def _minimize_energy(idx: _BetaIndex, values) -> MinimizeResult:
     fs, es = idx.first_endpoint
     x = np.concatenate([y, np.bincount(es - n_f, weights=y[fs], minlength=idx.n - n_f)])
     beta = idx.to_beta(x)
-    tie = not certified and _zero_temp_tie(idx, beta, f_min, values)
+    tie = not certified and _zero_temp_tie(idx, beta, f_min, config_cap)
     return MinimizeResult(beta, f_min, None, True, tie, certified, sweeps)
 
 
@@ -761,7 +764,7 @@ def minimize_bethe(
     temperature: float = 1.0,
     n_starts: int = 8,
     seed: int = 0,
-    values=None,
+    config_cap=None,
 ) -> MinimizeResult:
     """Minimize the Bethe free energy over the local marginal polytope.
 
@@ -770,16 +773,18 @@ def minimize_bethe(
     linear).  At most ``DIFFUSION_SWEEPS`` sweeps of max-sum diffusion on
     its dual run first (``_BetaIndex.diffuse``); when they pin the optimum,
     it is unique and integral, the point mass of one configuration, and
-    is returned with ``certified`` True, ``tie`` False, no LP solved and
-    ``values`` never read.  A pin proves the optimum one integral point;
+    is returned with ``certified`` True, ``tie`` False, no LP solved and no
+    configuration value read.  A pin proves the optimum one integral point;
     the converse is not guaranteed, though on the bundled code's seeded
     words every such optimum was pinned.  A fractional optimum, several
     optimal configurations, one optimal configuration with an equally good
     fractional point beside it, or an optimum the sweeps did not pin go to
     the LP.  There ``tie`` means a fractional optimum or
-    several optimal configurations, read from ``values``, the global
-    values of the valid configurations, or enumerated when None
-    (CapExceeded past the cap).
+    several optimal configurations, read from the values of the graph's
+    M = 1 type tally (``covers.TypeTally``), walked once per structure.
+    Every T = 0 call, pinned or not, holds that tally to ``config_cap``
+    (the environment's or default configuration cap when None) and raises
+    CapExceeded past it; T > 0 reads no tally.
 
     For T > 0 the starts run in order (the uniform start, then seeded
     random messages), one sum-product run each at damping ``SPA_DAMPING``,
@@ -800,7 +805,7 @@ def minimize_bethe(
         raise ValueError("n_starts must be at least 1")
     idx = _BetaIndex.of(nfg)
     if temperature == 0:
-        return _minimize_energy(idx, values)
+        return _minimize_energy(idx, config_cap)
 
     t = float(temperature)
     best = None  # (free energy, beliefs) of the lowest uncertified fixed point
@@ -828,16 +833,15 @@ def minimize_bethe(
     return MinimizeResult(beta, f_min, math.exp(-f_min / t), False, False)
 
 
-def _zero_temp_tie(idx: _BetaIndex, beta: PseudoMarginals, f_min: float, values=None):
+def _zero_temp_tie(idx: _BetaIndex, beta: PseudoMarginals, f_min: float, config_cap):
     """Tie when the optimum is fractional or several configurations attain
-    it; ``values`` are read for an integral optimum only, and when None the
-    enumeration raises CapExceeded past the configuration cap."""
+    it; the graph's M = 1 types (``TypeTally.weighed_on``) are weighed for
+    an integral optimum only."""
     x = idx.to_vector(beta)
     if np.max(np.abs(x - np.round(x))) > 1e-6:
         return True
-    if values is None:
-        values = (value for _, value in valid_tuples(idx.nfg))
-    return sum(abs(-math.log(value) - f_min) <= 1e-9 for value in values) > 1
+    _, types, unit = TypeTally.weighed_on(idx.nfg, 1, None, config_cap)
+    return sum(abs(-math.log(value * unit) - f_min) <= 1e-9 for _, value, _, _ in types) > 1
 
 
 # -- beta serialization --------------------------------------------------------

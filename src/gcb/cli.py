@@ -98,12 +98,16 @@ def _load_pcm(args) -> ParityCheckMatrix:
 # -- subcommands ----------------------------------------------------------------
 
 
+def _config_lines(nfg, configs) -> list:
+    """One ``config=<symbols in edge order> value=<value>`` line per
+    (configuration, value) of ``enumerate_configurations``."""
+    return [f"config={''.join(str(config[e]) for e in nfg.edge_order)} value={_fmt(value)}"
+            for config, value in configs]
+
+
 def cmd_enumerate(args):
     nfg = parse_nfg(args.nfg)
-    lines = []
-    for config, value in enumerate_configurations(nfg, cap=args.config_cap):
-        bits = "".join(str(config[e]) for e in nfg.edge_order)
-        lines.append(f"config={bits} value={_fmt(value)}")
+    lines = _config_lines(nfg, enumerate_configurations(nfg, cap=args.config_cap))
     lines.append(f"count={len(lines)}")
     _write(args, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -303,11 +307,9 @@ def _data_path(name: str) -> str:
 
 def _case_fig1_enumerate() -> str:
     nfg = parse_nfg(_data_path("fig1.nfg"))
-    lines = []
-    for config, value in enumerate_configurations(nfg):
-        bits = "".join(str(config[e]) for e in nfg.edge_order)
-        lines.append(f"config={bits} value={_fmt(value)}")
-    chalf = sorted({(c["e1"], c["e4"]) for c, _ in enumerate_configurations(nfg)})
+    configs = enumerate_configurations(nfg)
+    lines = _config_lines(nfg, configs)
+    chalf = sorted({(c["e1"], c["e4"]) for c, _ in configs})
     lines.append("chalf=" + " ".join("".join(map(str, x)) for x in chalf))
     ok, t, _ = check_represents_code(nfg, chalf)
     lines.append(f"represents={str(ok).lower()}")

@@ -11,16 +11,18 @@ weighted by the global value).  The only degree-1 cover is the graph
 itself, so at M = 1 they are blockwise and symbolwise MAP decoding
 (``bmapd``, ``smapd``); ``bgcd`` and ``sgcd`` run them at a given degree,
 or by default minimize the Bethe free energy at temperatures zero and
-one, the M -> infinity limit of the rules.  What a graph alone determines
-is kept on it (``Nfg.derived``).  A code graph keeps its valid
-configurations, the list that ``attach_channel``, the rules' M = 1 tally
-and ``bgcd``'s tie check (on words that max-sum diffusion leaves to the
-LP) read, its code words, and one decoding structure:
-a decoding graph for the last set of channel-factor supports seen.  Each
-word's graph is that structure reweighed (``Nfg.reweighed``), so the
-words with those supports share what the structure alone determines
-(``Nfg.shared``: the ``_BetaIndex`` arrays, the LP's A_eq, the
-diffusion's colours, the sum-product layout, the type tally per degree).  A decoding graph keeps
+one, the M -> infinity limit of the rules.  M = 1 is an ordinary degree:
+every graph's degree-1 configurations come from its own structure's
+tally, whose types run in the sorted order of their slots (the order of
+``gibbs.valid_tuples``).  What a graph alone determines is kept on it
+(``Nfg.derived``).  A code graph keeps its code words, read off its
+M = 1 tally by ``attach_channel``'s t_N = 1 check, and one decoding
+structure: a decoding graph for the last set of channel-factor supports
+seen.  Each word's graph is that structure reweighed (``Nfg.reweighed``),
+so the words with those supports share what the structure alone
+determines (``Nfg.shared``: the ``_BetaIndex`` arrays, the LP's A_eq, the
+diffusion's colours, the sum-product layout, the type tally per degree,
+which the rules and ``bgcd``'s tie check read).  A decoding graph keeps
 its index (the shared one, weighed on its tables) and its type values per
 degree, so a word pays only for its weights.
 """
@@ -38,15 +40,12 @@ from typing import Mapping, Sequence
 from .bethe import minimize_bethe
 from .covers import PseudoMarginals, TypeTally, phi_of_rows
 from .errors import (
-    CapExceeded,
     GcbError,
     LengthMismatch,
     NonBinaryAlphabet,
     NotCycleCode,
     ParseError,
 )
-from .gibbs import config_cap as default_config_cap
-from .gibbs import valid_tuples
 from .nfg import Factor, Nfg, parity_table, parse_number, read_lines, repetition_table
 
 
@@ -176,19 +175,11 @@ def nfg_from_parity_check(h: ParityCheckMatrix) -> Nfg:
     return Nfg(alphabet, half, factors)
 
 
-def _valid_configs(nfg: Nfg, cap=None) -> list:
-    """``valid_tuples(nfg, cap)``, walked on first use and kept on the graph
-    (``Nfg.derived``); every call raises CapExceeded past its own cap."""
-    configs = nfg.derived(_valid_configs, lambda g: valid_tuples(g, cap=cap))
-    if len(configs) > default_config_cap(cap):
-        raise CapExceeded(f"more than {default_config_cap(cap)} valid configurations")
-    return configs
-
-
-def _fiber_sizes(nfg: Nfg, configs) -> Counter:
-    """Number of valid configurations over each half-edge word."""
+def _fiber_sizes(nfg: Nfg, tally: TypeTally) -> Counter:
+    """Number of valid configurations over each half-edge word, from nfg's
+    M = 1 tally, the words in its type order."""
     positions = [nfg.edge_index(e) for e in nfg.half_edge_order]
-    return Counter(tuple(t[p] for p in positions) for t, _ in configs)
+    return Counter(tuple(slots[p] for p in positions) for _, _, slots in tally.types)
 
 
 def check_represents_code(nfg: Nfg, code, cap=None):
@@ -206,7 +197,7 @@ def check_represents_code(nfg: Nfg, code, cap=None):
     sizes = {nfg.alphabet_sizes[e] for e in half}
     if len(sizes) > 1:
         return False, None, "half-edge alphabets differ"
-    fibers = _fiber_sizes(nfg, _valid_configs(nfg, cap))
+    fibers = _fiber_sizes(nfg, TypeTally.of(nfg, 1, None, cap))
     if set(fibers) != code:
         return False, None, "half-edge projection differs from the code"
     t_values = set(fibers.values())
@@ -265,19 +256,18 @@ class DecodingNfg:
 
     ``symbol_edges`` are the former half-edges carrying the code symbols,
     in position order; ``gamma`` is the constant relating the global
-    function to the joint input/output probability.  ``code_nfg``, on the
-    same edges, is the code graph whose configuration list the M = 1 tally
-    reads (``nfg``'s own when None).
+    function to the joint input/output probability.  The decoders read
+    ``nfg``'s configurations off its structure's tally (``TypeTally.of``),
+    at M = 1 as at any degree.
     """
 
-    __slots__ = ("nfg", "symbol_edges", "gamma", "y", "code_nfg")
+    __slots__ = ("nfg", "symbol_edges", "gamma", "y")
 
-    def __init__(self, nfg, symbol_edges, gamma, y, code_nfg):
+    def __init__(self, nfg, symbol_edges, gamma, y):
         self.nfg = nfg
         self.symbol_edges = tuple(symbol_edges)
         self.gamma = gamma
         self.y = tuple(y)
-        self.code_nfg = code_nfg
 
 
 def attach_channel(
@@ -290,11 +280,11 @@ def attach_channel(
     """Terminate each half-edge with a unary likelihood factor for y_i.
 
     Requires a single-pre-image representation (t_N = 1), read from the
-    code's list of valid configurations (``_code_words``, bounded by
-    ``cap``).  With the default uniform codeword prior the global function
-    equals |code| times the joint probability of (x, y); a per-symbol
-    product prior is absorbed into the channel factors, and ``gamma`` is
-    computed in the prior's own arithmetic.  The word's graph is the code
+    code graph's own M = 1 tally (``_code_words``, bounded by ``cap``).
+    With the default uniform codeword prior the global function equals
+    |code| times the joint probability of (x, y); a per-symbol product
+    prior is absorbed into the channel factors, and ``gamma`` is computed
+    in the prior's own arithmetic.  The word's graph is the code
     graph's one kept decoding structure (``Nfg.derived``), reweighed with
     its channel factors (``Nfg.reweighed``); a word with other channel
     supports first builds a structure that replaces the kept one, so a
@@ -329,18 +319,18 @@ def attach_channel(
     else:
         kappa = sum(math.prod(prior[i][x[i]] for i in range(len(half))) for x in words)
         gamma = 1 / kappa
-    return DecodingNfg(structure.reweighed(channel_factors), half, gamma, [str(v) for v in y], nfg_code)
+    return DecodingNfg(structure.reweighed(channel_factors), half, gamma, [str(v) for v in y])
 
 
 def _code_words(nfg: Nfg, cap=None) -> list:
-    """The half-edge words of the code's valid configurations
-    (``_valid_configs``, whose every call raises CapExceeded past its own
-    cap), in list order, kept on the graph (``Nfg.derived``).  Raises
+    """The half-edge words of the code's valid configurations, in the order
+    of its M = 1 tally (``TypeTally.of``, which raises CapExceeded past
+    ``cap`` on every call), kept on the graph (``Nfg.derived``).  Raises
     GcbError unless each word has one pre-image (t_N = 1)."""
-    configs = _valid_configs(nfg, cap)
+    tally = TypeTally.of(nfg, 1, None, cap)
 
     def words(g):
-        fibers = _fiber_sizes(g, configs)
+        fibers = _fiber_sizes(g, tally)
         if not fibers:
             raise GcbError("code graph has no valid configurations")
         t_values = set(fibers.values())
@@ -386,25 +376,13 @@ def _decide(dec: DecodingNfg, beta: PseudoMarginals, tie, objective, diagnostics
     return DecodeResult(decisions, beta, symbol_beliefs, tie, objective, diagnostics)
 
 
-def _weighed_types(dec: DecodingNfg, m: int, cap, config_cap):
-    """(tally, types, unit): ``dec.nfg``'s tally at degree m (``TypeTally.of``,
-    which checks both caps on every call; at M = 1 it reads the code's list,
-    ``_valid_configs``), and its types weighed once per decoding graph
-    (``TypeTally.weighed``, kept by ``Nfg.derived``)."""
-    nfg = dec.nfg
-    configs = _valid_configs(dec.code_nfg or nfg, config_cap) if m == 1 else None
-    tally = TypeTally.of(nfg, m, cap, config_cap, configs)
-    types, unit = nfg.derived((TypeTally, m), tally.weighed)
-    return tally, types, unit
-
-
 def _blockwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
     """The blockwise rule at degree m (see ``bgcd``), on the types of the
     gauge-fixed covers' configurations; the winner's frequency map is read
     off its support rows.  Float values within a relative 1e-12 of the best
     count as optimal, as in ``_symbol_argmax``; exact values must be equal."""
     nfg = dec.nfg
-    tally, types, unit = _weighed_types(dec, m, cap, config_cap)
+    tally, types, unit = TypeTally.weighed_on(nfg, m, cap, config_cap)
     best = None
     for count, value, rows, slots in types:
         if best is None or value > above:
@@ -442,7 +420,7 @@ def _symbolwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
     the weights of the types on its row's or symbol's list
     (``TypeTally.incidence``) left to right from 0, the order of a loop over
     the types (``reduce``: from Python 3.12 on, ``sum`` compensates floats)."""
-    tally, types, unit = _weighed_types(dec, m, cap, config_cap)
+    tally, types, unit = TypeTally.weighed_on(dec.nfg, m, cap, config_cap)
     ws = [count * value for count, value, _, _ in types]
     z_total = reduce(add, ws, 0)
     if z_total == 0:
@@ -451,21 +429,28 @@ def _symbolwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
     norm = m * z_total if exact else m * z_total * unit
     share = (lambda v: Fraction(v, norm)) if exact else (lambda v: v * unit / norm)
     factor_dists, edge_dists = {f: {} for f in dec.nfg.factors}, {e: {} for e in dec.nfg.edge_order}
+
+    def put(dist, key, ids):
+        p = share(reduce(add, map(ws.__getitem__, ids), 0))
+        if p:  # only a float underflow gives 0
+            dist[key] = p
+
     rows, symbols = tally.incidence
     for (f, row), ids in rows.items():
-        factor_dists[f][row] = share(reduce(add, map(ws.__getitem__, ids), 0))
+        put(factor_dists[f], row, ids)
     for (j, s), ids in symbols.items():
-        edge_dists[dec.nfg.edge_order[j]][s] = share(reduce(add, map(ws.__getitem__, ids), 0))
-    beta = PseudoMarginals(factor_dists, edge_dists)
+        put(edge_dists[dec.nfg.edge_order[j]], s, ids)
+    beta = PseudoMarginals.of_dicts(factor_dists, edge_dists)
     return _decide(dec, beta, False, -math.log(float(z_total * unit / tally.n_fixed)) / m, {"degree": m})
 
 
 def bmapd(dec: DecodingNfg, cap=None) -> DecodeResult:
     """Blockwise MAP: argmax of the global function over valid configurations.
 
-    This is ``bgcd`` at degree 1, with ``cap`` bounding the code's list of
-    valid configurations (``_weighed_types``); ties go to the configuration
-    smallest in ``edge_order``.
+    This is ``bgcd`` at degree 1, with ``cap`` bounding the decoding graph's
+    valid configurations, walked once per decoding structure
+    (``TypeTally.weighed_on``); ties go to the configuration smallest in
+    ``edge_order``.
     """
     return _blockwise(dec, 1, None, cap)
 
@@ -473,9 +458,9 @@ def bmapd(dec: DecodingNfg, cap=None) -> DecodeResult:
 def smapd(dec: DecodingNfg, cap=None) -> DecodeResult:
     """Symbolwise MAP: per-symbol posterior marginals, decisions by argmax.
 
-    This is ``sgcd`` at degree 1, with ``cap`` bounding the code's list of
-    valid configurations (``_weighed_types``).  The decision vector need
-    not be a codeword.  The attached pseudo-marginals are the exact
+    This is ``sgcd`` at degree 1, with ``cap`` as in ``bmapd``; its sums
+    add the configurations in ``valid_tuples`` order.  The decision vector
+    need not be a codeword.  The attached pseudo-marginals are the exact
     marginals of the posterior, so they are globally realizable by
     construction.
     """
@@ -497,26 +482,17 @@ def bgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None)
     M = 1 this is ``bmapd``.  Without ``degree``, ``minimize_bethe`` at
     T = 0 first runs max-sum diffusion: a word whose optimum it pins
     (unique and integral) is decoded with ``tie`` False, no LP and no
-    codeword read.  Any other word goes to the LP, whose tie check reads
-    the values of ``bmapd``'s types, weighed only then.  Either way the
-    code's list of valid configurations is held to ``config_cap`` (the
-    environment's or default configuration cap when None), CapExceeded
-    past it.  ``diagnostics`` carry ``certified`` (diffusion pinned the
+    configuration value read.  Any other word goes to the LP, whose tie
+    check reads the values of ``bmapd``'s types, weighed only then.  Either
+    way the decoding graph's valid configurations are held to
+    ``config_cap`` (the environment's or default configuration cap when
+    None), CapExceeded past it.  ``diagnostics`` carry ``certified`` (diffusion pinned the
     optimum) and ``sweeps`` (the diffusion sweeps run).
     """
     if degree is not None:
         return _blockwise(dec, degree, cap, config_cap)
-    _valid_configs(dec.code_nfg or dec.nfg, config_cap)  # the cap binds pinned words too
-    res = minimize_bethe(dec.nfg, 0, values=_tie_values(dec, config_cap))
+    res = minimize_bethe(dec.nfg, 0, config_cap=config_cap)
     return _decide(dec, res.beta, res.tie, res.f_min, {"certified": res.certified, "sweeps": res.sweeps})
-
-
-def _tie_values(dec: DecodingNfg, config_cap):
-    """The global values of ``bmapd``'s types, weighed only once read: a
-    word that diffusion pins reads none of them."""
-    _, types, unit = _weighed_types(dec, 1, None, config_cap)
-    for _, value, _, _ in types:
-        yield value * unit
 
 
 def sgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None, **minimize_kwargs) -> DecodeResult:

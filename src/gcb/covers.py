@@ -340,6 +340,7 @@ def phi_m(spec: CoverSpec, cover_config) -> PseudoMarginals:
 
 
 def _phi_of_tuple(base: Nfg, m: int, cover: Nfg, factor_map, edge_map, tup) -> PseudoMarginals:
+    tup = tuple(map(int, tup))
     factor_counts: dict = {f: {} for f in base.factors}
     for cf, (f, _) in factor_map.items():
         key = cover.local_assignment(cf, tup)
@@ -371,9 +372,10 @@ def phi_of_rows(nfg: Nfg, tally: "TypeTally", rows) -> PseudoMarginals:
 
 
 def _frequencies(m: int, factor_counts, edge_counts) -> PseudoMarginals:
-    return PseudoMarginals(
-        {f: {k: Fraction(n, m) for k, n in d.items()} for f, d in factor_counts.items()},
-        {e: {s: Fraction(n, m) for s, n in d.items()} for e, d in edge_counts.items()},
+    """The non-zero counts over m, handed to ``of_dicts`` uncopied."""
+    return PseudoMarginals.of_dicts(
+        {f: {k: Fraction(n, m) for k, n in d.items() if n} for f, d in factor_counts.items()},
+        {e: {s: Fraction(n, m) for s, n in d.items() if n} for e, d in edge_counts.items()},
     )
 
 
@@ -395,45 +397,37 @@ class TypeTally:
     through its value and frequency map, both functions of its type: the
     sorted ids of the support rows it takes (into ``rows``, the plan's
     (factor id, row) pairs, as ``Walk.rows``).  One loop over the covers
-    keeps ``types``, (rows, count, slots) per type in order of first visit:
-    its number of configurations and the slots of the first.  Each of the
+    keeps ``types``, (rows, count, slots) per type: its number of
+    configurations and the slots of the first visited, the types in order
+    of those slots.  At M = 1, where every configuration is a type of its
+    own, that is the order of ``gibbs.valid_tuples``.  Each of the
     ``n_fixed`` covers stands for ``multiplicity`` labeled ones, and
     ``fullest`` is the most configurations one cover has; the walk raises
-    CapExceeded past ``config_cap`` and the cover cap ``cap``.  At M = 1 a
-    list ``configs`` of (slots, value) holding the graph's configurations
-    (a code's list holds its decoding graph's) replaces the walk: the types
-    are the ones every table supports, in list order.  The tally holds the
-    plan's supports but no table values, so the graphs of one structure
-    share it (``of``), and ``weighed`` reads one graph's values.  The
-    symbolwise rule reads its sums off ``incidence``, the types that take
-    each factor row and edge symbol, listed on first use.
+    CapExceeded past ``config_cap`` and the cover cap ``cap``.  The tally
+    holds the plan's supports but no table values, so the graphs of one
+    structure share it (``of``), and ``weighed`` reads one graph's values.
+    The symbolwise rule reads its sums off ``incidence``, the types that
+    take each factor row and edge symbol, listed on first use.
     """
 
-    def __init__(self, nfg: Nfg, m: int, cap=None, config_cap=None, configs=None):
+    def __init__(self, nfg: Nfg, m: int, cap=None, config_cap=None):
         self.m = m
-        perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap) if configs is None else ()
+        perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
         plan = _kernels.build_plan(nfg)
         self.supports = [(fp.fid, fp.support) for fp in plan.factors]
         self.rows = [(fid, row) for fid, support in self.supports for row in support]
-        if configs is not None:
-            ids = {r: i for i, r in enumerate(self.rows)}
-            edges = [(fid, [nfg.edge_index(e) for e in nfg.factors[fid].edges]) for fid, _ in self.supports]
-            hits = ([ids.get((fid, tuple([slots[e] for e in idx]))) for fid, idx in edges] for slots, _ in configs)
-            self.types = [(tuple(rows), 1, slots) for rows, (slots, _) in zip(hits, configs) if None not in rows]
-            self.fullest = len(self.types)
-        else:
-            walk, limit, by_type = Walk(plan, m), default_config_cap(config_cap), {}
-            self.fullest = 0
-            for perm_inv in perm_invs:
-                n = 0
-                for n, (_, slots, rows) in enumerate(walk.configs(perm_inv, limit), 1):
-                    key = tuple(sorted(rows))
-                    if key in by_type:
-                        by_type[key][0] += 1
-                    else:
-                        by_type[key] = [1, tuple(slots)]
-                self.fullest = max(self.fullest, n)
-            self.types = [(rows, count, slots) for rows, (count, slots) in by_type.items()]
+        walk, limit, by_type = Walk(plan, m), default_config_cap(config_cap), {}
+        self.fullest = 0
+        for perm_inv in perm_invs:
+            n = 0
+            for n, (_, slots, rows) in enumerate(walk.configs(perm_inv, limit), 1):
+                key = tuple(sorted(rows))
+                if key in by_type:
+                    by_type[key][0] += 1
+                else:
+                    by_type[key] = [1, tuple(slots)]
+            self.fullest = max(self.fullest, n)
+        self.types = sorted(((rows, count, slots) for rows, (count, slots) in by_type.items()), key=itemgetter(2))
         self.n_fixed = math.factorial(m) ** nfg.circuit_rank()
         self.multiplicity = count_covers(nfg, m) // self.n_fixed
 
@@ -452,17 +446,26 @@ class TypeTally:
         return rows, symbols
 
     @classmethod
-    def of(cls, nfg: Nfg, m: int, cap=None, config_cap=None, configs=None) -> "TypeTally":
+    def of(cls, nfg: Nfg, m: int, cap=None, config_cap=None) -> "TypeTally":
         """nfg's tally at degree m, built on first use and kept with its
         structure (``Nfg.shared``).  Both caps are checked on every call,
         the cover cap before anything is built and the configuration cap
         against the fullest cover, with the messages of a walk."""
         _check_cover_cap(nfg, m, cap)
         limit = default_config_cap(config_cap)
-        tally = nfg.shared((cls, m), lambda g: cls(g, m, cap, limit, configs))
+        tally = nfg.shared((cls, m), lambda g: cls(g, m, cap, limit))
         if tally.fullest > limit:
             raise CapExceeded(f"more than {limit} valid configurations")
         return tally
+
+    @classmethod
+    def weighed_on(cls, nfg: Nfg, m: int, cap=None, config_cap=None):
+        """(tally, types, unit): nfg's tally at degree m (``of``) and its
+        types weighed on nfg's tables (``weighed``), once per graph
+        (``Nfg.derived``)."""
+        tally = cls.of(nfg, m, cap, config_cap)
+        types, unit = nfg.derived((cls, m), tally.weighed)
+        return tally, types, unit
 
     def weighed(self, nfg: Nfg):
         """(types, unit): (count, value, rows, slots) per type on the tables

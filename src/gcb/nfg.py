@@ -5,8 +5,8 @@ node, a full edge on exactly two.  Local function tables keep only their
 support (assignments with value zero are dropped), so a factor's support
 doubles as its local constraint code.  All types here are immutable after
 construction and safe to share across threads.  What gcb derives from a
-graph alone (its configuration list, walks, polytope index; on a code
-graph, the decoding structure its decoding graphs are reweighed from) is
+graph alone (its polytope index and type values; on a code graph, its
+words and the decoding structure its decoding graphs are reweighed from) is
 built on first use and kept on the graph (``Nfg.derived``), and what its
 structure alone determines is kept with the structure (``Nfg.shared``),
 which every graph reweighed from it shares.  Two threads that ask at once

@@ -290,7 +290,7 @@ def test_criterion_08_degree_m_sgcd_literal():
     dumbbell = make_dumbbell()
     # a uniform channel multiplies every configuration by the same constant,
     # so the decoding graph reduces to the bare cycle-code graph
-    dec = DecodingNfg(dumbbell, dumbbell.edge_order, Fraction(1), [], None)
+    dec = DecodingNfg(dumbbell, dumbbell.edge_order, Fraction(1), [])
     m = 2
     fast = sgcd(dec, degree=m)
 

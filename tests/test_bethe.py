@@ -46,7 +46,7 @@ from gcb.covers import (
     preimage_count_closedform,
     random_cover,
 )
-from gcb.errors import InconsistentBeta, NonConvergence, SupportOnZeroFactor
+from gcb.errors import CapExceeded, InconsistentBeta, NonConvergence, SupportOnZeroFactor
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg, parity_table
 from gcb.spa import sum_product
@@ -381,7 +381,7 @@ def test_monte_carlo_needs_a_sample(dumbbell, samples):
 
 @pytest.mark.parametrize("m", [0, -1])
 def test_degree_below_one_rejected(dumbbell, m):
-    dec = DecodingNfg(dumbbell, dumbbell.edge_order, Fraction(1), [], None)
+    dec = DecodingNfg(dumbbell, dumbbell.edge_order, Fraction(1), [])
     beta = beta_from_configuration(dumbbell, (0,) * len(dumbbell.edge_order))
     calls = [
         lambda: zbethe_m_enumeration(dumbbell, m),
@@ -1028,6 +1028,28 @@ def test_diffusion_pins_exactly_the_unique_integral_optima(monkeypatch):
             n_ties += 1
             assert not res.diagnostics["certified"]
     assert 0 < n_pinned < len(decs) and n_ties > 0 and n_wide > 0
+
+
+def t0_outcome(res):
+    return res.beta, res.f_min, res.tie, res.certified, res.sweeps
+
+
+def test_zero_temperature_holds_its_tally_to_config_cap(fig1):
+    """minimize_bethe(T = 0) holds the graph's valid configurations to
+    ``config_cap`` on every call, on a word that diffusion pins and on one
+    left to the LP, before and after the tally is kept: example3 has 32
+    codewords, fig1 8 valid configurations."""
+    code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
+    ch = Channel.bsc(Fraction(1, 10))
+    pinned, tied = (attach_channel(code, ch, y).nfg for y in ("0000000000", "0100000000"))
+    for nfg, n, certified, tie in ((pinned, 32, True, False), (tied, 32, False, True), (fig1, 8, False, True)):
+        with pytest.raises(CapExceeded):
+            minimize_bethe(nfg, 0, config_cap=n - 1)
+        res = minimize_bethe(nfg, 0, config_cap=n)
+        assert (res.certified, res.tie) == (certified, tie)
+        assert t0_outcome(res) == t0_outcome(minimize_bethe(nfg, 0))
+        with pytest.raises(CapExceeded):
+            minimize_bethe(nfg, 0, config_cap=n - 1)
 
 
 def test_infeasible_program_still_reaches_the_lp():

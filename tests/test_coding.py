@@ -11,7 +11,6 @@ from gcb.coding import (
     Channel,
     DecodingNfg,
     ParityCheckMatrix,
-    _weighed_types,
     attach_channel,
     bgcd,
     bmapd,
@@ -22,7 +21,7 @@ from gcb.coding import (
     sgcd,
     smapd,
 )
-from gcb.covers import PseudoMarginals, build_cover, build_cover_with_map, enumerate_covers, random_cover
+from gcb.covers import PseudoMarginals, TypeTally, build_cover, build_cover_with_map, enumerate_covers, random_cover
 from gcb.errors import CapExceeded, GcbError, LengthMismatch, NotCycleCode, ParseError
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg, parity_table
@@ -386,7 +385,7 @@ def loop_symbolwise(dec, m):
     and edge copy, in type order, as the rule summed before its incidence
     lists.  Returns (beliefs, objective)."""
     nfg = dec.nfg
-    tally, types, unit = _weighed_types(dec, m, None, None)
+    tally, types, unit = TypeTally.weighed_on(dec.nfg, m)
     z_total = 0
     factor_acc = {f: {} for f in nfg.factors}
     edge_acc = {e: {} for e in nfg.edge_order}
@@ -437,13 +436,24 @@ def test_symbolwise_incidence_sums_match_the_type_loop(channel, m):
         assert res.objective == objective
 
 
+def test_underflowed_symbolwise_sums_are_left_out():
+    """A float configuration weight that underflows to 0 leaves no zero
+    entry in the symbolwise beliefs, as in the type loop's, at M = 1 and 2."""
+    dec = attach_channel(nfg_from_parity_check(ParityCheckMatrix([[1, 1]])), Channel.bsc(1e-200), "00")
+    for m, res in ((1, smapd(dec)), (2, sgcd(dec, degree=2))):
+        beta, _ = loop_symbolwise(dec, m)
+        assert typed_items(res.beliefs.factor_dists) == typed_items(beta.factor_dists)
+        assert typed_items(res.beliefs.edge_dists) == typed_items(beta.edge_dists)
+        assert res.symbol_beliefs == {e: {0: 1.0} for e in dec.symbol_edges}
+
+
 def test_sgcd_degree2_matches_literal_average(dumbbell):
     """Copy-symmetric path vs the full weighted average over all M-covers and copies."""
     m = 2
     nfg = dumbbell
     from gcb.coding import DecodingNfg
 
-    dec = DecodingNfg(nfg, nfg.edge_order, Fraction(1), [], None)
+    dec = DecodingNfg(nfg, nfg.edge_order, Fraction(1), [])
     fast = sgcd(dec, degree=m)
 
     z_total = Fraction(0)
@@ -533,7 +543,7 @@ def map_oracle_cases():
     cases["tied01"] = attach_channel(pair, Channel.bsc(Fraction(1, 4)), ["0", "1"])
     # Base edge order puts e1 before e10, so the tie goes to e1 = 0.
     nfg = Nfg({"e1": 2, "e10": 2}, ["e1", "e10"], [Factor("f", ("e1", "e10"), {(0, 1): 1, (1, 0): 1})])
-    cases["e1e10"] = DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
+    cases["e1e10"] = DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [])
     return cases
 
 
@@ -589,7 +599,7 @@ def test_map_decoders_match_product_space_oracle(case):
     assert case not in ("tied01", "e1e10") or b.tie
 
 
-# -- one codeword list per code graph -------------------------------------------------
+# -- one walk per code graph and decoding structure ------------------------------------
 
 
 def seeded_word(rng, words, p):
@@ -621,9 +631,9 @@ LIST_ORACLE_CASES = list_oracle_cases()
 
 @pytest.mark.parametrize("case", sorted(LIST_ORACLE_CASES))
 def test_decoders_match_decoding_graph_walk(case):
-    """The decoders read the code's list, scaled to ints where exact; their
-    decisions, ties, objectives, beliefs and optimum counts are those of the
-    decoding graph's own walk, bit for bit."""
+    """The decoders read the decoding structure's M = 1 tally, scaled to
+    ints where exact; their decisions, ties, objectives, beliefs and optimum
+    counts are those of ``valid_tuples`` of the decoding graph, bit for bit."""
     dec = LIST_ORACLE_CASES[case]
     want = list_oracle(dec)
     for name, decoder in (("bmapd", bmapd), ("smapd", smapd), ("bgcd", bgcd)):
@@ -632,10 +642,39 @@ def test_decoders_match_decoding_graph_walk(case):
         assert got == want[name], name
 
 
+def tally_order_words():
+    """Decoding graphs of seeded tree codes and example3, under an exact
+    BSC, a float BSC, the Z-channel and an exact BSC with a prior."""
+    rng = random.Random(71)
+    pcms = [random_tree_pcm(rng, rng.choice([2, 3]), rng.choice([2, 3])) for _ in range(4)]
+    for h in pcms + [ParityCheckMatrix(EXAMPLE3_ROWS)]:
+        code, words = nfg_from_parity_check(h), h.codewords()
+        prior = [[Fraction(2 + i, 5 + 2 * i), Fraction(3 + i, 5 + 2 * i)] for i in range(h.n_cols)]
+        for channel, flip, with_prior in ((Channel.bsc(Fraction(1, 10)), 0.15, False), (Channel.bsc(0.1), 0.15, False),
+                                          (Z_CHANNEL, 0.0, False), (Channel.bsc(Fraction(1, 10)), 0.15, True)):
+            x = rng.choice(words)
+            y = [str(s ^ (rng.random() < flip)) for s in x]
+            yield code, attach_channel(code, channel, y, prior if with_prior else None)
+
+
+def test_m1_tally_lists_configurations_in_sorted_order():
+    """At M = 1 the tally's types are the valid configurations in the
+    order of ``valid_tuples``, the order the decoders' float sums follow;
+    so is a code graph's own tally."""
+    for code, dec in tally_order_words():
+        for nfg in (code, dec.nfg):
+            tally = TypeTally.of(nfg, 1)
+            want = [t for t, _ in valid_tuples(nfg)]
+            assert [slots for _, _, slots in tally.types] == want
+            assert [count for _, count, _ in tally.types] == [1] * len(want)
+            assert tally.fullest == len(want)
+
+
 def test_decoding_walks_each_code_once(monkeypatch):
-    """attach_channel, bmapd, smapd and bgcd on 20 words walk the code once
-    and plan its decoding frame once; alternating two codes gives each its
-    own list."""
+    """attach_channel, bmapd, smapd and bgcd walk and plan each code graph
+    once and each decoding structure once, never once per word: 20 BSC
+    words share one structure, Z-channel words with three support patterns
+    build one each, and alternating two codes gives each its own."""
     calls, plans = [], []
     configs, build_plan = Walk.configs, kernels.build_plan
 
@@ -647,6 +686,17 @@ def test_decoding_walks_each_code_once(monkeypatch):
         plans.append(nfg)
         return build_plan(nfg)
 
+    structures = []  # every decoding structure built, held so none is collected
+
+    def decode(code, channel, y):
+        dec = attach_channel(code, channel, y)
+        (kept,) = code.derived(attach_channel, None)
+        if all(kept is not s for s in structures):
+            structures.append(kept)
+        for decoder in (bmapd, smapd, bgcd):
+            decoder(dec)
+        return dec
+
     monkeypatch.setattr(Walk, "configs", counting)
     monkeypatch.setattr(kernels, "build_plan", counting_plans)
     h = ParityCheckMatrix(EXAMPLE3_ROWS)
@@ -654,11 +704,12 @@ def test_decoding_walks_each_code_once(monkeypatch):
     rng = random.Random(43)
     ch = Channel.bsc(Fraction(1, 10))
     for _ in range(20):
-        dec = attach_channel(code, ch, seeded_word(rng, words, 0.1))
-        for decoder in (bmapd, smapd, bgcd):
-            decoder(dec)
-    assert len(calls) == 1
-    assert len(plans) == 1
+        decode(code, ch, seeded_word(rng, words, 0.1))
+    assert len(calls) == len(plans) == 1 + len(structures) == 2
+    # a received 1 rules out a sent 0, so each of these words has its own supports
+    for x in (words[1], words[1], words[2], words[3]):
+        decode(code, Z_CHANNEL, [str(s) for s in x])
+    assert len(calls) == len(plans) == 1 + len(structures) == 5
 
     calls.clear()
     codes = [(nfg_from_parity_check(m), m.codewords()) for m in (REPETITION4, ParityCheckMatrix([[1, 1, 1]]))]
@@ -667,7 +718,7 @@ def test_decoding_walks_each_code_once(monkeypatch):
         code, words = codes[i % 2]
         dec = attach_channel(code, ch, seeded_word(rng, words, 0.2))
         decoded.append((dec, bmapd(dec).decisions, smapd(dec).decisions))
-    assert len(calls) == 2
+    assert len(calls) == 4  # each code graph and its one structure
     for dec, b, s in decoded:
         want = list_oracle(dec)
         assert (b, s) == (want["bmapd"][0], want["smapd"][0])
@@ -769,7 +820,7 @@ def test_channel_scaling_invariance():
 
     scaled = DecodingNfg(
         Nfg(dec.nfg.alphabet_sizes, [], scaled_factors),
-        dec.symbol_edges, dec.gamma, dec.y, dec.code_nfg,
+        dec.symbol_edges, dec.gamma, dec.y,
     )
     assert bmapd(scaled).decisions == bmapd(dec).decisions
     a, b = smapd(scaled), smapd(dec)

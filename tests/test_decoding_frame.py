@@ -126,7 +126,7 @@ def test_one_frame_per_code_and_channel_supports():
     assert bmapd(z_other).decisions == bmapd(rational).decisions == (0,) * 10
     # a hand-built twin of a word is its own code graph, with its own structure
     other = twin(rational.nfg)
-    hand = DecodingNfg(other, rational.symbol_edges, rational.gamma, rational.y, None)
+    hand = DecodingNfg(other, rational.symbol_edges, rational.gamma, rational.y)
     assert bmapd(hand).decisions == bmapd(rational).decisions
     assert shape_of(hand.nfg) is not s_rational
 

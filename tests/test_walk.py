@@ -414,7 +414,7 @@ def test_gauge_fixed_paths_and_typesum_match_labeled_oracle(kind, seed, m):
     assert len(points) == len(set(points))
     assert set(points) == set(tally) == {b.canonical_key() for b in lift_realizable_set(nfg, m)}
 
-    dec = DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
+    dec = DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [])
     factor_want, edge_want = oracle_sgcd_beta(dec, m)
     beliefs = sgcd(dec, degree=m).beliefs
     assert {(f, k): v for f, d in beliefs.factor_dists.items() for k, v in d.items()} == factor_want
@@ -503,8 +503,8 @@ def test_walk_mixes_float_and_rational_tables():
             for _ in range(4)]
     assert res.pre_root == pytest.approx(float(np.mean(vals)), rel=1e-12)
 
-    dec = DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
-    twin_dec = DecodingNfg(twin, twin.half_edge_order, Fraction(1), [], None)
+    dec = DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [])
+    twin_dec = DecodingNfg(twin, twin.half_edge_order, Fraction(1), [])
     decisions, n_optima, tie, beta, objective = oracle_bgcd(twin_dec, m)
     res = bgcd(dec, degree=m)
     assert (res.decisions, res.diagnostics["n_optima"], res.tie, res.beliefs) == (decisions, n_optima, tie, beta)
@@ -611,11 +611,11 @@ def oracle_sgcd_beta(dec, m):
 def decoding_cases():
     for seed in SEEDS:
         nfg = random_graph(seed)
-        yield DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
+        yield DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [])
     # Cover labels sort e10@* before e1@*, but the tie-break runs in edge
     # order (e1 before e10), so the copies take row (0, 1), not (1, 0).
     nfg = Nfg({"e1": 2, "e10": 2}, ["e1", "e10"], [Factor("f", ("e1", "e10"), {(0, 1): 1, (1, 0): 1})])
-    yield DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
+    yield DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [])
     code = nfg_from_parity_check(ParityCheckMatrix([[1, 1, 0], [0, 1, 1]]))
     for p, y in ((Fraction(1, 10), "010"), (Fraction(1, 4), "110"), (Fraction(1, 5), "000")):
         yield attach_channel(code, Channel.bsc(p), y)
@@ -624,9 +624,9 @@ def decoding_cases():
     # cover reaches the same value with every edge half 0 and half 1, a type
     # with a smaller key, so the decisions are 00.
     nfg = random_graph(36)
-    yield DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
+    yield DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [])
     nfg = coprime_graph()
-    yield DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [], None)
+    yield DecodingNfg(nfg, nfg.half_edge_order, Fraction(1), [])
 
 
 N_DECODING_CASES = len(SEEDS) + 6
@@ -726,7 +726,7 @@ def test_symbolwise_objective_is_minus_log_zbethe_m(case, m):
 
 def test_caps_still_raise(monkeypatch):
     dumbbell = make_dumbbell()  # 128 two-covers, each with 8 or 16 configurations
-    dec = DecodingNfg(dumbbell, dumbbell.edge_order, Fraction(1), [], None)
+    dec = DecodingNfg(dumbbell, dumbbell.edge_order, Fraction(1), [])
     with pytest.raises(CapExceeded):
         zbethe_m_enumeration(dumbbell, 2, cap=100)
     for temperature, exact in ((1, True), (1, False), (0.7, False)):
@@ -753,7 +753,7 @@ def test_caps_hold_on_a_kept_tally():
     """After a degree-2 decode at the default caps, the tally kept for the
     decoding graph's structure still answers to both caps on every call."""
     dumbbell = make_dumbbell()
-    dec = DecodingNfg(dumbbell, dumbbell.edge_order, Fraction(1), [], None)
+    dec = DecodingNfg(dumbbell, dumbbell.edge_order, Fraction(1), [])
     bgcd(dec, degree=2), sgcd(dec, degree=2)
     for rule in (bgcd, sgcd):
         with pytest.raises(CapExceeded, match="^128 covers exceed cap 100$"):
@@ -811,7 +811,7 @@ def test_config_cap_boundary_at_each_use():
     message, for the base enumeration, the cover sweep, the pre-image census
     and the degree-2 decoders."""
     fig1, dumbbell = make_fig1(), make_dumbbell()
-    dec = DecodingNfg(dumbbell, dumbbell.edge_order, Fraction(1), [], None)
+    dec = DecodingNfg(dumbbell, dumbbell.edge_order, Fraction(1), [])
     walk = Walk(build_plan(dumbbell), 2)
     perm_invs = list(gauge_fixed_perm_invs(dumbbell, 2))
     n = max(sum(1 for _ in walk.configs(p)) for p in perm_invs)  # the largest cover's count
