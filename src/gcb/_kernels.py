@@ -88,23 +88,28 @@ def lcm_scaled(values):
     return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 
-def walk_weights(tables, exact: bool = True):
+def scaled_table(values):
+    """``lcm_scaled(values)`` when every value is rational, else None."""
+    if all(isinstance(w, (int, Fraction)) for w in values):
+        return lcm_scaled(values)
+    return None
+
+
+def walk_weights(tables, exact: bool = True, scaled=None):
     """(weights, scale): the row values a walk multiplies, per table of
     ``tables`` (lists of row values).  When every table is rational, exact
     mode scales each to ints by the LCM L of its denominators (scale =
     prod L); with a float table it keeps the tables' own values (scale 1),
-    since an int product past 1e308 cannot meet a float.  With
-    ``exact=False`` all are floats and scale is 1."""
+    since an int product past 1e308 cannot meet a float.  ``scaled``, when
+    given, holds each table's ``scaled_table``.  With ``exact=False`` all
+    are floats and scale is 1."""
     if not exact:
         return [[float(w) for w in table] for table in tables], 1
-    if not all(isinstance(w, (int, Fraction)) for table in tables for w in table):
+    if scaled is None:
+        scaled = [scaled_table(table) for table in tables]
+    if any(s is None for s in scaled):
         return tables, 1
-    scaled, scale = [], 1
-    for table in tables:
-        ints, lcm = lcm_scaled(table)
-        scaled.append(ints)
-        scale *= lcm
-    return scaled, scale
+    return [ints for ints, _ in scaled], math.prod(lcm for _, lcm in scaled)
 
 
 class Walk:

@@ -58,7 +58,7 @@ from .errors import (
 )
 from .gibbs import config_cap as default_config_cap
 from .gibbs import inverse_temperature
-from .nfg import Nfg, parse_number, format_number, read_lines
+from .nfg import Factor, Nfg, parse_number, format_number, read_lines
 from .spa import sum_product
 
 GAP_TOL = 1e-9  # Frank-Wolfe gap that certifies a T > 0 minimizer
@@ -290,7 +290,8 @@ class _BetaIndex:
     (``gap``).  A graph keeps its index (``of``), so the index holds its
     graph weakly: no cycle outlives the graph's last user.
 
-    Only ``weights`` and the energy come from the table values (``_weigh``);
+    Only ``weights`` and the energy come from the table values (``_weigh``,
+    which reads each factor's once per factor object, ``Nfg.per_factor``);
     the rest is the graph's structure.  ``shape`` is that structure with
     no graph and no weights, and ``on`` weighs a copy of it on a graph,
     sharing every other array by reference.  ``of`` keeps the shape with
@@ -323,6 +324,7 @@ class _BetaIndex:
         sizes = nfg.alphabet_sizes
         factors = sorted(nfg.factors)
         supports = [nfg.factors[f].support for f in factors]
+        self._factors = factors
         self.factor_slots = [(f, key) for f, support in zip(factors, supports) for key in support]
         self.edge_slots = [(e, s) for e in nfg.edge_order for s in range(sizes[e])]
         n_f = len(self.factor_slots)
@@ -371,15 +373,13 @@ class _BetaIndex:
         self.entropy_coef = np.array([1.0] * n_f + half)
 
     def _weigh(self, nfg: Nfg):
-        """Read ``weights`` and the energy off nfg's tables, and hold nfg."""
+        """Read ``weights`` and the energy off nfg's tables, each factor's
+        once per factor object (``Nfg.per_factor``), and hold nfg."""
         self._graph = weakref.ref(nfg)
-        tables = nfg.factors
-        values = [tables[f].table[key] for f, key in self.factor_slots]
-        # a Fraction's float is numerator / denominator; dividing here
-        # skips the slow generic conversion, with the same rounding
-        weights = [v if type(v) is float else v.numerator / v.denominator for v in values]
-        self.weights = np.array(weights)
-        self._energy = np.array([-math.log(w) for w in weights] + [0.0] * len(self.edge_slots))
+        tables = nfg.per_factor(_BetaIndex, _row_weights)
+        tables = [tables[f] for f in self._factors]
+        self.weights = np.array([w for weights, _ in tables for w in weights])
+        self._energy = np.array([u for _, energy in tables for u in energy] + [0.0] * len(self.edge_slots))
 
     @property
     def nfg(self) -> Nfg:
@@ -510,6 +510,15 @@ class _BetaIndex:
         if not res.success:
             raise LpFailure(f"linear program failed: {res.message}")
         return res.x, float(res.fun)
+
+
+def _row_weights(f: Factor):
+    """(weights, energies) of f's support rows in support order: each table
+    value as a float, and its -log."""
+    # a Fraction's float is numerator / denominator; dividing here skips the
+    # slow generic conversion, with the same rounding
+    weights = [v if type(v) is float else v.numerator / v.denominator for v in map(f.table.get, f.support)]
+    return weights, [-math.log(w) for w in weights]
 
 
 def _energy_lp_rows(idx: _BetaIndex):

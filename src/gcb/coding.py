@@ -24,7 +24,8 @@ determines (``Nfg.shared``: the ``_BetaIndex`` arrays, the LP's A_eq, the
 diffusion's colours, the sum-product layout, the type tally per degree,
 which the rules and ``bgcd``'s tie check read).  A decoding graph keeps
 its index (the shared one, weighed on its tables) and its type values per
-degree, so a word pays only for its weights.
+degree, and both read each factor's numbers once per factor object
+(``Nfg.per_factor``), so a word pays only for its channel factors.
 """
 
 from __future__ import annotations
@@ -380,7 +381,9 @@ def _blockwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
     """The blockwise rule at degree m (see ``bgcd``), on the types of the
     gauge-fixed covers' configurations; the winner's frequency map is read
     off its support rows.  Float values within a relative 1e-12 of the best
-    count as optimal, as in ``_symbol_argmax``; exact values must be equal."""
+    count as optimal, as in ``_symbol_argmax``; exact values must be equal.
+    Of tied optima the one smallest in ``_type_key`` wins: at M = 1, where
+    the types run in order of their slots, their keys, the first."""
     nfg = dec.nfg
     tally, types, unit = TypeTally.weighed_on(nfg, m, cap, config_cap)
     best = None
@@ -393,6 +396,8 @@ def _blockwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
                 above, within = best * (1 + 1e-12), best * (1 - 1e-12)
         elif value >= within:
             n_best, tie = n_best + count, True
+            if m == 1:
+                continue
             win_key = win_key or _type_key(tally, win_slots, win_rows)
             key = _type_key(tally, slots, rows)
             if key < win_key:
@@ -419,7 +424,8 @@ def _symbolwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
     so the objective is -log Z_{B,M} from the same tally.  Each belief sums
     the weights of the types on its row's or symbol's list
     (``TypeTally.incidence``) left to right from 0, the order of a loop over
-    the types (``reduce``: from Python 3.12 on, ``sum`` compensates floats)."""
+    the types (``reduce``: from Python 3.12 on, ``sum`` compensates floats),
+    once per distinct list."""
     tally, types, unit = TypeTally.weighed_on(dec.nfg, m, cap, config_cap)
     ws = [count * value for count, value, _, _ in types]
     z_total = reduce(add, ws, 0)
@@ -430,16 +436,17 @@ def _symbolwise(dec: DecodingNfg, m: int, cap, config_cap) -> DecodeResult:
     share = (lambda v: Fraction(v, norm)) if exact else (lambda v: v * unit / norm)
     factor_dists, edge_dists = {f: {} for f in dec.nfg.factors}, {e: {} for e in dec.nfg.edge_order}
 
-    def put(dist, key, ids):
-        p = share(reduce(add, map(ws.__getitem__, ids), 0))
-        if p:  # only a float underflow gives 0
-            dist[key] = p
+    rows, symbols, lists = tally.incidence
+    shares = [share(reduce(add, map(ws.__getitem__, ids), 0)) for ids in lists]
 
-    rows, symbols = tally.incidence
-    for (f, row), ids in rows.items():
-        put(factor_dists[f], row, ids)
-    for (j, s), ids in symbols.items():
-        put(edge_dists[dec.nfg.edge_order[j]], s, ids)
+    def put(dist, key, i):
+        if shares[i]:  # only a float underflow gives 0
+            dist[key] = shares[i]
+
+    for (f, row), i in rows.items():
+        put(factor_dists[f], row, i)
+    for (j, s), i in symbols.items():
+        put(edge_dists[dec.nfg.edge_order[j]], s, i)
     beta = PseudoMarginals.of_dicts(factor_dists, edge_dists)
     return _decide(dec, beta, False, -math.log(float(z_total * unit / tally.n_fixed)) / m, {"degree": m})
 

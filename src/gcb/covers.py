@@ -45,7 +45,7 @@ from .errors import (
     ShapeMismatch,
 )
 from . import _kernels
-from ._kernels import Walk, lcm_scaled, walk_weights
+from ._kernels import Walk, lcm_scaled, scaled_table, walk_weights
 from .gibbs import config_cap as default_config_cap, resolve_cap
 from .gibbs import valid_tuples  # noqa: F401  (benchmark self-tests read gcb.covers.valid_tuples)
 from .nfg import Factor, Nfg, read_lines
@@ -372,10 +372,13 @@ def phi_of_rows(nfg: Nfg, tally: "TypeTally", rows) -> PseudoMarginals:
 
 
 def _frequencies(m: int, factor_counts, edge_counts) -> PseudoMarginals:
-    """The non-zero counts over m, handed to ``of_dicts`` uncopied."""
+    """The non-zero counts over m, handed to ``of_dicts`` uncopied; entries
+    of one count share one (immutable) Fraction."""
+    counts = itertools.chain(factor_counts.values(), edge_counts.values())
+    share = {n: Fraction(n, m) for n in {n for d in counts for n in d.values()}}
     return PseudoMarginals.of_dicts(
-        {f: {k: Fraction(n, m) for k, n in d.items() if n} for f, d in factor_counts.items()},
-        {e: {s: Fraction(n, m) for s, n in d.items() if n} for e, d in edge_counts.items()},
+        {f: {k: share[n] for k, n in d.items() if n} for f, d in factor_counts.items()},
+        {e: {s: share[n] for s, n in d.items() if n} for e, d in edge_counts.items()},
     )
 
 
@@ -405,7 +408,8 @@ class TypeTally:
     ``fullest`` is the most configurations one cover has; the walk raises
     CapExceeded past ``config_cap`` and the cover cap ``cap``.  The tally
     holds the plan's supports but no table values, so the graphs of one
-    structure share it (``of``), and ``weighed`` reads one graph's values.
+    structure share it (``of``), and ``weighed`` reads one graph's values,
+    each factor's once per factor object (``Nfg.per_factor``).
     The symbolwise rule reads its sums off ``incidence``, the types that
     take each factor row and edge symbol, listed on first use.
     """
@@ -414,8 +418,8 @@ class TypeTally:
         self.m = m
         perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
         plan = _kernels.build_plan(nfg)
-        self.supports = [(fp.fid, fp.support) for fp in plan.factors]
-        self.rows = [(fid, row) for fid, support in self.supports for row in support]
+        self.supports = {fp.fid: fp.support for fp in plan.factors}
+        self.rows = [(fid, row) for fid, support in self.supports.items() for row in support]
         walk, limit, by_type = Walk(plan, m), default_config_cap(config_cap), {}
         self.fullest = 0
         for perm_inv in perm_invs:
@@ -433,17 +437,22 @@ class TypeTally:
 
     @functools.cached_property
     def incidence(self):
-        """(rows, symbols): the types that take each (factor id, row) and
-        each (edge number in ``edge_order``, symbol), their ids listed once
-        per copy that takes it, in type order, and the keys in order of first
-        visit over ``types``: a sum over a list adds as a loop over the types."""
+        """(rows, symbols, lists): the types that take each (factor id, row)
+        and each (edge number in ``edge_order``, symbol), their ids listed
+        once per copy that takes it, in type order: a sum over a list adds
+        as a loop over the types.  ``rows`` and ``symbols`` map their keys,
+        in order of first visit over ``types``, to the key's list's number
+        in ``lists``, which holds each distinct list once."""
         rows, symbols = {}, {}
         for t, (row_ids, _, slots) in enumerate(self.types):
             for r in row_ids:
                 rows.setdefault(self.rows[r], []).append(t)
             for j, s in enumerate(slots):
                 symbols.setdefault((j // self.m, s), []).append(t)
-        return rows, symbols
+        lists: dict = {}
+        rows, symbols = ({key: lists.setdefault(tuple(ids), len(lists)) for key, ids in d.items()}
+                         for d in (rows, symbols))
+        return rows, symbols, list(lists)
 
     @classmethod
     def of(cls, nfg: Nfg, m: int, cap=None, config_cap=None) -> "TypeTally":
@@ -472,12 +481,19 @@ class TypeTally:
         of nfg, a graph of the tally's structure, with ``value * unit`` the
         global value of each of the type's configurations.  A value
         multiplies its rows' weights (``walk_weights``) in row-id order,
-        which at M = 1 is the order of a walk."""
-        weights, scale = walk_weights([[nfg.factors[fid].table[row] for row in support]
-                                       for fid, support in self.supports])
+        which at M = 1 is the order of a walk.  Each factor's values are
+        read once per factor object (``Nfg.per_factor``)."""
+        tables = nfg.per_factor(TypeTally, self._row_values)
+        tables = [tables[fid] for fid in self.supports]
+        weights, scale = walk_weights([values for values, _ in tables], scaled=[s for _, s in tables])
         flat = list(itertools.chain.from_iterable(weights))
         types = [(count, math.prod([flat[r] for r in rows]), rows, slots) for rows, count, slots in self.types]
         return types, Fraction(1, scale**self.m)
+
+    def _row_values(self, f: Factor):
+        """(values, ``scaled_table(values)``) of f's rows in walk order."""
+        values = [f.table[row] for row in self.supports[f.id]]
+        return values, scaled_table(values)
 
 
 class PreimageCensus:

@@ -9,8 +9,9 @@ graph alone (its polytope index and type values; on a code graph, its
 words and the decoding structure its decoding graphs are reweighed from) is
 built on first use and kept on the graph (``Nfg.derived``), and what its
 structure alone determines is kept with the structure (``Nfg.shared``),
-which every graph reweighed from it shares.  Two threads that ask at once
-may each build a value, and one of the equal results is kept.
+which every graph reweighed from it shares, as is what one factor's table
+determines, beside that factor (``Nfg.per_factor``).  Two threads that ask
+at once may each build a value, and one of the equal results is kept.
 
 ``read_lines`` holds the line syntax of gcb's text formats other than alist:
 comments, blank lines, tokens, repeated keys and the line an error names.
@@ -137,6 +138,7 @@ class Nfg:
                 )
         self.incidence = {e: tuple(sorted(v)) for e, v in incidence.items()}
         self.edge_order = tuple(sorted(self.alphabet_sizes))
+        self.full_edges = frozenset(self.alphabet_sizes) - self.half_edges
         self._edge_index = {e: i for i, e in enumerate(self.edge_order)}
         self._derived: dict = {}
         self._shared: dict = {}
@@ -157,6 +159,21 @@ class Nfg:
             self._shared[key] = build(self)
         return self._shared[key]
 
+    def per_factor(self, key, build) -> dict:
+        """{factor id: build(factor)} in ``factors`` order.  Each value is
+        kept with the structure (as ``shared``, under ``key``) beside the
+        factor object it was read from, and read again only where the
+        graph's factor under that id is another object: a graph reweighed
+        from the structure pays only for the factors it swapped in."""
+        kept = self.shared((Nfg.per_factor, key), lambda _: {})
+        out = {}
+        for fid, f in self.factors.items():
+            entry = kept.get(fid)
+            if entry is None or entry[0] is not f:
+                entry = kept[fid] = (f, build(f))
+            out[fid] = entry[1]
+        return out
+
     def reweighed(self, factors: Iterable[Factor]) -> "Nfg":
         """This graph with ``factors`` in place of those of the same ids, each
         keeping its id's edges and support (else GcbError), so nothing else
@@ -172,10 +189,6 @@ class Nfg:
         return graph
 
     # -- basic structure ----------------------------------------------------
-
-    @property
-    def full_edges(self) -> frozenset:
-        return frozenset(self.alphabet_sizes) - self.half_edges
 
     @property
     def half_edge_order(self) -> tuple:

@@ -21,14 +21,16 @@ does the loop's arithmetic in the loop's order, so every result is
 bit-identical to it:
 
 - the arity-wise product above, which the beliefs reuse;
-- product / entry at each position while every entry is positive, and
-  the product with the entry left out (under ``errstate``) only at the
-  entries that are not (a zero message, or a NaN);
+- product / entry at each position while every message is positive (an
+  entry is a message or the constant 1.0), and the product with the entry
+  left out (under ``errstate``) only at the entries that are not (a zero
+  message, or a NaN);
 - ``bincount`` sums in row order, each message block receiving only its
   own factor's rows, in sorted order, and a division of each block by its
   sum (``np.add.reduce``, as ``ndarray.sum``), with the uniform message only
   on blocks whose sum is not positive; the blocks of one alphabet size are
-  contiguous, so a size class is one (blocks, size) view of the vector;
+  contiguous, so a size class is one (blocks, size) view of the vector,
+  and its output view is built once per run;
 - the beliefs placed in the index's coordinates (``_FlatLayout.x``), read
   back as pseudo-marginals by the index and, in a ``collect_trace`` run,
   scored by its free energy after each sweep.
@@ -254,17 +256,18 @@ def sum_product(
 
     One sweep gathers each kept row's weight and incoming entries as one
     (arity + 1, rows) array and multiplies down its short axis, left to
-    right.  When every entry is positive, each position receives product /
-    entry; otherwise, under ``errstate``, the entries that are not positive
-    (zero or NaN) receive the product with that entry left out.
+    right.  When every message is positive, so is every entry (a message
+    or the constant 1.0), and each position receives product / entry;
+    otherwise, under ``errstate``, the entries that are not positive (zero
+    or NaN) receive the product with that entry left out.
     ``bincount`` adds the contributions in row order, and each block is
     divided by its sum (a pairwise sum from 8 entries on, exactly as
     ``ndarray.sum``), one contiguous (blocks, size) view per alphabet
     size, directly when every block sum of that size is positive, else
-    with the uniform message on the blocks whose sum is not.  The sweep
-    writes into arrays allocated once per run.  So the messages,
-    residuals, sweep counts, beliefs and trace are bit-identical to the
-    plain per-row loop kept in the tests as ``reference_sum_product``.
+    (``_over``) with the uniform message on the blocks whose sum is not.
+    The sweep writes into arrays and views made once per run.  So the
+    messages, residuals, sweep counts, beliefs and trace are bit-identical
+    to the plain per-row loop kept in the tests as ``reference_sum_product``.
     """
     from .bethe import _BetaIndex  # bethe imports this module
 
@@ -283,13 +286,14 @@ def sum_product(
     old = vec[:n]
     terms, total = np.empty(lay.gather.shape), np.empty(lay.gather.shape[1])
     contrib, new, diff = np.empty_like(terms[1:]), np.empty(n), np.empty(n)
+    outs = [(lo, hi, new[lo:hi].reshape(-1, size)) for lo, hi, size in lay.groups]
+    entries = terms[1:]
     residual = float("inf")
     iterations = 0
     trace = [] if collect_trace else None
     for iterations in range(1, max_iters + 1):
         lay.products(vec, terms, total)
-        entries = terms[1:]
-        if np.minimum.reduce(entries, axis=None, initial=1.0) > 0.0:
+        if np.minimum.reduce(old, initial=1.0) > 0.0:  # each entry is a message or 1.0
             np.divide(total, entries, out=contrib)
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -299,9 +303,13 @@ def sum_product(
             rest[k + 1, np.arange(len(r))] = 1.0
             contrib[k, r] = np.multiply.reduce(rest, axis=0)
         sums = np.bincount(lay.scatter, contrib.ravel(), minlength=n + 1)
-        for lo, hi, size in lay.groups:
-            v = sums[lo:hi].reshape(-1, size)
-            _over(v, np.add.reduce(v, axis=1, keepdims=True), 1.0 / size, new[lo:hi].reshape(-1, size))
+        for lo, hi, out in outs:
+            v = sums[lo:hi].reshape(out.shape)
+            block_sums = np.add.reduce(v, axis=1, keepdims=True)
+            if np.minimum.reduce(block_sums, axis=None) > 0.0:
+                np.divide(v, block_sums, out=out)
+            else:
+                _over(v, block_sums, 1.0 / out.shape[1], out)
         np.absolute(np.subtract(new, old, out=diff), out=diff)
         residual = float(np.maximum.reduce(diff, initial=0.0))
         if damping > 0.0:

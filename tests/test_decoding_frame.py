@@ -32,6 +32,7 @@ from gcb.coding import (
     smapd,
 )
 from gcb.covers import TypeTally
+from gcb.nfg import Factor
 from gcb.spa import _FlatLayout, layout, sum_product
 
 from conftest import EXAMPLE3_ROWS, list_oracle, twin
@@ -175,6 +176,43 @@ def test_the_code_graph_keeps_one_frame():
     assert len(patterns) > 2
     (kept,) = kept_structure(code)
     assert shape_of(kept) is shape_of(decs[-1].nfg)
+
+
+def weighed(nfg):
+    """nfg's index weights and energy, and its M = 1 types and unit, each
+    value with its type and floats by their bits."""
+
+    def exact(v):
+        return type(v), v.hex() if isinstance(v, float) else v
+
+    index = _BetaIndex.of(nfg)
+    _, types, unit = TypeTally.weighed_on(nfg, 1)
+    return (
+        index.weights.tobytes(),
+        index.energy_vector().tobytes(),
+        [(count, exact(value), rows, slots) for count, value, rows, slots in types],
+        exact(unit),
+    )
+
+
+def test_swapped_factors_are_read_again():
+    """A word's index and type values read each factor's numbers once per
+    factor object (``Nfg.per_factor``): after every word of a mixed
+    sequence, graphs reweighed from reweighed graphs included, they equal
+    those of a twin weighed from nothing."""
+    code, words = example3()
+    decs = interleaved_words(code, words, 24, seed=21)
+    assert len({shape_of(dec.nfg) for dec in decs}) > 2  # Z words replace the kept structure
+    channel = [f"ch_{e}" for e in code.half_edge_order]
+    for earlier, dec in zip([None] + decs, decs):
+        graphs = [dec.nfg]
+        if earlier is not None and shape_of(earlier.nfg) is shape_of(dec.nfg):
+            back = dec.nfg.reweighed([earlier.nfg.factors[f] for f in channel])
+            halved = [back.factors[f] for f in channel[::2]]
+            graphs += [back, back.reweighed(Factor(f.id, f.edges, {k: float(v) / 2 for k, v in f.table.items()})
+                                            for f in halved)]
+        for nfg in graphs:
+            assert weighed(nfg) == weighed(twin(nfg))
 
 
 def test_layout_is_rebuilt_when_rows_underflow():

@@ -334,6 +334,30 @@ def test_flat_sweep_matches_loop_oracle_on_decoding_graphs(options):
         assert_same_run(nfg, max_iters=40, **options)
 
 
+def half_edge_zero_graph():
+    # a loop f - g - k where f never takes h = 1: from the first sweep on,
+    # f's message out on the half-edge h holds a 0, which no row gathers
+    # (a half-edge brings the constant 1.0), while every gathered message
+    # stays positive
+    rng = random.Random(29)
+    sizes = {"a": 2, "b": 2, "c": 3, "h": 2}
+
+    def table(edges):
+        return {k: rng.uniform(0.1, 2.0) for k in np.ndindex(*(sizes[e] for e in edges))}
+
+    f = {(x, y, 0): w for (x, y), w in table(("a", "b")).items()}
+    return Nfg(sizes, ["h"], [Factor("f", ("a", "b", "h"), f), Factor("g", ("b", "c"), table(("b", "c"))),
+                              Factor("k", ("c", "a"), table(("c", "a")))])
+
+
+@pytest.mark.parametrize("options", BATTERY_OPTIONS)
+def test_zero_message_out_on_a_half_edge_matches_loop_oracle(options):
+    state = assert_same_run(half_edge_zero_graph(), max_iters=200, tol=1e-13, **options)
+    if options["damping"] == 0.0:
+        assert state.messages[("f", "h")].tolist()[1] == 0.0
+    assert all(np.all(v > 0.0) for key, v in state.messages.items() if key != ("f", "h"))
+
+
 def test_zero_messages_take_the_leave_one_out_product():
     half = Fraction(1, 2)
     erasure = Channel(2, {("0", 0): half, ("e", 0): half, ("1", 1): half, ("e", 1): half})
