@@ -634,22 +634,6 @@ class TiltResult:
         self.iterations = int(steps.sum())
 
 
-def _tilt_scores(features, log_w, lam):
-    return log_w + (features @ lam[:, :, None])[:, :, 0]
-
-
-def _tilt_dist(features, log_w, lam):
-    scores = _tilt_scores(features, log_w, lam)
-    p = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return p / p.sum(axis=1, keepdims=True)
-
-
-def _tilt_dual(features, log_w, targets, lam):
-    scores = _tilt_scores(features, log_w, lam)
-    mx = scores.max(axis=1)
-    return np.einsum("bv,bv->b", lam, targets) - (mx + np.log(np.exp(scores - mx[:, None]).sum(axis=1)))
-
-
 def _newton_steps(cov, grad):
     try:
         return np.linalg.solve(cov, grad[:, :, None])[:, :, 0]
@@ -673,53 +657,68 @@ def tilt_factor_block(features, log_w, targets) -> TiltResult:
     (blocks, edges) each edge's target probability of symbol one.  The
     optimum is an exponential-family tilt beta(a) ∝ w(a) exp(sum_e
     lambda_e a_e); the duals are found by damped Newton on the
-    marginal-matching conditions, all blocks in one batched solve.  Each
-    block keeps its own backtracking line search and is frozen once its
-    gradient is at most ``TILT_TOL``; ``converged`` marks the blocks that
-    got there within ``TILT_ITERS`` iterations.
+    marginal-matching conditions, all blocks in one batched solve.  One
+    pass per iteration scores the live blocks, and the distribution,
+    marginals, covariance and each block's own backtracking line search
+    read off it.  A block freezes, keeping that iteration's distribution
+    and duals, once its gradient is at most ``TILT_TOL``; ``converged``
+    marks the blocks that froze within ``TILT_ITERS`` iterations, and the
+    others keep the distribution at their duals after the last step.
     """
     features = np.asarray(features, dtype=float)
     log_w = np.asarray(log_w, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    n_blocks, _, n_vars = features.shape
-    lam = np.zeros((n_blocks, n_vars))
-    steps = np.zeros(n_blocks, dtype=int)
+    n_blocks, n_rows, n_vars = features.shape
+    dist, lam, steps = np.empty((n_blocks, n_rows)), np.empty((n_blocks, n_vars)), np.empty(n_blocks, dtype=int)
     converged = np.zeros(n_blocks, dtype=bool)
     ridge = 1e-12 * np.eye(n_vars)
-    live = np.arange(n_blocks)
-    for it in range(1, TILT_ITERS + 1):
-        f, lw, tg, lm = features[live], log_w[live], targets[live], lam[live]
-        p = _tilt_dist(f, lw, lm)
-        marg = np.einsum("brv,br->bv", f, p)
+    live, f, lw, tg, lm = np.arange(n_blocks), features, log_w, targets, np.zeros((n_blocks, n_vars))
+    ft = f.transpose(0, 2, 1)  # (blocks, edges, rows)
+    for it in range(1, TILT_ITERS + 2):
+        scores = lw + (f @ lm[:, :, None])[:, :, 0]
+        mx = scores.max(axis=1)
+        p = np.exp(scores - mx[:, None])
+        z = p.sum(axis=1)
+        p /= z[:, None]
+        marg = (ft @ p[:, :, None])[:, :, 0]
         grad = tg - marg
-        gmax = np.max(np.abs(grad), axis=1)
-        steps[live] = it
-        done = gmax <= TILT_TOL
-        converged[live[done]] = True
-        if done.all():
-            break
+        gmax = np.abs(grad).max(axis=1)
+        last = it > TILT_ITERS  # after the last step: read the distribution off only
+        done = (gmax <= TILT_TOL) | last
         if done.any():
+            out = live[done]
+            dist[out], lam[out], steps[out], converged[out] = p[done], lm[done], it - last, not last
+            if done.all():
+                break
             keep = ~done
-            live, f, lw, tg, lm, p, marg, grad, gmax = (
-                a[keep] for a in (live, f, lw, tg, lm, p, marg, grad, gmax)
+            live, f, lw, tg, lm, p, mx, z, marg, grad, gmax = (
+                a[keep] for a in (live, f, lw, tg, lm, p, mx, z, marg, grad, gmax)
             )
-        cov = np.einsum("brv,brw->bvw", f * p[:, :, None], f) - marg[:, :, None] * marg[:, None, :] + ridge
+            ft = f.transpose(0, 2, 1)
+        cov = (ft * p[:, None, :]) @ f - marg[:, :, None] * marg[:, None, :] + ridge
         step = _newton_steps(cov, grad)
         # in the quadratic convergence zone the dual's gain is below float
         # rounding, so backtracking would stall; those blocks take the full step
-        t = np.ones(len(live))
         search = np.flatnonzero(gmax > 1e-6)
         if search.size:
-            base = _tilt_dual(f[search], lw[search], tg[search], lm[search])
+            sub = (f, lw, tg, lm, step, mx, z)  # sliced only when some live blocks take the full step
+            fs, lws, tgs, lms, ss, ms, zs = sub if search.size == len(live) else (a[search] for a in sub)
+            base = np.einsum("bv,bv->b", lms, tgs) - (ms + np.log(zs))
+            t, scale = np.ones(len(live)), 1.0
             for _ in range(60):
-                cand = lm[search] + t[search, None] * step[search]
-                ok = _tilt_dual(f[search], lw[search], tg[search], cand) > base - 1e-18
-                search, base = search[~ok], base[~ok]
-                if not search.size:
+                cand = lms + scale * ss
+                sc = lws + (fs @ cand[:, :, None])[:, :, 0]
+                m = sc.max(axis=1)
+                ok = np.einsum("bv,bv->b", cand, tgs) - (m + np.log(np.exp(sc - m[:, None]).sum(axis=1))) > base - 1e-18
+                if ok.all():
                     break
-                t[search] *= 0.5
-        lam[live] = lm + t[:, None] * step
-    return TiltResult(_tilt_dist(features, log_w, lam), lam, steps, converged)
+                scale *= 0.5
+                if ok.any():
+                    search, base, fs, lws, tgs, lms, ss = (a[~ok] for a in (search, base, fs, lws, tgs, lms, ss))
+                t[search] = scale
+            step *= t[:, None]
+        lm += step
+    return TiltResult(dist, lam, steps, converged)
 
 
 # -- minimization -------------------------------------------------------------

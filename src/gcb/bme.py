@@ -9,8 +9,10 @@ per group of equal-shape check blocks, and written straight into the flat
 coordinates of the graph's ``bethe._BetaIndex``, the one description of
 the local marginal polytope: its constraint rows guard the completion and
 its entropy coefficients score it.  What depends on the graph alone (the
-pinned slots, each check's rows and log weights) is one ``_Plan``, built
-on first use and kept on the graph beside its index (``Nfg.derived``).
+pinned slots, and the checks' rows and log weights stacked by block
+shape) is one ``_Plan``, built on first use and kept on the graph beside
+its index (``Nfg.derived``); a group whose edges are all free goes to the
+solve as the plan stacked it.
 The induced entropy of the half-edge marginal vector is the Bethe entropy
 of the completed vector.
 """
@@ -64,22 +66,25 @@ def _split_variable_check(nfg: Nfg):
     return variable, checks
 
 
-class _Check:
-    """One check factor in the index's coordinates: the slots of its support
-    rows, the rows as 0/1 features (one column per edge), their log
-    weights, and the half-edge marginal pinning each edge."""
+class _Group:
+    """The check factors of one block shape, stacked in sorted order: their
+    ids and edges, the slots of their support rows (checks, rows), the rows
+    as 0/1 features (checks, rows, edges), their log weights (checks,
+    rows), and the half-edge marginal pinning each edge (checks, edges).
+    Where every edge of every check is free, the stack is the tilt's input
+    as it stands."""
 
-    __slots__ = ("fid", "edges", "slots", "features", "log_w", "pins")
+    __slots__ = ("fids", "edges", "slots", "features", "log_w", "pins")
 
-    def __init__(self, nfg: Nfg, fid, slot_of: dict, pin: dict):
-        fac = nfg.factors[fid]
-        support = fac.support
-        self.fid = fid
-        self.edges = fac.edges
-        self.slots = np.array([slot_of["f", fid, key] for key in support])
-        self.features = np.array(support, dtype=float)
-        self.log_w = np.array([math.log(fac.table[key]) for key in support])
-        self.pins = np.array([pin[e] for e in fac.edges])
+    def __init__(self, nfg: Nfg, fids: list, slot_of: dict, pin: dict):
+        factors = [nfg.factors[f] for f in fids]
+        supports = [fac.support for fac in factors]
+        self.fids = fids
+        self.edges = [fac.edges for fac in factors]
+        self.slots = np.array([[slot_of["f", f, key] for key in rows] for f, rows in zip(fids, supports)])
+        self.features = np.array(supports, dtype=float)
+        self.log_w = np.array([[math.log(fac.table[key]) for key in rows] for fac, rows in zip(factors, supports)])
+        self.pins = np.array([[pin[e] for e in fac.edges] for fac in factors])
 
 
 class _Plan:
@@ -88,7 +93,7 @@ class _Plan:
     ``half`` orders the half-edge marginals w; slot ``one[i]`` of the index
     holds w[pinned_by[i]] and slot ``zero[i]`` its complement (the
     repetition rows and the edge symbols); ``checks`` are the check factors
-    in sorted order.
+    in sorted order, and ``groups`` stack them by block shape.
     """
 
     def __init__(self, nfg: Nfg):
@@ -113,7 +118,12 @@ class _Plan:
             one.append(slot_of["e", e, 1])
             pinned_by.append(pin[e])
         self.zero, self.one, self.pinned_by = np.array(zero), np.array(one), np.array(pinned_by)
-        self.checks = [_Check(nfg, fid, slot_of, pin) for fid in checks]
+        self.checks = checks
+        by_shape = {}
+        for fid in checks:
+            fac = nfg.factors[fid]
+            by_shape.setdefault((len(fac.table), len(fac.edges)), []).append(fid)
+        self.groups = [_Group(nfg, fids, slot_of, pin) for fids in by_shape.values()]
 
 
 def bme_completion(nfg: Nfg, omega: Mapping[str, object]) -> BmeResult:
@@ -121,8 +131,9 @@ def bme_completion(nfg: Nfg, omega: Mapping[str, object]) -> BmeResult:
 
     ``omega`` maps each half-edge to its probability of symbol one.  An edge
     whose marginal is 0 or 1 forces its symbol, keeping the matching rows of
-    each check and dropping the edge from its tilt.  The remaining check
-    blocks are grouped by shape and each group is solved by one call of
+    each check and dropping the edge from its tilt.  The checks of a plan
+    group with every edge free are solved on the group's stack; the
+    others are grouped by their reduced shape.  Each stack is one call of
     the stacked damped Newton ``tilt_factor_block``; an unmatchable
     marginal vector raises InfeasibleOmega.  The completion is written into
     the index's slot vector, must lie in the local marginal polytope to
@@ -144,33 +155,45 @@ def bme_completion(nfg: Nfg, omega: Mapping[str, object]) -> BmeResult:
     x[plan.one] = w[plan.pinned_by]
 
     duals = {}
-    groups = {}  # block shape -> [(check id, slots, features, log_w, targets, free edges)]
-    for c in plan.checks:
-        t = w[c.pins]
+    stacks = []  # (check ids, slots, features, log_w, targets, free edges) per tilt call
+    partial = []  # checks with a forced edge: (check id, group, position)
+    for g in plan.groups:
+        targets = w[g.pins]
+        whole = ((targets != 0.0) & (targets != 1.0)).all(axis=1)
+        if whole.all():
+            stacks.append((g.fids, g.slots, g.features, g.log_w, targets, g.edges))
+            continue
+        if whole.any():
+            pick = np.flatnonzero(whole)
+            stacks.append(([g.fids[i] for i in pick], g.slots[pick], g.features[pick], g.log_w[pick],
+                           targets[pick], [g.edges[i] for i in pick]))
+        partial += [(g.fids[i], g, i) for i in np.flatnonzero(~whole)]
+    shapes = {}  # block shape -> [(check id, slots, features, log_w, targets, free edges)]
+    for fid, g, i in sorted(partial):  # check ids are distinct, so the order is theirs
+        t, features = w[g.pins[i]], g.features[i]
         forced0, forced1 = t == 0.0, t == 1.0
         free = ~(forced0 | forced1)
-        if free.all():
-            block = (c.fid, c.slots, c.features, c.log_w, t, c.edges)
-        else:
-            rows = ~c.features[:, forced0].any(axis=1) & c.features[:, forced1].all(axis=1)
-            if not rows.any():
-                raise InfeasibleOmega(f"check {c.fid}: no support row matches the forced symbols")
-            if not free.any():
-                x[c.slots[rows]] = 1.0  # support rows are distinct: exactly one matches
-                duals[c.fid] = {}
-                continue
-            edges = [e for e, keep in zip(c.edges, free) if keep]
-            block = (c.fid, c.slots[rows], c.features[rows][:, free], c.log_w[rows], t[free], edges)
-        groups.setdefault(block[2].shape, []).append(block)
+        rows = ~features[:, forced0].any(axis=1) & features[:, forced1].all(axis=1)
+        if not rows.any():
+            raise InfeasibleOmega(f"check {fid}: no support row matches the forced symbols")
+        if not free.any():
+            x[g.slots[i, rows]] = 1.0  # support rows are distinct: exactly one matches
+            duals[fid] = {}
+            continue
+        edges = [e for e, keep in zip(g.edges[i], free) if keep]
+        block = (fid, g.slots[i, rows], features[rows][:, free], g.log_w[i, rows], t[free], edges)
+        shapes.setdefault(block[2].shape, []).append(block)
+    for blocks in shapes.values():
+        fids, slots, features, log_w, targets, edges = zip(*blocks)
+        stacks.append((fids, np.stack(slots), np.stack(features), np.stack(log_w), np.stack(targets), edges))
 
     iterations = 0
     failed = []
-    for blocks in groups.values():
-        fids, slots, features, log_w, targets, edges = zip(*blocks)
-        res = tilt_factor_block(np.stack(features), np.stack(log_w), np.stack(targets))
+    for fids, slots, features, log_w, targets, edges in stacks:
+        res = tilt_factor_block(features, log_w, targets)
         iterations = max(iterations, int(res.steps.max()))
+        x[slots] = res.dist
         for b, fid in enumerate(fids):
-            x[slots[b]] = res.dist[b]
             duals[fid] = dict(zip(edges[b], res.duals[b]))
         failed += [fid for fid, ok in zip(fids, res.converged) if not ok]
     if failed:
@@ -180,7 +203,7 @@ def bme_completion(nfg: Nfg, omega: Mapping[str, object]) -> BmeResult:
         )
     if not idx.feasible(x, 1e-8):
         raise InconsistentBeta("completion outside the local marginal polytope")
-    check_duals = {c.fid: duals[c.fid] for c in plan.checks}
+    check_duals = {fid: duals[fid] for fid in plan.checks}
     return BmeResult(idx.to_beta(x), idx.entropy(x), check_duals, iterations)
 
 

@@ -27,8 +27,9 @@ bit-identical to it:
   message, or a NaN);
 - ``bincount`` sums in row order, each message block receiving only its
   own factor's rows, in sorted order, and a division of each block by its
-  sum (``np.add.reduce``, as ``ndarray.sum``), with the uniform message only
-  on blocks whose sum is not positive; the blocks of one alphabet size are
+  sum (one column add at size 2, else ``np.add.reduce``, as
+  ``ndarray.sum``), with the uniform message only on blocks whose sum is
+  not positive; the blocks of one alphabet size are
   contiguous, so a size class is one (blocks, size) view of the vector,
   and its output view is built once per run;
 - the beliefs placed in the index's coordinates (``_FlatLayout.x``), read
@@ -261,10 +262,11 @@ def sum_product(
     otherwise, under ``errstate``, the entries that are not positive (zero
     or NaN) receive the product with that entry left out.
     ``bincount`` adds the contributions in row order, and each block is
-    divided by its sum (a pairwise sum from 8 entries on, exactly as
-    ``ndarray.sum``), one contiguous (blocks, size) view per alphabet
-    size, directly when every block sum of that size is positive, else
-    (``_over``) with the uniform message on the blocks whose sum is not.
+    divided by its sum (one column add at size 2, and a pairwise sum from
+    8 entries on, exactly as ``ndarray.sum``), one contiguous (blocks,
+    size) view per alphabet size, directly when every block sum of that
+    size is positive, else (``_over``) with the uniform message on the
+    blocks whose sum is not.
     The sweep writes into arrays and views made once per run.  So the
     messages, residuals, sweep counts, beliefs and trace are bit-identical
     to the plain per-row loop kept in the tests as ``reference_sum_product``.
@@ -305,7 +307,10 @@ def sum_product(
         sums = np.bincount(lay.scatter, contrib.ravel(), minlength=n + 1)
         for lo, hi, out in outs:
             v = sums[lo:hi].reshape(out.shape)
-            block_sums = np.add.reduce(v, axis=1, keepdims=True)
+            if out.shape[1] == 2:  # one column add, as ndarray.sum adds two entries
+                block_sums = (v[:, 0] + v[:, 1])[:, None]
+            else:
+                block_sums = np.add.reduce(v, axis=1, keepdims=True)
             if np.minimum.reduce(block_sums, axis=None) > 0.0:
                 np.divide(v, block_sums, out=out)
             else:

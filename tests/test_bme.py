@@ -429,6 +429,58 @@ def test_stacked_tilt_matches_per_block_oracle():
         assert abs(res.duals[b, 0] - want.duals["a", 1]) <= 1e-9
         assert abs(res.duals[b, 1] - want.duals["b", 1]) <= 1e-9
 
+
+def test_blocks_freeze_early_late_or_not_at_all(monkeypatch):
+    """In one stack the first block is solved at its start (1 iteration),
+    the third after a line search (7), and the second, whose target 1e-6
+    needs 17, runs out of ``TILT_ITERS`` = 10 between them.  Each keeps
+    the distribution of its own duals, the one it froze with or, unsolved,
+    the one after its last step, and the oracle's iteration count."""
+    import gcb.bethe
+
+    monkeypatch.setattr(gcb.bethe, "TILT_ITERS", 10)
+    rows = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    blocks = [
+        ([0.0, 0.0, 0.0, 0.0], [0.5, 0.5], 1),
+        ([0.0, 0.0, 0.0, 0.0], [1e-6, 0.5], 10),
+        ([-2.0, 0.0, -25.0, 1.0], [0.2, 0.5], 7),
+    ]
+    features = np.array([rows] * len(blocks), dtype=float)
+    log_w = np.array([lw for lw, _, _ in blocks])
+    res = gcb.bethe.tilt_factor_block(features, log_w, np.array([tg for _, tg, _ in blocks]))
+    assert res.steps.tolist() == [steps for _, _, steps in blocks]
+    assert res.converged.tolist() == [True, False, True]
+    assert res.iterations == 18
+    for b, (lw, (wa, wb), _) in enumerate(blocks):
+        scores = np.array(lw) + features[b] @ res.duals[b]
+        softmax = np.exp(scores - scores.max()) / np.exp(scores - scores.max()).sum()
+        assert np.abs(res.dist[b] - softmax).max() <= 1e-15
+        want = tilt_factor_block_oracle(
+            rows, lw, {"a": 0, "b": 1}, {"a": np.array([1 - wa, wa]), "b": np.array([1 - wb, wb])}, max_iters=10
+        )
+        assert (res.steps[b], res.converged[b]) == (want.iterations, want.converged)
+        assert np.abs(res.duals[b] - [want.duals["a", 1], want.duals["b", 1]]).max() <= 1e-9
+
+
+def test_singular_covariance_steps_along_its_gradient():
+    """A block whose covariance is all zeros makes the batched solve raise;
+    that block then steps along its gradient, and every other block takes
+    its own solve."""
+    from gcb.bethe import _newton_steps
+
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3, 4, 4))
+    cov = a @ a.transpose(0, 2, 1) + np.eye(4)
+    cov[1] = 0.0
+    grad = rng.normal(size=(3, 4))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(cov, grad[:, :, None])
+    steps = _newton_steps(cov, grad)
+    assert np.array_equal(steps[1], grad[1])
+    for b in (0, 2):
+        assert np.array_equal(steps[b], np.linalg.solve(cov[b], grad[b]))
+
+
 def test_oracle_cases_reach_forced_and_mixed_shapes():
     """The cases above cover what they claim: forced symbols, an all-forced
     check, and several shapes of tilt block in one completion."""

@@ -447,6 +447,23 @@ def test_contradictory_constraints_take_the_uniform_fallback(options):
         assert state.messages[("g", "b")].tolist() == [0.5, 0.5]
 
 
+@pytest.mark.parametrize("options", [{"damping": 0.0}, {"damping": 0.0, "init_seed": 5, "collect_trace": True}])
+def test_binary_blocks_sum_by_one_column_add_like_the_oracle(options, monkeypatch):
+    """Every message block of a binary graph is summed as one column add;
+    the run stays bit-equal to the oracle, on decoding graphs and on a
+    graph whose blocks toward b sum to 0 (the uniform fallback, ``_over``)."""
+    import gcb.spa
+
+    over, fallbacks = gcb.spa._over, []
+    monkeypatch.setattr(gcb.spa, "_over", lambda *args: fallbacks.append(args[1].shape) or over(*args))
+    graphs = [example3_decoding_graph(Channel.bsc(p), y) for p, y in example3_bsc_words(seed=11, per_p=1)]
+    for nfg in graphs + [contradictory_graph()]:
+        index = _BetaIndex.of(nfg)
+        assert [size for _, _, size in layout(index, index.weights).groups] == [2]
+        assert_same_run(nfg, max_iters=30, tol=0.0, **options)
+    assert (5, 1) in fallbacks  # the sweep's sums of the contradictory graph's five blocks
+
+
 def test_mixed_arities_and_half_edge_match_oracle_with_trace():
     # arities 1, 2 and 3, alphabets 2 and 3 and a half-edge: the transposed
     # layout pads the short rows

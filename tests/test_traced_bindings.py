@@ -90,3 +90,39 @@ def test_lp_calls_count_the_words_left_to_the_solver():
         assert res.diagnostics["certified"] is certified
         assert tracer.calls["bgcd"] == tracer.calls["minimize_bethe"] == 1
         assert tracer.layer_metrics()["bethe.lp.calls"][0] == lp_calls
+
+
+def test_bme_metrics_count_a_traced_completion(monkeypatch):
+    """On a traced ``bme_completion``, ``bme.newton_iters`` is the sum of the
+    tilt's ``steps`` over its calls (the codewords with bit 1 at 0 also
+    have bit 8 at 0, which leaves checks with 0, 1 and 2 forced edges:
+    three stacks), and ``bme.bme_completion.self_s`` is above 0, so a
+    completion or tilt that bypasses its binding reads as a failure here,
+    not as a metric of 0."""
+    import numpy as np
+    import scipy.optimize  # noqa: F401  (the tracer wraps linprog, as the benchmark imports it)
+
+    import gcb
+    from gcb import ParityCheckMatrix, nfg_from_parity_check
+
+    pcm = SPANS.parents[1] / "src" / "gcb" / "data" / "example3.pcm"
+    h = ParityCheckMatrix.from_dense_text(pcm.read_text(encoding="utf-8"))
+    code = nfg_from_parity_check(h)
+    words = np.array([c for c in h.codewords() if c[0] == 0], dtype=float)
+    omega = dict(zip(code.half_edge_order, words.mean(axis=0).tolist()))
+    seen = []
+    real = gcb.bme.tilt_factor_block
+    monkeypatch.setattr(gcb.bme, "tilt_factor_block", lambda *args: seen.append(real(*args)) or seen[-1])
+    gcb.bme_completion(code, omega)
+    monkeypatch.undo()
+    assert sorted(r.dist.shape for r in seen) == [(1, 32), (2, 8), (2, 16)]
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        tracer.recording = True
+        gcb.bme_completion(code, omega)  # looked up at call time, as the benchmark does
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["bme.newton_iters"][0] == sum(int(r.steps.sum()) for r in seen) > 0
+    assert metrics["bme.bme_completion.self_s"][0] > 0
