@@ -701,8 +701,7 @@ def tilt_factor_block(features, log_w, targets) -> TiltResult:
         # rounding, so backtracking would stall; those blocks take the full step
         search = np.flatnonzero(gmax > 1e-6)
         if search.size:
-            sub = (f, lw, tg, lm, step, mx, z)  # sliced only when some live blocks take the full step
-            fs, lws, tgs, lms, ss, ms, zs = sub if search.size == len(live) else (a[search] for a in sub)
+            fs, lws, tgs, lms, ss, ms, zs = (a[search] for a in (f, lw, tg, lm, step, mx, z))
             base = np.einsum("bv,bv->b", lms, tgs) - (ms + np.log(zs))
             t, scale = np.ones(len(live)), 1.0
             for _ in range(60):

@@ -131,9 +131,9 @@ def bme_completion(nfg: Nfg, omega: Mapping[str, object]) -> BmeResult:
 
     ``omega`` maps each half-edge to its probability of symbol one.  An edge
     whose marginal is 0 or 1 forces its symbol, keeping the matching rows of
-    each check and dropping the edge from its tilt.  The checks of a plan
-    group with every edge free are solved on the group's stack; the
-    others are grouped by their reduced shape.  Each stack is one call of
+    each check and dropping the edge from its tilt.  A plan group with
+    every edge free is solved on the group's stack; the checks of the
+    other groups are grouped by their reduced shape.  Each stack is one call of
     the stacked damped Newton ``tilt_factor_block``; an unmatchable
     marginal vector raises InfeasibleOmega.  The completion is written into
     the index's slot vector, must lie in the local marginal polytope to
@@ -156,18 +156,14 @@ def bme_completion(nfg: Nfg, omega: Mapping[str, object]) -> BmeResult:
 
     duals = {}
     stacks = []  # (check ids, slots, features, log_w, targets, free edges) per tilt call
-    partial = []  # checks with a forced edge: (check id, group, position)
+    partial = []  # checks of groups with a forced edge: (check id, group, position)
     for g in plan.groups:
         targets = w[g.pins]
         whole = ((targets != 0.0) & (targets != 1.0)).all(axis=1)
         if whole.all():
             stacks.append((g.fids, g.slots, g.features, g.log_w, targets, g.edges))
-            continue
-        if whole.any():
-            pick = np.flatnonzero(whole)
-            stacks.append(([g.fids[i] for i in pick], g.slots[pick], g.features[pick], g.log_w[pick],
-                           targets[pick], [g.edges[i] for i in pick]))
-        partial += [(g.fids[i], g, i) for i in np.flatnonzero(~whole)]
+        else:
+            partial += [(g.fids[i], g, i) for i in range(len(g.fids))]
     shapes = {}  # block shape -> [(check id, slots, features, log_w, targets, free edges)]
     for fid, g, i in sorted(partial):  # check ids are distinct, so the order is theirs
         t, features = w[g.pins[i]], g.features[i]
