@@ -762,7 +762,7 @@ def _minimize_energy(idx: _BetaIndex, config_cap) -> MinimizeResult:
     fs, es = idx.first_endpoint
     x = np.concatenate([y, np.bincount(es - n_f, weights=y[fs], minlength=idx.n - n_f)])
     beta = idx.to_beta(x)
-    tie = not certified and _zero_temp_tie(idx, beta, f_min, config_cap)
+    tie = not certified and _zero_temp_tie(idx, x, f_min, config_cap)
     return MinimizeResult(beta, f_min, None, True, tie, certified, sweeps)
 
 
@@ -840,11 +840,10 @@ def minimize_bethe(
     return MinimizeResult(beta, f_min, math.exp(-f_min / t), False, False)
 
 
-def _zero_temp_tie(idx: _BetaIndex, beta: PseudoMarginals, f_min: float, config_cap):
-    """Tie when the optimum is fractional or several configurations attain
-    it; the graph's M = 1 types (``TypeTally.weighed_on``) are weighed for
-    an integral optimum only."""
-    x = idx.to_vector(beta)
+def _zero_temp_tie(idx: _BetaIndex, x: np.ndarray, f_min: float, config_cap):
+    """Tie when the optimum, the slot vector ``x``, is fractional or several
+    configurations attain it; the graph's M = 1 types
+    (``TypeTally.weighed_on``) are weighed for an integral optimum only."""
     if np.max(np.abs(x - np.round(x))) > 1e-6:
         return True
     _, types, unit = TypeTally.weighed_on(idx.nfg, 1, None, config_cap)

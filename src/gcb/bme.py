@@ -11,8 +11,8 @@ the local marginal polytope: its constraint rows guard the completion and
 its entropy coefficients score it.  What depends on the graph alone (the
 pinned slots, and the checks' rows and log weights stacked by block
 shape) is one ``_Plan``, built on first use and kept on the graph beside
-its index (``Nfg.derived``); a group whose edges are all free goes to the
-solve as the plan stacked it.
+its index (``Nfg.derived``); every group goes to the solve as the plan
+stacked it, with the edges that a marginal of 0 or 1 forces masked.
 The induced entropy of the half-edge marginal vector is the Bethe entropy
 of the completed vector.
 """
@@ -71,8 +71,8 @@ class _Group:
     ids and edges, the slots of their support rows (checks, rows), the rows
     as 0/1 features (checks, rows, edges), their log weights (checks,
     rows), and the half-edge marginal pinning each edge (checks, edges).
-    Where every edge of every check is free, the stack is the tilt's input
-    as it stands."""
+    A completion masks the forced edges in this stack and hands it to the
+    tilt as one call."""
 
     __slots__ = ("fids", "edges", "slots", "features", "log_w", "pins")
 
@@ -130,17 +130,20 @@ def bme_completion(nfg: Nfg, omega: Mapping[str, object]) -> BmeResult:
     """argmax of the Bethe entropy over completions matching the half-edge marginals.
 
     ``omega`` maps each half-edge to its probability of symbol one.  An edge
-    whose marginal is 0 or 1 forces its symbol, keeping the matching rows of
-    each check and dropping the edge from its tilt.  A plan group with
-    every edge free is solved on the group's stack; the checks of the
-    other groups are grouped by their reduced shape.  Each stack is one call of
-    the stacked damped Newton ``tilt_factor_block``; an unmatchable
-    marginal vector raises InfeasibleOmega.  The completion is written into
-    the index's slot vector, must lie in the local marginal polytope to
-    1e-8 (InconsistentBeta otherwise), and its Bethe entropy is
-    ``h_induced``.  ``iterations`` is the most Newton iterations any check
-    took.  The graph keeps its plan (``Nfg.derived``); a graph that fails
-    to plan keeps nothing and raises on every call.
+    whose marginal is 0 or 1 forces its symbol: in its check's block its
+    feature column and target are held at 0, so its Newton step is 0, and
+    each row that disagrees with the symbol gets log weight -inf, so
+    probability 0.  Each plan group is then one call of the stacked damped
+    Newton ``tilt_factor_block``.  A check that no row matches raises
+    InfeasibleOmega, naming the smallest such check, before any tilt runs;
+    so does a tilt that does not converge.  ``check_duals`` holds the
+    duals of the free edges only.  The completion is written into the
+    index's slot vector, must lie in the local marginal polytope to 1e-8
+    (InconsistentBeta otherwise), and its Bethe entropy is ``h_induced``.
+    ``iterations`` is the most Newton iterations any check with a free
+    edge took (0 when every edge is forced).  The graph keeps its plan
+    (``Nfg.derived``); a graph that fails to plan keeps nothing and raises
+    on every call.
     """
     plan = nfg.derived(_Plan, _Plan)
     if set(omega) != set(nfg.half_edges):
@@ -154,44 +157,24 @@ def bme_completion(nfg: Nfg, omega: Mapping[str, object]) -> BmeResult:
     x[plan.zero] = 1 - w[plan.pinned_by]
     x[plan.one] = w[plan.pinned_by]
 
-    duals = {}
-    stacks = []  # (check ids, slots, features, log_w, targets, free edges) per tilt call
-    partial = []  # checks of groups with a forced edge: (check id, group, position)
+    stacks, unmatched = [], []
     for g in plan.groups:
         targets = w[g.pins]
-        whole = ((targets != 0.0) & (targets != 1.0)).all(axis=1)
-        if whole.all():
-            stacks.append((g.fids, g.slots, g.features, g.log_w, targets, g.edges))
-        else:
-            partial += [(g.fids[i], g, i) for i in range(len(g.fids))]
-    shapes = {}  # block shape -> [(check id, slots, features, log_w, targets, free edges)]
-    for fid, g, i in sorted(partial):  # check ids are distinct, so the order is theirs
-        t, features = w[g.pins[i]], g.features[i]
-        forced0, forced1 = t == 0.0, t == 1.0
-        free = ~(forced0 | forced1)
-        rows = ~features[:, forced0].any(axis=1) & features[:, forced1].all(axis=1)
-        if not rows.any():
-            raise InfeasibleOmega(f"check {fid}: no support row matches the forced symbols")
-        if not free.any():
-            x[g.slots[i, rows]] = 1.0  # support rows are distinct: exactly one matches
-            duals[fid] = {}
-            continue
-        edges = [e for e, keep in zip(g.edges[i], free) if keep]
-        block = (fid, g.slots[i, rows], features[rows][:, free], g.log_w[i, rows], t[free], edges)
-        shapes.setdefault(block[2].shape, []).append(block)
-    for blocks in shapes.values():
-        fids, slots, features, log_w, targets, edges = zip(*blocks)
-        stacks.append((fids, np.stack(slots), np.stack(features), np.stack(log_w), np.stack(targets), edges))
+        free = (targets != 0.0) & (targets != 1.0)
+        miss = ((g.features != targets[:, None, :]) & ~free[:, None, :]).any(axis=2)
+        unmatched += [fid for fid, bad in zip(g.fids, miss.all(axis=1)) if bad]
+        stacks.append((g, g.features * free[:, None, :], np.where(miss, -np.inf, g.log_w), targets * free, free))
+    if unmatched:
+        raise InfeasibleOmega(f"check {min(unmatched)}: no support row matches the forced symbols")
 
-    iterations = 0
-    failed = []
-    for fids, slots, features, log_w, targets, edges in stacks:
+    duals, iterations, failed = {}, 0, []
+    for g, features, log_w, targets, free in stacks:
         res = tilt_factor_block(features, log_w, targets)
-        iterations = max(iterations, int(res.steps.max()))
-        x[slots] = res.dist
-        for b, fid in enumerate(fids):
-            duals[fid] = dict(zip(edges[b], res.duals[b]))
-        failed += [fid for fid, ok in zip(fids, res.converged) if not ok]
+        iterations = max(iterations, int(res.steps.max(initial=0, where=free.any(axis=1))))
+        x[g.slots] = res.dist
+        for fid, edges, lam, keep in zip(g.fids, g.edges, res.duals, free):
+            duals[fid] = {e: d for e, d, k in zip(edges, lam, keep) if k}
+        failed += [fid for fid, ok in zip(g.fids, res.converged) if not ok]
     if failed:
         raise InfeasibleOmega(
             f"check {min(failed)}: marginal matching did not converge; omega is outside "

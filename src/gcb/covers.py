@@ -47,7 +47,6 @@ from .errors import (
 from . import _kernels
 from ._kernels import Walk, lcm_scaled, scaled_table, walk_weights
 from .gibbs import config_cap as default_config_cap, resolve_cap
-from .gibbs import valid_tuples  # noqa: F401  (benchmark self-tests read gcb.covers.valid_tuples)
 from .nfg import Factor, Nfg, read_lines
 
 DEFAULT_COVER_CAP = 1 << 24
@@ -398,8 +397,8 @@ class TypeTally:
 
     A configuration enters pre-image counts and the decoding rules only
     through its value and frequency map, both functions of its type: the
-    sorted ids of the support rows it takes (into ``rows``, the plan's
-    (factor id, row) pairs, as ``Walk.rows``).  One loop over the covers
+    sorted ids of the support rows it takes (into ``rows``, the walk's
+    ``Walk.rows``: the plan's (factor id, row) pairs).  One loop over the covers
     keeps ``types``, (rows, count, slots) per type: its number of
     configurations and the slots of the first visited, the types in order
     of those slots.  At M = 1, where every configuration is a type of its
@@ -419,8 +418,8 @@ class TypeTally:
         perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
         plan = _kernels.build_plan(nfg)
         self.supports = {fp.fid: fp.support for fp in plan.factors}
-        self.rows = [(fid, row) for fid, support in self.supports.items() for row in support]
         walk, limit, by_type = Walk(plan, m), default_config_cap(config_cap), {}
+        self.rows = walk.rows
         self.fullest = 0
         for perm_inv in perm_invs:
             n = 0

@@ -28,6 +28,9 @@ def test_all_zero_omega_gives_point_mass(code36):
         (key,) = d
         assert all(s == 0 for s in key)
         assert d[key] == pytest.approx(1.0)
+    # every edge is forced: no check has a dual or adds a Newton iteration
+    assert res.iterations == 0
+    assert all(duals == {} for duals in res.check_duals.values())
 
 
 def test_all_one_omega_on_repetition_code():
@@ -504,6 +507,27 @@ def test_infeasible_omega_raises_like_the_oracle(rows, omega):
         bme_completion_oracle(nfg, omega)
     with pytest.raises(InfeasibleOmega):
         bme_completion(nfg, omega)
+
+
+def test_unmatched_checks_raise_the_smallest_id_before_any_tilt(monkeypatch):
+    """The plan groups interleave check ids ([c1, c3] of degree 3, [c2, c4]
+    of degree 2), and no row of c3 or of c2 matches the forced symbols:
+    the error names c2, the smallest, though c3's group comes first, and
+    no tilt runs."""
+    nfg = nfg_from_parity_check(ParityCheckMatrix([
+        [1, 1, 1, 0, 0, 0, 0],
+        [0, 0, 1, 1, 0, 0, 0],
+        [0, 0, 0, 1, 1, 1, 0],
+        [0, 0, 0, 0, 0, 1, 1],
+    ]))
+    assert [g.fids for g in nfg.derived(gcb.bme._Plan, gcb.bme._Plan).groups] == [["c1", "c3"], ["c2", "c4"]]
+    # c2 sees (x3, x4) = (1, 0) and c3 sees (x4, x5, x6) = (0, 0, 1): odd parity
+    omega = dict(zip(nfg.half_edge_order, [0.5, 0.5, 1.0, 0.0, 0.0, 1.0, 0.5]))
+    calls = []
+    monkeypatch.setattr(gcb.bme, "tilt_factor_block", lambda *args: calls.append(args))
+    with pytest.raises(InfeasibleOmega, match=r"^check c2: no support row matches"):
+        bme_completion(nfg, omega)
+    assert calls == []
 
 
 def test_tilt_solve_is_visible_through_the_bme_binding(code36, monkeypatch):

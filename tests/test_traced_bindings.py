@@ -4,16 +4,22 @@
 ``gcb.covers.PreimageCensus`` besides.  A function renamed or moved out of
 its module would make its per-layer metric read 0 without an error, so
 every listed binding must resolve here.  The list is read from the file,
-which is left unchanged.
+which is left unchanged.  Likewise every ``gcb.<name>(...)`` call in
+``perfbench/workloads.py``, read with ``ast``, must bind to the current
+signature, so dropping a keyword the benchmark passes fails here and not
+in a benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+WORKLOADS = SPANS.with_name("workloads.py")
 
 
 def traced_bindings():
@@ -30,6 +36,35 @@ def test_traced_binding_resolves(module, attr):
 
 def test_census_class_resolves():
     assert callable(importlib.import_module("gcb.covers").PreimageCensus.__init__)
+
+
+def test_workload_calls_bind_to_the_current_signatures():
+    """Each ``gcb.<name>(...)`` call, dotted names included, binds its
+    argument count and keywords to the signature of what it names now."""
+    import gcb
+
+    calls, unbound = 0, []
+    for node in ast.walk(ast.parse(WORKLOADS.read_text(encoding="utf-8"))):
+        names, func = [], getattr(node, "func", None)
+        while isinstance(func, ast.Attribute):
+            names.append(func.attr)
+            func = func.value
+        if not (isinstance(node, ast.Call) and names and isinstance(func, ast.Name) and func.id == "gcb"):
+            continue
+        calls += 1
+        where = f"workloads.py:{node.lineno} gcb.{'.'.join(reversed(names))}"
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(kw.arg is None for kw in node.keywords):
+            unbound.append(f"{where}: unpacked arguments cannot be bound statically")
+            continue
+        try:
+            target = gcb
+            for name in reversed(names):
+                target = getattr(target, name)
+            inspect.signature(target).bind(*[None] * len(node.args), **{kw.arg: None for kw in node.keywords})
+        except (AttributeError, TypeError) as exc:
+            unbound.append(f"{where}: {exc}")
+    assert calls >= 20
+    assert not unbound, unbound
 
 
 def load_spans():
@@ -95,10 +130,10 @@ def test_lp_calls_count_the_words_left_to_the_solver():
 def test_bme_metrics_count_a_traced_completion(monkeypatch):
     """On a traced ``bme_completion``, ``bme.newton_iters`` is the sum of the
     tilt's ``steps`` over its calls (the codewords with bit 1 at 0 also
-    have bit 8 at 0, which leaves checks with 0, 1 and 2 forced edges:
-    three stacks), and ``bme.bme_completion.self_s`` is above 0, so a
-    completion or tilt that bypasses its binding reads as a failure here,
-    not as a metric of 0."""
+    have bit 8 at 0, which leaves checks with 0, 1 and 2 forced edges, all
+    masked in one stack of the five checks), and ``bme.bme_completion.self_s``
+    is above 0, so a completion or tilt that bypasses its binding reads as
+    a failure here, not as a metric of 0."""
     import numpy as np
     import scipy.optimize  # noqa: F401  (the tracer wraps linprog, as the benchmark imports it)
 
@@ -115,7 +150,7 @@ def test_bme_metrics_count_a_traced_completion(monkeypatch):
     monkeypatch.setattr(gcb.bme, "tilt_factor_block", lambda *args: seen.append(real(*args)) or seen[-1])
     gcb.bme_completion(code, omega)
     monkeypatch.undo()
-    assert sorted(r.dist.shape for r in seen) == [(1, 32), (2, 8), (2, 16)]
+    assert sorted(r.dist.shape for r in seen) == [(5, 32)]
     tracer = load_spans().Tracer()
     tracer.install()
     try:
