@@ -657,7 +657,11 @@ def tilt_factor_block(features, log_w, targets) -> TiltResult:
     (blocks, edges) each edge's target probability of symbol one.  The
     optimum is an exponential-family tilt beta(a) ∝ w(a) exp(sum_e
     lambda_e a_e); the duals are found by damped Newton on the
-    marginal-matching conditions, all blocks in one batched solve.  One
+    marginal-matching conditions, all blocks in one batched solve.  Newton
+    starts at the independent-bit duals lambda_e = log(t_e / (1 - t_e)),
+    the optimum when a block's rows are all of {0,1}^edges with equal
+    weights, on each edge whose target t_e lies in (0, 1), and at 0 on the
+    others (a masked edge has target 0 and a zero feature column).  One
     pass per iteration scores the live blocks, and the distribution,
     marginals, covariance and each block's own backtracking line search
     read off it.  A block freezes, keeping that iteration's distribution
@@ -672,7 +676,8 @@ def tilt_factor_block(features, log_w, targets) -> TiltResult:
     dist, lam, steps = np.empty((n_blocks, n_rows)), np.empty((n_blocks, n_vars)), np.empty(n_blocks, dtype=int)
     converged = np.zeros(n_blocks, dtype=bool)
     ridge = 1e-12 * np.eye(n_vars)
-    live, f, lw, tg, lm = np.arange(n_blocks), features, log_w, targets, np.zeros((n_blocks, n_vars))
+    start = np.where((targets > 0) & (targets < 1), targets, 0.5)  # 0.5 starts at 0
+    live, f, lw, tg, lm = np.arange(n_blocks), features, log_w, targets, np.log(start / (1 - start))
     ft = f.transpose(0, 2, 1)  # (blocks, edges, rows)
     for it in range(1, TILT_ITERS + 2):
         scores = lw + (f @ lm[:, :, None])[:, :, 0]

@@ -5,7 +5,8 @@ edge touches a repetition factor whose block is pinned by the half-edge
 marginal, so the remaining entropy maximization splits into one
 exponential-family tilt per check factor.  The tilts of one completion are
 solved together, one stacked Newton solve (``bethe.tilt_factor_block``)
-per group of equal-shape check blocks, and written straight into the flat
+per group of equal-shape check blocks, each started at the independent-bit
+duals log(w / (1 - w)) of its edges, and written straight into the flat
 coordinates of the graph's ``bethe._BetaIndex``, the one description of
 the local marginal polytope: its constraint rows guard the completion and
 its entropy coefficients score it.  What depends on the graph alone (the
@@ -66,15 +67,26 @@ def _split_variable_check(nfg: Nfg):
     return variable, checks
 
 
+def _span_projector(features, live):
+    """Orthogonal projector (blocks, edges, edges) onto the span of each
+    block's centred features, the differences between its ``live`` rows.
+    Duals that differ along the complement give the same distribution, so
+    the projected duals are the minimum-norm ones."""
+    ref = features[np.arange(len(features)), live.argmax(axis=1)]
+    centred = (features - ref[:, None, :]) * live[:, :, None]
+    return np.linalg.pinv(centred) @ centred
+
+
 class _Group:
     """The check factors of one block shape, stacked in sorted order: their
     ids and edges, the slots of their support rows (checks, rows), the rows
     as 0/1 features (checks, rows, edges), their log weights (checks,
-    rows), and the half-edge marginal pinning each edge (checks, edges).
-    A completion masks the forced edges in this stack and hands it to the
+    rows), the half-edge marginal pinning each edge (checks, edges), and
+    the projector of each all-free block's duals (``_span_projector``).  A
+    completion masks the forced edges in this stack and hands it to the
     tilt as one call."""
 
-    __slots__ = ("fids", "edges", "slots", "features", "log_w", "pins")
+    __slots__ = ("fids", "edges", "slots", "features", "log_w", "pins", "proj")
 
     def __init__(self, nfg: Nfg, fids: list, slot_of: dict, pin: dict):
         factors = [nfg.factors[f] for f in fids]
@@ -85,6 +97,7 @@ class _Group:
         self.features = np.array(supports, dtype=float)
         self.log_w = np.array([[math.log(fac.table[key]) for key in rows] for fac, rows in zip(factors, supports)])
         self.pins = np.array([[pin[e] for e in fac.edges] for fac in factors])
+        self.proj = _span_projector(self.features, np.ones(self.log_w.shape, dtype=bool))
 
 
 class _Plan:
@@ -137,13 +150,14 @@ def bme_completion(nfg: Nfg, omega: Mapping[str, object]) -> BmeResult:
     Newton ``tilt_factor_block``.  A check that no row matches raises
     InfeasibleOmega, naming the smallest such check, before any tilt runs;
     so does a tilt that does not converge.  ``check_duals`` holds the
-    duals of the free edges only.  The completion is written into the
-    index's slot vector, must lie in the local marginal polytope to 1e-8
-    (InconsistentBeta otherwise), and its Bethe entropy is ``h_induced``.
-    ``iterations`` is the most Newton iterations any check with a free
-    edge took (0 when every edge is forced).  The graph keeps its plan
-    (``Nfg.derived``); a graph that fails to plan keeps nothing and raises
-    on every call.
+    duals of the free edges only, the minimum-norm ones where a block's
+    live rows leave them a flat direction (``_span_projector``).  The
+    completion is written into the index's slot vector, must lie in the
+    local marginal polytope to 1e-8 (InconsistentBeta otherwise), and its
+    Bethe entropy is ``h_induced``.  ``iterations`` is the most Newton
+    iterations any check with a free edge took (0 when every edge is
+    forced).  The graph keeps its plan (``Nfg.derived``); a graph that
+    fails to plan keeps nothing and raises on every call.
     """
     plan = nfg.derived(_Plan, _Plan)
     if set(omega) != set(nfg.half_edges):
@@ -161,18 +175,25 @@ def bme_completion(nfg: Nfg, omega: Mapping[str, object]) -> BmeResult:
     for g in plan.groups:
         targets = w[g.pins]
         free = (targets != 0.0) & (targets != 1.0)
+        if free.all():
+            stacks.append((g, g.features, g.log_w, targets, free, g.proj))
+            continue
         miss = ((g.features != targets[:, None, :]) & ~free[:, None, :]).any(axis=2)
         unmatched += [fid for fid, bad in zip(g.fids, miss.all(axis=1)) if bad]
-        stacks.append((g, g.features * free[:, None, :], np.where(miss, -np.inf, g.log_w), targets * free, free))
+        features, forced = g.features * free[:, None, :], ~free.all(axis=1)
+        proj = g.proj.copy()
+        proj[forced] = _span_projector(features[forced], ~miss[forced])
+        stacks.append((g, features, np.where(miss, -np.inf, g.log_w), targets * free, free, proj))
     if unmatched:
         raise InfeasibleOmega(f"check {min(unmatched)}: no support row matches the forced symbols")
 
     duals, iterations, failed = {}, 0, []
-    for g, features, log_w, targets, free in stacks:
+    for g, features, log_w, targets, free, proj in stacks:
         res = tilt_factor_block(features, log_w, targets)
         iterations = max(iterations, int(res.steps.max(initial=0, where=free.any(axis=1))))
         x[g.slots] = res.dist
-        for fid, edges, lam, keep in zip(g.fids, g.edges, res.duals, free):
+        lams = (proj @ res.duals[:, :, None])[:, :, 0]
+        for fid, edges, lam, keep in zip(g.fids, g.edges, lams, free):
             duals[fid] = {e: d for e, d, k in zip(edges, lam, keep) if k}
         failed += [fid for fid, ok in zip(g.fids, res.converged) if not ok]
     if failed:
