@@ -284,11 +284,20 @@ class _BetaIndex:
     symbols, 0 on half-edge symbols) and A x = b as sparse ``rows``,
     ``cols``, ``vals``: factor sums, edge sums, then one consistency row
     per factor, incident edge and symbol (the factor's marginal minus the
-    edge's weight).  The entropy and the free energy are read from these;
-    the T = 0 problem is one linear program over the factor slots (``lp``),
-    and the Frank-Wolfe gap is A x - b weighed by the log messages
-    (``gap``).  A graph keeps its index (``of``), so the index holds its
-    graph weakly: no cycle outlives the graph's last user.
+    edge's weight).  Those marginal rows come in blocks, (factor, edge) at
+    ``marginal_row``, ordered by alphabet size, then factor, then edge in
+    ``f.edges`` order, so the blocks of one size are contiguous.
+    ``partner`` maps each marginal row to the row of the same edge symbol
+    at the edge's other end, and a half-edge row (or a sum row) to itself,
+    ``edge_row`` holds each edge symbol's row at the edge's first
+    endpoint, and ``entries`` the (factor slot, marginal row) of each 1 in
+    a marginal row.  The sum-product vector is these rows' messages,
+    message (f, e) at symbol s at ``marginal_row[f, e] + s - n_sums``.
+    The entropy and the free energy are read from these; the T = 0 problem
+    is one linear program over the factor slots (``lp``), and the
+    Frank-Wolfe gap is A x - b weighed by the log messages (``gap``).  A
+    graph keeps its index (``of``), so the index holds its graph weakly:
+    no cycle outlives the graph's last user.
 
     Only ``weights`` and the energy come from the table values (``_weigh``,
     which reads each factor's once per factor object, ``Nfg.per_factor``);
@@ -334,20 +343,21 @@ class _BetaIndex:
 
         # rows: factor sums, edge sums, then one block per (factor, edge)
         # pair with a row per symbol: the factor's marginal minus the edge's
-        # weight
-        n_sums = len(factors) + len(edge_sizes)
-        self.marginal_row = {}
-        symbols, starts, arity, edge_slot, at_first = [], [], [], [], []
-        r = n_sums
+        # weight.  The blocks run by alphabet size, then factor, then edge
+        # in f.edges order, so the blocks of one size are contiguous.
+        n_sums = self.n_sums = len(factors) + len(edge_sizes)
+        keys = sorted(((f, e) for f in factors for e in nfg.factors[f].edges), key=lambda key: sizes[key[1]])
+        bounds = np.cumsum([n_sums] + [sizes[e] for _, e in keys]).tolist()
+        self.marginal_row = dict(zip(keys, bounds))
+        r = bounds[-1]
+        self.partner = np.arange(r)  # a row with no other end is its own partner
+        for e in nfg.full_edge_order:
+            r1, r2 = (self.marginal_row[f, e] for f in nfg.incidence[e])
+            k = sizes[e]
+            self.partner[r1:r1 + k], self.partner[r2:r2 + k] = range(r2, r2 + k), range(r1, r1 + k)
+        symbols, starts, arity = [], [], []
         for f, support in zip(factors, supports):
-            fac = nfg.factors[f]
-            first = []
-            for e in fac.edges:
-                self.marginal_row[f, e] = r
-                first.append(r)
-                edge_slot += range(edge_start[e], edge_start[e] + sizes[e])
-                at_first += [nfg.incidence[e][0] == f] * sizes[e]
-                r += sizes[e]
+            first = [self.marginal_row[f, e] for e in nfg.factors[f].edges]
             symbols += itertools.chain.from_iterable(support)
             starts += first * len(support)
             arity.append(len(first))
@@ -361,12 +371,12 @@ class _BetaIndex:
             [np.repeat(np.arange(n_sums), counts + edge_sizes), marginal_rows, np.arange(n_sums, r)]
         )
         factor_of = np.repeat(slots[:n_f], np.repeat(arity, counts))
-        edge_slot = np.array(edge_slot, dtype=np.intp)
+        edge_slot = itertools.chain.from_iterable(range(edge_start[e], edge_start[e] + sizes[e]) for _, e in keys)
+        edge_slot = np.fromiter(edge_slot, np.intp, r - n_sums)
         self.cols = np.concatenate([slots, factor_of, edge_slot])
-        # (factor slot, edge slot) pairs in factor-slot order: the rows of
-        # each edge's first endpoint that carry each of its symbols
-        first = np.array(at_first, dtype=bool)[marginal_rows - n_sums]
-        self.first_endpoint = (factor_of[first], edge_slot[marginal_rows[first] - n_sums])
+        self.entries = (factor_of, marginal_rows)  # each 1 in a marginal row, in slot order
+        edge_row = (self.marginal_row[nfg.incidence[e][0], e] + s for e, s in self.edge_slots)
+        self.edge_row = np.fromiter(edge_row, np.intp, len(self.edge_slots))  # at the first endpoint
         self.vals = np.repeat([1.0, -1.0], [self.n + len(marginal_rows), r - n_sums])
         self.rhs = np.repeat([1.0, 0.0], [n_sums, r - n_sums])
         half = [0.0 if e in nfg.half_edges else -1.0 for e, _ in self.edge_slots]
@@ -455,15 +465,12 @@ class _BetaIndex:
         the free energy at x is A^T lambda plus one constant per sum row
         (Yedidia, Freeman & Weiss 2005).  So <g, v> is the same on the whole
         polytope, and the gap <g, x> - min <g, v> is lambda . (A x - b) on
-        the marginal rows (``residual``), 0 at a fixed point.  A row whose
-        incoming message is 0 holds only zero beliefs and adds 0."""
-        nfg = self.nfg
-        incoming = np.ones(len(self.rhs))
-        for e in nfg.full_edge_order:
-            f1, f2 = nfg.incidence[e]
-            for f, other in ((f1, f2), (f2, f1)):
-                r = self.marginal_row[f, e]
-                incoming[r:r + nfg.alphabet_sizes[e]] = messages[other, e]
+        the marginal rows (``residual``), 0 at a fixed point.  The messages
+        laid out in row order are the sum-product vector, so each row reads
+        its incoming message at its ``partner``.  A row whose incoming
+        message is 0 holds only zero beliefs and adds 0."""
+        sent = np.concatenate([np.ones(self.n_sums), *(messages[key] for key in self.marginal_row)])
+        incoming = np.where(self.partner != np.arange(len(self.partner)), sent[self.partner], 1.0)
         live = incoming > 0
         return abs(float(temperature) * float(np.log(incoming[live]) @ self.residual(x)[live]))
 
@@ -549,7 +556,8 @@ def _energy_lp_rows(idx: _BetaIndex):
 
 class _Diffusion:
     """The structure of ``_BetaIndex.diffuse``, read off the index's
-    ``rows``/``cols``/``marginal_row``; it holds no graph and no weights.
+    ``entries``, ``partner`` and ``marginal_row``; it holds no graph and no
+    weights.
 
     ``live`` marks the factor slots a point of the polytope can weigh: a
     slot dies when one of its edge symbols has no live row at the edge's
@@ -560,26 +568,23 @@ class _Diffusion:
     edges are coloured greedily so that no two edges of a colour share a
     factor; each colour holds its live (slot, marginal row) entries sorted
     by row, as (``slots``, ``starts`` of each row's segment, ``segment`` of
-    each entry, ``partner``: the segment of the same symbol at the edge's
-    other end).  ``agree`` checks that one slot per factor meets every
-    full edge with one symbol.
+    each entry, ``partner``: the segment of the row's ``partner``).
+    ``agree`` checks that one slot per factor meets every full edge with
+    one symbol.
     """
 
     def __init__(self, idx: _BetaIndex):
         nfg = idx.nfg
         n_f, n_rows = len(idx.factor_slots), len(idx.rhs)
-        n_sums = len(nfg.factors) + len(nfg.edge_order)
-        entry = (idx.cols < n_f) & (idx.rows >= n_sums)
-        slot, row = idx.cols[entry], idx.rows[entry]
+        slot, row = self.entry_slot, self.entry_row = idx.entries
+        partner = idx.partner
         self.factor_of = idx.rows[:n_f]  # a factor slot's sum row is its factor's number
         self.factor_starts = np.flatnonzero(np.diff(self.factor_of, prepend=-1))
-        partner = np.arange(n_rows)  # a row with no other end is its own partner
         row_colour = np.full(n_rows, -1)
         used = {f: set() for f in nfg.factors}
         for e in nfg.full_edge_order:
             f1, f2 = nfg.incidence[e]
             r1, r2, k = idx.marginal_row[f1, e], idx.marginal_row[f2, e], nfg.alphabet_sizes[e]
-            partner[r1:r1 + k], partner[r2:r2 + k] = range(r2, r2 + k), range(r1, r1 + k)
             colour = next(c for c in itertools.count() if c not in used[f1] | used[f2])
             used[f1].add(colour)
             used[f2].add(colour)
@@ -596,7 +601,7 @@ class _Diffusion:
         self.feasible = bool(np.all(live_per_factor > 0))
         self.full_rows = np.flatnonzero(partner != np.arange(n_rows))
         self.full_partner = partner[self.full_rows]
-        self.entry_slot, self.entry_row, self.n_rows = slot, row, n_rows
+        self.n_rows = n_rows
         self.colours = []
         for colour in range(int(row_colour.max(initial=-1)) + 1):
             pick = np.flatnonzero((row_colour[row] == colour) & self.live[slot])
@@ -760,12 +765,11 @@ def _minimize_energy(idx: _BetaIndex, config_cap) -> MinimizeResult:
         f_min = sum(idx.energy_vector()[:len(y)][y > 0].tolist())
     else:
         y, f_min = idx.lp()
-    n_f = len(y)
-    factor = idx.rows[:n_f]  # a factor slot's sum row is its factor's number
+    factor = idx.rows[:len(y)]  # a factor slot's sum row is its factor's number
     y = np.where(y > 1e-12, y, 0.0)
     y = y / np.bincount(factor, weights=y)[factor]
-    fs, es = idx.first_endpoint
-    x = np.concatenate([y, np.bincount(es - n_f, weights=y[fs], minlength=idx.n - n_f)])
+    slot, row = idx.entries
+    x = np.concatenate([y, np.bincount(row, weights=y[slot], minlength=len(idx.rhs))[idx.edge_row]])
     beta = idx.to_beta(x)
     tie = not certified and _zero_temp_tie(idx, x, f_min, config_cap)
     return MinimizeResult(beta, f_min, None, True, tie, certified, sweeps)

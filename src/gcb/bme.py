@@ -20,7 +20,6 @@ of the completed vector.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping
 
 import numpy as np
@@ -81,21 +80,21 @@ class _Group:
     """The check factors of one block shape, stacked in sorted order: their
     ids and edges, the slots of their support rows (checks, rows), the rows
     as 0/1 features (checks, rows, edges), their log weights (checks,
-    rows), the half-edge marginal pinning each edge (checks, edges), and
+    rows; minus the index's energy at their slots), the half-edge marginal pinning each edge (checks, edges), and
     the projector of each all-free block's duals (``_span_projector``).  A
     completion masks the forced edges in this stack and hands it to the
     tilt as one call."""
 
     __slots__ = ("fids", "edges", "slots", "features", "log_w", "pins", "proj")
 
-    def __init__(self, nfg: Nfg, fids: list, slot_of: dict, pin: dict):
+    def __init__(self, nfg: Nfg, fids: list, idx: _BetaIndex, pin: dict):
         factors = [nfg.factors[f] for f in fids]
         supports = [fac.support for fac in factors]
         self.fids = fids
         self.edges = [fac.edges for fac in factors]
-        self.slots = np.array([[slot_of["f", f, key] for key in rows] for f, rows in zip(fids, supports)])
+        self.slots = np.array([[idx.slot_of["f", f, key] for key in rows] for f, rows in zip(fids, supports)])
         self.features = np.array(supports, dtype=float)
-        self.log_w = np.array([[math.log(fac.table[key]) for key in rows] for fac, rows in zip(factors, supports)])
+        self.log_w = -idx.energy_vector()[self.slots]
         self.pins = np.array([[pin[e] for e in fac.edges] for fac in factors])
         self.proj = _span_projector(self.features, np.ones(self.log_w.shape, dtype=bool))
 
@@ -136,7 +135,7 @@ class _Plan:
         for fid in checks:
             fac = nfg.factors[fid]
             by_shape.setdefault((len(fac.table), len(fac.edges)), []).append(fid)
-        self.groups = [_Group(nfg, fids, slot_of, pin) for fids in by_shape.values()]
+        self.groups = [_Group(nfg, fids, self.idx, pin) for fids in by_shape.values()]
 
 
 def bme_completion(nfg: Nfg, omega: Mapping[str, object]) -> BmeResult:

@@ -72,6 +72,13 @@ def _write(args, text: str):
         sys.stdout.write(text)
 
 
+def _dump_beta(args, beta):
+    """Write beta to ``--dump-beta``'s file, when the option is given."""
+    if args.dump_beta:
+        with open(args.dump_beta, "w", encoding="utf-8") as fh:
+            fh.write(emit_beta(beta))
+
+
 def _load_assignment(text: str) -> dict:
     out = {}
 
@@ -159,9 +166,7 @@ def cmd_zbethe_min(args):
     lines.append(f"converged={str(res.converged).lower()}")
     lines.append(f"tie={str(res.tie).lower()}")
     _write(args, "\n".join(lines) + "\n")
-    if args.dump_beta:
-        with open(args.dump_beta, "w", encoding="utf-8") as fh:
-            fh.write(emit_beta(res.beta))
+    _dump_beta(args, res.beta)
     return EXIT_OK if res.converged else EXIT_NONCONV
 
 
@@ -223,9 +228,7 @@ def cmd_spa(args):
     except GcbError:
         pass
     _write(args, "\n".join(lines) + "\n")
-    if args.dump_beta:
-        with open(args.dump_beta, "w", encoding="utf-8") as fh:
-            fh.write(emit_beta(beliefs))
+    _dump_beta(args, beliefs)
     return EXIT_OK if state.converged else EXIT_NONCONV
 
 
@@ -241,9 +244,7 @@ def cmd_bme(args):
         for e in sorted(res.check_duals[f]):
             lines.append(f"dual_{f}_{e}={_fmt(res.check_duals[f][e])}")
     _write(args, "\n".join(lines) + "\n")
-    if args.dump_beta:
-        with open(args.dump_beta, "w", encoding="utf-8") as fh:
-            fh.write(emit_beta(res.beta))
+    _dump_beta(args, res.beta)
     return EXIT_OK
 
 
@@ -279,9 +280,8 @@ def cmd_decode(args):
         belief = " ".join(f"{s}:{_fmt(d.get(s, 0))}" for s in range(nfg_code.alphabet_sizes[e]))
         lines.append(f"belief_{e}={belief}")
     _write(args, "\n".join(lines) + "\n")
-    if args.dump_beta and result.beliefs is not None:
-        with open(args.dump_beta, "w", encoding="utf-8") as fh:
-            fh.write(emit_beta(result.beliefs))
+    if result.beliefs is not None:
+        _dump_beta(args, result.beliefs)
     # sgcd without --degree reports whether the gap read off its messages certified it
     return EXIT_OK if result.diagnostics.get("converged", True) else EXIT_NONCONV
 

@@ -563,6 +563,11 @@ def _multinomial(m: int, counts) -> int:
     return n
 
 
+def _log_multinomial(m: int, counts) -> float:
+    """log ``_multinomial(m, counts)``, in log-gamma arithmetic."""
+    return math.lgamma(m + 1) - sum(math.lgamma(c + 1) for c in counts)
+
+
 def preimage_count_closedform(nfg: Nfg, m: int, beta: PseudoMarginals) -> Fraction:
     """Average pre-image count as a ratio of exact multinomials.
 
@@ -713,15 +718,11 @@ def entropy_rate_estimate(nfg: Nfg, beta: PseudoMarginals, m: int) -> float:
     """
     if not _exact_type(nfg, beta, m):
         return float("-inf")
-
-    def log_multinomial(counts):
-        return math.lgamma(m + 1) - sum(math.lgamma(c + 1) for c in counts)
-
     total = 0.0
     for f in nfg.factors:
-        total += log_multinomial([int(Fraction(v) * m) for v in beta.factor_dists[f].values()])
+        total += _log_multinomial(m, [int(Fraction(v) * m) for v in beta.factor_dists[f].values()])
     for e in nfg.full_edge_order:
-        total -= log_multinomial([int(Fraction(v) * m) for v in beta.edge_dists[e].values()])
+        total -= _log_multinomial(m, [int(Fraction(v) * m) for v in beta.edge_dists[e].values()])
     return total / m
 
 

@@ -7,18 +7,21 @@ stationary points of the Bethe free energy at that temperature.
 
 A run works on one flat float vector (``_FlatLayout``) laid over the
 graph's ``bethe._BetaIndex``, the one description of the local marginal
-polytope: every directed message, a constant 1.0, then the weight of each
-index factor row whose weight ** (1/T) is not 0.  The layout holds only
-structure, and the one of every row is kept with the graph's structure
-(``layout``, ``Nfg.shared``), so ``minimize_bethe``'s starts and a code's
-decoding graphs share it; a run supplies its own weights.  ``gather`` is one
-contiguous (arity + 1, rows) index array, so row r's terms, its weight and
-then its incoming entries, are ``vec[gather[:, r]]``, and all row products
-are one ``multiply.reduce`` down the short axis: the weight times the
-first entry, then times each later entry in turn, the order of the
-per-row loop that ``tests/test_spa.py`` keeps as the oracle.  Each step
-does the loop's arithmetic in the loop's order, so every result is
-bit-identical to it:
+polytope: the directed messages, one entry per marginal row of the index
+in its row order (the log messages are those rows' multipliers, see
+``_BetaIndex.gap``), a constant 1.0, then the weight of each index factor
+row whose weight ** (1/T) is not 0.  The index numbers the entries and
+pairs each with the entry at the edge's other end (``partner``); the
+layout reads both off it.  The layout holds only structure, and the one of
+every row is kept with the graph's structure (``layout``, ``Nfg.shared``),
+so ``minimize_bethe``'s starts and a code's decoding graphs share it; a
+run supplies its own weights.  ``gather`` is one contiguous (arity + 1,
+rows) index array, so row r's terms, its weight and then its incoming
+entries, are ``vec[gather[:, r]]``, and all row products are one
+``multiply.reduce`` down the short axis: the weight times the first entry,
+then times each later entry in turn, the order of the per-row loop that
+``tests/test_spa.py`` keeps as the oracle.  Each step does the loop's
+arithmetic in the loop's order, so every result is bit-identical to it:
 
 - the arity-wise product above, which the beliefs reuse;
 - product / entry at each position while every message is positive (an
@@ -29,9 +32,9 @@ bit-identical to it:
   own factor's rows, in sorted order, and a division of each block by its
   sum (one column add at size 2, else ``np.add.reduce``, as
   ``ndarray.sum``), with the uniform message only on blocks whose sum is
-  not positive; the blocks of one alphabet size are
-  contiguous, so a size class is one (blocks, size) view of the vector,
-  and its output view is built once per run;
+  not positive; the blocks of one alphabet size are contiguous, so a size
+  class is one (blocks, size) view of the vector, and its output view is
+  built once per run;
 - the beliefs placed in the index's coordinates (``_FlatLayout.x``), read
   back as pseudo-marginals by the index and, in a ``collect_trace`` run,
   scored by its free energy after each sweep.
@@ -76,15 +79,16 @@ class _FlatLayout:
     and a set of kept rows; ``layout`` shares the one of every row with all
     runs and graphs of the graph's structure.
 
-    The vector holds every directed message (factor, edge) as a block
-    ``start .. start + |alphabet|``, the blocks grouped by alphabet size
-    (smallest first) and in ``nfg.factors`` / ``f.edges`` order within a
-    size: ``blocks`` lists (key, start, end) in that key order and
-    ``groups`` (start, end, size) per size.  Then, at index ``one``, a
-    constant 1.0 that stands in for the incoming message on a half-edge
-    and pads short rows; then the weights of the kept rows: the index's
-    factor slots whose ``weights`` ** (1/T) are not 0, with ``slots`` their
-    slot numbers.
+    The vector's first entries are the index's marginal rows: the message
+    (factor, edge) at symbol s sits at ``marginal_row[factor, edge] + s -
+    n_sums``, so the blocks of one alphabet size are contiguous and the
+    message into a row sits at its ``partner``.  ``blocks`` lists (key,
+    start, end) in ``nfg.factors`` / ``f.edges`` order, and ``groups``
+    (start, end, size) per size.  Then, at index ``one``, a constant 1.0
+    that stands in for the incoming message on a half-edge and pads short
+    rows; then the weights of the kept rows: the index's factor slots
+    whose ``weights`` ** (1/T) are not 0, with ``slots`` their slot
+    numbers.
 
     ``gather[0, r]`` indexes row r's weight and ``gather[1 + k, r]`` its
     incoming entry at position k; ``scatter`` holds, in the order of
@@ -99,62 +103,46 @@ class _FlatLayout:
 
     def __init__(self, index, slots):
         nfg = index.nfg
-        self.n_index, self.n_factor_slots = index.n, len(index.factor_slots)
         sizes = nfg.alphabet_sizes
-        block_keys = [(fid, e) for fid, f in nfg.factors.items() for e in f.edges]
-        by_size = sorted(block_keys, key=lambda key: sizes[key[1]])  # stable: block order within a size
-        bounds = np.cumsum([0] + [sizes[e] for _, e in by_size]).tolist()
-        start = dict(zip(by_size, bounds))
-        self.blocks = [(key, start[key], start[key] + sizes[key[1]]) for key in block_keys]
-        n = self.one = bounds[-1]
+        n_f, n_sums = len(index.factor_slots), index.n_sums
+        self.n_index, self.n_factor_slots = index.n, n_f
+        n = self.one = len(index.rhs) - n_sums
+        start = {key: row - n_sums for key, row in index.marginal_row.items()}
+        keys = [(fid, e) for fid, f in nfg.factors.items() for e in f.edges]
+        self.blocks = [(key, start[key], start[key] + sizes[key[1]]) for key in keys]
         groups: dict = {}
-        for key in by_size:
-            groups.setdefault(sizes[key[1]], []).append(start[key])
+        for (_, e), lo in start.items():
+            groups.setdefault(sizes[e], []).append(lo)
         self.groups = [(los[0], los[-1] + size, size) for size, los in groups.items()]
 
-        # the kept rows, factors in the index's (sorted id) order and rows
-        # sorted within a factor, with their symbols padded to `arity`
+        def into(rows):  # the entry of the message into each row: its partner's, or `one`
+            other = index.partner[rows]
+            return np.where(other != rows, other - n_sums, n)
+
+        # the kept rows in slot order, each with its marginal rows, one per
+        # edge of its factor, padded to `arity` with `one`.  A block receives
+        # only its own factor's rows, in sorted order, so every sum adds the
+        # same terms in the same order whatever the factor order.
         self.slots = slots
-        factors = sorted(nfg.factors)
-        counts = [len(nfg.factors[f].table) for f in factors]
-        row_factor = self.row_factor = np.repeat(np.arange(len(factors)), counts)[slots]
-        arities = np.array([len(nfg.factors[f].edges) for f in factors], dtype=np.intp)
+        self.row_factor = index.rows[:n_f][slots]
+        entry_slot, entry_row = index.entries
+        rows = entry_row[np.isin(entry_slot, slots)]
+        arities = np.bincount(entry_slot, minlength=n_f)[slots]
         arity = int(arities.max(initial=0))
-        sym = np.zeros((len(row_factor), arity), dtype=np.intp)
-        keys = itertools.chain.from_iterable(index.factor_slots[slot][1] for slot in slots.tolist())
-        sym[np.arange(arity) < arities[row_factor][:, None]] = np.fromiter(keys, np.intp)
-
-        # each edge's two directed messages, in edge_order; the missing end
-        # of a half-edge is `one`.  A block's incoming message is the other.
-        edges = nfg.edge_order
-        pairs, incoming = [], {}
-        for e in edges:
-            ends = [start[fid, e] for fid in nfg.incidence[e]] + [n]
-            pairs.append(ends[:2])
-            incoming[ends[0]], incoming[ends[1]] = ends[1], ends[0]
-
-        # per factor and position: the start of the outgoing and incoming
-        # message, `one` (symbol ignored) on a half-edge or padding.  A block
-        # receives only its own factor's rows, in sorted order, so every sum
-        # adds the same terms in the same order whatever the factor order.
-        out_base = np.full((len(factors), arity), n, dtype=np.intp)
-        in_base = out_base.copy()
         real = np.arange(arity) < arities[:, None]
-        starts = [start[f, e] for f in factors for e in nfg.factors[f].edges]
-        out_base[real] = starts
-        in_base[real] = [incoming[lo] for lo in starts]
-        self.gather = np.empty((arity + 1, len(row_factor)), dtype=np.intp)
-        self.gather[0] = np.arange(n + 1, n + 1 + len(row_factor))
-        self.gather[1:] = (in_base[row_factor] + sym * (in_base != n)[row_factor]).T
-        self.scatter = (out_base[row_factor] + sym * real[row_factor]).T.ravel()
-        self.row_uniform = 1.0 / np.bincount(row_factor)[row_factor]
+        out, incoming = np.full((2, len(slots), arity), n, dtype=np.intp)
+        out[real], incoming[real] = rows - n_sums, into(rows)
+        self.gather = np.empty((arity + 1, len(slots)), dtype=np.intp)
+        self.gather[0] = np.arange(n + 1, n + 1 + len(slots))
+        self.gather[1:] = incoming.T
+        self.scatter = out.T.ravel()
+        self.row_uniform = 1.0 / np.bincount(self.row_factor)[self.row_factor]
 
-        # edge symbols, edge_order then symbol order
-        edge_sizes = np.array([sizes[e] for e in edges], dtype=np.intp)
+        # edge symbols, edge_order then symbol order: each one's message at
+        # its first endpoint, and the message into that row
+        self.edge_ends = np.array([index.edge_row - n_sums, into(index.edge_row)])
+        edge_sizes = np.array([sizes[e] for e in nfg.edge_order], dtype=np.intp)
         edge_starts = np.cumsum(edge_sizes) - edge_sizes
-        ends = np.repeat(np.array(pairs, dtype=np.intp).reshape(len(edges), 2).T, edge_sizes, axis=1)
-        symbol = np.arange(edge_sizes.sum()) - np.repeat(edge_starts, edge_sizes)
-        self.edge_ends = ends + symbol * (ends != n)
         self.edge_uniform = 1.0 / np.repeat(edge_sizes, edge_sizes)
         self.edge_groups = [edge_starts[edge_sizes == size][:, None] + np.arange(size)
                             for size in np.unique(edge_sizes).tolist()]

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .covers import _compositions, _multinomial
+from .covers import _compositions, _log_multinomial, _multinomial
 from .errors import InvalidMember
 from .gibbs import gibbs_energy_terms, gibbs_partition, global_function, valid_tuples
 from .nfg import Nfg
@@ -67,10 +67,7 @@ def type_class_size(q: TypeVector) -> int:
 
 def type_class_growth_rate(q: TypeVector) -> float:
     """(1/M) log of the type class size, via log-gamma."""
-    total = math.lgamma(q.m + 1)
-    for count in q.counts().values():
-        total -= math.lgamma(count + 1)
-    return total / q.m
+    return _log_multinomial(q.m, q.counts().values()) / q.m
 
 
 def all_types(nfg: Nfg, m: int, cap=None):

@@ -1,9 +1,11 @@
 import itertools
 import math
 import os
+import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -128,6 +130,42 @@ def make_frustrated_k4() -> Nfg:
         k = len(edges)
         factors.append(Factor(f"v{i}", tuple(edges), {(0,) * k: math.exp(fields[i]), (1,) * k: math.exp(-fields[i])}))
     return Nfg(sizes, [], factors)
+
+
+def make_mixed_arity() -> Nfg:
+    """Arities 1, 2 and 3, alphabets 2 and 3 and a half-edge, with
+    rational tables that hold zeros."""
+    rng = random.Random(17)
+    sizes = {"a": 2, "b": 3, "c": 2, "d": 2, "h": 3}
+
+    def table(edges):
+        keys = np.ndindex(*(sizes[e] for e in edges))
+        return {k: rng.choice([0, Fraction(rng.randint(1, 9), rng.randint(1, 9))]) for k in keys}
+
+    return Nfg(
+        sizes,
+        ["h"],
+        [
+            Factor("u", ("a",), {(0,): Fraction(1, 3), (1,): Fraction(2, 3)}),
+            Factor("q", ("a", "b", "c"), table(("a", "b", "c"))),
+            Factor("r", ("b", "d"), table(("b", "d"))),
+            Factor("s", ("c", "d", "h"), table(("c", "d", "h"))),
+        ],
+    )
+
+
+def make_interleaved() -> Nfg:
+    """Message blocks in factor order of sizes 2 3 5, 2 3 5, 2 3 3 and 3 2,
+    and h a half-edge: the size-grouped numbering is not factor order."""
+    rng = random.Random(23)
+    sizes = {"a": 2, "b": 3, "c": 5, "d": 2, "e": 3, "h": 3}
+
+    def table(edges):
+        keys = np.ndindex(*(sizes[e] for e in edges))
+        return {k: rng.choice([0.0, rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)]) for k in keys}
+
+    edges = {"f": ("a", "b", "c"), "g": ("d", "e", "c"), "k": ("a", "e", "h"), "l": ("b", "d")}
+    return Nfg(sizes, ["h"], [Factor(fid, es, table(es)) for fid, es in edges.items()])
 
 
 EXAMPLE3_ROWS = [

@@ -46,7 +46,7 @@ from gcb.covers import (
     preimage_count_closedform,
     random_cover,
 )
-from gcb.errors import CapExceeded, InconsistentBeta, NonConvergence, SupportOnZeroFactor
+from gcb.errors import CapExceeded, InconsistentBeta, NonConvergence, SupportOnZeroFactor, ZeroGlobalValue
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg, parity_table
 from gcb.spa import sum_product
@@ -58,6 +58,7 @@ from conftest import (
     fig5_beta,
     make_fig1,
     make_frustrated_k4,
+    make_interleaved,
     make_loopy_positive,
     make_random_tree,
 )
@@ -290,6 +291,15 @@ def test_cover_energy_doubled_factor():
     assert bethe_energy_from_cover(spec, config) == pytest.approx(-0.5 * math.log(4), abs=1e-12)
 
 
+def test_cover_energy_rejects_an_invalid_configuration(fig1):
+    spec = random_cover(fig1, 2, seed=11)
+    cover = build_cover(spec)
+    valid = {tup for tup, _ in valid_tuples(cover)}
+    tup = next(t for t in itertools.product((0, 1), repeat=len(cover.edge_order)) if t not in valid)
+    with pytest.raises(ZeroGlobalValue, match="configuration invalid at"):
+        bethe_energy_from_cover(spec, tup)
+
+
 # -- degree-M partition function --------------------------------------------------
 
 
@@ -508,6 +518,18 @@ def test_minimize_never_exceeds_uniform(fig1):
     assert lower - 1e-9 <= res.f_min <= upper + 1e-9
 
 
+def test_graph_with_no_edges():
+    """One factor on no edges, value 2: the index has no marginal row and
+    sum-product no message, yet both still run."""
+    nfg = Nfg({}, [], [Factor("f", (), {(): 2})])
+    state, beliefs = sum_product(nfg)
+    assert state.converged and state.messages == {}
+    assert beliefs.factor_dists == {"f": {(): 1.0}} and beliefs.edge_dists == {}
+    for temperature in (1.0, 0):
+        res = minimize_bethe(nfg, temperature)
+        assert res.converged and res.f_min == pytest.approx(-math.log(2), abs=1e-12)
+
+
 # -- stationarity -------------------------------------------------------------------
 
 INTERIOR_EPS = 1e-12  # where the oracle's gradient clamps x
@@ -612,7 +634,7 @@ def lp_oracle_graphs():
     from conftest import make_dumbbell
 
     code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
-    graphs = {"fig1": make_fig1(), "dumbbell": make_dumbbell()}
+    graphs = {"fig1": make_fig1(), "dumbbell": make_dumbbell(), "interleaved": make_interleaved()}
     for p, y in ((Fraction(1, 10), "0000000000"), (Fraction(1, 5), "0100100010"), (0.05, "1110001000")):
         graphs[f"example3-{p}-{y}"] = attach_channel(code, Channel.bsc(p), y).nfg
     return graphs
@@ -679,9 +701,11 @@ def full_slot_gap(idx, x, temperature=1.0):
 
 def oracle_points(name, nfg):
     """Seeded interior points and configuration vertices of fig1 and the
-    dumbbell; the converged damped fixed point of an example3 decoding graph."""
+    dumbbell; the converged damped fixed point of an example3 decoding graph
+    and of the interleaved graph, whose uniform factor rows (``uniform_beta``)
+    are not consistent."""
     idx = _BetaIndex(nfg)
-    if name.startswith("example3"):
+    if name.startswith("example3") or name == "interleaved":
         state, beliefs = sum_product(nfg, max_iters=4000, damping=0.5, tol=1e-13)
         assert state.converged
         return [idx.to_vector(beliefs)]
@@ -724,10 +748,19 @@ def away_graphs():
         "dumbbell": make_dumbbell(),
         "loopy": make_loopy_positive(random.Random(1)),
         "example3": dec.nfg,
+        "interleaved": make_interleaved(),
     }
 
 
-@pytest.mark.parametrize("name, nfg", sorted(away_graphs().items()))
+def _away_cases():
+    """The four original graphs in name order, then the interleaved graph,
+    so each case keeps its parameter id."""
+    graphs = away_graphs()
+    interleaved = graphs.pop("interleaved")
+    return sorted(graphs.items()) + [("interleaved", interleaved)]
+
+
+@pytest.mark.parametrize("name, nfg", _away_cases())
 def test_gap_is_the_oracle_gap_away_from_fixed_points(name, nfg):
     """After 1, 2, 5 and 20 sweeps of a seeded start, the gap read off the
     messages is the oracle's |gap|: the identity does not need a fixed

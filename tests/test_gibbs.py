@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gcb.errors import CapExceeded, OutOfAlphabet, SupportOnZeroMass, UnknownEdge
+from gcb.errors import CapExceeded, EmptyCode, OutOfAlphabet, SupportOnZeroMass, UnknownEdge
 from gcb.gibbs import (
     enumerate_configurations,
     gibbs_energy_terms,
@@ -141,6 +141,12 @@ def test_minimizer_point_mass():
     n = Nfg({"a": 2}, [], [Factor("f", ("a",), {(0,): 1}), Factor("g", ("a",), {(0,): 1})])
     p = gibbs_minimizer(n, 1)
     assert p == {(0,): Fraction(1)}
+
+
+def test_minimizer_of_a_graph_with_no_valid_configuration_raises():
+    n = Nfg({"a": 2}, [], [Factor("f", ("a",), {(0,): 1}), Factor("g", ("a",), {(1,): 1})])
+    with pytest.raises(EmptyCode, match="no valid configurations"):
+        gibbs_minimizer(n, 1)
 
 
 def test_helmholtz_identity(fig1):

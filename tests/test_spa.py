@@ -12,7 +12,7 @@ from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg
 from gcb.spa import SpaState, layout, sum_product
 
-from conftest import EXAMPLE3_ROWS, make_loopy_positive, make_random_tree
+from conftest import EXAMPLE3_ROWS, make_interleaved, make_loopy_positive, make_mixed_arity, make_random_tree
 
 
 def _factor_weights(nfg: Nfg, temperature: float):
@@ -465,42 +465,11 @@ def test_binary_blocks_sum_by_one_column_add_like_the_oracle(options, monkeypatc
 
 
 def test_mixed_arities_and_half_edge_match_oracle_with_trace():
-    # arities 1, 2 and 3, alphabets 2 and 3 and a half-edge: the transposed
-    # layout pads the short rows
-    rng = random.Random(17)
-    sizes = {"a": 2, "b": 3, "c": 2, "d": 2, "h": 3}
-
-    def table(edges):
-        keys = np.ndindex(*(sizes[e] for e in edges))
-        return {k: rng.choice([0, Fraction(rng.randint(1, 9), rng.randint(1, 9))]) for k in keys}
-
-    nfg = Nfg(
-        sizes,
-        ["h"],
-        [
-            Factor("u", ("a",), {(0,): Fraction(1, 3), (1,): Fraction(2, 3)}),
-            Factor("q", ("a", "b", "c"), table(("a", "b", "c"))),
-            Factor("r", ("b", "d"), table(("b", "d"))),
-            Factor("s", ("c", "d", "h"), table(("c", "d", "h"))),
-        ],
-    )
+    # arities 1, 2 and 3: the transposed layout pads the short rows
+    nfg = make_mixed_arity()
     for options in ({"damping": 0.0}, {"damping": 0.4, "init_seed": 3}, {"temperature": 0.6}):
         state = assert_same_run(nfg, max_iters=60, collect_trace=True, **options)
         assert len(state.trace) == state.iterations
-
-
-def interleaved_graph():
-    # message blocks in factor order have sizes 2 3 5, 2 3 5, 2 3 3 and 3 2,
-    # and h is a half-edge
-    rng = random.Random(23)
-    sizes = {"a": 2, "b": 3, "c": 5, "d": 2, "e": 3, "h": 3}
-
-    def table(edges):
-        keys = np.ndindex(*(sizes[e] for e in edges))
-        return {k: rng.choice([0.0, rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)]) for k in keys}
-
-    edges = {"f": ("a", "b", "c"), "g": ("d", "e", "c"), "k": ("a", "e", "h"), "l": ("b", "d")}
-    return Nfg(sizes, ["h"], [Factor(fid, es, table(es)) for fid, es in edges.items()])
 
 
 @pytest.mark.parametrize("collect_trace", [False, True])
@@ -508,12 +477,38 @@ def test_seeded_starts_on_interleaved_block_sizes_match_oracle(collect_trace):
     """The layout groups the message blocks by size, so a seeded start's
     draws, taken in block order, land permuted; the run still matches the
     oracle bit for bit."""
-    nfg = interleaved_graph()
+    nfg = make_interleaved()
     index = _BetaIndex.of(nfg)
     starts = [lo for _, lo, _ in layout(index, index.weights).blocks]
     assert starts != sorted(starts)
     for seed in (1, 2, 3):
         assert_same_run(nfg, max_iters=80, damping=0.3, init_seed=seed, collect_trace=collect_trace)
+
+
+@pytest.mark.parametrize("make", [make_interleaved, make_mixed_arity])
+def test_partner_pairs_the_two_ends_of_each_edge_symbol(make):
+    """``_BetaIndex.partner`` is an involution that fixes exactly the sum
+    and half-edge rows and pairs the rows of one edge symbol at its two
+    ends (``nfg.incidence``); ``edge_row`` is each edge symbol's row at its
+    first endpoint, and each layout block starts at its marginal row."""
+    nfg = make()
+    index = _BetaIndex.of(nfg)
+    partner, n_sums = index.partner, index.n_sums
+    assert np.array_equal(partner[partner], np.arange(len(partner)))
+    key_of = {}  # marginal row -> (factor, edge, symbol)
+    for (f, e), row in index.marginal_row.items():
+        key_of.update({row + s: (f, e, s) for s in range(nfg.alphabet_sizes[e])})
+    assert sorted(key_of) == list(range(n_sums, len(partner)))
+    fixed = np.flatnonzero(partner == np.arange(len(partner))).tolist()
+    assert fixed == list(range(n_sums)) + [r for r, (_, e, _) in sorted(key_of.items()) if e in nfg.half_edges]
+    for row, (f, e, s) in key_of.items():
+        g, e2, s2 = key_of[partner[row]]
+        assert (e2, s2) == (e, s) and {f, g} == set(nfg.incidence[e])
+    assert [key_of[row] for row in index.edge_row.tolist()] == [
+        (nfg.incidence[e][0], e, s) for e, s in index.edge_slots
+    ]
+    for (f, e), lo, hi in layout(index, index.weights).blocks:
+        assert (lo, hi) == (index.marginal_row[f, e] - n_sums, index.marginal_row[f, e] - n_sums + nfg.alphabet_sizes[e])
 
 
 @pytest.mark.parametrize(
