@@ -14,7 +14,12 @@ MAP decoding included, all run on it.  Exact walks on rational tables
 multiply scaled ints, times ``Walk.unit`` once per sum, and the ``limit``
 of ``Walk.configs`` is the one configuration cap.  ``cover_sweep`` is the
 one sum over covers, for both precisions, and the Gibbs partition sum is
-its sweep of the base graph.  Both are plain Python; ``BACKEND`` names
+its sweep of the base graph.  It sums each cover as the product of its
+parts (``Walk.parts``: one base component with one orbit of copies), and
+walks each class of parts that differ only by a relabelling of copies
+once per call, so the trivial M-cover costs one walk of the base graph.
+The cap still bounds each whole cover's valid configurations, the
+product of its parts' counts.  Both are plain Python; ``BACKEND`` names
 that backend in benchmark records.
 """
 
@@ -122,7 +127,11 @@ class Walk:
     of (factor id, row) pairs over the plan's factors in order.  Values
     multiply the rows' weights (``walk_weights``) left to right, and
     ``value * unit`` is the global value: ``unit`` = 1 / scale^M, a
-    Fraction, in exact mode, and 1.0 with ``exact=False``.
+    Fraction, in exact mode, and 1.0 with ``exact=False``.  The plan
+    places a factor with no bound edge only when no factor left shares an
+    edge with a placed one, so each connected component of the base graph
+    is one run of plan factors, opened by a factor with no bound edge;
+    ``parts`` splits a cover along these runs.
     """
 
     def __init__(self, plan: Plan, m: int = 1, exact: bool = True):
@@ -143,13 +152,20 @@ class Walk:
             free_edges = [(fp.edge_idx[p], fp.twist[p]) for p in fp.free_sel]
             self._factors.append((bound, free_edges, groups))
         self.unit = Fraction(1, scale**m) if exact else 1.0
+        # (plan factors, full edges) of each component: a full edge is bound
+        # at the one of its two ends that the plan places second
+        starts = [i for i, (bound, _, _) in enumerate(self._factors) if not bound]
+        self._components = [(range(a, b), [e for bound, _, _ in self._factors[a:b] for e, _ in bound])
+                            for a, b in zip(starts, [*starts[1:], len(self._factors)])]
 
-    def configs(self, perm_inv=None, limit=None):
+    def configs(self, perm_inv=None, limit=None, part=None):
         """Yield (value, slots, rows) at each valid configuration.
 
         ``perm_inv`` maps the plan index of a full edge to sigma_e^{-1}; a
         full edge it leaves out carries the identity, so None walks the base
         graph (M = 1) or the cover whose permutations are all the identity.
+        With ``part`` = (plan factors, copies) from ``parts``, only that
+        part's steps are walked, and ``value`` multiplies its rows alone.
         ``slots`` and ``rows`` are lists reused from one configuration to
         the next.  With ``limit`` set, CapExceeded is raised on reaching
         valid configuration ``limit`` + 1; this is gcb's one bound on the
@@ -157,14 +173,16 @@ class Walk:
         """
         m = self.m
         perm_inv = perm_inv or {}
+        factors, copies = part or (range(len(self._factors)), range(m))
         budget = -1 if limit is None else limit  # configurations left to yield
 
         def slot(e, twisted, k):
             return e * m + (perm_inv[e][k] if twisted and e in perm_inv else k)
 
         steps = []
-        for bound, free, groups in self._factors:
-            for k in range(m):
+        for i in factors:
+            bound, free, groups = self._factors[i]
+            for k in copies:
                 bslots = [slot(e, t, k) for e, t in bound]
                 getter = itemgetter(*bslots) if bslots else (lambda slots: ())
                 steps.append((getter, [slot(e, t, k) for e, t in free], groups))
@@ -203,28 +221,95 @@ class Walk:
             else:
                 d -= 1
 
+    def parts(self, perm_inv=None):
+        """Yield (key, part) for each part of the cover that ``perm_inv``
+        maps, as in ``configs``.  A part is one base component C with one
+        orbit O of copy indices under the group that the permutations of
+        C's full edges generate; its (factor, copy) steps for f in C and k
+        in O meet no others, so the cover's Z is the product of its parts'.
+        ``part`` = (C's plan factors, O) is what ``configs`` takes, and
+        ``key`` = (C, C's edges in ``perm_inv``, canonical permutations) is
+        equal for two parts exactly when relabelling copies maps one onto
+        the other.  The canonical permutations are the least, over start
+        copies in O, of the permutations relabelled from that start
+        (``_relabelled``).
+        """
+        perm_inv = perm_inv or {}
+        for c, (factors, edges) in enumerate(self._components):
+            edges = tuple([e for e in edges if e in perm_inv])
+            perms = [perm_inv[e] for e in edges]
+            left = set(range(self.m))
+            for k in range(self.m):
+                if k in left:
+                    orbit, form = _relabelled(perms, k)
+                    left.difference_update(orbit)
+                    if len(perms) > 1:  # a cycle of one permutation relabels alike from every start
+                        form = min(_relabelled(perms, s)[1] for s in orbit)
+                    yield (c, edges, form), (factors, orbit)
+
+
+def _relabelled(perms, start):
+    """(order, form): the copies that ``perms`` reach from ``start`` in
+    breadth-first order, each copy's images taken in the order of
+    ``perms``, and ``perms`` on those copies with copy order[i] renamed i."""
+    order, label = [start], {start: 0}
+    for k in order:
+        for p in perms:
+            j = p[k]
+            if j not in label:
+                label[j] = len(order)
+                order.append(j)
+    return order, tuple([tuple([label[p[k]] for k in order]) for p in perms])
+
 
 def cover_sweep(walk: Walk, perm_invs, inv_t, limit: int):
     """Sum the partition functions of the covers given by ``perm_invs``.
 
     Each item of ``perm_invs`` is a ``Walk.configs`` permutation map.  A
-    cover's Z sums ``value`` (``(value * unit) ** inv_t`` unless inv_t == 1)
-    over its valid configurations in the walk's own arithmetic, the covers'
-    Z are added in the order listed, and at inv_t == 1 the total is
-    multiplied by ``walk.unit`` once.  Returns (sum over covers of Z, number
-    of valid configurations, number of covers); the walk raises CapExceeded
-    once one cover has more than ``limit`` valid configurations.
+    cover's Z is the product of its parts' sums (``Walk.parts``), and one
+    memo per call walks each part key once, so the trivial cover costs one
+    walk of each component, not of the M copies together.  A part sums
+    ``value`` (``value ** inv_t`` unless inv_t == 1) over its valid
+    configurations in the walk's own arithmetic, the covers' Z are added
+    in the order listed, and the total is multiplied once by ``walk.unit``
+    (``walk.unit ** inv_t``).  Returns (sum over covers of Z, number of
+    valid configurations, number of covers), a cover's configurations
+    being the product of its parts'.  CapExceeded is raised once one
+    cover has more than ``limit`` valid configurations: a part past the
+    cap raises unless another part of its cover has none, which makes
+    that cover's Z and count 0.
     """
-    unit = walk.unit
     zero = 0 * walk.one
+    sums = {}  # part key -> (Z, valid configurations), limit + 1 past the cap
     total = zero
     n_configs = n_covers = 0
     for perm_inv in perm_invs:
-        z = zero
-        n = 0
-        for n, (value, _, _) in enumerate(walk.configs(perm_inv, limit), 1):
-            z += value if inv_t == 1 else (value * unit) ** inv_t
+        z, n = walk.one, 1
+        for key, part in walk.parts(perm_inv):
+            if key not in sums:
+                sums[key] = _part_sum(walk.configs(perm_inv, limit, part), inv_t, zero, limit)
+            z_part, n_part = sums[key]
+            if not n_part:
+                z, n = zero, 0
+                break
+            z *= z_part
+            n *= n_part
+        if n > limit:
+            raise CapExceeded(f"more than {limit} valid configurations")
         total += z
         n_configs += n
         n_covers += 1
-    return (total * unit if inv_t == 1 else total), n_configs, n_covers
+    return total * (walk.unit if inv_t == 1 else walk.unit**inv_t), n_configs, n_covers
+
+
+def _part_sum(configs, inv_t, zero, limit):
+    """(Z, valid configurations) of one part's ``configs``; (0, limit + 1)
+    once they pass the cap."""
+    z = zero
+    n = 0
+    try:
+        for n, (value, _, _) in enumerate(configs, 1):
+            z += value if inv_t == 1 else value**inv_t
+    except CapExceeded:
+        return zero, limit + 1
+    return z, n

@@ -192,8 +192,12 @@ def zbethe_m_enumeration(
     the average over all labeled covers; ``n_covers`` is still the labeled
     count, and the cover cap applies to it.  Exact mode (T = 1, rational
     tables) averages in rational arithmetic, float mode in floats, both
-    through one ``_kernels.cover_sweep``; ``config_cap`` bounds each
-    cover's valid configurations.  With ``samples`` set, a seeded Monte
+    through one ``_kernels.cover_sweep``, which takes each cover's Z as
+    the product of its parts' sums (a base component with one orbit of
+    copies) and walks each class of parts equal up to relabelling copies
+    once, the trivial cover's M copies among them; ``config_cap`` bounds
+    each whole cover's valid configurations, the product of its parts'
+    counts.  With ``samples`` set, a seeded Monte
     Carlo over ``samples`` >= 1 labeled cover specs replaces the
     enumeration on the same walk, so it sums each cover in the same mode,
     and a standard error accompanies the estimate (nan for one sample).
@@ -261,10 +265,15 @@ def zbethe_m_typesum(
     return ZBetheM(_root(total, m), total, m, count_covers(nfg, m))
 
 
+# the range _root takes through a float, as exact Fractions: a Fraction
+# compared with a float converts the float to a Fraction on every call
+_ROOT_LOW, _ROOT_HIGH = Fraction(1e-300), Fraction(1e300)
+
+
 def _root(pre_root, m: int) -> float:
     """pre_root^(1/M) as a float; a Fraction past the float range goes
     through logs, which take ints of any size."""
-    if isinstance(pre_root, Fraction) and pre_root and not 1e-300 < pre_root < 1e300:
+    if isinstance(pre_root, Fraction) and pre_root and not _ROOT_LOW < pre_root < _ROOT_HIGH:
         return math.exp((math.log(pre_root.numerator) - math.log(pre_root.denominator)) / m)
     return float(pre_root) ** (1.0 / m)
 

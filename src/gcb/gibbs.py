@@ -92,9 +92,12 @@ def gibbs_partition(nfg: Nfg, temperature=1, cap=None):
 
 def cover_partitions(nfg: Nfg, m: int, perm_invs, temperature=1, cap=None):
     """``gibbs_partition`` of each M-cover of nfg in ``perm_invs``
-    (``covers.cover_perm_inv``), in order, each summed by ``cover_sweep``
-    over one degree-m walk of nfg; no cover graph is built.  ``cap`` bounds
-    each cover's valid configurations."""
+    (``covers.cover_perm_inv``), in order, each summed by its own
+    ``cover_sweep`` over one degree-m walk of nfg; no cover graph is built.
+    A cover's Z is the product of its parts' sums (``Walk.parts``), and
+    parts equal up to relabelling copies are walked once per cover, not
+    once across covers.  ``cap`` bounds each cover's valid configurations,
+    the product of its parts' counts."""
     t_inv = inverse_temperature(temperature)
     walk = Walk(build_plan(nfg), m, exact=t_inv == 1)
     limit = config_cap(cap)

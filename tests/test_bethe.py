@@ -12,6 +12,7 @@ import pytest
 from gcb.bethe import (
     GAP_TOL,
     _BetaIndex,
+    _root,
     bethe_terms,
     bethe_energy_from_cover,
     check_local_consistency,
@@ -437,6 +438,26 @@ def test_zbethe_m_paths_share_the_mode_rule(dumbbell, zbethe_m):
         zbethe_m(dumbbell, 2, temperature=0.7, exact=True)
     assert isinstance(zbethe_m(dumbbell, 2).pre_root, Fraction)
     assert isinstance(zbethe_m(dumbbell, 2, exact=False).pre_root, float)
+
+
+def test_root_takes_the_same_branch_at_both_bounds():
+    """A Fraction goes through logs unless it lies strictly between 1e-300
+    and 1e300, compared as exact values: just inside, on and just outside
+    each bound, the branch is the one that comparing with the floats
+    themselves gives.  The two branches differ in their last bits at all
+    six values, so the root shows the branch taken."""
+    eps = Fraction(1, 10**700)
+    low, high = Fraction(1e-300), Fraction(1e300)
+    cases = [(low - eps, False), (low, False), (low + eps, True),
+             (high - eps, True), (high, False), (high + eps, False)]
+    for x, inside in cases:
+        assert (1e-300 < x < 1e300) == inside
+        for m in (1, 3):
+            if inside:
+                want = float(x) ** (1.0 / m)
+            else:
+                want = math.exp((math.log(x.numerator) - math.log(x.denominator)) / m)
+            assert _root(x, m) == want
 
 
 # -- combinatorial free energy bridge ---------------------------------------------

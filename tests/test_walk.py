@@ -460,6 +460,213 @@ def test_pure_cover_sweep_matches_per_cover_oracle(seed):
         assert sum(p[0] for p in parts) == pytest.approx(zsum, rel=1e-12)
 
 
+# -- cover sums by parts ----------------------------------------------------------
+
+
+def reference_cover_sweep(walk, perm_invs, inv_t, limit):
+    """The whole-cover sum: each cover's Z added up over its valid
+    configurations in one walk of the whole cover, the covers' Z in order."""
+    unit = walk.unit
+    zero = 0 * walk.one
+    total = zero
+    n_configs = n_covers = 0
+    for perm_inv in perm_invs:
+        z = zero
+        n = 0
+        for n, (value, _, _) in enumerate(walk.configs(perm_inv, limit), 1):
+            z += value if inv_t == 1 else (value * unit) ** inv_t
+        total += z
+        n_configs += n
+        n_covers += 1
+    return (total * unit if inv_t == 1 else total), n_configs, n_covers
+
+
+def parts_graph(seed, rational=True):
+    """``random_graph(seed, extra=True)`` plus a factor on no edges: for odd
+    seeds four base components, the cycle-rich one, g0 - g1, the isolated
+    z on a half-edge and the edgeless w; for even seeds three."""
+    nfg = random_graph(seed, rational=rational, extra=True)
+    edgeless = Factor("w", (), {(): Fraction(3, 2) if rational else 1.5})
+    return Nfg(nfg.alphabet_sizes, nfg.half_edges, [*nfg.factors.values(), edgeless])
+
+
+def sweep_cases(nfg, m, seed):
+    """(name, maps): the gauge-fixed covers and the labeled covers, whose
+    forest edges carry permutations too.  Past n = 24, 8 or 4 covers at
+    M = 2, 3 or 4 (the oracle's cost grows as c^M), the gauge-fixed ones
+    are the trivial cover and n - 1 drawn, and the labeled ones n Monte
+    Carlo draws."""
+    n = {1: 24, 2: 24, 3: 8, 4: 4}[m]
+    rng = random.Random(seed)
+    gauge = list(gauge_fixed_perm_invs(nfg, m))
+    if len(gauge) > n:
+        gauge = [gauge[0], *rng.sample(gauge[1:], n - 1)]
+    if count_covers(nfg, m) <= n:
+        labeled = [cover_perm_inv(spec) for spec in enumerate_covers(nfg, m)]
+    else:
+        labeled = [cover_perm_inv(random_cover(nfg, m, rng.getrandbits(48))) for _ in range(n)]
+    return [("gauge", gauge), ("labeled", labeled)]
+
+
+# (seed, M): the whole-cover oracle walks c^M configurations on the trivial
+# M-cover of a graph with c, so the graphs with c = 28 and 44 stop at M = 2
+PARTS_CASES = [(seed, m) for seed in (0, 2, 3, 6) for m in (1, 2, 3, 4)] + [(4, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("seed, m", PARTS_CASES)
+def test_cover_sweep_by_parts_matches_whole_cover_oracle(seed, m):
+    """Summed part by part, each part class walked once, every cover list
+    gives the whole-cover walk's sum, configurations and covers: equal
+    Fractions in exact mode, floats within 1e-12 at T = 0.7."""
+    nfg = parts_graph(seed)
+    plan = build_plan(nfg)
+    exact, floats = Walk(plan, m), Walk(plan, m, exact=False)
+    for name, maps in sweep_cases(nfg, m, seed):
+        got = cover_sweep(exact, maps, 1, 10**6)
+        want = reference_cover_sweep(exact, maps, 1, 10**6)
+        assert isinstance(got[0], Fraction) and got == want, name
+        assert got[0] > 0 and got[2] == len(maps)
+        got = cover_sweep(floats, maps, 1 / 0.7, 10**6)
+        want = reference_cover_sweep(floats, maps, 1 / 0.7, 10**6)
+        assert got[0] == pytest.approx(want[0], rel=1e-12), name
+        assert got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("seed", [3, 6])
+def test_monte_carlo_by_parts_matches_whole_cover_oracle(seed, m):
+    """The Monte Carlo branch sums the labeled covers that its seed draws
+    as the whole-cover walk does: exactly in exact mode, to 1e-12 at T = 0.7."""
+    for temperature in (1, 0.7):
+        nfg = parts_graph(seed, rational=temperature == 1)
+        res = zbethe_m_enumeration(nfg, m, temperature=temperature, samples=6, seed=seed)
+        walk = Walk(build_plan(nfg), m, exact=temperature == 1)
+        rng = random.Random(seed)
+        maps = [cover_perm_inv(random_cover(nfg, m, rng.getrandbits(48))) for _ in range(6)]
+        vals = [float(reference_cover_sweep(walk, [p], 1 / temperature, 10**6)[0]) for p in maps]
+        if temperature == 1:
+            assert res.pre_root == float(np.mean(vals))
+        else:
+            assert res.pre_root == pytest.approx(float(np.mean(vals)), rel=1e-12)
+
+
+def test_dumbbell_at_m3_by_parts_matches_typesum():
+    dumbbell = make_dumbbell()
+    walk = Walk(build_plan(dumbbell), 3)
+    maps = list(gauge_fixed_perm_invs(dumbbell, 3))
+    got = cover_sweep(walk, maps, 1, 10**6)
+    assert got == reference_cover_sweep(walk, maps, 1, 10**6)
+    assert got[0] / got[2] == zbethe_m_typesum(dumbbell, 3).pre_root == zbethe_m_enumeration(dumbbell, 3).pre_root
+
+
+def test_each_part_class_is_walked_once(monkeypatch):
+    """The six gauge-fixed 3-covers of a one-cycle graph split into parts of
+    three classes, walked once each: one copy (each copy of the trivial
+    cover and the fixed copy of each transposition), a 2-cycle and a
+    3-cycle."""
+    nfg = pair_graph(1)
+    walk = Walk(build_plan(nfg), 3)
+    maps = list(gauge_fixed_perm_invs(nfg, 3))
+    want = reference_cover_sweep(walk, maps, 1, 10**6)
+    walked = []
+    configs = Walk.configs
+
+    def counting(self, perm_inv=None, limit=None, part=None):
+        walked.append(len(part[1]))
+        return configs(self, perm_inv, limit, part)
+
+    monkeypatch.setattr(Walk, "configs", counting)
+    assert cover_sweep(walk, maps, 1, 10**6) == want
+    assert sorted(walked) == [1, 2, 3]
+
+
+
+
+def relabel(perm_inv, pi):
+    """The permutation map with copy k renamed pi[k] on every edge."""
+    return {e: [pi[p[pi.index(k)]] for k in range(len(pi))] for e, p in perm_inv.items()}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_part_keys_follow_relabelled_copies(seed):
+    """Relabelling the copies of a labeled 4-cover keeps the keys of its
+    parts and maps their copies along, and each part's copies are closed
+    under the permutation of every full edge of its component, forest
+    edges included."""
+    nfg = parts_graph(seed)
+    m = 4
+    walk = Walk(build_plan(nfg), m)
+    rng = random.Random(seed)
+    for _ in range(10):
+        perm_inv = cover_perm_inv(random_cover(nfg, m, rng.getrandbits(48)))
+        pi = list(range(m))
+        rng.shuffle(pi)
+        parts = list(walk.parts(perm_inv))
+        moved = list(walk.parts(relabel(perm_inv, pi)))
+        assert sorted(key for key, _ in parts) == sorted(key for key, _ in moved)
+        assert sorted((list(f), sorted(pi[k] for k in copies)) for _, (f, copies) in parts) == sorted(
+            (list(f), sorted(copies)) for _, (f, copies) in moved)
+        for (_, edges, _), (_, copies) in parts:
+            assert all({perm_inv[e][k] for k in copies} == set(copies) for e in edges)
+        assert sum(len(copies) for _, (_, copies) in parts) == m * len({key[0] for key, _ in parts})
+
+
+def test_part_keys_are_equal_exactly_for_relabelled_copies():
+    """Among the labeled 3-covers of the two-factor pair that are one part
+    on all three copies, two share a key exactly when one relabelling of
+    the copies maps each edge's permutation onto the other cover's."""
+    nfg = pair_graph(1)
+    walk = Walk(build_plan(nfg), 3)
+    whole = []
+    for spec in enumerate_covers(nfg, 3):
+        perm_inv = cover_perm_inv(spec)
+        (key, _), *rest = walk.parts(perm_inv)
+        if not rest:
+            whole.append((key, perm_inv))
+    assert len(whole) == 26  # 36 covers less the 10 with a copy fixed by both edges
+    relabellings = [list(pi) for pi in itertools.permutations(range(3))]
+    for (key, p), (other, q) in itertools.combinations(whole, 2):
+        assert (key == other) == any(relabel(p, pi) == q for pi in relabellings)
+
+
+def two_part_graph():
+    """A factor on a half-edge of five symbols, each valid, beside two
+    factors on one full edge that no row of both takes: 5 and 0
+    configurations, in two base components."""
+    factors = [Factor("a", ("h",), {(s,): Fraction(1, s + 1) for s in range(5)}),
+               Factor("b", ("d",), {(0,): Fraction(1)}), Factor("c", ("d",), {(1,): Fraction(1)})]
+    return Nfg({"h": 5, "d": 2}, ["h"], factors)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_part_past_the_cap_beside_an_empty_part_adds_nothing(m):
+    """A cover with no valid configuration adds 0 and does not raise, though
+    one of its parts alone is past the cap, as in the whole-cover walk;
+    without the empty part, the same cap raises."""
+    nfg = two_part_graph()
+    walk = Walk(build_plan(nfg), m)
+    maps = [cover_perm_inv(spec) for spec in enumerate_covers(nfg, m)]
+    for inv_t in (1, 1 / 0.7):
+        assert cover_sweep(walk, maps, inv_t, 4) == reference_cover_sweep(walk, maps, inv_t, 4) == (0, 0, len(maps))
+    lone = Walk(build_plan(Nfg({"h": 5}, ["h"], [nfg.factors["a"]])), m)
+    with pytest.raises(CapExceeded, match="^more than 4 valid configurations$"):
+        cover_sweep(lone, [{}], 1, 4)
+
+
+def test_the_cap_bounds_the_product_of_part_counts():
+    """The trivial 2-cover of a graph with 3 valid configurations has 9, in
+    two parts of 3: a cap of 9 holds, and a cap of 8 raises though each
+    part is under it."""
+    nfg = Nfg({"h": 3}, ["h"], [Factor("a", ("h",), {(s,): Fraction(s + 1) for s in range(3)})])
+    walk = Walk(build_plan(nfg), 2)
+    assert cover_sweep(walk, [{}], 1, 9) == reference_cover_sweep(walk, [{}], 1, 9) == (36, 9, 1)
+    for inv_t in (1, 1 / 0.7):
+        with pytest.raises(CapExceeded, match="^more than 8 valid configurations$"):
+            cover_sweep(walk, [{}], inv_t, 8)
+        with pytest.raises(CapExceeded, match="^more than 8 valid configurations$"):
+            reference_cover_sweep(walk, [{}], inv_t, 8)
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_exact_walk_multiplies_scaled_ints(m):
     """An exact walk yields ints: each rational table is scaled by the LCM
