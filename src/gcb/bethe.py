@@ -8,26 +8,26 @@ pseudo-marginals by elimination; an exact identity in rational
 arithmetic), and free-energy minimization at zero and positive
 temperature, certified at T = 0 by max-sum diffusion on the dual where it
 pins a unique integral optimum, and at T > 0 by the Frank-Wolfe gap.  The
-polytope is described once, in ``_BetaIndex``: ``bethe_terms`` and the
-``sum_product`` trace read the free energy off its energy vector and
-entropy; the T = 0 problem is one linear program over its factor slots
-(``_BetaIndex.lp``), whose dual ``_BetaIndex.diffuse`` reparametrizes
-along its marginal rows; the Frank-Wolfe gap is read off its rows with the
-log messages as multipliers (``_BetaIndex.gap``); and the max-entropy
-completion (``bme``) is guarded by its rows and scored by its entropy.
-Its check blocks are solved together by the stacked Newton tilt
-``tilt_factor_block``.  A graph's index is its structure's, kept in
-``Nfg.shared``, weighed on its tables (``_BetaIndex.of``).
+polytope is described once per graph structure, in ``_BetaIndex``, which
+holds no graph and no table value (``Nfg.shared``).  A graph's row
+weights and energy vector are read off its tables once
+(``_BetaIndex.weighed_on``) and go with the index to what needs them:
+``bethe_terms`` and the ``sum_product`` trace score the free energy with
+the energy and the index's entropy; the T = 0 problem is one linear
+program over its factor slots (``_BetaIndex.lp``), whose dual
+``_BetaIndex.diffuse`` reparametrizes along its marginal rows; the
+Frank-Wolfe gap is read off its rows with the log messages as
+multipliers (``_BetaIndex.gap``); and the max-entropy completion (``bme``)
+is guarded by its rows and scored by its entropy.  Its check blocks are
+solved together by the stacked Newton tilt ``tilt_factor_block``.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
 import random
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -59,7 +59,7 @@ from .errors import (
 from .gibbs import config_cap as default_config_cap
 from .gibbs import inverse_temperature
 from .nfg import Factor, Nfg, parse_number, format_number, read_lines
-from .spa import sum_product
+from .spa import _FlatLayout, sum_product
 
 GAP_TOL = 1e-9  # Frank-Wolfe gap that certifies a T > 0 minimizer
 SPA_ITERS = 4000  # sweeps per sum-product start in minimize_bethe
@@ -108,9 +108,9 @@ def bethe_terms(nfg: Nfg, beta: PseudoMarginals, temperature: float = 1.0, tol: 
         if stray:
             key = next(key for key in d if key in stray)
             raise SupportOnZeroFactor(f"beta weight on zero-valued row {key} of {f}")
-    idx = _BetaIndex.of(nfg)
+    idx, _, energy = _BetaIndex.weighed_on(nfg)
     x = idx.to_vector(beta)
-    return BetheEvaluation(float(idx.energy_vector() @ x), idx.entropy(x), float(temperature))
+    return BetheEvaluation(float(energy @ x), idx.entropy(x), float(temperature))
 
 
 def bethe_energy_from_cover(spec, cover_config) -> float:
@@ -282,14 +282,12 @@ def _root(pre_root, m: int) -> float:
 
 
 class _BetaIndex:
-    """The local marginal polytope of a graph, described once, in flat
-    coordinates.
+    """The local marginal polytope of a graph structure, described once, in
+    flat coordinates.
 
     Slots are the factor support rows (factors in sorted id order, rows in
     support order), then the edge symbols (``edge_order``).  The index
-    holds each factor row's table value as a float (``weights``, which
-    the sum-product layout raises to 1/T), the energy vector (-log of each
-    weight), the entropy coefficients (+1 on factor rows, -1 on full-edge
+    holds the entropy coefficients (+1 on factor rows, -1 on full-edge
     symbols, 0 on half-edge symbols) and A x = b as sparse ``rows``,
     ``cols``, ``vals``: factor sums, edge sums, then one consistency row
     per factor, incident edge and symbol (the factor's marginal minus the
@@ -304,42 +302,23 @@ class _BetaIndex:
     message (f, e) at symbol s at ``marginal_row[f, e] + s - n_sums``.
     The entropy and the free energy are read from these; the T = 0 problem
     is one linear program over the factor slots (``lp``), and the
-    Frank-Wolfe gap is A x - b weighed by the log messages (``gap``).  A
-    graph keeps its index (``of``), so the index holds its graph weakly:
-    no cycle outlives the graph's last user.
+    Frank-Wolfe gap is A x - b weighed by the log messages (``gap``).
 
-    Only ``weights`` and the energy come from the table values (``_weigh``,
-    which reads each factor's once per factor object, ``Nfg.per_factor``);
-    the rest is the graph's structure.  ``shape`` is that structure with
-    no graph and no weights, and ``on`` weighs a copy of it on a graph,
-    sharing every other array by reference.  ``of`` keeps the shape with
-    the graph's structure (``Nfg.shared``, beside the LP's A_eq and the
-    sum-product layout), so graphs reweighed from one structure share it.
+    It also records what its dependents read of the structure: the
+    ``factor_ids`` and (factor, edge) ``pairs`` in graph order,
+    ``edge_order``, the alphabet ``sizes``, and per full edge
+    (``full_edges``) its two factors' numbers, marginal rows and size.  It
+    holds no graph and no table value: a structure has one index (``of``),
+    a graph's weights and energy are derived from its tables
+    (``weighed_on``), and the LP's rows, the diffusion's colours and the
+    layout of every row are built on first use and kept on the index.
     """
 
     def __init__(self, nfg: Nfg):
-        self._lay_out(nfg)
-        self._weigh(nfg)
-
-    @classmethod
-    def of(cls, nfg: Nfg) -> "_BetaIndex":
-        """nfg's index, kept on it (``Nfg.derived``): the shape its
-        structure keeps (``Nfg.shared``), weighed on nfg's tables."""
-        return nfg.derived(cls, lambda g: g.shared(cls, cls.shape).on(g))
-
-    @classmethod
-    def shape(cls, nfg: Nfg) -> "_BetaIndex":
-        index = cls.__new__(cls)
-        index._lay_out(nfg)
-        return index
-
-    def on(self, nfg: Nfg) -> "_BetaIndex":
-        index = copy.copy(self)
-        index._weigh(nfg)
-        return index
-
-    def _lay_out(self, nfg: Nfg):
-        sizes = nfg.alphabet_sizes
+        sizes = self.sizes = nfg.alphabet_sizes
+        self.factor_ids = tuple(nfg.factors)
+        self.pairs = [(fid, e) for fid, f in nfg.factors.items() for e in f.edges]
+        self.edge_order = nfg.edge_order
         factors = sorted(nfg.factors)
         supports = [nfg.factors[f].support for f in factors]
         self._factors = factors
@@ -360,10 +339,13 @@ class _BetaIndex:
         self.marginal_row = dict(zip(keys, bounds))
         r = bounds[-1]
         self.partner = np.arange(r)  # a row with no other end is its own partner
+        number = {f: i for i, f in enumerate(factors)}
+        self.full_edges = []
         for e in nfg.full_edge_order:
-            r1, r2 = (self.marginal_row[f, e] for f in nfg.incidence[e])
-            k = sizes[e]
+            f1, f2 = nfg.incidence[e]
+            r1, r2, k = self.marginal_row[f1, e], self.marginal_row[f2, e], sizes[e]
             self.partner[r1:r1 + k], self.partner[r2:r2 + k] = range(r2, r2 + k), range(r1, r1 + k)
+            self.full_edges.append((number[f1], number[f2], r1, r2, k))
         symbols, starts, arity = [], [], []
         for f, support in zip(factors, supports):
             first = [self.marginal_row[f, e] for e in nfg.factors[f].edges]
@@ -391,18 +373,31 @@ class _BetaIndex:
         half = [0.0 if e in nfg.half_edges else -1.0 for e, _ in self.edge_slots]
         self.entropy_coef = np.array([1.0] * n_f + half)
 
-    def _weigh(self, nfg: Nfg):
-        """Read ``weights`` and the energy off nfg's tables, each factor's
-        once per factor object (``Nfg.per_factor``), and hold nfg."""
-        self._graph = weakref.ref(nfg)
+    @classmethod
+    def of(cls, nfg: Nfg) -> "_BetaIndex":
+        """nfg's index: its structure's, built on first use (``Nfg.shared``)."""
+        return nfg.shared(cls, cls)
+
+    @classmethod
+    def weighed_on(cls, nfg: Nfg):
+        """(index, weights, energy): nfg's index (``of``) and its tables
+        read into the index's coordinates (``weighed``), once per graph
+        (``Nfg.derived``)."""
+        index = cls.of(nfg)
+        weights, energy = nfg.derived(cls, index.weighed)
+        return index, weights, energy
+
+    def weighed(self, nfg: Nfg):
+        """(weights, energy) on the tables of nfg, a graph of the index's
+        structure: each factor slot's table value as a float, which the
+        sum-product layout raises to 1/T, and the energy vector, -log of
+        each weight, then 0 on every edge symbol.  Each factor's values are
+        read once per factor object (``Nfg.per_factor``)."""
         tables = nfg.per_factor(_BetaIndex, _row_weights)
         tables = [tables[f] for f in self._factors]
-        self.weights = np.array([w for weights, _ in tables for w in weights])
-        self._energy = np.array([u for _, energy in tables for u in energy] + [0.0] * len(self.edge_slots))
-
-    @property
-    def nfg(self) -> Nfg:
-        return self._graph()
+        weights = np.array([w for weights, _ in tables for w in weights])
+        energy = np.array([u for _, energy in tables for u in energy] + [0.0] * len(self.edge_slots))
+        return weights, energy
 
     @functools.cached_property
     def slot_of(self) -> dict:
@@ -420,9 +415,8 @@ class _BetaIndex:
     def to_beta(self, x: np.ndarray) -> PseudoMarginals:
         """The pseudo-marginals of x's non-zero entries (``np.flatnonzero``),
         each a numpy float keyed by its slot, in slot order."""
-        nfg = self.nfg
-        factor_dists: dict = {f: {} for f in nfg.factors}
-        edge_dists: dict = {e: {} for e in nfg.edge_order}
+        factor_dists: dict = {f: {} for f in self.factor_ids}
+        edge_dists: dict = {e: {} for e in self.edge_order}
         n_f = len(self.factor_slots)
         nonzero = np.flatnonzero(x)
         for i, v in zip(nonzero.tolist(), x[nonzero]):
@@ -442,28 +436,49 @@ class _BetaIndex:
         """Every entry at least -tol and every row of A x = b within tol."""
         return bool(np.all(x >= -tol) and np.all(np.abs(self.residual(x)) <= tol))
 
-    def energy_vector(self) -> np.ndarray:
-        return self._energy
-
-    def energy_lp(self):
-        """(c, A_eq, b_eq) of the T = 0 problem over the factor slots alone.
+    @functools.cached_property
+    def lp_rows(self):
+        """(A_eq, b_eq) of the T = 0 problem over the factor slots alone.
 
         The rows are the factor sums, then, for each full edge (f1, f2) and
         each symbol but the last, f1's marginal minus f2's: the consistency
         rows with the edge's own weight eliminated.  A_eq is a sparse CSR
-        matrix read off ``rows``/``cols``, built once per structure
-        (``Nfg.shared``).
+        matrix read off ``rows``/``cols``.
         """
-        a_eq, b_eq = self.nfg.shared(_BetaIndex.energy_lp, lambda _: _energy_lp_rows(self))
-        return self._energy[:len(self.factor_slots)], a_eq, b_eq
+        from scipy.sparse import csr_array
+
+        n_factors = len(self.factor_ids)
+        first = [r1 + s for _, _, r1, _, k in self.full_edges for s in range(k - 1)]
+        second = [r2 + s for _, _, _, r2, k in self.full_edges for s in range(k - 1)]
+        n_lp = n_factors + len(first)
+        lp_row = np.full(len(self.rhs), -1)  # row of A -> row of A_eq
+        lp_row[:n_factors] = np.arange(n_factors)
+        lp_row[first] = lp_row[second] = np.arange(n_factors, n_lp)
+        sign = np.ones(len(self.rhs))
+        sign[second] = -1.0
+        n_f = len(self.factor_slots)
+        keep = (self.cols < n_f) & (lp_row[self.rows] >= 0)
+        rows = self.rows[keep]
+        # factor slots carry +1 in A, and no slot twice in one row of A_eq
+        a_eq = csr_array((sign[rows], (lp_row[rows], self.cols[keep])), shape=(n_lp, n_f))
+        return a_eq, np.repeat([1.0, 0.0], [n_factors, len(first)])
+
+    @functools.cached_property
+    def diffusion(self) -> "_Diffusion":
+        return _Diffusion(self)
+
+    @functools.cached_property
+    def layout(self) -> _FlatLayout:
+        """The sum-product layout of every factor row (``spa.layout``)."""
+        return _FlatLayout(self, np.arange(len(self.factor_slots)))
 
     def entropy(self, x: np.ndarray) -> float:
         """Bethe entropy -sum_i coef_i x_i log x_i, with 0 log 0 = 0."""
         return float(-(self.entropy_coef @ (x * np.log(np.where(x > 0, x, 1.0)))))
 
-    def free_energy(self, x: np.ndarray, temperature: float) -> float:
+    def free_energy(self, x: np.ndarray, energy: np.ndarray, temperature: float) -> float:
         """<energy, x> - T * entropy(x)."""
-        return float(self._energy @ x - float(temperature) * self.entropy(x))
+        return float(energy @ x - float(temperature) * self.entropy(x))
 
     def gap(self, x: np.ndarray, messages: dict, temperature: float) -> float:
         """|Frank-Wolfe gap| of x, the beliefs of the sum-product
@@ -483,10 +498,10 @@ class _BetaIndex:
         live = incoming > 0
         return abs(float(temperature) * float(np.log(incoming[live]) @ self.residual(x)[live]))
 
-    def diffuse(self):
+    def diffuse(self, energy: np.ndarray):
         """(pinned, sweeps, bound): at most ``DIFFUSION_SWEEPS`` sweeps of
-        max-sum diffusion on the dual of the T = 0 program (``energy_lp``),
-        the structure kept per structure (``_Diffusion``, ``Nfg.shared``).
+        max-sum diffusion on the dual of the T = 0 program (``lp``) with the
+        factor slots' ``energy``, over the index's colours (``diffusion``).
 
         The dual reparametrizes the factor costs theta (the energy of each
         factor slot) by moving cost between the two ends of each full edge,
@@ -501,10 +516,10 @@ class _BetaIndex:
         every full edge: that point mass then attains the bound and every
         other point of the polytope costs more, so the optimum is unique
         and integral.  ``pinned`` is None when no sweep pinned it."""
-        dif = self.nfg.shared(_Diffusion, lambda _: _Diffusion(self))
+        dif = self.diffusion
         if not dif.feasible:
             return None, 0, math.inf
-        theta = np.where(dif.live, self._energy[:len(self.factor_slots)], np.inf)
+        theta = np.where(dif.live, energy[:len(self.factor_slots)], np.inf)
         for sweep in range(1, DIFFUSION_SWEEPS + 1):
             for slots, starts, segment, partner in dif.colours:
                 cost = theta[slots]
@@ -516,13 +531,14 @@ class _BetaIndex:
                 return near.astype(float), sweep, float(least.sum())
         return None, DIFFUSION_SWEEPS, float(least.sum())
 
-    def lp(self):
-        """(minimizer's factor slots, minimum) of the T = 0 program
-        (``energy_lp``).  Raises LpFailure when the LP fails."""
+    def lp(self, energy: np.ndarray):
+        """(minimizer's factor slots, minimum) of the T = 0 program: the
+        factor slots' ``energy`` minimized on the rows ``lp_rows``.  Raises
+        LpFailure when the LP fails."""
         from scipy.optimize import linprog
 
-        c, a_eq, b_eq = self.energy_lp()
-        res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, 1), method="highs")
+        a_eq, b_eq = self.lp_rows
+        res = linprog(energy[:len(self.factor_slots)], A_eq=a_eq, b_eq=b_eq, bounds=(0, 1), method="highs")
         if not res.success:
             raise LpFailure(f"linear program failed: {res.message}")
         return res.x, float(res.fun)
@@ -537,35 +553,9 @@ def _row_weights(f: Factor):
     return weights, [-math.log(w) for w in weights]
 
 
-def _energy_lp_rows(idx: _BetaIndex):
-    """(A_eq, b_eq) of ``_BetaIndex.energy_lp``."""
-    from scipy.sparse import csr_array
-
-    nfg = idx.nfg
-    n_factors = len(nfg.factors)
-    first, second = [], []
-    for e in nfg.full_edge_order:
-        f1, f2 = nfg.incidence[e]
-        for s in range(nfg.alphabet_sizes[e] - 1):
-            first.append(idx.marginal_row[f1, e] + s)
-            second.append(idx.marginal_row[f2, e] + s)
-    n_lp = n_factors + len(first)
-    lp_row = np.full(len(idx.rhs), -1)  # row of A -> row of A_eq
-    lp_row[:n_factors] = np.arange(n_factors)
-    lp_row[first] = lp_row[second] = np.arange(n_factors, n_lp)
-    sign = np.ones(len(idx.rhs))
-    sign[second] = -1.0
-    n_f = len(idx.factor_slots)
-    keep = (idx.cols < n_f) & (lp_row[idx.rows] >= 0)
-    rows = idx.rows[keep]
-    # factor slots carry +1 in A, and no slot twice in one row of A_eq
-    a_eq = csr_array((sign[rows], (lp_row[rows], idx.cols[keep])), shape=(n_lp, n_f))
-    return a_eq, np.repeat([1.0, 0.0], [n_factors, len(first)])
-
-
 class _Diffusion:
     """The structure of ``_BetaIndex.diffuse``, read off the index's
-    ``entries``, ``partner`` and ``marginal_row``; it holds no graph and no
+    ``entries``, ``partner`` and ``full_edges``; it holds no graph and no
     weights.
 
     ``live`` marks the factor slots a point of the polytope can weigh: a
@@ -583,17 +573,14 @@ class _Diffusion:
     """
 
     def __init__(self, idx: _BetaIndex):
-        nfg = idx.nfg
         n_f, n_rows = len(idx.factor_slots), len(idx.rhs)
         slot, row = self.entry_slot, self.entry_row = idx.entries
         partner = idx.partner
         self.factor_of = idx.rows[:n_f]  # a factor slot's sum row is its factor's number
         self.factor_starts = np.flatnonzero(np.diff(self.factor_of, prepend=-1))
         row_colour = np.full(n_rows, -1)
-        used = {f: set() for f in nfg.factors}
-        for e in nfg.full_edge_order:
-            f1, f2 = nfg.incidence[e]
-            r1, r2, k = idx.marginal_row[f1, e], idx.marginal_row[f2, e], nfg.alphabet_sizes[e]
+        used = [set() for _ in idx.factor_ids]
+        for f1, f2, r1, r2, k in idx.full_edges:
             colour = next(c for c in itertools.count() if c not in used[f1] | used[f2])
             used[f1].add(colour)
             used[f2].add(colour)
@@ -606,7 +593,7 @@ class _Diffusion:
             if not dead.size:
                 break
             self.live[dead] = False
-        live_per_factor = np.bincount(self.factor_of, weights=self.live, minlength=len(nfg.factors))
+        live_per_factor = np.bincount(self.factor_of, weights=self.live, minlength=len(idx.factor_ids))
         self.feasible = bool(np.all(live_per_factor > 0))
         self.full_rows = np.flatnonzero(partner != np.arange(n_rows))
         self.full_partner = partner[self.full_rows]
@@ -662,6 +649,18 @@ def _newton_steps(cov, grad):
     return steps
 
 
+def _tilt(features, log_w, targets, lam):
+    """(dist, dual) of a stack of duals ``lam``: each block's tilted
+    distribution, proportional to w exp(features @ lam), and its dual
+    objective lam . targets - log Z."""
+    s = log_w + (features @ lam[:, :, None])[:, :, 0]
+    top = s.max(axis=1)
+    p = np.exp(s - top[:, None])
+    z = p.sum(axis=1)
+    p /= z[:, None]
+    return p, np.einsum("bv,bv->b", lam, targets) - (top + np.log(z))
+
+
 def tilt_factor_block(features, log_w, targets) -> TiltResult:
     """Minimize <(-log w), beta> - H(beta) over the simplex with marginal
     targets, for a stack of equal-shape binary blocks at once.
@@ -675,67 +674,52 @@ def tilt_factor_block(features, log_w, targets) -> TiltResult:
     starts at the independent-bit duals lambda_e = log(t_e / (1 - t_e)),
     the optimum when a block's rows are all of {0,1}^edges with equal
     weights, on each edge whose target t_e lies in (0, 1), and at 0 on the
-    others (a masked edge has target 0 and a zero feature column).  One
-    pass per iteration scores the live blocks, and the distribution,
-    marginals, covariance and each block's own backtracking line search
-    read off it.  A block freezes, keeping that iteration's distribution
-    and duals, once its gradient is at most ``TILT_TOL``; ``converged``
-    marks the blocks that froze within ``TILT_ITERS`` iterations, and the
-    others keep the distribution at their duals after the last step.
+    others (a masked edge has target 0 and a zero feature column).  Every
+    block stays in the stack for the whole solve: one pass per iteration
+    scores it (``_tilt``), and the distribution, marginals, covariance
+    and each block's own backtracking line search, which narrows its
+    ``search`` mask, read off it.  The ``live`` mask picks the blocks to
+    record and step.  A block freezes, keeping that iteration's
+    distribution and duals, which are not written again, once its gradient
+    is at most ``TILT_TOL``; ``converged`` marks the blocks that froze
+    within ``TILT_ITERS`` iterations, and the others keep the distribution
+    at their duals after the last step.
     """
     features = np.asarray(features, dtype=float)
     log_w = np.asarray(log_w, dtype=float)
     targets = np.asarray(targets, dtype=float)
     n_blocks, n_rows, n_vars = features.shape
-    dist, lam, steps = np.empty((n_blocks, n_rows)), np.empty((n_blocks, n_vars)), np.empty(n_blocks, dtype=int)
-    converged = np.zeros(n_blocks, dtype=bool)
+    dist, steps = np.empty((n_blocks, n_rows)), np.empty(n_blocks, dtype=int)
+    live, converged = np.ones(n_blocks, dtype=bool), np.zeros(n_blocks, dtype=bool)
     ridge = 1e-12 * np.eye(n_vars)
     start = np.where((targets > 0) & (targets < 1), targets, 0.5)  # 0.5 starts at 0
-    live, f, lw, tg, lm = np.arange(n_blocks), features, log_w, targets, np.log(start / (1 - start))
-    ft = f.transpose(0, 2, 1)  # (blocks, edges, rows)
+    lam = np.log(start / (1 - start))
+    ft = features.transpose(0, 2, 1)  # (blocks, edges, rows)
     for it in range(1, TILT_ITERS + 2):
-        scores = lw + (f @ lm[:, :, None])[:, :, 0]
-        mx = scores.max(axis=1)
-        p = np.exp(scores - mx[:, None])
-        z = p.sum(axis=1)
-        p /= z[:, None]
+        p, base = _tilt(features, log_w, targets, lam)
         marg = (ft @ p[:, :, None])[:, :, 0]
-        grad = tg - marg
+        grad = targets - marg
         gmax = np.abs(grad).max(axis=1)
         last = it > TILT_ITERS  # after the last step: read the distribution off only
-        done = (gmax <= TILT_TOL) | last
-        if done.any():
-            out = live[done]
-            dist[out], lam[out], steps[out], converged[out] = p[done], lm[done], it - last, not last
-            if done.all():
-                break
-            keep = ~done
-            live, f, lw, tg, lm, p, mx, z, marg, grad, gmax = (
-                a[keep] for a in (live, f, lw, tg, lm, p, mx, z, marg, grad, gmax)
-            )
-            ft = f.transpose(0, 2, 1)
-        cov = (ft * p[:, None, :]) @ f - marg[:, :, None] * marg[:, None, :] + ridge
+        out = live & ((gmax <= TILT_TOL) | last)
+        dist[out], steps[out], converged[out] = p[out], it - last, not last
+        live &= ~out
+        if not live.any():
+            break
+        cov = (ft * p[:, None, :]) @ features - marg[:, :, None] * marg[:, None, :] + ridge
         step = _newton_steps(cov, grad)
         # in the quadratic convergence zone the dual's gain is below float
         # rounding, so backtracking would stall; those blocks take the full step
-        search = np.flatnonzero(gmax > 1e-6)
-        if search.size:
-            fs, lws, tgs, lms, ss, ms, zs = (a[search] for a in (f, lw, tg, lm, step, mx, z))
-            base = np.einsum("bv,bv->b", lms, tgs) - (ms + np.log(zs))
-            t, scale = np.ones(len(live)), 1.0
-            for _ in range(60):
-                cand = lms + scale * ss
-                sc = lws + (fs @ cand[:, :, None])[:, :, 0]
-                m = sc.max(axis=1)
-                ok = np.einsum("bv,bv->b", cand, tgs) - (m + np.log(np.exp(sc - m[:, None]).sum(axis=1))) > base - 1e-18
-                if ok.all():
-                    break
-                scale *= 0.5
-                if ok.any():
-                    search, base, fs, lws, tgs, lms, ss = (a[~ok] for a in (search, base, fs, lws, tgs, lms, ss))
-                t[search] = scale
-            step *= t[:, None]
-        lm += step
+        search = live & (gmax > 1e-6)
+        t, scale = np.ones(n_blocks), 1.0
+        for _ in range(60):
+            if not search.any():
+                break
+            search &= ~(_tilt(features, log_w, targets, lam + scale * step)[1] > base - 1e-18)
+            scale *= 0.5
+            t[search] = scale
+        step *= t[:, None]
+        np.add(lam, step, out=lam, where=live[:, None])
     return TiltResult(dist, lam, steps, converged)
 
 
@@ -759,7 +743,7 @@ class MinimizeResult:
         self.sweeps = sweeps
 
 
-def _minimize_energy(idx: _BetaIndex, config_cap) -> MinimizeResult:
+def _minimize_energy(nfg: Nfg, config_cap) -> MinimizeResult:
     """Exact T=0 problem: the energy is linear and B is a polytope.  The
     graph's M = 1 tally is held to ``config_cap`` first, so the cap binds
     every word.  A word that diffusion pins (``_BetaIndex.diffuse``) is its
@@ -767,20 +751,21 @@ def _minimize_energy(idx: _BetaIndex, config_cap) -> MinimizeResult:
     tie; any other goes to ``_BetaIndex.lp``, whose rows at most 1e-12 are
     dropped and factors renormalized, and ``_zero_temp_tie`` decides its
     tie.  Each edge's marginal is read off its first endpoint."""
-    TypeTally.of(idx.nfg, 1, None, config_cap)
-    y, sweeps, _ = idx.diffuse()
+    TypeTally.of(nfg, 1, None, config_cap)
+    idx, _, energy = _BetaIndex.weighed_on(nfg)
+    y, sweeps, _ = idx.diffuse(energy)
     certified = y is not None
     if certified:
-        f_min = sum(idx.energy_vector()[:len(y)][y > 0].tolist())
+        f_min = sum(energy[:len(y)][y > 0].tolist())
     else:
-        y, f_min = idx.lp()
+        y, f_min = idx.lp(energy)
     factor = idx.rows[:len(y)]  # a factor slot's sum row is its factor's number
     y = np.where(y > 1e-12, y, 0.0)
     y = y / np.bincount(factor, weights=y)[factor]
     slot, row = idx.entries
     x = np.concatenate([y, np.bincount(row, weights=y[slot], minlength=len(idx.rhs))[idx.edge_row]])
     beta = idx.to_beta(x)
-    tie = not certified and _zero_temp_tie(idx, x, f_min, config_cap)
+    tie = not certified and _zero_temp_tie(nfg, x, f_min, config_cap)
     return MinimizeResult(beta, f_min, None, True, tie, certified, sweeps)
 
 
@@ -828,10 +813,10 @@ def minimize_bethe(
         raise ValueError(f"temperature must be non-negative and finite, got {temperature}")
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
-    idx = _BetaIndex.of(nfg)
     if temperature == 0:
-        return _minimize_energy(idx, config_cap)
+        return _minimize_energy(nfg, config_cap)
 
+    idx, _, energy = _BetaIndex.weighed_on(nfg)
     t = float(temperature)
     best = None  # (free energy, beliefs) of the lowest uncertified fixed point
     rng = np.random.default_rng(seed)
@@ -845,7 +830,7 @@ def minimize_bethe(
         x = idx.to_vector(beliefs)
         if not idx.feasible(x, 1e-6):
             continue
-        value = idx.free_energy(x, t)
+        value = idx.free_energy(x, energy, t)
         if idx.gap(x, state.messages, t) <= GAP_TOL:
             return MinimizeResult(beliefs, value, math.exp(-value / t), True, False)
         if best is None or value < best[0]:
@@ -858,13 +843,13 @@ def minimize_bethe(
     return MinimizeResult(beta, f_min, math.exp(-f_min / t), False, False)
 
 
-def _zero_temp_tie(idx: _BetaIndex, x: np.ndarray, f_min: float, config_cap):
+def _zero_temp_tie(nfg: Nfg, x: np.ndarray, f_min: float, config_cap):
     """Tie when the optimum, the slot vector ``x``, is fractional or several
     configurations attain it; the graph's M = 1 types
     (``TypeTally.weighed_on``) are weighed for an integral optimum only."""
     if np.max(np.abs(x - np.round(x))) > 1e-6:
         return True
-    _, types, unit = TypeTally.weighed_on(idx.nfg, 1, None, config_cap)
+    _, types, unit = TypeTally.weighed_on(nfg, 1, None, config_cap)
     return sum(abs(-math.log(value * unit) - f_min) <= 1e-9 for _, value, _, _ in types) > 1
 
 

@@ -12,8 +12,8 @@ the local marginal polytope: its constraint rows guard the completion and
 its entropy coefficients score it.  What depends on the graph alone (the
 pinned slots, and the checks' rows and log weights stacked by block
 shape) is one ``_Plan``, built on first use and kept on the graph beside
-its index (``Nfg.derived``); every group goes to the solve as the plan
-stacked it, with the edges that a marginal of 0 or 1 forces masked.
+its index weights (``Nfg.derived``); every group goes to the solve as the
+plan stacked it, with the edges that a marginal of 0 or 1 forces masked.
 The induced entropy of the half-edge marginal vector is the Bethe entropy
 of the completed vector.
 """
@@ -87,14 +87,14 @@ class _Group:
 
     __slots__ = ("fids", "edges", "slots", "features", "log_w", "pins", "proj")
 
-    def __init__(self, nfg: Nfg, fids: list, idx: _BetaIndex, pin: dict):
+    def __init__(self, nfg: Nfg, fids: list, idx: _BetaIndex, energy: np.ndarray, pin: dict):
         factors = [nfg.factors[f] for f in fids]
         supports = [fac.support for fac in factors]
         self.fids = fids
         self.edges = [fac.edges for fac in factors]
         self.slots = np.array([[idx.slot_of["f", f, key] for key in rows] for f, rows in zip(fids, supports)])
         self.features = np.array(supports, dtype=float)
-        self.log_w = -idx.energy_vector()[self.slots]
+        self.log_w = -energy[self.slots]
         self.pins = np.array([[pin[e] for e in fac.edges] for fac in factors])
         self.proj = _span_projector(self.features, np.ones(self.log_w.shape, dtype=bool))
 
@@ -113,7 +113,7 @@ class _Plan:
             if nfg.alphabet_sizes[e] != 2:
                 raise NonBinaryAlphabet(f"edge {e} has alphabet size {nfg.alphabet_sizes[e]}")
         variable, checks = _split_variable_check(nfg)
-        self.idx = _BetaIndex.of(nfg)
+        self.idx, _, energy = _BetaIndex.weighed_on(nfg)
         slot_of = self.idx.slot_of
         self.half = nfg.half_edge_order
         where = {e: i for i, e in enumerate(self.half)}
@@ -135,7 +135,7 @@ class _Plan:
         for fid in checks:
             fac = nfg.factors[fid]
             by_shape.setdefault((len(fac.table), len(fac.edges)), []).append(fid)
-        self.groups = [_Group(nfg, fids, self.idx, pin) for fids in by_shape.values()]
+        self.groups = [_Group(nfg, fids, self.idx, energy, pin) for fids in by_shape.values()]
 
 
 def bme_completion(nfg: Nfg, omega: Mapping[str, object]) -> BmeResult:

@@ -1,7 +1,7 @@
 """Command-line surface: deterministic reports over the library operations.
 
 Exit codes: 0 success, 2 enumeration cap exceeded, 3 usage, parse or input
-error, 4 solver non-convergence.  Primary output is line-oriented key=value
+error (a value past the float range included), 4 solver non-convergence.  Primary output is line-oriented key=value
 (CSV for curves and traces); diagnostics go to stderr.  A subcommand takes
 ``--config-cap`` / ``--cover-cap`` only where it reads them, and refuses
 them (exit 3) in the modes that do not read them.
@@ -512,6 +512,9 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except (ParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OverflowError as exc:
+        print(f"error: a value left the float range: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)

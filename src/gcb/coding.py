@@ -20,12 +20,13 @@ M = 1 tally by ``attach_channel``'s t_N = 1 check, and one decoding
 structure: a decoding graph for the last set of channel-factor supports
 seen.  Each word's graph is that structure reweighed (``Nfg.reweighed``),
 so the words with those supports share what the structure alone
-determines (``Nfg.shared``: the ``_BetaIndex`` arrays, the LP's A_eq, the
-diffusion's colours, the sum-product layout, the type tally per degree,
-which the rules and ``bgcd``'s tie check read).  A decoding graph keeps
-its index (the shared one, weighed on its tables) and its type values per
-degree, and both read each factor's numbers once per factor object
-(``Nfg.per_factor``), so a word pays only for its channel factors.
+determines (``Nfg.shared``: the ``_BetaIndex``, which keeps the LP's
+A_eq, the diffusion's colours and the sum-product layout, and the type
+tally per degree, which the rules and ``bgcd``'s tie check read).  A
+decoding graph keeps its index weights and energy
+(``_BetaIndex.weighed_on``) and its type values per degree, and both
+read each factor's numbers once per factor object (``Nfg.per_factor``),
+so a word pays only for its channel factors.
 """
 
 from __future__ import annotations

@@ -120,7 +120,8 @@ def h_curve(d_l: int, d_r: int, s: float) -> RegularCurvePoint:
 
 
 def s_of_omega(d_r: int, target: float, tol: float = 1e-12) -> float:
-    """Invert omega(s) by bisection; valid for target strictly inside (0, 1)."""
+    """Invert omega(s) by bisection; valid for target strictly inside (0, 1).
+    It stops at a bracket ``tol`` wide or one of two adjacent floats."""
     if not 0 < target < 1:
         raise ValueError("omega must be strictly inside (0, 1)")
     lo, hi = -1.0, 1.0
@@ -132,13 +133,14 @@ def s_of_omega(d_r: int, target: float, tol: float = 1e-12) -> float:
         hi *= 2
         if hi > 1e6:
             raise ValueError("bisection bracket failed")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:
         if omega_of_s(d_r, mid) < target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 @dataclass

@@ -5,13 +5,15 @@ node, a full edge on exactly two.  Local function tables keep only their
 support (assignments with value zero are dropped), so a factor's support
 doubles as its local constraint code.  All types here are immutable after
 construction and safe to share across threads.  What gcb derives from a
-graph alone (its polytope index and type values; on a code graph, its
-words and the decoding structure its decoding graphs are reweighed from) is
-built on first use and kept on the graph (``Nfg.derived``), and what its
-structure alone determines is kept with the structure (``Nfg.shared``),
-which every graph reweighed from it shares, as is what one factor's table
-determines, beside that factor (``Nfg.per_factor``).  Two threads that ask
-at once may each build a value, and one of the equal results is kept.
+graph alone (its polytope weights and energy and its type values; on a
+code graph, its words and the decoding structure its decoding graphs are
+reweighed from) is built on first use and kept on the graph
+(``Nfg.derived``), and what its structure alone determines (its polytope
+index, which keeps what it derives, and its type tallies) is kept with
+the structure (``Nfg.shared``), which every graph reweighed from it
+shares, as is what one factor's table determines, beside that factor
+(``Nfg.per_factor``).  Two threads that ask at once may each build a
+value, and one of the equal results is kept.
 
 ``read_lines`` holds the line syntax of gcb's text formats other than alist:
 comments, blank lines, tokens, repeated keys and the line an error names.
@@ -61,8 +63,8 @@ class Factor:
                     f"expected {len(self.edges)}"
                 )
             if isinstance(value, float):
-                if value < 0 or math.isnan(value):
-                    raise GcbError(f"factor {fid}: negative or NaN value at {key}")
+                if not 0 <= value < math.inf:
+                    raise GcbError(f"factor {fid}: negative, infinite or NaN value at {key}")
             else:
                 value = Fraction(value)
                 if value < 0:
@@ -282,13 +284,17 @@ _FIXED_LINES = {f.split()[0]: f for f in ("alphabet <edge> <size>", "halfedge <e
 
 
 def parse_number(token: str) -> Number:
+    """A p/q or integer token as a Fraction, a decimal as a finite float."""
     if "/" in token:
         num, den = (int(part) for part in token.split("/", 1))
         if den == 0:
             raise ValueError(f"zero denominator in {token!r}")
         return Fraction(num, den)
     if any(c in token for c in ".eE") and not token.lstrip("+-").isdigit():
-        return float(token)
+        value = float(token)
+        if not math.isfinite(value):
+            raise ValueError(f"{token!r} is outside the float range")
+        return value
     return Fraction(int(token))
 
 

@@ -13,13 +13,14 @@ in its row order (the log messages are those rows' multipliers, see
 row whose weight ** (1/T) is not 0.  The index numbers the entries and
 pairs each with the entry at the edge's other end (``partner``); the
 layout reads both off it.  The layout holds only structure, and the one of
-every row is kept with the graph's structure (``layout``, ``Nfg.shared``),
-so ``minimize_bethe``'s starts and a code's decoding graphs share it; a
-run supplies its own weights.  ``gather`` is one contiguous (arity + 1,
-rows) index array, so row r's terms, its weight and then its incoming
-entries, are ``vec[gather[:, r]]``, and all row products are one
-``multiply.reduce`` down the short axis: the weight times the first entry,
-then times each later entry in turn, the order of the per-row loop that
+every row is kept on the index (``_BetaIndex.layout``), one per graph
+structure, so ``minimize_bethe``'s starts and a code's decoding graphs
+share it; a run supplies its own weights (``_BetaIndex.weighed_on``).
+``gather`` is one contiguous (arity + 1, rows) index array, so row r's
+terms, its weight and then its incoming entries, are
+``vec[gather[:, r]]``, and all row products are one ``multiply.reduce``
+down the short axis: the weight times the first entry, then times each
+later entry in turn, the order of the per-row loop that
 ``tests/test_spa.py`` keeps as the oracle.  Each step does the loop's
 arithmetic in the loop's order, so every result is bit-identical to it:
 
@@ -75,15 +76,15 @@ class SpaState:
 
 
 class _FlatLayout:
-    """Index arrays of one flat vector over a graph's ``bethe._BetaIndex``
-    and a set of kept rows; ``layout`` shares the one of every row with all
-    runs and graphs of the graph's structure.
+    """Index arrays of one flat vector over a ``bethe._BetaIndex`` and a
+    set of kept rows, read off the index alone; the one of every row is
+    kept on the index (``_BetaIndex.layout``).
 
     The vector's first entries are the index's marginal rows: the message
     (factor, edge) at symbol s sits at ``marginal_row[factor, edge] + s -
     n_sums``, so the blocks of one alphabet size are contiguous and the
     message into a row sits at its ``partner``.  ``blocks`` lists (key,
-    start, end) in ``nfg.factors`` / ``f.edges`` order, and ``groups``
+    start, end) in the index's ``pairs`` order, and ``groups``
     (start, end, size) per size.  Then, at index ``one``, a constant 1.0
     that stands in for the incoming message on a half-edge and pads short
     rows; then the weights of the kept rows: the index's factor slots
@@ -102,14 +103,12 @@ class _FlatLayout:
     """
 
     def __init__(self, index, slots):
-        nfg = index.nfg
-        sizes = nfg.alphabet_sizes
+        sizes = index.sizes
         n_f, n_sums = len(index.factor_slots), index.n_sums
         self.n_index, self.n_factor_slots = index.n, n_f
         n = self.one = len(index.rhs) - n_sums
         start = {key: row - n_sums for key, row in index.marginal_row.items()}
-        keys = [(fid, e) for fid, f in nfg.factors.items() for e in f.edges]
-        self.blocks = [(key, start[key], start[key] + sizes[key[1]]) for key in keys]
+        self.blocks = [(key, start[key], start[key] + sizes[key[1]]) for key in index.pairs]
         groups: dict = {}
         for (_, e), lo in start.items():
             groups.setdefault(sizes[e], []).append(lo)
@@ -141,7 +140,7 @@ class _FlatLayout:
         # edge symbols, edge_order then symbol order: each one's message at
         # its first endpoint, and the message into that row
         self.edge_ends = np.array([index.edge_row - n_sums, into(index.edge_row)])
-        edge_sizes = np.array([sizes[e] for e in nfg.edge_order], dtype=np.intp)
+        edge_sizes = np.array([sizes[e] for e in index.edge_order], dtype=np.intp)
         edge_starts = np.cumsum(edge_sizes) - edge_sizes
         self.edge_uniform = 1.0 / np.repeat(edge_sizes, edge_sizes)
         self.edge_groups = [edge_starts[edge_sizes == size][:, None] + np.arange(size)
@@ -203,12 +202,10 @@ class _FlatLayout:
 
 def layout(index, weights) -> _FlatLayout:
     """The layout of the rows whose ``weights`` are not 0: when that is
-    every row, the one kept with the graph's structure (``Nfg.shared``),
-    else (``weights ** (1/T)`` underflowed) a new one."""
+    every row, the index's own (``_BetaIndex.layout``), else
+    (``weights ** (1/T)`` underflowed) a new one."""
     slots = np.flatnonzero(weights)
-    if len(slots) < len(weights):
-        return _FlatLayout(index, slots)
-    return index.nfg.shared(_FlatLayout, lambda _: _FlatLayout(index, slots))
+    return _FlatLayout(index, slots) if len(slots) < len(weights) else index.layout
 
 
 def _over(values, totals, uniform, out=None):
@@ -268,8 +265,8 @@ def sum_product(
         raise ValueError("max_iters must be non-negative")
     if not tol >= 0.0:
         raise ValueError("tol must be non-negative")
-    index = _BetaIndex.of(nfg)
-    weights = index.weights if inv_t == 1 else index.weights**inv_t
+    index, weights, energy = _BetaIndex.weighed_on(nfg)
+    weights = weights if inv_t == 1 else weights**inv_t
     lay = layout(index, weights)
     vec = lay.vector(weights[lay.slots], init_rng)
     n = lay.one
@@ -310,7 +307,7 @@ def sum_product(
         else:
             old[...] = new
         if trace is not None:
-            trace.append((iterations, residual, index.free_energy(lay.x(vec), temperature)))
+            trace.append((iterations, residual, index.free_energy(lay.x(vec), energy, temperature)))
         if residual <= tol:
             break
     state = SpaState(lay.messages(vec), iterations, damping, residual, residual <= tol, trace)

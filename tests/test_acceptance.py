@@ -250,13 +250,13 @@ def test_criterion_07_yedidia_stationarity():
         idx = _BetaIndex(nfg)
         assert idx.gap(idx.to_vector(beliefs), state.messages, 1.0) <= GAP_TOL
 
-    from test_bethe import _random_interior_beta, clamped_gradient
+    from test_bethe import _random_interior_beta, clamped_gradient, index_and_energy
 
     nfg = make_loopy_positive(rng)
-    idx = _BetaIndex(nfg)
+    idx, energy = index_and_energy(nfg)
 
     def ambient_f(x):
-        total = float(idx.energy_vector() @ x)
+        total = float(energy @ x)
         for fname, key in idx.factor_slots:
             v = x[idx.slot_of[("f", fname, key)]]
             if v > 0:
@@ -273,7 +273,7 @@ def test_criterion_07_yedidia_stationarity():
     for point in range(50):
         beta = _random_interior_beta(nfg, rng)
         x = idx.to_vector(beta)
-        grad = clamped_gradient(idx, x)
+        grad = clamped_gradient(idx, energy, x)
         h = 1e-6
         for slot in rng.sample(range(len(x)), 3):
             xp, xm = x.copy(), x.copy()

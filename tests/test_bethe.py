@@ -556,12 +556,19 @@ def test_graph_with_no_edges():
 INTERIOR_EPS = 1e-12  # where the oracle's gradient clamps x
 
 
-def clamped_gradient(idx, x, temperature=1.0):
+def index_and_energy(nfg):
+    """(index, energy) of nfg: an index built from nothing, and its energy
+    vector on nfg's tables (``_BetaIndex.weighed``)."""
+    idx = _BetaIndex(nfg)
+    return idx, idx.weighed(nfg)[1]
+
+
+def clamped_gradient(idx, energy, x, temperature=1.0):
     """The oracle's gradient of ``free_energy``, with x clamped at
     ``INTERIOR_EPS``: a slot at 0 reads a finite slope where the true one
     is infinite."""
     t = float(temperature) * idx.entropy_coef
-    return idx.energy_vector() + t * (np.log(np.maximum(x, INTERIOR_EPS)) + 1.0)
+    return energy + t * (np.log(np.maximum(x, INTERIOR_EPS)) + 1.0)
 
 
 def test_gradient_matches_finite_differences(fig1):
@@ -573,12 +580,10 @@ def test_gradient_matches_finite_differences(fig1):
         factors.append(Factor(fid, f.edges, table))
     nfg = Nfg(nfg.alphabet_sizes, nfg.half_edges, factors)
 
-    from gcb.bethe import _BetaIndex
-
-    idx = _BetaIndex(nfg)
+    idx, energy = index_and_energy(nfg)
 
     def f_of(x):
-        total = float(idx.energy_vector() @ x)
+        total = float(energy @ x)
         for fname, key in idx.factor_slots:
             v = x[idx.slot_of[("f", fname, key)]]
             if v > 0:
@@ -595,8 +600,8 @@ def test_gradient_matches_finite_differences(fig1):
         beta = _random_interior_beta(nfg, rng)
         x = idx.to_vector(beta)
         # fig1 has half-edges, whose entropy coefficient is zero
-        assert idx.free_energy(x, 1.0) == pytest.approx(f_of(x), rel=1e-13)
-        grad = clamped_gradient(idx, x)
+        assert idx.free_energy(x, energy, 1.0) == pytest.approx(f_of(x), rel=1e-13)
+        grad = clamped_gradient(idx, energy, x)
         h = 1e-6
         for slot in rng.sample(range(len(x)), 5):
             xp = x.copy()
@@ -665,9 +670,8 @@ def lp_oracle_graphs():
 def test_lp_rows_match_row_builder(name, nfg):
     """The LP read off the index is the row builder's, entry for entry;
     A_eq is sparse, with no stored zero."""
-    from gcb.bethe import _BetaIndex
-
-    c, a_eq, b_eq = _BetaIndex(nfg).energy_lp()
+    idx, energy = index_and_energy(nfg)
+    c, (a_eq, b_eq) = energy[:len(idx.factor_slots)], idx.lp_rows
     want_c, want_a, want_b = lp_rows_oracle(nfg)
     assert np.array_equal(c, want_c)
     assert a_eq.format == "csr" and np.all(a_eq.data != 0)
@@ -708,13 +712,13 @@ def dense_a(idx):
     return a
 
 
-def full_slot_gap(idx, x, temperature=1.0):
+def full_slot_gap(idx, energy, x, temperature=1.0):
     """The oracle: the Frank-Wolfe gap <g, x> - min <g, v> of any point x,
     with g the ``clamped_gradient``, as one LP over every slot and every row
     of A x = b."""
     from scipy.optimize import linprog
 
-    g = clamped_gradient(idx, x, temperature)
+    g = clamped_gradient(idx, energy, x, temperature)
     res = linprog(g, A_eq=dense_a(idx), b_eq=idx.rhs, bounds=(0, 1), method="highs")
     assert res.success
     return float(g @ x - res.fun)
@@ -749,12 +753,12 @@ def test_gap_matches_full_slot_lp(name, nfg):
     """At the converged fixed points of the uniform start and two seeded
     ones, the gap read off the messages is the oracle's |gap|, and both
     certify."""
-    idx = _BetaIndex(nfg)
+    idx, energy = index_and_energy(nfg)
     for seed in (None, 3, 4):
         init = None if seed is None else np.random.default_rng(seed)
         state, x, gap = spa_gap(nfg, max_iters=4000, damping=0.5, tol=1e-13, init_rng=init)
         assert state.converged
-        oracle = full_slot_gap(idx, x)
+        oracle = full_slot_gap(idx, energy, x)
         assert gap == pytest.approx(abs(oracle), abs=1e-11)
         assert gap <= GAP_TOL and abs(oracle) <= GAP_TOL
 
@@ -787,12 +791,12 @@ def test_gap_is_the_oracle_gap_away_from_fixed_points(name, nfg):
     messages is the oracle's |gap|: the identity does not need a fixed
     point.  Every slot is above ``INTERIOR_EPS``, so the oracle's clamp
     does not bite; the first three iterates are not certified."""
-    idx = _BetaIndex(nfg)
+    idx, energy = index_and_energy(nfg)
     for sweeps in (1, 2, 5, 20):
         init = np.random.default_rng(7)
         state, x, gap = spa_gap(nfg, max_iters=sweeps, damping=0.5, tol=0.0, init_rng=init)
         assert state.iterations == sweeps and x.min() > INTERIOR_EPS
-        assert gap == pytest.approx(abs(full_slot_gap(idx, x)), abs=1e-12)
+        assert gap == pytest.approx(abs(full_slot_gap(idx, energy, x)), abs=1e-12)
         if sweeps < 20:
             assert gap > GAP_TOL
 
@@ -816,8 +820,8 @@ def test_feasible_matches_dense_check(name, nfg):
 
 
 def _oracle_gap(nfg, beta, temperature=1.0):
-    idx = _BetaIndex(nfg)
-    return full_slot_gap(idx, idx.to_vector(beta), temperature)
+    idx, energy = index_and_energy(nfg)
+    return full_slot_gap(idx, energy, idx.to_vector(beta), temperature)
 
 
 def test_stationarity_positive_generically(fig1):
@@ -843,7 +847,7 @@ def test_gap_certifies_near_vertex_fixed_point():
     dec = attach_channel(code, Channel.bsc(Fraction(1, 20)), list("0011010101"))
     state, x, gap = spa_gap(dec.nfg, max_iters=4000, tol=1e-13)
     assert state.converged
-    idx = _BetaIndex(dec.nfg)
+    idx, energy = index_and_energy(dec.nfg)
     assert np.sum(x <= 1e-12) > len(x) // 2
     assert gap <= GAP_TOL
 
@@ -861,7 +865,7 @@ def test_gap_certifies_near_vertex_fixed_point():
         return res.x[:-1]
 
     moved = 0.99 * x + 0.01 * max_slack_point()
-    assert full_slot_gap(idx, moved) > GAP_TOL
+    assert full_slot_gap(idx, energy, moved) > GAP_TOL
 
 
 def test_gap_reads_zero_at_unstationary_lp_vertex():
@@ -873,13 +877,13 @@ def test_gap_reads_zero_at_unstationary_lp_vertex():
     beliefs of messages (``_BetaIndex.gap``)."""
     code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
     dec = attach_channel(code, Channel.bsc(Fraction(1, 5)), list("0000111011"))
-    idx = _BetaIndex(dec.nfg)
+    idx, energy = index_and_energy(dec.nfg)
     x = idx.to_vector(minimize_bethe(dec.nfg, 0).beta)
     assert np.array_equal(x, np.round(x))
-    assert abs(full_slot_gap(idx, x)) <= GAP_TOL
+    assert abs(full_slot_gap(idx, energy, x)) <= GAP_TOL
     res = minimize_bethe(dec.nfg, 1.0)
     assert res.converged
-    assert idx.free_energy(x, 1.0) - res.f_min == pytest.approx(0.1007, abs=1e-4)
+    assert idx.free_energy(x, energy, 1.0) - res.f_min == pytest.approx(0.1007, abs=1e-4)
 
 
 @pytest.fixture
@@ -1057,13 +1061,13 @@ def test_diffusion_pins_exactly_the_unique_integral_optima(monkeypatch):
     decs = diffusion_oracle_words()
     results = [bgcd(dec) for dec in decs]
     with monkeypatch.context() as patch:
-        patch.setattr(_BetaIndex, "diffuse", lambda self: (None, 0, -math.inf))
+        patch.setattr(_BetaIndex, "diffuse", lambda self, energy: (None, 0, -math.inf))
         oracle = [bgcd(dec) for dec in decs]
     n_pinned = n_ties = n_wide = 0
     for dec, res, want in zip(decs, results, oracle):
         weights = [float(v) for d in want.beliefs.factor_dists.values() for v in d.values()]
         integral = all(min(v, 1 - v) <= 1e-6 for v in weights)
-        alone = integral and optimal_face_width(_BetaIndex.of(dec.nfg)) < 1e-4
+        alone = integral and optimal_face_width(dec.nfg) < 1e-4
         n_wide += integral and not want.tie and not alone
         assert res.diagnostics["certified"] == (integral and not want.tie and alone)
         assert not want.diagnostics["certified"]
@@ -1073,9 +1077,9 @@ def test_diffusion_pins_exactly_the_unique_integral_optima(monkeypatch):
             assert res.objective == pytest.approx(want.objective, abs=1e-12)
         else:
             assert (res.decisions, res.tie, res.objective) == (want.decisions, want.tie, want.objective)
-        idx = _BetaIndex.of(dec.nfg)
-        _, _, bound = idx.diffuse()
-        _, optimum = idx.lp()
+        idx, _, energy = _BetaIndex.weighed_on(dec.nfg)
+        _, _, bound = idx.diffuse(energy)
+        _, optimum = idx.lp(energy)
         assert bound <= optimum + 1e-12 * max(1.0, abs(optimum))
         energies = sorted(-math.log(v) for _, v in valid_tuples(dec.nfg))
         if len(energies) > 1 and energies[1] - energies[0] <= 1e-9:  # two optimal codewords
@@ -1113,19 +1117,21 @@ def test_infeasible_program_still_reaches_the_lp():
 
     nfg = Nfg({"a": 2, "b": 2}, ["a", "b"], [Factor("f", ["a"], {(0,): Fraction(1, 2), (1,): Fraction(1, 3)}),
                                              Factor("g", ["b"], {})])
-    assert _BetaIndex.of(nfg).diffuse()[0] is None
+    idx, _, energy = _BetaIndex.weighed_on(nfg)
+    assert idx.diffuse(energy)[0] is None
     with pytest.raises(LpFailure, match="infeasible"):
         minimize_bethe(nfg, 0)
 
 
-def optimal_face_width(idx):
-    """The most weight a point of the T = 0 optimal face (energy within
+def optimal_face_width(nfg):
+    """The most weight a point of nfg's T = 0 optimal face (energy within
     1e-9 of the minimum) puts on the factor slots that the LP's vertex
     leaves at 0: about 0 when the vertex is the only optimum."""
     from scipy.optimize import linprog
 
-    c, a_eq, b_eq = idx.energy_lp()
-    y, f_min = idx.lp()
+    idx, _, energy = _BetaIndex.weighed_on(nfg)
+    c, (a_eq, b_eq) = energy[:len(idx.factor_slots)], idx.lp_rows
+    y, f_min = idx.lp(energy)
     zero = (y < 0.5).astype(float)
     res = linprog(-zero, A_ub=c[None, :], b_ub=[f_min + 1e-9 * max(1.0, abs(f_min))],
                   A_eq=a_eq, b_eq=b_eq, bounds=(0, 1), method="highs")
@@ -1224,18 +1230,18 @@ def test_float_sums_do_not_follow_the_hash_seed():
 
 def test_one_decoding_graph_builds_one_index(monkeypatch):
     """bgcd's LP, a traced sum-product run, bethe_terms and minimize_bethe
-    at T = 1 on one decoding graph all read the graph's one ``_BetaIndex``,
-    weighed once on that graph."""
+    at T = 1 on one decoding graph all read its structure's ``_BetaIndex``,
+    weighed once on that graph (``_BetaIndex.weighed_on``)."""
     from gcb.spa import sum_product
 
     built = []
-    weigh = _BetaIndex._weigh
+    weigh = _BetaIndex.weighed
 
     def counting(self, nfg):
         built.append(nfg)
-        weigh(self, nfg)
+        return weigh(self, nfg)
 
-    monkeypatch.setattr(_BetaIndex, "_weigh", counting)
+    monkeypatch.setattr(_BetaIndex, "weighed", counting)
     code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
     dec = attach_channel(code, Channel.bsc(Fraction(1, 10)), "0100000000")
     bgcd(dec)

@@ -791,6 +791,15 @@ LINE_ERROR_INPUTS = {
     "repeated channel entry": (dict(DECODE_FILES, **{"chan.txt": DECODE_FILES["chan.txt"].replace(
                                    "W 1 1 9/10", "W 1 1 1/2\nW 1 1 9/10")}), DECODE_ARGV, 5,
                                "repeated W 1 1 (first on line 4)"),
+    "nfg row past the float range": ({"g.nfg": ONE_EDGE_NFG + "row 0 1\nrow 1 1e400\n"},
+                                     ["enumerate", "--nfg", "g.nfg"], 5,
+                                     "cannot parse 'row 1 1e400': '1e400' is outside the float range"),
+    "beta past the float range": ({"b.beta": "beta fA 0,0 1e400\n"},
+                                  ["preimage-count", "--nfg", dumbbell_path(), "-M", "2", "--beta", "b.beta"], 1,
+                                  "cannot parse 'beta fA 0,0 1e400': '1e400' is outside the float range"),
+    "channel past the float range": (dict(DECODE_FILES, **{"chan.txt": DECODE_FILES["chan.txt"].replace(
+                                         "W 1 1 9/10", "W 1 1 1e400")}), DECODE_ARGV, 4,
+                                     "cannot parse 'W 1 1 1e400': '1e400' is outside the float range"),
 }
 
 
@@ -808,6 +817,33 @@ def test_malformed_or_repeated_lines_name_their_line(tmp_path, capsys, monkeypat
     assert out == ""
     assert err.startswith(f"error: line {line}: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["zgibbs"], ["enumerate"], ["zbethe-min", "-T", "0"], ["spa"]])
+def test_a_row_past_the_float_range_exits_3(tmp_path, capsys, argv):
+    """A decimal past the float range is refused where it is read, naming
+    its line, and reaches no sum, solver or sweep."""
+    path = tmp_path / "g.nfg"
+    path.write_text(ONE_EDGE_NFG + "row 0 1\nrow 1 1e400\n")
+    code, out, err = run(capsys, *argv, "--nfg", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: line 5: cannot parse 'row 1 1e400': '1e400' is outside the float range\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["zgibbs", "-T", "0.5"],
+    ["zbethe-m", "-M", "2", "-T", "0.5"],
+    ["zbethe-m", "-M", "2", "-T", "0.5", "--method", "typesum"],
+    ["zbethe-m", "-M", "2", "--samples", "3", "--seed", "1"],
+])
+def test_a_sum_past_the_float_range_exits_3(tmp_path, capsys, argv):
+    """A table value of 10^214 is read exactly, but its power 1/T (or an
+    exact sampled cover sum) passes the float range: one error line, exit 3."""
+    path = tmp_path / "g.nfg"
+    path.write_text(ONE_EDGE_NFG + "row 0 1\nrow 1 1" + "0" * 214 + "\n")
+    code, out, err = run(capsys, *argv, "--nfg", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: a value left the float range: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text, line, message", [

@@ -4,12 +4,12 @@ structure alone determines.
 A code graph keeps one decoding structure, for the last channel-factor
 supports seen, and each word's decoding graph is that structure reweighed
 (``Nfg.reweighed``).  So the words with the same supports share the
-structure's memo (``Nfg.shared``): the ``_BetaIndex`` arrays, the LP's
-A_eq, the sum-product layout and the M = 1 type tally.  A word pays only for
-its weights.  The oracle here is structure-free: ``valid_tuples`` of the
-decoding graph, and a ``twin`` of it whose index and layout are built
-from nothing; exact values must be equal Fractions and floats equal bit
-for bit.
+structure's memo (``Nfg.shared``): its ``_BetaIndex``, which keeps the
+LP's A_eq, the diffusion's colours and the sum-product layout, and the
+M = 1 type tally.  A word pays only for its weights.  The oracle here is
+structure-free: ``valid_tuples`` of the decoding graph, and a ``twin`` of
+it whose index and layout are built from nothing; exact values must be
+equal Fractions and floats equal bit for bit.
 """
 
 import gc
@@ -32,8 +32,8 @@ from gcb.coding import (
     smapd,
 )
 from gcb.covers import TypeTally
-from gcb.nfg import Factor
-from gcb.spa import _FlatLayout, layout, sum_product
+from gcb.nfg import Factor, Nfg
+from gcb.spa import layout, sum_product
 
 from conftest import EXAMPLE3_ROWS, list_oracle, twin
 
@@ -65,15 +65,6 @@ def interleaved_words(code, words, n, seed):
         y = [str(s ^ (rng.random() < 0.15)) for s in x]
         out.append(attach_channel(code, Channel.bsc(p), y, PRIOR if kind == 3 else None))
     return out
-
-
-def index_of(dec):
-    return _BetaIndex.of(dec.nfg)
-
-
-def shape_of(nfg):
-    """The ``_BetaIndex`` shape that nfg's structure keeps."""
-    return nfg.shared(_BetaIndex, _BetaIndex.shape)
 
 
 def kept_structure(code):
@@ -114,36 +105,42 @@ def test_one_frame_per_code_and_channel_supports():
         attach_channel(code, Z_CHANNEL, "0000000000"),  # supports {0, 1} everywhere, as the BSC's
     )
     s_rational, s_floats, s_one, s_again, s_other = (
-        shape_of(dec.nfg) for dec in (rational, floats, z_one, z_again, z_other)
+        _BetaIndex.of(dec.nfg) for dec in (rational, floats, z_one, z_again, z_other)
     )
     assert s_rational is s_floats
     assert s_one is s_again is not s_rational
     assert s_other is not s_one and s_other is not s_rational
     (kept,) = kept_structure(code)
-    assert shape_of(kept) is s_other
+    assert _BetaIndex.of(kept) is s_other
     assert kept is not z_other.nfg  # the structure is no word's own graph
     # the supports differ: the Z words' indexes have fewer factor slots
-    assert len(index_of(z_one).factor_slots) < len(index_of(rational).factor_slots)
+    assert len(s_one.factor_slots) < len(s_rational.factor_slots)
     assert bmapd(z_other).decisions == bmapd(rational).decisions == (0,) * 10
     # a hand-built twin of a word is its own code graph, with its own structure
     other = twin(rational.nfg)
     hand = DecodingNfg(other, rational.symbol_edges, rational.gamma, rational.y)
     assert bmapd(hand).decisions == bmapd(rational).decisions
-    assert shape_of(hand.nfg) is not s_rational
+    assert _BetaIndex.of(hand.nfg) is not s_rational
 
 
 def test_words_share_structure_not_weights():
+    """Two words of one structure read one index, which holds no graph, and
+    the LP rows, diffusion and layout kept on it; each word has its own
+    weight and energy arrays."""
     code, words = example3()
     a, b = interleaved_words(code, words, 2, seed=9)
-    ia, ib = index_of(a), index_of(b)
-    assert ia is not ib and ia.rows is ib.rows and ia.factor_slots is ib.factor_slots
-    assert ia.energy_lp()[1] is ib.energy_lp()[1]
-    assert layout(ia, ia.weights) is layout(ib, ib.weights)
+    (ia, wa, ea), (ib, wb, eb) = (_BetaIndex.weighed_on(dec.nfg) for dec in (a, b))
+    assert ia is ib is _BetaIndex.of(a.nfg) is _BetaIndex.of(b.nfg)
+    bgcd(a)
+    kept = ia.lp_rows, ia.diffusion
+    bgcd(b)
+    assert ib.lp_rows is kept[0] and ib.diffusion is kept[1]
+    assert layout(ia, wa) is layout(ib, wb) is ia.layout
     bmapd(a), bmapd(b)
     assert a.nfg.shared((TypeTally, 1), None) is b.nfg.shared((TypeTally, 1), None)
-    for name in ("weights", "_energy"):
-        assert not np.shares_memory(getattr(ia, name), getattr(ib, name)), name
-    assert ia.nfg is a.nfg and ib.nfg is b.nfg
+    for x, y in ((wa, wb), (ea, eb)):
+        assert not np.shares_memory(x, y)
+    assert not any(isinstance(v, Nfg) for v in vars(ia).values())
     assert a.nfg.factors["ch_x01"] is not b.nfg.factors["ch_x01"]
 
 
@@ -160,7 +157,27 @@ def test_a_word_is_collectable_after_decoding():
     del dec
     gc.collect()
     assert graph() is None
-    assert kept.shared(_FlatLayout, None) is not None  # the layout outlives the word
+    assert "layout" in vars(kept.shared(_BetaIndex, None))  # the layout outlives the word
+
+
+def test_a_decoded_word_is_freed_without_the_cycle_collector():
+    """Decoding leaves no reference cycle through a word's graph: after
+    the four decoders and a sum-product run, dropping the word frees its
+    graph by reference counting alone."""
+    code, words = example3()
+    dec = interleaved_words(code, words, 1, seed=3)[0]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for decoder in (bmapd, smapd, bgcd, sgcd):
+            decoder(dec)
+        sum_product(dec.nfg, max_iters=20)
+        graph = weakref.ref(dec.nfg)
+        del dec
+        assert graph() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_the_code_graph_keeps_one_frame():
@@ -175,7 +192,7 @@ def test_the_code_graph_keeps_one_frame():
         assert bmapd(dec).decisions == list_oracle(dec)["bmapd"][0]
     assert len(patterns) > 2
     (kept,) = kept_structure(code)
-    assert shape_of(kept) is shape_of(decs[-1].nfg)
+    assert _BetaIndex.of(kept) is _BetaIndex.of(decs[-1].nfg)
 
 
 def weighed(nfg):
@@ -185,11 +202,11 @@ def weighed(nfg):
     def exact(v):
         return type(v), v.hex() if isinstance(v, float) else v
 
-    index = _BetaIndex.of(nfg)
+    _, weights, energy = _BetaIndex.weighed_on(nfg)
     _, types, unit = TypeTally.weighed_on(nfg, 1)
     return (
-        index.weights.tobytes(),
-        index.energy_vector().tobytes(),
+        weights.tobytes(),
+        energy.tobytes(),
         [(count, exact(value), rows, slots) for count, value, rows, slots in types],
         exact(unit),
     )
@@ -202,11 +219,11 @@ def test_swapped_factors_are_read_again():
     those of a twin weighed from nothing."""
     code, words = example3()
     decs = interleaved_words(code, words, 24, seed=21)
-    assert len({shape_of(dec.nfg) for dec in decs}) > 2  # Z words replace the kept structure
+    assert len({_BetaIndex.of(dec.nfg) for dec in decs}) > 2  # Z words replace the kept structure
     channel = [f"ch_{e}" for e in code.half_edge_order]
     for earlier, dec in zip([None] + decs, decs):
         graphs = [dec.nfg]
-        if earlier is not None and shape_of(earlier.nfg) is shape_of(dec.nfg):
+        if earlier is not None and _BetaIndex.of(earlier.nfg) is _BetaIndex.of(dec.nfg):
             back = dec.nfg.reweighed([earlier.nfg.factors[f] for f in channel])
             halved = [back.factors[f] for f in channel[::2]]
             graphs += [back, back.reweighed(Factor(f.id, f.edges, {k: float(v) / 2 for k, v in f.table.items()})
@@ -221,14 +238,14 @@ def test_layout_is_rebuilt_when_rows_underflow():
     code, words = example3()
     dec = attach_channel(code, Channel.bsc(0.1), "0100000000")
     sum_product(dec.nfg, max_iters=5)
-    index = index_of(dec)
-    kept = dec.nfg.shared(_FlatLayout, None)
+    index, weights, _ = _BetaIndex.weighed_on(dec.nfg)
+    kept = index.layout
     assert len(kept.slots) == len(index.factor_slots)
-    assert len(layout(index, index.weights**500.0).slots) < len(kept.slots)
+    assert len(layout(index, weights**500.0).slots) < len(kept.slots)
     kwargs = {"max_iters": 40, "damping": 0.5, "temperature": 0.002}
     assert spa_outcome(dec.nfg, **kwargs) == spa_outcome(twin(dec.nfg), **kwargs)
-    assert dec.nfg.shared(_FlatLayout, None) is kept
-    assert layout(index, index.weights) is kept
+    assert _BetaIndex.of(dec.nfg).layout is kept
+    assert layout(index, weights) is kept
 
 
 def test_an_underflowing_first_run_shares_no_layout():
@@ -239,11 +256,13 @@ def test_an_underflowing_first_run_shares_no_layout():
     dec, later = (attach_channel(code, Channel.bsc(0.1), y) for y in ("0100000000", "0010000000"))
     cold = {"max_iters": 40, "damping": 0.5, "temperature": 0.002}
     assert spa_outcome(dec.nfg, **cold) == spa_outcome(twin(dec.nfg), **cold)
+    index = _BetaIndex.of(dec.nfg)
+    assert "layout" not in vars(index)
     assert spa_outcome(dec.nfg, max_iters=40) == spa_outcome(twin(dec.nfg), max_iters=40)
-    index = index_of(dec)
-    kept = dec.nfg.shared(_FlatLayout, None)
+    kept = index.layout
     assert len(kept.slots) == len(index.factor_slots)
-    assert layout(index_of(later), index_of(later).weights) is kept
+    later_index, later_weights, _ = _BetaIndex.weighed_on(later.nfg)
+    assert layout(later_index, later_weights) is kept
 
 
 def test_sparse_lp_matches_dense():
@@ -252,7 +271,8 @@ def test_sparse_lp_matches_dense():
 
     code, words = example3()
     for dec in interleaved_words(code, words, 4, seed=13):
-        c, a_eq, b_eq = index_of(dec).energy_lp()
+        index, _, energy = _BetaIndex.weighed_on(dec.nfg)
+        c, (a_eq, b_eq) = energy[:len(index.factor_slots)], index.lp_rows
         sparse = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, 1), method="highs")
         dense = linprog(c, A_eq=a_eq.toarray(), b_eq=b_eq, bounds=(0, 1), method="highs")
         assert np.array_equal(sparse.x, dense.x) and sparse.fun == dense.fun

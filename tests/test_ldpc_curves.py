@@ -94,6 +94,15 @@ def test_s_of_omega_inverts():
         assert omega_of_s(6, s) == pytest.approx(target, abs=1e-10)
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-300])
+def test_s_of_omega_ends_below_float_spacing(tol):
+    """A tolerance below the spacing of floats near s still ends, at the
+    bracket of two adjacent floats."""
+    for d_r, target in ((4, 0.3), (6, 0.05), (6, 0.81)):
+        s = s_of_omega(d_r, target, tol=tol)
+        assert abs(omega_of_s(d_r, s) - target) <= 1e-12
+
+
 def test_invalid_degrees_rejected():
     with pytest.raises(ValueError):
         theta(1, 0.0)

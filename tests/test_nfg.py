@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from fractions import Fraction
 
@@ -41,6 +43,11 @@ def test_negative_table_rejected():
         Factor("f", ("a",), {(0,): -1})
 
 
+def test_infinite_value_rejected():
+    with pytest.raises(GcbError, match="infinite"):
+        Factor("f", ("a",), {(0,): math.inf})
+
+
 def test_zero_rows_dropped_from_support():
     f = Factor("f", ("a", "b"), {(0, 0): 2, (0, 1): 0, (1, 1): Fraction(1, 3)})
     assert f.support == [(0, 0), (1, 1)]
@@ -55,6 +62,12 @@ def test_parse_number():
     assert parse_number("3/4") == Fraction(3, 4)
     assert parse_number("2") == Fraction(2)
     assert isinstance(parse_number("0.25"), float)
+
+
+@pytest.mark.parametrize("token", ["1e400", "-1e400", "1.5e309"])
+def test_parse_number_refuses_decimals_past_the_float_range(token):
+    with pytest.raises(ValueError, match="outside the float range"):
+        parse_number(token)
 
 
 def test_roundtrip_fig1(fig1):

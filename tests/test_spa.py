@@ -107,6 +107,7 @@ def reference_sum_product(
     iterations = 0
     trace = [] if collect_trace else None
     index = _BetaIndex(nfg)
+    _, energy = index.weighed(nfg)
     for iterations in range(1, max_iters + 1):
         incoming = {
             (fid, e): _incoming(nfg, msgs, fid, e)
@@ -151,7 +152,7 @@ def reference_sum_product(
         msgs = new_msgs
         if trace is not None:
             x = index.to_vector(beliefs_from_messages(nfg, msgs, temperature))
-            trace.append((iterations, residual, index.free_energy(x, temperature)))
+            trace.append((iterations, residual, index.free_energy(x, energy, temperature)))
         if residual <= tol:
             break
     state = SpaState(msgs, iterations, damping, residual, residual <= tol, trace)
@@ -458,8 +459,8 @@ def test_binary_blocks_sum_by_one_column_add_like_the_oracle(options, monkeypatc
     monkeypatch.setattr(gcb.spa, "_over", lambda *args: fallbacks.append(args[1].shape) or over(*args))
     graphs = [example3_decoding_graph(Channel.bsc(p), y) for p, y in example3_bsc_words(seed=11, per_p=1)]
     for nfg in graphs + [contradictory_graph()]:
-        index = _BetaIndex.of(nfg)
-        assert [size for _, _, size in layout(index, index.weights).groups] == [2]
+        index, weights, _ = _BetaIndex.weighed_on(nfg)
+        assert [size for _, _, size in layout(index, weights).groups] == [2]
         assert_same_run(nfg, max_iters=30, tol=0.0, **options)
     assert (5, 1) in fallbacks  # the sweep's sums of the contradictory graph's five blocks
 
@@ -478,8 +479,8 @@ def test_seeded_starts_on_interleaved_block_sizes_match_oracle(collect_trace):
     draws, taken in block order, land permuted; the run still matches the
     oracle bit for bit."""
     nfg = make_interleaved()
-    index = _BetaIndex.of(nfg)
-    starts = [lo for _, lo, _ in layout(index, index.weights).blocks]
+    index, weights, _ = _BetaIndex.weighed_on(nfg)
+    starts = [lo for _, lo, _ in layout(index, weights).blocks]
     assert starts != sorted(starts)
     for seed in (1, 2, 3):
         assert_same_run(nfg, max_iters=80, damping=0.3, init_seed=seed, collect_trace=collect_trace)
@@ -492,7 +493,7 @@ def test_partner_pairs_the_two_ends_of_each_edge_symbol(make):
     ends (``nfg.incidence``); ``edge_row`` is each edge symbol's row at its
     first endpoint, and each layout block starts at its marginal row."""
     nfg = make()
-    index = _BetaIndex.of(nfg)
+    index, weights, _ = _BetaIndex.weighed_on(nfg)
     partner, n_sums = index.partner, index.n_sums
     assert np.array_equal(partner[partner], np.arange(len(partner)))
     key_of = {}  # marginal row -> (factor, edge, symbol)
@@ -507,7 +508,7 @@ def test_partner_pairs_the_two_ends_of_each_edge_symbol(make):
     assert [key_of[row] for row in index.edge_row.tolist()] == [
         (nfg.incidence[e][0], e, s) for e, s in index.edge_slots
     ]
-    for (f, e), lo, hi in layout(index, index.weights).blocks:
+    for (f, e), lo, hi in layout(index, weights).blocks:
         assert (lo, hi) == (index.marginal_row[f, e] - n_sums, index.marginal_row[f, e] - n_sums + nfg.alphabet_sizes[e])
 
 
