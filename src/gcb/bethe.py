@@ -200,7 +200,9 @@ def zbethe_m_enumeration(
     counts.  With ``samples`` set, a seeded Monte
     Carlo over ``samples`` >= 1 labeled cover specs replaces the
     enumeration on the same walk, so it sums each cover in the same mode,
-    and a standard error accompanies the estimate (nan for one sample).
+    and a standard error accompanies the estimate (nan for one sample);
+    the mean and the variance are taken in that mode too, so an exact
+    ``pre_root`` is a Fraction, and both roots go through ``_root``.
     ``threads`` is accepted and ignored (the sweep is one pure-Python
     loop); it is kept only for callers that still pass it.
     """
@@ -217,12 +219,11 @@ def zbethe_m_enumeration(
         vals = []
         for _ in range(samples):
             perm_inv = cover_perm_inv(random_cover(nfg, m, rng.getrandbits(48)))
-            z, _, _ = _kernels.cover_sweep(walk, [perm_inv], inv_t, max_configs)
-            vals.append(float(z))
-        mean = float(np.mean(vals))
+            vals.append(_kernels.cover_sweep(walk, [perm_inv], inv_t, max_configs)[0])
+        mean = sum(vals) / samples
         # one sample gives no spread estimate
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else math.nan
-        return ZBetheM(mean ** (1.0 / m), mean, m, count_covers(nfg, m), samples, stderr)
+        variance = sum((v - mean) ** 2 for v in vals) / (samples - 1) if samples > 1 else math.nan
+        return ZBetheM(_root(mean, m), mean, m, count_covers(nfg, m), samples, _root(variance / samples, 2))
 
     perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
     zsum, _, n_fixed = _kernels.cover_sweep(walk, perm_invs, inv_t, max_configs)
@@ -311,7 +312,7 @@ class _BetaIndex:
     holds no graph and no table value: a structure has one index (``of``),
     a graph's weights and energy are derived from its tables
     (``weighed_on``), and the LP's rows, the diffusion's colours and the
-    layout of every row are built on first use and kept on the index.
+    sum-product layout are built on first use and kept on the index.
     """
 
     def __init__(self, nfg: Nfg):
@@ -469,8 +470,7 @@ class _BetaIndex:
 
     @functools.cached_property
     def layout(self) -> _FlatLayout:
-        """The sum-product layout of every factor row (``spa.layout``)."""
-        return _FlatLayout(self, np.arange(len(self.factor_slots)))
+        return _FlatLayout(self)
 
     def entropy(self, x: np.ndarray) -> float:
         """Bethe entropy -sum_i coef_i x_i log x_i, with 0 log 0 = 0."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from ._kernels import Walk, build_plan, cover_sweep
-from .errors import EmptyCode, SupportOnZeroMass, UnknownEdge
+from .errors import EmptyCode, OutOfAlphabet, SupportOnZeroMass, UnknownEdge
 from .nfg import Nfg
 
 DEFAULT_CONFIG_CAP = 1 << 26
@@ -108,9 +108,11 @@ def cover_partitions(nfg: Nfg, m: int, perm_invs, temperature=1, cap=None):
 def modified_gibbs_partition(nfg: Nfg, half_assignment: Mapping[str, int], temperature=1, cap=None):
     """Partition sum restricted to configurations agreeing on the half-edges."""
     t_inv = inverse_temperature(temperature)
-    for e in half_assignment:
+    for e, s in half_assignment.items():
         if e not in nfg.half_edges:
             raise UnknownEdge(f"{e} is not a half-edge")
+        if not 0 <= s < nfg.alphabet_sizes[e]:
+            raise OutOfAlphabet(f"edge {e}: symbol {s} outside alphabet")
     want = {nfg.edge_index(e): s for e, s in half_assignment.items()}
     if set(half_assignment) != set(nfg.half_edges):
         missing = set(nfg.half_edges) - set(half_assignment)

@@ -9,13 +9,14 @@ A run works on one flat float vector (``_FlatLayout``) laid over the
 graph's ``bethe._BetaIndex``, the one description of the local marginal
 polytope: the directed messages, one entry per marginal row of the index
 in its row order (the log messages are those rows' multipliers, see
-``_BetaIndex.gap``), a constant 1.0, then the weight of each index factor
-row whose weight ** (1/T) is not 0.  The index numbers the entries and
-pairs each with the entry at the edge's other end (``partner``); the
-layout reads both off it.  The layout holds only structure, and the one of
-every row is kept on the index (``_BetaIndex.layout``), one per graph
-structure, so ``minimize_bethe``'s starts and a code's decoding graphs
-share it; a run supplies its own weights (``_BetaIndex.weighed_on``).
+``_BetaIndex.gap``), a constant 1.0, then the weight ** (1/T) of each
+index factor row.  The index numbers the entries and pairs each with the
+entry at the edge's other end (``partner``); the layout reads both off
+it.  The layout holds only structure and is kept on the index
+(``_BetaIndex.layout``), one per graph structure, so ``minimize_bethe``'s
+starts and a code's decoding graphs share it; a run supplies its own
+weights (``_BetaIndex.weighed_on``).  A weight that underflows to 0 at a
+small T only makes its row's product and contributions 0.
 ``gather`` is one contiguous (arity + 1, rows) index array, so row r's
 terms, its weight and then its incoming entries, are
 ``vec[gather[:, r]]``, and all row products are one ``multiply.reduce``
@@ -33,9 +34,9 @@ arithmetic in the loop's order, so every result is bit-identical to it:
   own factor's rows, in sorted order, and a division of each block by its
   sum (one column add at size 2, else ``np.add.reduce``, as
   ``ndarray.sum``), with the uniform message only on blocks whose sum is
-  not positive; the blocks of one alphabet size are contiguous, so a size
-  class is one (blocks, size) view of the vector, and its output view is
-  built once per run;
+  not positive (``_over``); the blocks of one alphabet size are
+  contiguous, so a size class is one (blocks, size) view of the vector,
+  and its output view is built once per run;
 - the beliefs placed in the index's coordinates (``_FlatLayout.x``), read
   back as pseudo-marginals by the index and, in a ``collect_trace`` run,
   scored by its free energy after each sweep.
@@ -76,9 +77,8 @@ class SpaState:
 
 
 class _FlatLayout:
-    """Index arrays of one flat vector over a ``bethe._BetaIndex`` and a
-    set of kept rows, read off the index alone; the one of every row is
-    kept on the index (``_BetaIndex.layout``).
+    """Index arrays of one flat vector over a ``bethe._BetaIndex``, read
+    off the index alone and kept on it (``_BetaIndex.layout``).
 
     The vector's first entries are the index's marginal rows: the message
     (factor, edge) at symbol s sits at ``marginal_row[factor, edge] + s -
@@ -87,9 +87,7 @@ class _FlatLayout:
     start, end) in the index's ``pairs`` order, and ``groups``
     (start, end, size) per size.  Then, at index ``one``, a constant 1.0
     that stands in for the incoming message on a half-edge and pads short
-    rows; then the weights of the kept rows: the index's factor slots
-    whose ``weights`` ** (1/T) are not 0, with ``slots`` their slot
-    numbers.
+    rows; then the weight of each factor slot of the index, in slot order.
 
     ``gather[0, r]`` indexes row r's weight and ``gather[1 + k, r]`` its
     incoming entry at position k; ``scatter`` holds, in the order of
@@ -102,10 +100,9 @@ class _FlatLayout:
     holds no graph, index or weights.
     """
 
-    def __init__(self, index, slots):
+    def __init__(self, index):
         sizes = index.sizes
         n_f, n_sums = len(index.factor_slots), index.n_sums
-        self.n_index, self.n_factor_slots = index.n, n_f
         n = self.one = len(index.rhs) - n_sums
         start = {key: row - n_sums for key, row in index.marginal_row.items()}
         self.blocks = [(key, start[key], start[key] + sizes[key[1]]) for key in index.pairs]
@@ -118,21 +115,19 @@ class _FlatLayout:
             other = index.partner[rows]
             return np.where(other != rows, other - n_sums, n)
 
-        # the kept rows in slot order, each with its marginal rows, one per
+        # the factor rows in slot order, each with its marginal rows, one per
         # edge of its factor, padded to `arity` with `one`.  A block receives
         # only its own factor's rows, in sorted order, so every sum adds the
         # same terms in the same order whatever the factor order.
-        self.slots = slots
-        self.row_factor = index.rows[:n_f][slots]
+        self.row_factor = index.rows[:n_f]
         entry_slot, entry_row = index.entries
-        rows = entry_row[np.isin(entry_slot, slots)]
-        arities = np.bincount(entry_slot, minlength=n_f)[slots]
+        arities = np.bincount(entry_slot, minlength=n_f)
         arity = int(arities.max(initial=0))
         real = np.arange(arity) < arities[:, None]
-        out, incoming = np.full((2, len(slots), arity), n, dtype=np.intp)
-        out[real], incoming[real] = rows - n_sums, into(rows)
-        self.gather = np.empty((arity + 1, len(slots)), dtype=np.intp)
-        self.gather[0] = np.arange(n + 1, n + 1 + len(slots))
+        out, incoming = np.full((2, n_f, arity), n, dtype=np.intp)
+        out[real], incoming[real] = entry_row - n_sums, into(entry_row)
+        self.gather = np.empty((arity + 1, n_f), dtype=np.intp)
+        self.gather[0] = np.arange(n + 1, n + 1 + n_f)
         self.gather[1:] = incoming.T
         self.scatter = out.T.ravel()
         self.row_uniform = 1.0 / np.bincount(self.row_factor)[self.row_factor]
@@ -147,7 +142,7 @@ class _FlatLayout:
                             for size in np.unique(edge_sizes).tolist()]
 
     def vector(self, weights, rng=None):
-        """The starting vector for the kept rows' ``weights``: uniform
+        """The starting vector for the factor rows' ``weights``: uniform
         messages, or with ``rng`` each block drawn from U(0.2, 1) in
         ``blocks`` order and divided by its sum."""
         n = self.one
@@ -168,44 +163,28 @@ class _FlatLayout:
         return {key: vec[lo:hi] for key, lo, hi in self.blocks}
 
     def products(self, vec, terms=None, total=None):
-        """(terms, products): each kept row's weight and incoming entries,
+        """(terms, products): each factor row's weight and incoming entries,
         and their product, multiplied left to right, into ``terms`` and
         ``total`` when given."""
         terms = vec.take(self.gather, out=terms, mode="clip")  # in range: no buffer
         return terms, np.multiply.reduce(terms, axis=0, out=total)
 
-    def belief_arrays(self, vec):
-        """Row and edge-symbol beliefs of a vector: each row's product over
-        its factor's ``bincount`` sum, and each edge symbol's product of its
-        two messages over its edge's sum, or uniform on the factor's kept
-        rows or the edge's symbols where that sum is not positive."""
+    def x(self, vec) -> np.ndarray:
+        """The beliefs of a vector in the index's coordinates: each factor
+        row's product over its factor's ``bincount`` sum, then each edge
+        symbol's product of its two messages over its edge's sum, or
+        uniform on the factor's rows or the edge's symbols where that sum
+        is not positive."""
         scores = self.products(vec)[1]
         totals = np.bincount(self.row_factor, scores)
         edge_v = vec[self.edge_ends[0]] * vec[self.edge_ends[1]]
         edge_totals = np.empty_like(edge_v)
         for idx in self.edge_groups:
             edge_totals[idx] = np.add.reduce(edge_v.take(idx), axis=1, keepdims=True)
-        return (
+        return np.concatenate([
             _over(scores, totals[self.row_factor], self.row_uniform),
             _over(edge_v, edge_totals, self.edge_uniform),
-        )
-
-    def x(self, vec) -> np.ndarray:
-        """``belief_arrays`` in the index's coordinates: each kept row's
-        belief at its slot, 0 at the dropped rows, then the edge symbols."""
-        row_b, edge_b = self.belief_arrays(vec)
-        x = np.zeros(self.n_index)
-        x[self.slots] = row_b
-        x[self.n_factor_slots:] = edge_b
-        return x
-
-
-def layout(index, weights) -> _FlatLayout:
-    """The layout of the rows whose ``weights`` are not 0: when that is
-    every row, the index's own (``_BetaIndex.layout``), else
-    (``weights ** (1/T)`` underflowed) a new one."""
-    slots = np.flatnonzero(weights)
-    return _FlatLayout(index, slots) if len(slots) < len(weights) else index.layout
+        ])
 
 
 def _over(values, totals, uniform, out=None):
@@ -230,9 +209,9 @@ def sum_product(
 ):
     """Run flooding sum-product; returns (SpaState, beliefs).
 
-    The run's layout (``layout``) reads its rows off the graph's
-    ``_BetaIndex``, and the beliefs are ``_BetaIndex.to_beta`` of the final vector's
-    ``_FlatLayout.x``; edge beliefs use the product of the two directed
+    The run's layout is the graph's ``_BetaIndex.layout``, and the beliefs
+    are ``_BetaIndex.to_beta`` of the final vector's ``_FlatLayout.x``;
+    edge beliefs use the product of the two directed
     messages on full edges.  Non-convergence is reported in the state,
     never raised; a T outside (0, inf) or a negative ``max_iters`` or
     ``tol`` raises ValueError.  ``collect_trace`` records (iteration,
@@ -240,7 +219,7 @@ def sum_product(
     energy is ``_BetaIndex.free_energy`` of that sweep's x, whose factor
     rows are in [0, 1] but only approximately consistent mid-run.
 
-    One sweep gathers each kept row's weight and incoming entries as one
+    One sweep gathers each factor row's weight and incoming entries as one
     (arity + 1, rows) array and multiplies down its short axis, left to
     right.  When every message is positive, so is every entry (a message
     or the constant 1.0), and each position receives product / entry;
@@ -249,9 +228,8 @@ def sum_product(
     ``bincount`` adds the contributions in row order, and each block is
     divided by its sum (one column add at size 2, and a pairwise sum from
     8 entries on, exactly as ``ndarray.sum``), one contiguous (blocks,
-    size) view per alphabet size, directly when every block sum of that
-    size is positive, else (``_over``) with the uniform message on the
-    blocks whose sum is not.
+    size) view per alphabet size (``_over``), with the uniform message on
+    the blocks whose sum is not positive.
     The sweep writes into arrays and views made once per run.  So the
     messages, residuals, sweep counts, beliefs and trace are bit-identical
     to the plain per-row loop kept in the tests as ``reference_sum_product``.
@@ -266,14 +244,13 @@ def sum_product(
     if not tol >= 0.0:
         raise ValueError("tol must be non-negative")
     index, weights, energy = _BetaIndex.weighed_on(nfg)
-    weights = weights if inv_t == 1 else weights**inv_t
-    lay = layout(index, weights)
-    vec = lay.vector(weights[lay.slots], init_rng)
+    lay = index.layout
+    vec = lay.vector(weights if inv_t == 1 else weights**inv_t, init_rng)
     n = lay.one
     old = vec[:n]
     terms, total = np.empty(lay.gather.shape), np.empty(lay.gather.shape[1])
     contrib, new, diff = np.empty_like(terms[1:]), np.empty(n), np.empty(n)
-    outs = [(lo, hi, new[lo:hi].reshape(-1, size)) for lo, hi, size in lay.groups]
+    outs = [(lo, hi, new[lo:hi].reshape(-1, size), 1.0 / size) for lo, hi, size in lay.groups]
     entries = terms[1:]
     residual = float("inf")
     iterations = 0
@@ -290,16 +267,13 @@ def sum_product(
             rest[k + 1, np.arange(len(r))] = 1.0
             contrib[k, r] = np.multiply.reduce(rest, axis=0)
         sums = np.bincount(lay.scatter, contrib.ravel(), minlength=n + 1)
-        for lo, hi, out in outs:
+        for lo, hi, out, uniform in outs:
             v = sums[lo:hi].reshape(out.shape)
             if out.shape[1] == 2:  # one column add, as ndarray.sum adds two entries
                 block_sums = (v[:, 0] + v[:, 1])[:, None]
             else:
                 block_sums = np.add.reduce(v, axis=1, keepdims=True)
-            if np.minimum.reduce(block_sums, axis=None) > 0.0:
-                np.divide(v, block_sums, out=out)
-            else:
-                _over(v, block_sums, 1.0 / out.shape[1], out)
+            _over(v, block_sums, uniform, out)
         np.absolute(np.subtract(new, old, out=diff), out=diff)
         residual = float(np.maximum.reduce(diff, initial=0.0))
         if damping > 0.0:

@@ -834,16 +834,28 @@ def test_a_row_past_the_float_range_exits_3(tmp_path, capsys, argv):
     ["zgibbs", "-T", "0.5"],
     ["zbethe-m", "-M", "2", "-T", "0.5"],
     ["zbethe-m", "-M", "2", "-T", "0.5", "--method", "typesum"],
-    ["zbethe-m", "-M", "2", "--samples", "3", "--seed", "1"],
 ])
 def test_a_sum_past_the_float_range_exits_3(tmp_path, capsys, argv):
-    """A table value of 10^214 is read exactly, but its power 1/T (or an
-    exact sampled cover sum) passes the float range: one error line, exit 3."""
+    """A table value of 10^214 is read exactly, but its power 1/T passes
+    the float range: one error line, exit 3."""
     path = tmp_path / "g.nfg"
     path.write_text(ONE_EDGE_NFG + "row 0 1\nrow 1 1" + "0" * 214 + "\n")
     code, out, err = run(capsys, *argv, "--nfg", str(path))
     assert (code, out) == (3, "")
     assert err.startswith("error: a value left the float range: ") and err.count("\n") == 1
+
+
+def test_a_sampled_sum_past_the_float_range_stays_exact(tmp_path, capsys):
+    """With a table value of 10^214 every 2-cover's sum passes the float
+    range; the sampled mean stays a Fraction and is rooted as the
+    enumeration's is, so both print the same pre_root and zbethe_m."""
+    path = tmp_path / "g.nfg"
+    path.write_text(ONE_EDGE_NFG + "row 0 1\nrow 1 1" + "0" * 214 + "\n")
+    code, out, err = run(capsys, "zbethe-m", "-M", "2", "--samples", "3", "--seed", "1", "--nfg", str(path))
+    assert (code, err) == (0, "")
+    _, enumerated, _ = run(capsys, "zbethe-m", "-M", "2", "--nfg", str(path))
+    assert "zbethe_m=1e+214" in enumerated.splitlines()
+    assert out.splitlines()[:3] == enumerated.splitlines()[:3]
 
 
 @pytest.mark.parametrize("text, line, message", [

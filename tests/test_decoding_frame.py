@@ -33,7 +33,7 @@ from gcb.coding import (
 )
 from gcb.covers import TypeTally
 from gcb.nfg import Factor, Nfg
-from gcb.spa import layout, sum_product
+from gcb.spa import _FlatLayout, sum_product
 
 from conftest import EXAMPLE3_ROWS, list_oracle, twin
 
@@ -135,7 +135,7 @@ def test_words_share_structure_not_weights():
     kept = ia.lp_rows, ia.diffusion
     bgcd(b)
     assert ib.lp_rows is kept[0] and ib.diffusion is kept[1]
-    assert layout(ia, wa) is layout(ib, wb) is ia.layout
+    assert ib.layout is ia.layout
     bmapd(a), bmapd(b)
     assert a.nfg.shared((TypeTally, 1), None) is b.nfg.shared((TypeTally, 1), None)
     for x, y in ((wa, wb), (ea, eb)):
@@ -232,37 +232,51 @@ def test_swapped_factors_are_read_again():
             assert weighed(nfg) == weighed(twin(nfg))
 
 
-def test_layout_is_rebuilt_when_rows_underflow():
-    """At T = 1/500, 0.1 ** 500 underflows: the run lays out fewer rows than
-    the shared layout has, and still matches a run from nothing."""
+def count_layouts(monkeypatch):
+    """The list that each ``_FlatLayout`` construction appends to from now."""
+    built, init = [], _FlatLayout.__init__
+
+    def counting(self, index):
+        built.append(index)
+        init(self, index)
+
+    monkeypatch.setattr(_FlatLayout, "__init__", counting)
+    return built
+
+
+def test_underflowing_rows_keep_the_shared_layout(monkeypatch):
+    """At T = 1/500, 0.1 ** 500 underflows: the run reads the structure's
+    layout of every row, builds no other, and matches a run from nothing."""
     code, words = example3()
     dec = attach_channel(code, Channel.bsc(0.1), "0100000000")
     sum_product(dec.nfg, max_iters=5)
     index, weights, _ = _BetaIndex.weighed_on(dec.nfg)
     kept = index.layout
-    assert len(kept.slots) == len(index.factor_slots)
-    assert len(layout(index, weights**500.0).slots) < len(kept.slots)
+    assert 0.0 in weights**500.0
     kwargs = {"max_iters": 40, "damping": 0.5, "temperature": 0.002}
-    assert spa_outcome(dec.nfg, **kwargs) == spa_outcome(twin(dec.nfg), **kwargs)
+    built = count_layouts(monkeypatch)
+    got = spa_outcome(dec.nfg, **kwargs)
+    assert built == []
     assert _BetaIndex.of(dec.nfg).layout is kept
-    assert layout(index, weights) is kept
+    assert got == spa_outcome(twin(dec.nfg), **kwargs)
 
 
-def test_an_underflowing_first_run_shares_no_layout():
-    """Only the layout of every row is shared: after a first run at T =
-    1/500, a T = 1 run on the same structure reads the layout of every row,
-    kept for the next word, and both runs match runs from nothing."""
+def test_an_underflowing_first_run_builds_the_shared_layout(monkeypatch):
+    """A first run at T = 1/500 builds the structure's one layout, of every
+    row; a T = 1 run and the next word's runs read it, and all match runs
+    from nothing."""
     code, words = example3()
     dec, later = (attach_channel(code, Channel.bsc(0.1), y) for y in ("0100000000", "0010000000"))
     cold = {"max_iters": 40, "damping": 0.5, "temperature": 0.002}
-    assert spa_outcome(dec.nfg, **cold) == spa_outcome(twin(dec.nfg), **cold)
     index = _BetaIndex.of(dec.nfg)
     assert "layout" not in vars(index)
-    assert spa_outcome(dec.nfg, max_iters=40) == spa_outcome(twin(dec.nfg), max_iters=40)
-    kept = index.layout
-    assert len(kept.slots) == len(index.factor_slots)
-    later_index, later_weights, _ = _BetaIndex.weighed_on(later.nfg)
-    assert layout(later_index, later_weights) is kept
+    built = count_layouts(monkeypatch)
+    got = spa_outcome(dec.nfg, **cold), spa_outcome(dec.nfg, max_iters=40)
+    kept = vars(index)["layout"]
+    sum_product(later.nfg, **cold), sum_product(later.nfg, max_iters=40)
+    assert built == [index]
+    assert _BetaIndex.of(later.nfg).layout is kept
+    assert got == (spa_outcome(twin(dec.nfg), **cold), spa_outcome(twin(dec.nfg), max_iters=40))
 
 
 def test_sparse_lp_matches_dense():

@@ -94,6 +94,12 @@ def test_modified_partition(fig1):
     assert modified_gibbs_partition(fig1, {"e1": 0, "e4": 1}) == 0
 
 
+@pytest.mark.parametrize("symbol", [7, -1])
+def test_modified_partition_refuses_symbols_outside_the_alphabet(fig1, symbol):
+    with pytest.raises(OutOfAlphabet, match="outside alphabet"):
+        modified_gibbs_partition(fig1, {"e1": symbol, "e4": symbol})
+
+
 def test_modified_partition_no_half_edges_equals_partition():
     d = make_dumbbell()
     assert modified_gibbs_partition(d, {}) == gibbs_partition(d)

@@ -10,7 +10,7 @@ from gcb.coding import Channel, ParityCheckMatrix, attach_channel, nfg_from_pari
 from gcb.covers import PseudoMarginals
 from gcb.gibbs import gibbs_partition, valid_tuples
 from gcb.nfg import Factor, Nfg
-from gcb.spa import SpaState, layout, sum_product
+from gcb.spa import SpaState, sum_product
 
 from conftest import EXAMPLE3_ROWS, make_interleaved, make_loopy_positive, make_mixed_arity, make_random_tree
 
@@ -50,12 +50,8 @@ def _incoming(nfg: Nfg, msgs, fid, e):
 
 
 def beliefs_from_messages(nfg: Nfg, msgs, temperature: float = 1.0) -> PseudoMarginals:
-    """Factor and edge beliefs induced by a message set.
-
-    A zero row sum gives the uniform distribution on all of the factor's
-    table rows, where ``sum_product`` takes its rows of non-zero weight:
-    the two differ only where a weight underflows to 0 at a small T.
-    """
+    """Factor and edge beliefs induced by a message set; a zero row sum
+    gives the uniform distribution on all of the factor's table rows."""
     weights = _factor_weights(nfg, temperature)
     factor_dists = {}
     for fid, f in nfg.factors.items():
@@ -401,8 +397,8 @@ def test_non_finite_temperature_is_rejected(temperature):
 
 def underflow_graph():
     # a loop of three pairwise factors and a unary one on a half-edge; the
-    # rows of 1e-200 and 1e-250 underflow to 0.0 at T <= 0.1, so the layout
-    # drops them, while every factor keeps two rows of weight 1 or 0.5
+    # rows of 1e-200 and 1e-250 underflow to 0.0 at T <= 0.1, so the oracle
+    # skips them, while every factor keeps two rows of weight 1 or 0.5
     rows = {(0, 0): 1.0, (0, 1): 1e-200, (1, 0): 1e-250, (1, 1): 0.5}
     return Nfg(
         {"a": 2, "b": 2, "c": 2, "h": 2},
@@ -422,6 +418,22 @@ def test_underflowing_rows_are_dropped_like_the_oracle(temperature):
         underflow_graph(), max_iters=60, damping=0.5, temperature=temperature, collect_trace=True
     )
     assert len(state.trace) == state.iterations
+
+
+def test_a_factor_whose_every_row_underflows_has_a_uniform_block():
+    """At T = 0.1 both rows of g underflow to 0.0: its messages and its
+    belief block are uniform over its rows, as in the oracle."""
+    nfg = Nfg(
+        {"a": 2, "b": 2, "h": 2},
+        ["h"],
+        [
+            Factor("f", ("a", "b"), {(0, 0): 1.0, (1, 1): 0.5}),
+            Factor("g", ("a", "b", "h"), {(0, 0, 0): 1e-200, (1, 1, 1): 1e-250}),
+        ],
+    )
+    assert_same_run(nfg, max_iters=30, temperature=0.1, collect_trace=True)
+    _, beliefs = sum_product(nfg, max_iters=30, temperature=0.1)
+    assert beliefs.factor_dists["g"] == {(0, 0, 0): 0.5, (1, 1, 1): 0.5}
 
 
 def contradictory_graph():
@@ -455,12 +467,16 @@ def test_binary_blocks_sum_by_one_column_add_like_the_oracle(options, monkeypatc
     graph whose blocks toward b sum to 0 (the uniform fallback, ``_over``)."""
     import gcb.spa
 
-    over, fallbacks = gcb.spa._over, []
-    monkeypatch.setattr(gcb.spa, "_over", lambda *args: fallbacks.append(args[1].shape) or over(*args))
+    def over(values, totals, *rest):
+        if not (totals > 0).all():
+            fallbacks.append(totals.shape)
+        return plain(values, totals, *rest)
+
+    plain, fallbacks = gcb.spa._over, []
+    monkeypatch.setattr(gcb.spa, "_over", over)
     graphs = [example3_decoding_graph(Channel.bsc(p), y) for p, y in example3_bsc_words(seed=11, per_p=1)]
     for nfg in graphs + [contradictory_graph()]:
-        index, weights, _ = _BetaIndex.weighed_on(nfg)
-        assert [size for _, _, size in layout(index, weights).groups] == [2]
+        assert [size for _, _, size in _BetaIndex.of(nfg).layout.groups] == [2]
         assert_same_run(nfg, max_iters=30, tol=0.0, **options)
     assert (5, 1) in fallbacks  # the sweep's sums of the contradictory graph's five blocks
 
@@ -479,8 +495,7 @@ def test_seeded_starts_on_interleaved_block_sizes_match_oracle(collect_trace):
     draws, taken in block order, land permuted; the run still matches the
     oracle bit for bit."""
     nfg = make_interleaved()
-    index, weights, _ = _BetaIndex.weighed_on(nfg)
-    starts = [lo for _, lo, _ in layout(index, weights).blocks]
+    starts = [lo for _, lo, _ in _BetaIndex.of(nfg).layout.blocks]
     assert starts != sorted(starts)
     for seed in (1, 2, 3):
         assert_same_run(nfg, max_iters=80, damping=0.3, init_seed=seed, collect_trace=collect_trace)
@@ -493,7 +508,7 @@ def test_partner_pairs_the_two_ends_of_each_edge_symbol(make):
     ends (``nfg.incidence``); ``edge_row`` is each edge symbol's row at its
     first endpoint, and each layout block starts at its marginal row."""
     nfg = make()
-    index, weights, _ = _BetaIndex.weighed_on(nfg)
+    index = _BetaIndex.of(nfg)
     partner, n_sums = index.partner, index.n_sums
     assert np.array_equal(partner[partner], np.arange(len(partner)))
     key_of = {}  # marginal row -> (factor, edge, symbol)
@@ -508,7 +523,7 @@ def test_partner_pairs_the_two_ends_of_each_edge_symbol(make):
     assert [key_of[row] for row in index.edge_row.tolist()] == [
         (nfg.incidence[e][0], e, s) for e, s in index.edge_slots
     ]
-    for (f, e), lo, hi in layout(index, weights).blocks:
+    for (f, e), lo, hi in index.layout.blocks:
         assert (lo, hi) == (index.marginal_row[f, e] - n_sums, index.marginal_row[f, e] - n_sums + nfg.alphabet_sizes[e])
 
 
