@@ -11,7 +11,8 @@ over unchanged.  ``Walk`` follows the plan: it is gcb's one walk over
 valid configurations, exact or float, on a graph or its degree-M covers,
 and enumeration, cover sums, pre-image counting and the decoding rules,
 MAP decoding included, all run on it.  Exact walks on rational tables
-multiply scaled ints, times ``Walk.unit`` once per sum, and the ``limit``
+multiply scaled ints, each factor's one exact reading (``exact_reading``),
+times ``Walk.unit`` once per sum; float walks never read it.  The ``limit``
 of ``Walk.configs`` is the one configuration cap.  ``cover_sweep`` is the
 one sum over covers, for both precisions, and the Gibbs partition sum is
 its sweep of the base graph.  It sums each cover as the product of its
@@ -48,9 +49,10 @@ class FactorPlan:
 
 
 class Plan:
-    __slots__ = ("sizes", "factors")
+    __slots__ = ("sizes", "factors", "nfg")
 
     def __init__(self, nfg):
+        self.nfg = nfg
         self.sizes = [nfg.alphabet_sizes[e] for e in nfg.edge_order]
         shared = dict.fromkeys(nfg.factors, 0)  # bound edges of each factor not yet placed
         bound_edges: set[str] = set()
@@ -76,6 +78,10 @@ class Plan:
                             shared[g] += 1
             self.factors.append(fp)
 
+    def exact_weights(self):
+        """``exact_weights`` of the plan's graph, in walk order."""
+        return exact_weights(self.nfg, [(fp.fid, row_order(fp.support)) for fp in self.factors])
+
 
 def build_plan(nfg) -> Plan:
     return Plan(nfg)
@@ -93,28 +99,30 @@ def lcm_scaled(values):
     return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 
-def scaled_table(values):
-    """``lcm_scaled(values)`` when every value is rational, else None."""
-    if all(isinstance(w, (int, Fraction)) for w in values):
-        return lcm_scaled(values)
-    return None
+def exact_reading(f):
+    """(ints, L): f's values in sorted row order times L, the LCM of their
+    denominators; None when a value is a float.  Kept by ``Nfg.per_factor``."""
+    values = [f.table[row] for row in sorted(f.table)]
+    return None if any(isinstance(v, float) for v in values) else lcm_scaled(values)
 
 
-def walk_weights(tables, exact: bool = True, scaled=None):
-    """(weights, scale): the row values a walk multiplies, per table of
-    ``tables`` (lists of row values).  When every table is rational, exact
-    mode scales each to ints by the LCM L of its denominators (scale =
-    prod L); with a float table it keeps the tables' own values (scale 1),
-    since an int product past 1e308 cannot meet a float.  ``scaled``, when
-    given, holds each table's ``scaled_table``.  With ``exact=False`` all
-    are floats and scale is 1."""
-    if not exact:
-        return [[float(w) for w in table] for table in tables], 1
-    if scaled is None:
-        scaled = [scaled_table(table) for table in tables]
-    if any(s is None for s in scaled):
-        return tables, 1
-    return [ints for ints, _ in scaled], math.prod(lcm for _, lcm in scaled)
+def row_order(support):
+    """The number of each row of ``support`` in sorted row order."""
+    number = {row: i for i, row in enumerate(sorted(support))}
+    return [number[row] for row in support]
+
+
+def exact_weights(nfg, orders):
+    """(weights, scale) that exact products multiply: per (factor id, order)
+    of ``orders``, its exact reading's ints taken in ``order`` (``row_order``),
+    and scale = prod L; with a float table, the tables' own values and scale
+    1, since an int product past 1e308 cannot meet a float."""
+    readings = nfg.per_factor(exact_reading, exact_reading)
+    picked = [readings[fid] for fid, _ in orders]
+    if None in picked:
+        picked = [([t[row] for row in sorted(t)], 1) for t in (nfg.factors[fid].table for fid, _ in orders)]
+    weights = [[ints[i] for i in order] for (ints, _), (_, order) in zip(picked, orders)]
+    return weights, math.prod(lcm for _, lcm in picked)
 
 
 class Walk:
@@ -125,7 +133,8 @@ class Walk:
     already on its bound edges; its free edges then take the row's
     symbols.  A chosen row is reported as its index into ``rows``, the list
     of (factor id, row) pairs over the plan's factors in order.  Values
-    multiply the rows' weights (``walk_weights``) left to right, and
+    multiply the rows' weights (the plan's ``exact_weights``, or with
+    ``exact=False`` its factors' ``weights`` as floats) left to right, and
     ``value * unit`` is the global value: ``unit`` = 1 / scale^M, a
     Fraction, in exact mode, and 1.0 with ``exact=False``.  The plan
     places a factor with no bound edge only when no factor left shares an
@@ -140,7 +149,7 @@ class Walk:
         self.one = 1 if exact else 1.0
         self.rows = []
         self._factors = []
-        weights, scale = walk_weights([fp.weights for fp in plan.factors], exact)
+        weights, scale = plan.exact_weights() if exact else ([[float(w) for w in fp.weights] for fp in plan.factors], 1)
         for fp, fp_weights in zip(plan.factors, weights):
             key = itemgetter(*fp.bound_sel) if fp.bound_sel else (lambda row: ())
             groups: dict = {}

@@ -153,25 +153,18 @@ class ZBetheM:
         self.stderr = stderr
 
 
-def _rational_tables(nfg: Nfg) -> bool:
-    return all(
-        isinstance(v, (Fraction, int))
-        for f in nfg.factors.values()
-        for v in f.table.values()
-    )
-
-
 def _exact_mode(nfg: Nfg, m: int, temperature, exact) -> bool:
     """Whether a degree-M sum runs exact: ``exact`` itself, or when None,
-    T = 1 with rational tables.  Raises ValueError for M < 1, a T outside
-    (0, inf) or an exact mode the graph cannot have."""
+    T = 1 with every factor's exact reading (``_kernels.exact_reading``).
+    Raises ValueError for M < 1, a T outside (0, inf) or an exact mode the
+    graph cannot have."""
     check_degree(m)
     inverse_temperature(temperature)
-    if exact is None:
-        return temperature == 1 and _rational_tables(nfg)
-    if exact and (temperature != 1 or not _rational_tables(nfg)):
+    reading = _kernels.exact_reading
+    ok = exact is not False and temperature == 1 and None not in nfg.per_factor(reading, reading).values()
+    if exact and not ok:
         raise ValueError("exact mode needs T = 1 and rational tables")
-    return exact
+    return ok
 
 
 def zbethe_m_enumeration(
@@ -729,11 +722,12 @@ def tilt_factor_block(features, log_w, targets) -> TiltResult:
 class MinimizeResult:
     """``certified`` is True when max-sum diffusion pinned a T = 0 optimum
     (``_BetaIndex.diffuse``) and no LP was solved; ``sweeps`` counts the
-    diffusion sweeps run (0 at T > 0)."""
+    diffusion sweeps run (0 at T > 0), ``bound`` the dual bound they reached,
+    at most the T = 0 optimum (None at T > 0)."""
 
-    __slots__ = ("beta", "f_min", "z_bethe", "converged", "tie", "certified", "sweeps")
+    __slots__ = ("beta", "f_min", "z_bethe", "converged", "tie", "certified", "sweeps", "bound")
 
-    def __init__(self, beta, f_min, z_bethe, converged, tie, certified=False, sweeps=0):
+    def __init__(self, beta, f_min, z_bethe, converged, tie, certified=False, sweeps=0, bound=None):
         self.beta = beta
         self.f_min = f_min
         self.z_bethe = z_bethe
@@ -741,6 +735,7 @@ class MinimizeResult:
         self.tie = tie
         self.certified = certified
         self.sweeps = sweeps
+        self.bound = bound
 
 
 def _minimize_energy(nfg: Nfg, config_cap) -> MinimizeResult:
@@ -753,7 +748,7 @@ def _minimize_energy(nfg: Nfg, config_cap) -> MinimizeResult:
     tie.  Each edge's marginal is read off its first endpoint."""
     TypeTally.of(nfg, 1, None, config_cap)
     idx, _, energy = _BetaIndex.weighed_on(nfg)
-    y, sweeps, _ = idx.diffuse(energy)
+    y, sweeps, bound = idx.diffuse(energy)
     certified = y is not None
     if certified:
         f_min = sum(energy[:len(y)][y > 0].tolist())
@@ -766,7 +761,7 @@ def _minimize_energy(nfg: Nfg, config_cap) -> MinimizeResult:
     x = np.concatenate([y, np.bincount(row, weights=y[slot], minlength=len(idx.rhs))[idx.edge_row]])
     beta = idx.to_beta(x)
     tie = not certified and _zero_temp_tie(nfg, x, f_min, config_cap)
-    return MinimizeResult(beta, f_min, None, True, tie, certified, sweeps)
+    return MinimizeResult(beta, f_min, None, True, tie, certified, sweeps, bound)
 
 
 def minimize_bethe(

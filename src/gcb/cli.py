@@ -271,10 +271,11 @@ def cmd_decode(args):
     ]
     if result.objective is not None:
         lines.append(f"objective={_fmt(result.objective)}")
-    # bgcd without --degree: whether diffusion pinned the optimum, and its sweeps
+    # bgcd without --degree: whether diffusion pinned the optimum, its sweeps and dual bound
     if "certified" in result.diagnostics:
         lines.append(f"certified={str(result.diagnostics['certified']).lower()}")
         lines.append(f"sweeps={result.diagnostics['sweeps']}")
+        lines.append(f"bound={_fmt(result.diagnostics['bound'])}")
     for e in dec.symbol_edges:
         d = result.symbol_beliefs[e]
         belief = " ".join(f"{s}:{_fmt(d.get(s, 0))}" for s in range(nfg_code.alphabet_sizes[e]))

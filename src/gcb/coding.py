@@ -495,12 +495,13 @@ def bgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None)
     way the decoding graph's valid configurations are held to
     ``config_cap`` (the environment's or default configuration cap when
     None), CapExceeded past it.  ``diagnostics`` carry ``certified`` (diffusion pinned the
-    optimum) and ``sweeps`` (the diffusion sweeps run).
+    optimum), ``sweeps`` (the diffusion sweeps run) and ``bound`` (their dual bound).
     """
     if degree is not None:
         return _blockwise(dec, degree, cap, config_cap)
     res = minimize_bethe(dec.nfg, 0, config_cap=config_cap)
-    return _decide(dec, res.beta, res.tie, res.f_min, {"certified": res.certified, "sweeps": res.sweeps})
+    diagnostics = {"certified": res.certified, "sweeps": res.sweeps, "bound": res.bound}
+    return _decide(dec, res.beta, res.tie, res.f_min, diagnostics)
 
 
 def sgcd(dec: DecodingNfg, degree: int | None = None, cap=None, config_cap=None, **minimize_kwargs) -> DecodeResult:

@@ -45,7 +45,7 @@ from .errors import (
     ShapeMismatch,
 )
 from . import _kernels
-from ._kernels import Walk, lcm_scaled, scaled_table, walk_weights
+from ._kernels import Walk, exact_weights
 from .gibbs import config_cap as default_config_cap, resolve_cap
 from .nfg import Factor, Nfg, read_lines
 
@@ -402,13 +402,13 @@ class TypeTally:
     keeps ``types``, (rows, count, slots) per type: its number of
     configurations and the slots of the first visited, the types in order
     of those slots.  At M = 1, where every configuration is a type of its
-    own, that is the order of ``gibbs.valid_tuples``.  Each of the
-    ``n_fixed`` covers stands for ``multiplicity`` labeled ones, and
+    own, that is the order of ``gibbs.valid_tuples``, which lists them.
+    Each of the ``n_fixed`` covers stands for ``multiplicity`` labeled ones, and
     ``fullest`` is the most configurations one cover has; the walk raises
     CapExceeded past ``config_cap`` and the cover cap ``cap``.  The tally
-    holds the plan's supports but no table values, so the graphs of one
-    structure share it (``of``), and ``weighed`` reads one graph's values,
-    each factor's once per factor object (``Nfg.per_factor``).
+    holds the plan's row ``orders`` but no table values, so the graphs of
+    one structure share it (``of``), and ``weighed`` reads one graph's
+    values off each factor's exact reading (``_kernels.exact_reading``).
     The symbolwise rule reads its sums off ``incidence``, the types that
     take each factor row and edge symbol, listed on first use.
     """
@@ -417,7 +417,7 @@ class TypeTally:
         self.m = m
         perm_invs = gauge_fixed_perm_invs(nfg, m, cap=cap)
         plan = _kernels.build_plan(nfg)
-        self.supports = {fp.fid: fp.support for fp in plan.factors}
+        self.orders = [(fp.fid, _kernels.row_order(fp.support)) for fp in plan.factors]
         walk, limit, by_type = Walk(plan, m), default_config_cap(config_cap), {}
         self.rows = walk.rows
         self.fullest = 0
@@ -479,20 +479,14 @@ class TypeTally:
         """(types, unit): (count, value, rows, slots) per type on the tables
         of nfg, a graph of the tally's structure, with ``value * unit`` the
         global value of each of the type's configurations.  A value
-        multiplies its rows' weights (``walk_weights``) in row-id order,
-        which at M = 1 is the order of a walk.  Each factor's values are
-        read once per factor object (``Nfg.per_factor``)."""
-        tables = nfg.per_factor(TypeTally, self._row_values)
-        tables = [tables[fid] for fid in self.supports]
-        weights, scale = walk_weights([values for values, _ in tables], scaled=[s for _, s in tables])
+        multiplies its rows' weights in row-id order, which at M = 1 is the
+        order of a walk: each factor's exact reading in the plan's row
+        order, or with a float table the tables' own values
+        (``_kernels.exact_weights``), as an exact walk multiplies."""
+        weights, scale = exact_weights(nfg, self.orders)
         flat = list(itertools.chain.from_iterable(weights))
         types = [(count, math.prod([flat[r] for r in rows]), rows, slots) for rows, count, slots in self.types]
         return types, Fraction(1, scale**self.m)
-
-    def _row_values(self, f: Factor):
-        """(values, ``scaled_table(values)``) of f's rows in walk order."""
-        values = [f.table[row] for row in self.supports[f.id]]
-        return values, scaled_table(values)
 
 
 class PreimageCensus:
@@ -603,12 +597,14 @@ def type_graph(nfg: Nfg, m: int, inv_t=None):
     out): multinomial(M; c) prod_row g_row^(c_row) summed over its count
     vectors c.  The first endpoint of each full edge carries prod_s n_s!,
     and ``unit`` 1/M! per full edge.  ``inv_t=None`` gives ints, each
-    factor's g scaled by the LCM L of its denominators (``unit`` also holds
-    1/prod L^M); a float ``inv_t`` gives floats g^inv_t, with the 1/M! in
-    the edge weights.
+    factor's g its exact reading (``_kernels.exact_weights``: g times the
+    LCM L of its denominators; ``unit`` also holds 1/prod L^M); a float
+    ``inv_t`` gives floats g^inv_t, with the 1/M! in the edge weights.
     """
-    base, scale, tables = m + 1, 1, []
-    for fid in sorted(nfg.factors):
+    base, tables, fids = m + 1, [], sorted(nfg.factors)
+    if inv_t is None:
+        exact, scale = exact_weights(nfg, [(fid, range(len(nfg.factors[fid].table))) for fid in fids])
+    for i, fid in enumerate(fids):
         f = nfg.factors[fid]
         full = [p for p, e in enumerate(f.edges) if e not in nfg.half_edges]
         places = [1]
@@ -616,12 +612,7 @@ def type_graph(nfg: Nfg, m: int, inv_t=None):
             places.append(places[-1] * base ** (nfg.alphabet_sizes[f.edges[p]] - 1))
         spans = list(zip(places, places[1:]))
         rows = sorted(f.table)
-        values = [f.table[row] for row in rows]
-        if inv_t is not None:
-            values = [float(v) ** inv_t for v in values]
-        else:
-            values, lcm = lcm_scaled(values)
-            scale *= lcm**m
+        values = exact[i] if inv_t is None else [float(f.table[row]) ** inv_t for row in rows]
         offsets = [sum(place * base ** (row[p] - 1) for p, place in zip(full, places) if row[p]) for row in rows]
         weighed = [(j, nfg.alphabet_sizes[f.edges[p]]) for j, p in enumerate(full)
                    if nfg.incidence[f.edges[p]][0] == fid]
@@ -632,7 +623,7 @@ def type_graph(nfg: Nfg, m: int, inv_t=None):
                 w *= _edge_weight(m, size, key[j], inv_t is None)
             table[key] = w
         tables.append((tuple(f.edges[p] for p in full), table))
-    return tables, (Fraction(1, scale * math.factorial(m) ** len(nfg.full_edges)) if inv_t is None else 1.0)
+    return tables, (Fraction(1, scale**m * math.factorial(m) ** len(nfg.full_edges)) if inv_t is None else 1.0)
 
 
 @functools.lru_cache(maxsize=1 << 12)

@@ -56,12 +56,14 @@ def enumerate_configurations(nfg: Nfg, cap=None):
 def valid_tuples(nfg: Nfg, cap=None):
     """Sorted canonical tuples of the valid configurations, with values.
 
-    The walk only visits supported assignments, so the cap bounds the number
-    of valid configurations found rather than the raw product space.
+    They are nfg's M = 1 types (``covers.TypeTally.weighed_on``), walked
+    once per structure with a cover cap of 1, as the graph is its one
+    degree-1 cover; the walk only visits supported assignments, so the cap
+    bounds the valid configurations found, not the raw product space.
     """
-    walk = Walk(build_plan(nfg))
-    configs = walk.configs(limit=config_cap(cap))
-    return sorted((tuple(slots), value * walk.unit) for value, slots, _ in configs)
+    from .covers import TypeTally  # covers imports this module
+    _, types, unit = TypeTally.weighed_on(nfg, 1, 1, cap)
+    return [(slots, value * unit) for _, value, _, slots in types]
 
 
 def global_function(nfg: Nfg, config: Mapping[str, int]):

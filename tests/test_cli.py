@@ -414,6 +414,7 @@ def test_decode_bgcd_prints_its_certificate(tmp_path, capsys):
     lines = out.splitlines()
     assert code == 0 and lines[:2] == ["decision=000", "tie=false"]
     assert lines[3] == "certified=true" and int(lines[4].split("=")[1]) >= 1
+    assert lines[5].startswith("bound=") and float(lines[5][6:]) == pytest.approx(float(lines[2][10:]), rel=1e-11)
     (tmp_path / "h4.pcm").write_text("1 1 0 0\n0 1 1 0\n0 0 1 1\n")
     (tmp_path / "y4.txt").write_text("0 0 1 1\n")
     code, out, _ = run(capsys, "decode", "--decoder", "bgcd", "--pcm", str(tmp_path / "h4.pcm"),
@@ -421,6 +422,7 @@ def test_decode_bgcd_prints_its_certificate(tmp_path, capsys):
     lines = out.splitlines()
     assert code == 0 and lines[1] == "tie=true"
     assert lines[3:5] == ["certified=false", f"sweeps={DIFFUSION_SWEEPS}"]
+    assert lines[5].startswith("bound=") and float(lines[5][6:]) <= float(lines[2][10:]) + 1e-9
 
 
 def test_decode_bgcd_config_cap_exit(tmp_path, capsys):

@@ -298,6 +298,21 @@ def test_bgcd_tie_check_raises_past_config_cap(monkeypatch):
         bgcd(dec)
 
 
+def test_bgcd_reports_the_dual_bound():
+    """bgcd's ``bound`` is the dual bound max-sum diffusion reached: equal to
+    the objective, to rounding, on a word it pins, and below it on a word
+    left to the LP."""
+    code = nfg_from_parity_check(ParityCheckMatrix(EXAMPLE3_ROWS))
+    for y, certified in (("0000000000", True), ("0100100010", False)):
+        res = bgcd(attach_channel(code, Channel.bsc(Fraction(1, 10)), y))
+        bound, objective = res.diagnostics["bound"], res.objective
+        assert res.diagnostics["certified"] is certified
+        if certified:
+            assert abs(bound - objective) <= 1e-12 * max(1.0, abs(objective))
+        else:
+            assert bound <= objective + 1e-9
+
+
 def test_bgcd_lp_failure_instance():
     """Crafted received vector where the fractional pseudo-codeword wins."""
     pcm = ParityCheckMatrix(DUMBBELL_INCIDENCE)

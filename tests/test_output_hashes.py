@@ -17,5 +17,6 @@ def test_output_hashes_print_one_line_per_group():
     lines = [line.split() for line in proc.stdout.splitlines()]
     assert [(name, int(n)) for name, n, _ in lines] == [
         ("bmapd", 3), ("smapd", 3), ("bgcd", 3), ("spa-T1", 3), ("spa-T0.002", 3), ("sgcd", 1), ("bme", 3),
+        ("enum-exact", 3), ("typesum-exact", 3), ("enum-float", 3), ("typesum-float", 3),
     ]
     assert all(re.fullmatch("[0-9a-f]{16}", digest) for _, _, digest in lines)

@@ -11,6 +11,7 @@ second component.
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -199,7 +200,9 @@ class TypeWalk:
             factors.append(SimpleNamespace(fid=fp.fid, edge_idx=fp.edge_idx, twist=fp.twist,
                                            bound_sel=fp.bound_sel, free_sel=fp.free_sel,
                                            support=support, weights=weights))
-        plan = SimpleNamespace(sizes=[0] * len(nfg.edge_order), factors=factors)
+        # the weights are already ints (inv_t=None) or floats: an exact walk multiplies them as they are
+        plan = SimpleNamespace(sizes=[0] * len(nfg.edge_order), factors=factors,
+                               exact_weights=lambda: ([fp.weights for fp in factors], 1))
         self.walk = Walk(plan, 1, exact=inv_t is None)
         self.unit = self.walk.unit / scale
 
@@ -733,6 +736,41 @@ def test_mixed_walk_scales_no_table():
     nfg = Nfg({f.edges[0]: 1 for f in factors}, [f.edges[0] for f in factors], factors)
     ((_, value),) = valid_tuples(nfg)
     assert value == pytest.approx(0.999**120 * 0.5, rel=1e-12)
+
+
+def test_exact_sums_read_each_factor_once(monkeypatch):
+    """Both exact degree-2 sums and their exact-mode checks read each
+    table through one exact reading kept beside its factor: ``lcm_scaled``
+    runs once per factor, wherever a module holds it."""
+    nfg = coprime_graph()
+    calls = []
+
+    def counting(values):
+        calls.append(values)
+        return lcm_scaled(values)
+
+    for module in list(sys.modules.values()):
+        if module and module.__name__.startswith("gcb") and hasattr(module, "lcm_scaled"):
+            monkeypatch.setattr(module, "lcm_scaled", counting)
+    assert zbethe_m_enumeration(nfg, 2).pre_root == zbethe_m_typesum(nfg, 2).pre_root
+    assert len(calls) == len(nfg.factors)
+
+
+def test_float_walks_build_no_exact_reading(monkeypatch):
+    """A float walk, a float cover sum and a float type-sum never build a
+    table's exact reading."""
+    nfg = coprime_graph()
+
+    def refuse(f):
+        raise AssertionError(f"exact reading of {f.id} built on a float path")
+
+    monkeypatch.setattr(kernels, "exact_reading", refuse)
+    walk = Walk(build_plan(nfg), 2, exact=False)
+    assert all(type(value) is float for value, _, _ in walk.configs())
+    assert type(zbethe_m_enumeration(nfg, 2, exact=False).pre_root) is float
+    assert type(zbethe_m_enumeration(nfg, 2, temperature=0.7).pre_root) is float
+    assert type(zbethe_m_typesum(nfg, 2, temperature=0.7).pre_root) is float
+    assert type(gibbs_partition(nfg, 0.7)) is float
 
 
 def test_perm_tables_lehmer_order():

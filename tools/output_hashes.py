@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Hash gcb's outputs on the benchmark's seed-1 inputs, one line per group.
 
-    python3 tools/output_hashes.py --root <tree> --words N [--items K]
+    python3 tools/output_hashes.py --root <tree> --words N [--items K] [--covers K]
 
 imports gcb from ``<tree>/src`` and feeds it the inputs of perfbench's
 seed-1 generators (``perfbench/workloads.py`` of this checkout, so two
@@ -16,7 +16,12 @@ the same lines:
   underflow, on the same words;
 - ``sgcd`` on the first ceil(N / 4) of them;
 - ``bme`` on the omegas among the first K ``entropy-curves`` items
-  (K = N unless given).
+  (K = N unless given);
+- ``enum-exact`` and ``typesum-exact``, the ``ZBetheM`` of the exact
+  degree-2 enumeration and type-sum, on the first K ``exact-covers``
+  graphs, and ``enum-float`` and ``typesum-float``, the float sums at
+  each item's M and T, on the first K ``float-sweep`` graphs (K from
+  ``--covers``, N unless given).
 
 An output that raises is hashed as its exception's type and message.
 """
@@ -72,8 +77,11 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=CHECKOUT, help="tree whose src/gcb is hashed")
     parser.add_argument("--words", type=int, required=True, help="decode-bsc words")
     parser.add_argument("--items", type=int, default=None, help="entropy-curves items (default: --words)")
+    parser.add_argument("--covers", type=int, default=None,
+                        help="exact-covers and float-sweep graphs (default: --words)")
     args = parser.parse_args(argv)
     items = args.words if args.items is None else args.items
+    n_covers = args.words if args.covers is None else args.covers
 
     sys.path[:0] = [str(args.root.resolve() / "src"), str(CHECKOUT / "perfbench")]
     import gcb
@@ -82,7 +90,9 @@ def main(argv=None) -> int:
     if not Path(gcb.__file__).resolve().is_relative_to(args.root.resolve()):
         parser.error(f"gcb imported from {gcb.__file__}, not from {args.root}")
 
-    groups = {name: [] for name in ("bmapd", "smapd", "bgcd", "spa-T1", "spa-T0.002", "sgcd", "bme")}
+    names = ("bmapd", "smapd", "bgcd", "spa-T1", "spa-T0.002", "sgcd", "bme",
+             "enum-exact", "typesum-exact", "enum-float", "typesum-float")
+    groups = {name: [] for name in names}
     decode = workloads.DecodeBsc(CHECKOUT)
     for i, inp in enumerate(itertools.islice(decode.stream(SEED), args.words)):
         out = decode.run(inp)
@@ -96,6 +106,14 @@ def main(argv=None) -> int:
     for inp in itertools.islice(curves.stream(SEED), items):
         if inp["kind"] == "omega":
             groups["bme"].append(outcome(gcb.bme_completion, curves.code_nfg, inp["omega"]))
+    exact = workloads.ExactCovers(CHECKOUT)
+    for inp in itertools.islice(exact.stream(SEED), n_covers):
+        groups["enum-exact"].append(outcome(gcb.zbethe_m_enumeration, inp["nfg"], exact.m, exact=True))
+        groups["typesum-exact"].append(outcome(gcb.zbethe_m_typesum, inp["nfg"], exact.m, exact=True))
+    for inp in itertools.islice(workloads.FloatSweep(CHECKOUT).stream(SEED), n_covers):
+        nfg, m, temperature = inp["nfg"], inp["m"], inp["T"]
+        groups["enum-float"].append(outcome(gcb.zbethe_m_enumeration, nfg, m, temperature, exact=False))
+        groups["typesum-float"].append(outcome(gcb.zbethe_m_typesum, nfg, m, temperature, exact=False))
     for name, outputs in groups.items():
         digest = hashlib.sha256(repr(outputs).encode()).hexdigest()[:16]
         print(f"{name} {len(outputs)} {digest}")
